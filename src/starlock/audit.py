@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .boardformat import CAST, contest_columns, index_lines
 from .errors import CommitmentMismatch, MarginNotPositive, StarlockError
 from .fiatshamir import DOMAIN_COMMITMENT
 from .manifest import ElectionManifest
@@ -33,10 +34,6 @@ SALT_BYTES = 16
 
 CONFIRMED = "CONFIRMED"
 FULL_HAND_COUNT = "FULL_HAND_COUNT"
-
-CAST = "CAST"
-ABSTAIN_COLUMN = "(abstain)"
-WRITE_IN_COLUMN = "(write-in)"
 
 
 def check_seed(seed: str) -> str:
@@ -155,12 +152,9 @@ def compliance_check(cast_serials, box_serials) -> dict:
     }
 
 
-def _unique_contests(manifest: ElectionManifest):
-    seen = {}
-    for style in manifest.styles:
-        for contest in style.contests:
-            seen.setdefault(contest.contest_id, contest)
-    return seen
+def _contests(manifest: ElectionManifest) -> dict:
+    layout = contest_columns({style.style_id: style for style in manifest.styles})
+    return {cid: contest for cid, (contest, _) in layout.items()}
 
 
 def margin_pairs(manifest: ElectionManifest, result: dict):
@@ -170,7 +164,7 @@ def margin_pairs(manifest: ElectionManifest, result: dict):
     winners = {}
     pairs = []
     v = None
-    for cid, contest in sorted(_unique_contests(manifest).items()):
+    for cid, contest in sorted(_contests(manifest).items()):
         counts = {opt: int(result[cid][opt]) for opt in contest.options}
         ranked = sorted(contest.options, key=lambda o: (-counts[o], o))
         top = ranked[: contest.limit]
@@ -250,7 +244,7 @@ def km_risk(state: KMState, draws) -> float:
 def hand_count(papers, manifest: ElectionManifest) -> dict:
     """Full manual count of every paper summary: per-contest option counts
     and the winners they imply."""
-    contests = _unique_contests(manifest)
+    contests = _contests(manifest)
     counts = {cid: {opt: 0 for opt in c.options} for cid, c in contests.items()}
     for paper in papers:
         for cid, view in paper["contests"].items():
@@ -264,26 +258,6 @@ def hand_count(papers, manifest: ElectionManifest) -> dict:
         ranked = sorted(contest.options, key=lambda o: (-counts[cid][o], o))
         winners[cid] = ranked[: contest.limit]
     return {"counts": counts, "winners": winners}
-
-
-def _effective_statuses(lines) -> dict:
-    statuses = {}
-    for line in lines:
-        if line.get("kind") == "entry":
-            statuses[int(line["index"])] = line["status"]
-        elif line.get("kind") == "status":
-            statuses[int(line["ref"])] = line["status"]
-    return statuses
-
-
-def _tally_result(lines) -> dict:
-    result = None
-    for line in lines:
-        if line.get("kind") == "tally":
-            result = line["result"]
-    if result is None:
-        raise StarlockError("board carries no tally; audit needs reported results")
-    return result
 
 
 def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
@@ -302,8 +276,8 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
     if not 0 < alpha < 1:
         raise ValueError("risk limit must be in (0, 1)")
 
-    statuses = _effective_statuses(lines)
-    cast_indices = {i for i, s in statuses.items() if s == CAST}
+    board_index = index_lines(lines)
+    cast_indices = {i for i, s in board_index.statuses.items() if s == CAST}
     population = [row for row in cvrs if int(row["index"]) in cast_indices]
     population.sort(key=lambda row: int(row["index"]))
     if {int(row["index"]) for row in population} != cast_indices:
@@ -325,7 +299,9 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
     for row in published if published is not None else published_commitments(cvrs):
         published_by_serial[row["serial"]] = row["commitments"]
 
-    winners, pairs, v = margin_pairs(manifest, _tally_result(lines))
+    if not board_index.tallies:
+        raise StarlockError("board carries no tally; audit needs reported results")
+    winners, pairs, v = margin_pairs(manifest, board_index.tallies[-1][1]["result"])
     n = len(population)
     state = KMState(N=n, V=v, alpha=alpha, pairs=pairs)
 

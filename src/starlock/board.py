@@ -18,36 +18,31 @@ import random
 
 from .ballot import (
     ABSTAIN_COLUMN,
-    WRITE_IN_COLUMN,
     BallotStyle,
     EncryptedBallot,
     WellFormednessProof,
     verify_ballot,
 )
-from .elgamal import Keypair, add_many, identity_ciphertext
+from .boardformat import (
+    CAST,
+    GENESIS_HASH,
+    SPOILED,
+    UNTALLIED,
+    BoardIndex,
+    fold_ballots,
+    read_chain,
+    signature_message,
+    spoiled_context,
+    spoiled_plaintext,
+    tally_context,
+)
+from .elgamal import Keypair
 from .errors import NotSpoiled, RejectInvalidProof, StarlockError
 from .group import GroupParams
-from .pollsite import CAST, SPOILED, EncryptedBallotRecord
-from .schnorr import SchnorrSignature, sign
-from .serialize import canonical_json, enc_bytes, enc_int, enc_str, sha256_hex
-from .trustees import DecryptionShare, JointPublicKey, combine_shares, partial_decrypt
-
-UNTALLIED = "UNTALLIED"
-GENESIS_HASH = "0" * 64
-
-
-def tally_context(election_id: str, contest_id: str, column: str) -> bytes:
-    return enc_str(election_id) + enc_str("tally") + enc_str(contest_id) + enc_str(column)
-
-
-def spoiled_context(election_id: str, entry_index: int, contest_id: str, column: str) -> bytes:
-    return (
-        enc_str(election_id)
-        + enc_str("spoiled")
-        + enc_int(entry_index)
-        + enc_str(contest_id)
-        + enc_str(column)
-    )
+from .pollsite import EncryptedBallotRecord
+from .schnorr import sign
+from .serialize import canonical_json, sha256_hex
+from .trustees import JointPublicKey, combine_shares, partial_decrypt
 
 
 class Board:
@@ -56,7 +51,7 @@ class Board:
     def __init__(self, election_id: str):
         self.election_id = election_id
         self._lines = []  # (line_dict, line_hash)
-        self._entry_lines = []  # line positions of ballot entries, by entry index
+        self._index = BoardIndex()
         self._append({"kind": "header", "election_id": election_id, "version": "1"})
 
     # -- low-level chain ------------------------------------------------------
@@ -65,8 +60,11 @@ class Board:
         prev = self._lines[-1][1] if self._lines else GENESIS_HASH
         line = dict(obj)
         line["prev"] = prev
-        text = canonical_json(line)
-        self._lines.append((line, sha256_hex(text.encode("utf-8"))))
+        return self._push(line, sha256_hex(canonical_json(line).encode("utf-8")))
+
+    def _push(self, line: dict, line_hash: str) -> int:
+        self._lines.append((line, line_hash))
+        self._index.add(len(self._lines) - 1, line)
         return len(self._lines) - 1
 
     @property
@@ -84,26 +82,18 @@ class Board:
 
     @classmethod
     def load(cls, path) -> "Board":
-        """Reload a board file, refusing files whose line chain is broken.
-        (The independent verifier has its own parser; this loader is for the
-        officials' tally tooling.)"""
+        """Reload a board file, refusing files whose line chain is broken."""
         board = cls.__new__(cls)
         board._lines = []
-        board._entry_lines = []
+        board._index = BoardIndex()
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh):
-                line = json.loads(raw)
-                prev = board._lines[-1][1] if board._lines else GENESIS_HASH
-                if line.get("prev") != prev:
-                    raise StarlockError(f"board line {lineno}: broken hash chain")
-                text = canonical_json(line)
-                if text != raw.rstrip("\n"):
-                    raise StarlockError(f"board line {lineno}: not in canonical form")
-                board._lines.append((line, sha256_hex(text.encode("utf-8"))))
-                if line["kind"] == "entry":
-                    board._entry_lines.append(len(board._lines) - 1)
+            for line, line_hash in read_chain(raw.rstrip("\n") for raw in fh):
+                board._push(line, line_hash)
         if not board._lines or board._lines[0][0]["kind"] != "header":
             raise StarlockError("board file missing header line")
+        if board._index.misnumbered:
+            lineno = board._index.misnumbered[0]
+            raise StarlockError(f"board line {lineno}: entry index out of sequence")
         board.election_id = board._lines[0][0]["election_id"]
         return board
 
@@ -126,7 +116,7 @@ class Board:
             record.ballot, record.proof, style, joint_key, gp, self.election_id
         ):
             raise RejectInvalidProof("ballot record failed proof verification")
-        index = len(self._entry_lines)
+        index = len(self._index.entries)
         line = {
             "kind": "entry",
             "index": str(index),
@@ -139,21 +129,22 @@ class Board:
         }
         if reason is not None:
             line["reason"] = reason
-        pos = self._append(line)
-        self._entry_lines.append(pos)
+        self._append(line)
         return index
 
-    def append_status(self, entry_index: int, status: str, reason: str | None = None) -> int:
-        if not 0 <= entry_index < len(self._entry_lines):
+    def _check_entry(self, entry_index: int) -> None:
+        if entry_index not in self._index.statuses:
             raise StarlockError(f"no entry {entry_index}")
+
+    def append_status(self, entry_index: int, status: str, reason: str | None = None) -> int:
+        self._check_entry(entry_index)
         line = {"kind": "status", "ref": str(entry_index), "status": status}
         if reason is not None:
             line["reason"] = reason
         return self._append(line)
 
     def append_decryption(self, entry_index: int, columns: list, plaintext: dict) -> int:
-        if not 0 <= entry_index < len(self._entry_lines):
-            raise StarlockError(f"no entry {entry_index}")
+        self._check_entry(entry_index)
         return self._append(
             {
                 "kind": "decryption",
@@ -178,8 +169,7 @@ class Board:
 
     def sign_board(self, office: Keypair, gp: GroupParams) -> int:
         """Sign the running chain head; transitively covers the whole file."""
-        message = enc_str(self.election_id) + enc_bytes(bytes.fromhex(self.last_hash))
-        sig = sign(message, office, gp)
+        sig = sign(signature_message(self.election_id, self.last_hash), office, gp)
         line = {"kind": "signature", "signer": "election-office", "sig": sig.to_json()}
         return self._append(line)
 
@@ -187,19 +177,13 @@ class Board:
 
     def entries(self):
         """(entry_index, line dict) pairs in publication order."""
-        return [(i, json.loads(canonical_json(self._lines[pos][0])))
-                for i, pos in enumerate(self._entry_lines)]
+        return [(i, json.loads(canonical_json(line))) for i, _, line in self._index.entries]
 
     def effective_status(self, entry_index: int) -> str:
-        pos = self._entry_lines[entry_index]
-        status = self._lines[pos][0]["status"]
-        for line, _ in self._lines:
-            if line["kind"] == "status" and int(line["ref"]) == entry_index:
-                status = line["status"]
-        return status
+        return self._index.statuses[entry_index]
 
     def entry_record(self, entry_index: int):
-        line = self._lines[self._entry_lines[entry_index]][0]
+        line = self._index.entries[entry_index][2]
         return (
             EncryptedBallot.from_json(line["ballot"]),
             WellFormednessProof.from_json(line["proof"]),
@@ -209,63 +193,9 @@ class Board:
 # -- aggregation and decryption ----------------------------------------------------
 
 
-def contest_columns(style_map: dict):
-    """Canonical tally columns per contest across all styles: options in
-    contest order, then "(abstain)", then "(write-in)" when the slot exists.
-    Contests shared between styles must be defined identically."""
-    contests = {}
-    order = []
-    for style in style_map.values():
-        for contest in style.contests:
-            seen = contests.get(contest.contest_id)
-            if seen is None:
-                contests[contest.contest_id] = contest
-                order.append(contest.contest_id)
-            elif seen != contest:
-                raise StarlockError(
-                    f"contest {contest.contest_id} defined differently across styles"
-                )
-    out = {}
-    for cid in order:
-        contest = contests[cid]
-        columns = list(contest.options) + [ABSTAIN_COLUMN]
-        if contest.writein_slot:
-            columns.append(WRITE_IN_COLUMN)
-        out[cid] = (contest, columns)
-    return out
-
-
 def aggregate(board: Board, style_map: dict, gp: GroupParams):
-    """Componentwise homomorphic fold over effective-CAST entries.
-
-    Returns {contest_id: {"columns": {column: Ciphertext}, "cast_count": int,
-    "contest": Contest}}. All padding columns fold into one "(abstain)"
-    ciphertext. Zero cast ballots leave the identity encryption (1, 1)."""
-    layout = contest_columns(style_map)
-    agg = {
-        cid: {
-            "contest": contest,
-            "columns": {col: identity_ciphertext() for col in columns},
-            "cast_count": 0,
-        }
-        for cid, (contest, columns) in layout.items()
-    }
-    for index, line in board.entries():
-        if board.effective_status(index) != CAST:
-            continue
-        ballot = EncryptedBallot.from_json(line["ballot"])
-        style = style_map[ballot.style_id]
-        for contest, enc in zip(style.contests, ballot.contests):
-            bucket = agg[contest.contest_id]
-            bucket["cast_count"] += 1
-            cols = bucket["columns"]
-            for opt, ct in zip(contest.options, enc.option_cts):
-                cols[opt] = add_many([cols[opt], ct], gp)
-            for ct in enc.padding_cts:
-                cols[ABSTAIN_COLUMN] = add_many([cols[ABSTAIN_COLUMN], ct], gp)
-            if contest.writein_slot:
-                cols[WRITE_IN_COLUMN] = add_many([cols[WRITE_IN_COLUMN], enc.writein_ct], gp)
-    return agg
+    """Homomorphic fold over effective-CAST entries (see fold_ballots)."""
+    return fold_ballots(board._index.cast_ballots(), style_map, gp)
 
 
 class TallyRecord:
@@ -299,6 +229,15 @@ class TallyRecord:
         )
 
 
+def _decrypt_column(ct, trustee_shares, jpk: JointPublicKey, bound: int, gp: GroupParams,
+                    rng: random.Random, context: bytes):
+    """Partial-decrypt one column with every supplied trustee share and
+    combine. Returns (plaintext, the column's published proof fields)."""
+    shares = [partial_decrypt(ct, ts, gp, rng, context) for ts in trustee_shares]
+    value = combine_shares(ct, shares, jpk, bound, gp, context)
+    return value, {"ciphertext": ct.to_json(), "shares": [s.to_json() for s in shares]}
+
+
 def decrypt_tally(
     board: Board,
     style_map: dict,
@@ -319,21 +258,10 @@ def decrypt_tally(
         result[cid] = {}
         for column, ct in bucket["columns"].items():
             context = tally_context(board.election_id, cid, column)
-            shares = [
-                partial_decrypt(ct, ts, gp, rng, context) for ts in trustee_shares
-            ]
             bound = n_cast * contest.limit if column == ABSTAIN_COLUMN else n_cast
-            count = combine_shares(ct, shares, jpk, bound, gp, context)
+            count, fields = _decrypt_column(ct, trustee_shares, jpk, bound, gp, rng, context)
             result[cid][column] = count
-            columns.append(
-                {
-                    "contest": cid,
-                    "column": column,
-                    "ciphertext": ct.to_json(),
-                    "shares": [s.to_json() for s in shares],
-                    "count": str(count),
-                }
-            )
+            columns.append({"contest": cid, "column": column, "count": str(count), **fields})
     return TallyRecord(columns=columns, result=result, cast_counts=cast_counts)
 
 
@@ -353,44 +281,12 @@ def decrypt_spoiled(
         raise NotSpoiled(f"entry {entry_index} is {status}")
     ballot, _ = board.entry_record(entry_index)
     style = style_map[ballot.style_id]
-    columns = []
-    selections, writeins = {}, []
+    columns, bits = [], {}
     for contest, enc in zip(style.contests, ballot.contests):
-        chosen = []
+        cid = contest.contest_id
         for column, ct in enc.all_columns(contest):
-            context = spoiled_context(board.election_id, entry_index, contest.contest_id, column)
-            shares = [partial_decrypt(ct, ts, gp, rng, context) for ts in trustee_shares]
-            bit = combine_shares(ct, shares, jpk, 1, gp, context)
-            columns.append(
-                {
-                    "contest": contest.contest_id,
-                    "column": column,
-                    "ciphertext": ct.to_json(),
-                    "shares": [s.to_json() for s in shares],
-                    "bit": str(bit),
-                }
-            )
-            if bit == 1 and column in contest.options:
-                chosen.append(column)
-            if bit == 1 and column == WRITE_IN_COLUMN:
-                writeins.append(contest.contest_id)
-        selections[contest.contest_id] = sorted(chosen)
-    plaintext = {
-        "style_id": ballot.style_id,
-        "selections": selections,
-        "writeins": sorted(writeins),
-    }
-    return columns, plaintext
-
-
-def verify_board_signature(lines: list, office_pk: int, gp: GroupParams, election_id: str) -> bool:
-    """Check the last line is a signature over the chain head. Works on
-    parsed line dicts (the public file format)."""
-    from .schnorr import verify_sig
-
-    if not lines or lines[-1].get("kind") != "signature":
-        return False
-    prev_hash = lines[-1]["prev"]
-    message = enc_str(election_id) + enc_bytes(bytes.fromhex(prev_hash))
-    sig = SchnorrSignature.from_json(lines[-1]["sig"])
-    return verify_sig(message, sig, office_pk, gp)
+            context = spoiled_context(board.election_id, entry_index, cid, column)
+            bit, fields = _decrypt_column(ct, trustee_shares, jpk, 1, gp, rng, context)
+            bits[(cid, column)] = bit
+            columns.append({"contest": cid, "column": column, "bit": str(bit), **fields})
+    return columns, spoiled_plaintext(style, bits)

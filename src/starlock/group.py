@@ -13,6 +13,34 @@ from dataclasses import dataclass
 
 from .serialize import enc_int
 
+# Miller-Rabin witnesses: the first twelve primes. Together they decide
+# primality exactly below 3.1e23; above that a composite passes all twelve
+# with probability at most 4^-12 (and far less for a random one).
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_probable_prime(n: int) -> bool:
+    """Strong probable-prime test to every base in MR_BASES."""
+    if n < 2:
+        return False
+    for b in MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -32,11 +60,9 @@ class GroupParams:
 
     def validate(self) -> None:
         """Structural desk-check; raises ValueError on any violation."""
-        from sympy import isprime  # deferred import, only validation needs it
-
-        if not isprime(self.p):
+        if not is_probable_prime(self.p):
             raise ValueError("p is not prime")
-        if not isprime(self.q):
+        if not is_probable_prime(self.q):
             raise ValueError("q is not prime")
         if self.p != 2 * self.q + 1:
             raise ValueError("p != 2q + 1")

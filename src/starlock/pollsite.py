@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from .ballot import BallotStyle, PlaintextBallot, encrypt_ballot
+from .boardformat import CAST, SPOILED
 from .chain import chain_hash, initial_chain_seed, new_serial, receipt_code
 from .errors import (
     AlreadyFinalized,
@@ -37,8 +38,6 @@ TOKEN_POOL_SIZE = 100_000
 DEFAULT_TTL = 600  # logical ticks a ballot may sit PENDING before a sweep spoils it
 
 PENDING = "PENDING"
-CAST = "CAST"
-SPOILED = "SPOILED"
 PROVISIONAL_PENDING = "PROVISIONAL_PENDING"
 
 SPOIL_VOTER = "VOTER"
@@ -529,47 +528,34 @@ def replay_event_log(events, initial_seeds: dict):
     """Independent replay of a site event log.
 
     Recomputes every z from the ballot/proof bytes embedded in
-    ballot_produced events and tracks per-terminal status tallies at every
-    prefix. Returns (chains, conservation_ok) where chains maps terminal id
-    to the list of recomputed z hex digests."""
+    ballot_produced events. Conservation holds when, at every prefix, each
+    terminal's produced count equals the number of distinct serials it
+    produced and every cast, spoil or adjudication names a produced serial.
+    Returns (chains, conservation_ok) where chains maps terminal id to the
+    list of recomputed z hex digests."""
     from .ballot import EncryptedBallot, WellFormednessProof
 
     z_prev = dict(initial_seeds)
     chains = {tid: [] for tid in initial_seeds}
-    produced = {tid: 0 for tid in initial_seeds}
-    statuses = {}
-    terminal_of = {}
+    produced = set()
     conservation_ok = True
-
-    def check_prefix():
-        nonlocal conservation_ok
-        per_term = {tid: 0 for tid in produced}
-        for serial, status in statuses.items():
-            per_term[terminal_of[serial]] += 1
-        for tid in produced:
-            if per_term[tid] != produced[tid]:
-                conservation_ok = False
 
     for event in events:
         kind = event["event"]
         if kind == "ballot_produced":
             tid = event["terminal"]
+            if tid not in z_prev:
+                conservation_ok = False
+                continue
             ballot = EncryptedBallot.from_json(event["ballot"])
             proof = WellFormednessProof.from_json(event["proof"])
             z = chain_hash(ballot, proof, tid, z_prev[tid])
             chains[tid].append(z.hex())
             z_prev[tid] = z
-            produced[tid] += 1
-            serial = event["serial"]
-            terminal_of[serial] = tid
-            statuses[serial] = (
-                PROVISIONAL_PENDING if event.get("provisional") else PENDING
-            )
-        elif kind == "cast":
-            statuses[event["serial"]] = CAST
-        elif kind == "spoiled":
-            statuses[event["serial"]] = SPOILED
-        elif kind == "provisional_adjudicated" and event["decision"] == ACCEPT:
-            statuses[event["serial"]] = CAST
-        check_prefix()
+            if event["serial"] in produced:
+                conservation_ok = False
+            produced.add(event["serial"])
+        elif kind in ("cast", "spoiled", "provisional_adjudicated"):
+            if event["serial"] not in produced:
+                conservation_ok = False
     return chains, conservation_ok

@@ -19,18 +19,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .audit import build_cvrs, compliance_check, interpretation, published_commitments
+from .audit import (
+    SALT_BYTES,
+    build_cvrs,
+    compliance_check,
+    interpretation,
+    published_commitments,
+)
 from .ballot import BallotStyle, PlaintextBallot
-from .board import UNTALLIED, Board, decrypt_spoiled, decrypt_tally
+from .board import Board, decrypt_spoiled, decrypt_tally
+from .boardformat import CAST, SPOILED, UNTALLIED, contest_columns
 from .elgamal import Keypair, keygen
-from .errors import ScenarioError
+from .errors import ScenarioError, StarlockError
 from .group import GROUPS, resolve_group
 from .manifest import ElectionManifest
 from .pollsite import (
     ACCEPT,
-    CAST,
     REJECT,
-    SPOILED,
     SPOIL_CHALLENGE,
     SPOIL_VOTER,
     FaultInjector,
@@ -39,8 +44,6 @@ from .pollsite import (
 from .trustees import dkg
 
 ACTIONS = ("cast", "spoil", "challenge", "abandon", "provisional")
-
-SALT_BYTES = 16
 
 
 @dataclass
@@ -96,6 +99,10 @@ class Scenario:
         style_ids = {s.style_id for s in self.styles}
         if len(style_ids) != len(self.styles):
             raise ScenarioError("duplicate style ids")
+        try:
+            contest_columns({s.style_id: s for s in self.styles})
+        except StarlockError as exc:
+            raise ScenarioError(str(exc)) from None
         if not self.terminals or len(set(self.terminals)) != len(self.terminals):
             raise ScenarioError("terminals must be nonempty and unique")
         for t in self.rigged_terminals:
@@ -370,11 +377,7 @@ def _stray_mark(row: dict, styles: dict, rng: random.Random) -> None:
     if not candidates:
         return
     cid = rng.choice(sorted(candidates))
-    contest = None
-    for style in styles.values():
-        for c in style.contests:
-            if c.contest_id == cid:
-                contest = c
+    contest, _ = contest_columns(styles)[cid]
     view = dict(row["contests"][cid])
     selections = list(view["selections"])
     others = [opt for opt in contest.options if opt not in selections]

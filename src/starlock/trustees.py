@@ -185,19 +185,13 @@ def lagrange_coeff(i: int, subset, q: int) -> int:
     return num * pow(den, -1, q) % q
 
 
-def combine_shares(
-    c: Ciphertext,
-    shares,
-    jpk: JointPublicKey,
-    max_m: int,
-    gp: GroupParams,
-    context: bytes,
-) -> int:
-    """Verify k decryption shares, interpolate in the exponent, decrypt.
+def combine_in_exponent(c: Ciphertext, shares, jpk: JointPublicKey, gp: GroupParams,
+                        context: bytes) -> int:
+    """Verify k decryption shares and interpolate them in the exponent.
+    Returns g^m for the plaintext m of c.
 
-    Raises BadShareProof naming the offending trustee, InsufficientShares
-    when fewer than k distinct trustees contributed, NoDlogInRange when the
-    plaintext exceeds max_m.
+    Raises InsufficientShares when fewer than k distinct trustees
+    contributed, BadShareProof naming the first trustee whose proof fails.
     """
     by_id = {}
     for ds in shares:
@@ -213,5 +207,20 @@ def combine_shares(
     for ds in chosen:
         lam = lagrange_coeff(ds.trustee_id, subset, gp.q)
         combined = combined * pow(ds.share_value, lam, gp.p) % gp.p
-    target = c.b * pow(combined, -1, gp.p) % gp.p
-    return dlog_search(target, max_m, gp)
+    return c.b * pow(combined, -1, gp.p) % gp.p
+
+
+def combine_shares(
+    c: Ciphertext,
+    shares,
+    jpk: JointPublicKey,
+    max_m: int,
+    gp: GroupParams,
+    context: bytes,
+) -> int:
+    """Verify k decryption shares, interpolate in the exponent, decrypt.
+
+    Raises what combine_in_exponent raises, and NoDlogInRange when the
+    plaintext exceeds max_m.
+    """
+    return dlog_search(combine_in_exponent(c, shares, jpk, gp, context), max_m, gp)

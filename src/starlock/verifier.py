@@ -7,30 +7,35 @@ decryption proof, the homomorphic aggregate, the announced counts, and the
 per-contest sum identity. Failures are report items naming the first
 affected line or entry; nothing here raises on adversarial input.
 
-This module deliberately imports only format-level modules (ballot, chain,
-groups, proofs, manifest), never the polling-place or board machinery.
+This module deliberately imports only format-level modules (ballot,
+boardformat, chain, groups, proofs, manifest), never the polling-place or
+board machinery.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
-from .ballot import (
-    ABSTAIN_COLUMN,
-    WRITE_IN_COLUMN,
-    EncryptedBallot,
-    WellFormednessProof,
-    verify_ballot,
+from .ballot import ABSTAIN_COLUMN, EncryptedBallot, WellFormednessProof, verify_ballot
+from .boardformat import (
+    CAST,
+    SPOILED,
+    UNTALLIED,
+    ChainBroken,
+    fold_ballots,
+    index_lines,
+    read_chain,
+    signature_verifies,
+    spoiled_context,
+    spoiled_plaintext,
+    tally_context,
 )
 from .chain import chain_hash, receipt_code
 from .elgamal import Ciphertext
-from .errors import AmbiguousReceipt
+from .errors import AmbiguousReceipt, BadShareProof, InsufficientShares, StarlockError
 from .manifest import ElectionManifest
-from .schnorr import SchnorrSignature, verify_sig
-from .serialize import canonical_json, enc_bytes, enc_int, enc_str, sha256_hex
-from .trustees import DecryptionShare, lagrange_coeff, verify_decryption_share
-
-GENESIS_HASH = "0" * 64
+from .trustees import DecryptionShare, combine_in_exponent
 
 FOUND_CAST = "FOUND_CAST"
 FOUND_SPOILED = "FOUND_SPOILED"
@@ -85,457 +90,224 @@ def read_board_lines(path):
 
 
 def parse_lines(raw_lines):
-    import json
-
     return [json.loads(line) for line in raw_lines]
-
-
-def _entries(lines):
-    """(entry_index, lineno, line) for every entry line, in file order."""
-    out = []
-    for lineno, line in enumerate(lines):
-        if line.get("kind") == "entry":
-            out.append((int(line["index"]), lineno, line))
-    return out
-
-
-def _effective_statuses(lines):
-    statuses = {}
-    for index, _, line in _entries(lines):
-        statuses[index] = line["status"]
-    for line in lines:
-        if line.get("kind") == "status":
-            statuses[int(line["ref"])] = line["status"]
-    return statuses
 
 
 def check_line_chain(raw_lines) -> list:
     """Every line is canonical JSON and embeds the previous line's hash."""
-    import json
-
-    items = []
-    prev = GENESIS_HASH
-    for lineno, raw in enumerate(raw_lines):
-        try:
-            line = json.loads(raw)
-        except json.JSONDecodeError:
-            return [ReportItem("line_chain", False, "unparseable line", line=lineno)]
-        if canonical_json(line) != raw:
-            return [ReportItem("line_chain", False, "line not in canonical form", line=lineno)]
-        if line.get("prev") != prev:
-            return [ReportItem("line_chain", False, "hash chain broken", line=lineno)]
-        prev = sha256_hex(raw.encode("utf-8"))
-    items.append(ReportItem("line_chain", True, f"{len(raw_lines)} lines linked"))
-    return items
+    try:
+        for _ in read_chain(raw_lines):
+            pass
+    except ChainBroken as exc:
+        return [ReportItem("line_chain", False, exc.reason, line=exc.lineno)]
+    return [ReportItem("line_chain", True, f"{len(raw_lines)} lines linked")]
 
 
 def check_signatures(raw_lines, lines, manifest: ElectionManifest) -> list:
-    gp = manifest.gp
-    sig_count = 0
-    for lineno, line in enumerate(lines):
-        if line.get("kind") != "signature":
-            continue
-        sig_count += 1
-        message = enc_str(manifest.election_id) + enc_bytes(bytes.fromhex(line["prev"]))
-        sig = SchnorrSignature.from_json(line["sig"])
-        if not verify_sig(message, sig, manifest.office_pk, gp):
+    signatures = index_lines(lines).signatures
+    for lineno, line in signatures:
+        if not signature_verifies(line, manifest.office_pk, manifest.gp, manifest.election_id):
             return [ReportItem("signature", False, "signature does not verify", line=lineno)]
     if not lines or lines[-1].get("kind") != "signature":
         return [ReportItem("signature", False, "final line is not a signature")]
-    return [ReportItem("signature", True, f"{sig_count} signature(s) verify")]
+    return [ReportItem("signature", True, f"{len(signatures)} signature(s) verify")]
 
 
 def verify_chain(lines, manifest: ElectionManifest) -> list:
     """Recompute every terminal's z chain in published order and compare
     against the published z values and the signed final z."""
-    items = []
+    index = index_lines(lines)
     per_terminal = {tid: [] for tid in manifest.terminal_seeds}
-    for index, lineno, line in _entries(lines):
+    for k, lineno, line in index.entries:
         tid = line["terminal"]
         if tid not in per_terminal:
             return [ReportItem("terminal_chain", False, f"unknown terminal {tid}", line=lineno)]
-        per_terminal[tid].append((index, lineno, line))
+        per_terminal[tid].append((k, lineno, line))
     closes = {}
-    for lineno, line in enumerate(lines):
-        if line.get("kind") == "terminal_close":
-            if line["terminal"] in closes:
-                return [
-                    ReportItem(
-                        "terminal_chain", False,
-                        f"terminal {line['terminal']} closed twice", line=lineno,
-                    )
-                ]
-            closes[line["terminal"]] = (lineno, line)
+    for lineno, line in index.closes:
+        tid = line["terminal"]
+        if tid in closes:
+            return [ReportItem("terminal_chain", False, f"terminal {tid} closed twice",
+                               line=lineno)]
+        closes[tid] = (lineno, line)
 
-    ok = True
+    fails = []
+
+    def fail(detail, **where):
+        fails.append(ReportItem("terminal_chain", False, detail, **where))
+
     for tid in sorted(per_terminal):
         z_prev = bytes.fromhex(manifest.terminal_seeds[tid])
-        for index, lineno, line in per_terminal[tid]:
+        for k, lineno, line in per_terminal[tid]:
             ballot = EncryptedBallot.from_json(line["ballot"])
             proof = WellFormednessProof.from_json(line["proof"])
             expected = chain_hash(ballot, proof, tid, z_prev)
             if expected.hex() != line["z"]:
-                items.append(
-                    ReportItem(
-                        "terminal_chain", False,
-                        f"terminal {tid}: recomputed z mismatch at entry {index}",
-                        line=lineno, entry=index,
-                    )
-                )
-                ok = False
+                fail(f"terminal {tid}: recomputed z mismatch at entry {k}", line=lineno, entry=k)
                 break
             z_prev = expected
         else:
             if tid not in closes:
-                items.append(ReportItem("terminal_chain", False, f"terminal {tid} never closed"))
-                ok = False
+                fail(f"terminal {tid} never closed")
                 continue
             lineno, close = closes[tid]
             if close["final_z"] != z_prev.hex():
-                items.append(
-                    ReportItem(
-                        "terminal_chain", False,
-                        f"terminal {tid}: final z mismatch at close",
-                        line=lineno,
-                    )
-                )
-                ok = False
+                fail(f"terminal {tid}: final z mismatch at close", line=lineno)
             elif int(close["produced"]) != len(per_terminal[tid]):
-                items.append(
-                    ReportItem(
-                        "terminal_chain", False,
-                        f"terminal {tid}: produced count mismatch",
-                        line=lineno,
-                    )
-                )
-                ok = False
-    if ok:
-        items.append(
-            ReportItem(
-                "terminal_chain", True,
-                f"{sum(len(v) for v in per_terminal.values())} entries across "
-                f"{len(per_terminal)} terminal chains",
-            )
-        )
-    return items
+                fail(f"terminal {tid}: produced count mismatch", line=lineno)
+    if index.misnumbered:
+        fail("entry index out of sequence", line=index.misnumbered[0])
+    total = sum(len(v) for v in per_terminal.values())
+    return fails or [
+        ReportItem("terminal_chain", True,
+                   f"{total} entries across {len(per_terminal)} terminal chains")
+    ]
 
 
 def _verify_share_set(ct: Ciphertext, shares_json, claimed: int, manifest, context) -> str | None:
     """Check decryption shares against a ciphertext and a claimed plaintext.
     Returns None when fine, else a failure detail string."""
     gp = manifest.gp
-    jpk = manifest.jpk
     shares = [DecryptionShare.from_json(s) for s in shares_json]
-    by_id = {}
-    for ds in shares:
-        by_id.setdefault(ds.trustee_id, ds)
-    if len(by_id) < jpk.k:
-        return f"only {len(by_id)} decryption shares, need {jpk.k}"
-    chosen = [by_id[i] for i in sorted(by_id)][: jpk.k]
-    for ds in chosen:
-        if not verify_decryption_share(ds, ct, jpk.commitments, gp, context):
-            return f"share proof of trustee {ds.trustee_id} fails"
-    subset = [ds.trustee_id for ds in chosen]
-    combined = 1
-    for ds in chosen:
-        lam = lagrange_coeff(ds.trustee_id, subset, gp.q)
-        combined = combined * pow(ds.share_value, lam, gp.p) % gp.p
-    if ct.b * pow(combined, -1, gp.p) % gp.p != pow(gp.g, claimed, gp.p):
+    try:
+        g_m = combine_in_exponent(ct, shares, manifest.jpk, gp, context)
+    except InsufficientShares:
+        distinct = len({ds.trustee_id for ds in shares})
+        return f"only {distinct} decryption shares, need {manifest.jpk.k}"
+    except BadShareProof as exc:
+        return f"share proof of trustee {exc.trustee_id} fails"
+    if g_m != pow(gp.g, claimed, gp.p):
         return f"claimed plaintext {claimed} inconsistent with shares"
     return None
-
-
-def _tally_context(election_id: str, contest_id: str, column: str) -> bytes:
-    return enc_str(election_id) + enc_str("tally") + enc_str(contest_id) + enc_str(column)
-
-
-def _spoiled_context(election_id: str, entry_index: int, contest_id: str, column: str) -> bytes:
-    return (
-        enc_str(election_id)
-        + enc_str("spoiled")
-        + enc_int(entry_index)
-        + enc_str(contest_id)
-        + enc_str(column)
-    )
 
 
 def verify_proofs(lines, manifest: ElectionManifest) -> list:
     """Every entry's well-formedness proof, and every published decryption
     (spoiled and untallied entries must each carry exactly one)."""
-    items = []
-    style_map = manifest.style_map
-    gp = manifest.gp
-    K = manifest.jpk.K
-    ok = True
-
-    for index, lineno, line in _entries(lines):
+    index = index_lines(lines)
+    bad = []
+    for k, lineno, line in index.entries:
         ballot = EncryptedBallot.from_json(line["ballot"])
         proof = WellFormednessProof.from_json(line["proof"])
-        style = style_map.get(ballot.style_id)
+        style = manifest.style_map.get(ballot.style_id)
         if style is None or not verify_ballot(
-            ballot, proof, style, K, gp, manifest.election_id
+            ballot, proof, style, manifest.jpk.K, manifest.gp, manifest.election_id
         ):
-            items.append(
-                ReportItem(
-                    "ballot_proofs", False,
-                    f"entry {index}: well-formedness proof fails",
-                    line=lineno, entry=index,
-                )
-            )
-            ok = False
-    if ok:
-        items.append(ReportItem("ballot_proofs", True, "all entry proofs verify"))
+            bad.append(ReportItem("ballot_proofs", False,
+                                  f"entry {k}: well-formedness proof fails", line=lineno, entry=k))
+    items = bad or [ReportItem("ballot_proofs", True, "all entry proofs verify")]
+    fails = _check_decryptions(index, manifest)
+    return items + (fails or [ReportItem("decryptions", True, "all published decryptions verify")])
 
-    # Decryption lines: exactly one per spoiled/untallied entry, none elsewhere.
-    statuses = _effective_statuses(lines)
-    entry_lines = {index: (lineno, line) for index, lineno, line in _entries(lines)}
-    decryptions = {}
-    dec_ok = True
-    for lineno, line in enumerate(lines):
-        if line.get("kind") != "decryption":
-            continue
-        ref = int(line["ref"])
-        if ref in decryptions:
-            items.append(
-                ReportItem("decryptions", False, f"entry {ref} decrypted twice", line=lineno)
-            )
-            dec_ok = False
-            continue
-        decryptions[ref] = (lineno, line)
 
-    for index, status in sorted(statuses.items()):
-        needs = status in ("SPOILED", "UNTALLIED")
-        if needs and index not in decryptions:
-            items.append(
-                ReportItem("decryptions", False, f"entry {index} ({status}) has no decryption")
-            )
-            dec_ok = False
-            continue
-        if not needs and index in decryptions:
-            lineno, _ = decryptions[index]
-            items.append(
-                ReportItem(
-                    "decryptions", False,
-                    f"entry {index} is {status} but was decrypted", line=lineno,
-                )
-            )
-            dec_ok = False
+def _check_decryptions(index, manifest: ElectionManifest) -> list:
+    """Failures among status and decryption lines: each names an entry, each
+    spoiled or untallied entry has exactly one decryption and no other entry
+    has any, every column is proven, and the plaintext summary is truthful."""
+    fails = []
+
+    def fail(detail, **where):
+        fails.append(ReportItem("decryptions", False, detail, **where))
+
+    for lineno, ref in index.refs:
+        if ref not in index.statuses:
+            fail(f"line refers to no entry {ref}", line=lineno)
+    for ref, decs in sorted(index.decryptions.items()):
+        for lineno, _ in decs[1:]:
+            fail(f"entry {ref} decrypted twice", line=lineno)
+    entry_lines = {k: line for k, _, line in index.entries}
+    for k, status in sorted(index.statuses.items()):
+        needs = status in (SPOILED, UNTALLIED)
+        if needs and k not in index.decryptions:
+            fail(f"entry {k} ({status}) has no decryption")
             continue
         if not needs:
+            if k in index.decryptions:
+                fail(f"entry {k} is {status} but was decrypted", line=index.decryptions[k][0][0])
             continue
-        lineno, dec = decryptions[index]
-        _, entry_line = entry_lines[index]
-        ballot = EncryptedBallot.from_json(entry_line["ballot"])
-        style = style_map[ballot.style_id]
-        expected_cols = {}
-        for contest, enc in zip(style.contests, ballot.contests):
-            for column, ct in enc.all_columns(contest):
-                expected_cols[(contest.contest_id, column)] = ct
-        seen_cols = set()
+        lineno, dec = index.decryptions[k][0]
+        ballot = EncryptedBallot.from_json(entry_lines[k]["ballot"])
+        style = manifest.style_map[ballot.style_id]
+        expected_cols = {
+            (contest.contest_id, column): ct
+            for contest, enc in zip(style.contests, ballot.contests)
+            for column, ct in enc.all_columns(contest)
+        }
         bits = {}
         for col in dec["columns"]:
             key = (col["contest"], col["column"])
             ct = Ciphertext.from_json(col["ciphertext"])
-            if key not in expected_cols or expected_cols[key] != ct:
-                items.append(
-                    ReportItem(
-                        "decryptions", False,
-                        f"entry {index}: decryption ciphertext mismatch on {key}",
-                        line=lineno, entry=index,
-                    )
-                )
-                dec_ok = False
+            if expected_cols.get(key) != ct:
+                fail(f"entry {k}: decryption ciphertext mismatch on {key}", line=lineno, entry=k)
                 continue
-            seen_cols.add(key)
-            bit = int(col["bit"])
-            bits[key] = bit
-            context = _spoiled_context(manifest.election_id, index, key[0], key[1])
-            failure = _verify_share_set(ct, col["shares"], bit, manifest, context)
+            bits[key] = int(col["bit"])
+            context = spoiled_context(manifest.election_id, k, *key)
+            failure = _verify_share_set(ct, col["shares"], bits[key], manifest, context)
             if failure:
-                items.append(
-                    ReportItem(
-                        "decryptions", False,
-                        f"entry {index}, column {key}: {failure}",
-                        line=lineno, entry=index,
-                    )
-                )
-                dec_ok = False
-        if seen_cols != set(expected_cols):
-            items.append(
-                ReportItem(
-                    "decryptions", False,
-                    f"entry {index}: decryption does not cover all columns",
-                    line=lineno, entry=index,
-                )
-            )
-            dec_ok = False
+                fail(f"entry {k}, column {key}: {failure}", line=lineno, entry=k)
+        if set(bits) != set(expected_cols):
+            fail(f"entry {k}: decryption does not cover all columns", line=lineno, entry=k)
             continue
         # Published plaintext summary must match the proven bits.
         plain = dec["plaintext"]
-        for contest, enc in zip(style.contests, ballot.contests):
-            cid = contest.contest_id
-            chosen = sorted(
-                opt for opt in contest.options if bits.get((cid, opt)) == 1
-            )
+        expected = spoiled_plaintext(style, bits)
+        for cid, chosen in expected["selections"].items():
             if sorted(plain["selections"].get(cid, [])) != chosen:
-                items.append(
-                    ReportItem(
-                        "decryptions", False,
-                        f"entry {index}: plaintext summary mismatch in {cid}",
-                        line=lineno, entry=index,
-                    )
-                )
-                dec_ok = False
-            writein_used = bits.get((cid, WRITE_IN_COLUMN)) == 1
-            if writein_used != (cid in plain.get("writeins", [])):
-                items.append(
-                    ReportItem(
-                        "decryptions", False,
-                        f"entry {index}: write-in summary mismatch in {cid}",
-                        line=lineno, entry=index,
-                    )
-                )
-                dec_ok = False
-    if dec_ok:
-        items.append(ReportItem("decryptions", True, "all published decryptions verify"))
-    return items
-
-
-def _contest_layout(manifest: ElectionManifest):
-    contests = {}
-    order = []
-    for style in manifest.styles:
-        for contest in style.contests:
-            if contest.contest_id not in contests:
-                contests[contest.contest_id] = contest
-                order.append(contest.contest_id)
-    out = {}
-    for cid in order:
-        contest = contests[cid]
-        columns = list(contest.options) + [ABSTAIN_COLUMN]
-        if contest.writein_slot:
-            columns.append(WRITE_IN_COLUMN)
-        out[cid] = (contest, columns)
-    return out
+                fail(f"entry {k}: plaintext summary mismatch in {cid}", line=lineno, entry=k)
+            if (cid in expected["writeins"]) != (cid in plain.get("writeins", [])):
+                fail(f"entry {k}: write-in summary mismatch in {cid}", line=lineno, entry=k)
+    return fails
 
 
 def verify_tally(lines, manifest: ElectionManifest) -> list:
     """Recompute the aggregate from effective-CAST entries, compare to the
     published tally ciphertexts bit-exactly, verify the decryption shares,
     the announced counts, and the per-contest sum identity."""
-    items = []
-    gp = manifest.gp
-    style_map = manifest.style_map
-    statuses = _effective_statuses(lines)
-
-    tally_line = None
-    tally_lineno = None
-    for lineno, line in enumerate(lines):
-        if line.get("kind") == "tally":
-            if tally_line is not None:
-                return [ReportItem("tally", False, "multiple tally lines", line=lineno)]
-            tally_line, tally_lineno = line, lineno
-    if tally_line is None:
+    index = index_lines(lines)
+    if not index.tallies:
         return [ReportItem("tally", False, "no tally line published")]
+    if len(index.tallies) > 1:
+        return [ReportItem("tally", False, "multiple tally lines", line=index.tallies[1][0])]
+    lineno, tally = index.tallies[0]
+    try:
+        agg = fold_ballots(index.cast_ballots(), manifest.style_map, manifest.gp)
+    except StarlockError as exc:
+        return [ReportItem("tally", False, f"manifest: {exc}")]
 
-    layout = _contest_layout(manifest)
-    agg = {
-        cid: {col: Ciphertext(1, 1) for col in columns}
-        for cid, (contest, columns) in layout.items()
-    }
-    cast_counts = {cid: 0 for cid in layout}
-    for index, lineno, line in _entries(lines):
-        if statuses.get(index) != "CAST":
-            continue
-        ballot = EncryptedBallot.from_json(line["ballot"])
-        style = style_map[ballot.style_id]
-        for contest, enc in zip(style.contests, ballot.contests):
-            cid = contest.contest_id
-            cast_counts[cid] += 1
-            cols = agg[cid]
-            for opt, ct in zip(contest.options, enc.option_cts):
-                cols[opt] = Ciphertext(cols[opt].a * ct.a % gp.p, cols[opt].b * ct.b % gp.p)
-            for ct in enc.padding_cts:
-                cols[ABSTAIN_COLUMN] = Ciphertext(
-                    cols[ABSTAIN_COLUMN].a * ct.a % gp.p,
-                    cols[ABSTAIN_COLUMN].b * ct.b % gp.p,
-                )
-            if contest.writein_slot:
-                cols[WRITE_IN_COLUMN] = Ciphertext(
-                    cols[WRITE_IN_COLUMN].a * enc.writein_ct.a % gp.p,
-                    cols[WRITE_IN_COLUMN].b * enc.writein_ct.b % gp.p,
-                )
+    published = {(col["contest"], col["column"]): col for col in tally["columns"]}
+    if set(published) != {(cid, col) for cid, bucket in agg.items() for col in bucket["columns"]}:
+        return [ReportItem("tally", False, "published tally columns do not match ballot layout",
+                           line=lineno)]
+    fails = {"tally": [], "sum_check": []}
 
-    ok = True
-    published = {}
-    for col in tally_line["columns"]:
-        published[(col["contest"], col["column"])] = col
-    expected_keys = {
-        (cid, col) for cid, (contest, columns) in layout.items() for col in columns
-    }
-    if set(published) != expected_keys:
-        items.append(
-            ReportItem("tally", False, "published tally columns do not match ballot layout",
-                       line=tally_lineno)
-        )
-        return items
+    def fail(check, detail):
+        fails[check].append(ReportItem(check, False, detail, line=lineno))
 
     for (cid, column), col in sorted(published.items()):
         ct = Ciphertext.from_json(col["ciphertext"])
-        if agg[cid][column] != ct:
-            items.append(
-                ReportItem(
-                    "tally", False,
-                    f"aggregate mismatch for {cid}/{column}", line=tally_lineno,
-                )
-            )
-            ok = False
+        if agg[cid]["columns"][column] != ct:
+            fail("tally", f"aggregate mismatch for {cid}/{column}")
             continue
         count = int(col["count"])
-        context = _tally_context(manifest.election_id, cid, column)
+        context = tally_context(manifest.election_id, cid, column)
         failure = _verify_share_set(ct, col["shares"], count, manifest, context)
         if failure:
-            items.append(
-                ReportItem("tally", False, f"{cid}/{column}: {failure}", line=tally_lineno)
-            )
-            ok = False
-        announced = int(tally_line["result"][cid][column])
-        if announced != count:
-            items.append(
-                ReportItem(
-                    "tally", False,
-                    f"announced result for {cid}/{column} disagrees with column count",
-                    line=tally_lineno,
-                )
-            )
-            ok = False
-    for cid, n in cast_counts.items():
-        if int(tally_line["cast"][cid]) != n:
-            items.append(
-                ReportItem("tally", False, f"cast count mismatch for {cid}", line=tally_lineno)
-            )
-            ok = False
-    if ok:
-        items.append(ReportItem("tally", True, "aggregate, shares, and counts verify"))
-
-    # Sum identity: options + abstain = limit x cast count, over the integers.
-    sum_ok = True
-    for cid, (contest, columns) in layout.items():
-        counts = {col: int(tally_line["result"][cid][col]) for col in columns}
-        total = sum(counts[opt] for opt in contest.options) + counts[ABSTAIN_COLUMN]
-        if total != contest.limit * cast_counts[cid]:
-            items.append(
-                ReportItem(
-                    "sum_check", False,
-                    f"{cid}: options+abstain {total} != limit x cast "
-                    f"{contest.limit * cast_counts[cid]}",
-                    line=tally_lineno,
-                )
-            )
-            sum_ok = False
-    if sum_ok:
-        items.append(ReportItem("sum_check", True, "per-contest sum identity holds"))
-    return items
+            fail("tally", f"{cid}/{column}: {failure}")
+        if int(tally["result"][cid][column]) != count:
+            fail("tally", f"announced result for {cid}/{column} disagrees with column count")
+    for cid, bucket in agg.items():
+        if int(tally["cast"][cid]) != bucket["cast_count"]:
+            fail("tally", f"cast count mismatch for {cid}")
+        # Sum identity: options + abstain = limit x cast count, over the integers.
+        contest, counts = bucket["contest"], tally["result"][cid]
+        total = sum(int(counts[col]) for col in contest.options + (ABSTAIN_COLUMN,))
+        expected = contest.limit * bucket["cast_count"]
+        if total != expected:
+            fail("sum_check", f"{cid}: options+abstain {total} != limit x cast {expected}")
+    items = fails["tally"] or [ReportItem("tally", True, "aggregate, shares, and counts verify")]
+    return items + (
+        fails["sum_check"] or [ReportItem("sum_check", True, "per-contest sum identity holds")]
+    )
 
 
 def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
@@ -556,23 +328,19 @@ def lookup_receipt(lines, manifest: ElectionManifest, terminal_id: str, code: st
     Returns (FOUND_CAST, None), (FOUND_SPOILED, plaintext or None), or
     (NOT_FOUND, None). Raises AmbiguousReceipt when the truncated code
     matches more than one entry of that terminal."""
-    statuses = _effective_statuses(lines)
+    index = index_lines(lines)
     matches = []
-    for index, lineno, line in _entries(lines):
+    for k, _, line in index.entries:
         if line["terminal"] != terminal_id:
             continue
         if receipt_code(bytes.fromhex(line["z"])) == code:
-            matches.append(index)
+            matches.append(k)
     if not matches:
         return NOT_FOUND, None
     if len(matches) > 1:
         raise AmbiguousReceipt(f"receipt code matches entries {matches}")
-    index = matches[0]
-    status = statuses[index]
-    if status == "CAST":
+    k = matches[0]
+    if index.statuses[k] == CAST:
         return FOUND_CAST, None
-    plaintext = None
-    for line in lines:
-        if line.get("kind") == "decryption" and int(line["ref"]) == index:
-            plaintext = line["plaintext"]
-    return FOUND_SPOILED, plaintext
+    decs = index.decryptions.get(k)
+    return FOUND_SPOILED, decs[-1][1]["plaintext"] if decs else None

@@ -20,11 +20,10 @@ from starlock.board import (
     Board,
     TallyRecord,
     aggregate,
-    contest_columns,
     decrypt_spoiled,
     decrypt_tally,
-    verify_board_signature,
 )
+from starlock.boardformat import contest_columns, verify_board_signature
 from starlock.elgamal import keygen
 from starlock.errors import (
     BadShareProof,

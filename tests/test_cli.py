@@ -3,9 +3,11 @@ receipt-check, and the exit-code contract (0 pass, 1 internal, 2 fail,
 3 usage)."""
 
 import json
+import os
 import subprocess
 import sys
 
+import starlock
 from starlock.cli import main
 from starlock.scenario import make_demo_scenario
 
@@ -145,9 +147,12 @@ def test_usage_errors_exit_3(tmp_path) -> None:
 
 
 def test_module_entry_point_runs() -> None:
+    # The child imports starlock from wherever this process found it.
+    src = os.path.dirname(os.path.dirname(starlock.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "starlock", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "keygen" in proc.stdout and "receipt-check" in proc.stdout

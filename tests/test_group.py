@@ -2,7 +2,14 @@
 
 import pytest
 
-from starlock.group import GROUPS, PROD_GROUP, TEST_GROUP, GroupParams, resolve_group
+from starlock.group import (
+    GROUPS,
+    PROD_GROUP,
+    TEST_GROUP,
+    GroupParams,
+    is_probable_prime,
+    resolve_group,
+)
 
 
 def test_test_group_constants() -> None:
@@ -50,6 +57,18 @@ def test_validate_rejects_bad_parameters() -> None:
         GroupParams(p=23, q=7, g=4).validate()  # p != 2q+1
     with pytest.raises(ValueError):
         GroupParams(p=23, q=11, g=5).validate()  # 5 generates the full group, not the subgroup
+
+
+def test_primality_rejects_strong_pseudoprimes() -> None:
+    small_primes = [n for n in range(2, 200) if all(n % d for d in range(2, n))]
+    assert [n for n in range(200) if is_probable_prime(n)] == small_primes
+    assert not is_probable_prime(2047)  # 23 * 89, strong pseudoprime to base 2
+    assert not is_probable_prime(3215031751)  # 151 * 751 * 28351, bases 2, 3, 5, 7
+    assert is_probable_prime(2**127 - 1)
+    assert not is_probable_prime((2**61 - 1) * (2**89 - 1))
+    # a safe-prime shape with a composite p is refused
+    with pytest.raises(ValueError):
+        GroupParams(p=2 * 3215031751 + 1, q=3215031751, g=4).validate()
 
 
 def test_resolve_group() -> None:

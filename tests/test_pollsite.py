@@ -312,6 +312,23 @@ def test_replay_event_log_matches_site_chains() -> None:
     assert chains == produced
 
 
+def test_replay_event_log_flags_unknown_and_repeated_serials() -> None:
+    chains, conservation_ok = replay_event_log(
+        [{"event": "cast", "serial": "ghost"}], {"T1": "00" * 32}
+    )
+    assert chains == {"T1": []}
+    assert not conservation_ok
+    site = make_site()
+    vote(site, "T1")
+    produced = next(e for e in site.events if e["event"] == "ballot_produced")
+    _, conservation_ok = replay_event_log(site.events + [produced], site.initial_seeds)
+    assert not conservation_ok
+    stray = dict(produced, terminal="T9", serial="fresh")
+    chains, conservation_ok = replay_event_log(site.events + [stray], site.initial_seeds)
+    assert not conservation_ok
+    assert set(chains) == {"T1", "T2"}
+
+
 def test_status_counts() -> None:
     site = make_site()
     r1, _, _ = vote(site, "T1")

@@ -2,7 +2,9 @@
 and the plaintext oracle they are all checked against."""
 
 import dataclasses
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -13,6 +15,7 @@ from starlock.scenario import (
     Scenario,
     Voter,
     expected_counts,
+    finish_election,
     load_scenario,
     make_demo_scenario,
     make_random_scenario,
@@ -237,6 +240,31 @@ def test_write_artifacts_emits_the_whole_set(tmp_path) -> None:
     assert all("salt" in row and "contests" in row for row in cvrs)
     events = (tmp_path / "out" / "eventlog.jsonl").read_text().splitlines()
     assert json.loads(events[0])["event"] == "init"
+
+
+# SHA-256 of every demo artifact. Any change to these bytes is a format
+# change and must be made on purpose, never as a side effect of a refactor.
+DEMO_DIGESTS = {
+    "board.jsonl": "ee94f6c35b84ebe99fb47842c86f10c9c76d1f37c38dbc3cd9dbbb559b8b32ab",
+    "receipts.json": "17530eba9e7bef42adad76bf1956a9b9b214f3cf2c6008a53d1fdb89209496f1",
+    "commitments.json": "622c966bd99c1ee4f795970a343c492dca24d889ec394f425ffbfcc32879f1ed",
+    "cvrs.json": "a8297ad83aef913ce6dcfeaec9ab69338cba752289aec945de0e1c9137727a3a",
+    "papers.json": "4d5ef4f2d2c5c4edb57c821bfd6520b8c4cb2e9295e99c7b950aa4c7e7398dd3",
+    "eventlog.jsonl": "6848a2578fcf49f20e015a6f75e0ffe005d0dda9e576f54a4cdf199ebc2365d3",
+    "params.json": "7521875188c91cc9655d02180af139e4652e8e57c284981bfe4cc7c25630c77d",
+}
+
+
+def test_demo_artifact_bytes_are_pinned(tmp_path) -> None:
+    result = run_scenario(make_demo_scenario())
+    finish_election(result["board"], result["manifest"], result["trustee_shares"],
+                    result["office"], result["cvrs"], result["papers"], random.Random(0))
+    write_artifacts(result, tmp_path / "out")
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in DEMO_DIGESTS
+    }
+    assert digests == DEMO_DIGESTS
 
 
 def test_random_scenarios_stay_inside_counting_range() -> None:
