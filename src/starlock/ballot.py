@@ -64,6 +64,14 @@ class Contest:
             )
         object.__setattr__(self, "options", tuple(self.options))
 
+    def column_ids(self) -> list:
+        """Column ids in canonical order: options, padding, then the write-in
+        slot when the contest has one."""
+        ids = list(self.options) + [pad_column(j) for j in range(self.limit)]
+        if self.writein_slot:
+            ids.append(WRITE_IN_COLUMN)
+        return ids
+
     def to_json(self) -> dict:
         return {
             "contest_id": self.contest_id,
@@ -214,6 +222,20 @@ def encode(pb: PlaintextBallot, style: BallotStyle) -> dict:
     return rows
 
 
+def _column_bytes(options, padding, writein) -> bytes:
+    """Canonical bytes of a contest's column ciphertexts or proofs: options and
+    padding, each behind its count, then a 0/1 flag and the write-in."""
+    out = enc_int(len(options))
+    for item in options:
+        out += item.canonical_bytes()
+    out += enc_int(len(padding))
+    for item in padding:
+        out += item.canonical_bytes()
+    if writein is None:
+        return out + enc_int(0)
+    return out + enc_int(1) + writein.canonical_bytes()
+
+
 @dataclass(frozen=True)
 class EncryptedContest:
     contest_id: str
@@ -230,18 +252,9 @@ class EncryptedContest:
         return cols
 
     def canonical_bytes(self) -> bytes:
-        out = enc_str(self.contest_id)
-        out += enc_int(len(self.option_cts))
-        for ct in self.option_cts:
-            out += ct.canonical_bytes()
-        out += enc_int(len(self.padding_cts))
-        for ct in self.padding_cts:
-            out += ct.canonical_bytes()
-        if self.writein_ct is None:
-            out += enc_int(0)
-        else:
-            out += enc_int(1) + self.writein_ct.canonical_bytes()
-        return out
+        return enc_str(self.contest_id) + _column_bytes(
+            self.option_cts, self.padding_cts, self.writein_ct
+        )
 
     def to_json(self) -> dict:
         return {
@@ -298,19 +311,8 @@ class ContestProof:
     sum_proof: ChaumPedersenProof
 
     def canonical_bytes(self) -> bytes:
-        out = enc_str(self.contest_id)
-        out += enc_int(len(self.option_proofs))
-        for pr in self.option_proofs:
-            out += pr.canonical_bytes()
-        out += enc_int(len(self.padding_proofs))
-        for pr in self.padding_proofs:
-            out += pr.canonical_bytes()
-        if self.writein_proof is None:
-            out += enc_int(0)
-        else:
-            out += enc_int(1) + self.writein_proof.canonical_bytes()
-        out += self.sum_proof.canonical_bytes()
-        return out
+        columns = _column_bytes(self.option_proofs, self.padding_proofs, self.writein_proof)
+        return enc_str(self.contest_id) + columns + self.sum_proof.canonical_bytes()
 
     def to_json(self) -> dict:
         return {
@@ -369,55 +371,42 @@ def encrypt_ballot(
     enc_contests, proof_contests = [], []
     for contest in style.contests:
         row = rows[contest.contest_id]
-        sum_randomness = 0
-        option_cts, option_proofs = [], []
-        for opt, bit in zip(contest.options, row.option_bits):
+        bits = row.option_bits + row.padding_bits
+        n_options, n_summed = len(row.option_bits), len(bits)
+        if contest.writein_slot:
+            bits += (row.writein_bit,)
+        cts, proofs, randomness = [], [], []
+        for column, bit in zip(contest.column_ids(), bits):
             r = rng.randrange(1, gp.q)
             ct = encrypt_exp(bit, r, K, gp)
-            ctx = column_context(election_id, style.style_id, contest.contest_id, opt)
-            option_proofs.append(prove_zero_or_one(bit, r, ct, K, gp, rng, ctx))
-            option_cts.append(ct)
-            sum_randomness = (sum_randomness + r) % gp.q
-        padding_cts, padding_proofs = [], []
-        for j, bit in enumerate(row.padding_bits):
-            r = rng.randrange(1, gp.q)
-            ct = encrypt_exp(bit, r, K, gp)
-            ctx = column_context(election_id, style.style_id, contest.contest_id, pad_column(j))
-            padding_proofs.append(prove_zero_or_one(bit, r, ct, K, gp, rng, ctx))
-            padding_cts.append(ct)
-            sum_randomness = (sum_randomness + r) % gp.q
-        writein_ct = writein_proof = None
-        if row.writein_bit is not None:
-            r = rng.randrange(1, gp.q)
-            writein_ct = encrypt_exp(row.writein_bit, r, K, gp)
-            ctx = column_context(
-                election_id, style.style_id, contest.contest_id, WRITE_IN_COLUMN
-            )
-            writein_proof = prove_zero_or_one(row.writein_bit, r, writein_ct, K, gp, rng, ctx)
+            ctx = column_context(election_id, style.style_id, contest.contest_id, column)
+            proofs.append(prove_zero_or_one(bit, r, ct, K, gp, rng, ctx))
+            cts.append(ct)
+            randomness.append(r)
 
         # The options+padding product encrypts exactly the limit; prove it.
-        total = add_many(option_cts + padding_cts, gp)
+        total = add_many(cts[:n_summed], gp)
         target_b = total.b * pow(pow(gp.g, contest.limit, gp.p), -1, gp.p) % gp.p
         ctx = column_context(election_id, style.style_id, contest.contest_id, SUM_COLUMN)
         sum_proof = prove_eq_dlog(
-            sum_randomness, gp.g, total.a, K, target_b, gp, rng,
+            sum(randomness[:n_summed]) % gp.q, gp.g, total.a, K, target_b, gp, rng,
             context=ctx, domain=DOMAIN_CONTEST_SUM,
         )
 
         enc_contests.append(
             EncryptedContest(
                 contest_id=contest.contest_id,
-                option_cts=tuple(option_cts),
-                padding_cts=tuple(padding_cts),
-                writein_ct=writein_ct,
+                option_cts=tuple(cts[:n_options]),
+                padding_cts=tuple(cts[n_options:n_summed]),
+                writein_ct=cts[n_summed] if contest.writein_slot else None,
             )
         )
         proof_contests.append(
             ContestProof(
                 contest_id=contest.contest_id,
-                option_proofs=tuple(option_proofs),
-                padding_proofs=tuple(padding_proofs),
-                writein_proof=writein_proof,
+                option_proofs=tuple(proofs[:n_options]),
+                padding_proofs=tuple(proofs[n_options:n_summed]),
+                writein_proof=proofs[n_summed] if contest.writein_slot else None,
                 sum_proof=sum_proof,
             )
         )
@@ -455,19 +444,12 @@ def verify_ballot(
         if contest.writein_slot != (cpr.writein_proof is not None):
             return False
 
-        for opt, ct, pr in zip(contest.options, enc.option_cts, cpr.option_proofs):
-            ctx = column_context(election_id, style.style_id, contest.contest_id, opt)
-            if not verify_zero_or_one(pr, ct, K, gp, ctx):
-                return False
-        for j, (ct, pr) in enumerate(zip(enc.padding_cts, cpr.padding_proofs)):
-            ctx = column_context(election_id, style.style_id, contest.contest_id, pad_column(j))
-            if not verify_zero_or_one(pr, ct, K, gp, ctx):
-                return False
+        proofs = [*cpr.option_proofs, *cpr.padding_proofs]
         if contest.writein_slot:
-            ctx = column_context(
-                election_id, style.style_id, contest.contest_id, WRITE_IN_COLUMN
-            )
-            if not verify_zero_or_one(cpr.writein_proof, enc.writein_ct, K, gp, ctx):
+            proofs.append(cpr.writein_proof)
+        for (column, ct), pr in zip(enc.all_columns(contest), proofs):
+            ctx = column_context(election_id, style.style_id, contest.contest_id, column)
+            if not verify_zero_or_one(pr, ct, K, gp, ctx):
                 return False
 
         total = add_many(list(enc.option_cts) + list(enc.padding_cts), gp)

@@ -16,21 +16,15 @@ from __future__ import annotations
 import json
 import random
 
-from .ballot import (
-    ABSTAIN_COLUMN,
-    BallotStyle,
-    EncryptedBallot,
-    WellFormednessProof,
-    verify_ballot,
-)
+from .ballot import ABSTAIN_COLUMN, BallotStyle, verify_ballot
 from .boardformat import (
     CAST,
-    GENESIS_HASH,
     SPOILED,
     UNTALLIED,
     BoardIndex,
+    ChainBroken,
     fold_ballots,
-    read_chain,
+    read_board,
     signature_message,
     spoiled_context,
     spoiled_plaintext,
@@ -50,51 +44,47 @@ class Board:
 
     def __init__(self, election_id: str):
         self.election_id = election_id
-        self._lines = []  # (line_dict, line_hash)
         self._index = BoardIndex()
         self._append({"kind": "header", "election_id": election_id, "version": "1"})
 
     # -- low-level chain ------------------------------------------------------
 
     def _append(self, obj: dict) -> int:
-        prev = self._lines[-1][1] if self._lines else GENESIS_HASH
         line = dict(obj)
-        line["prev"] = prev
-        return self._push(line, sha256_hex(canonical_json(line).encode("utf-8")))
-
-    def _push(self, line: dict, line_hash: str) -> int:
-        self._lines.append((line, line_hash))
-        self._index.add(len(self._lines) - 1, line)
-        return len(self._lines) - 1
+        line["prev"] = self._index.head
+        self._index.add(len(self._index.lines), line)
+        self._index.head = sha256_hex(canonical_json(line).encode("utf-8"))
+        return len(self._index.lines) - 1
 
     @property
     def last_hash(self) -> str:
-        return self._lines[-1][1]
+        return self._index.head
 
     def lines(self):
         """Deep copies of every line, in order."""
-        return [json.loads(canonical_json(line)) for line, _ in self._lines]
+        return [json.loads(canonical_json(line)) for line in self._index.lines]
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for line, _ in self._lines:
+            for line in self._index.lines:
                 fh.write(canonical_json(line) + "\n")
 
     @classmethod
     def load(cls, path) -> "Board":
-        """Reload a board file, refusing files whose line chain is broken."""
-        board = cls.__new__(cls)
-        board._lines = []
-        board._index = BoardIndex()
+        """Reload a board file, refusing files whose line chain is broken.
+        Each line is parsed once, by the verifier's reader (read_board)."""
         with open(path, encoding="utf-8") as fh:
-            for line, line_hash in read_chain(raw.rstrip("\n") for raw in fh):
-                board._push(line, line_hash)
-        if not board._lines or board._lines[0][0]["kind"] != "header":
+            index = read_board(raw.rstrip("\n") for raw in fh)
+        if index.broken:
+            raise ChainBroken(*index.broken)
+        if not index.lines or index.lines[0]["kind"] != "header":
             raise StarlockError("board file missing header line")
-        if board._index.misnumbered:
-            lineno = board._index.misnumbered[0]
+        if index.misnumbered:
+            lineno = index.misnumbered[0]
             raise StarlockError(f"board line {lineno}: entry index out of sequence")
-        board.election_id = board._lines[0][0]["election_id"]
+        board = cls.__new__(cls)
+        board._index = index
+        board.election_id = index.lines[0]["election_id"]
         return board
 
     # -- publication -----------------------------------------------------------
@@ -116,7 +106,7 @@ class Board:
             record.ballot, record.proof, style, joint_key, gp, self.election_id
         ):
             raise RejectInvalidProof("ballot record failed proof verification")
-        index = len(self._index.entries)
+        index = self.entry_count
         line = {
             "kind": "entry",
             "index": str(index),
@@ -175,6 +165,11 @@ class Board:
 
     # -- reading ------------------------------------------------------------------
 
+    @property
+    def entry_count(self) -> int:
+        """Entries are numbered 0 to entry_count - 1 in publication order."""
+        return len(self._index.entries)
+
     def entries(self):
         """(entry_index, line dict) pairs in publication order."""
         return [(i, json.loads(canonical_json(line))) for i, _, line in self._index.entries]
@@ -183,11 +178,8 @@ class Board:
         return self._index.statuses[entry_index]
 
     def entry_record(self, entry_index: int):
-        line = self._index.entries[entry_index][2]
-        return (
-            EncryptedBallot.from_json(line["ballot"]),
-            WellFormednessProof.from_json(line["proof"]),
-        )
+        """The entry's (EncryptedBallot, WellFormednessProof), decoded once."""
+        return self._index.ballot(entry_index), self._index.proof(entry_index)
 
 
 # -- aggregation and decryption ----------------------------------------------------

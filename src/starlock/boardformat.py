@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 
-from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, EncryptedBallot
+from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, EncryptedBallot, WellFormednessProof
 from .elgamal import homomorphic_add, identity_ciphertext
 from .errors import StarlockError
 from .group import GroupParams
@@ -32,30 +32,13 @@ GENESIS_HASH = "0" * 64
 
 
 class ChainBroken(StarlockError):
-    """A board line that does not parse, is not canonical, or does not link
-    to the line before it."""
+    """A board line that does not parse to a JSON object, is not canonical,
+    does not link to the line before it, or lacks a field its kind needs."""
 
     def __init__(self, lineno: int, reason: str):
         self.lineno = lineno
         self.reason = reason
         super().__init__(f"board line {lineno}: {reason}")
-
-
-def read_chain(raw_lines):
-    """Yield (line dict, line hash) for each raw text line (no trailing
-    newline), raising ChainBroken at the first line that breaks the chain."""
-    prev = GENESIS_HASH
-    for lineno, raw in enumerate(raw_lines):
-        try:
-            line = json.loads(raw)
-        except json.JSONDecodeError:
-            raise ChainBroken(lineno, "unparseable line") from None
-        if canonical_json(line) != raw:
-            raise ChainBroken(lineno, "line not in canonical form")
-        if line.get("prev") != prev:
-            raise ChainBroken(lineno, "hash chain broken")
-        prev = sha256_hex(raw.encode("utf-8"))
-        yield line, prev
 
 
 # -- decryption contexts and the board signature ----------------------------------
@@ -163,21 +146,27 @@ def fold_ballots(ballots, style_map: dict, gp: GroupParams):
     return agg
 
 
-# -- the one-pass index --------------------------------------------------------------
+# -- the one-pass reader and index -------------------------------------------------
 
 
 class BoardIndex:
     """Board lines indexed in one pass, in file order. `add` takes one line
     at a time, so a writer can keep the index current as it appends.
 
-    entries lists (index, lineno, line) of every entry line, the index taken
-    from the line's own field; statuses maps an entry index to its effective
-    status and decryptions to its decryption lines; closes, tallies and
-    signatures list (lineno, line) pairs. misnumbered lists the line numbers
-    of entries whose index field is not their position among the entries,
-    and refs the (lineno, ref) of every status and decryption line."""
+    lines lists the indexed lines and head is the hash of the last line
+    read; broken is read_board's (lineno, reason) for the first line that
+    breaks the chain, or None. entries lists (index, lineno, line) of every
+    entry line, the index taken from the line's own field; statuses maps an
+    entry index to its effective status and decryptions to its decryption
+    lines; closes, tallies and signatures list (lineno, line) pairs.
+    misnumbered lists the line numbers of entries whose index field is not
+    their position among the entries, and refs the (lineno, ref) of every
+    status and decryption line."""
 
     def __init__(self):
+        self.lines = []
+        self.head = GENESIS_HASH
+        self.broken = None
         self.entries = []
         self.statuses = {}
         self.decryptions = {}
@@ -187,21 +176,24 @@ class BoardIndex:
         self.misnumbered = []
         self.refs = []
         self._overrides = {}
+        self._ballots = {}
+        self._proofs = {}
 
     def add(self, lineno: int, line: dict) -> None:
+        """Index one line; a line lacking its kind's fields raises, unindexed."""
         kind = line.get("kind")
         if kind == "entry":
-            k = int(line["index"])
+            k, status = int(line["index"]), line["status"]
             if k != len(self.entries):
                 self.misnumbered.append(lineno)
             self.entries.append((k, lineno, line))
-            self.statuses[k] = self._overrides.get(k, line["status"])
+            self.statuses[k] = self._overrides.get(k, status)
         elif kind == "status":
-            ref = int(line["ref"])
+            ref, status = int(line["ref"]), line["status"]
             self.refs.append((lineno, ref))
-            self._overrides[ref] = line["status"]
+            self._overrides[ref] = status
             if ref in self.statuses:
-                self.statuses[ref] = line["status"]
+                self.statuses[ref] = status
         elif kind == "decryption":
             ref = int(line["ref"])
             self.refs.append((lineno, ref))
@@ -212,18 +204,58 @@ class BoardIndex:
             self.tallies.append((lineno, line))
         elif kind == "signature":
             self.signatures.append((lineno, line))
+        self.lines.append(line)
+
+    def ballot(self, pos: int) -> EncryptedBallot:
+        """The ballot of the pos-th entry line, decoded on first use only."""
+        if pos not in self._ballots:
+            self._ballots[pos] = EncryptedBallot.from_json(self.entries[pos][2]["ballot"])
+        return self._ballots[pos]
+
+    def proof(self, pos: int) -> WellFormednessProof:
+        """The proof of the pos-th entry line, decoded on first use only."""
+        if pos not in self._proofs:
+            self._proofs[pos] = WellFormednessProof.from_json(self.entries[pos][2]["proof"])
+        return self._proofs[pos]
 
     def cast_ballots(self):
         """The encrypted ballots of effective-CAST entries, in entry order."""
         return [
-            EncryptedBallot.from_json(line["ballot"])
-            for k, _, line in self.entries
+            self.ballot(pos)
+            for pos, (k, _, _) in enumerate(self.entries)
             if self.statuses[k] == CAST
         ]
 
 
 def index_lines(lines) -> BoardIndex:
+    """Index already-parsed lines without checking the line chain."""
     index = BoardIndex()
     for lineno, line in enumerate(lines):
         index.add(lineno, line)
+    return index
+
+
+def read_board(raw_lines) -> BoardIndex:
+    """Parse each raw line (no newline) once, check that it is a canonical JSON
+    object carrying the previous line's hash, and index it. The first break
+    goes to `broken`; every object with the fields its kind needs is indexed."""
+    index = BoardIndex()
+    for lineno, raw in enumerate(raw_lines):
+        try:
+            line = json.loads(raw)
+            reason = None if isinstance(line, dict) else "line is not a JSON object"
+        except ValueError:
+            reason = "unparseable line"
+        if reason is None:
+            if canonical_json(line) != raw:
+                reason = "line not in canonical form"
+            elif line.get("prev") != index.head:
+                reason = "hash chain broken"
+            try:
+                index.add(lineno, line)
+            except (KeyError, TypeError, ValueError):
+                reason = reason or "malformed line"
+        if reason and index.broken is None:
+            index.broken = (lineno, reason)
+        index.head = sha256_hex(raw.encode("utf-8"))
     return index

@@ -26,6 +26,7 @@ import sys
 from . import audit as audit_mod
 from . import verifier as verifier_mod
 from .board import Board
+from .boardformat import index_lines
 from .elgamal import Keypair, keygen
 from .errors import (
     AmbiguousReceipt,
@@ -202,10 +203,10 @@ def cmd_audit(args) -> int:
 
 def cmd_receipt_check(args) -> int:
     manifest = ElectionManifest.load(args.manifest)
-    lines = verifier_mod.parse_lines(verifier_mod.read_board_lines(args.board))
+    index = index_lines(verifier_mod.parse_lines(verifier_mod.read_board_lines(args.board)))
     try:
         status, plaintext = verifier_mod.lookup_receipt(
-            lines, manifest, args.terminal, args.code
+            index, manifest, args.terminal, args.code
         )
     except AmbiguousReceipt as exc:
         print(f"ambiguous receipt: {exc}")

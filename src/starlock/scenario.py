@@ -409,7 +409,7 @@ def finish_election(board: Board, manifest: ElectionManifest, trustee_shares,
     for serial in compliance["cast_without_paper"]:
         board.append_status(index_of[serial], UNTALLIED, reason="cast-without-paper")
 
-    for index, _ in board.entries():
+    for index in range(board.entry_count):
         if board.effective_status(index) in (SPOILED, UNTALLIED):
             columns, plaintext = decrypt_spoiled(
                 board, index, style_map, trustee_shares, manifest.jpk, gp, rng

@@ -4,8 +4,9 @@ Consumes only the published files (board lines and the election manifest)
 and re-verifies every public claim: the board's line chain and signatures,
 each terminal's ballot hash chain, every well-formedness proof, every
 decryption proof, the homomorphic aggregate, the announced counts, and the
-per-contest sum identity. Failures are report items naming the first
-affected line or entry; nothing here raises on adversarial input.
+per-contest sum identity. The board is parsed once, into the index that
+every check reads. Failures are report items naming the first affected
+line or entry; nothing here raises on adversarial input.
 
 This module deliberately imports only format-level modules (ballot,
 boardformat, chain, groups, proofs, manifest), never the polling-place or
@@ -17,15 +18,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .ballot import ABSTAIN_COLUMN, EncryptedBallot, WellFormednessProof, verify_ballot
+from .ballot import ABSTAIN_COLUMN, verify_ballot
 from .boardformat import (
     CAST,
     SPOILED,
     UNTALLIED,
-    ChainBroken,
+    BoardIndex,
     fold_ballots,
-    index_lines,
-    read_chain,
+    read_board,
     signature_verifies,
     spoiled_context,
     spoiled_plaintext,
@@ -90,39 +90,36 @@ def read_board_lines(path):
 
 
 def parse_lines(raw_lines):
+    """Each line's JSON, with no chain check: the audit's and receipt-check's read."""
     return [json.loads(line) for line in raw_lines]
 
 
-def check_line_chain(raw_lines) -> list:
-    """Every line is canonical JSON and embeds the previous line's hash."""
-    try:
-        for _ in read_chain(raw_lines):
-            pass
-    except ChainBroken as exc:
-        return [ReportItem("line_chain", False, exc.reason, line=exc.lineno)]
-    return [ReportItem("line_chain", True, f"{len(raw_lines)} lines linked")]
+def check_line_chain(index: BoardIndex) -> list:
+    """Every line is a canonical JSON object embedding the previous line's hash."""
+    if index.broken:
+        lineno, reason = index.broken
+        return [ReportItem("line_chain", False, reason, line=lineno)]
+    return [ReportItem("line_chain", True, f"{len(index.lines)} lines linked")]
 
 
-def check_signatures(raw_lines, lines, manifest: ElectionManifest) -> list:
-    signatures = index_lines(lines).signatures
-    for lineno, line in signatures:
+def check_signatures(index: BoardIndex, manifest: ElectionManifest) -> list:
+    for lineno, line in index.signatures:
         if not signature_verifies(line, manifest.office_pk, manifest.gp, manifest.election_id):
             return [ReportItem("signature", False, "signature does not verify", line=lineno)]
-    if not lines or lines[-1].get("kind") != "signature":
+    if not index.lines or index.lines[-1].get("kind") != "signature":
         return [ReportItem("signature", False, "final line is not a signature")]
-    return [ReportItem("signature", True, f"{len(signatures)} signature(s) verify")]
+    return [ReportItem("signature", True, f"{len(index.signatures)} signature(s) verify")]
 
 
-def verify_chain(lines, manifest: ElectionManifest) -> list:
+def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
     """Recompute every terminal's z chain in published order and compare
     against the published z values and the signed final z."""
-    index = index_lines(lines)
     per_terminal = {tid: [] for tid in manifest.terminal_seeds}
-    for k, lineno, line in index.entries:
+    for pos, (k, lineno, line) in enumerate(index.entries):
         tid = line["terminal"]
         if tid not in per_terminal:
             return [ReportItem("terminal_chain", False, f"unknown terminal {tid}", line=lineno)]
-        per_terminal[tid].append((k, lineno, line))
+        per_terminal[tid].append((pos, k, lineno, line))
     closes = {}
     for lineno, line in index.closes:
         tid = line["terminal"]
@@ -138,10 +135,8 @@ def verify_chain(lines, manifest: ElectionManifest) -> list:
 
     for tid in sorted(per_terminal):
         z_prev = bytes.fromhex(manifest.terminal_seeds[tid])
-        for k, lineno, line in per_terminal[tid]:
-            ballot = EncryptedBallot.from_json(line["ballot"])
-            proof = WellFormednessProof.from_json(line["proof"])
-            expected = chain_hash(ballot, proof, tid, z_prev)
+        for pos, k, lineno, line in per_terminal[tid]:
+            expected = chain_hash(index.ballot(pos), index.proof(pos), tid, z_prev)
             if expected.hex() != line["z"]:
                 fail(f"terminal {tid}: recomputed z mismatch at entry {k}", line=lineno, entry=k)
                 break
@@ -181,17 +176,15 @@ def _verify_share_set(ct: Ciphertext, shares_json, claimed: int, manifest, conte
     return None
 
 
-def verify_proofs(lines, manifest: ElectionManifest) -> list:
+def verify_proofs(index: BoardIndex, manifest: ElectionManifest) -> list:
     """Every entry's well-formedness proof, and every published decryption
     (spoiled and untallied entries must each carry exactly one)."""
-    index = index_lines(lines)
     bad = []
-    for k, lineno, line in index.entries:
-        ballot = EncryptedBallot.from_json(line["ballot"])
-        proof = WellFormednessProof.from_json(line["proof"])
+    for pos, (k, lineno, _) in enumerate(index.entries):
+        ballot = index.ballot(pos)
         style = manifest.style_map.get(ballot.style_id)
         if style is None or not verify_ballot(
-            ballot, proof, style, manifest.jpk.K, manifest.gp, manifest.election_id
+            ballot, index.proof(pos), style, manifest.jpk.K, manifest.gp, manifest.election_id
         ):
             bad.append(ReportItem("ballot_proofs", False,
                                   f"entry {k}: well-formedness proof fails", line=lineno, entry=k))
@@ -215,7 +208,7 @@ def _check_decryptions(index, manifest: ElectionManifest) -> list:
     for ref, decs in sorted(index.decryptions.items()):
         for lineno, _ in decs[1:]:
             fail(f"entry {ref} decrypted twice", line=lineno)
-    entry_lines = {k: line for k, _, line in index.entries}
+    positions = {k: pos for pos, (k, _, _) in enumerate(index.entries)}
     for k, status in sorted(index.statuses.items()):
         needs = status in (SPOILED, UNTALLIED)
         if needs and k not in index.decryptions:
@@ -226,7 +219,7 @@ def _check_decryptions(index, manifest: ElectionManifest) -> list:
                 fail(f"entry {k} is {status} but was decrypted", line=index.decryptions[k][0][0])
             continue
         lineno, dec = index.decryptions[k][0]
-        ballot = EncryptedBallot.from_json(entry_lines[k]["ballot"])
+        ballot = index.ballot(positions[k])
         style = manifest.style_map[ballot.style_id]
         expected_cols = {
             (contest.contest_id, column): ct
@@ -259,11 +252,10 @@ def _check_decryptions(index, manifest: ElectionManifest) -> list:
     return fails
 
 
-def verify_tally(lines, manifest: ElectionManifest) -> list:
+def verify_tally(index: BoardIndex, manifest: ElectionManifest) -> list:
     """Recompute the aggregate from effective-CAST entries, compare to the
     published tally ciphertexts bit-exactly, verify the decryption shares,
     the announced counts, and the per-contest sum identity."""
-    index = index_lines(lines)
     if not index.tallies:
         return [ReportItem("tally", False, "no tally line published")]
     if len(index.tallies) > 1:
@@ -311,24 +303,22 @@ def verify_tally(lines, manifest: ElectionManifest) -> list:
 
 
 def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
-    """Run every check; the report's overall verdict is their conjunction."""
-    report = VerificationReport()
-    report.items.extend(check_line_chain(raw_lines))
-    lines = parse_lines(raw_lines)
-    report.items.extend(check_signatures(raw_lines, lines, manifest))
-    report.items.extend(verify_chain(lines, manifest))
-    report.items.extend(verify_proofs(lines, manifest))
-    report.items.extend(verify_tally(lines, manifest))
+    """Run every check; the report's overall verdict is their conjunction.
+    The board is parsed once (boardformat.read_board) and every check reads
+    that index; a line that breaks the chain is reported, not raised."""
+    index = read_board(raw_lines)
+    report = VerificationReport(check_line_chain(index))
+    for check in (check_signatures, verify_chain, verify_proofs, verify_tally):
+        report.items.extend(check(index, manifest))
     return report
 
 
-def lookup_receipt(lines, manifest: ElectionManifest, terminal_id: str, code: str):
-    """Match a take-home receipt against the board.
+def lookup_receipt(index: BoardIndex, manifest: ElectionManifest, terminal_id: str, code: str):
+    """Match a take-home receipt against an index of the board's lines.
 
     Returns (FOUND_CAST, None), (FOUND_SPOILED, plaintext or None), or
     (NOT_FOUND, None). Raises AmbiguousReceipt when the truncated code
     matches more than one entry of that terminal."""
-    index = index_lines(lines)
     matches = []
     for k, _, line in index.entries:
         if line["terminal"] != terminal_id:

@@ -26,6 +26,7 @@ from starlock.ballot import (
     encrypt_ballot,
     verify_ballot,
 )
+from starlock.boardformat import index_lines
 from starlock.group import TEST_GROUP
 from starlock.scenario import (
     Scenario,
@@ -126,7 +127,7 @@ def test_criterion_4_chain_tampering_is_caught_and_named() -> None:
     }
 
     def first_failure(lines):
-        bad = [item for item in verify_chain(lines, manifest) if not item.ok]
+        bad = [item for item in verify_chain(index_lines(lines), manifest) if not item.ok]
         assert bad, "tampering went unnoticed"
         return bad[0]
 
@@ -296,11 +297,11 @@ def test_criterion_8_proof_battery_accepts_honest_and_rejects_perturbed() -> Non
 
 def test_criterion_9_receipts_resolve_and_fabrications_do_not() -> None:
     result, _ = demo_run()
-    lines = parse_lines(board_raw_lines(result["board"]))
+    index = index_lines(parse_lines(board_raw_lines(result["board"])))
     manifest = result["manifest"]
     for row in result["receipts"]:
         assert len(row["code"]) == 20
-        status, _ = lookup_receipt(lines, manifest, row["terminal"], row["code"])
+        status, _ = lookup_receipt(index, manifest, row["terminal"], row["code"])
         expected = FOUND_CAST if row["status"] == "CAST" else FOUND_SPOILED
         assert status == expected, row
     alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"
@@ -309,7 +310,7 @@ def test_criterion_9_receipts_resolve_and_fabrications_do_not() -> None:
     for _ in range(10_000):
         code = "".join(rng.choices(alphabet, k=20))
         terminal = rng.choice(["T1", "T2"])
-        status, _ = lookup_receipt(lines, manifest, terminal, code)
+        status, _ = lookup_receipt(index, manifest, terminal, code)
         if status != NOT_FOUND:
             false_positives += 1
     assert false_positives == 0

@@ -15,7 +15,6 @@ from starlock.ballot import (
     encrypt_ballot,
 )
 from starlock.board import (
-    GENESIS_HASH,
     UNTALLIED,
     Board,
     TallyRecord,
@@ -23,7 +22,7 @@ from starlock.board import (
     decrypt_spoiled,
     decrypt_tally,
 )
-from starlock.boardformat import contest_columns, verify_board_signature
+from starlock.boardformat import GENESIS_HASH, contest_columns, verify_board_signature
 from starlock.elgamal import keygen
 from starlock.errors import (
     BadShareProof,

@@ -6,11 +6,14 @@ checks (terminal chains, proofs, tally recomputation) can catch the edit.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
 from helpers import board_raw_lines, demo_run, rechain
-from starlock.ballot import PlaintextBallot
+from starlock.ballot import EncryptedBallot, PlaintextBallot, WellFormednessProof
+from starlock.board import Board
+from starlock.boardformat import ChainBroken, index_lines, read_board
 from starlock.errors import AmbiguousReceipt
 from starlock.serialize import canonical_json
 from starlock.verifier import (
@@ -68,7 +71,7 @@ def test_edited_line_breaks_the_chain_at_the_next_line() -> None:
     line = json.loads(raw[target])
     line["timestamp"] = str(int(line["timestamp"]) + 1)
     raw = raw[:target] + [canonical_json(line)] + raw[target + 1 :]
-    items = check_line_chain(raw)
+    items = check_line_chain(read_board(raw))
     assert not items[0].ok
     assert items[0].line == target + 1
     assert not verify_board(raw, result["manifest"]).overall
@@ -77,11 +80,11 @@ def test_edited_line_breaks_the_chain_at_the_next_line() -> None:
 def test_deleted_and_reordered_lines_break_the_chain() -> None:
     result, raw = demo_board()
     deleted = raw[:5] + raw[6:]
-    items = check_line_chain(deleted)
+    items = check_line_chain(read_board(deleted))
     assert not items[0].ok and items[0].line == 5
     swapped = raw[:]
     swapped[2], swapped[3] = swapped[3], swapped[2]
-    items = check_line_chain(swapped)
+    items = check_line_chain(read_board(swapped))
     assert not items[0].ok and items[0].line == 2
 
 
@@ -89,12 +92,48 @@ def test_non_canonical_or_unparseable_lines_are_rejected() -> None:
     _, raw = demo_board()
     pretty = raw[:]
     pretty[1] = json.dumps(json.loads(raw[1]), sort_keys=True, separators=(", ", ": "))
-    items = check_line_chain(pretty)
+    items = check_line_chain(read_board(pretty))
     assert not items[0].ok and "canonical" in items[0].detail
     garbage = raw[:]
     garbage[4] = "not json {"
-    items = check_line_chain(garbage)
+    items = check_line_chain(read_board(garbage))
     assert not items[0].ok and items[0].line == 4
+
+
+@pytest.mark.parametrize("bad", ["not json {", "[1]"], ids=["unparseable", "array"])
+def test_malformed_line_is_reported_and_the_other_lines_checked(bad, tmp_path) -> None:
+    result, raw = demo_board()
+    raw = raw[:5] + [bad] + raw[6:]
+    report = verify_board(raw, result["manifest"])
+    chain = report.items[0]
+    assert chain.check == "line_chain" and not chain.ok and chain.line == 5
+    assert {item.check for item in report.items} == ALL_CHECKS
+    path = tmp_path / "board.jsonl"
+    path.write_text("\n".join(raw) + "\n", encoding="utf-8")
+    with pytest.raises(ChainBroken) as err:
+        Board.load(path)
+    assert err.value.lineno == 5
+
+
+def test_verify_board_decodes_each_line_and_entry_once(monkeypatch) -> None:
+    result, raw = demo_board()
+    n_entries = sum(json.loads(line)["kind"] == "entry" for line in raw)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(json, "loads", counted("loads", json.loads))
+    for cls in (EncryptedBallot, WellFormednessProof):
+        monkeypatch.setattr(cls, "from_json", staticmethod(counted(cls.__name__, cls.from_json)))
+    assert verify_board(raw, result["manifest"]).overall
+    assert calls == {
+        "loads": len(raw), "EncryptedBallot": n_entries, "WellFormednessProof": n_entries
+    }
 
 
 def test_rechained_substitution_is_caught_by_the_terminal_chain() -> None:
@@ -241,12 +280,12 @@ def test_terminal_bookkeeping_failures() -> None:
 
 def test_every_scripted_receipt_resolves_to_its_status() -> None:
     result, raw = demo_board()
-    lines = parse_lines(raw)
+    index = index_lines(parse_lines(raw))
     manifest = result["manifest"]
     scenario = result["scenario"]
     assert result["receipts"], "demo must hand out receipts"
     for row in result["receipts"]:
-        status, plaintext = lookup_receipt(lines, manifest, row["terminal"], row["code"])
+        status, plaintext = lookup_receipt(index, manifest, row["terminal"], row["code"])
         if row["status"] == "CAST":
             assert status == FOUND_CAST
             assert plaintext is None
@@ -260,12 +299,12 @@ def test_every_scripted_receipt_resolves_to_its_status() -> None:
 
 def test_receipt_misses() -> None:
     result, raw = demo_board()
-    lines = parse_lines(raw)
+    index = index_lines(parse_lines(raw))
     manifest = result["manifest"]
     row = result["receipts"][0]
     other_terminal = "T2" if row["terminal"] == "T1" else "T1"
-    assert lookup_receipt(lines, manifest, other_terminal, row["code"]) == (NOT_FOUND, None)
-    assert lookup_receipt(lines, manifest, row["terminal"], "A" * 20) == (NOT_FOUND, None)
+    assert lookup_receipt(index, manifest, other_terminal, row["code"]) == (NOT_FOUND, None)
+    assert lookup_receipt(index, manifest, row["terminal"], "A" * 20) == (NOT_FOUND, None)
 
 
 def test_colliding_receipts_are_flagged_ambiguous() -> None:
@@ -281,4 +320,4 @@ def test_colliding_receipts_are_flagged_ambiguous() -> None:
 
     code = receipt_code(bytes.fromhex(z))
     with pytest.raises(AmbiguousReceipt):
-        lookup_receipt([entry, twin], manifest, "T1", code)
+        lookup_receipt(index_lines([entry, twin]), manifest, "T1", code)
