@@ -226,18 +226,23 @@ class KMState:
     def U(self) -> float:
         return 2 * self.N / self.V
 
+    def observe(self, e: int) -> float:
+        """Fold one draw's overstatement e into the running P-value. Returns
+        the updated P (math.inf means mandatory escalation)."""
+        self.draws += 1
+        self.discrepancies[e] = self.discrepancies.get(e, 0) + 1
+        if e >= 2:
+            self.p_value = math.inf
+        elif not math.isinf(self.p_value):
+            self.p_value *= (1 - 1 / self.U) / (1 - e / 2)
+        return self.p_value
+
 
 def km_risk(state: KMState, draws) -> float:
     """Fold (reported, manual) interpretation pairs into the running
     P-value. Returns the updated P (math.inf means mandatory escalation)."""
     for reported, manual in draws:
-        e = overstatement(reported, manual, state.pairs)
-        state.draws += 1
-        state.discrepancies[e] = state.discrepancies.get(e, 0) + 1
-        if e >= 2:
-            state.p_value = math.inf
-        elif not math.isinf(state.p_value):
-            state.p_value *= (1 - 1 / state.U) / (1 - e / 2)
+        state.observe(overstatement(reported, manual, state.pairs))
     return state.p_value
 
 
@@ -314,7 +319,7 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
         open_commitment(row, published_by_serial[row["serial"]])
         paper = papers_by_serial[row["serial"]]
         e = overstatement(row["contests"], paper["contests"], pairs)
-        p = km_risk(state, [(row["contests"], paper["contests"])])
+        p = state.observe(e)
         trajectory.append(
             {"draw_j": state.draws, "index": index, "e_j": e, "P_j": p}
         )

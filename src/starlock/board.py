@@ -107,16 +107,7 @@ class Board:
         ):
             raise RejectInvalidProof("ballot record failed proof verification")
         index = self.entry_count
-        line = {
-            "kind": "entry",
-            "index": str(index),
-            "terminal": record.terminal_id,
-            "timestamp": str(record.timestamp),
-            "status": status,
-            "z": record.z.hex(),
-            "ballot": record.ballot.to_json(),
-            "proof": record.proof.to_json(),
-        }
+        line = {"kind": "entry", "index": str(index), "status": status, **record.to_json()}
         if reason is not None:
             line["reason"] = reason
         self._append(line)

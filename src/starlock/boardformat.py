@@ -29,6 +29,7 @@ CAST = "CAST"
 SPOILED = "SPOILED"
 UNTALLIED = "UNTALLIED"
 GENESIS_HASH = "0" * 64
+ENTRY_FIELDS = frozenset({"terminal", "z", "ballot", "proof"})  # what every entry check reads
 
 
 class ChainBroken(StarlockError):
@@ -133,7 +134,10 @@ def fold_ballots(ballots, style_map: dict, gp: GroupParams):
         for cid, (contest, columns) in contest_columns(style_map).items()
     }
     for ballot in ballots:
-        for contest, enc in zip(style_map[ballot.style_id].contests, ballot.contests):
+        style = style_map.get(ballot.style_id)
+        if style is None:
+            raise StarlockError(f"unknown ballot style {ballot.style_id!r}")
+        for contest, enc in zip(style.contests, ballot.contests):
             bucket = agg[contest.contest_id]
             bucket["cast_count"] += 1
             cols = bucket["columns"]
@@ -238,7 +242,8 @@ def index_lines(lines) -> BoardIndex:
 def read_board(raw_lines) -> BoardIndex:
     """Parse each raw line (no newline) once, check that it is a canonical JSON
     object carrying the previous line's hash, and index it. The first break
-    goes to `broken`; every object with the fields its kind needs is indexed."""
+    goes to `broken`; every object with the fields its kind needs is indexed,
+    and an entry also needs ENTRY_FIELDS."""
     index = BoardIndex()
     for lineno, raw in enumerate(raw_lines):
         try:
@@ -251,10 +256,13 @@ def read_board(raw_lines) -> BoardIndex:
                 reason = "line not in canonical form"
             elif line.get("prev") != index.head:
                 reason = "hash chain broken"
-            try:
-                index.add(lineno, line)
-            except (KeyError, TypeError, ValueError):
-                reason = reason or "malformed line"
+            if line.get("kind") == "entry" and not ENTRY_FIELDS <= line.keys():
+                reason = reason or "entry lacks a ballot record field"
+            else:
+                try:
+                    index.add(lineno, line)
+                except (KeyError, TypeError, ValueError):
+                    reason = reason or "malformed line"
         if reason and index.broken is None:
             index.broken = (lineno, reason)
         index.head = sha256_hex(raw.encode("utf-8"))

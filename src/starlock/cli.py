@@ -90,6 +90,12 @@ def cmd_keygen(args) -> int:
     return PASS
 
 
+def _load_office(path) -> Keypair:
+    """The election office's signing keypair from an office key file."""
+    obj = _load_json(path)
+    return Keypair(sk=hex_to_int(obj["sk"]), pk=hex_to_int(obj["pk"]))
+
+
 def _load_keys(keydir, expected_group):
     joint = _load_json(os.path.join(keydir, "joint_key.json"))
     if joint.get("group") != expected_group:
@@ -98,8 +104,7 @@ def _load_keys(keydir, expected_group):
             f"{expected_group!r}"
         )
     jpk = JointPublicKey.from_json(joint)
-    office_obj = _load_json(os.path.join(keydir, "office_key.json"))
-    office = Keypair(sk=hex_to_int(office_obj["sk"]), pk=hex_to_int(office_obj["pk"]))
+    office = _load_office(os.path.join(keydir, "office_key.json"))
     shares = []
     for i in range(1, jpk.n + 1):
         path = os.path.join(keydir, f"trustee_share_{i}.json")
@@ -134,8 +139,7 @@ def cmd_tally(args) -> int:
     manifest = ElectionManifest.load(args.manifest)
     board = Board.load(args.board)
     shares = [TrusteeShare.from_json(_load_json(p)) for p in args.shares]
-    office_obj = _load_json(args.office)
-    office = Keypair(sk=hex_to_int(office_obj["sk"]), pk=hex_to_int(office_obj["pk"]))
+    office = _load_office(args.office)
     if office.pk != manifest.office_pk:
         raise StarlockError("office key does not match the election manifest")
     cvrs = _load_json(args.cvrs)
@@ -224,9 +228,10 @@ def cmd_receipt_check(args) -> int:
 
 
 def _seed20(value: str) -> str:
-    if len(value) != 20 or not value.isdigit():
-        raise argparse.ArgumentTypeError("seed must be exactly 20 decimal digits")
-    return value
+    try:
+        return audit_mod.check_seed(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,7 @@ configured fault diverts it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ballot import BallotStyle, PlaintextBallot, encrypt_ballot
 from .boardformat import CAST, SPOILED
@@ -49,16 +49,12 @@ SPOIL_REASONS = (SPOIL_VOTER, SPOIL_CHALLENGE, SPOIL_TIMEOUT, SPOIL_REJECTED)
 ACCEPT = "ACCEPT"
 REJECT = "REJECT"
 
-TOKEN_ACTIVE = "ACTIVE"
-TOKEN_REDEEMED = "REDEEMED"
-
 
 @dataclass
 class Token:
     code: str
     style_id: str
     provisional: bool
-    state: str = TOKEN_ACTIVE
 
 
 @dataclass(frozen=True)
@@ -87,9 +83,12 @@ class BallotRecord:
     serial: str
     record: EncryptedBallotRecord
     status: str
-    produced_at: int
-    provisional: bool = False
     reason: str | None = None
+
+    @property
+    def produced_at(self) -> int:
+        """The station's clock tick that registered the record."""
+        return self.record.timestamp
 
 
 @dataclass(frozen=True)
@@ -97,13 +96,6 @@ class Receipt:
     terminal_id: str
     timestamp: int
     code: str
-
-    def to_json(self) -> dict:
-        return {
-            "terminal": self.terminal_id,
-            "timestamp": str(self.timestamp),
-            "code": self.code,
-        }
 
 
 class FaultInjector:
@@ -131,16 +123,23 @@ class FaultInjector:
 
 
 class MessageBus:
-    """In-process ordered reliable delivery to registered handlers."""
+    """In-process ordered reliable delivery to registered handlers. A handler
+    runs once per message id; a repeat gets the stored result of that run."""
 
     def __init__(self, injector: FaultInjector | None = None):
         self.injector = injector or FaultInjector()
         self.handlers = {}
         self.counts = {}
         self.held = []
+        self.results = {}  # msg_id -> handler result; a handler that raised stores none
 
     def register(self, kind: str, handler) -> None:
         self.handlers[kind] = handler
+
+    def _deliver(self, kind: str, payload: dict, msg_id: str):
+        if msg_id not in self.results:
+            self.results[msg_id] = self.handlers[kind](payload)
+        return self.results[msg_id]
 
     def send(self, kind: str, payload: dict, msg_id: str):
         """Synchronous send; handler errors propagate to the sender. Returns
@@ -148,19 +147,16 @@ class MessageBus:
         occurrence = self.counts.get(kind, 0)
         self.counts[kind] = occurrence + 1
         plan = self.injector.plan(kind, occurrence)
-        handler = self.handlers[kind]
-        msg = {"payload": payload, "msg_id": msg_id}
         if plan == "drop":
             return None
         if plan == "delay":
-            self.held.append((kind, msg))
+            self.held.append((kind, payload, msg_id))
             return None
-        result = handler(msg["payload"], msg["msg_id"])
+        result = self._deliver(kind, payload, msg_id)
         if plan == "duplicate":
-            handler(msg["payload"], msg["msg_id"])
+            self._deliver(kind, payload, msg_id)
         while self.held:
-            held_kind, held_msg = self.held.pop(0)
-            self.handlers[held_kind](held_msg["payload"], held_msg["msg_id"])
+            self._deliver(*self.held.pop(0))
         return result
 
 
@@ -204,7 +200,7 @@ class PollSite:
 
         self.clock = 0
         self.events = []
-        self.active_tokens = {}
+        self.active_tokens = {}  # code -> Token, while the token is unredeemed
         self.records = {}  # serial -> BallotRecord, in production order
         self.claimed = {}  # serial -> PlaintextBallot the terminal reported
         self.papers = {}  # serial -> PlaintextBallot printed on the summary
@@ -213,7 +209,6 @@ class PollSite:
         self.diverted_papers = set()  # serials whose paper vanishes after scan
         self.closed = False
 
-        self._seen_msgs = {}
         self._cast_calls = 0
         self.bus = MessageBus(injector)
         self.bus.register("redeem", self._handle_redeem)
@@ -253,25 +248,13 @@ class PollSite:
         self._tick("token_issued", code=code, style=style_id, provisional=provisional)
         return token
 
-    def redeem_token(self, code: str) -> str:
-        result = self.bus.send("redeem", {"code": code}, msg_id=f"redeem:{code}:{self.clock}")
-        if result is None:
-            raise UnknownOrSpentToken("redemption message lost in transit")
-        return result[0]
-
-    def _handle_redeem(self, payload: dict, msg_id: str):
-        if msg_id in self._seen_msgs:
-            return self._seen_msgs[msg_id]
+    def _handle_redeem(self, payload: dict):
         code = payload["code"]
-        token = self.active_tokens.get(code)
-        if token is None or token.state != TOKEN_ACTIVE:
+        token = self.active_tokens.pop(code, None)
+        if token is None:
             raise UnknownOrSpentToken(f"code {code} is not active")
-        token.state = TOKEN_REDEEMED
-        del self.active_tokens[code]
         self._tick("token_redeemed", code=code, style=token.style_id)
-        result = (token.style_id, token.provisional)
-        self._seen_msgs[msg_id] = result
-        return result
+        return token.style_id, token.provisional
 
     # -- voting session --------------------------------------------------------
 
@@ -358,9 +341,7 @@ class PollSite:
             style_id=pb.style_id, selections=selections, writeins=pb.writeins
         )
 
-    def _handle_record(self, payload: dict, msg_id: str):
-        if msg_id in self._seen_msgs:
-            return self._seen_msgs[msg_id]
+    def _handle_record(self, payload: dict):
         serial = payload["serial"]
         if serial in self.records:
             raise StarlockError(f"serial collision on {serial}")
@@ -384,12 +365,9 @@ class PollSite:
             serial=serial,
             record=ebr,
             status=PROVISIONAL_PENDING if payload["provisional"] else PENDING,
-            produced_at=clock,
-            provisional=payload["provisional"],
         )
         self.records[serial] = record
         self.claimed[serial] = payload["claimed"]
-        self._seen_msgs[msg_id] = record
         return record
 
     # -- cast / spoil -----------------------------------------------------------
@@ -403,17 +381,16 @@ class PollSite:
         self.bus.send(
             "cast_scan", {"serial": serial}, msg_id=f"cast:{serial}:{self._cast_calls}"
         )
-        # The paper is already through the slot whether or not the message
-        # arrived; a diverted paper disappears between scanner and box.
-        if serial in self.diverted_papers:
-            return
-        if serial not in self.box:
+        # The paper is through the slot whether or not the message arrived.
+        self._box_paper(serial)
+
+    def _box_paper(self, serial: str) -> None:
+        """Box the paper once, unless it vanished between scanner and box."""
+        if serial not in self.diverted_papers and serial not in self.box:
             self.box.append(serial)
 
-    def _handle_cast_scan(self, payload: dict, msg_id: str):
-        if msg_id in self._seen_msgs:
-            return self._seen_msgs[msg_id]
-        serial = payload["serial"]
+    def _pending_record(self, serial: str) -> BallotRecord:
+        """The record if a voter may still cast or spoil it, else raise."""
         record = self.records.get(serial)
         if record is None:
             raise UnknownSerial(f"no electronic record for serial {serial}")
@@ -421,22 +398,17 @@ class PollSite:
             raise NotProvisional("provisional records are finalized by adjudication")
         if record.status != PENDING:
             raise AlreadyFinalized(f"record {serial} is {record.status}")
+        return record
+
+    def _handle_cast_scan(self, payload: dict):
+        record = self._pending_record(payload["serial"])
         record.status = CAST
-        self._tick("cast", serial=serial, terminal=record.record.terminal_id)
-        self._seen_msgs[msg_id] = True
-        return True
+        self._tick("cast", serial=record.serial, terminal=record.record.terminal_id)
 
     def spoil(self, serial: str, reason: str) -> None:
         if reason not in SPOIL_REASONS:
             raise ValueError(f"unknown spoil reason {reason!r}")
-        record = self.records.get(serial)
-        if record is None:
-            raise UnknownSerial(f"no electronic record for serial {serial}")
-        if record.status == PROVISIONAL_PENDING:
-            raise NotProvisional("provisional records are finalized by adjudication")
-        if record.status != PENDING:
-            raise AlreadyFinalized(f"record {serial} is {record.status}")
-        self._spoil(record, reason)
+        self._spoil(self._pending_record(serial), reason)
 
     def _spoil(self, record: BallotRecord, reason: str) -> None:
         record.status = SPOILED
@@ -448,6 +420,10 @@ class PollSite:
             terminal=record.record.terminal_id,
             reason=reason,
         )
+
+    def _reject(self, record: BallotRecord) -> None:
+        self._tick("provisional_adjudicated", serial=record.serial, decision=REJECT)
+        self._spoil(record, SPOIL_REJECTED)
 
     def timeout_sweep(self, now: int | None = None, ttl: int | None = None):
         """Spoil every PENDING record older than ttl. Ages are measured
@@ -475,12 +451,10 @@ class PollSite:
             raise NotProvisional(f"record {serial} is {record.status}")
         if adjudication == ACCEPT:
             record.status = CAST
-            if serial not in self.diverted_papers and serial not in self.box:
-                self.box.append(serial)
+            self._box_paper(serial)
             self._tick("provisional_adjudicated", serial=serial, decision=ACCEPT)
         else:
-            self._tick("provisional_adjudicated", serial=serial, decision=REJECT)
-            self._spoil(record, SPOIL_REJECTED)
+            self._reject(record)
         return record.status
 
     # -- close -------------------------------------------------------------------
@@ -494,10 +468,7 @@ class PollSite:
         for record in list(self.records.values()):
             if record.status == PROVISIONAL_PENDING:
                 # Unadjudicated at close: rejected by default.
-                self._tick(
-                    "provisional_adjudicated", serial=record.serial, decision=REJECT
-                )
-                self._spoil(record, SPOIL_REJECTED)
+                self._reject(record)
             elif record.status == PENDING:
                 # Polls closed; the paper was never scanned.
                 self._spoil(record, SPOIL_TIMEOUT)

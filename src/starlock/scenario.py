@@ -35,6 +35,7 @@ from .group import GROUPS, resolve_group
 from .manifest import ElectionManifest
 from .pollsite import (
     ACCEPT,
+    DEFAULT_TTL,
     REJECT,
     SPOIL_CHALLENGE,
     SPOIL_VOTER,
@@ -75,7 +76,7 @@ class Scenario:
     styles: tuple
     terminals: tuple
     voters: tuple
-    ttl: int = 600
+    ttl: int = DEFAULT_TTL
     rigged_terminals: tuple = ()
     lost_papers: tuple = ()  # voter indices whose final paper vanishes
     dropped_scans: tuple = ()  # voter indices whose final scan message is lost
@@ -182,7 +183,7 @@ class Scenario:
                 group=obj.get("group", "test"),
                 trustees=(trustees.get("n", 1), trustees.get("k", 1)),
                 seed=obj["seed"],
-                ttl=obj.get("ttl", 600),
+                ttl=obj.get("ttl", DEFAULT_TTL),
                 styles=styles,
                 terminals=tuple(obj.get("terminals", ["T1"])),
                 voters=voters,

@@ -220,7 +220,10 @@ def _check_decryptions(index, manifest: ElectionManifest) -> list:
             continue
         lineno, dec = index.decryptions[k][0]
         ballot = index.ballot(positions[k])
-        style = manifest.style_map[ballot.style_id]
+        style = manifest.style_map.get(ballot.style_id)
+        if style is None:
+            fail(f"entry {k}: unknown ballot style {ballot.style_id!r}", line=lineno, entry=k)
+            continue
         expected_cols = {
             (contest.contest_id, column): ct
             for contest, enc in zip(style.contests, ballot.contests)

@@ -13,7 +13,8 @@ from itertools import islice
 
 import pytest
 
-from helpers import synthetic_comparison_record
+from helpers import demo_run, synthetic_comparison_record
+from starlock import audit
 from starlock.audit import (
     KMState,
     build_cvrs,
@@ -235,6 +236,21 @@ def test_honest_audit_confirms_in_45_draws() -> None:
     assert all(row["e_j"] == 0 for row in out["trajectory"])
     assert out["trajectory"][-1]["P_j"] == out["p_value"]
     assert "result" not in out and "winners" not in out
+
+
+def test_audit_works_out_each_draws_overstatement_once(monkeypatch) -> None:
+    result, _ = demo_run()
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return overstatement(*args)
+
+    monkeypatch.setattr(audit, "overstatement", counted)
+    out = run_audit(result["board"].lines(), result["manifest"], result["cvrs"],
+                    result["papers"], SEED_A, 0.1)
+    assert out["draws"] > 0
+    assert len(calls) == out["draws"]
 
 
 def test_audit_is_reproducible() -> None:

@@ -247,6 +247,16 @@ def test_duplicated_cast_scan_is_idempotent() -> None:
     assert sum(1 for e in site.events if e["event"] == "cast") == 1
 
 
+@pytest.mark.parametrize("kind, event", [("redeem", "token_redeemed"),
+                                         ("record", "ballot_produced")])
+def test_duplicated_session_message_is_idempotent(kind, event) -> None:
+    site = make_site(injector=FaultInjector(duplicate=[(kind, 0)]))
+    record, _, _ = vote(site)
+    assert record.status == PENDING
+    assert list(site.records.values()) == [record]
+    assert sum(1 for e in site.events if e["event"] == event) == 1
+
+
 def test_delayed_cast_scan_reorders_once() -> None:
     site = make_site(injector=FaultInjector(delay=[("cast_scan", 0)]))
     ra, _, _ = vote(site)

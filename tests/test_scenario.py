@@ -267,6 +267,30 @@ def test_demo_artifact_bytes_are_pinned(tmp_path) -> None:
     assert digests == DEMO_DIGESTS
 
 
+FAULTED_DEMO_DIGESTS = {
+    "eventlog.jsonl": "7c9d0e3e7f57d4ae64f83c534bc8d0e85903f5da98e18272f7cb95b93916a333",
+    "board.jsonl": "ba3b4ae4355fd7d3219e4ad56dfad07f501872d802f414f5b32890a1f6eb4b64",
+    "receipts.json": "030d512b0b7129c2c8e7d96ec2c8adee9b2064ad9ddf02df3564e11e47dbe0a5",
+}
+
+
+def test_faulted_demo_artifact_bytes_are_pinned(tmp_path) -> None:
+    # A duplicated scan, a dropped scan and a lost paper exercise the
+    # station's idempotent delivery, the close-of-polls sweep and demotion.
+    scenario = dataclasses.replace(
+        make_demo_scenario(), dropped_scans=(1,), duplicated_scans=(0,), lost_papers=(4,)
+    )
+    result = run_scenario(scenario)
+    finish_election(result["board"], result["manifest"], result["trustee_shares"],
+                    result["office"], result["cvrs"], result["papers"], random.Random(0))
+    write_artifacts(result, tmp_path / "out")
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in FAULTED_DEMO_DIGESTS
+    }
+    assert digests == FAULTED_DEMO_DIGESTS
+
+
 def test_random_scenarios_stay_inside_counting_range() -> None:
     for seed in range(6):
         scenario = make_random_scenario(seed, max_voters=40)

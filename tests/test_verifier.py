@@ -115,6 +115,37 @@ def test_malformed_line_is_reported_and_the_other_lines_checked(bad, tmp_path) -
     assert err.value.lineno == 5
 
 
+@pytest.mark.parametrize(
+    "status, field",
+    [("CAST", "ballot"), ("CAST", "proof"), ("CAST", "style_id"), ("SPOILED", "style_id")],
+    ids=["no-ballot", "no-proof", "cast-unknown-style", "spoiled-unknown-style"],
+)
+def test_malformed_entry_is_reported_and_named(status, field, tmp_path) -> None:
+    result, _ = demo_board()
+    board = result["board"]
+    target = next(str(i) for i, _ in board.entries() if board.effective_status(i) == status)
+    edited = []
+
+    def mutate(lines):
+        entry = next(l for l in lines if l["kind"] == "entry" and l["index"] == target)
+        edited.append(lines.index(entry))
+        if field == "style_id":
+            entry["ballot"]["style_id"] = "nowhere"
+        else:
+            del entry[field]
+
+    raw = retamper(result, mutate)
+    report = verify_board(raw, result["manifest"])
+    assert not report.overall
+    assert edited[0] in {item.line for item in report.failures()}
+    if field != "style_id":
+        path = tmp_path / "board.jsonl"
+        path.write_text("\n".join(raw) + "\n", encoding="utf-8")
+        with pytest.raises(ChainBroken) as err:
+            Board.load(path)
+        assert err.value.lineno == edited[0]
+
+
 def test_verify_board_decodes_each_line_and_entry_once(monkeypatch) -> None:
     result, raw = demo_board()
     n_entries = sum(json.loads(line)["kind"] == "entry" for line in raw)
