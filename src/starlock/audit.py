@@ -182,20 +182,38 @@ def margin_pairs(manifest: ElectionManifest, result: dict):
     return winners, pairs, v
 
 
-def overstatement(reported: dict, manual: dict, pairs) -> int:
-    """Worst-case per-ballot overstatement across all winner-loser pairs.
-    Each term is in {-1, 0, 1}, so e is always in {-2, ..., 2}."""
-
-    def vote(interp, cid, opt):
-        view = interp.get(cid)
-        return 1 if view and opt in view.get("selections", []) else 0
-
-    worst = None
+def pairs_by_contest(pairs) -> dict:
+    """{contest_id: [(winner, loser), ...]} from (contest, winner, loser) triples."""
+    grouped = {}
     for cid, w, l in pairs:
-        rep = vote(reported, cid, w) - vote(reported, cid, l)
-        man = vote(manual, cid, w) - vote(manual, cid, l)
-        e = rep - man
-        worst = e if worst is None else max(worst, e)
+        grouped.setdefault(cid, []).append((w, l))
+    return grouped
+
+
+def overstatement(reported: dict, manual: dict, pairs) -> int:
+    """Worst-case per-ballot overstatement across all winner-loser pairs,
+    given as (contest, winner, loser) triples or, to serve many draws, as
+    pairs_by_contest of them. Each term is in {-1, 0, 1}, so e is always in
+    {-2, ..., 2}. Only the contests either interpretation carries are
+    walked: each pair of any other contest scores exactly 0."""
+    if not isinstance(pairs, dict):
+        pairs = pairs_by_contest(pairs)
+
+    def selections(interp, cid):
+        view = interp.get(cid)
+        return view.get("selections", []) if view else ()
+
+    worst, walked = None, 0
+    for cid in reported.keys() | manual.keys():
+        if cid not in pairs:
+            continue
+        walked += 1
+        rep, man = selections(reported, cid), selections(manual, cid)
+        for w, l in pairs[cid]:
+            e = (w in rep) - (l in rep) - (w in man) + (l in man)
+            worst = e if worst is None else max(worst, e)
+    if walked < len(pairs):
+        worst = 0 if worst is None else max(worst, 0)
     return worst if worst is not None else 0
 
 
@@ -241,8 +259,9 @@ class KMState:
 def km_risk(state: KMState, draws) -> float:
     """Fold (reported, manual) interpretation pairs into the running
     P-value. Returns the updated P (math.inf means mandatory escalation)."""
+    pairs = pairs_by_contest(state.pairs)
     for reported, manual in draws:
-        state.observe(overstatement(reported, manual, state.pairs))
+        state.observe(overstatement(reported, manual, pairs))
     return state.p_value
 
 
@@ -309,6 +328,7 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
     winners, pairs, v = margin_pairs(manifest, board_index.tallies[-1][1]["result"])
     n = len(population)
     state = KMState(N=n, V=v, alpha=alpha, pairs=pairs)
+    by_contest = pairs_by_contest(pairs)
 
     trajectory = []
     verdict = None
@@ -318,7 +338,7 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
             raise CommitmentMismatch(f"serial {row['serial']} has no published commitment")
         open_commitment(row, published_by_serial[row["serial"]])
         paper = papers_by_serial[row["serial"]]
-        e = overstatement(row["contests"], paper["contests"], pairs)
+        e = overstatement(row["contests"], paper["contests"], by_contest)
         p = state.observe(e)
         trajectory.append(
             {"draw_j": state.draws, "index": index, "e_j": e, "P_j": p}

@@ -263,7 +263,9 @@ def decrypt_spoiled(
     if status not in (SPOILED, UNTALLIED):
         raise NotSpoiled(f"entry {entry_index} is {status}")
     ballot, _ = board.entry_record(entry_index)
-    style = style_map[ballot.style_id]
+    style = style_map.get(ballot.style_id)
+    if style is None:
+        raise StarlockError(f"unknown ballot style {ballot.style_id!r}")
     columns, bits = [], {}
     for contest, enc in zip(style.contests, ballot.contests):
         cid = contest.contest_id

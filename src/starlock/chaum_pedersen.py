@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .elgamal import Ciphertext
 from .fiatshamir import DOMAIN_EQ_DLOG, DOMAIN_ZERO_ONE, fiat_shamir_challenge
-from .group import GroupParams
+from .group import GroupParams, fixed_pow
 from .serialize import enc_bytes, enc_int, hex_to_int, int_to_hex
 
 
@@ -76,8 +76,9 @@ def prove_eq_dlog(
     context: bytes,
     domain: bytes = DOMAIN_EQ_DLOG,
 ) -> ChaumPedersenProof:
+    fixed = fixed_pow if gp.large else pow  # g1 is g at every caller
     w = rng.randrange(0, gp.q)
-    t1 = pow(g1, w, gp.p)
+    t1 = fixed(g1, w, gp.p)
     t2 = pow(g2, w, gp.p)
     e = fiat_shamir_challenge(domain, _eq_dlog_transcript(context, g1, y1, g2, y2, t1, t2), gp)
     s = (w + e * witness) % gp.q
@@ -106,8 +107,9 @@ def verify_eq_dlog(
     )
     if proof.challenge != expected:
         return False
+    fixed = fixed_pow if gp.large else pow  # g1 is g at every caller
     e, s = proof.challenge, proof.response
-    if pow(g1, s, gp.p) != proof.commit1 * pow(y1, e, gp.p) % gp.p:
+    if fixed(g1, s, gp.p) != proof.commit1 * pow(y1, e, gp.p) % gp.p:
         return False
     if pow(g2, s, gp.p) != proof.commit2 * pow(y2, e, gp.p) % gp.p:
         return False
@@ -194,6 +196,7 @@ def prove_zero_or_one(
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     p, q, g = gp.p, gp.q, gp.g
+    fixed = fixed_pow if gp.large else pow
 
     # Branch m claims (ct.a, ct.b / g^m) is a DH pair under (g, public_key).
     # Simulate the branch for the other bit, prove the real one honestly.
@@ -201,12 +204,12 @@ def prove_zero_or_one(
     c_sim = rng.randrange(0, q)
     v_sim = rng.randrange(0, q)
     target_b_sim = ct.b * pow(pow(g, sim, p), -1, p) % p
-    a_sim_commit = pow(g, v_sim, p) * pow(pow(ct.a, c_sim, p), -1, p) % p
-    b_sim_commit = pow(public_key, v_sim, p) * pow(pow(target_b_sim, c_sim, p), -1, p) % p
+    a_sim_commit = fixed(g, v_sim, p) * pow(pow(ct.a, c_sim, p), -1, p) % p
+    b_sim_commit = fixed(public_key, v_sim, p) * pow(pow(target_b_sim, c_sim, p), -1, p) % p
 
     w = rng.randrange(0, q)
-    a_real_commit = pow(g, w, p)
-    b_real_commit = pow(public_key, w, p)
+    a_real_commit = fixed(g, w, p)
+    b_real_commit = fixed(public_key, w, p)
 
     if bit == 0:
         a0c, b0c, a1c, b1c = a_real_commit, b_real_commit, a_sim_commit, b_sim_commit
@@ -237,6 +240,7 @@ def verify_zero_or_one(
     context: bytes,
 ) -> bool:
     p, q, g = gp.p, gp.q, gp.g
+    fixed = fixed_pow if gp.large else pow
     elements = (
         ct.a, ct.b, public_key,
         proof.commit0_g, proof.commit0_k, proof.commit1_g, proof.commit1_k,
@@ -263,8 +267,8 @@ def verify_zero_or_one(
         (1, proof.commit1_g, proof.commit1_k, proof.challenge1, proof.response1),
     ):
         target_b = ct.b * pow(pow(g, m, p), -1, p) % p
-        if pow(g, v, p) != commit_g * pow(ct.a, c, p) % p:
+        if fixed(g, v, p) != commit_g * pow(ct.a, c, p) % p:
             return False
-        if pow(public_key, v, p) != commit_k * pow(target_b, c, p) % p:
+        if fixed(public_key, v, p) != commit_k * pow(target_b, c, p) % p:
             return False
     return True

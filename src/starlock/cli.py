@@ -9,7 +9,8 @@ Subcommands mirror the election lifecycle:
   audit         ballot-level comparison risk-limiting audit
   receipt-check resolve one take-home receipt against the board
 
-Exit codes: 0 pass, 1 internal failure, 2 verification/audit failure,
+Exit codes: 0 pass, 1 internal failure, 2 verification/audit failure
+(a manifest whose group is not a valid safe-prime group included),
 3 usage or scenario-file error. The only environment variable consulted is
 STARLOCK_GROUP (default group for keygen when --group is omitted).
 """
@@ -26,11 +27,12 @@ import sys
 from . import audit as audit_mod
 from . import verifier as verifier_mod
 from .board import Board
-from .boardformat import index_lines
+from .boardformat import ChainBroken, index_lines
 from .elgamal import Keypair, keygen
 from .errors import (
     AmbiguousReceipt,
     CommitmentMismatch,
+    InvalidGroup,
     MarginNotPositive,
     ScenarioError,
     StarlockError,
@@ -215,6 +217,9 @@ def cmd_receipt_check(args) -> int:
     except AmbiguousReceipt as exc:
         print(f"ambiguous receipt: {exc}")
         return FAIL
+    except ChainBroken as exc:
+        print(f"malformed board: {exc}")
+        return FAIL
     if status == verifier_mod.NOT_FOUND:
         print(f"receipt {args.code} on terminal {args.terminal}: NOT FOUND")
         return FAIL
@@ -304,6 +309,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc.filename}", file=sys.stderr)
         return USAGE
+    except InvalidGroup as exc:
+        print(f"invalid group in manifest: {exc}", file=sys.stderr)
+        return FAIL
     except StarlockError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTERNAL

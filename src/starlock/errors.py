@@ -11,6 +11,11 @@ class StarlockError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InvalidGroup(StarlockError, ValueError):
+    """Group parameters that are not a safe prime p = 2q + 1 with a generator
+    of the order-q subgroup."""
+
+
 class NoDlogInRange(StarlockError):
     """Bounded discrete-log search exhausted its range without a match."""
 

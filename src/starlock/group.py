@@ -5,13 +5,25 @@ Two built-in groups: TEST_GROUP is intentionally tiny (p = 23) so that test
 suites can run thousands of encryptions and the bounded dlog search stays
 instant; PROD_GROUP is the 2048-bit MODP safe prime with g = 4, which is a
 quadratic residue and therefore generates the subgroup of order q.
+
+In a safe-prime group the order-q subgroup is exactly the quadratic
+residues, so membership is a Legendre symbol; bases that recur (g and the
+joint key) are raised through a fixed-base comb table. Both beat `pow` from
+about 64-bit p on and lose to it in the tiny test group, so a group decides
+once, from the size of p, which way it goes (`GroupParams.large`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
+from .errors import InvalidGroup
 from .serialize import enc_int
+
+LARGE_GROUP_BITS = 128  # p of at least this many bits: Legendre membership and combs
+COMB_WINDOW = 8  # comb rows; a table holds 2^8 products, about 70 KB for 2048-bit p
+COMB_TABLES = 8  # comb tables kept, one per (base, p)
 
 # Miller-Rabin witnesses: the first twelve primes. Together they decide
 # primality exactly below 3.1e23; above that a composite passes all twelve
@@ -42,15 +54,80 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a | n) for odd n > 0, by the binary algorithm; for a
+    prime n it is the Legendre symbol: 1 on a nonzero square mod n, -1 on a
+    non-square, 0 on a multiple of n."""
+    a %= n
+    t = 1
+    while a:
+        z = (a & -a).bit_length() - 1  # (2 | n) = -1 exactly when n = 3, 5 mod 8
+        a >>= z
+        if z & 1 and n & 7 in (3, 5):
+            t = -t
+        if a & n & 2:  # reciprocity: both 3 mod 4
+            t = -t
+        a, n = n % a, a
+    return t if n == 1 else 0
+
+
+@lru_cache(maxsize=COMB_TABLES)
+def _comb(base: int, p: int):
+    """Lim-Lee comb table for base mod p (Lim and Lee, CRYPTO 1994; HAC
+    14.6.3). An exponent below 2^(COMB_WINDOW * cols) is cut into COMB_WINDOW
+    rows of `cols` bits; the table maps each column of row bits, top row
+    first, to the product of base^(2^(i * cols)) over the rows i whose bit is
+    set. Returns (table, cols)."""
+    cols = -(-(p >> 1).bit_length() // COMB_WINDOW)
+    row_bases = [base % p]
+    for _ in range(COMB_WINDOW - 1):
+        x = row_bases[-1]
+        for _ in range(cols):
+            x = x * x % p
+        row_bases.append(x)
+    products = [1]  # products[j]: rows i with bit i of j set
+    for x in row_bases:
+        products += [y * x % p for y in products]
+    return {tuple(format(j, f"0{COMB_WINDOW}b")): v for j, v in enumerate(products)}, cols
+
+
+def fixed_pow(base: int, e: int, p: int) -> int:
+    """base^e mod p through base's comb table: a squaring and a product per
+    column, a quarter of pow's work on a full-size exponent once the table
+    (built on first use, one per (base, p)) is there. Only for a base that
+    recurs, in a large group; an exponent outside [0, p >> 1), which is
+    [0, q) in a safe-prime group, goes to pow."""
+    if not 0 <= e < p >> 1:
+        return pow(base, e, p)
+    table, cols = _comb(base, p)
+    bits = format(e, f"0{COMB_WINDOW * cols}b")
+    acc = 1
+    for column in zip(*[bits[i:i + cols] for i in range(0, len(bits), cols)]):
+        acc = acc * acc % p * table[column] % p
+    return acc
+
+
 @dataclass(frozen=True)
 class GroupParams:
     p: int
     q: int
     g: int
+    # Decided once per group: Legendre membership and fixed-base combs when
+    # True, pow otherwise. Callers raising g or the joint key bind
+    # `fixed_pow if gp.large else pow`, so the small group pays no extra call.
+    large: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "large", self.p.bit_length() >= LARGE_GROUP_BITS)
 
     def is_element(self, x: int) -> bool:
-        """Membership in the order-q subgroup (the identity counts)."""
-        return 0 < x < self.p and pow(x, self.q, self.p) == 1
+        """Membership in the order-q subgroup (the identity counts): the
+        quadratic residues, since p = 2q + 1 with both prime."""
+        if not 0 < x < self.p:
+            return False
+        if self.large:
+            return jacobi(x, self.p) == 1
+        return pow(x, self.q, self.p) == 1
 
     def is_exponent(self, x: int) -> bool:
         return 0 <= x < self.q
@@ -59,15 +136,16 @@ class GroupParams:
         return enc_int(self.p) + enc_int(self.q) + enc_int(self.g)
 
     def validate(self) -> None:
-        """Structural desk-check; raises ValueError on any violation."""
+        """Structural desk-check; raises InvalidGroup (a ValueError) on any
+        violation."""
         if not is_probable_prime(self.p):
-            raise ValueError("p is not prime")
+            raise InvalidGroup("p is not prime")
         if not is_probable_prime(self.q):
-            raise ValueError("q is not prime")
+            raise InvalidGroup("q is not prime")
         if self.p != 2 * self.q + 1:
-            raise ValueError("p != 2q + 1")
+            raise InvalidGroup("p != 2q + 1")
         if not (1 < self.g < self.p) or pow(self.g, self.q, self.p) != 1:
-            raise ValueError("g does not generate the order-q subgroup")
+            raise InvalidGroup("g does not generate the order-q subgroup")
 
     def to_json(self) -> dict:
         # Decimal strings: big integers survive any JSON parser untouched.
@@ -75,7 +153,18 @@ class GroupParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupParams":
-        return cls(p=int(obj["p"]), q=int(obj["q"]), g=int(obj["g"]))
+        """A built-in group as itself; any other only if it validates, since
+        membership by the Legendre symbol is exact only in a safe-prime group.
+        Raises InvalidGroup."""
+        try:
+            gp = cls(p=int(obj["p"]), q=int(obj["q"]), g=int(obj["g"]))
+        except (KeyError, TypeError, ValueError):
+            raise InvalidGroup("group is not three integers p, q, g") from None
+        for known in GROUPS.values():
+            if gp == known:
+                return known
+        gp.validate()
+        return gp
 
 
 TEST_GROUP = GroupParams(p=23, q=11, g=4)

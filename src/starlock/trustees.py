@@ -18,7 +18,7 @@ from .chaum_pedersen import ChaumPedersenProof, prove_eq_dlog, verify_eq_dlog
 from .elgamal import Ciphertext, dlog_search
 from .errors import BadShareProof, InsufficientShares, InvalidThreshold
 from .fiatshamir import DOMAIN_DECRYPT_SHARE
-from .group import GroupParams
+from .group import GroupParams, fixed_pow
 from .serialize import hex_to_int, int_to_hex
 
 # Dealer ceremonies beyond this size are outside the supported envelope.
@@ -151,8 +151,9 @@ def partial_decrypt(
     context: bytes,
 ) -> DecryptionShare:
     """share_value = a^f(i), proved equal in exponent to the verification key."""
+    fixed = fixed_pow if gp.large else pow
     value = pow(c.a, share.secret_share, gp.p)
-    vk = pow(gp.g, share.secret_share, gp.p)
+    vk = fixed(gp.g, share.secret_share, gp.p)
     proof = prove_eq_dlog(
         share.secret_share, gp.g, vk, c.a, value, gp, rng,
         context=context, domain=DOMAIN_DECRYPT_SHARE,

@@ -24,6 +24,7 @@ from .boardformat import (
     SPOILED,
     UNTALLIED,
     BoardIndex,
+    ChainBroken,
     fold_ballots,
     read_board,
     signature_verifies,
@@ -321,12 +322,17 @@ def lookup_receipt(index: BoardIndex, manifest: ElectionManifest, terminal_id: s
 
     Returns (FOUND_CAST, None), (FOUND_SPOILED, plaintext or None), or
     (NOT_FOUND, None). Raises AmbiguousReceipt when the truncated code
-    matches more than one entry of that terminal."""
+    matches more than one entry of that terminal, and ChainBroken at an
+    entry of that terminal whose z is missing or not hex."""
     matches = []
-    for k, _, line in index.entries:
-        if line["terminal"] != terminal_id:
+    for k, lineno, line in index.entries:
+        if line.get("terminal") != terminal_id:
             continue
-        if receipt_code(bytes.fromhex(line["z"])) == code:
+        try:
+            z = bytes.fromhex(line["z"])
+        except (KeyError, TypeError, ValueError):
+            raise ChainBroken(lineno, "entry z is missing or not hex") from None
+        if receipt_code(z) == code:
             matches.append(k)
     if not matches:
         return NOT_FOUND, None

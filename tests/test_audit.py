@@ -13,7 +13,7 @@ from itertools import islice
 
 import pytest
 
-from helpers import demo_run, synthetic_comparison_record
+from helpers import demo_run, finish, synthetic_comparison_record
 from starlock import audit
 from starlock.audit import (
     KMState,
@@ -27,12 +27,14 @@ from starlock.audit import (
     margin_pairs,
     open_commitment,
     overstatement,
+    pairs_by_contest,
     prng_sequence,
     published_commitments,
     run_audit,
 )
 from starlock.ballot import BallotStyle, Contest
 from starlock.errors import CommitmentMismatch, MarginNotPositive, StarlockError
+from starlock.scenario import Scenario, Voter, run_scenario
 
 SEED_A = "09876543210987654321"
 SEED_B = "00000000000000000001"
@@ -170,6 +172,59 @@ def test_overstatement_covers_its_whole_range() -> None:
     manual = {"race": {"selections": ["A"]}, "other": {"selections": ["Y"]}}
     assert overstatement(reported, manual, two) == 1  # worst pair wins
     assert overstatement(interp(["A"]), interp(["A"]), []) == 0
+
+
+def walk_every_pair(reported, manual, pairs):
+    """overstatement as first written: every pair scored on every draw."""
+
+    def vote(interp, cid, opt):
+        view = interp.get(cid)
+        return 1 if view and opt in view.get("selections", []) else 0
+
+    worst = None
+    for cid, w, l in pairs:
+        e = vote(reported, cid, w) - vote(reported, cid, l) - vote(manual, cid, w) \
+            + vote(manual, cid, l)
+        worst = e if worst is None else max(worst, e)
+    return worst if worst is not None else 0
+
+
+def precinct_run():
+    """Four precincts, each with its own style and 1-of-3 contest, and noisy
+    paper reads, so a draw carries one contest of four."""
+    styles, voters = [], []
+    for p in range(4):
+        cid, options = f"race{p}", (f"p{p}a", f"p{p}b", f"p{p}c")
+        styles.append(BallotStyle(style_id=f"pct{p}", contests=(Contest(cid, options),)))
+        for opt, n in zip(options, (4, 2, 1)):
+            voters += [Voter(f"pct{p}", {cid: [opt]})] * n
+    scenario = Scenario(election_id="precincts", group="test", trustees=(1, 1), seed=3,
+                        styles=tuple(styles), terminals=("T1", "T2"), voters=tuple(voters),
+                        paper_noise_rate=0.3)
+    result = run_scenario(scenario)
+    return result, finish(result)
+
+
+@pytest.mark.parametrize("run", [demo_run, precinct_run], ids=["demo", "precincts"])
+def test_overstatement_walks_only_the_drawn_contests(run) -> None:
+    result, outcome = run()
+    _, pairs, _ = margin_pairs(result["manifest"], outcome["tally"].result)
+    papers = {paper["serial"]: paper["contests"] for paper in result["papers"]}
+    reported = [row["contests"] for row in result["cvrs"]]
+    manual = [papers[row["serial"]] for row in result["cvrs"] if row["serial"] in papers]
+    assert len(manual) > 1
+    grouped = pairs_by_contest(pairs)
+    seen = set()
+    # every draw as sampled (row against its own paper), and every row
+    # against every other paper, which mixes contests
+    for rep in reported:
+        for man in manual:
+            e = walk_every_pair(rep, man, pairs)
+            assert overstatement(rep, man, grouped) == e
+            assert overstatement(rep, man, pairs) == e
+            seen.add(e)
+    assert len(seen) >= 3
+    assert overstatement(reported[0], manual[0], []) == 0
 
 
 def test_km_state_guards() -> None:

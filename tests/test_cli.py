@@ -7,9 +7,13 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import starlock
+from helpers import board_raw_lines, demo_run, rechain
 from starlock.cli import main
 from starlock.scenario import make_demo_scenario
+from starlock.serialize import int_to_hex
 
 SEED20 = "01234567890123456789"
 
@@ -156,3 +160,87 @@ def test_module_entry_point_runs() -> None:
     )
     assert proc.returncode == 0
     assert "keygen" in proc.stdout and "receipt-check" in proc.stdout
+
+
+def write_demo_record(tmp_path, raw_lines, group=None):
+    """The demo's manifest (its group optionally replaced) and the given board
+    lines as files; returns (board path, manifest path)."""
+    result, _ = demo_run()
+    manifest = result["manifest"].to_json()
+    if group is not None:
+        manifest["group"] = group
+    board, params = tmp_path / "board.jsonl", tmp_path / "params.json"
+    board.write_text("\n".join(raw_lines) + "\n", encoding="utf-8")
+    params.write_text(json.dumps(manifest), encoding="utf-8")
+    return str(board), str(params)
+
+
+def retamper_demo(mutate, upto=None):
+    """The demo's board lines (the first `upto` of them), edited in place by
+    mutate, re-chained and re-signed."""
+    result, _ = demo_run()
+    lines = result["board"].lines()[:upto]
+    mutate(lines)
+    manifest = result["manifest"]
+    return rechain(lines, manifest.election_id, result["office"], manifest.gp)
+
+
+@pytest.mark.parametrize("group", [
+    {"p": "15", "q": "7", "g": "4"},  # p = 2q + 1 composite
+    {"p": "23", "q": "11", "g": "5"},  # g outside the order-q subgroup
+    {"p": "twenty-three", "q": "11", "g": "4"},
+], ids=["composite-p", "bad-g", "not-a-number"])
+def test_manifest_with_an_invalid_group_is_refused(group, tmp_path, capsys) -> None:
+    result, _ = demo_run()
+    board, params = write_demo_record(tmp_path, board_raw_lines(result["board"]), group)
+    assert main(["verify", "--board", board, "--manifest", params]) == 2
+    assert main(["receipt-check", "--board", board, "--manifest", params,
+                 "--terminal", "T1", "--code", "A" * 20]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2 and all(line.startswith("invalid group in manifest") for line in err)
+
+
+@pytest.mark.parametrize("z", [None, "not hex"], ids=["no-z", "non-hex-z"])
+def test_receipt_check_refuses_an_entry_with_a_bad_z(z, tmp_path, capsys) -> None:
+    terminal = []
+
+    def mutate(lines):
+        entry = next(line for line in lines if line["kind"] == "entry")
+        terminal.append(entry["terminal"])
+        if z is None:
+            del entry["z"]
+        else:
+            entry["z"] = z
+
+    board, params = write_demo_record(tmp_path, retamper_demo(mutate))
+    assert main(["receipt-check", "--board", board, "--manifest", params,
+                 "--terminal", terminal[0], "--code", "A" * 20]) == 2
+    assert "malformed board" in capsys.readouterr().out
+
+
+def test_tally_refuses_a_spoiled_entry_of_an_unknown_style(tmp_path, capsys) -> None:
+    result, _ = demo_run()
+    kinds = [line["kind"] for line in result["board"].lines()]
+
+    def mutate(lines):
+        entry = next(line for line in lines
+                     if line["kind"] == "entry" and line["status"] == "SPOILED")
+        entry["ballot"]["style_id"] = "nowhere"
+
+    # the board as it stood before the tally: up to its first signature
+    raw = retamper_demo(mutate, upto=kinds.index("signature"))
+    board, params = write_demo_record(tmp_path, raw)
+    files = {}
+    for name, obj in [("cvrs", result["cvrs"]), ("papers", result["papers"]),
+                      ("office", {"sk": int_to_hex(result["office"].sk),
+                                  "pk": int_to_hex(result["office"].pk)})]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(obj), encoding="utf-8")
+    shares = []
+    for share in result["trustee_shares"]:
+        shares.append(tmp_path / f"share_{share.trustee_id}.json")
+        shares[-1].write_text(json.dumps(share.to_json()), encoding="utf-8")
+    assert main(["tally", "--manifest", params, "--board", board,
+                 "--cvrs", str(files["cvrs"]), "--papers", str(files["papers"]),
+                 "--shares", *map(str, shares), "--office", str(files["office"])]) == 1
+    assert "unknown ballot style 'nowhere'" in capsys.readouterr().err

@@ -1,13 +1,23 @@
-"""Group parameter sanity for the built-in Schnorr groups."""
+"""Group parameter sanity for the built-in Schnorr groups, and the group
+arithmetic (membership, fixed-base exponentiation) in both of them."""
+
+import hashlib
+import random
+from dataclasses import replace
 
 import pytest
 
+from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballot, verify_ballot
+from starlock.elgamal import keygen
+from starlock.errors import InvalidGroup
 from starlock.group import (
     GROUPS,
     PROD_GROUP,
     TEST_GROUP,
     GroupParams,
+    fixed_pow,
     is_probable_prime,
+    jacobi,
     resolve_group,
 )
 
@@ -88,3 +98,71 @@ def test_json_round_trip() -> None:
 
 def test_canonical_bytes_separates_groups() -> None:
     assert TEST_GROUP.canonical_bytes() != PROD_GROUP.canonical_bytes()
+
+
+def test_from_json_returns_built_in_groups_and_validates_others() -> None:
+    for gp in (TEST_GROUP, PROD_GROUP):
+        assert GroupParams.from_json(gp.to_json()) is gp
+    other = GroupParams.from_json({"p": "47", "q": "23", "g": "4"})
+    assert other == GroupParams(p=47, q=23, g=4) and not other.large
+    for bad in ({"p": "15", "q": "7", "g": "4"},  # p = 2q + 1 composite
+                {"p": "23", "q": "11", "g": "5"},
+                {"p": "x", "q": "11", "g": "4"},
+                {"p": "23", "q": "11"}):
+        with pytest.raises(InvalidGroup):
+            GroupParams.from_json(bad)
+
+
+def test_method_is_chosen_from_the_size_of_p() -> None:
+    assert not TEST_GROUP.large
+    assert PROD_GROUP.large
+
+
+def test_jacobi_is_the_legendre_symbol_mod_a_prime() -> None:
+    for n in (3, 5, 7, 11, 13, 23, 47, 101):
+        for a in range(-2 * n, 2 * n):
+            euler = pow(a, (n - 1) // 2, n)
+            assert jacobi(a, n) == {1: 1, n - 1: -1, 0: 0}[euler], (a, n)
+
+
+@pytest.mark.parametrize("gp", [TEST_GROUP, PROD_GROUP], ids=["test", "prod"])
+def test_membership_agrees_with_pow(gp) -> None:
+    rng = random.Random(5)
+    p, q = gp.p, gp.q
+    members = [pow(gp.g, rng.randrange(q), p) for _ in range(3)]
+    others = [rng.randrange(2, p - 1) for _ in range(4)]
+    for x in members + others + [0, 1, 2, p - 1, p, p + 1, -1, -p]:
+        assert gp.is_element(x) == (0 < x < p and pow(x, q, p) == 1), x
+    assert all(gp.is_element(x) for x in members)
+
+
+def test_comb_agrees_with_pow_in_the_prod_group() -> None:
+    rng = random.Random(6)
+    p, q = PROD_GROUP.p, PROD_GROUP.q
+    K = pow(PROD_GROUP.g, rng.randrange(1, q), p)
+    for base in (PROD_GROUP.g, K):
+        for e in (0, 1, 2, q - 1, rng.randrange(q), rng.randrange(2**256)):
+            assert fixed_pow(base, e, p) == pow(base, e, p)
+    # outside [0, q): plain pow
+    assert fixed_pow(K, q, p) == 1
+    assert fixed_pow(K, -1, p) == pow(K, -1, p)
+
+
+PINNED_PROD_BALLOT = "c9766748c8fd487d90c89daf7e28e93a2c808acffbd1235c9b86f4c25ef43adb"
+
+
+def test_prod_group_ballot_is_pinned_and_verifies() -> None:
+    rng = random.Random(2024)
+    K = keygen(PROD_GROUP, rng).pk
+    style = BallotStyle(style_id="s", contests=(Contest(contest_id="race", options=("A",)),))
+    pb = PlaintextBallot(style_id="s", selections={"race": ("A",)})
+    eb, proof = encrypt_ballot(pb, style, K, PROD_GROUP, rng, "pinned")
+    digest = hashlib.sha256(eb.canonical_bytes() + proof.canonical_bytes()).hexdigest()
+    assert digest == PINNED_PROD_BALLOT
+    assert verify_ballot(eb, proof, style, K, PROD_GROUP, "pinned")
+
+    contest = proof.contests[0]
+    first = contest.option_proofs[0]
+    bent = replace(first, response0=(first.response0 + 1) % PROD_GROUP.q)
+    tampered = replace(proof, contests=(replace(contest, option_proofs=(bent,)),))
+    assert not verify_ballot(eb, tampered, style, K, PROD_GROUP, "pinned")

@@ -1,5 +1,7 @@
-"""The benchmark's per-layer trace hooks name code that exists in src/."""
+"""The benchmark's per-layer trace hooks name code that exists in src/, and
+source-level rules that keep one definition of a group fact."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -28,3 +30,18 @@ def test_every_trace_target_resolves_in_src() -> None:
             scope = vars(scope[owner])
         assert attr in scope, prefix
         assert callable(scope[attr]) or isinstance(scope[attr], classmethod), prefix
+
+
+def test_subgroup_membership_is_defined_only_in_group_py() -> None:
+    """No module but group.py raises to a `.q` exponent with pow(x, y.q, p):
+    membership is GroupParams.is_element."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "group.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "pow" and len(node.args) == 3
+                    and isinstance(node.args[1], ast.Attribute) and node.args[1].attr == "q"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
