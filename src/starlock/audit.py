@@ -23,14 +23,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .boardformat import CAST, contest_columns, index_lines
-from .errors import CommitmentMismatch, MarginNotPositive, StarlockError
+from .boardformat import CAST, TALLY_RESULT, contest_columns, index_lines
+from .errors import CommitmentMismatch, MalformedRecord, MarginNotPositive, StarlockError
 from .fiatshamir import DOMAIN_COMMITMENT
 from .manifest import ElectionManifest
-from .serialize import enc_bytes, enc_int, enc_str, sha256, sha256_hex
+from .serialize import (
+    SALT,
+    SALT_BYTES,
+    decode_field,
+    enc_bytes,
+    enc_int,
+    enc_str,
+    sha256,
+    sha256_hex,
+)
 
 SEED_DIGITS = 20
-SALT_BYTES = 16
 
 CONFIRMED = "CONFIRMED"
 FULL_HAND_COUNT = "FULL_HAND_COUNT"
@@ -124,7 +132,7 @@ def published_commitments(cvrs) -> list:
 def open_commitment(row: dict, published: dict) -> None:
     """Recompute a CVR row's digests and compare against the published ones.
     Raises CommitmentMismatch on any disagreement."""
-    salt = bytes.fromhex(row["salt"])
+    salt = decode_field(row, "salt", SALT.decode)
     for cid, view in row["contests"].items():
         digest = contest_commitment(cid, view["selections"], view["writein"], salt)
         if published.get(cid) != digest:
@@ -165,6 +173,8 @@ def margin_pairs(manifest: ElectionManifest, result: dict):
     pairs = []
     v = None
     for cid, contest in sorted(_contests(manifest).items()):
+        if not set(contest.options) <= result.get(cid, {}).keys():
+            raise StarlockError(f"reported result lacks an option of {cid}")
         counts = {opt: int(result[cid][opt]) for opt in contest.options}
         ranked = sorted(contest.options, key=lambda o: (-counts[o], o))
         top = ranked[: contest.limit]
@@ -325,7 +335,12 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
 
     if not board_index.tallies:
         raise StarlockError("board carries no tally; audit needs reported results")
-    winners, pairs, v = margin_pairs(manifest, board_index.tallies[-1][1]["result"])
+    lineno, tally = board_index.tallies[-1]
+    try:
+        result = decode_field(tally, "result", TALLY_RESULT.decode)
+    except MalformedRecord as exc:
+        raise exc.at(lineno)
+    winners, pairs, v = margin_pairs(manifest, result)
     n = len(population)
     state = KMState(N=n, V=v, alpha=alpha, pairs=pairs)
     by_contest = pairs_by_contest(pairs)

@@ -29,7 +29,7 @@ from .elgamal import Ciphertext, add_many, encrypt_exp
 from .errors import OvervoteRejected, UnknownOption
 from .fiatshamir import DOMAIN_CONTEST_SUM
 from .group import GroupParams
-from .serialize import enc_int, enc_str
+from .serialize import BOOL, INT, STR, Record, enc_int, enc_str, optional, record, tuple_of
 
 # Reserved column labels; option ids may not collide with these.
 WRITE_IN_COLUMN = "(write-in)"
@@ -42,11 +42,18 @@ def pad_column(j: int) -> str:
 
 
 @dataclass(frozen=True)
-class Contest:
+class Contest(Record):
     contest_id: str
     options: tuple
     limit: int = 1
     writein_slot: bool = False
+
+    FIELDS = (
+        ("contest_id", "contest_id", STR),
+        ("options", "options", tuple_of(STR)),
+        ("limit", "limit", INT),
+        ("writein_slot", "writein_slot", BOOL),
+    )
 
     def __post_init__(self):
         if not self.contest_id:
@@ -72,28 +79,13 @@ class Contest:
             ids.append(WRITE_IN_COLUMN)
         return ids
 
-    def to_json(self) -> dict:
-        return {
-            "contest_id": self.contest_id,
-            "options": list(self.options),
-            "limit": self.limit,
-            "writein_slot": self.writein_slot,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Contest":
-        return cls(
-            contest_id=obj["contest_id"],
-            options=tuple(obj["options"]),
-            limit=int(obj["limit"]),
-            writein_slot=bool(obj["writein_slot"]),
-        )
-
 
 @dataclass(frozen=True)
-class BallotStyle:
+class BallotStyle(Record):
     style_id: str
     contests: tuple
+
+    FIELDS = (("style_id", "style_id", STR), ("contests", "contests", tuple_of(record(Contest))))
 
     def __post_init__(self):
         if not self.style_id:
@@ -108,16 +100,6 @@ class BallotStyle:
             if c.contest_id == contest_id:
                 return c
         raise KeyError(contest_id)
-
-    def to_json(self) -> dict:
-        return {"style_id": self.style_id, "contests": [c.to_json() for c in self.contests]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BallotStyle":
-        return cls(
-            style_id=obj["style_id"],
-            contests=tuple(Contest.from_json(c) for c in obj["contests"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -237,11 +219,18 @@ def _column_bytes(options, padding, writein) -> bytes:
 
 
 @dataclass(frozen=True)
-class EncryptedContest:
+class EncryptedContest(Record):
     contest_id: str
     option_cts: tuple
     padding_cts: tuple
     writein_ct: Ciphertext | None
+
+    FIELDS = (
+        ("contest_id", "contest_id", STR),
+        ("options", "option_cts", tuple_of(record(Ciphertext))),
+        ("padding", "padding_cts", tuple_of(record(Ciphertext))),
+        ("writein", "writein_ct", optional(record(Ciphertext))),
+    )
 
     def all_columns(self, contest: Contest):
         """(column id, ciphertext) pairs in canonical order."""
@@ -256,28 +245,16 @@ class EncryptedContest:
             self.option_cts, self.padding_cts, self.writein_ct
         )
 
-    def to_json(self) -> dict:
-        return {
-            "contest_id": self.contest_id,
-            "options": [ct.to_json() for ct in self.option_cts],
-            "padding": [ct.to_json() for ct in self.padding_cts],
-            "writein": self.writein_ct.to_json() if self.writein_ct else None,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EncryptedContest":
-        return cls(
-            contest_id=obj["contest_id"],
-            option_cts=tuple(Ciphertext.from_json(c) for c in obj["options"]),
-            padding_cts=tuple(Ciphertext.from_json(c) for c in obj["padding"]),
-            writein_ct=Ciphertext.from_json(obj["writein"]) if obj.get("writein") else None,
-        )
-
 
 @dataclass(frozen=True)
-class EncryptedBallot:
+class EncryptedBallot(Record):
     style_id: str
     contests: tuple
+
+    FIELDS = (
+        ("style_id", "style_id", STR),
+        ("contests", "contests", tuple_of(record(EncryptedContest))),
+    )
 
     def contest(self, contest_id: str) -> EncryptedContest:
         for c in self.contests:
@@ -291,65 +268,39 @@ class EncryptedBallot:
             out += c.canonical_bytes()
         return out
 
-    def to_json(self) -> dict:
-        return {"style_id": self.style_id, "contests": [c.to_json() for c in self.contests]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "EncryptedBallot":
-        return cls(
-            style_id=obj["style_id"],
-            contests=tuple(EncryptedContest.from_json(c) for c in obj["contests"]),
-        )
-
 
 @dataclass(frozen=True)
-class ContestProof:
+class ContestProof(Record):
     contest_id: str
     option_proofs: tuple
     padding_proofs: tuple
     writein_proof: ZeroOneProof | None
     sum_proof: ChaumPedersenProof
 
+    FIELDS = (
+        ("contest_id", "contest_id", STR),
+        ("options", "option_proofs", tuple_of(record(ZeroOneProof))),
+        ("padding", "padding_proofs", tuple_of(record(ZeroOneProof))),
+        ("writein", "writein_proof", optional(record(ZeroOneProof))),
+        ("sum", "sum_proof", record(ChaumPedersenProof)),
+    )
+
     def canonical_bytes(self) -> bytes:
         columns = _column_bytes(self.option_proofs, self.padding_proofs, self.writein_proof)
         return enc_str(self.contest_id) + columns + self.sum_proof.canonical_bytes()
 
-    def to_json(self) -> dict:
-        return {
-            "contest_id": self.contest_id,
-            "options": [p.to_json() for p in self.option_proofs],
-            "padding": [p.to_json() for p in self.padding_proofs],
-            "writein": self.writein_proof.to_json() if self.writein_proof else None,
-            "sum": self.sum_proof.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ContestProof":
-        return cls(
-            contest_id=obj["contest_id"],
-            option_proofs=tuple(ZeroOneProof.from_json(p) for p in obj["options"]),
-            padding_proofs=tuple(ZeroOneProof.from_json(p) for p in obj["padding"]),
-            writein_proof=ZeroOneProof.from_json(obj["writein"]) if obj.get("writein") else None,
-            sum_proof=ChaumPedersenProof.from_json(obj["sum"]),
-        )
-
 
 @dataclass(frozen=True)
-class WellFormednessProof:
+class WellFormednessProof(Record):
     contests: tuple
+
+    FIELDS = (("contests", "contests", tuple_of(record(ContestProof))),)
 
     def canonical_bytes(self) -> bytes:
         out = enc_int(len(self.contests))
         for c in self.contests:
             out += c.canonical_bytes()
         return out
-
-    def to_json(self) -> dict:
-        return {"contests": [c.to_json() for c in self.contests]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "WellFormednessProof":
-        return cls(contests=tuple(ContestProof.from_json(c) for c in obj["contests"]))
 
 
 def column_context(election_id: str, style_id: str, contest_id: str, column: str) -> bytes:

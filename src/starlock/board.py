@@ -19,10 +19,15 @@ import random
 from .ballot import ABSTAIN_COLUMN, BallotStyle, verify_ballot
 from .boardformat import (
     CAST,
+    SIGNER,
     SPOILED,
     UNTALLIED,
     BoardIndex,
     ChainBroken,
+    SpoiledColumn,
+    TallyColumn,
+    TallyRecord,
+    TerminalClose,
     fold_ballots,
     read_board,
     signature_message,
@@ -35,7 +40,7 @@ from .errors import NotSpoiled, RejectInvalidProof, StarlockError
 from .group import GroupParams
 from .pollsite import EncryptedBallotRecord
 from .schnorr import sign
-from .serialize import canonical_json, sha256_hex
+from .serialize import DIGEST, STR, canonical_json, decode_field, sha256_hex
 from .trustees import JointPublicKey, combine_shares, partial_decrypt
 
 
@@ -52,8 +57,9 @@ class Board:
     def _append(self, obj: dict) -> int:
         line = dict(obj)
         line["prev"] = self._index.head
-        self._index.add(len(self._index.lines), line)
-        self._index.head = sha256_hex(canonical_json(line).encode("utf-8"))
+        text = canonical_json(line)
+        self._index.add(len(self._index.lines), line, text)
+        self._index.head = sha256_hex(text.encode("utf-8"))
         return len(self._index.lines) - 1
 
     @property
@@ -62,18 +68,19 @@ class Board:
 
     def lines(self):
         """Deep copies of every line, in order."""
-        return [json.loads(canonical_json(line)) for line in self._index.lines]
+        return [json.loads(text) for text in self._index.texts]
 
     def write(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for line in self._index.lines:
-                fh.write(canonical_json(line) + "\n")
+            for text in self._index.texts:
+                fh.write(text + "\n")
 
     @classmethod
     def load(cls, path) -> "Board":
         """Reload a board file, refusing files whose line chain is broken.
-        Each line is parsed once, by the verifier's reader (read_board)."""
-        with open(path, encoding="utf-8") as fh:
+        Each line is parsed once, by the verifier's reader (read_board); bytes
+        that are not UTF-8 read as U+FFFD, which no canonical line holds."""
+        with open(path, encoding="utf-8", errors="replace") as fh:
             index = read_board(raw.rstrip("\n") for raw in fh)
         if index.broken:
             raise ChainBroken(*index.broken)
@@ -84,7 +91,7 @@ class Board:
             raise StarlockError(f"board line {lineno}: entry index out of sequence")
         board = cls.__new__(cls)
         board._index = index
-        board.election_id = index.lines[0]["election_id"]
+        board.election_id = decode_field(index.lines[0], "election_id", STR.decode)
         return board
 
     # -- publication -----------------------------------------------------------
@@ -135,23 +142,17 @@ class Board:
             }
         )
 
-    def append_terminal_close(self, terminal_id: str, final_z_hex: str, produced: int) -> int:
-        return self._append(
-            {
-                "kind": "terminal_close",
-                "terminal": terminal_id,
-                "final_z": final_z_hex,
-                "produced": str(produced),
-            }
-        )
+    def append_terminal_close(self, terminal_id: str, final_z: bytes, produced: int) -> int:
+        close = TerminalClose(terminal=terminal_id, final_z=final_z, produced=produced)
+        return self._append({"kind": "terminal_close", **close.to_json()})
 
-    def append_tally(self, tally: "TallyRecord") -> int:
+    def append_tally(self, tally: TallyRecord) -> int:
         return self._append(tally.to_line())
 
     def sign_board(self, office: Keypair, gp: GroupParams) -> int:
         """Sign the running chain head; transitively covers the whole file."""
-        sig = sign(signature_message(self.election_id, self.last_hash), office, gp)
-        line = {"kind": "signature", "signer": "election-office", "sig": sig.to_json()}
+        message = signature_message(self.election_id, DIGEST.decode(self.last_hash))
+        line = {"kind": "signature", "signer": SIGNER, "sig": sign(message, office, gp).to_json()}
         return self._append(line)
 
     # -- reading ------------------------------------------------------------------
@@ -163,9 +164,11 @@ class Board:
 
     def entries(self):
         """(entry_index, line dict) pairs in publication order."""
-        return [(i, json.loads(canonical_json(line))) for i, _, line in self._index.entries]
+        texts = self._index.texts
+        return [(i, json.loads(texts[lineno])) for i, lineno, _ in self._index.entries]
 
     def effective_status(self, entry_index: int) -> str:
+        self._check_entry(entry_index)
         return self._index.statuses[entry_index]
 
     def entry_record(self, entry_index: int):
@@ -181,44 +184,12 @@ def aggregate(board: Board, style_map: dict, gp: GroupParams):
     return fold_ballots(board._index.cast_ballots(), style_map, gp)
 
 
-class TallyRecord:
-    """Aggregate ciphertexts, decryption shares with proofs, and counts."""
-
-    def __init__(self, columns: list, result: dict, cast_counts: dict):
-        self.columns = columns  # dicts: contest, column, ciphertext, shares, count
-        self.result = result  # {contest: {column: int}}
-        self.cast_counts = cast_counts  # {contest: int}
-
-    def to_line(self) -> dict:
-        return {
-            "kind": "tally",
-            "columns": self.columns,
-            "result": {
-                cid: {col: str(n) for col, n in sorted(cols.items())}
-                for cid, cols in sorted(self.result.items())
-            },
-            "cast": {cid: str(n) for cid, n in sorted(self.cast_counts.items())},
-        }
-
-    @classmethod
-    def from_line(cls, line: dict) -> "TallyRecord":
-        return cls(
-            columns=line["columns"],
-            result={
-                cid: {col: int(n) for col, n in cols.items()}
-                for cid, cols in line["result"].items()
-            },
-            cast_counts={cid: int(n) for cid, n in line["cast"].items()},
-        )
-
-
 def _decrypt_column(ct, trustee_shares, jpk: JointPublicKey, bound: int, gp: GroupParams,
                     rng: random.Random, context: bytes):
     """Partial-decrypt one column with every supplied trustee share and
-    combine. Returns (plaintext, the column's published proof fields)."""
-    shares = [partial_decrypt(ct, ts, gp, rng, context) for ts in trustee_shares]
-    value = combine_shares(ct, shares, jpk, bound, gp, context)
-    return value, {"ciphertext": ct.to_json(), "shares": [s.to_json() for s in shares]}
+    combine. Returns (plaintext, the shares)."""
+    shares = tuple(partial_decrypt(ct, ts, gp, rng, context) for ts in trustee_shares)
+    return combine_shares(ct, shares, jpk, bound, gp, context), shares
 
 
 def decrypt_tally(
@@ -242,10 +213,10 @@ def decrypt_tally(
         for column, ct in bucket["columns"].items():
             context = tally_context(board.election_id, cid, column)
             bound = n_cast * contest.limit if column == ABSTAIN_COLUMN else n_cast
-            count, fields = _decrypt_column(ct, trustee_shares, jpk, bound, gp, rng, context)
+            count, shares = _decrypt_column(ct, trustee_shares, jpk, bound, gp, rng, context)
             result[cid][column] = count
-            columns.append({"contest": cid, "column": column, "count": str(count), **fields})
-    return TallyRecord(columns=columns, result=result, cast_counts=cast_counts)
+            columns.append(TallyColumn(cid, column, count, ct, shares))
+    return TallyRecord(columns=tuple(columns), result=result, cast_counts=cast_counts)
 
 
 def decrypt_spoiled(
@@ -262,7 +233,7 @@ def decrypt_spoiled(
     status = board.effective_status(entry_index)
     if status not in (SPOILED, UNTALLIED):
         raise NotSpoiled(f"entry {entry_index} is {status}")
-    ballot, _ = board.entry_record(entry_index)
+    ballot = board._index.ballot(entry_index)  # its proof stays undecoded
     style = style_map.get(ballot.style_id)
     if style is None:
         raise StarlockError(f"unknown ballot style {ballot.style_id!r}")
@@ -271,7 +242,7 @@ def decrypt_spoiled(
         cid = contest.contest_id
         for column, ct in enc.all_columns(contest):
             context = spoiled_context(board.election_id, entry_index, cid, column)
-            bit, fields = _decrypt_column(ct, trustee_shares, jpk, 1, gp, rng, context)
+            bit, shares = _decrypt_column(ct, trustee_shares, jpk, 1, gp, rng, context)
             bits[(cid, column)] = bit
-            columns.append({"contest": cid, "column": column, "bit": str(bit), **fields})
+            columns.append(SpoiledColumn(cid, column, bit, ct, shares).to_json())
     return columns, spoiled_plaintext(style, bits)

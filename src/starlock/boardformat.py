@@ -7,7 +7,9 @@ of the previous line in `prev` (the first line carries GENESIS_HASH). Entry
 k is the k-th entry line and says so in its `index` field. An entry's
 effective status is its own `status`, overridden by the status lines that
 reference it, in file order; a status line counts even when it precedes its
-entry. Only effective-CAST entries enter the homomorphic tally.
+entry. Only effective-CAST entries enter the homomorphic tally. LINE_KEYS
+lists the keys of each line kind; the records below declare the values of
+the terminal_close and tally lines and of a decryption line's columns.
 
 This module is format-level: it never imports the polling-place, board,
 scenario or CLI machinery, so the verifier can share it and stay
@@ -17,29 +19,144 @@ independent of the officials' code.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, EncryptedBallot, WellFormednessProof
-from .elgamal import homomorphic_add, identity_ciphertext
-from .errors import StarlockError
+from .elgamal import Ciphertext, homomorphic_add, identity_ciphertext
+from .errors import MalformedRecord, StarlockError
 from .group import GroupParams
 from .schnorr import SchnorrSignature, verify_sig
-from .serialize import canonical_json, enc_bytes, enc_int, enc_str, sha256_hex
+from .serialize import (
+    DIGEST,
+    NUMERAL,
+    STR,
+    Record,
+    canonical_json,
+    decode_field,
+    dict_of,
+    enc_bytes,
+    enc_int,
+    enc_str,
+    record,
+    sha256_hex,
+    tuple_of,
+)
+from .trustees import DecryptionShare
 
 CAST = "CAST"
 SPOILED = "SPOILED"
 UNTALLIED = "UNTALLIED"
 GENESIS_HASH = "0" * 64
-ENTRY_FIELDS = frozenset({"terminal", "z", "ballot", "proof"})  # what every entry check reads
+SIGNER = "election-office"
 
 
 class ChainBroken(StarlockError):
     """A board line that does not parse to a JSON object, is not canonical,
-    does not link to the line before it, or lacks a field its kind needs."""
+    does not link to the line before it, or does not fit its kind."""
 
     def __init__(self, lineno: int, reason: str):
         self.lineno = lineno
         self.reason = reason
         super().__init__(f"board line {lineno}: {reason}")
+
+
+# -- line records and the keys of every line kind ----------------------------------
+
+
+@dataclass(frozen=True)
+class TerminalClose(Record):
+    """A terminal_close line: the terminal's final chain value and how many
+    ballots it produced."""
+
+    terminal: str
+    final_z: bytes
+    produced: int
+
+    FIELDS = (
+        ("terminal", "terminal", STR),
+        ("final_z", "final_z", DIGEST),
+        ("produced", "produced", NUMERAL),
+    )
+
+
+@dataclass(frozen=True)
+class TallyColumn(Record):
+    """One decrypted column of the tally line: the aggregate ciphertext, the
+    trustees' proven decryption shares, and the count they open to."""
+
+    contest: str
+    column: str
+    value: int
+    ciphertext: Ciphertext
+    shares: tuple
+
+    FIELDS = (
+        ("contest", "contest", STR),
+        ("column", "column", STR),
+        ("count", "value", NUMERAL),
+        ("ciphertext", "ciphertext", record(Ciphertext)),
+        ("shares", "shares", tuple_of(record(DecryptionShare))),
+    )
+
+
+class SpoiledColumn(TallyColumn):
+    """One decrypted column of a decryption line: a ballot's own column
+    ciphertext, opening to the bit published under "bit"."""
+
+    FIELDS = tuple(("bit", *row[1:]) if row[0] == "count" else row for row in TallyColumn.FIELDS)
+
+
+SPOILED_COLUMNS = tuple_of(record(SpoiledColumn))  # a decryption line's "columns"
+TALLY_RESULT = dict_of(dict_of(NUMERAL))  # {contest: {column: count}}
+
+
+@dataclass(frozen=True)
+class TallyRecord(Record):
+    """The tally line: every decrypted aggregate column, the announced result
+    and the number of ballots cast per contest."""
+
+    columns: tuple
+    result: dict
+    cast_counts: dict
+
+    FIELDS = (
+        ("columns", "columns", tuple_of(record(TallyColumn))),
+        ("result", "result", TALLY_RESULT),
+        ("cast", "cast_counts", dict_of(NUMERAL)),
+    )
+
+    def to_line(self) -> dict:
+        return {"kind": "tally", **self.to_json()}
+
+
+# The keys of each line kind besides "kind" and "prev": those every such line
+# carries, then those it may also carry.
+LINE_KEYS = {
+    "header": ({"election_id", "version"}, set()),
+    "entry": ({"index", "status", "terminal", "z", "timestamp", "ballot", "proof"}, {"reason"}),
+    "status": ({"ref", "status"}, {"reason"}),
+    "decryption": ({"ref", "columns", "plaintext"}, set()),
+    "terminal_close": ({key for key, _, _ in TerminalClose.FIELDS}, set()),
+    "tally": ({key for key, _, _ in TallyRecord.FIELDS}, set()),
+    "signature": ({"signer", "sig"}, set()),
+}
+
+
+def line_fault(line: dict) -> str | None:
+    """Why the line's keys do not fit its kind in LINE_KEYS, or None. A
+    signature line must also be the election office's."""
+    kind = line.get("kind")
+    if type(kind) is not str or kind not in LINE_KEYS:
+        return "unknown line kind"
+    required, optional = LINE_KEYS[kind]
+    keys = line.keys() - {"kind", "prev"}
+    if not required <= keys:
+        return f"{kind} line lacks {', '.join(sorted(required - keys))}"
+    if not keys <= required | optional:
+        return f"{kind} line has unexpected {', '.join(sorted(keys - required - optional))}"
+    if kind == "signature" and line["signer"] != SIGNER:
+        return f"signature line not by {SIGNER}"
+    return None
 
 
 # -- decryption contexts and the board signature ----------------------------------
@@ -77,15 +194,18 @@ def spoiled_plaintext(style, bits: dict) -> dict:
     }
 
 
-def signature_message(election_id: str, head_hash: str) -> bytes:
+def signature_message(election_id: str, head: bytes) -> bytes:
     """What the election office signs: the hash of the line before the
     signature, which transitively covers every byte above it."""
-    return enc_str(election_id) + enc_bytes(bytes.fromhex(head_hash))
+    return enc_str(election_id) + enc_bytes(head)
 
 
 def signature_verifies(line: dict, office_pk: int, gp: GroupParams, election_id: str) -> bool:
-    message = signature_message(election_id, line["prev"])
-    return verify_sig(message, SchnorrSignature.from_json(line["sig"]), office_pk, gp)
+    """Whether a signature line signs the hash it carries in prev; raises
+    MalformedRecord when its prev or sig is not in wire form."""
+    message = signature_message(election_id, decode_field(line, "prev", DIGEST.decode))
+    sig = decode_field(line, "sig", SchnorrSignature.from_json)
+    return verify_sig(message, sig, office_pk, gp)
 
 
 def verify_board_signature(lines: list, office_pk: int, gp: GroupParams, election_id: str) -> bool:
@@ -145,7 +265,7 @@ def fold_ballots(ballots, style_map: dict, gp: GroupParams):
                 cols[opt] = homomorphic_add(cols[opt], ct, gp)
             for ct in enc.padding_cts:
                 cols[ABSTAIN_COLUMN] = homomorphic_add(cols[ABSTAIN_COLUMN], ct, gp)
-            if contest.writein_slot:
+            if contest.writein_slot and enc.writein_ct is not None:
                 cols[WRITE_IN_COLUMN] = homomorphic_add(cols[WRITE_IN_COLUMN], enc.writein_ct, gp)
     return agg
 
@@ -157,18 +277,22 @@ class BoardIndex:
     """Board lines indexed in one pass, in file order. `add` takes one line
     at a time, so a writer can keep the index current as it appends.
 
-    lines lists the indexed lines and head is the hash of the last line
-    read; broken is read_board's (lineno, reason) for the first line that
-    breaks the chain, or None. entries lists (index, lineno, line) of every
-    entry line, the index taken from the line's own field; statuses maps an
-    entry index to its effective status and decryptions to its decryption
-    lines; closes, tallies and signatures list (lineno, line) pairs.
-    misnumbered lists the line numbers of entries whose index field is not
-    their position among the entries, and refs the (lineno, ref) of every
-    status and decryption line."""
+    lines lists the indexed lines, texts their canonical text (None where
+    the caller had none) and last the line number of the last of them;
+    head is the hash of the last line read;
+    broken is read_board's (lineno, reason) for the first line that breaks
+    the chain, or None. entries lists (index, lineno, line) of every entry
+    line, the index taken from the line's own field; statuses maps an entry
+    index to its effective status and decryptions to its decryption lines;
+    closes, tallies and signatures list (lineno, line) pairs. misnumbered
+    lists the line numbers of entries whose index field is not their
+    position among the entries, and refs the (lineno, ref) of every status
+    and decryption line."""
 
     def __init__(self):
         self.lines = []
+        self.texts = []
+        self.last = None
         self.head = GENESIS_HASH
         self.broken = None
         self.entries = []
@@ -183,23 +307,26 @@ class BoardIndex:
         self._ballots = {}
         self._proofs = {}
 
-    def add(self, lineno: int, line: dict) -> None:
-        """Index one line; a line lacking its kind's fields raises, unindexed."""
+    def add(self, lineno: int, line: dict, text: str | None = None) -> None:
+        """Index one line, decoding only the index, ref and status it reads;
+        MalformedRecord leaves the line unindexed."""
         kind = line.get("kind")
         if kind == "entry":
-            k, status = int(line["index"]), line["status"]
+            k = decode_field(line, "index", NUMERAL.decode)
+            status = decode_field(line, "status", STR.decode)
             if k != len(self.entries):
                 self.misnumbered.append(lineno)
             self.entries.append((k, lineno, line))
             self.statuses[k] = self._overrides.get(k, status)
         elif kind == "status":
-            ref, status = int(line["ref"]), line["status"]
+            ref = decode_field(line, "ref", NUMERAL.decode)
+            status = decode_field(line, "status", STR.decode)
             self.refs.append((lineno, ref))
             self._overrides[ref] = status
             if ref in self.statuses:
                 self.statuses[ref] = status
         elif kind == "decryption":
-            ref = int(line["ref"])
+            ref = decode_field(line, "ref", NUMERAL.decode)
             self.refs.append((lineno, ref))
             self.decryptions.setdefault(ref, []).append((lineno, line))
         elif kind == "terminal_close":
@@ -209,17 +336,28 @@ class BoardIndex:
         elif kind == "signature":
             self.signatures.append((lineno, line))
         self.lines.append(line)
+        self.texts.append(text)
+        self.last = lineno
+
+    def entry_field(self, pos: int, key: str, decode):
+        """The pos-th entry line's key, decoded; a MalformedRecord names the
+        line and the entry."""
+        k, lineno, line = self.entries[pos]
+        try:
+            return decode_field(line, key, decode)
+        except MalformedRecord as exc:
+            raise exc.at(lineno, k)
 
     def ballot(self, pos: int) -> EncryptedBallot:
         """The ballot of the pos-th entry line, decoded on first use only."""
         if pos not in self._ballots:
-            self._ballots[pos] = EncryptedBallot.from_json(self.entries[pos][2]["ballot"])
+            self._ballots[pos] = self.entry_field(pos, "ballot", EncryptedBallot.from_json)
         return self._ballots[pos]
 
     def proof(self, pos: int) -> WellFormednessProof:
         """The proof of the pos-th entry line, decoded on first use only."""
         if pos not in self._proofs:
-            self._proofs[pos] = WellFormednessProof.from_json(self.entries[pos][2]["proof"])
+            self._proofs[pos] = self.entry_field(pos, "proof", WellFormednessProof.from_json)
         return self._proofs[pos]
 
     def cast_ballots(self):
@@ -231,38 +369,54 @@ class BoardIndex:
         ]
 
 
+def parse_line(lineno: int, raw: str) -> dict:
+    """One raw board line's JSON object; ChainBroken when it is none."""
+    try:
+        line = json.loads(raw)
+    except (ValueError, RecursionError):  # RecursionError: nested too deep to parse
+        raise ChainBroken(lineno, "unparseable line") from None
+    if type(line) is not dict:
+        raise ChainBroken(lineno, "line is not a JSON object")
+    return line
+
+
 def index_lines(lines) -> BoardIndex:
-    """Index already-parsed lines without checking the line chain."""
+    """Index already-parsed lines without checking the line chain or the
+    line keys. Raises MalformedRecord, naming the line, at an index, ref or
+    status that is not in wire form."""
     index = BoardIndex()
     for lineno, line in enumerate(lines):
-        index.add(lineno, line)
+        try:
+            index.add(lineno, line)
+        except MalformedRecord as exc:
+            raise exc.at(lineno)
     return index
 
 
 def read_board(raw_lines) -> BoardIndex:
     """Parse each raw line (no newline) once, check that it is a canonical JSON
-    object carrying the previous line's hash, and index it. The first break
-    goes to `broken`; every object with the fields its kind needs is indexed,
-    and an entry also needs ENTRY_FIELDS."""
+    object carrying the previous line's hash, and index it with its text. The
+    first break goes to `broken`; every object whose keys fit its kind
+    (line_fault) and whose index, ref and status decode is indexed."""
     index = BoardIndex()
     for lineno, raw in enumerate(raw_lines):
         try:
-            line = json.loads(raw)
-            reason = None if isinstance(line, dict) else "line is not a JSON object"
-        except ValueError:
-            reason = "unparseable line"
-        if reason is None:
+            line = parse_line(lineno, raw)
+        except ChainBroken as exc:
+            reason = exc.reason
+        else:
+            reason = None
             if canonical_json(line) != raw:
                 reason = "line not in canonical form"
             elif line.get("prev") != index.head:
                 reason = "hash chain broken"
-            if line.get("kind") == "entry" and not ENTRY_FIELDS <= line.keys():
-                reason = reason or "entry lacks a ballot record field"
-            else:
+            fault = line_fault(line)
+            if fault is None:
                 try:
-                    index.add(lineno, line)
-                except (KeyError, TypeError, ValueError):
-                    reason = reason or "malformed line"
+                    index.add(lineno, line, raw)
+                except MalformedRecord as exc:
+                    fault = f"malformed {exc.detail}"
+            reason = reason or fault
         if reason and index.broken is None:
             index.broken = (lineno, reason)
         index.head = sha256_hex(raw.encode("utf-8"))

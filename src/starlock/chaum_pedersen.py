@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from .elgamal import Ciphertext
 from .fiatshamir import DOMAIN_EQ_DLOG, DOMAIN_ZERO_ONE, fiat_shamir_challenge
 from .group import GroupParams, fixed_pow
-from .serialize import enc_bytes, enc_int, hex_to_int, int_to_hex
+from .serialize import HEX, Record, enc_bytes, enc_int
 
 
 @dataclass(frozen=True)
-class ChaumPedersenProof:
+class ChaumPedersenProof(Record):
     """Proof that log_{g1}(y1) = log_{g2}(y2)."""
 
     commit1: int
@@ -27,29 +27,14 @@ class ChaumPedersenProof:
     challenge: int
     response: int
 
+    FIELDS = tuple((name, name, HEX) for name in ("commit1", "commit2", "challenge", "response"))
+
     def canonical_bytes(self) -> bytes:
         return (
             enc_int(self.commit1)
             + enc_int(self.commit2)
             + enc_int(self.challenge)
             + enc_int(self.response)
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "commit1": int_to_hex(self.commit1),
-            "commit2": int_to_hex(self.commit2),
-            "challenge": int_to_hex(self.challenge),
-            "response": int_to_hex(self.response),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ChaumPedersenProof":
-        return cls(
-            commit1=hex_to_int(obj["commit1"]),
-            commit2=hex_to_int(obj["commit2"]),
-            challenge=hex_to_int(obj["challenge"]),
-            response=hex_to_int(obj["response"]),
         )
 
 
@@ -117,7 +102,7 @@ def verify_eq_dlog(
 
 
 @dataclass(frozen=True)
-class ZeroOneProof:
+class ZeroOneProof(Record):
     """Disjunctive proof that a ciphertext encrypts 0 or 1.
 
     One branch is proved honestly, the other simulated; the two branch
@@ -134,6 +119,11 @@ class ZeroOneProof:
     response0: int
     response1: int
 
+    FIELDS = tuple((name, name, HEX) for name in (
+        "commit0_g", "commit0_k", "commit1_g", "commit1_k",
+        "challenge0", "challenge1", "response0", "response1",
+    ))
+
     def canonical_bytes(self) -> bytes:
         return b"".join(
             enc_int(v)
@@ -148,25 +138,6 @@ class ZeroOneProof:
                 self.response1,
             )
         )
-
-    def to_json(self) -> dict:
-        return {
-            "commit0_g": int_to_hex(self.commit0_g),
-            "commit0_k": int_to_hex(self.commit0_k),
-            "commit1_g": int_to_hex(self.commit1_g),
-            "commit1_k": int_to_hex(self.commit1_k),
-            "challenge0": int_to_hex(self.challenge0),
-            "challenge1": int_to_hex(self.challenge1),
-            "response0": int_to_hex(self.response0),
-            "response1": int_to_hex(self.response1),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ZeroOneProof":
-        return cls(**{k: hex_to_int(obj[k]) for k in (
-            "commit0_g", "commit0_k", "commit1_g", "commit1_k",
-            "challenge0", "challenge1", "response0", "response1",
-        )})
 
 
 def _zero_one_transcript(context: bytes, public_key: int, ct: Ciphertext,

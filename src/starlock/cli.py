@@ -10,7 +10,9 @@ Subcommands mirror the election lifecycle:
   receipt-check resolve one take-home receipt against the board
 
 Exit codes: 0 pass, 1 internal failure, 2 verification/audit failure
-(a manifest whose group is not a valid safe-prime group included),
+(included: a manifest whose group is not a valid safe-prime group, a board
+line that breaks the chain or does not fit its kind, and a record that does
+not match its declared wire form, each named by line and field),
 3 usage or scenario-file error. The only environment variable consulted is
 STARLOCK_GROUP (default group for keygen when --group is omitted).
 """
@@ -33,6 +35,7 @@ from .errors import (
     AmbiguousReceipt,
     CommitmentMismatch,
     InvalidGroup,
+    MalformedRecord,
     MarginNotPositive,
     ScenarioError,
     StarlockError,
@@ -40,7 +43,6 @@ from .errors import (
 from .group import GROUPS, resolve_group
 from .manifest import ElectionManifest
 from .scenario import finish_election, load_scenario, run_scenario, write_artifacts
-from .serialize import hex_to_int, int_to_hex
 from .trustees import JointPublicKey, TrusteeShare, dkg
 
 PASS, INTERNAL, FAIL, USAGE = 0, 1, 2, 3
@@ -83,10 +85,7 @@ def cmd_keygen(args) -> int:
             os.path.join(args.outdir, f"trustee_share_{share.trustee_id}.json"),
         )
     office_path = os.path.join(args.outdir, "office_key.json")
-    _dump_json(
-        {"group": args.group, "sk": int_to_hex(office.sk), "pk": int_to_hex(office.pk)},
-        office_path,
-    )
+    _dump_json({"group": args.group, **office.to_json()}, office_path)
     print(f"joint key ({args.k}-of-{args.n}, {args.group} group): {joint_path}")
     print(f"{len(shares)} trustee share file(s) and {office_path} written")
     return PASS
@@ -94,8 +93,7 @@ def cmd_keygen(args) -> int:
 
 def _load_office(path) -> Keypair:
     """The election office's signing keypair from an office key file."""
-    obj = _load_json(path)
-    return Keypair(sk=hex_to_int(obj["sk"]), pk=hex_to_int(obj["pk"]))
+    return Keypair.from_json(_load_json(path))
 
 
 def _load_keys(keydir, expected_group):
@@ -217,9 +215,6 @@ def cmd_receipt_check(args) -> int:
     except AmbiguousReceipt as exc:
         print(f"ambiguous receipt: {exc}")
         return FAIL
-    except ChainBroken as exc:
-        print(f"malformed board: {exc}")
-        return FAIL
     if status == verifier_mod.NOT_FOUND:
         print(f"receipt {args.code} on terminal {args.terminal}: NOT FOUND")
         return FAIL
@@ -311,6 +306,9 @@ def main(argv=None) -> int:
         return USAGE
     except InvalidGroup as exc:
         print(f"invalid group in manifest: {exc}", file=sys.stderr)
+        return FAIL
+    except (ChainBroken, MalformedRecord) as exc:
+        print(f"malformed {'record' if exc.lineno is None else 'board'}: {exc}")
         return FAIL
     except StarlockError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,29 +13,26 @@ from dataclasses import dataclass
 
 from .errors import NoDlogInRange
 from .group import GroupParams, fixed_pow
-from .serialize import enc_int, hex_to_int, int_to_hex
+from .serialize import HEX, Record, enc_int
 
 
 @dataclass(frozen=True)
-class Keypair:
+class Keypair(Record):
     sk: int
     pk: int
 
+    FIELDS = (("sk", "sk", HEX), ("pk", "pk", HEX))
+
 
 @dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(Record):
     a: int
     b: int
 
+    FIELDS = (("a", "a", HEX), ("b", "b", HEX))
+
     def canonical_bytes(self) -> bytes:
         return enc_int(self.a) + enc_int(self.b)
-
-    def to_json(self) -> dict:
-        return {"a": int_to_hex(self.a), "b": int_to_hex(self.b)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Ciphertext":
-        return cls(a=hex_to_int(obj["a"]), b=hex_to_int(obj["b"]))
 
 
 def keygen(gp: GroupParams, rng: random.Random) -> Keypair:

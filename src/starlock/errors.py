@@ -11,6 +11,34 @@ class StarlockError(Exception):
     """Base class for all toolkit errors."""
 
 
+class MalformedRecord(StarlockError):
+    """A record that does not match its declared wire form. path names the
+    field, outermost step first (a key, or a list position as an int);
+    lineno and entry place it on the board, when known."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason, self.path, self.lineno, self.entry = reason, [], None, None
+
+    def within(self, step) -> "MalformedRecord":
+        self.path.insert(0, step)
+        return self
+
+    def at(self, lineno: int, entry: int | None = None) -> "MalformedRecord":
+        if self.lineno is None:  # an inner reader's placement stands
+            self.lineno, self.entry = lineno, entry
+        return self
+
+    @property
+    def detail(self) -> str:
+        """Path and fault, e.g. "ballot.contests[0].options[2].a: not lowercase hex"."""
+        path = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in self.path)
+        return f"{path.lstrip('.')}: {self.reason}" if path else self.reason
+
+    def __str__(self) -> str:
+        return self.detail if self.lineno is None else f"board line {self.lineno}: {self.detail}"
+
+
 class InvalidGroup(StarlockError, ValueError):
     """Group parameters that are not a safe prime p = 2q + 1 with a generator
     of the order-q subgroup."""

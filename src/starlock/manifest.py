@@ -9,49 +9,35 @@ from dataclasses import dataclass
 
 from .ballot import BallotStyle
 from .group import GroupParams
-from .serialize import hex_to_int, int_to_hex
+from .serialize import DIGEST, HEX, INT, SALT, STR, Record, dict_of, record, tuple_of
 from .trustees import JointPublicKey
 
 
 @dataclass(frozen=True)
-class ElectionManifest:
+class ElectionManifest(Record):
     election_id: str
     gp: GroupParams
     jpk: JointPublicKey
     office_pk: int
     styles: tuple
-    terminal_seeds: dict  # terminal id -> z0 hex
+    terminal_seeds: dict  # terminal id -> z0
     salt: bytes
     ttl: int
+
+    FIELDS = (
+        ("election_id", "election_id", STR),
+        ("group", "gp", record(GroupParams)),
+        ("joint_key", "jpk", record(JointPublicKey)),
+        ("office_pk", "office_pk", HEX),
+        ("styles", "styles", tuple_of(record(BallotStyle))),
+        ("terminals", "terminal_seeds", dict_of(DIGEST)),
+        ("salt", "salt", SALT),
+        ("ttl", "ttl", INT),
+    )
 
     @property
     def style_map(self) -> dict:
         return {s.style_id: s for s in self.styles}
-
-    def to_json(self) -> dict:
-        return {
-            "election_id": self.election_id,
-            "group": self.gp.to_json(),
-            "joint_key": self.jpk.to_json(),
-            "office_pk": int_to_hex(self.office_pk),
-            "styles": [s.to_json() for s in self.styles],
-            "terminals": dict(sorted(self.terminal_seeds.items())),
-            "salt": self.salt.hex(),
-            "ttl": self.ttl,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ElectionManifest":
-        return cls(
-            election_id=obj["election_id"],
-            gp=GroupParams.from_json(obj["group"]),
-            jpk=JointPublicKey.from_json(obj["joint_key"]),
-            office_pk=hex_to_int(obj["office_pk"]),
-            styles=tuple(BallotStyle.from_json(s) for s in obj["styles"]),
-            terminal_seeds=dict(obj["terminals"]),
-            salt=bytes.fromhex(obj["salt"]),
-            ttl=int(obj["ttl"]),
-        )
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -30,7 +30,7 @@ from .ballot import BallotStyle, PlaintextBallot
 from .board import Board, decrypt_spoiled, decrypt_tally
 from .boardformat import CAST, SPOILED, UNTALLIED, contest_columns
 from .elgamal import Keypair, keygen
-from .errors import ScenarioError, StarlockError
+from .errors import MalformedRecord, ScenarioError, StarlockError
 from .group import GROUPS, resolve_group
 from .manifest import ElectionManifest
 from .pollsite import (
@@ -196,7 +196,7 @@ class Scenario:
             )
         except ScenarioError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, MalformedRecord) as exc:
             raise ScenarioError(f"bad scenario file: {exc}") from None
 
 
@@ -251,7 +251,7 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
         jpk=jpk,
         office_pk=office.pk,
         styles=tuple(scenario.styles),
-        terminal_seeds={tid: z.hex() for tid, z in site.initial_seeds.items()},
+        terminal_seeds=dict(site.initial_seeds),
         salt=salt,
         ttl=scenario.ttl,
     )
@@ -314,9 +314,7 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
         )
         index_by_serial[serial] = index
     for tid in sorted(final_z):
-        board.append_terminal_close(
-            tid, final_z[tid].hex(), site.terminals[tid].ballots_produced
-        )
+        board.append_terminal_close(tid, final_z[tid], site.terminals[tid].ballots_produced)
     board.sign_board(office, gp)
 
     for row in receipts:

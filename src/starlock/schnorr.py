@@ -14,22 +14,15 @@ from dataclasses import dataclass
 from .elgamal import Keypair
 from .fiatshamir import DOMAIN_NONCE, DOMAIN_SIGNATURE
 from .group import GroupParams, fixed_pow
-from .serialize import enc_bytes, enc_int, sha256
+from .serialize import DIGEST, HEX, Record, enc_bytes, enc_int, sha256
 
 
 @dataclass(frozen=True)
-class SchnorrSignature:
+class SchnorrSignature(Record):
     commit_hash: bytes
     response: int
 
-    def to_json(self) -> dict:
-        from .serialize import int_to_hex
-
-        return {"commit_hash": self.commit_hash.hex(), "response": int_to_hex(self.response)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SchnorrSignature":
-        return cls(commit_hash=bytes.fromhex(obj["commit_hash"]), response=int(obj["response"], 16))
+    FIELDS = (("commit_hash", "commit_hash", DIGEST), ("response", "response", HEX))
 
 
 def _nonce(sk: int, msg: bytes, gp: GroupParams) -> int:

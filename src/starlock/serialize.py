@@ -6,16 +6,25 @@ encodes as a single zero byte). Structures concatenate their fields in
 declared order, and a nested structure is embedded as a single length-prefixed
 bytes field. All digests are SHA-256, rendered as lowercase hex.
 
+JSON form: each published record declares its wire form once, as Record
+FIELDS rows (JSON key, attribute, codec). Decoding is total: anything else
+raises MalformedRecord naming the field path.
+
 Keeping this in one module is what lets independent readers of the public
 artifacts (verifier, auditors, receipt checkers) reproduce every hash
-bit-for-bit.
+bit-for-bit and reject every malformed record by the same rules.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections import namedtuple
 from typing import Any
+
+from .errors import MalformedRecord
+
+HEX_DIGITS = "0123456789abcdef"
 
 
 def int_to_bytes(x: int) -> bytes:
@@ -51,9 +60,144 @@ def int_to_hex(x: int) -> str:
 
 
 def hex_to_int(s: str) -> int:
+    """The integer int_to_hex wrote: non-empty, 0-9a-f only (int(s, 16) alone
+    would also take 0x, _, a sign, whitespace and uppercase)."""
+    if type(s) is not str or not s or s.strip(HEX_DIGITS):
+        raise MalformedRecord("not lowercase hex")
     return int(s, 16)
 
 
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON: lexicographic keys, no whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+# -- the wire codec ----------------------------------------------------------------
+
+Codec = namedtuple("Codec", "encode decode")  # decode raises MalformedRecord
+
+
+def _check(ok: bool, value, reason: str):
+    if not ok:
+        raise MalformedRecord(reason)
+    return value
+
+
+def _natural(value) -> int:
+    if type(value) is int and value >= 0:
+        return value
+    if type(value) is str and value.isascii() and value.isdigit():
+        try:
+            return int(value)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise MalformedRecord("not a non-negative integer")
+
+
+HEX = Codec(int_to_hex, hex_to_int)
+STR = Codec(str, lambda v: _check(type(v) is str, v, "not a string"))
+BOOL = Codec(bool, lambda v: _check(type(v) is bool, v, "not a boolean"))
+INT = Codec(int, _natural)  # INT and NUMERAL decode a JSON int or a decimal string;
+NUMERAL = Codec(str, _natural)  # NUMERAL writes the string (board counts and indices)
+
+
+def hex_bytes(size: int) -> Codec:
+    """Exactly `size` bytes as lowercase hex."""
+    def decode(v) -> bytes:
+        ok = type(v) is str and len(v) == 2 * size and not v.strip(HEX_DIGITS)
+        return bytes.fromhex(_check(ok, v, f"not {size}-byte lowercase hex"))
+
+    return Codec(bytes.hex, decode)
+
+
+DIGEST = hex_bytes(32)  # SHA-256 outputs: hash-chain values, signature commitments
+SALT_BYTES = 16
+SALT = hex_bytes(SALT_BYTES)
+
+
+def record(cls) -> Codec:
+    return Codec(cls.to_json, cls.from_json)
+
+
+def optional(codec: Codec) -> Codec:
+    """The codec's value, or None as JSON null."""
+    encode, decode = codec
+    return Codec(lambda v: None if v is None else encode(v),
+                 lambda v: None if v is None else decode(v))
+
+
+def _decode_each(pairs, decode) -> dict:
+    out = {}
+    for key, item in pairs:
+        try:
+            out[key] = decode(item)
+        except MalformedRecord as exc:
+            raise exc.within(key)
+    return out
+
+
+def tuple_of(codec: Codec) -> Codec:
+    """A JSON list, decoded to a tuple."""
+    encode, decode = codec
+
+    def decode_list(v) -> tuple:
+        if type(v) is not list:
+            raise MalformedRecord("not a list")
+        try:
+            return tuple(map(decode, v))
+        except MalformedRecord:  # decode again, naming the item at fault
+            return tuple(_decode_each(enumerate(v), decode).values())
+
+    return Codec(lambda items: list(map(encode, items)), decode_list)
+
+
+def dict_of(codec: Codec) -> Codec:
+    """A JSON object keyed by ids (contest, column or terminal ids)."""
+    encode, decode = codec
+
+    def decode_dict(v) -> dict:
+        return _decode_each(_check(type(v) is dict, v, "not an object").items(), decode)
+
+    return Codec(lambda items: {k: encode(x) for k, x in items.items()}, decode_dict)
+
+
+def decode_field(obj: dict, key: str, decode):
+    """decode(obj[key]); a MalformedRecord names the key."""
+    try:
+        if key not in obj:
+            raise MalformedRecord("missing")
+        return decode(obj[key])
+    except MalformedRecord as exc:
+        raise exc.within(key)
+
+
+class Record:
+    """A published record whose FIELDS rows (JSON key, attribute, codec) are its
+    whole wire form. Other keys are ignored."""
+
+    FIELDS = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._encoders = tuple((key, attr, codec.encode) for key, attr, codec in cls.FIELDS)
+        cls._decoders = tuple((key, attr, codec.decode) for key, attr, codec in cls.FIELDS)
+
+    def to_json(self) -> dict:
+        out = {}
+        for key, attr, encode in self._encoders:
+            out[key] = encode(getattr(self, attr))
+        return out
+
+    @classmethod
+    def from_json(cls, obj):
+        values = {}
+        try:
+            for key, attr, decode in cls._decoders:
+                values[attr] = decode(obj[key])
+        except (KeyError, TypeError, MalformedRecord):  # decode again, naming the fault
+            _check(type(obj) is dict, obj, "not an object")
+            values = {attr: decode_field(obj, key, decode) for key, attr, decode in cls._decoders}
+        try:
+            return cls(**values)
+        except ValueError as exc:  # refused by the record's own __post_init__
+            raise MalformedRecord(str(exc)) from None

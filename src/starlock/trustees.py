@@ -19,36 +19,27 @@ from .elgamal import Ciphertext, dlog_search
 from .errors import BadShareProof, InsufficientShares, InvalidThreshold
 from .fiatshamir import DOMAIN_DECRYPT_SHARE
 from .group import GroupParams, fixed_pow
-from .serialize import hex_to_int, int_to_hex
+from .serialize import HEX, INT, Record, record, tuple_of
 
 # Dealer ceremonies beyond this size are outside the supported envelope.
 MAX_TRUSTEES = 16
 
 
 @dataclass(frozen=True)
-class TrusteeShare:
+class TrusteeShare(Record):
     trustee_id: int
     secret_share: int
     commitments: tuple
 
-    def to_json(self) -> dict:
-        return {
-            "trustee_id": self.trustee_id,
-            "secret_share": int_to_hex(self.secret_share),
-            "commitments": [int_to_hex(c) for c in self.commitments],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "TrusteeShare":
-        return cls(
-            trustee_id=int(obj["trustee_id"]),
-            secret_share=hex_to_int(obj["secret_share"]),
-            commitments=tuple(hex_to_int(c) for c in obj["commitments"]),
-        )
+    FIELDS = (
+        ("trustee_id", "trustee_id", INT),
+        ("secret_share", "secret_share", HEX),
+        ("commitments", "commitments", tuple_of(HEX)),
+    )
 
 
 @dataclass(frozen=True)
-class JointPublicKey:
+class JointPublicKey(Record):
     """Public output of the key ceremony: K = g^sk plus the coefficient
     commitments every observer needs to check decryption shares."""
 
@@ -57,44 +48,25 @@ class JointPublicKey:
     k: int
     commitments: tuple
 
-    def to_json(self) -> dict:
-        return {
-            "K": int_to_hex(self.K),
-            "n": self.n,
-            "k": self.k,
-            "commitments": [int_to_hex(c) for c in self.commitments],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "JointPublicKey":
-        return cls(
-            K=hex_to_int(obj["K"]),
-            n=int(obj["n"]),
-            k=int(obj["k"]),
-            commitments=tuple(hex_to_int(c) for c in obj["commitments"]),
-        )
+    FIELDS = (
+        ("K", "K", HEX),
+        ("n", "n", INT),
+        ("k", "k", INT),
+        ("commitments", "commitments", tuple_of(HEX)),
+    )
 
 
 @dataclass(frozen=True)
-class DecryptionShare:
+class DecryptionShare(Record):
     trustee_id: int
     share_value: int
     proof: ChaumPedersenProof
 
-    def to_json(self) -> dict:
-        return {
-            "trustee_id": self.trustee_id,
-            "share_value": int_to_hex(self.share_value),
-            "proof": self.proof.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DecryptionShare":
-        return cls(
-            trustee_id=int(obj["trustee_id"]),
-            share_value=hex_to_int(obj["share_value"]),
-            proof=ChaumPedersenProof.from_json(obj["proof"]),
-        )
+    FIELDS = (
+        ("trustee_id", "trustee_id", INT),
+        ("share_value", "share_value", HEX),
+        ("proof", "proof", record(ChaumPedersenProof)),
+    )
 
 
 def dkg(n: int, k: int, gp: GroupParams, rng: random.Random):
@@ -192,10 +164,13 @@ def combine_in_exponent(c: Ciphertext, shares, jpk: JointPublicKey, gp: GroupPar
     Returns g^m for the plaintext m of c.
 
     Raises InsufficientShares when fewer than k distinct trustees
-    contributed, BadShareProof naming the first trustee whose proof fails.
+    contributed, BadShareProof naming the first trustee whose proof fails
+    or who is not one of the n.
     """
     by_id = {}
     for ds in shares:
+        if not 1 <= ds.trustee_id <= jpk.n:
+            raise BadShareProof(ds.trustee_id, f"no trustee {ds.trustee_id}")
         by_id.setdefault(ds.trustee_id, ds)
     if len(by_id) < jpk.k:
         raise InsufficientShares(f"have {len(by_id)} shares, need {jpk.k}")

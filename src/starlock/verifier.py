@@ -5,27 +5,30 @@ and re-verifies every public claim: the board's line chain and signatures,
 each terminal's ballot hash chain, every well-formedness proof, every
 decryption proof, the homomorphic aggregate, the announced counts, and the
 per-contest sum identity. The board is parsed once, into the index that
-every check reads. Failures are report items naming the first affected
-line or entry; nothing here raises on adversarial input.
+every check reads, and each record is decoded where a check reads it.
+Failures, malformed records included, are report items naming the first
+affected line or entry; nothing here raises on adversarial input.
 
 This module deliberately imports only format-level modules (ballot,
-boardformat, chain, groups, proofs, manifest), never the polling-place or
-board machinery.
+boardformat, chain, groups, proofs, manifest, serialize), never the
+polling-place or board machinery.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .ballot import ABSTAIN_COLUMN, verify_ballot
 from .boardformat import (
     CAST,
     SPOILED,
+    SPOILED_COLUMNS,
     UNTALLIED,
     BoardIndex,
-    ChainBroken,
+    TallyRecord,
+    TerminalClose,
     fold_ballots,
+    parse_line,
     read_board,
     signature_verifies,
     spoiled_context,
@@ -34,9 +37,16 @@ from .boardformat import (
 )
 from .chain import chain_hash, receipt_code
 from .elgamal import Ciphertext
-from .errors import AmbiguousReceipt, BadShareProof, InsufficientShares, StarlockError
+from .errors import (
+    AmbiguousReceipt,
+    BadShareProof,
+    InsufficientShares,
+    MalformedRecord,
+    StarlockError,
+)
 from .manifest import ElectionManifest
-from .trustees import DecryptionShare, combine_in_exponent
+from .serialize import DIGEST, decode_field
+from .trustees import combine_in_exponent
 
 FOUND_CAST = "FOUND_CAST"
 FOUND_SPOILED = "FOUND_SPOILED"
@@ -84,15 +94,21 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _malformed(check: str, exc: MalformedRecord) -> ReportItem:
+    return ReportItem(check, False, f"malformed {exc.detail}", line=exc.lineno, entry=exc.entry)
+
+
 def read_board_lines(path):
-    """Raw text lines (no trailing newline) straight from the file."""
-    with open(path, encoding="utf-8") as fh:
+    """Raw text lines (no trailing newline) straight from the file; bytes
+    that are not UTF-8 read as U+FFFD, which no canonical line holds."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
         return [line.rstrip("\n") for line in fh]
 
 
 def parse_lines(raw_lines):
-    """Each line's JSON, with no chain check: the audit's and receipt-check's read."""
-    return [json.loads(line) for line in raw_lines]
+    """Each line's JSON object, with no chain check: the audit's and
+    receipt-check's read. Raises ChainBroken at a line that is none."""
+    return [parse_line(lineno, raw) for lineno, raw in enumerate(raw_lines)]
 
 
 def check_line_chain(index: BoardIndex) -> list:
@@ -105,10 +121,14 @@ def check_line_chain(index: BoardIndex) -> list:
 
 def check_signatures(index: BoardIndex, manifest: ElectionManifest) -> list:
     for lineno, line in index.signatures:
-        if not signature_verifies(line, manifest.office_pk, manifest.gp, manifest.election_id):
+        try:
+            ok = signature_verifies(line, manifest.office_pk, manifest.gp, manifest.election_id)
+        except MalformedRecord as exc:
+            return [_malformed("signature", exc.at(lineno))]
+        if not ok:
             return [ReportItem("signature", False, "signature does not verify", line=lineno)]
     if not index.lines or index.lines[-1].get("kind") != "signature":
-        return [ReportItem("signature", False, "final line is not a signature")]
+        return [ReportItem("signature", False, "final line is not a signature", line=index.last)]
     return [ReportItem("signature", True, f"{len(index.signatures)} signature(s) verify")]
 
 
@@ -118,16 +138,19 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
     per_terminal = {tid: [] for tid in manifest.terminal_seeds}
     for pos, (k, lineno, line) in enumerate(index.entries):
         tid = line["terminal"]
-        if tid not in per_terminal:
+        if type(tid) is not str or tid not in per_terminal:
             return [ReportItem("terminal_chain", False, f"unknown terminal {tid}", line=lineno)]
         per_terminal[tid].append((pos, k, lineno, line))
     closes = {}
     for lineno, line in index.closes:
-        tid = line["terminal"]
-        if tid in closes:
-            return [ReportItem("terminal_chain", False, f"terminal {tid} closed twice",
+        try:
+            close = TerminalClose.from_json(line)
+        except MalformedRecord as exc:
+            return [_malformed("terminal_chain", exc.at(lineno))]
+        if close.terminal in closes:
+            return [ReportItem("terminal_chain", False, f"terminal {close.terminal} closed twice",
                                line=lineno)]
-        closes[tid] = (lineno, line)
+        closes[close.terminal] = (lineno, close)
 
     fails = []
 
@@ -135,9 +158,13 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
         fails.append(ReportItem("terminal_chain", False, detail, **where))
 
     for tid in sorted(per_terminal):
-        z_prev = bytes.fromhex(manifest.terminal_seeds[tid])
+        z_prev = manifest.terminal_seeds[tid]
         for pos, k, lineno, line in per_terminal[tid]:
-            expected = chain_hash(index.ballot(pos), index.proof(pos), tid, z_prev)
+            try:
+                expected = chain_hash(index.ballot(pos), index.proof(pos), tid, z_prev)
+            except MalformedRecord as exc:
+                fails.append(_malformed("terminal_chain", exc))
+                break
             if expected.hex() != line["z"]:
                 fail(f"terminal {tid}: recomputed z mismatch at entry {k}", line=lineno, entry=k)
                 break
@@ -147,9 +174,9 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
                 fail(f"terminal {tid} never closed")
                 continue
             lineno, close = closes[tid]
-            if close["final_z"] != z_prev.hex():
+            if close.final_z != z_prev:
                 fail(f"terminal {tid}: final z mismatch at close", line=lineno)
-            elif int(close["produced"]) != len(per_terminal[tid]):
+            elif close.produced != len(per_terminal[tid]):
                 fail(f"terminal {tid}: produced count mismatch", line=lineno)
     if index.misnumbered:
         fail("entry index out of sequence", line=index.misnumbered[0])
@@ -160,11 +187,10 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
     ]
 
 
-def _verify_share_set(ct: Ciphertext, shares_json, claimed: int, manifest, context) -> str | None:
+def _verify_share_set(ct: Ciphertext, shares, claimed: int, manifest, context) -> str | None:
     """Check decryption shares against a ciphertext and a claimed plaintext.
     Returns None when fine, else a failure detail string."""
     gp = manifest.gp
-    shares = [DecryptionShare.from_json(s) for s in shares_json]
     try:
         g_m = combine_in_exponent(ct, shares, manifest.jpk, gp, context)
     except InsufficientShares:
@@ -182,10 +208,14 @@ def verify_proofs(index: BoardIndex, manifest: ElectionManifest) -> list:
     (spoiled and untallied entries must each carry exactly one)."""
     bad = []
     for pos, (k, lineno, _) in enumerate(index.entries):
-        ballot = index.ballot(pos)
+        try:
+            ballot, proof = index.ballot(pos), index.proof(pos)
+        except MalformedRecord as exc:
+            bad.append(_malformed("ballot_proofs", exc))
+            continue
         style = manifest.style_map.get(ballot.style_id)
         if style is None or not verify_ballot(
-            ballot, index.proof(pos), style, manifest.jpk.K, manifest.gp, manifest.election_id
+            ballot, proof, style, manifest.jpk.K, manifest.gp, manifest.election_id
         ):
             bad.append(ReportItem("ballot_proofs", False,
                                   f"entry {k}: well-formedness proof fails", line=lineno, entry=k))
@@ -220,7 +250,12 @@ def _check_decryptions(index, manifest: ElectionManifest) -> list:
                 fail(f"entry {k} is {status} but was decrypted", line=index.decryptions[k][0][0])
             continue
         lineno, dec = index.decryptions[k][0]
-        ballot = index.ballot(positions[k])
+        try:
+            ballot = index.ballot(positions[k])
+            columns = decode_field(dec, "columns", SPOILED_COLUMNS.decode)
+        except MalformedRecord as exc:
+            fails.append(_malformed("decryptions", exc.at(lineno, k)))
+            continue
         style = manifest.style_map.get(ballot.style_id)
         if style is None:
             fail(f"entry {k}: unknown ballot style {ballot.style_id!r}", line=lineno, entry=k)
@@ -231,28 +266,22 @@ def _check_decryptions(index, manifest: ElectionManifest) -> list:
             for column, ct in enc.all_columns(contest)
         }
         bits = {}
-        for col in dec["columns"]:
-            key = (col["contest"], col["column"])
-            ct = Ciphertext.from_json(col["ciphertext"])
-            if expected_cols.get(key) != ct:
+        for col in columns:
+            key = (col.contest, col.column)
+            if expected_cols.get(key) != col.ciphertext:
                 fail(f"entry {k}: decryption ciphertext mismatch on {key}", line=lineno, entry=k)
                 continue
-            bits[key] = int(col["bit"])
+            bits[key] = col.value
             context = spoiled_context(manifest.election_id, k, *key)
-            failure = _verify_share_set(ct, col["shares"], bits[key], manifest, context)
+            failure = _verify_share_set(col.ciphertext, col.shares, col.value, manifest, context)
             if failure:
                 fail(f"entry {k}, column {key}: {failure}", line=lineno, entry=k)
         if set(bits) != set(expected_cols):
             fail(f"entry {k}: decryption does not cover all columns", line=lineno, entry=k)
             continue
-        # Published plaintext summary must match the proven bits.
-        plain = dec["plaintext"]
-        expected = spoiled_plaintext(style, bits)
-        for cid, chosen in expected["selections"].items():
-            if sorted(plain["selections"].get(cid, [])) != chosen:
-                fail(f"entry {k}: plaintext summary mismatch in {cid}", line=lineno, entry=k)
-            if (cid in expected["writeins"]) != (cid in plain.get("writeins", [])):
-                fail(f"entry {k}: write-in summary mismatch in {cid}", line=lineno, entry=k)
+        # The published plaintext summary is exactly the one the proven bits give.
+        if dec["plaintext"] != spoiled_plaintext(style, bits):
+            fail(f"entry {k}: plaintext summary mismatch", line=lineno, entry=k)
     return fails
 
 
@@ -264,13 +293,19 @@ def verify_tally(index: BoardIndex, manifest: ElectionManifest) -> list:
         return [ReportItem("tally", False, "no tally line published")]
     if len(index.tallies) > 1:
         return [ReportItem("tally", False, "multiple tally lines", line=index.tallies[1][0])]
-    lineno, tally = index.tallies[0]
+    lineno, line = index.tallies[0]
+    try:
+        tally = TallyRecord.from_json(line)
+    except MalformedRecord as exc:
+        return [_malformed("tally", exc.at(lineno))]
     try:
         agg = fold_ballots(index.cast_ballots(), manifest.style_map, manifest.gp)
+    except MalformedRecord as exc:
+        return [_malformed("tally", exc)]
     except StarlockError as exc:
         return [ReportItem("tally", False, f"manifest: {exc}")]
 
-    published = {(col["contest"], col["column"]): col for col in tally["columns"]}
+    published = {(col.contest, col.column): col for col in tally.columns}
     if set(published) != {(cid, col) for cid, bucket in agg.items() for col in bucket["columns"]}:
         return [ReportItem("tally", False, "published tally columns do not match ballot layout",
                            line=lineno)]
@@ -280,23 +315,21 @@ def verify_tally(index: BoardIndex, manifest: ElectionManifest) -> list:
         fails[check].append(ReportItem(check, False, detail, line=lineno))
 
     for (cid, column), col in sorted(published.items()):
-        ct = Ciphertext.from_json(col["ciphertext"])
-        if agg[cid]["columns"][column] != ct:
+        if agg[cid]["columns"][column] != col.ciphertext:
             fail("tally", f"aggregate mismatch for {cid}/{column}")
             continue
-        count = int(col["count"])
         context = tally_context(manifest.election_id, cid, column)
-        failure = _verify_share_set(ct, col["shares"], count, manifest, context)
+        failure = _verify_share_set(col.ciphertext, col.shares, col.value, manifest, context)
         if failure:
             fail("tally", f"{cid}/{column}: {failure}")
-        if int(tally["result"][cid][column]) != count:
+        if tally.result.get(cid, {}).get(column) != col.value:
             fail("tally", f"announced result for {cid}/{column} disagrees with column count")
     for cid, bucket in agg.items():
-        if int(tally["cast"][cid]) != bucket["cast_count"]:
+        if tally.cast_counts.get(cid) != bucket["cast_count"]:
             fail("tally", f"cast count mismatch for {cid}")
         # Sum identity: options + abstain = limit x cast count, over the integers.
-        contest, counts = bucket["contest"], tally["result"][cid]
-        total = sum(int(counts[col]) for col in contest.options + (ABSTAIN_COLUMN,))
+        contest, counts = bucket["contest"], tally.result.get(cid, {})
+        total = sum(counts.get(col, 0) for col in contest.options + (ABSTAIN_COLUMN,))
         expected = contest.limit * bucket["cast_count"]
         if total != expected:
             fail("sum_check", f"{cid}: options+abstain {total} != limit x cast {expected}")
@@ -322,18 +355,13 @@ def lookup_receipt(index: BoardIndex, manifest: ElectionManifest, terminal_id: s
 
     Returns (FOUND_CAST, None), (FOUND_SPOILED, plaintext or None), or
     (NOT_FOUND, None). Raises AmbiguousReceipt when the truncated code
-    matches more than one entry of that terminal, and ChainBroken at an
-    entry of that terminal whose z is missing or not hex."""
+    matches more than one entry of that terminal, and MalformedRecord at an
+    entry of that terminal whose z is missing or not a 32-byte digest."""
     matches = []
-    for k, lineno, line in index.entries:
-        if line.get("terminal") != terminal_id:
-            continue
-        try:
-            z = bytes.fromhex(line["z"])
-        except (KeyError, TypeError, ValueError):
-            raise ChainBroken(lineno, "entry z is missing or not hex") from None
-        if receipt_code(z) == code:
-            matches.append(k)
+    for pos, (k, _, line) in enumerate(index.entries):
+        if line.get("terminal") == terminal_id:
+            if receipt_code(index.entry_field(pos, "z", DIGEST.decode)) == code:
+                matches.append(k)
     if not matches:
         return NOT_FOUND, None
     if len(matches) > 1:

@@ -7,6 +7,7 @@ read-only; tests that tamper with it must copy its lines first.
 
 from __future__ import annotations
 
+import json
 import random
 
 from starlock.audit import build_cvrs
@@ -80,6 +81,32 @@ def rechain(lines, election_id, office, gp):
         )
     )
     return out
+
+
+def demo_commands(tmp_path):
+    """The demo's manifest, CVR, paper, office key and trustee share files,
+    written under tmp_path. Returns (board path, {command: argv}) for verify,
+    audit, receipt-check (of the demo's first receipt) and tally, each
+    reading the board file at that path."""
+    result, _ = demo_run()
+    files = {"params": result["manifest"].to_json(), "cvrs": result["cvrs"],
+             "papers": result["papers"], "office": result["office"].to_json()}
+    files.update({f"share{s.trustee_id}": s.to_json() for s in result["trustee_shares"]})
+    for name, obj in files.items():
+        files[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
+    board = tmp_path / "board.jsonl"
+    common = ["--board", str(board), "--manifest", files["params"]]
+    records = ["--cvrs", files["cvrs"], "--papers", files["papers"]]
+    shares = [files[f"share{s.trustee_id}"] for s in result["trustee_shares"]]
+    receipt = result["receipts"][0]
+    return board, {
+        "verify": ["verify", *common],
+        "audit": ["audit", *common, *records, "--seed", "01234567890123456789"],
+        "receipt-check": ["receipt-check", *common, "--terminal", receipt["terminal"],
+                          "--code", receipt["code"]],
+        "tally": ["tally", *common, *records, "--shares", *shares, "--office", files["office"]],
+    }
 
 
 def synthetic_comparison_record(n=100, winner_votes=55, flips=0, cvr_seed=4242):
@@ -176,7 +203,7 @@ def hundred_entry_board():
     salt = b"\x42" * 16
     board = Board("tamper-lab")
     z = initial_chain_seed("tamper-lab", gp, jpk.K, salt, "T1")
-    seeds = {"T1": z.hex()}
+    seeds = {"T1": z}
     for i in range(100):
         pb = PlaintextBallot(style_id="s", selections={"race": (f"o{i % 11}",)})
         eb, proof = encrypt_ballot(pb, style, jpk.K, gp, rng, "tamper-lab")
@@ -185,7 +212,7 @@ def hundred_entry_board():
             ballot=eb, proof=proof, terminal_id="T1", z=z, timestamp=i + 1
         )
         board.publish_entry(record, CAST, style, jpk.K, gp)
-    board.append_terminal_close("T1", z.hex(), 100)
+    board.append_terminal_close("T1", z, 100)
     board.sign_board(office, gp)
     manifest = ElectionManifest(
         election_id="tamper-lab",

@@ -142,6 +142,19 @@ def test_write_load_round_trip(tmp_path) -> None:
     assert reloaded.last_hash == board.last_hash
 
 
+def test_write_and_lines_reuse_each_line_text(tmp_path, monkeypatch) -> None:
+    jpk, _, office, rng = setup_keys()
+    board = Board(EID)
+    board.publish_entry(make_record(ballot("ada"), jpk, rng), CAST, STYLE, jpk.K, GP)
+    board.sign_board(office, GP)
+    expected = "".join(canonical_json(line) + "\n" for line in board.lines())
+    monkeypatch.setattr("starlock.board.canonical_json", None)  # no second serialisation
+    path = tmp_path / "board.jsonl"
+    board.write(path)
+    Board.load(path).write(tmp_path / "again.jsonl")
+    assert path.read_text() == (tmp_path / "again.jsonl").read_text() == expected
+
+
 def test_load_rejects_edited_or_reformatted_files(tmp_path) -> None:
     jpk, _, office, rng = setup_keys()
     board = Board(EID)
@@ -252,7 +265,7 @@ def test_tally_record_line_round_trip() -> None:
     assert line["kind"] == "tally"
     assert line["result"]["mayor"]["ada"] == "1"  # numbers ride as strings
     assert line["cast"] == {"mayor": "1"}
-    back = TallyRecord.from_line(line)
+    back = TallyRecord.from_json(line)
     assert back.result == tally.result
     assert back.cast_counts == tally.cast_counts
 

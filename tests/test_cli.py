@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import starlock
-from helpers import board_raw_lines, demo_run, rechain
+from helpers import board_raw_lines, demo_commands, demo_run, rechain
 from starlock.cli import main
 from starlock.scenario import make_demo_scenario
 from starlock.serialize import int_to_hex
@@ -244,3 +244,84 @@ def test_tally_refuses_a_spoiled_entry_of_an_unknown_style(tmp_path, capsys) -> 
                  "--cvrs", str(files["cvrs"]), "--papers", str(files["papers"]),
                  "--shares", *map(str, shares), "--office", str(files["office"])]) == 1
     assert "unknown ballot style 'nowhere'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["entry-without-index", "unparseable-line", "not-utf-8"])
+def test_every_command_refuses_a_malformed_board_with_exit_2(damage, tmp_path, capsys) -> None:
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    raw = board_raw_lines(result["board"])
+    if damage == "entry-without-index":
+        raw = retamper_demo(
+            lambda lines: next(x for x in lines if x["kind"] == "entry").pop("index"))
+    elif damage == "unparseable-line":
+        raw[3] = raw[3][:-1]
+    for name, argv in commands.items():
+        data = ("\n".join(raw) + "\n").encode("utf-8")
+        if damage == "not-utf-8":
+            data = data.replace(b'"index":"0"', b'"index":"\xff"', 1)
+        board.write_bytes(data)
+        assert main(argv) == 2, name
+        out = capsys.readouterr().out
+        if name in ("receipt-check", "tally"):
+            assert "malformed board: board line" in out, name
+
+
+def test_tally_and_receipt_check_decode_only_what_they_read(tmp_path, monkeypatch) -> None:
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    raw = board_raw_lines(result["board"])
+    kinds = [json.loads(line)["kind"] for line in raw]
+
+    def refuse(obj):
+        raise AssertionError("decoded a record the command does not read")
+
+    from starlock.ballot import EncryptedBallot, WellFormednessProof
+    from starlock.boardformat import TallyRecord
+
+    monkeypatch.setattr(WellFormednessProof, "from_json", refuse)
+    board.write_text("\n".join(raw[: kinds.index("signature") + 1]) + "\n", encoding="utf-8")
+    assert main(commands["tally"]) == 0
+    for cls in (EncryptedBallot, TallyRecord):
+        monkeypatch.setattr(cls, "from_json", refuse)
+    board.write_text("\n".join(raw) + "\n", encoding="utf-8")
+    assert main(commands["receipt-check"]) == 0
+
+
+def _null_writein(lines):
+    entry = next(x for x in lines if x["kind"] == "entry" and x["status"] == "CAST")
+    entry["ballot"]["contests"][0]["writein"] = None  # the mayor contest has a write-in slot
+
+
+def _twin_share(lines):
+    """Trustee 1's share again as trustee 12: the same point modulo q = 11."""
+    column = next(x for x in lines if x["kind"] == "tally")["columns"][0]
+    first = column["shares"][0]
+    column["shares"] = [first, dict(first, trustee_id=first["trustee_id"] + 11)]
+
+
+def _no_mayor_result(lines):
+    del next(x for x in lines if x["kind"] == "tally")["result"]["mayor"]
+
+
+def _no_entries_from_7(lines):
+    lines[:] = [x for x in lines if x["kind"] != "entry" or int(x["index"]) < 7]
+
+
+def _numeric_election_id(lines):
+    lines[0]["election_id"] = 7
+
+
+@pytest.mark.parametrize("edit, command, code", [
+    (_null_writein, "verify", 2),
+    (_twin_share, "verify", 2),
+    (_no_mayor_result, "audit", 2),
+    (_no_entries_from_7, "tally", 1),
+    (_numeric_election_id, "tally", 2),
+], ids=["null-write-in", "twin-trustee-share", "result-without-contest",
+        "cvr-of-a-missing-entry", "numeric-election-id"])
+def test_rechained_edits_end_with_an_exit_code_not_a_traceback(edit, command, code, tmp_path,
+                                                                capsys) -> None:
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(retamper_demo(edit)) + "\n", encoding="utf-8")
+    assert main(commands[command]) == code

@@ -10,6 +10,8 @@ import random
 
 import pytest
 
+from starlock.ballot import Contest, EncryptedBallot
+from starlock.errors import MalformedRecord
 from starlock.serialize import (
     canonical_json,
     enc_bytes,
@@ -81,3 +83,57 @@ def test_canonical_json_is_sorted_and_compact() -> None:
     b = canonical_json({"c": {"y": "z"}, "a": [2, 3], "b": 1})
     assert a == b == '{"a":[2,3],"b":1,"c":{"y":"z"}}'
     assert json.loads(a) == {"a": [2, 3], "b": 1, "c": {"y": "z"}}
+
+
+CT = {"a": "0d", "b": "02"}
+BALLOT = {"style_id": "s", "contests": [
+    {"contest_id": "c", "options": [CT, CT, CT], "padding": [CT], "writein": None}]}
+
+
+@pytest.mark.parametrize("path, value, detail", [
+    (("contests", 0, "options", 2, "a"), "0x0d", "contests[0].options[2].a: not lowercase hex"),
+    (("contests", 0, "options", 1, "b"), None, "contests[0].options[1].b: missing"),
+    (("contests", 0, "padding"), {}, "contests[0].padding: not a list"),
+    (("contests", 0, "writein"), 7, "contests[0].writein: not an object"),
+    (("contests",), "zz", "contests: not a list"),
+    (("style_id",), [], "style_id: not a string"),
+])
+def test_record_decoding_names_the_malformed_field(path, value, detail) -> None:
+    assert EncryptedBallot.from_json(BALLOT).to_json() == BALLOT
+    obj = json.loads(json.dumps(BALLOT))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is None:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with pytest.raises(MalformedRecord) as err:
+        EncryptedBallot.from_json(obj)
+    assert err.value.detail == detail
+    assert str(err.value.at(7, 3)) == f"board line 7: {detail}"
+
+
+@pytest.mark.parametrize("fields, detail", [
+    ({"limit": 3}, "contest c: limit 3 outside [1, 2]"),
+    ({"limit": "2"}, None),
+    ({"limit": "-1"}, "limit: not a non-negative integer"),
+    ({"limit": True}, "limit: not a non-negative integer"),
+    ({"limit": "9" * 5000}, "limit: not a non-negative integer"),
+    ({"writein_slot": 1}, "writein_slot: not a boolean"),
+])
+def test_integers_booleans_and_the_records_own_rules(fields, detail) -> None:
+    obj = {"contest_id": "c", "options": ["x", "y"], "limit": 1, "writein_slot": False, **fields}
+    if detail is None:
+        assert Contest.from_json(obj) == Contest("c", ("x", "y"), 2)
+        return
+    with pytest.raises(MalformedRecord) as err:
+        Contest.from_json(obj)
+    assert err.value.detail == detail
+
+
+@pytest.mark.parametrize("value", ["0x0d", "0D", "0_d", " 0d", "-0d", "", "+0d"])
+def test_hex_is_only_what_int_to_hex_writes(value) -> None:
+    assert hex_to_int(int_to_hex(13)) == 13
+    with pytest.raises(MalformedRecord):
+        hex_to_int(value)

@@ -45,3 +45,26 @@ def test_subgroup_membership_is_defined_only_in_group_py() -> None:
                     and isinstance(node.args[1], ast.Attribute) and node.args[1].attr == "q"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_hex_is_parsed_only_in_serialize_py() -> None:
+    """No module but serialize.py calls hex_to_int, int(x, 16) or bytes.fromhex
+    on a value that is not a constant: the hex wire format and its strict
+    check live in one place."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "serialize.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call) or not node.args:
+                continue
+            func, arg = node.func, node.args[0]
+            parses_hex = (
+                isinstance(func, ast.Name) and func.id == "hex_to_int"
+                or isinstance(func, ast.Name) and func.id == "int" and len(node.args) == 2
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value == 16
+                or isinstance(func, ast.Attribute) and func.attr in ("fromhex", "hex_to_int")
+            )
+            if parses_hex and not isinstance(arg, ast.Constant):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -100,7 +100,8 @@ def test_non_canonical_or_unparseable_lines_are_rejected() -> None:
     assert not items[0].ok and items[0].line == 4
 
 
-@pytest.mark.parametrize("bad", ["not json {", "[1]"], ids=["unparseable", "array"])
+@pytest.mark.parametrize("bad", ["not json {", "[1]", "[" * 100000],
+                         ids=["unparseable", "array", "nested-too-deep"])
 def test_malformed_line_is_reported_and_the_other_lines_checked(bad, tmp_path) -> None:
     result, raw = demo_board()
     raw = raw[:5] + [bad] + raw[6:]
@@ -144,6 +145,39 @@ def test_malformed_entry_is_reported_and_named(status, field, tmp_path) -> None:
         with pytest.raises(ChainBroken) as err:
             Board.load(path)
         assert err.value.lineno == edited[0]
+
+
+@pytest.mark.parametrize("edit", ["signer", "extra-key", "missing-key"])
+def test_signature_line_is_the_offices_with_exactly_its_keys(edit) -> None:
+    result, raw = demo_board()
+    line = json.loads(raw[-1])
+    if edit == "signer":
+        line["signer"] = "someone-else"
+    elif edit == "extra-key":
+        line["note"] = "re-signed"
+    else:
+        del line["signer"]
+    raw = raw[:-1] + [canonical_json(line)]
+    report = verify_board(raw, result["manifest"])
+    assert not report.overall
+    assert (report.items[0].check, report.items[0].line) == ("line_chain", len(raw) - 1)
+
+
+def test_malformed_ballot_fails_each_check_at_its_line_and_entry() -> None:
+    result, _ = demo_board()
+    where = []
+
+    def mutate(lines):
+        entry = next(l for l in lines if l.get("kind") == "entry")
+        entry["ballot"]["contests"][1]["options"][2]["a"] = "0X1F"
+        where.append((lines.index(entry), int(entry["index"])))
+
+    report = verify_board(retamper(result, mutate), result["manifest"])
+    malformed = [i for i in report.failures() if i.detail.startswith("malformed")]
+    assert {i.check for i in malformed} == {"terminal_chain", "ballot_proofs", "tally"}
+    assert {(i.line, i.entry) for i in malformed} == set(where)
+    assert all(i.detail == "malformed ballot.contests[1].options[2].a: not lowercase hex"
+               for i in malformed)
 
 
 def test_verify_board_decodes_each_line_and_entry_once(monkeypatch) -> None:
