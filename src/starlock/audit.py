@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .boardformat import CAST, TALLY_RESULT, contest_columns, index_lines
-from .errors import CommitmentMismatch, MalformedRecord, MarginNotPositive, StarlockError
+from .boardformat import CAST, TALLY_RESULT, at_line, contest_columns, index_lines
+from .errors import CommitmentMismatch, MarginNotPositive, StarlockError
 from .fiatshamir import DOMAIN_COMMITMENT
 from .manifest import ElectionManifest
 from .serialize import (
@@ -336,10 +336,7 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
     if not board_index.tallies:
         raise StarlockError("board carries no tally; audit needs reported results")
     lineno, tally = board_index.tallies[-1]
-    try:
-        result = decode_field(tally, "result", TALLY_RESULT.decode)
-    except MalformedRecord as exc:
-        raise exc.at(lineno)
+    result = at_line(lineno, decode_field, tally, "result", TALLY_RESULT.decode)
     winners, pairs, v = margin_pairs(manifest, result)
     n = len(population)
     state = KMState(N=n, V=v, alpha=alpha, pairs=pairs)

@@ -103,7 +103,7 @@ class SpoiledColumn(TallyColumn):
     """One decrypted column of a decryption line: a ballot's own column
     ciphertext, opening to the bit published under "bit"."""
 
-    FIELDS = tuple(("bit", *row[1:]) if row[0] == "count" else row for row in TallyColumn.FIELDS)
+    FIELDS = (*TallyColumn.FIELDS[:2], ("bit", "value", NUMERAL), *TallyColumn.FIELDS[3:])
 
 
 SPOILED_COLUMNS = tuple_of(record(SpoiledColumn))  # a decryption line's "columns"
@@ -157,6 +157,14 @@ def line_fault(line: dict) -> str | None:
     if kind == "signature" and line["signer"] != SIGNER:
         return f"signature line not by {SIGNER}"
     return None
+
+
+def at_line(lineno: int, fn, *args, entry: int | None = None):
+    """fn(*args), placing a MalformedRecord it raises at this board line (and entry)."""
+    try:
+        return fn(*args)
+    except MalformedRecord as exc:
+        raise exc.at(lineno, entry)
 
 
 # -- decryption contexts and the board signature ----------------------------------
@@ -265,7 +273,9 @@ def fold_ballots(ballots, style_map: dict, gp: GroupParams):
                 cols[opt] = homomorphic_add(cols[opt], ct, gp)
             for ct in enc.padding_cts:
                 cols[ABSTAIN_COLUMN] = homomorphic_add(cols[ABSTAIN_COLUMN], ct, gp)
-            if contest.writein_slot and enc.writein_ct is not None:
+            if contest.writein_slot:
+                if enc.writein_ct is None:
+                    raise StarlockError("ballot lacks its write-in ciphertext")
                 cols[WRITE_IN_COLUMN] = homomorphic_add(cols[WRITE_IN_COLUMN], enc.writein_ct, gp)
     return agg
 
@@ -343,10 +353,7 @@ class BoardIndex:
         """The pos-th entry line's key, decoded; a MalformedRecord names the
         line and the entry."""
         k, lineno, line = self.entries[pos]
-        try:
-            return decode_field(line, key, decode)
-        except MalformedRecord as exc:
-            raise exc.at(lineno, k)
+        return at_line(lineno, decode_field, line, key, decode, entry=k)
 
     def ballot(self, pos: int) -> EncryptedBallot:
         """The ballot of the pos-th entry line, decoded on first use only."""
@@ -386,10 +393,7 @@ def index_lines(lines) -> BoardIndex:
     status that is not in wire form."""
     index = BoardIndex()
     for lineno, line in enumerate(lines):
-        try:
-            index.add(lineno, line)
-        except MalformedRecord as exc:
-            raise exc.at(lineno)
+        at_line(lineno, index.add, lineno, line)
     return index
 
 

@@ -91,11 +91,6 @@ def cmd_keygen(args) -> int:
     return PASS
 
 
-def _load_office(path) -> Keypair:
-    """The election office's signing keypair from an office key file."""
-    return Keypair.from_json(_load_json(path))
-
-
 def _load_keys(keydir, expected_group):
     joint = _load_json(os.path.join(keydir, "joint_key.json"))
     if joint.get("group") != expected_group:
@@ -104,7 +99,7 @@ def _load_keys(keydir, expected_group):
             f"{expected_group!r}"
         )
     jpk = JointPublicKey.from_json(joint)
-    office = _load_office(os.path.join(keydir, "office_key.json"))
+    office = Keypair.from_json(_load_json(os.path.join(keydir, "office_key.json")))
     shares = []
     for i in range(1, jpk.n + 1):
         path = os.path.join(keydir, f"trustee_share_{i}.json")
@@ -139,7 +134,7 @@ def cmd_tally(args) -> int:
     manifest = ElectionManifest.load(args.manifest)
     board = Board.load(args.board)
     shares = [TrusteeShare.from_json(_load_json(p)) for p in args.shares]
-    office = _load_office(args.office)
+    office = Keypair.from_json(_load_json(args.office))
     if office.pk != manifest.office_pk:
         raise StarlockError("office key does not match the election manifest")
     cvrs = _load_json(args.cvrs)

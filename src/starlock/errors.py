@@ -12,16 +12,15 @@ class StarlockError(Exception):
 
 
 class MalformedRecord(StarlockError):
-    """A record that does not match its declared wire form. path names the
-    field, outermost step first (a key, or a list position as an int);
-    lineno and entry place it on the board, when known."""
+    """A record that does not match its declared wire form. detail names the
+    field path and the fault; lineno and entry place it on the board, when known."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
-        self.reason, self.path, self.lineno, self.entry = reason, [], None, None
+        self.reason, self.path, self.lineno, self.entry = reason, "", None, None
 
     def within(self, step) -> "MalformedRecord":
-        self.path.insert(0, step)
+        self.path = (f"[{step}]" if isinstance(step, int) else f".{step}") + self.path
         return self
 
     def at(self, lineno: int, entry: int | None = None) -> "MalformedRecord":
@@ -32,8 +31,7 @@ class MalformedRecord(StarlockError):
     @property
     def detail(self) -> str:
         """Path and fault, e.g. "ballot.contests[0].options[2].a: not lowercase hex"."""
-        path = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in self.path)
-        return f"{path.lstrip('.')}: {self.reason}" if path else self.reason
+        return f"{self.path.lstrip('.')}: {self.reason}" if self.path else self.reason
 
     def __str__(self) -> str:
         return self.detail if self.lineno is None else f"board line {self.lineno}: {self.detail}"

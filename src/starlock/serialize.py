@@ -127,6 +127,7 @@ def optional(codec: Codec) -> Codec:
 
 
 def _decode_each(pairs, decode) -> dict:
+    """{key: decode(item)} for each (key, item); a MalformedRecord names the key."""
     out = {}
     for key, item in pairs:
         try:
@@ -141,12 +142,8 @@ def tuple_of(codec: Codec) -> Codec:
     encode, decode = codec
 
     def decode_list(v) -> tuple:
-        if type(v) is not list:
-            raise MalformedRecord("not a list")
-        try:
-            return tuple(map(decode, v))
-        except MalformedRecord:  # decode again, naming the item at fault
-            return tuple(_decode_each(enumerate(v), decode).values())
+        items = _check(type(v) is list, v, "not a list")
+        return tuple(_decode_each(enumerate(items), decode).values())
 
     return Codec(lambda items: list(map(encode, items)), decode_list)
 
@@ -177,26 +174,13 @@ class Record:
 
     FIELDS = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._encoders = tuple((key, attr, codec.encode) for key, attr, codec in cls.FIELDS)
-        cls._decoders = tuple((key, attr, codec.decode) for key, attr, codec in cls.FIELDS)
-
     def to_json(self) -> dict:
-        out = {}
-        for key, attr, encode in self._encoders:
-            out[key] = encode(getattr(self, attr))
-        return out
+        return {key: codec.encode(getattr(self, attr)) for key, attr, codec in self.FIELDS}
 
     @classmethod
     def from_json(cls, obj):
-        values = {}
-        try:
-            for key, attr, decode in cls._decoders:
-                values[attr] = decode(obj[key])
-        except (KeyError, TypeError, MalformedRecord):  # decode again, naming the fault
-            _check(type(obj) is dict, obj, "not an object")
-            values = {attr: decode_field(obj, key, decode) for key, attr, decode in cls._decoders}
+        _check(type(obj) is dict, obj, "not an object")
+        values = {attr: decode_field(obj, key, codec.decode) for key, attr, codec in cls.FIELDS}
         try:
             return cls(**values)
         except ValueError as exc:  # refused by the record's own __post_init__

@@ -25,9 +25,12 @@ from .boardformat import (
     SPOILED_COLUMNS,
     UNTALLIED,
     BoardIndex,
+    ChainBroken,
     TallyRecord,
     TerminalClose,
+    at_line,
     fold_ballots,
+    line_fault,
     parse_line,
     read_board,
     signature_verifies,
@@ -94,10 +97,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _malformed(check: str, exc: MalformedRecord) -> ReportItem:
-    return ReportItem(check, False, f"malformed {exc.detail}", line=exc.lineno, entry=exc.entry)
-
-
 def read_board_lines(path):
     """Raw text lines (no trailing newline) straight from the file; bytes
     that are not UTF-8 read as U+FFFD, which no canonical line holds."""
@@ -121,11 +120,8 @@ def check_line_chain(index: BoardIndex) -> list:
 
 def check_signatures(index: BoardIndex, manifest: ElectionManifest) -> list:
     for lineno, line in index.signatures:
-        try:
-            ok = signature_verifies(line, manifest.office_pk, manifest.gp, manifest.election_id)
-        except MalformedRecord as exc:
-            return [_malformed("signature", exc.at(lineno))]
-        if not ok:
+        args = (line, manifest.office_pk, manifest.gp, manifest.election_id)
+        if not at_line(lineno, signature_verifies, *args):
             return [ReportItem("signature", False, "signature does not verify", line=lineno)]
     if not index.lines or index.lines[-1].get("kind") != "signature":
         return [ReportItem("signature", False, "final line is not a signature", line=index.last)]
@@ -143,10 +139,7 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
         per_terminal[tid].append((pos, k, lineno, line))
     closes = {}
     for lineno, line in index.closes:
-        try:
-            close = TerminalClose.from_json(line)
-        except MalformedRecord as exc:
-            return [_malformed("terminal_chain", exc.at(lineno))]
+        close = at_line(lineno, TerminalClose.from_json, line)
         if close.terminal in closes:
             return [ReportItem("terminal_chain", False, f"terminal {close.terminal} closed twice",
                                line=lineno)]
@@ -160,11 +153,7 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
     for tid in sorted(per_terminal):
         z_prev = manifest.terminal_seeds[tid]
         for pos, k, lineno, line in per_terminal[tid]:
-            try:
-                expected = chain_hash(index.ballot(pos), index.proof(pos), tid, z_prev)
-            except MalformedRecord as exc:
-                fails.append(_malformed("terminal_chain", exc))
-                break
+            expected = chain_hash(index.ballot(pos), index.proof(pos), tid, z_prev)
             if expected.hex() != line["z"]:
                 fail(f"terminal {tid}: recomputed z mismatch at entry {k}", line=lineno, entry=k)
                 break
@@ -206,22 +195,25 @@ def _verify_share_set(ct: Ciphertext, shares, claimed: int, manifest, context) -
 def verify_proofs(index: BoardIndex, manifest: ElectionManifest) -> list:
     """Every entry's well-formedness proof, and every published decryption
     (spoiled and untallied entries must each carry exactly one)."""
+    bad = _guarded("ballot_proofs", _check_ballot_proofs, index, manifest) or [
+        ReportItem("ballot_proofs", True, "all entry proofs verify")]
+    fails = _guarded("decryptions", _check_decryptions, index, manifest) or [
+        ReportItem("decryptions", True, "all published decryptions verify")]
+    return bad + fails
+
+
+def _check_ballot_proofs(index: BoardIndex, manifest: ElectionManifest) -> list:
+    """Failures among entries: each whose style is unknown or whose proof fails."""
     bad = []
     for pos, (k, lineno, _) in enumerate(index.entries):
-        try:
-            ballot, proof = index.ballot(pos), index.proof(pos)
-        except MalformedRecord as exc:
-            bad.append(_malformed("ballot_proofs", exc))
-            continue
+        ballot, proof = index.ballot(pos), index.proof(pos)
         style = manifest.style_map.get(ballot.style_id)
         if style is None or not verify_ballot(
             ballot, proof, style, manifest.jpk.K, manifest.gp, manifest.election_id
         ):
             bad.append(ReportItem("ballot_proofs", False,
                                   f"entry {k}: well-formedness proof fails", line=lineno, entry=k))
-    items = bad or [ReportItem("ballot_proofs", True, "all entry proofs verify")]
-    fails = _check_decryptions(index, manifest)
-    return items + (fails or [ReportItem("decryptions", True, "all published decryptions verify")])
+    return bad
 
 
 def _check_decryptions(index, manifest: ElectionManifest) -> list:
@@ -250,12 +242,8 @@ def _check_decryptions(index, manifest: ElectionManifest) -> list:
                 fail(f"entry {k} is {status} but was decrypted", line=index.decryptions[k][0][0])
             continue
         lineno, dec = index.decryptions[k][0]
-        try:
-            ballot = index.ballot(positions[k])
-            columns = decode_field(dec, "columns", SPOILED_COLUMNS.decode)
-        except MalformedRecord as exc:
-            fails.append(_malformed("decryptions", exc.at(lineno, k)))
-            continue
+        ballot = index.ballot(positions[k])
+        columns = at_line(lineno, decode_field, dec, "columns", SPOILED_COLUMNS.decode, entry=k)
         style = manifest.style_map.get(ballot.style_id)
         if style is None:
             fail(f"entry {k}: unknown ballot style {ballot.style_id!r}", line=lineno, entry=k)
@@ -294,16 +282,11 @@ def verify_tally(index: BoardIndex, manifest: ElectionManifest) -> list:
     if len(index.tallies) > 1:
         return [ReportItem("tally", False, "multiple tally lines", line=index.tallies[1][0])]
     lineno, line = index.tallies[0]
+    tally, ballots = at_line(lineno, TallyRecord.from_json, line), index.cast_ballots()
     try:
-        tally = TallyRecord.from_json(line)
-    except MalformedRecord as exc:
-        return [_malformed("tally", exc.at(lineno))]
-    try:
-        agg = fold_ballots(index.cast_ballots(), manifest.style_map, manifest.gp)
-    except MalformedRecord as exc:
-        return [_malformed("tally", exc)]
+        agg = fold_ballots(ballots, manifest.style_map, manifest.gp)
     except StarlockError as exc:
-        return [ReportItem("tally", False, f"manifest: {exc}")]
+        return [ReportItem("tally", False, str(exc))]
 
     published = {(col.contest, col.column): col for col in tally.columns}
     if set(published) != {(cid, col) for cid, bucket in agg.items() for col in bucket["columns"]}:
@@ -339,14 +322,24 @@ def verify_tally(index: BoardIndex, manifest: ElectionManifest) -> list:
     )
 
 
+def _guarded(check: str, run, index: BoardIndex, manifest: ElectionManifest) -> list:
+    """run's report items, or one failing item at the malformed record it met."""
+    try:
+        return run(index, manifest)
+    except MalformedRecord as exc:
+        return [ReportItem(check, False, f"malformed {exc.detail}", exc.lineno, exc.entry)]
+
+
 def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
     """Run every check; the report's overall verdict is their conjunction.
     The board is parsed once (boardformat.read_board) and every check reads
-    that index; a line that breaks the chain is reported, not raised."""
+    that index; a line that breaks the chain or holds a malformed record is
+    reported, not raised."""
     index = read_board(raw_lines)
     report = VerificationReport(check_line_chain(index))
-    for check in (check_signatures, verify_chain, verify_proofs, verify_tally):
-        report.items.extend(check(index, manifest))
+    for check, run in (("signature", check_signatures), ("terminal_chain", verify_chain),
+                       ("ballot_proofs", verify_proofs), ("tally", verify_tally)):
+        report.items.extend(_guarded(check, run, index, manifest))
     return report
 
 
@@ -355,8 +348,9 @@ def lookup_receipt(index: BoardIndex, manifest: ElectionManifest, terminal_id: s
 
     Returns (FOUND_CAST, None), (FOUND_SPOILED, plaintext or None), or
     (NOT_FOUND, None). Raises AmbiguousReceipt when the truncated code
-    matches more than one entry of that terminal, and MalformedRecord at an
-    entry of that terminal whose z is missing or not a 32-byte digest."""
+    matches more than one entry of that terminal, MalformedRecord at an
+    entry of that terminal whose z is missing or not a 32-byte digest, and
+    ChainBroken at a decryption line of the match that does not fit its kind."""
     matches = []
     for pos, (k, _, line) in enumerate(index.entries):
         if line.get("terminal") == terminal_id:
@@ -370,4 +364,9 @@ def lookup_receipt(index: BoardIndex, manifest: ElectionManifest, terminal_id: s
     if index.statuses[k] == CAST:
         return FOUND_CAST, None
     decs = index.decryptions.get(k)
-    return FOUND_SPOILED, decs[-1][1]["plaintext"] if decs else None
+    if not decs:
+        return FOUND_SPOILED, None
+    lineno, line = decs[-1]
+    if line_fault(line):
+        raise ChainBroken(lineno, line_fault(line))
+    return FOUND_SPOILED, line["plaintext"]

@@ -218,6 +218,21 @@ def test_receipt_check_refuses_an_entry_with_a_bad_z(z, tmp_path, capsys) -> Non
     assert "malformed board" in capsys.readouterr().out
 
 
+def test_receipt_check_refuses_a_decryption_line_without_its_plaintext(tmp_path, capsys) -> None:
+    result, _ = demo_run()
+    spoiled = next(r for r in result["receipts"] if r["status"] == "SPOILED")
+
+    def mutate(lines):
+        for line in lines:
+            if line["kind"] == "decryption":
+                del line["plaintext"]
+
+    board, params = write_demo_record(tmp_path, retamper_demo(mutate))
+    assert main(["receipt-check", "--board", board, "--manifest", params,
+                 "--terminal", spoiled["terminal"], "--code", spoiled["code"]]) == 2
+    assert "malformed board: board line" in capsys.readouterr().out
+
+
 def test_tally_refuses_a_spoiled_entry_of_an_unknown_style(tmp_path, capsys) -> None:
     result, _ = demo_run()
     kinds = [line["kind"] for line in result["board"].lines()]
@@ -314,11 +329,12 @@ def _numeric_election_id(lines):
 
 @pytest.mark.parametrize("edit, command, code", [
     (_null_writein, "verify", 2),
+    (_null_writein, "tally", 1),
     (_twin_share, "verify", 2),
     (_no_mayor_result, "audit", 2),
     (_no_entries_from_7, "tally", 1),
     (_numeric_election_id, "tally", 2),
-], ids=["null-write-in", "twin-trustee-share", "result-without-contest",
+], ids=["null-write-in", "null-write-in-tally", "twin-trustee-share", "result-without-contest",
         "cvr-of-a-missing-entry", "numeric-election-id"])
 def test_rechained_edits_end_with_an_exit_code_not_a_traceback(edit, command, code, tmp_path,
                                                                 capsys) -> None:

@@ -163,6 +163,12 @@ def test_signature_line_is_the_offices_with_exactly_its_keys(edit) -> None:
     assert (report.items[0].check, report.items[0].line) == ("line_chain", len(raw) - 1)
 
 
+def test_board_cut_before_its_final_signature_names_its_last_line() -> None:
+    result, raw = demo_board()
+    report = verify_board(raw[:-1], result["manifest"])
+    assert [(i.check, i.line) for i in report.failures()] == [("signature", len(raw) - 2)]
+
+
 def test_malformed_ballot_fails_each_check_at_its_line_and_entry() -> None:
     result, _ = demo_board()
     where = []
