@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import InvalidGroup
-from .serialize import enc_int
+from .errors import InvalidGroup, MalformedRecord
+from .serialize import NUMERAL, Record, enc_int
 
 LARGE_GROUP_BITS = 128  # p of at least this many bits: Legendre membership and combs
 COMB_WINDOW = 8  # comb rows; a table holds 2^8 products, about 70 KB for 2048-bit p
@@ -108,7 +108,7 @@ def fixed_pow(base: int, e: int, p: int) -> int:
 
 
 @dataclass(frozen=True)
-class GroupParams:
+class GroupParams(Record):
     p: int
     q: int
     g: int
@@ -116,6 +116,9 @@ class GroupParams:
     # True, pow otherwise. Callers raising g or the joint key bind
     # `fixed_pow if gp.large else pow`, so the small group pays no extra call.
     large: bool = field(init=False, repr=False, compare=False)
+
+    # Decimal strings: big integers survive any JSON parser untouched.
+    FIELDS = tuple((name, name, NUMERAL) for name in "pqg")
 
     def __post_init__(self):
         object.__setattr__(self, "large", self.p.bit_length() >= LARGE_GROUP_BITS)
@@ -147,19 +150,15 @@ class GroupParams:
         if not (1 < self.g < self.p) or pow(self.g, self.q, self.p) != 1:
             raise InvalidGroup("g does not generate the order-q subgroup")
 
-    def to_json(self) -> dict:
-        # Decimal strings: big integers survive any JSON parser untouched.
-        return {"p": str(self.p), "q": str(self.q), "g": str(self.g)}
-
     @classmethod
     def from_json(cls, obj: dict) -> "GroupParams":
         """A built-in group as itself; any other only if it validates, since
         membership by the Legendre symbol is exact only in a safe-prime group.
         Raises InvalidGroup."""
         try:
-            gp = cls(p=int(obj["p"]), q=int(obj["q"]), g=int(obj["g"]))
-        except (KeyError, TypeError, ValueError):
-            raise InvalidGroup("group is not three integers p, q, g") from None
+            gp = super().from_json(obj)
+        except MalformedRecord as exc:
+            raise InvalidGroup(f"group is not three integers p, q, g ({exc})") from None
         for known in GROUPS.values():
             if gp == known:
                 return known

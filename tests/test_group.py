@@ -108,7 +108,10 @@ def test_from_json_returns_built_in_groups_and_validates_others() -> None:
     for bad in ({"p": "15", "q": "7", "g": "4"},  # p = 2q + 1 composite
                 {"p": "23", "q": "11", "g": "5"},
                 {"p": "x", "q": "11", "g": "4"},
-                {"p": "23", "q": "11"}):
+                {"p": "23", "q": "11"},
+                {"p": 23.9, "q": "11", "g": "4"},
+                {"p": "23", "q": " 11", "g": "+4"},
+                {"p": "23", "q": "1_1", "g": "4"}):
         with pytest.raises(InvalidGroup):
             GroupParams.from_json(bad)
 
