@@ -24,12 +24,14 @@ import math
 from dataclasses import dataclass, field
 
 from .boardformat import CAST, TALLY_RESULT, at_line, contest_columns, index_lines
-from .errors import CommitmentMismatch, MarginNotPositive, StarlockError
+from .errors import CommitmentMismatch, MalformedRecord, MarginNotPositive, StarlockError
 from .fiatshamir import DOMAIN_COMMITMENT
 from .manifest import ElectionManifest
 from .serialize import (
+    INT,
     SALT,
     SALT_BYTES,
+    STR,
     decode_field,
     enc_bytes,
     enc_int,
@@ -275,13 +277,32 @@ def km_risk(state: KMState, draws) -> float:
     return state.p_value
 
 
+def _column(rows, name: str, key: str, decode) -> list:
+    """decode(row[key]) for each row of the named file; a MalformedRecord names
+    the row and the field, as in "cvrs[3].index: missing"."""
+    out = []
+    for i, row in enumerate(rows):
+        try:
+            out.append(decode_field(_object(row), key, decode))
+        except MalformedRecord as exc:
+            raise exc.within(i).within(name)
+    return out
+
+
+def _object(value) -> dict:
+    if type(value) is not dict:
+        raise MalformedRecord("not an object")
+    return value
+
+
 def hand_count(papers, manifest: ElectionManifest) -> dict:
     """Full manual count of every paper summary: per-contest option counts
-    and the winners they imply."""
+    and the winners they imply. Raises MalformedRecord at a paper without
+    its contests."""
     contests = _contests(manifest)
     counts = {cid: {opt: 0 for opt in c.options} for cid, c in contests.items()}
-    for paper in papers:
-        for cid, view in paper["contests"].items():
+    for views in _column(papers, "papers", "contests", _object):
+        for cid, view in views.items():
             if cid not in counts:
                 continue
             for opt in view.get("selections", []):
@@ -305,23 +326,29 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
     from cvrs, but passing the genuinely published file is the point.
 
     Stops as soon as P <= alpha (CONFIRMED) or after N draws
-    (FULL_HAND_COUNT, returning the manual count and its winners)."""
+    (FULL_HAND_COUNT, returning the manual count and its winners).
+    A CVR row or paper without its serial or contests, a CVR row without its
+    index, or a published row without its serial or commitments raises
+    MalformedRecord naming the row and the field."""
     check_seed(seed)
     if not 0 < alpha < 1:
         raise ValueError("risk limit must be in (0, 1)")
 
     board_index = index_lines(lines)
     cast_indices = {i for i, s in board_index.statuses.items() if s == CAST}
-    population = [row for row in cvrs if int(row["index"]) in cast_indices]
-    population.sort(key=lambda row: int(row["index"]))
-    if {int(row["index"]) for row in population} != cast_indices:
+    indices = _column(cvrs, "cvrs", "index", INT.decode)
+    serials = _column(cvrs, "cvrs", "serial", STR.decode)
+    _column(cvrs, "cvrs", "contests", _object)
+    cast = sorted((j for j, i in enumerate(indices) if i in cast_indices), key=indices.__getitem__)
+    if {indices[j] for j in cast} != cast_indices:
         raise StarlockError("CVR store does not cover every CAST board entry")
+    population = [cvrs[j] for j in cast]
 
-    papers_by_serial = {p["serial"]: p for p in papers}
+    papers_by_serial = dict(zip(_column(papers, "papers", "serial", STR.decode), papers))
     if len(papers_by_serial) != len(papers):
         raise StarlockError("duplicate serial among paper summaries")
-    compliance = compliance_check((row["serial"] for row in population),
-                                  papers_by_serial)
+    _column(papers, "papers", "contests", _object)
+    compliance = compliance_check((serials[j] for j in cast), papers_by_serial)
     if not compliance["clean"]:
         raise StarlockError(
             "compliance check not clean: "
@@ -329,9 +356,9 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
             f"{len(compliance['paper_without_record'])} paper-without-record"
         )
 
-    published_by_serial = {}
-    for row in published if published is not None else published_commitments(cvrs):
-        published_by_serial[row["serial"]] = row["commitments"]
+    rows = published if published is not None else published_commitments(cvrs)
+    published_by_serial = dict(zip(_column(rows, "commitments", "serial", STR.decode),
+                                   _column(rows, "commitments", "commitments", _object)))
 
     if not board_index.tallies:
         raise StarlockError("board carries no tally; audit needs reported results")

@@ -373,8 +373,10 @@ def verify_ballot(
     K: int,
     gp: GroupParams,
     election_id: str,
+    eqs=None,
 ) -> bool:
-    """Recompute every Fiat-Shamir transcript and check every equation.
+    """Recompute every Fiat-Shamir transcript and state every proof equation
+    to eqs (chaum_pedersen; each is tested at once when None).
 
     Shape mismatches (wrong contest list, missing columns) are failures, not
     exceptions: a verifier must never crash on adversarial input.
@@ -400,7 +402,7 @@ def verify_ballot(
             proofs.append(cpr.writein_proof)
         for (column, ct), pr in zip(enc.all_columns(contest), proofs):
             ctx = column_context(election_id, style.style_id, contest.contest_id, column)
-            if not verify_zero_or_one(pr, ct, K, gp, ctx):
+            if not verify_zero_or_one(pr, ct, K, gp, ctx, eqs):
                 return False
 
         total = add_many(list(enc.option_cts) + list(enc.padding_cts), gp)
@@ -408,7 +410,7 @@ def verify_ballot(
         ctx = column_context(election_id, style.style_id, contest.contest_id, SUM_COLUMN)
         if not verify_eq_dlog(
             cpr.sum_proof, gp.g, total.a, K, target_b, gp,
-            context=ctx, domain=DOMAIN_CONTEST_SUM,
+            context=ctx, domain=DOMAIN_CONTEST_SUM, eqs=eqs,
         ):
             return False
     return True

@@ -35,6 +35,7 @@ from .boardformat import (
     spoiled_plaintext,
     tally_context,
 )
+from .chaum_pedersen import batch_sink
 from .elgamal import Keypair
 from .errors import NotSpoiled, RejectInvalidProof, StarlockError
 from .group import GroupParams
@@ -105,13 +106,15 @@ class Board:
         gp: GroupParams,
         reason: str | None = None,
     ) -> int:
-        """Append a ballot record (serial never present). Returns the entry
-        index used by status/decryption supersession lines."""
+        """Append a ballot record (serial never present) once its proofs
+        verify, their equations batched per ballot in a large group. Returns
+        the entry index used by status/decryption supersession lines."""
         if status not in (CAST, SPOILED, UNTALLIED):
             raise ValueError(f"cannot publish entry with status {status!r}")
-        if not verify_ballot(
-            record.ballot, record.proof, style, joint_key, gp, self.election_id
-        ):
+        eqs = batch_sink(gp, lambda: record.ballot.canonical_bytes()
+                         + record.proof.canonical_bytes())
+        if not (verify_ballot(record.ballot, record.proof, style, joint_key, gp,
+                              self.election_id, eqs) and eqs.holds()):
             raise RejectInvalidProof("ballot record failed proof verification")
         index = self.entry_count
         line = {"kind": "entry", "index": str(index), "status": status, **record.to_json()}

@@ -5,6 +5,28 @@ Challenges are Fiat-Shamir derived over the full transcript: a caller-supplied
 context (election, style, contest, column identifiers), the statement
 elements, and the commitments. Binding the statement into the hash is what
 stops a proof from being replayed against any other statement.
+
+Every proof equation has one form, base^s == commit * y^c (the y of a
+zero-or-one branch for bit m is b * g^-m), and a verifier states its
+equations to a sink after the proof's membership, exponent-range,
+Fiat-Shamir and challenge-sum checks have passed:
+
+  * Immediate tests each equation as it comes. It is the default, and the
+    only sink of a small group: with q = 11 a 64-bit weight reduces mod 11
+    and would let a false equation through with probability 1/11.
+  * Collect, in a large group, is the small-exponents batch test of Bellare,
+    Garay and Rabin (EUROCRYPT 1998). Equation i is raised to its own 64-bit
+    weight w_i, the first 8 bytes of SHA-256(SHA-256(seed) || i); the seed
+    is bytes that fix every response the batch weighs (a whole board, a
+    ballot's canonical bytes, a column's shares), so no response can be
+    chosen once its weight is known, and no rng is drawn. Exponents are
+    summed per base mod q: g and the joint key each take one comb power, the
+    other bases one multi-exponentiation (group.multi_exp), and the commits,
+    with their 64-bit weights, a second one. Every element has order q, so
+    an honest batch always holds, and a batch with a false equation holds
+    with probability at most 2^-64. holds() gives one verdict for the
+    whole batch; a caller that has to name the failing proof runs again
+    through Immediate.
 """
 
 from __future__ import annotations
@@ -14,8 +36,62 @@ from dataclasses import dataclass
 
 from .elgamal import Ciphertext
 from .fiatshamir import DOMAIN_EQ_DLOG, DOMAIN_ZERO_ONE, fiat_shamir_challenge
-from .group import GroupParams, fixed_pow
-from .serialize import HEX, Record, enc_bytes, enc_int
+from .group import GroupParams, fixed_pow, multi_exp
+from .serialize import HEX, Record, enc_bytes, enc_int, sha256
+
+
+class Immediate:
+    """Tests each proof equation as it is stated."""
+
+    def __init__(self, gp: GroupParams):
+        self.gp = gp
+
+    def check(self, base, s, commit, y, c, m=0, fixed=False) -> bool:
+        """base^s == commit * (y * g^-m)^c mod p. A fixed base (g or the joint
+        key) goes through its comb table in a large group."""
+        p = self.gp.p
+        if m:
+            y = y * pow(pow(self.gp.g, m, p), -1, p) % p
+        raised = fixed_pow(base, s, p) if fixed and self.gp.large else pow(base, s, p)
+        return raised == commit * pow(y, c, p) % p
+
+    def holds(self) -> bool:
+        return True  # each equation was tested as it came
+
+
+class Collect:
+    """Weighs each proof equation and tests them all at once in holds()."""
+
+    def __init__(self, gp: GroupParams, seed: bytes):
+        self.gp, self.seed, self.n = gp, sha256(seed), 0
+        self.exps = {}  # base -> summed exponent mod q, on the base^s side
+        self.commits = {}  # commit -> summed weight, on the other side
+        self.fixed = {gp.g}
+
+    def check(self, base, s, commit, y, c, m=0, fixed=False) -> bool:
+        q, g, exps = self.gp.q, self.gp.g, self.exps
+        self.n += 1
+        w = int.from_bytes(sha256(self.seed + self.n.to_bytes(8, "big"))[:8], "big")
+        exps[base] = (exps.get(base, 0) + w * s) % q
+        exps[y] = (exps.get(y, 0) - w * c) % q
+        if m:  # (y * g^-m)^c folds into y and g
+            exps[g] = (exps.get(g, 0) + w * m * c) % q
+        self.commits[commit] = self.commits.get(commit, 0) + w
+        if fixed:
+            self.fixed.add(base)
+        return True
+
+    def holds(self) -> bool:
+        p, exps = self.gp.p, self.exps
+        lhs = multi_exp([(b, e) for b, e in exps.items() if b not in self.fixed], p)
+        for b in self.fixed & exps.keys():
+            lhs = lhs * fixed_pow(b, exps[b], p) % p
+        return lhs == multi_exp(self.commits.items(), p)
+
+
+def batch_sink(gp: GroupParams, seed):
+    """Collect weighted from seed() in a large group, else Immediate."""
+    return Collect(gp, seed()) if gp.large else Immediate(gp)
 
 
 @dataclass(frozen=True)
@@ -79,7 +155,10 @@ def verify_eq_dlog(
     gp: GroupParams,
     context: bytes,
     domain: bytes = DOMAIN_EQ_DLOG,
+    eqs=None,
 ) -> bool:
+    """The proof's checks, and its two equations stated to eqs (an
+    Immediate sink when None)."""
     for el in (g1, y1, g2, y2, proof.commit1, proof.commit2):
         if not gp.is_element(el):
             return False
@@ -92,13 +171,10 @@ def verify_eq_dlog(
     )
     if proof.challenge != expected:
         return False
-    fixed = fixed_pow if gp.large else pow  # g1 is g at every caller
+    eqs = eqs or Immediate(gp)
     e, s = proof.challenge, proof.response
-    if fixed(g1, s, gp.p) != proof.commit1 * pow(y1, e, gp.p) % gp.p:
-        return False
-    if pow(g2, s, gp.p) != proof.commit2 * pow(y2, e, gp.p) % gp.p:
-        return False
-    return True
+    return (eqs.check(g1, s, proof.commit1, y1, e, fixed=True)  # g1 is g at every caller
+            and eqs.check(g2, s, proof.commit2, y2, e))
 
 
 @dataclass(frozen=True)
@@ -209,9 +285,10 @@ def verify_zero_or_one(
     public_key: int,
     gp: GroupParams,
     context: bytes,
+    eqs=None,
 ) -> bool:
-    p, q, g = gp.p, gp.q, gp.g
-    fixed = fixed_pow if gp.large else pow
+    """The proof's checks, and its four equations stated to eqs (an
+    Immediate sink when None)."""
     elements = (
         ct.a, ct.b, public_key,
         proof.commit0_g, proof.commit0_k, proof.commit1_g, proof.commit1_k,
@@ -230,16 +307,16 @@ def verify_zero_or_one(
         ),
         gp,
     )
-    if (proof.challenge0 + proof.challenge1) % q != e:
+    if (proof.challenge0 + proof.challenge1) % gp.q != e:
         return False
 
+    # Branch m: (a, b / g^m) is a DH pair under (g, public_key).
+    eqs = eqs or Immediate(gp)
     for m, commit_g, commit_k, c, v in (
         (0, proof.commit0_g, proof.commit0_k, proof.challenge0, proof.response0),
         (1, proof.commit1_g, proof.commit1_k, proof.challenge1, proof.response1),
     ):
-        target_b = ct.b * pow(pow(g, m, p), -1, p) % p
-        if fixed(g, v, p) != commit_g * pow(ct.a, c, p) % p:
-            return False
-        if fixed(public_key, v, p) != commit_k * pow(target_b, c, p) % p:
+        if not (eqs.check(gp.g, v, commit_g, ct.a, c, fixed=True)
+                and eqs.check(public_key, v, commit_k, ct.b, c, m, fixed=True)):
             return False
     return True

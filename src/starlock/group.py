@@ -107,6 +107,41 @@ def fixed_pow(base: int, e: int, p: int) -> int:
     return acc
 
 
+def multi_exp(pairs, p: int) -> int:
+    """The product of base^e mod p over (base, e) pairs with e >= 0, by
+    Straus's simultaneous method with interleaved sliding windows (Moller,
+    "Algorithms for multi-exponentiation", SAC 2001): all bases share one
+    squaring per bit of the longest exponent, and each base pays a table of
+    its odd powers and one product per window of its own exponent, with
+    the window width sized to that exponent (OpenSSL's thresholds)."""
+    due = {}  # bit position -> table entries multiplied in there
+    top = 0
+    for base, e in pairs:
+        n = e.bit_length()
+        if not n:
+            continue
+        w = 6 if n > 671 else 5 if n > 239 else 4 if n > 79 else 3 if n > 23 else 1
+        odd, square = [base % p], base * base % p  # odd[i] = base^(2i + 1)
+        for _ in range((1 << (w - 1)) - 1):
+            odd.append(odd[-1] * square % p)
+        bits, i = bin(e)[2:], 0
+        while i < n:
+            j = min(i + w, n)
+            while bits[j - 1] == "0":
+                j -= 1
+            due.setdefault(n - j, []).append(odd[int(bits[i:j], 2) >> 1])
+            i = bits.find("1", j)
+            if i < 0:
+                break
+        top = max(top, n)
+    acc = 1
+    for position in range(top - 1, -1, -1):
+        acc = acc * acc % p
+        for x in due.get(position, ()):
+            acc = acc * x % p
+    return acc
+
+
 @dataclass(frozen=True)
 class GroupParams(Record):
     p: int

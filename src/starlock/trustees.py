@@ -14,12 +14,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .chaum_pedersen import ChaumPedersenProof, prove_eq_dlog, verify_eq_dlog
+from .chaum_pedersen import (
+    ChaumPedersenProof,
+    Immediate,
+    batch_sink,
+    prove_eq_dlog,
+    verify_eq_dlog,
+)
 from .elgamal import Ciphertext, dlog_search
 from .errors import BadShareProof, InsufficientShares, InvalidThreshold
 from .fiatshamir import DOMAIN_DECRYPT_SHARE
 from .group import GroupParams, fixed_pow
-from .serialize import HEX, INT, Record, record, tuple_of
+from .serialize import HEX, INT, Record, enc_bytes, enc_int, record, tuple_of
 
 # Dealer ceremonies beyond this size are outside the supported envelope.
 MAX_TRUSTEES = 16
@@ -139,11 +145,13 @@ def verify_decryption_share(
     commitments,
     gp: GroupParams,
     context: bytes,
+    eqs=None,
 ) -> bool:
+    """The share's proof, its equations stated to eqs (see verify_eq_dlog)."""
     vk = verification_key(dshare.trustee_id, commitments, gp)
     return verify_eq_dlog(
         dshare.proof, gp.g, vk, c.a, dshare.share_value, gp,
-        context=context, domain=DOMAIN_DECRYPT_SHARE,
+        context=context, domain=DOMAIN_DECRYPT_SHARE, eqs=eqs,
     )
 
 
@@ -159,9 +167,14 @@ def lagrange_coeff(i: int, subset, q: int) -> int:
 
 
 def combine_in_exponent(c: Ciphertext, shares, jpk: JointPublicKey, gp: GroupParams,
-                        context: bytes) -> int:
+                        context: bytes, eqs=None) -> int:
     """Verify k decryption shares and interpolate them in the exponent.
     Returns g^m for the plaintext m of c.
+
+    The share proofs' equations go to eqs when one is given (the caller
+    tests them). Otherwise they are batched (chaum_pedersen.batch_sink,
+    seeded from the column and its shares) and, if the batch fails,
+    tested share by share.
 
     Raises InsufficientShares when fewer than k distinct trustees
     contributed, BadShareProof naming the first trustee whose proof fails
@@ -175,13 +188,31 @@ def combine_in_exponent(c: Ciphertext, shares, jpk: JointPublicKey, gp: GroupPar
     if len(by_id) < jpk.k:
         raise InsufficientShares(f"have {len(by_id)} shares, need {jpk.k}")
     chosen = [by_id[i] for i in sorted(by_id)][: jpk.k]
-    for ds in chosen:
-        if not verify_decryption_share(ds, c, jpk.commitments, gp, context):
-            raise BadShareProof(ds.trustee_id)
+
+    def check(sink) -> None:
+        for ds in chosen:
+            if not verify_decryption_share(ds, c, jpk.commitments, gp, context, sink):
+                raise BadShareProof(ds.trustee_id)
+
+    def seed() -> bytes:  # fixes every response the batch weighs
+        return enc_bytes(context) + enc_int(c.a) + b"".join(
+            enc_int(ds.share_value) + ds.proof.canonical_bytes() for ds in chosen)
+
+    if eqs is not None:
+        check(eqs)
+    else:
+        batch = batch_sink(gp, seed)
+        check(batch)
+        if not batch.holds():
+            check(Immediate(gp))  # names the trustee
     subset = [ds.trustee_id for ds in chosen]
     combined = 1
     for ds in chosen:
+        # The signed representative: for ids 1..k the coefficients are
+        # +-binomials, so a negative one costs an inverse, not a full-size power.
         lam = lagrange_coeff(ds.trustee_id, subset, gp.q)
+        if lam > gp.q // 2:
+            lam -= gp.q
         combined = combined * pow(ds.share_value, lam, gp.p) % gp.p
     return c.b * pow(combined, -1, gp.p) % gp.p
 

@@ -9,6 +9,15 @@ every check reads, and each record is decoded where a check reads it.
 Failures, malformed records included, are report items naming the first
 affected line or entry; nothing here raises on adversarial input.
 
+Proof equations are batched per check (ballot_proofs, decryptions, tally;
+chaum_pedersen.Collect) in a large group: every membership, range,
+Fiat-Shamir and challenge-sum check still runs proof by proof, and the
+equations are weighted from SHA-256 of the whole raw board and the check's
+name, so a report is reproducible and a false equation passes with
+probability at most 2^-64. When a batch fails, its check runs again with
+each equation tested at once, so its report items are exactly those of a
+proof-by-proof run, each failing entry and line named.
+
 This module deliberately imports only format-level modules (ballot,
 boardformat, chain, groups, proofs, manifest, serialize), never the
 polling-place or board machinery.
@@ -39,6 +48,7 @@ from .boardformat import (
     tally_context,
 )
 from .chain import chain_hash, receipt_code
+from .chaum_pedersen import Immediate, batch_sink
 from .elgamal import Ciphertext
 from .errors import (
     AmbiguousReceipt,
@@ -48,7 +58,7 @@ from .errors import (
     StarlockError,
 )
 from .manifest import ElectionManifest
-from .serialize import DIGEST, decode_field
+from .serialize import DIGEST, decode_field, sha256
 from .trustees import combine_in_exponent
 
 FOUND_CAST = "FOUND_CAST"
@@ -176,12 +186,14 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
     ]
 
 
-def _verify_share_set(ct: Ciphertext, shares, claimed: int, manifest, context) -> str | None:
-    """Check decryption shares against a ciphertext and a claimed plaintext.
-    Returns None when fine, else a failure detail string."""
+def _verify_share_set(ct: Ciphertext, shares, claimed: int, manifest, context,
+                      eqs) -> str | None:
+    """Check decryption shares against a ciphertext and a claimed plaintext,
+    their proof equations stated to eqs. Returns None when fine, else a
+    failure detail string."""
     gp = manifest.gp
     try:
-        g_m = combine_in_exponent(ct, shares, manifest.jpk, gp, context)
+        g_m = combine_in_exponent(ct, shares, manifest.jpk, gp, context, eqs)
     except InsufficientShares:
         distinct = len({ds.trustee_id for ds in shares})
         return f"only {distinct} decryption shares, need {manifest.jpk.k}"
@@ -192,31 +204,32 @@ def _verify_share_set(ct: Ciphertext, shares, claimed: int, manifest, context) -
     return None
 
 
-def verify_proofs(index: BoardIndex, manifest: ElectionManifest) -> list:
+def verify_proofs(index: BoardIndex, manifest: ElectionManifest, digest: bytes) -> list:
     """Every entry's well-formedness proof, and every published decryption
-    (spoiled and untallied entries must each carry exactly one)."""
-    bad = _guarded("ballot_proofs", _check_ballot_proofs, index, manifest) or [
+    (spoiled and untallied entries must each carry exactly one); digest
+    weights the batches (see _batched)."""
+    bad = _batched("ballot_proofs", _check_ballot_proofs, index, manifest, digest) or [
         ReportItem("ballot_proofs", True, "all entry proofs verify")]
-    fails = _guarded("decryptions", _check_decryptions, index, manifest) or [
+    fails = _batched("decryptions", _check_decryptions, index, manifest, digest) or [
         ReportItem("decryptions", True, "all published decryptions verify")]
     return bad + fails
 
 
-def _check_ballot_proofs(index: BoardIndex, manifest: ElectionManifest) -> list:
+def _check_ballot_proofs(index: BoardIndex, manifest: ElectionManifest, eqs) -> list:
     """Failures among entries: each whose style is unknown or whose proof fails."""
     bad = []
     for pos, (k, lineno, _) in enumerate(index.entries):
         ballot, proof = index.ballot(pos), index.proof(pos)
         style = manifest.style_map.get(ballot.style_id)
         if style is None or not verify_ballot(
-            ballot, proof, style, manifest.jpk.K, manifest.gp, manifest.election_id
+            ballot, proof, style, manifest.jpk.K, manifest.gp, manifest.election_id, eqs
         ):
             bad.append(ReportItem("ballot_proofs", False,
                                   f"entry {k}: well-formedness proof fails", line=lineno, entry=k))
     return bad
 
 
-def _check_decryptions(index, manifest: ElectionManifest) -> list:
+def _check_decryptions(index, manifest: ElectionManifest, eqs) -> list:
     """Failures among status and decryption lines: each names an entry, each
     spoiled or untallied entry has exactly one decryption and no other entry
     has any, every column is proven, and the plaintext summary is truthful."""
@@ -261,7 +274,8 @@ def _check_decryptions(index, manifest: ElectionManifest) -> list:
                 continue
             bits[key] = col.value
             context = spoiled_context(manifest.election_id, k, *key)
-            failure = _verify_share_set(col.ciphertext, col.shares, col.value, manifest, context)
+            failure = _verify_share_set(col.ciphertext, col.shares, col.value, manifest,
+                                        context, eqs)
             if failure:
                 fail(f"entry {k}, column {key}: {failure}", line=lineno, entry=k)
         if set(bits) != set(expected_cols):
@@ -273,10 +287,15 @@ def _check_decryptions(index, manifest: ElectionManifest) -> list:
     return fails
 
 
-def verify_tally(index: BoardIndex, manifest: ElectionManifest) -> list:
+def verify_tally(index: BoardIndex, manifest: ElectionManifest, digest: bytes) -> list:
     """Recompute the aggregate from effective-CAST entries, compare to the
     published tally ciphertexts bit-exactly, verify the decryption shares,
-    the announced counts, and the per-contest sum identity."""
+    the announced counts, and the per-contest sum identity; digest weights
+    the batch (see _batched)."""
+    return _batched("tally", _check_tally, index, manifest, digest)
+
+
+def _check_tally(index: BoardIndex, manifest: ElectionManifest, eqs) -> list:
     if not index.tallies:
         return [ReportItem("tally", False, "no tally line published")]
     if len(index.tallies) > 1:
@@ -302,7 +321,7 @@ def verify_tally(index: BoardIndex, manifest: ElectionManifest) -> list:
             fail("tally", f"aggregate mismatch for {cid}/{column}")
             continue
         context = tally_context(manifest.election_id, cid, column)
-        failure = _verify_share_set(col.ciphertext, col.shares, col.value, manifest, context)
+        failure = _verify_share_set(col.ciphertext, col.shares, col.value, manifest, context, eqs)
         if failure:
             fail("tally", f"{cid}/{column}: {failure}")
         if tally.result.get(cid, {}).get(column) != col.value:
@@ -322,12 +341,26 @@ def verify_tally(index: BoardIndex, manifest: ElectionManifest) -> list:
     )
 
 
-def _guarded(check: str, run, index: BoardIndex, manifest: ElectionManifest) -> list:
+def _guarded(check: str, run, index: BoardIndex, manifest: ElectionManifest, *args) -> list:
     """run's report items, or one failing item at the malformed record it met."""
     try:
-        return run(index, manifest)
+        return run(index, manifest, *args)
     except MalformedRecord as exc:
         return [ReportItem(check, False, f"malformed {exc.detail}", exc.lineno, exc.entry)]
+
+
+def _batched(check: str, run, index: BoardIndex, manifest: ElectionManifest,
+             digest: bytes) -> list:
+    """run's report items with its proof equations in one batch (in a large
+    group); if the batch fails, the items of running it again with each
+    equation tested at once. The weights come from digest and the check's
+    name; digest must be the SHA-256 of the whole raw board, which fixes
+    every response before any weight is known."""
+    eqs = batch_sink(manifest.gp, lambda: digest + check.encode())
+    items = _guarded(check, run, index, manifest, eqs)
+    if eqs.holds():
+        return items
+    return _guarded(check, run, index, manifest, Immediate(manifest.gp))
 
 
 def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
@@ -335,11 +368,14 @@ def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
     The board is parsed once (boardformat.read_board) and every check reads
     that index; a line that breaks the chain or holds a malformed record is
     reported, not raised."""
+    raw_lines = list(raw_lines)
     index = read_board(raw_lines)
+    digest = sha256("\n".join(raw_lines).encode("utf-8")) if manifest.gp.large else b""
     report = VerificationReport(check_line_chain(index))
-    for check, run in (("signature", check_signatures), ("terminal_chain", verify_chain),
-                       ("ballot_proofs", verify_proofs), ("tally", verify_tally)):
+    for check, run in (("signature", check_signatures), ("terminal_chain", verify_chain)):
         report.items.extend(_guarded(check, run, index, manifest))
+    report.items.extend(verify_proofs(index, manifest, digest))
+    report.items.extend(verify_tally(index, manifest, digest))
     return report
 
 

@@ -7,6 +7,7 @@ read-only; tests that tamper with it must copy its lines first.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -15,7 +16,7 @@ from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballo
 from starlock.board import Board
 from starlock.chain import chain_hash, initial_chain_seed
 from starlock.elgamal import keygen
-from starlock.group import TEST_GROUP
+from starlock.group import GROUPS, TEST_GROUP, GroupParams
 from starlock.manifest import ElectionManifest
 from starlock.pollsite import CAST, EncryptedBallotRecord
 from starlock.scenario import (
@@ -30,6 +31,15 @@ from starlock.serialize import canonical_json, enc_bytes, enc_str, sha256_hex
 from starlock.trustees import dkg
 
 _cache = {}
+
+# A 256-bit safe prime p = 2q + 1 with g = 4: the first safe prime from
+# SHA-256(b"starlock test group 256") >> 1 with bit 254 set, stepping q by 2.
+# Above LARGE_GROUP_BITS, so it takes the large-group paths (Legendre
+# membership, combs, batched proof equations) at about 1/150 of the prod
+# group's cost per power. A simulation group: a 256-bit discrete log is not
+# secure. test_batch.py validates it.
+_P_MID = int("cbe78059834b3c9ab831b7e8877365e192dd2ca76ab5e1d073e6777a9819aeef", 16)
+MID_GROUP = GroupParams(p=_P_MID, q=_P_MID // 2, g=4)
 
 
 def finish(result, seed=0):
@@ -52,6 +62,20 @@ def demo_run():
         outcome = finish(result, seed=99)
         _cache["demo"] = (result, outcome)
     return _cache["demo"]
+
+
+def mid_demo_run():
+    """The demo election run in MID_GROUP, shared read-only like demo_run.
+    The group is registered under the name "mid" only while the election
+    runs; the manifest carries it, and loads by validate()."""
+    if "mid-demo" not in _cache:
+        GROUPS["mid"] = MID_GROUP
+        try:
+            result = run_scenario(dataclasses.replace(make_demo_scenario(), group="mid"))
+        finally:
+            del GROUPS["mid"]
+        _cache["mid-demo"] = (result, finish(result, seed=99))
+    return _cache["mid-demo"]
 
 
 def board_raw_lines(board):
@@ -83,12 +107,12 @@ def rechain(lines, election_id, office, gp):
     return out
 
 
-def demo_commands(tmp_path):
+def demo_commands(tmp_path, run=demo_run):
     """The demo's manifest, CVR, paper, office key and trustee share files,
     written under tmp_path. Returns (board path, {command: argv}) for verify,
-    audit, receipt-check (of the demo's first receipt) and tally, each
-    reading the board file at that path."""
-    result, _ = demo_run()
+    audit, receipt-check (of the demo's first receipt and of its first
+    spoiled one) and tally, each reading the board file at that path."""
+    result, _ = run()
     files = {"params": result["manifest"].to_json(), "cvrs": result["cvrs"],
              "papers": result["papers"], "office": result["office"].to_json()}
     files.update({f"share{s.trustee_id}": s.to_json() for s in result["trustee_shares"]})
@@ -99,12 +123,14 @@ def demo_commands(tmp_path):
     common = ["--board", str(board), "--manifest", files["params"]]
     records = ["--cvrs", files["cvrs"], "--papers", files["papers"]]
     shares = [files[f"share{s.trustee_id}"] for s in result["trustee_shares"]]
-    receipt = result["receipts"][0]
+    spoiled = next(r for r in result["receipts"] if r["status"] == "SPOILED")
     return board, {
         "verify": ["verify", *common],
         "audit": ["audit", *common, *records, "--seed", "01234567890123456789"],
-        "receipt-check": ["receipt-check", *common, "--terminal", receipt["terminal"],
-                          "--code", receipt["code"]],
+        **{name: ["receipt-check", *common, "--terminal", receipt["terminal"],
+                  "--code", receipt["code"]]
+           for name, receipt in (("receipt-check", result["receipts"][0]),
+                                 ("receipt-check-spoiled", spoiled))},
         "tally": ["tally", *common, *records, "--shares", *shares, "--office", files["office"]],
     }
 
@@ -192,27 +218,33 @@ def hundred_entry_board():
     """A signed publication-stage board with 100 CAST entries on one terminal
     (11 options so no tally column could exceed ten), plus its manifest and
     the office keypair for re-signing tampered variants."""
-    if "hundred" in _cache:
-        return _cache["hundred"]
-    gp = TEST_GROUP
+    if "hundred" not in _cache:
+        _cache["hundred"] = entry_board(TEST_GROUP, 100, 11)
+    return _cache["hundred"]
+
+
+def entry_board(gp, entries, options):
+    """A signed publication-stage board in group gp with `entries` CAST
+    entries on one terminal, over one 1-of-`options` contest (options + 1
+    zero-or-one proofs per entry). Returns (board, manifest, office keypair)."""
     rng = random.Random(404)
     jpk, _ = dkg(1, 1, gp, rng)
     office = keygen(gp, rng)
-    contest = Contest(contest_id="race", options=tuple(f"o{j}" for j in range(11)), limit=1)
+    contest = Contest(contest_id="race", options=tuple(f"o{j}" for j in range(options)), limit=1)
     style = BallotStyle(style_id="s", contests=(contest,))
     salt = b"\x42" * 16
     board = Board("tamper-lab")
     z = initial_chain_seed("tamper-lab", gp, jpk.K, salt, "T1")
     seeds = {"T1": z}
-    for i in range(100):
-        pb = PlaintextBallot(style_id="s", selections={"race": (f"o{i % 11}",)})
+    for i in range(entries):
+        pb = PlaintextBallot(style_id="s", selections={"race": (f"o{i % options}",)})
         eb, proof = encrypt_ballot(pb, style, jpk.K, gp, rng, "tamper-lab")
         z = chain_hash(eb, proof, "T1", z)
         record = EncryptedBallotRecord(
             ballot=eb, proof=proof, terminal_id="T1", z=z, timestamp=i + 1
         )
         board.publish_entry(record, CAST, style, jpk.K, gp)
-    board.append_terminal_close("T1", z, 100)
+    board.append_terminal_close("T1", z, entries)
     board.sign_board(office, gp)
     manifest = ElectionManifest(
         election_id="tamper-lab",
@@ -224,5 +256,4 @@ def hundred_entry_board():
         salt=salt,
         ttl=600,
     )
-    _cache["hundred"] = (board, manifest, office)
-    return _cache["hundred"]
+    return board, manifest, office

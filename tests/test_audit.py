@@ -7,6 +7,7 @@ a short closed-form product that was computed by hand first.
 """
 
 import copy
+import json
 import math
 
 from itertools import islice
@@ -33,8 +34,10 @@ from starlock.audit import (
     run_audit,
 )
 from starlock.ballot import BallotStyle, Contest
-from starlock.errors import CommitmentMismatch, MarginNotPositive, StarlockError
+from starlock.cli import main
+from starlock.errors import CommitmentMismatch, MalformedRecord, MarginNotPositive, StarlockError
 from starlock.scenario import Scenario, Voter, run_scenario
+from starlock.serialize import canonical_json
 
 SEED_A = "09876543210987654321"
 SEED_B = "00000000000000000001"
@@ -377,3 +380,26 @@ def test_spoiled_entries_stay_out_of_the_population() -> None:
     out = run_audit(lines, manifest, cvrs, papers, SEED_A, 0.1)
     assert out["N"] == 100
     assert out["verdict"] == "CONFIRMED"
+
+
+@pytest.mark.parametrize("file, key", [("cvrs", "index"), ("papers", "contests"),
+                                       ("commitments", "serial")])
+def test_a_row_without_its_field_is_a_malformed_record(file, key, tmp_path, capsys) -> None:
+    lines, manifest, cvrs, papers = synthetic_comparison_record()
+    files = copy.deepcopy({"cvrs": cvrs, "papers": papers,
+                           "commitments": published_commitments(cvrs)})
+    del files[file][7][key]
+    with pytest.raises(MalformedRecord) as exc:
+        run_audit(lines, manifest, files["cvrs"], files["papers"], SEED_A, 0.1,
+                  published=files["commitments"])
+    assert exc.value.detail == f"{file}[7].{key}: missing"
+
+    argv = ["audit", "--seed", SEED_A]
+    for name, obj in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    (tmp_path / "board.jsonl").write_text("".join(canonical_json(x) + "\n" for x in lines))
+    manifest.save(tmp_path / "params.json")
+    argv += ["--board", str(tmp_path / "board.jsonl"), "--manifest", str(tmp_path / "params.json")]
+    assert main(argv) == 2
+    assert f"{file}[7].{key}: missing" in capsys.readouterr().out

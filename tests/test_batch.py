@@ -1,0 +1,144 @@
+"""Batched proof equations (chaum_pedersen.Collect) against the per-equation
+sink, in the 256-bit MID_GROUP, where every batching caller turns them on."""
+
+import json
+import random
+
+import pytest
+
+from helpers import (
+    MID_GROUP,
+    board_raw_lines,
+    demo_commands,
+    demo_run,
+    entry_board,
+    finish,
+    mid_demo_run,
+    rechain,
+)
+from starlock import chaum_pedersen, verifier
+from starlock.chaum_pedersen import Collect, Immediate
+from starlock.cli import main
+from starlock.group import PROD_GROUP, TEST_GROUP, multi_exp
+from starlock.scenario import make_demo_scenario, run_scenario
+from starlock.verifier import verify_board
+from test_fuzz import corpus
+
+
+def test_mid_group_is_a_large_safe_prime_group() -> None:
+    MID_GROUP.validate()
+    assert MID_GROUP.p.bit_length() == 256 and MID_GROUP.large
+
+
+@pytest.mark.parametrize("gp", [TEST_GROUP, MID_GROUP, PROD_GROUP], ids=["test", "mid", "prod"])
+def test_multi_exp_is_the_product_of_powers(gp) -> None:
+    rng = random.Random(gp.p.bit_length())
+    bases = [rng.randrange(1, gp.p) for _ in range(4)]
+    for trial in range(3 if gp is PROD_GROUP else 60):
+        pairs = [(rng.choice(bases), rng.choice([0, 1, 2, rng.getrandbits(64), rng.randrange(gp.q)]))
+                 for _ in range(rng.randrange(7))]
+        expected = 1
+        for base, e in pairs:
+            expected = expected * pow(base, e, gp.p) % gp.p
+        assert multi_exp(pairs, gp.p) == expected, (trial, pairs)
+    assert multi_exp([], gp.p) == multi_exp([(bases[0], 0)], gp.p) == 1
+
+
+def _bump_response(line: dict, key: str, nth: int = 0) -> None:
+    """Add 1 (mod q) to the nth value under `key` inside a line, in key order:
+    a proof response that still passes every check but its equation."""
+    found = []
+
+    def walk(obj):
+        for k, value in sorted(obj.items()) if isinstance(obj, dict) else enumerate(obj):
+            if isinstance(value, (dict, list)):
+                walk(value)
+            elif k == key:
+                found.append(obj)
+
+    walk(line)
+    found[nth][key] = format((int(found[nth][key], 16) + 1) % MID_GROUP.q, "x")
+
+
+@pytest.fixture
+def batch_verdicts(monkeypatch):
+    """The verdict of every Collect batch tested while the fixture is active."""
+    verdicts = []
+    holds = Collect.holds
+    monkeypatch.setattr(Collect, "holds", lambda self: verdicts.append(holds(self)) or verdicts[-1])
+    return verdicts
+
+
+def _per_proof_report(raw, manifest, monkeypatch) -> dict:
+    with monkeypatch.context() as m:
+        m.setattr(verifier, "batch_sink", lambda gp, seed: Immediate(gp))
+        return verify_board(raw, manifest).to_json()
+
+
+def test_a_tampered_response_among_102_proofs_is_named(batch_verdicts) -> None:
+    board, manifest, office = entry_board(MID_GROUP, 34, 2)  # 3 zero-or-one proofs per entry
+    lines = board.lines()
+    target = [i for i, line in enumerate(lines) if line["kind"] == "entry"][27]
+    _bump_response(lines[target], "response0", nth=1)
+    raw = rechain(lines, manifest.election_id, office, manifest.gp)
+    report = verify_board(raw, manifest)
+    failing = [(item.line, item.entry) for item in report.failures()
+               if item.check == "ballot_proofs"]
+    assert failing == [(target, 27)]
+    assert False in batch_verdicts  # the proof passed its own checks; the batch refused it
+
+
+# (line kind, key, nth, the check that must fail): an entry's contest-sum
+# proof, a decryption share and a tally share.
+TARGETS = (("entry", "response", 0, "ballot_proofs"), ("decryption", "response", 0, "decryptions"),
+           ("tally", "response", 1, "tally"))
+
+
+def _targeted(result) -> list:
+    """The mid demo board with one response bumped, for each of TARGETS."""
+    manifest, office = result["manifest"], result["office"]
+    out = []
+    for kind, key, nth, _ in TARGETS:
+        lines = result["board"].lines()
+        _bump_response(next(line for line in lines if line["kind"] == kind), key, nth)
+        out.append(rechain(lines, manifest.election_id, office, manifest.gp))
+    return out
+
+
+def test_batch_and_per_proof_reports_agree(batch_verdicts, monkeypatch) -> None:
+    result, _ = mid_demo_run()
+    manifest = result["manifest"]
+    for kind, rechained, raw in corpus(mid_demo_run, edits=3):
+        if rechained:
+            report = verify_board(raw, manifest).to_json()
+            assert report == _per_proof_report(raw, manifest, monkeypatch), kind
+    for raw, (_, _, _, check) in zip(_targeted(result), TARGETS):
+        del batch_verdicts[:]
+        report = verify_board(raw, manifest)
+        assert check in {item.check for item in report.failures()}
+        assert batch_verdicts.count(False) == 1  # that check's batch, then it runs per proof
+        assert report.to_json() == _per_proof_report(raw, manifest, monkeypatch)
+
+
+def test_two_runs_write_byte_identical_reports(tmp_path, capsys) -> None:
+    result, _ = mid_demo_run()
+    board, commands = demo_commands(tmp_path, run=mid_demo_run)
+    board.write_text("\n".join(_targeted(result)[0]) + "\n", encoding="utf-8")
+    reports = []
+    for n in range(2):
+        assert main([*commands["verify"], "--report", str(tmp_path / f"{n}.json")]) == 2
+        reports.append((tmp_path / f"{n}.json").read_bytes())
+    capsys.readouterr()
+    assert reports[0] == reports[1]
+    assert not json.loads(reports[0])["overall"]
+
+
+def test_the_test_group_never_collects(monkeypatch) -> None:
+    def refuse(gp, seed):
+        raise AssertionError("a Collect sink in the test group")
+
+    monkeypatch.setattr(chaum_pedersen, "Collect", refuse)
+    result = run_scenario(make_demo_scenario())
+    finish(result)
+    assert verify_board(board_raw_lines(result["board"]), result["manifest"]).overall
+    assert verify_board(board_raw_lines(demo_run()[0]["board"]), demo_run()[0]["manifest"]).overall

@@ -6,7 +6,8 @@ can see it. Edits: byte flips, line deletion, duplication and reordering,
 key removal, wrong JSON types, and corrupted hex strings (uppercase, 0x, a
 sign, _, a space, empty, a non-hex digit). An edit that leaves the board
 unchanged is skipped. The verifier must never raise, every raw edit must fail a named
-check at a line, and every command must end with a documented exit code.
+check at a line, and every command (receipt-check on a cast and on a spoiled
+receipt) must end with a documented exit code.
 """
 
 import json
@@ -82,15 +83,16 @@ def edited(pristine: list, kind: str, rng: random.Random) -> list:
     return raw
 
 
-def corpus():
-    """(kind, re-chained?, board lines) for every edit, in a fixed order: each
-    edit raw, then re-chained and re-signed when its lines still parse."""
-    result, _ = demo_run()
+def corpus(run=demo_run, edits=EDITS):
+    """(kind, re-chained?, board lines) for every edit of run's board, in a
+    fixed order: each edit raw, then re-chained and re-signed when its lines
+    still parse."""
+    result, _ = run()
     manifest = result["manifest"]
     pristine = board_raw_lines(result["board"])
     rng = random.Random(SEED)
     out, n = [], 0
-    while n < EDITS:
+    while n < edits:
         kind = KINDS[n % len(KINDS)]
         raw = edited(pristine, kind, rng)
         if raw == pristine:

@@ -12,6 +12,7 @@ from starlock.group import PROD_GROUP, TEST_GROUP
 from starlock.trustees import (
     JointPublicKey,
     TrusteeShare,
+    combine_in_exponent,
     combine_shares,
     dkg,
     lagrange_coeff,
@@ -127,3 +128,24 @@ def test_share_and_key_json_round_trips() -> None:
     assert JointPublicKey.from_json(jpk.to_json()) == jpk
     for share in trustees:
         assert TrusteeShare.from_json(share.to_json()) == share
+
+
+@pytest.mark.parametrize("gp, n, k, trials", [(TEST_GROUP, 5, 3, 20), (PROD_GROUP, 2, 2, 1)],
+                         ids=["test", "prod"])
+def test_signed_lagrange_coefficients_give_the_plain_interpolation(gp, n, k, trials) -> None:
+    """Raising a share to lam - q when lam > q // 2 gives what raising it to
+    lam did, over random ciphertexts and trustee subsets (in the prod group,
+    ids 1 and 2, where lam_2 = q - 1)."""
+    rng = random.Random(71)
+    for _ in range(trials):
+        jpk, trustees = dkg(n, k, gp, rng)
+        ct = encrypt_exp(rng.randrange(2), rng.randrange(1, gp.q), jpk.K, gp)
+        shares = [partial_decrypt(ct, t, gp, rng, CTX) for t in trustees]
+        for subset in itertools.combinations(shares, k):
+            ids = [ds.trustee_id for ds in subset]
+            combined = 1
+            for ds in subset:
+                lam = lagrange_coeff(ds.trustee_id, ids, gp.q)
+                combined = combined * pow(ds.share_value, lam, gp.p) % gp.p
+            expected = ct.b * pow(combined, -1, gp.p) % gp.p
+            assert combine_in_exponent(ct, list(subset), jpk, gp, CTX) == expected, ids
