@@ -341,7 +341,7 @@ def encrypt_ballot(
         ctx = column_context(election_id, style.style_id, contest.contest_id, SUM_COLUMN)
         sum_proof = prove_eq_dlog(
             sum(randomness[:n_summed]) % gp.q, gp.g, total.a, K, target_b, gp, rng,
-            context=ctx, domain=DOMAIN_CONTEST_SUM,
+            context=ctx, domain=DOMAIN_CONTEST_SUM, fixed=True,
         )
 
         enc_contests.append(
@@ -410,7 +410,7 @@ def verify_ballot(
         ctx = column_context(election_id, style.style_id, contest.contest_id, SUM_COLUMN)
         if not verify_eq_dlog(
             cpr.sum_proof, gp.g, total.a, K, target_b, gp,
-            context=ctx, domain=DOMAIN_CONTEST_SUM, eqs=eqs,
+            context=ctx, domain=DOMAIN_CONTEST_SUM, eqs=eqs, fixed=True,
         ):
             return False
     return True

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import random
 
-from .ballot import ABSTAIN_COLUMN, BallotStyle, verify_ballot
+from .ballot import BallotStyle, verify_ballot
 from .boardformat import (
     CAST,
     SIGNER,
@@ -28,6 +28,7 @@ from .boardformat import (
     TallyColumn,
     TallyRecord,
     TerminalClose,
+    column_bound,
     fold_ballots,
     read_board,
     signature_message,
@@ -215,7 +216,7 @@ def decrypt_tally(
         result[cid] = {}
         for column, ct in bucket["columns"].items():
             context = tally_context(board.election_id, cid, column)
-            bound = n_cast * contest.limit if column == ABSTAIN_COLUMN else n_cast
+            bound = column_bound(contest, column, n_cast)
             count, shares = _decrypt_column(ct, trustee_shares, jpk, bound, gp, rng, context)
             result[cid][column] = count
             columns.append(TallyColumn(cid, column, count, ct, shares))

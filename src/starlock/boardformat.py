@@ -247,6 +247,13 @@ def contest_columns(style_map: dict):
     return out
 
 
+def column_bound(contest, column: str, cast: int) -> int:
+    """The largest count a tally column can open to after `cast` ballots of
+    the contest: each adds at most 1 to an option or the write-in column and
+    at most the limit to "(abstain)"."""
+    return cast * contest.limit if column == ABSTAIN_COLUMN else cast
+
+
 def fold_ballots(ballots, style_map: dict, gp: GroupParams):
     """Componentwise homomorphic fold of the given encrypted ballots.
 

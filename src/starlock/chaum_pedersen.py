@@ -136,11 +136,12 @@ def prove_eq_dlog(
     rng: random.Random,
     context: bytes,
     domain: bytes = DOMAIN_EQ_DLOG,
+    fixed: bool = False,  # g2 recurs too (the joint key): raise it through its comb
 ) -> ChaumPedersenProof:
-    fixed = fixed_pow if gp.large else pow  # g1 is g at every caller
+    comb = fixed_pow if gp.large else pow  # g1 is g at every caller
     w = rng.randrange(0, gp.q)
-    t1 = fixed(g1, w, gp.p)
-    t2 = pow(g2, w, gp.p)
+    t1 = comb(g1, w, gp.p)
+    t2 = (comb if fixed else pow)(g2, w, gp.p)
     e = fiat_shamir_challenge(domain, _eq_dlog_transcript(context, g1, y1, g2, y2, t1, t2), gp)
     s = (w + e * witness) % gp.q
     return ChaumPedersenProof(commit1=t1, commit2=t2, challenge=e, response=s)
@@ -156,9 +157,10 @@ def verify_eq_dlog(
     context: bytes,
     domain: bytes = DOMAIN_EQ_DLOG,
     eqs=None,
+    fixed: bool = False,
 ) -> bool:
     """The proof's checks, and its two equations stated to eqs (an
-    Immediate sink when None)."""
+    Immediate sink when None); fixed names g2 a recurring base."""
     for el in (g1, y1, g2, y2, proof.commit1, proof.commit2):
         if not gp.is_element(el):
             return False
@@ -174,7 +176,7 @@ def verify_eq_dlog(
     eqs = eqs or Immediate(gp)
     e, s = proof.challenge, proof.response
     return (eqs.check(g1, s, proof.commit1, y1, e, fixed=True)  # g1 is g at every caller
-            and eqs.check(g2, s, proof.commit2, y2, e))
+            and eqs.check(g2, s, proof.commit2, y2, e, fixed=fixed))
 
 
 @dataclass(frozen=True)
@@ -239,20 +241,20 @@ def prove_zero_or_one(
     rng: random.Random,
     context: bytes,
 ) -> ZeroOneProof:
-    """Prove ct = Enc(bit; r) with bit in {0, 1} without revealing which."""
+    """Prove ct = Enc(bit; r), bit in {0, 1}, unrevealed; r must be ct's randomness."""
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     p, q, g = gp.p, gp.q, gp.g
     fixed = fixed_pow if gp.large else pow
 
-    # Branch m claims (ct.a, ct.b / g^m) is a DH pair under (g, public_key).
-    # Simulate the branch for the other bit, prove the real one honestly.
+    # Branch m claims (ct.a, ct.b / g^m) is a DH pair under (g, public_key); the
+    # other bit's is simulated from r: g^v a^-c = g^u, K^v (b/g^sim)^-c = K^u g^((sim-bit)c).
     sim = 1 - bit
     c_sim = rng.randrange(0, q)
     v_sim = rng.randrange(0, q)
-    target_b_sim = ct.b * pow(pow(g, sim, p), -1, p) % p
-    a_sim_commit = fixed(g, v_sim, p) * pow(pow(ct.a, c_sim, p), -1, p) % p
-    b_sim_commit = fixed(public_key, v_sim, p) * pow(pow(target_b_sim, c_sim, p), -1, p) % p
+    u = (v_sim - r * c_sim) % q
+    a_sim_commit = fixed(g, u, p)
+    b_sim_commit = fixed(public_key, u, p) * fixed(g, (sim - bit) * c_sim % q, p) % p
 
     w = rng.randrange(0, q)
     a_real_commit = fixed(g, w, p)

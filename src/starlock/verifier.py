@@ -38,6 +38,7 @@ from .boardformat import (
     TallyRecord,
     TerminalClose,
     at_line,
+    column_bound,
     fold_ballots,
     line_fault,
     parse_line,
@@ -186,11 +187,13 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
     ]
 
 
-def _verify_share_set(ct: Ciphertext, shares, claimed: int, manifest, context,
+def _verify_share_set(ct: Ciphertext, shares, claimed: int, bound: int, manifest, context,
                       eqs) -> str | None:
-    """Check decryption shares against a ciphertext and a claimed plaintext,
-    their proof equations stated to eqs. Returns None when fine, else a
-    failure detail string."""
+    """Check a claimed plaintext against its bound (g^m fixes m only mod q),
+    and decryption shares against the ciphertext and the claim, their proof
+    equations stated to eqs. Returns None when fine, else a failure detail."""
+    if claimed > bound:
+        return f"claimed plaintext {claimed} exceeds its bound {bound}"
     gp = manifest.gp
     try:
         g_m = combine_in_exponent(ct, shares, manifest.jpk, gp, context, eqs)
@@ -274,7 +277,7 @@ def _check_decryptions(index, manifest: ElectionManifest, eqs) -> list:
                 continue
             bits[key] = col.value
             context = spoiled_context(manifest.election_id, k, *key)
-            failure = _verify_share_set(col.ciphertext, col.shares, col.value, manifest,
+            failure = _verify_share_set(col.ciphertext, col.shares, col.value, 1, manifest,
                                         context, eqs)
             if failure:
                 fail(f"entry {k}, column {key}: {failure}", line=lineno, entry=k)
@@ -321,7 +324,9 @@ def _check_tally(index: BoardIndex, manifest: ElectionManifest, eqs) -> list:
             fail("tally", f"aggregate mismatch for {cid}/{column}")
             continue
         context = tally_context(manifest.election_id, cid, column)
-        failure = _verify_share_set(col.ciphertext, col.shares, col.value, manifest, context, eqs)
+        bound = column_bound(agg[cid]["contest"], column, agg[cid]["cast_count"])
+        failure = _verify_share_set(col.ciphertext, col.shares, col.value, bound, manifest,
+                                    context, eqs)
         if failure:
             fail("tally", f"{cid}/{column}: {failure}")
         if tally.result.get(cid, {}).get(column) != col.value:

@@ -16,9 +16,11 @@ from helpers import (
     mid_demo_run,
     rechain,
 )
-from starlock import chaum_pedersen, verifier
+from starlock import ballot, chaum_pedersen, elgamal, group, verifier
+from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballot, verify_ballot
 from starlock.chaum_pedersen import Collect, Immediate
 from starlock.cli import main
+from starlock.elgamal import keygen
 from starlock.group import PROD_GROUP, TEST_GROUP, multi_exp
 from starlock.scenario import make_demo_scenario, run_scenario
 from starlock.verifier import verify_board
@@ -42,6 +44,30 @@ def test_multi_exp_is_the_product_of_powers(gp) -> None:
             expected = expected * pow(base, e, gp.p) % gp.p
         assert multi_exp(pairs, gp.p) == expected, (trial, pairs)
     assert multi_exp([], gp.p) == multi_exp([(bases[0], 0)], gp.p) == 1
+
+
+def test_encrypting_a_ballot_makes_no_full_size_power(monkeypatch) -> None:
+    # Every large power of encrypt_ballot goes through the g and joint-key
+    # combs; builtin pow is left only the small ones (g^m, g^limit, inverses).
+    exponent_bits = []
+
+    def counting_pow(base, exp, mod=None):
+        exponent_bits.append(abs(exp).bit_length())
+        return pow(base, exp, mod)
+
+    for module in (chaum_pedersen, ballot, elgamal, group):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    rng = random.Random(8)
+    key = keygen(MID_GROUP, rng).pk
+    exponent_bits.clear()
+    contests = (Contest("mayor", ("ada", "grace"), 1, True),
+                Contest("council", ("ida", "joan", "mary"), 2))
+    style = BallotStyle("s", contests)
+    pb = PlaintextBallot("s", {"mayor": ("grace",), "council": ("ida",)})
+    eb, proof = encrypt_ballot(pb, style, key, MID_GROUP, rng, "ops")
+    assert exponent_bits and max(exponent_bits) <= 64
+    monkeypatch.undo()
+    assert verify_ballot(eb, proof, style, key, MID_GROUP, "ops")
 
 
 def _bump_response(line: dict, key: str, nth: int = 0) -> None:

@@ -10,17 +10,26 @@ import random
 
 import pytest
 
+from helpers import MID_GROUP
 from starlock.chaum_pedersen import (
     ChaumPedersenProof,
     ZeroOneProof,
+    _eq_dlog_transcript,
+    _zero_one_transcript,
     prove_eq_dlog,
     prove_zero_or_one,
     verify_eq_dlog,
     verify_zero_or_one,
 )
-from starlock.elgamal import encrypt_exp, keygen
-from starlock.fiatshamir import DOMAIN_DECRYPT_SHARE, DOMAIN_EQ_DLOG
-from starlock.group import TEST_GROUP
+from starlock.elgamal import add_many, encrypt_exp, keygen
+from starlock.fiatshamir import (
+    DOMAIN_CONTEST_SUM,
+    DOMAIN_DECRYPT_SHARE,
+    DOMAIN_EQ_DLOG,
+    DOMAIN_ZERO_ONE,
+    fiat_shamir_challenge,
+)
+from starlock.group import PROD_GROUP, TEST_GROUP, fixed_pow
 from starlock.schnorr import SchnorrSignature, sign, verify_sig
 
 GP = TEST_GROUP
@@ -192,3 +201,90 @@ def test_proof_json_round_trips() -> None:
     ct = encrypt_exp(0, 2, K, GP)
     zo = prove_zero_or_one(0, 2, ct, K, GP, rng, b"cell")
     assert ZeroOneProof.from_json(zo.to_json()) == zo
+
+
+def _ciphertext_formula_zero_or_one(bit, r, ct, public_key, gp, rng, context):
+    """The zero-or-one prover with its simulated branch raised from the
+    ciphertext (a^-c and (b / g^sim)^-c by pow): the reference that the
+    witness-built branch must equal."""
+    p, q, g = gp.p, gp.q, gp.g
+    fixed = fixed_pow if gp.large else pow
+    sim = 1 - bit
+    c_sim = rng.randrange(0, q)
+    v_sim = rng.randrange(0, q)
+    target_b_sim = ct.b * pow(pow(g, sim, p), -1, p) % p
+    a_sim_commit = fixed(g, v_sim, p) * pow(pow(ct.a, c_sim, p), -1, p) % p
+    b_sim_commit = fixed(public_key, v_sim, p) * pow(pow(target_b_sim, c_sim, p), -1, p) % p
+
+    w = rng.randrange(0, q)
+    a_real_commit = fixed(g, w, p)
+    b_real_commit = fixed(public_key, w, p)
+
+    if bit == 0:
+        a0c, b0c, a1c, b1c = a_real_commit, b_real_commit, a_sim_commit, b_sim_commit
+    else:
+        a0c, b0c, a1c, b1c = a_sim_commit, b_sim_commit, a_real_commit, b_real_commit
+
+    e = fiat_shamir_challenge(
+        DOMAIN_ZERO_ONE, _zero_one_transcript(context, public_key, ct, a0c, b0c, a1c, b1c), gp
+    )
+    c_real = (e - c_sim) % q
+    v_real = (w + c_real * r) % q
+
+    if bit == 0:
+        c0, c1, v0, v1 = c_real, c_sim, v_real, v_sim
+    else:
+        c0, c1, v0, v1 = c_sim, c_real, v_sim, v_real
+    return ZeroOneProof(
+        commit0_g=a0c, commit0_k=b0c, commit1_g=a1c, commit1_k=b1c,
+        challenge0=c0, challenge1=c1, response0=v0, response1=v1,
+    )
+
+
+def _plain_pow_eq_dlog(witness, g1, y1, g2, y2, gp, rng, context, domain):
+    """The eq-dlog prover with g2 raised by pow: the reference for fixed=True."""
+    fixed = fixed_pow if gp.large else pow
+    w = rng.randrange(0, gp.q)
+    t1 = fixed(g1, w, gp.p)
+    t2 = pow(g2, w, gp.p)
+    e = fiat_shamir_challenge(domain, _eq_dlog_transcript(context, g1, y1, g2, y2, t1, t2), gp)
+    s = (w + e * witness) % gp.q
+    return ChaumPedersenProof(commit1=t1, commit2=t2, challenge=e, response=s)
+
+
+GROUPS_BY_SIZE = pytest.mark.parametrize(
+    "gp", [TEST_GROUP, MID_GROUP, PROD_GROUP], ids=["test", "mid", "prod"])
+
+
+@GROUPS_BY_SIZE
+@pytest.mark.parametrize("bit", [0, 1])
+def test_zero_or_one_from_the_witness_is_the_same_proof(gp, bit) -> None:
+    rng = random.Random(gp.p.bit_length() + bit)
+    key = keygen(gp, rng).pk
+    for trial in range(2 if gp is PROD_GROUP else 20):
+        r = rng.randrange(1, gp.q)
+        ct = encrypt_exp(bit, r, key, gp)
+        ctx = f"cell-{trial}".encode()
+        seed = rng.getrandbits(64)
+        proof = prove_zero_or_one(bit, r, ct, key, gp, random.Random(seed), ctx)
+        assert proof == _ciphertext_formula_zero_or_one(bit, r, ct, key, gp,
+                                                         random.Random(seed), ctx)
+        assert verify_zero_or_one(proof, ct, key, gp, ctx)
+
+
+@GROUPS_BY_SIZE
+def test_contest_sum_with_the_key_fixed_is_the_same_proof(gp) -> None:
+    rng = random.Random(gp.p.bit_length())
+    key = keygen(gp, rng).pk
+    for trial in range(2 if gp is PROD_GROUP else 20):
+        bits = [rng.randrange(2) for _ in range(3)]
+        rs = [rng.randrange(1, gp.q) for _ in bits]
+        total = add_many([encrypt_exp(b, r, key, gp) for b, r in zip(bits, rs)], gp)
+        target_b = total.b * pow(pow(gp.g, sum(bits), gp.p), -1, gp.p) % gp.p
+        args = (sum(rs) % gp.q, gp.g, total.a, key, target_b, gp)
+        ctx, seed = f"sum-{trial}".encode(), rng.getrandbits(64)
+        proof = prove_eq_dlog(*args, random.Random(seed), ctx, DOMAIN_CONTEST_SUM, fixed=True)
+        assert proof == _plain_pow_eq_dlog(*args, random.Random(seed), ctx, DOMAIN_CONTEST_SUM)
+        statement = (gp.g, total.a, key, target_b, gp, ctx, DOMAIN_CONTEST_SUM)
+        assert verify_eq_dlog(proof, *statement, fixed=True)
+        assert verify_eq_dlog(proof, *statement)

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from helpers import board_raw_lines, demo_run, finish
+from helpers import board_raw_lines, demo_run, finish, mid_demo_run
 from starlock.ballot import BallotStyle, Contest, PlaintextBallot
 from starlock.errors import ScenarioError
 from starlock.scenario import (
@@ -289,6 +289,26 @@ def test_faulted_demo_artifact_bytes_are_pinned(tmp_path) -> None:
         for name in FAULTED_DEMO_DIGESTS
     }
     assert digests == FAULTED_DEMO_DIGESTS
+
+
+# The finished demo election in the 256-bit MID_GROUP (helpers.mid_demo_run),
+# where ballots are proven through the combs and the tally's share proofs
+# are batched: the same pin on the large-group paths.
+MID_DEMO_DIGESTS = {
+    "board.jsonl": "9bc82da8d2cecb9075dd0f2d9f4fad5c7e0700980f8505f260eab37bf0949959",
+    "receipts.json": "9f03fe2c096a7440d0c8494621db10187d43a6cbdd8ecace4a9a36ada9be7dfd",
+    "eventlog.jsonl": "42bd4b926d803d3911e7107d3f08e1070563c950d9da7dee47e46a9743e63ab3",
+}
+
+
+def test_mid_group_demo_artifact_bytes_are_pinned(tmp_path) -> None:
+    result, _ = mid_demo_run()
+    write_artifacts(result, tmp_path / "out")
+    digests = {
+        name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in MID_DEMO_DIGESTS
+    }
+    assert digests == MID_DEMO_DIGESTS
 
 
 def test_random_scenarios_stay_inside_counting_range() -> None:

@@ -13,7 +13,7 @@ import pytest
 from helpers import board_raw_lines, demo_run, rechain
 from starlock.ballot import EncryptedBallot, PlaintextBallot, WellFormednessProof
 from starlock.board import Board
-from starlock.boardformat import ChainBroken, index_lines, read_board
+from starlock.boardformat import ChainBroken, index_lines, read_board, spoiled_plaintext
 from starlock.errors import AmbiguousReceipt
 from starlock.serialize import canonical_json
 from starlock.verifier import (
@@ -299,6 +299,43 @@ def test_tally_tampering_fails() -> None:
 
     report = verify_board(retamper(result, bump_cast), result["manifest"])
     assert "tally" in failing_checks(report)
+
+
+def test_decrypted_values_that_alias_mod_q_fail_their_bound() -> None:
+    # Shares prove g^m, which fixes m only mod q: a spoiled bit of 1 + q, or
+    # a tally count raised by q, opens the same shares.
+    result, _ = demo_board()
+    manifest = result["manifest"]
+    q = manifest.gp.q
+    where = {}
+
+    def alias_spoiled_bit(lines):
+        lineno, dec = next((n, l) for n, l in enumerate(lines) if l.get("kind") == "decryption"
+                           and l["plaintext"]["selections"]["mayor"] == ["ada"])
+        col = next(c for c in dec["columns"] if (c["contest"], c["column"]) == ("mayor", "ada"))
+        col["bit"] = str(1 + q)
+        bits = {(c["contest"], c["column"]): int(c["bit"]) for c in dec["columns"]}
+        dec["plaintext"] = spoiled_plaintext(manifest.style_map[dec["plaintext"]["style_id"]], bits)
+        assert dec["plaintext"]["selections"]["mayor"] == []  # the voter's mark is gone
+        where.update(line=lineno, entry=int(dec["ref"]))
+
+    report = verify_board(retamper(result, alias_spoiled_bit), manifest)
+    [fail] = report.failures()
+    assert (fail.check, fail.line, fail.entry) == ("decryptions", where["line"], where["entry"])
+    assert f"claimed plaintext {1 + q} exceeds its bound 1" in fail.detail
+
+    def alias_writein_count(lines):
+        lineno, tally = next((n, l) for n, l in enumerate(lines) if l.get("kind") == "tally")
+        col = next(c for c in tally["columns"]
+                   if (c["contest"], c["column"]) == ("mayor", "(write-in)"))
+        col["count"] = tally["result"]["mayor"]["(write-in)"] = str(int(col["count"]) + q)
+        where.update(line=lineno, count=int(col["count"]), cast=int(tally["cast"]["mayor"]))
+
+    report = verify_board(retamper(result, alias_writein_count), manifest)
+    [fail] = report.failures()  # the write-in column is outside the sum identity
+    assert (fail.check, fail.line) == ("tally", where["line"])
+    assert (f"mayor/(write-in): claimed plaintext {where['count']} exceeds its bound "
+            f"{where['cast']}") in fail.detail
 
 
 def test_terminal_bookkeeping_failures() -> None:
