@@ -28,16 +28,20 @@ from .errors import CommitmentMismatch, MalformedRecord, MarginNotPositive, Star
 from .fiatshamir import DOMAIN_COMMITMENT
 from .manifest import ElectionManifest
 from .serialize import (
+    BOOL,
     INT,
     SALT,
     SALT_BYTES,
     STR,
+    Codec,
     decode_field,
+    dict_of,
     enc_bytes,
     enc_int,
     enc_str,
     sha256,
     sha256_hex,
+    tuple_of,
 )
 
 SEED_DIGITS = 20
@@ -295,13 +299,33 @@ def _object(value) -> dict:
     return value
 
 
+VIEW_FIELDS = (("selections", tuple_of(STR).decode), ("writein", BOOL.decode))
+
+
+def _views(required: tuple):
+    """Decoder of a row's contests, {contest id: view}: each view an object
+    whose selections are a list of strings and whose writein is a boolean,
+    where present; the keys in required must be present."""
+    def view(value) -> dict:
+        for key, decode in VIEW_FIELDS:
+            if key in _object(value) or key in required:
+                decode_field(value, key, decode)
+        return value
+
+    return dict_of(Codec(None, view)).decode
+
+
+CVR_VIEWS = _views(("selections", "writein"))
+PAPER_VIEWS = _views(())  # a paper summary may leave out either
+
+
 def hand_count(papers, manifest: ElectionManifest) -> dict:
     """Full manual count of every paper summary: per-contest option counts
     and the winners they imply. Raises MalformedRecord at a paper without
-    its contests."""
+    its contests or with a view out of form."""
     contests = _contests(manifest)
     counts = {cid: {opt: 0 for opt in c.options} for cid, c in contests.items()}
-    for views in _column(papers, "papers", "contests", _object):
+    for views in _column(papers, "papers", "contests", PAPER_VIEWS):
         for cid, view in views.items():
             if cid not in counts:
                 continue
@@ -327,9 +351,9 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
 
     Stops as soon as P <= alpha (CONFIRMED) or after N draws
     (FULL_HAND_COUNT, returning the manual count and its winners).
-    A CVR row or paper without its serial or contests, a CVR row without its
-    index, or a published row without its serial or commitments raises
-    MalformedRecord naming the row and the field."""
+    A CVR row or paper without its serial or contests (or with a view out of
+    form), a CVR row without its index, or a published row without its serial
+    or commitments raises MalformedRecord naming the row and the field."""
     check_seed(seed)
     if not 0 < alpha < 1:
         raise ValueError("risk limit must be in (0, 1)")
@@ -338,7 +362,7 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
     cast_indices = {i for i, s in board_index.statuses.items() if s == CAST}
     indices = _column(cvrs, "cvrs", "index", INT.decode)
     serials = _column(cvrs, "cvrs", "serial", STR.decode)
-    _column(cvrs, "cvrs", "contests", _object)
+    _column(cvrs, "cvrs", "contests", CVR_VIEWS)
     cast = sorted((j for j, i in enumerate(indices) if i in cast_indices), key=indices.__getitem__)
     if {indices[j] for j in cast} != cast_indices:
         raise StarlockError("CVR store does not cover every CAST board entry")
@@ -347,7 +371,7 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
     papers_by_serial = dict(zip(_column(papers, "papers", "serial", STR.decode), papers))
     if len(papers_by_serial) != len(papers):
         raise StarlockError("duplicate serial among paper summaries")
-    _column(papers, "papers", "contests", _object)
+    _column(papers, "papers", "contests", PAPER_VIEWS)
     compliance = compliance_check((serials[j] for j in cast), papers_by_serial)
     if not compliance["clean"]:
         raise StarlockError(

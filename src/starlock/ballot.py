@@ -158,18 +158,9 @@ class PlaintextBallot:
         return cls(style_id=style_id, selections=selections, writeins=frozenset(writeins))
 
 
-@dataclass(frozen=True)
-class ContestRow:
-    """Plaintext 0/1 encoding of one contest: options, padding, write-in."""
-
-    option_bits: tuple
-    padding_bits: tuple
-    writein_bit: int | None
-
-
 def encode(pb: PlaintextBallot, style: BallotStyle) -> dict:
-    """Selection matrix per contest; padding absorbs undervotes so every row
-    sums to exactly the contest limit."""
+    """Each contest's 0/1 bits in Contest.column_ids() order; padding absorbs
+    undervotes so options and padding sum to exactly the contest limit."""
     if pb.style_id != style.style_id:
         raise UnknownOption(f"ballot for style {pb.style_id!r} against {style.style_id!r}")
     known = {c.contest_id for c in style.contests}
@@ -193,26 +184,44 @@ def encode(pb: PlaintextBallot, style: BallotStyle) -> dict:
         writein_used = contest.contest_id in pb.writeins
         if writein_used and not contest.writein_slot:
             raise UnknownOption(f"contest {contest.contest_id} has no write-in slot")
-        option_bits = tuple(1 if opt in chosen else 0 for opt in contest.options)
         undervotes = contest.limit - len(chosen)
-        padding_bits = tuple(1 if j < undervotes else 0 for j in range(contest.limit))
-        rows[contest.contest_id] = ContestRow(
-            option_bits=option_bits,
-            padding_bits=padding_bits,
-            writein_bit=(1 if writein_used else 0) if contest.writein_slot else None,
-        )
+        bits = tuple(1 if opt in chosen else 0 for opt in contest.options)
+        bits += tuple(1 if j < undervotes else 0 for j in range(contest.limit))
+        if contest.writein_slot:
+            bits += (1 if writein_used else 0,)
+        rows[contest.contest_id] = bits
     return rows
+
+
+def split_columns(contest: Contest, items) -> tuple:
+    """(options, padding, write-in or None) of items in column_ids() order."""
+    n, m = len(contest.options), len(contest.options) + contest.limit
+    return tuple(items[:n]), tuple(items[n:m]), items[m] if contest.writein_slot else None
+
+
+def join_columns(contest: Contest, options, padding, writein):
+    """The items of a contest's parts as one list in column_ids() order, or
+    None when a part does not fit the contest."""
+    if len(options) != len(contest.options) or len(padding) != contest.limit:
+        return None
+    if contest.writein_slot != (writein is not None):
+        return None
+    return [*options, *padding] + ([writein] if contest.writein_slot else [])
+
+
+def contest_sum_statement(contest: Contest, cts, gp: GroupParams) -> tuple:
+    """(a, b / g^limit) of the product of the options and padding of cts (in
+    column_ids() order): a DH pair under (g, K) exactly when they sum to limit."""
+    total = add_many(cts[:len(contest.options) + contest.limit], gp)
+    return total.a, total.b * pow(pow(gp.g, contest.limit, gp.p), -1, gp.p) % gp.p
 
 
 def _column_bytes(options, padding, writein) -> bytes:
     """Canonical bytes of a contest's column ciphertexts or proofs: options and
     padding, each behind its count, then a 0/1 flag and the write-in."""
-    out = enc_int(len(options))
-    for item in options:
-        out += item.canonical_bytes()
-    out += enc_int(len(padding))
-    for item in padding:
-        out += item.canonical_bytes()
+    out = b""
+    for part in (options, padding):
+        out += enc_int(len(part)) + b"".join(item.canonical_bytes() for item in part)
     if writein is None:
         return out + enc_int(0)
     return out + enc_int(1) + writein.canonical_bytes()
@@ -321,13 +330,8 @@ def encrypt_ballot(
     rows = encode(pb, style)
     enc_contests, proof_contests = [], []
     for contest in style.contests:
-        row = rows[contest.contest_id]
-        bits = row.option_bits + row.padding_bits
-        n_options, n_summed = len(row.option_bits), len(bits)
-        if contest.writein_slot:
-            bits += (row.writein_bit,)
         cts, proofs, randomness = [], [], []
-        for column, bit in zip(contest.column_ids(), bits):
+        for column, bit in zip(contest.column_ids(), rows[contest.contest_id]):
             r = rng.randrange(1, gp.q)
             ct = encrypt_exp(bit, r, K, gp)
             ctx = column_context(election_id, style.style_id, contest.contest_id, column)
@@ -336,31 +340,16 @@ def encrypt_ballot(
             randomness.append(r)
 
         # The options+padding product encrypts exactly the limit; prove it.
-        total = add_many(cts[:n_summed], gp)
-        target_b = total.b * pow(pow(gp.g, contest.limit, gp.p), -1, gp.p) % gp.p
+        a, b = contest_sum_statement(contest, cts, gp)
+        options_r, padding_r, _ = split_columns(contest, randomness)
         ctx = column_context(election_id, style.style_id, contest.contest_id, SUM_COLUMN)
         sum_proof = prove_eq_dlog(
-            sum(randomness[:n_summed]) % gp.q, gp.g, total.a, K, target_b, gp, rng,
+            sum(options_r + padding_r) % gp.q, gp.g, a, K, b, gp, rng,
             context=ctx, domain=DOMAIN_CONTEST_SUM, fixed=True,
         )
-
-        enc_contests.append(
-            EncryptedContest(
-                contest_id=contest.contest_id,
-                option_cts=tuple(cts[:n_options]),
-                padding_cts=tuple(cts[n_options:n_summed]),
-                writein_ct=cts[n_summed] if contest.writein_slot else None,
-            )
-        )
+        enc_contests.append(EncryptedContest(contest.contest_id, *split_columns(contest, cts)))
         proof_contests.append(
-            ContestProof(
-                contest_id=contest.contest_id,
-                option_proofs=tuple(proofs[:n_options]),
-                padding_proofs=tuple(proofs[n_options:n_summed]),
-                writein_proof=proofs[n_summed] if contest.writein_slot else None,
-                sum_proof=sum_proof,
-            )
-        )
+            ContestProof(contest.contest_id, *split_columns(contest, proofs), sum_proof))
     eb = EncryptedBallot(style_id=style.style_id, contests=tuple(enc_contests))
     proof = WellFormednessProof(contests=tuple(proof_contests))
     return eb, proof
@@ -388,28 +377,19 @@ def verify_ballot(
     for contest, enc, cpr in zip(style.contests, eb.contests, proof.contests):
         if enc.contest_id != contest.contest_id or cpr.contest_id != contest.contest_id:
             return False
-        if len(enc.option_cts) != len(contest.options) or len(cpr.option_proofs) != len(contest.options):
+        cts = join_columns(contest, enc.option_cts, enc.padding_cts, enc.writein_ct)
+        proofs = join_columns(contest, cpr.option_proofs, cpr.padding_proofs, cpr.writein_proof)
+        if cts is None or proofs is None:
             return False
-        if len(enc.padding_cts) != contest.limit or len(cpr.padding_proofs) != contest.limit:
-            return False
-        if contest.writein_slot != (enc.writein_ct is not None):
-            return False
-        if contest.writein_slot != (cpr.writein_proof is not None):
-            return False
-
-        proofs = [*cpr.option_proofs, *cpr.padding_proofs]
-        if contest.writein_slot:
-            proofs.append(cpr.writein_proof)
-        for (column, ct), pr in zip(enc.all_columns(contest), proofs):
+        for column, ct, pr in zip(contest.column_ids(), cts, proofs):
             ctx = column_context(election_id, style.style_id, contest.contest_id, column)
             if not verify_zero_or_one(pr, ct, K, gp, ctx, eqs):
                 return False
 
-        total = add_many(list(enc.option_cts) + list(enc.padding_cts), gp)
-        target_b = total.b * pow(pow(gp.g, contest.limit, gp.p), -1, gp.p) % gp.p
+        a, b = contest_sum_statement(contest, cts, gp)
         ctx = column_context(election_id, style.style_id, contest.contest_id, SUM_COLUMN)
         if not verify_eq_dlog(
-            cpr.sum_proof, gp.g, total.a, K, target_b, gp,
+            cpr.sum_proof, gp.g, a, K, b, gp,
             context=ctx, domain=DOMAIN_CONTEST_SUM, eqs=eqs, fixed=True,
         ):
             return False

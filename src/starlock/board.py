@@ -36,7 +36,7 @@ from .boardformat import (
     spoiled_plaintext,
     tally_context,
 )
-from .chaum_pedersen import batch_sink
+from .chaum_pedersen import batched
 from .elgamal import Keypair
 from .errors import NotSpoiled, RejectInvalidProof, StarlockError
 from .group import GroupParams
@@ -112,10 +112,9 @@ class Board:
         the entry index used by status/decryption supersession lines."""
         if status not in (CAST, SPOILED, UNTALLIED):
             raise ValueError(f"cannot publish entry with status {status!r}")
-        eqs = batch_sink(gp, lambda: record.ballot.canonical_bytes()
-                         + record.proof.canonical_bytes())
-        if not (verify_ballot(record.ballot, record.proof, style, joint_key, gp,
-                              self.election_id, eqs) and eqs.holds()):
+        if not batched(gp, lambda: record.ballot.canonical_bytes() + record.proof.canonical_bytes(),
+                       lambda eqs: verify_ballot(record.ballot, record.proof, style, joint_key,
+                                                 gp, self.election_id, eqs)):
             raise RejectInvalidProof("ballot record failed proof verification")
         index = self.entry_count
         line = {"kind": "entry", "index": str(index), "status": status, **record.to_json()}

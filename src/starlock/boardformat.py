@@ -216,13 +216,6 @@ def signature_verifies(line: dict, office_pk: int, gp: GroupParams, election_id:
     return verify_sig(message, sig, office_pk, gp)
 
 
-def verify_board_signature(lines: list, office_pk: int, gp: GroupParams, election_id: str) -> bool:
-    """Check the last line is a signature over the chain head."""
-    if not lines or lines[-1].get("kind") != "signature":
-        return False
-    return signature_verifies(lines[-1], office_pk, gp, election_id)
-
-
 # -- contest layout and the homomorphic fold ---------------------------------------
 
 

@@ -24,9 +24,9 @@ Fiat-Shamir and challenge-sum checks have passed:
     other bases one multi-exponentiation (group.multi_exp), and the commits,
     with their 64-bit weights, a second one. Every element has order q, so
     an honest batch always holds, and a batch with a false equation holds
-    with probability at most 2^-64. holds() gives one verdict for the
-    whole batch; a caller that has to name the failing proof runs again
-    through Immediate.
+    with probability at most 2^-64. batched() is its one user: a check that
+    fails its batch runs again through Immediate, which names the failing
+    proof exactly as a proof-by-proof run does.
 """
 
 from __future__ import annotations
@@ -54,9 +54,6 @@ class Immediate:
             y = y * pow(pow(self.gp.g, m, p), -1, p) % p
         raised = fixed_pow(base, s, p) if fixed and self.gp.large else pow(base, s, p)
         return raised == commit * pow(y, c, p) % p
-
-    def holds(self) -> bool:
-        return True  # each equation was tested as it came
 
 
 class Collect:
@@ -89,9 +86,16 @@ class Collect:
         return lhs == multi_exp(self.commits.items(), p)
 
 
-def batch_sink(gp: GroupParams, seed):
-    """Collect weighted from seed() in a large group, else Immediate."""
-    return Collect(gp, seed()) if gp.large else Immediate(gp)
+def batched(gp: GroupParams, seed, run):
+    """run(Collect(gp, seed())) in a large group, or run(Immediate(gp)) when
+    that batch fails or the group is the test group. seed() must fix every
+    response the batch weighs."""
+    if gp.large:
+        batch = Collect(gp, seed())
+        result = run(batch)
+        if batch.holds():
+            return result
+    return run(Immediate(gp))
 
 
 @dataclass(frozen=True)
@@ -105,13 +109,8 @@ class ChaumPedersenProof(Record):
 
     FIELDS = tuple((name, name, HEX) for name in ("commit1", "commit2", "challenge", "response"))
 
-    def canonical_bytes(self) -> bytes:
-        return (
-            enc_int(self.commit1)
-            + enc_int(self.commit2)
-            + enc_int(self.challenge)
-            + enc_int(self.response)
-        )
+    def canonical_bytes(self) -> bytes:  # each field, in FIELDS order
+        return b"".join(enc_int(getattr(self, attr)) for _, attr, _ in self.FIELDS)
 
 
 def _eq_dlog_transcript(context: bytes, g1, y1, g2, y2, t1, t2) -> bytes:
@@ -202,20 +201,8 @@ class ZeroOneProof(Record):
         "challenge0", "challenge1", "response0", "response1",
     ))
 
-    def canonical_bytes(self) -> bytes:
-        return b"".join(
-            enc_int(v)
-            for v in (
-                self.commit0_g,
-                self.commit0_k,
-                self.commit1_g,
-                self.commit1_k,
-                self.challenge0,
-                self.challenge1,
-                self.response0,
-                self.response1,
-            )
-        )
+    def canonical_bytes(self) -> bytes:  # each field, in FIELDS order
+        return b"".join(enc_int(getattr(self, attr)) for _, attr, _ in self.FIELDS)
 
 
 def _zero_one_transcript(context: bytes, public_key: int, ct: Ciphertext,

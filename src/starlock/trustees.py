@@ -14,13 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .chaum_pedersen import (
-    ChaumPedersenProof,
-    Immediate,
-    batch_sink,
-    prove_eq_dlog,
-    verify_eq_dlog,
-)
+from .chaum_pedersen import ChaumPedersenProof, batched, prove_eq_dlog, verify_eq_dlog
 from .elgamal import Ciphertext, dlog_search
 from .errors import BadShareProof, InsufficientShares, InvalidThreshold
 from .fiatshamir import DOMAIN_DECRYPT_SHARE
@@ -167,14 +161,10 @@ def lagrange_coeff(i: int, subset, q: int) -> int:
 
 
 def combine_in_exponent(c: Ciphertext, shares, jpk: JointPublicKey, gp: GroupParams,
-                        context: bytes, eqs=None) -> int:
+                        context: bytes, eqs) -> int:
     """Verify k decryption shares and interpolate them in the exponent.
-    Returns g^m for the plaintext m of c.
-
-    The share proofs' equations go to eqs when one is given (the caller
-    tests them). Otherwise they are batched (chaum_pedersen.batch_sink,
-    seeded from the column and its shares) and, if the batch fails,
-    tested share by share.
+    Returns g^m for the plaintext m of c. The share proofs' equations go to
+    the sink eqs, which the caller tests (see combine_shares).
 
     Raises InsufficientShares when fewer than k distinct trustees
     contributed, BadShareProof naming the first trustee whose proof fails
@@ -188,23 +178,9 @@ def combine_in_exponent(c: Ciphertext, shares, jpk: JointPublicKey, gp: GroupPar
     if len(by_id) < jpk.k:
         raise InsufficientShares(f"have {len(by_id)} shares, need {jpk.k}")
     chosen = [by_id[i] for i in sorted(by_id)][: jpk.k]
-
-    def check(sink) -> None:
-        for ds in chosen:
-            if not verify_decryption_share(ds, c, jpk.commitments, gp, context, sink):
-                raise BadShareProof(ds.trustee_id)
-
-    def seed() -> bytes:  # fixes every response the batch weighs
-        return enc_bytes(context) + enc_int(c.a) + b"".join(
-            enc_int(ds.share_value) + ds.proof.canonical_bytes() for ds in chosen)
-
-    if eqs is not None:
-        check(eqs)
-    else:
-        batch = batch_sink(gp, seed)
-        check(batch)
-        if not batch.holds():
-            check(Immediate(gp))  # names the trustee
+    for ds in chosen:
+        if not verify_decryption_share(ds, c, jpk.commitments, gp, context, eqs):
+            raise BadShareProof(ds.trustee_id)
     subset = [ds.trustee_id for ds in chosen]
     combined = 1
     for ds in chosen:
@@ -225,9 +201,15 @@ def combine_shares(
     gp: GroupParams,
     context: bytes,
 ) -> int:
-    """Verify k decryption shares, interpolate in the exponent, decrypt.
+    """Verify k decryption shares, interpolate in the exponent, decrypt; the
+    share proofs' equations are batched (chaum_pedersen.batched).
 
     Raises what combine_in_exponent raises, and NoDlogInRange when the
     plaintext exceeds max_m.
     """
-    return dlog_search(combine_in_exponent(c, shares, jpk, gp, context), max_m, gp)
+    def seed() -> bytes:  # fixes every response the batch weighs
+        return enc_bytes(context) + enc_int(c.a) + b"".join(
+            enc_int(ds.share_value) + ds.proof.canonical_bytes() for ds in shares)
+
+    g_m = batched(gp, seed, lambda eqs: combine_in_exponent(c, shares, jpk, gp, context, eqs))
+    return dlog_search(g_m, max_m, gp)

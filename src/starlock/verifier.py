@@ -10,7 +10,7 @@ Failures, malformed records included, are report items naming the first
 affected line or entry; nothing here raises on adversarial input.
 
 Proof equations are batched per check (ballot_proofs, decryptions, tally;
-chaum_pedersen.Collect) in a large group: every membership, range,
+chaum_pedersen.batched) in a large group: every membership, range,
 Fiat-Shamir and challenge-sum check still runs proof by proof, and the
 equations are weighted from SHA-256 of the whole raw board and the check's
 name, so a report is reproducible and a false equation passes with
@@ -49,7 +49,7 @@ from .boardformat import (
     tally_context,
 )
 from .chain import chain_hash, receipt_code
-from .chaum_pedersen import Immediate, batch_sink
+from .chaum_pedersen import batched
 from .elgamal import Ciphertext
 from .errors import (
     AmbiguousReceipt,
@@ -356,16 +356,11 @@ def _guarded(check: str, run, index: BoardIndex, manifest: ElectionManifest, *ar
 
 def _batched(check: str, run, index: BoardIndex, manifest: ElectionManifest,
              digest: bytes) -> list:
-    """run's report items with its proof equations in one batch (in a large
-    group); if the batch fails, the items of running it again with each
-    equation tested at once. The weights come from digest and the check's
-    name; digest must be the SHA-256 of the whole raw board, which fixes
-    every response before any weight is known."""
-    eqs = batch_sink(manifest.gp, lambda: digest + check.encode())
-    items = _guarded(check, run, index, manifest, eqs)
-    if eqs.holds():
-        return items
-    return _guarded(check, run, index, manifest, Immediate(manifest.gp))
+    """run's report items, its proof equations batched (chaum_pedersen.batched)
+    with weights from digest and the check's name; digest must be the SHA-256
+    of the whole raw board, which fixes every response before any weight is known."""
+    return batched(manifest.gp, lambda: digest + check.encode(),
+                   lambda eqs: _guarded(check, run, index, manifest, eqs))
 
 
 def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:

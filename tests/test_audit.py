@@ -14,7 +14,7 @@ from itertools import islice
 
 import pytest
 
-from helpers import demo_run, finish, synthetic_comparison_record
+from helpers import board_raw_lines, demo_commands, demo_run, finish, synthetic_comparison_record
 from starlock import audit
 from starlock.audit import (
     KMState,
@@ -403,3 +403,36 @@ def test_a_row_without_its_field_is_a_malformed_record(file, key, tmp_path, caps
     argv += ["--board", str(tmp_path / "board.jsonl"), "--manifest", str(tmp_path / "params.json")]
     assert main(argv) == 2
     assert f"{file}[7].{key}: missing" in capsys.readouterr().out
+
+
+# Each edit replaces the mayor view of the first drawn CVR row or of its paper.
+MALFORMED_VIEWS = (
+    ("cvrs", lambda view: {"writein": view["writein"]}, ".selections: missing"),
+    ("cvrs", lambda view: [], ": not an object"),
+    ("papers", lambda view: [], ": not an object"),
+    ("papers", lambda view: dict(view, selections=5), ".selections: not a list"),
+)
+
+
+@pytest.mark.parametrize("file, edit, fault", MALFORMED_VIEWS,
+                         ids=["cvr-without-selections", "cvr-view-a-list", "paper-view-a-list",
+                              "paper-selections-a-number"])
+def test_a_malformed_contest_view_aborts_the_audit(file, edit, fault, tmp_path, capsys) -> None:
+    seed = "12345678901234567890"
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(board_raw_lines(demo_run()[0]["board"])) + "\n", encoding="utf-8")
+    files = {name: json.loads((tmp_path / f"{name}.json").read_text())
+             for name in ("cvrs", "papers")}
+    row = next(prng_sequence(seed, len(files["cvrs"])))  # every demo CVR row is cast
+    if file == "papers":
+        serial = files["cvrs"][row]["serial"]
+        row = [paper["serial"] for paper in files["papers"]].index(serial)
+    views = files[file][row]["contests"]
+    views["mayor"] = edit(views["mayor"])
+    (tmp_path / f"{file}.json").write_text(json.dumps(files[file]), encoding="utf-8")
+    argv = commands["audit"]
+    argv[argv.index("--seed") + 1] = seed
+    capsys.readouterr()
+    assert main(argv) == 2
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {"verdict": "ABORTED", "reason": f"{file}[{row}].contests.mayor{fault}"}

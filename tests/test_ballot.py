@@ -61,20 +61,15 @@ def test_encode_pads_undervotes() -> None:
         style_id="downtown", selections={"mayor": ("ada",), "council": ("ida",)}
     )
     rows = encode(pb, STYLE)
-    assert rows["mayor"].option_bits == (1, 0)
-    assert rows["mayor"].padding_bits == (0,)
-    assert rows["mayor"].writein_bit == 0
-    assert rows["council"].option_bits == (1, 0, 0)
-    assert rows["council"].padding_bits == (1, 0)
-    assert rows["council"].writein_bit is None
+    assert rows["mayor"] == (1, 0, 0, 0)  # ada, grace, (pad0), (write-in)
+    assert rows["council"] == (1, 0, 0, 1, 0)  # ida, joan, mary, (pad0), (pad1)
 
 
 def test_encode_abstention_is_all_padding() -> None:
     pb = PlaintextBallot(style_id="downtown", selections={})
     rows = encode(pb, STYLE)
-    assert rows["mayor"].option_bits == (0, 0)
-    assert rows["mayor"].padding_bits == (1,)
-    assert rows["council"].padding_bits == (1, 1)
+    assert rows["mayor"] == (0, 0, 1, 0)
+    assert rows["council"] == (0, 0, 0, 1, 1)
 
 
 def test_encode_rows_always_sum_to_limit() -> None:
@@ -89,17 +84,15 @@ def test_encode_rows_always_sum_to_limit() -> None:
         rows = encode(pb, STYLE)
         for contest in STYLE.contests:
             row = rows[contest.contest_id]
-            assert sum(row.option_bits) + sum(row.padding_bits) == contest.limit
+            assert len(row) == len(contest.column_ids())
+            assert sum(row[:len(contest.options) + contest.limit]) == contest.limit
 
 
 def test_write_in_does_not_consume_a_selection() -> None:
     pb = PlaintextBallot(
         style_id="downtown", selections={"mayor": ("ada",)}, writeins={"mayor"}
     )
-    row = encode(pb, STYLE)["mayor"]
-    assert row.option_bits == (1, 0)
-    assert row.padding_bits == (0,)
-    assert row.writein_bit == 1
+    assert encode(pb, STYLE)["mayor"] == (1, 0, 0, 1)
 
 
 def test_encode_error_catalog() -> None:
@@ -192,13 +185,9 @@ def test_columns_decrypt_to_the_encoded_bits() -> None:
     eb, _ = encrypt_ballot(pb, STYLE, kp.pk, GP, random.Random(74), EID)
     rows = encode(pb, STYLE)
     for contest in STYLE.contests:
-        enc, row = eb.contest(contest.contest_id), rows[contest.contest_id]
-        bits = list(row.option_bits) + list(row.padding_bits)
-        cts = list(enc.option_cts) + list(enc.padding_cts)
-        if row.writein_bit is not None:
-            bits.append(row.writein_bit)
-            cts.append(enc.writein_ct)
-        for bit, ct in zip(bits, cts):
+        columns = eb.contest(contest.contest_id).all_columns(contest)
+        assert [column for column, _ in columns] == contest.column_ids()
+        for (_, ct), bit in zip(columns, rows[contest.contest_id], strict=True):
             assert decrypt_dlog(ct, kp.sk, 1, GP) == bit
 
 
@@ -229,6 +218,37 @@ def test_verify_rejects_swapped_columns() -> None:
     swapped = dataclasses.replace(mayor, option_cts=tuple(reversed(mayor.option_cts)))
     forged = EncryptedBallot(style_id=eb.style_id, contests=(swapped, eb.contests[1]))
     assert not verify_ballot(forged, proof, STYLE, kp.pk, GP, EID)
+
+
+# Misfits that keep a contest's column count: (contest, (options, padding,
+# write-in) -> the same items in parts that do not fit the contest).
+LAYOUT_MISFITS = (
+    ("mayor", lambda options, padding, writein: (options[:-1], options[-1:] + padding, writein)),
+    ("council", lambda options, padding, writein: (options + padding[:1], padding[1:], writein)),
+    ("council", lambda options, padding, writein: (options, padding[:-1], padding[-1])),
+    ("mayor", lambda options, padding, writein: (options, padding + (writein,), None)),
+)
+
+
+@pytest.mark.parametrize("part", ["ciphertexts", "proofs"])
+@pytest.mark.parametrize("contest_id, misfit", LAYOUT_MISFITS,
+                         ids=["option-into-padding", "padding-into-options",
+                              "write-in-without-slot", "slot-without-write-in"])
+def test_verify_rejects_columns_out_of_layout(contest_id, misfit, part) -> None:
+    kp = make_key()
+    pb = PlaintextBallot(style_id="downtown", selections={"mayor": ("ada",)}, writeins={"mayor"})
+    eb, proof = encrypt_ballot(pb, STYLE, kp.pk, GP, random.Random(76), EID)
+    assert verify_ballot(eb, proof, STYLE, kp.pk, GP, EID)
+    record, fields = ((eb, ("option_cts", "padding_cts", "writein_ct")) if part == "ciphertexts"
+                      else (proof, ("option_proofs", "padding_proofs", "writein_proof")))
+    contests = tuple(
+        dataclasses.replace(c, **dict(zip(fields, misfit(*(getattr(c, f) for f in fields)))))
+        if c.contest_id == contest_id else c
+        for c in record.contests
+    )
+    forged = dataclasses.replace(record, contests=contests)
+    pair = (forged, proof) if part == "ciphertexts" else (eb, forged)
+    assert verify_ballot(*pair, STYLE, kp.pk, GP, EID) is False
 
 
 def test_verify_rejects_transplanted_proof() -> None:

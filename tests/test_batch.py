@@ -1,6 +1,7 @@
 """Batched proof equations (chaum_pedersen.Collect) against the per-equation
 sink, in the 256-bit MID_GROUP, where every batching caller turns them on."""
 
+import dataclasses
 import json
 import random
 
@@ -18,7 +19,7 @@ from helpers import (
 )
 from starlock import ballot, chaum_pedersen, elgamal, group, verifier
 from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballot, verify_ballot
-from starlock.chaum_pedersen import Collect, Immediate
+from starlock.chaum_pedersen import Collect, Immediate, batched, prove_eq_dlog, verify_eq_dlog
 from starlock.cli import main
 from starlock.elgamal import keygen
 from starlock.group import PROD_GROUP, TEST_GROUP, multi_exp
@@ -70,6 +71,27 @@ def test_encrypting_a_ballot_makes_no_full_size_power(monkeypatch) -> None:
     assert verify_ballot(eb, proof, style, key, MID_GROUP, "ops")
 
 
+@pytest.mark.parametrize("gp, bump, sinks", [
+    (TEST_GROUP, 0, ["Immediate"]), (TEST_GROUP, 1, ["Immediate"]),
+    (MID_GROUP, 0, ["Collect"]), (MID_GROUP, 1, ["Collect", "Immediate"]),
+], ids=["test-honest", "test-false", "mid-honest", "mid-false"])
+def test_batched_runs_again_per_proof_only_when_the_batch_fails(gp, bump, sinks) -> None:
+    rng = random.Random(9)
+    x, h = rng.randrange(1, gp.q), pow(gp.g, rng.randrange(1, gp.q), gp.p)
+    y1, y2 = pow(gp.g, x, gp.p), pow(h, x, gp.p)
+    proof = prove_eq_dlog(x, gp.g, y1, h, y2, gp, rng, b"ctx")
+    proof = dataclasses.replace(proof, response=(proof.response + bump) % gp.q)
+    seeds, seen = [], []
+
+    def run(eqs):
+        seen.append(type(eqs).__name__)
+        return len(seen), verify_eq_dlog(proof, gp.g, y1, h, y2, gp, b"ctx", eqs=eqs)
+
+    result = batched(gp, lambda: seeds.append(1) or b"seed", run)
+    assert seen == sinks and len(seeds) == (sinks[0] == "Collect")
+    assert result == (len(sinks), not bump)  # the last run's result: Immediate's after a failure
+
+
 def _bump_response(line: dict, key: str, nth: int = 0) -> None:
     """Add 1 (mod q) to the nth value under `key` inside a line, in key order:
     a proof response that still passes every check but its equation."""
@@ -97,7 +119,7 @@ def batch_verdicts(monkeypatch):
 
 def _per_proof_report(raw, manifest, monkeypatch) -> dict:
     with monkeypatch.context() as m:
-        m.setattr(verifier, "batch_sink", lambda gp, seed: Immediate(gp))
+        m.setattr(verifier, "batched", lambda gp, seed, run: run(Immediate(gp)))
         return verify_board(raw, manifest).to_json()
 
 

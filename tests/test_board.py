@@ -7,11 +7,13 @@ import random
 
 import pytest
 
+from helpers import MID_GROUP
 from starlock.ballot import (
     BallotStyle,
     Contest,
     EncryptedBallot,
     PlaintextBallot,
+    WellFormednessProof,
     encrypt_ballot,
 )
 from starlock.board import (
@@ -22,7 +24,7 @@ from starlock.board import (
     decrypt_spoiled,
     decrypt_tally,
 )
-from starlock.boardformat import GENESIS_HASH, contest_columns, verify_board_signature
+from starlock.boardformat import GENESIS_HASH, contest_columns
 from starlock.elgamal import keygen
 from starlock.errors import (
     BadShareProof,
@@ -32,9 +34,11 @@ from starlock.errors import (
     StarlockError,
 )
 from starlock.group import TEST_GROUP
+from starlock.manifest import ElectionManifest
 from starlock.pollsite import CAST, SPOILED, EncryptedBallotRecord
 from starlock.serialize import canonical_json
 from starlock.trustees import dkg
+from starlock.verifier import verify_board
 
 GP = TEST_GROUP
 EID = "board-test"
@@ -270,6 +274,36 @@ def test_tally_record_line_round_trip() -> None:
     assert back.cast_counts == tally.cast_counts
 
 
+def test_publish_refuses_a_response_that_fails_only_its_equation() -> None:
+    """In a large group the ballot's equations are batched; a response raised
+    by 1 passes every other check, so the batch has to refuse it."""
+    rng = random.Random(93)
+    jpk, _ = dkg(1, 1, MID_GROUP, rng)
+    eb, proof = encrypt_ballot(ballot("ada"), STYLE, jpk.K, MID_GROUP, rng, EID)
+    cpr = proof.contests[0]
+    first = cpr.option_proofs[0]
+    bumped = dataclasses.replace(first, response0=(first.response0 + 1) % MID_GROUP.q)
+    forged = WellFormednessProof(
+        (dataclasses.replace(cpr, option_proofs=(bumped,) + cpr.option_proofs[1:]),))
+    record = EncryptedBallotRecord(ballot=eb, proof=forged, terminal_id="T1", z=b"\x01" * 32,
+                                   timestamp=1)
+    board = Board(EID)
+    with pytest.raises(RejectInvalidProof):
+        board.publish_entry(record, CAST, STYLE, jpk.K, MID_GROUP)
+    assert board.entry_count == 0
+    honest = dataclasses.replace(record, proof=proof)
+    assert board.publish_entry(honest, CAST, STYLE, jpk.K, MID_GROUP) == 0
+
+
+def _signature_holds(lines, jpk, office_pk, election_id=EID) -> bool:
+    """The verdict of verify_board's one signature item on these lines."""
+    manifest = ElectionManifest(election_id=election_id, gp=GP, jpk=jpk, office_pk=office_pk,
+                                styles=(STYLE,), terminal_seeds={}, salt=b"\x00" * 16, ttl=1)
+    report = verify_board([canonical_json(line) for line in lines], manifest)
+    [item] = [item for item in report.items if item.check == "signature"]
+    return item.ok
+
+
 def test_signature_covers_the_whole_file() -> None:
     jpk, _, office, rng = setup_keys()
     other = keygen(GP, random.Random(91))
@@ -277,17 +311,17 @@ def test_signature_covers_the_whole_file() -> None:
     board.publish_entry(make_record(ballot("ada"), jpk, rng), CAST, STYLE, jpk.K, GP)
     board.sign_board(office, GP)
     lines = board.lines()
-    assert verify_board_signature(lines, office.pk, GP, EID)
-    assert not verify_board_signature(lines, other.pk, GP, EID)
-    assert not verify_board_signature(lines, office.pk, GP, "other-election")
-    assert not verify_board_signature(lines[:-1], office.pk, GP, EID)
-    assert not verify_board_signature([], office.pk, GP, EID)
+    assert _signature_holds(lines, jpk, office.pk)
+    assert not _signature_holds(lines, jpk, other.pk)
+    assert not _signature_holds(lines, jpk, office.pk, "other-election")
+    assert not _signature_holds(lines[:-1], jpk, office.pk)
+    assert not _signature_holds([], jpk, office.pk)
     # a superseded mid-file signature stays valid at its own prefix
     board.append_status(0, UNTALLIED)
     board.sign_board(office, GP)
     full = board.lines()
-    assert verify_board_signature(full, office.pk, GP, EID)
-    assert verify_board_signature(full[: len(lines)], office.pk, GP, EID)
+    assert _signature_holds(full, jpk, office.pk)
+    assert _signature_holds(full[: len(lines)], jpk, office.pk)
 
 
 def test_contest_columns_layout_and_conflicts() -> None:

@@ -1,5 +1,5 @@
 """The benchmark's per-layer trace hooks name code that exists in src/, and
-source-level rules that keep one definition of a group fact."""
+source-level rules that keep one definition of a group or proof-layer fact."""
 
 import ast
 import importlib
@@ -66,5 +66,26 @@ def test_hex_is_parsed_only_in_serialize_py() -> None:
                 or isinstance(func, ast.Attribute) and func.attr in ("fromhex", "hex_to_int")
             )
             if parses_hex and not isinstance(arg, ast.Constant):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_only_chaum_pedersen_py_batches_proof_equations() -> None:
+    """No module but chaum_pedersen.py names Collect or calls .holds(): every
+    batch, and its per-proof re-run when it fails, goes through
+    chaum_pedersen.batched."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "chaum_pedersen.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names_collect = (
+                isinstance(node, ast.Name) and node.id == "Collect"
+                or isinstance(node, ast.Attribute) and node.attr == "Collect"
+                or isinstance(node, ast.alias) and node.name == "Collect"
+            )
+            calls_holds = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                           and node.func.attr == "holds")
+            if names_collect or calls_holds:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []

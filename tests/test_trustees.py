@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from helpers import MID_GROUP
+from starlock.chaum_pedersen import Immediate
 from starlock.elgamal import encrypt_exp
 from starlock.errors import BadShareProof, InsufficientShares, InvalidThreshold
 from starlock.group import PROD_GROUP, TEST_GROUP
@@ -105,14 +107,22 @@ def test_combine_uses_first_k_and_dedupes() -> None:
     assert combine_shares(ct, all_shares, jpk, 10, GP, CTX) == 4
 
 
-def test_bad_share_proof_names_trustee() -> None:
-    jpk, trustees = dkg(3, 2, GP, random.Random(68))
-    ct = encrypt_exp(2, 5, jpk.K, GP)
-    good = shares_for(ct, trustees)
-    forged = dataclasses.replace(good[0], share_value=good[0].share_value * GP.g % GP.p)
-    with pytest.raises(BadShareProof) as exc:
-        combine_shares(ct, [forged, good[1]], jpk, 10, GP, CTX)
-    assert exc.value.trustee_id == forged.trustee_id
+@pytest.mark.parametrize("gp", [TEST_GROUP, MID_GROUP], ids=["test", "mid"])
+def test_bad_share_proof_names_trustee(gp) -> None:
+    rng = random.Random(68)
+    jpk, trustees = dkg(3, 2, gp, rng)
+    ct = encrypt_exp(2, 5, jpk.K, gp)
+    good = [partial_decrypt(ct, s, gp, rng, CTX) for s in trustees]
+    # A forged value fails its proof's Fiat-Shamir check; a response raised by
+    # 1 fails only its equation, which a large group tests in a batch first.
+    value_forged = dataclasses.replace(good[0], share_value=good[0].share_value * gp.g % gp.p)
+    proof = good[1].proof
+    response_forged = dataclasses.replace(
+        good[1], proof=dataclasses.replace(proof, response=(proof.response + 1) % gp.q))
+    for forged, other in ((value_forged, good[1]), (response_forged, good[0])):
+        with pytest.raises(BadShareProof) as exc:
+            combine_shares(ct, [forged, other], jpk, 10, gp, CTX)
+        assert exc.value.trustee_id == forged.trustee_id
 
 
 def test_decryption_share_binds_context() -> None:
@@ -148,4 +158,5 @@ def test_signed_lagrange_coefficients_give_the_plain_interpolation(gp, n, k, tri
                 lam = lagrange_coeff(ds.trustee_id, ids, gp.q)
                 combined = combined * pow(ds.share_value, lam, gp.p) % gp.p
             expected = ct.b * pow(combined, -1, gp.p) % gp.p
-            assert combine_in_exponent(ct, list(subset), jpk, gp, CTX) == expected, ids
+            g_m = combine_in_exponent(ct, list(subset), jpk, gp, CTX, Immediate(gp))
+            assert g_m == expected, ids
