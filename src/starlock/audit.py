@@ -30,6 +30,7 @@ from .manifest import ElectionManifest
 from .serialize import (
     BOOL,
     INT,
+    OBJECT,
     SALT,
     SALT_BYTES,
     STR,
@@ -281,22 +282,18 @@ def km_risk(state: KMState, draws) -> float:
     return state.p_value
 
 
-def _column(rows, name: str, key: str, decode) -> list:
-    """decode(row[key]) for each row of the named file; a MalformedRecord names
-    the row and the field, as in "cvrs[3].index: missing"."""
+def column(rows, name: str, key: str, decode) -> list:
+    """decode(row[key]) for each row of the named file, a list of objects; a
+    MalformedRecord names the file, row and field, as in "cvrs[3].index: missing"."""
+    if type(rows) is not list:
+        raise MalformedRecord("not a list").within(name)
     out = []
     for i, row in enumerate(rows):
         try:
-            out.append(decode_field(_object(row), key, decode))
+            out.append(decode_field(OBJECT.decode(row), key, decode))
         except MalformedRecord as exc:
             raise exc.within(i).within(name)
     return out
-
-
-def _object(value) -> dict:
-    if type(value) is not dict:
-        raise MalformedRecord("not an object")
-    return value
 
 
 VIEW_FIELDS = (("selections", tuple_of(STR).decode), ("writein", BOOL.decode))
@@ -308,7 +305,7 @@ def _views(required: tuple):
     where present; the keys in required must be present."""
     def view(value) -> dict:
         for key, decode in VIEW_FIELDS:
-            if key in _object(value) or key in required:
+            if key in OBJECT.decode(value) or key in required:
                 decode_field(value, key, decode)
         return value
 
@@ -321,16 +318,19 @@ PAPER_VIEWS = _views(())  # a paper summary may leave out either
 
 def hand_count(papers, manifest: ElectionManifest) -> dict:
     """Full manual count of every paper summary: per-contest option counts
-    and the winners they imply. Raises MalformedRecord at a paper without
-    its contests or with a view out of form."""
+    and the winners they imply; a paper counts each option it names once, and
+    none in a contest where it names more than the limit (an overvote).
+    Raises MalformedRecord at a paper without its contests or with a view out
+    of form."""
     contests = _contests(manifest)
     counts = {cid: {opt: 0 for opt in c.options} for cid, c in contests.items()}
-    for views in _column(papers, "papers", "contests", PAPER_VIEWS):
+    for views in column(papers, "papers", "contests", PAPER_VIEWS):
         for cid, view in views.items():
             if cid not in counts:
                 continue
-            for opt in view.get("selections", []):
-                if opt in counts[cid]:
+            named = counts[cid].keys() & set(view.get("selections", []))
+            if len(named) <= contests[cid].limit:
+                for opt in named:
                     counts[cid][opt] += 1
     winners = {}
     for cid, contest in contests.items():
@@ -360,18 +360,18 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
 
     board_index = index_lines(lines)
     cast_indices = {i for i, s in board_index.statuses.items() if s == CAST}
-    indices = _column(cvrs, "cvrs", "index", INT.decode)
-    serials = _column(cvrs, "cvrs", "serial", STR.decode)
-    _column(cvrs, "cvrs", "contests", CVR_VIEWS)
+    indices = column(cvrs, "cvrs", "index", INT.decode)
+    serials = column(cvrs, "cvrs", "serial", STR.decode)
+    column(cvrs, "cvrs", "contests", CVR_VIEWS)
     cast = sorted((j for j, i in enumerate(indices) if i in cast_indices), key=indices.__getitem__)
     if {indices[j] for j in cast} != cast_indices:
         raise StarlockError("CVR store does not cover every CAST board entry")
     population = [cvrs[j] for j in cast]
 
-    papers_by_serial = dict(zip(_column(papers, "papers", "serial", STR.decode), papers))
+    papers_by_serial = dict(zip(column(papers, "papers", "serial", STR.decode), papers))
     if len(papers_by_serial) != len(papers):
         raise StarlockError("duplicate serial among paper summaries")
-    _column(papers, "papers", "contests", PAPER_VIEWS)
+    column(papers, "papers", "contests", PAPER_VIEWS)
     compliance = compliance_check((serials[j] for j in cast), papers_by_serial)
     if not compliance["clean"]:
         raise StarlockError(
@@ -381,8 +381,8 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
         )
 
     rows = published if published is not None else published_commitments(cvrs)
-    published_by_serial = dict(zip(_column(rows, "commitments", "serial", STR.decode),
-                                   _column(rows, "commitments", "commitments", _object)))
+    published_by_serial = dict(zip(column(rows, "commitments", "serial", STR.decode),
+                                   column(rows, "commitments", "commitments", OBJECT.decode)))
 
     if not board_index.tallies:
         raise StarlockError("board carries no tally; audit needs reported results")

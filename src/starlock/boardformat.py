@@ -37,6 +37,7 @@ from .serialize import (
     enc_bytes,
     enc_int,
     enc_str,
+    one_of,
     record,
     sha256_hex,
     tuple_of,
@@ -46,6 +47,7 @@ from .trustees import DecryptionShare
 CAST = "CAST"
 SPOILED = "SPOILED"
 UNTALLIED = "UNTALLIED"
+STATUS = one_of(CAST, SPOILED, UNTALLIED)  # BoardIndex.add refuses any other status
 GENESIS_HASH = "0" * 64
 SIGNER = "election-office"
 
@@ -323,14 +325,14 @@ class BoardIndex:
         kind = line.get("kind")
         if kind == "entry":
             k = decode_field(line, "index", NUMERAL.decode)
-            status = decode_field(line, "status", STR.decode)
+            status = decode_field(line, "status", STATUS.decode)
             if k != len(self.entries):
                 self.misnumbered.append(lineno)
             self.entries.append((k, lineno, line))
             self.statuses[k] = self._overrides.get(k, status)
         elif kind == "status":
             ref = decode_field(line, "ref", NUMERAL.decode)
-            status = decode_field(line, "status", STR.decode)
+            status = decode_field(line, "status", STATUS.decode)
             self.refs.append((lineno, ref))
             self._overrides[ref] = status
             if ref in self.statuses:

@@ -11,9 +11,10 @@ Subcommands mirror the election lifecycle:
 
 Exit codes: 0 pass, 1 internal failure, 2 verification/audit failure
 (included: a manifest whose group is not a valid safe-prime group, a board
-line that breaks the chain or does not fit its kind, and a record that does
-not match its declared wire form, each named by line and field),
-3 usage or scenario-file error. The only environment variable consulted is
+line that breaks the chain or does not fit its kind, a record that does
+not match its declared wire form, each named by line and field, and a file
+that is not JSON, named by path), 3 usage or scenario-file error (a scenario
+file that is not JSON included). The only environment variable consulted is
 STARLOCK_GROUP (default group for keygen when --group is omitted).
 """
 
@@ -25,6 +26,7 @@ import math
 import os
 import random
 import sys
+from collections import Counter
 
 from . import audit as audit_mod
 from . import verifier as verifier_mod
@@ -43,6 +45,7 @@ from .errors import (
 from .group import GROUPS, resolve_group
 from .manifest import ElectionManifest
 from .scenario import finish_election, load_scenario, run_scenario, write_artifacts
+from .serialize import STR, decode_field, dump_json, load_json
 from .trustees import JointPublicKey, TrusteeShare, dkg
 
 PASS, INTERNAL, FAIL, USAGE = 0, 1, 2, 3
@@ -57,15 +60,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE)
 
 
-def _load_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _dump_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _load(path, decode):
+    """decode(the JSON document in the file at path), naming the file in a MalformedRecord."""
+    obj = load_json(path)
+    try:
+        return decode(obj)
+    except MalformedRecord as exc:
+        raise exc.within(path)
 
 
 # -- keygen ---------------------------------------------------------------------
@@ -78,33 +79,27 @@ def cmd_keygen(args) -> int:
     office = keygen(gp, rng)
     os.makedirs(args.outdir, exist_ok=True)
     joint_path = os.path.join(args.outdir, "joint_key.json")
-    _dump_json({**jpk.to_json(), "group": args.group}, joint_path)
+    dump_json({**jpk.to_json(), "group": args.group}, joint_path)
     for share in shares:
-        _dump_json(
-            share.to_json(),
-            os.path.join(args.outdir, f"trustee_share_{share.trustee_id}.json"),
-        )
+        share.save(os.path.join(args.outdir, f"trustee_share_{share.trustee_id}.json"))
     office_path = os.path.join(args.outdir, "office_key.json")
-    _dump_json({"group": args.group, **office.to_json()}, office_path)
+    dump_json({"group": args.group, **office.to_json()}, office_path)
     print(f"joint key ({args.k}-of-{args.n}, {args.group} group): {joint_path}")
     print(f"{len(shares)} trustee share file(s) and {office_path} written")
     return PASS
 
 
 def _load_keys(keydir, expected_group):
-    joint = _load_json(os.path.join(keydir, "joint_key.json"))
-    if joint.get("group") != expected_group:
-        raise StarlockError(
-            f"key files are for group {joint.get('group')!r}, scenario wants "
-            f"{expected_group!r}"
-        )
-    jpk = JointPublicKey.from_json(joint)
-    office = Keypair.from_json(_load_json(os.path.join(keydir, "office_key.json")))
+    jpk, group = _load(os.path.join(keydir, "joint_key.json"), lambda joint: (
+        JointPublicKey.from_json(joint), decode_field(joint, "group", STR.decode)))
+    if group != expected_group:
+        raise StarlockError(f"key files are for group {group!r}, scenario wants {expected_group!r}")
+    office = _load(os.path.join(keydir, "office_key.json"), Keypair.from_json)
     shares = []
     for i in range(1, jpk.n + 1):
         path = os.path.join(keydir, f"trustee_share_{i}.json")
         if os.path.exists(path):
-            shares.append(TrusteeShare.from_json(_load_json(path)))
+            shares.append(_load(path, TrusteeShare.from_json))
     return {"jpk": jpk, "office": office, "trustee_shares": shares}
 
 
@@ -117,12 +112,10 @@ def cmd_simulate(args) -> int:
     result = run_scenario(scenario, keys=keys)
     paths = write_artifacts(result, args.outdir)
     site = result["site"]
-    counts = {"CAST": 0, "SPOILED": 0}
-    for record in site.records.values():
-        counts[record.status] = counts.get(record.status, 0) + 1
+    counts = Counter(record.status for record in site.records.values())
     print(f"simulated {len(scenario.voters)} voter(s): "
           f"{len(site.records)} ballot(s) produced, "
-          f"{counts.get('CAST', 0)} cast, {counts.get('SPOILED', 0)} spoiled")
+          f"{counts['CAST']} cast, {counts['SPOILED']} spoiled")
     print(f"board: {paths['board.jsonl']}")
     return PASS
 
@@ -133,15 +126,12 @@ def cmd_simulate(args) -> int:
 def cmd_tally(args) -> int:
     manifest = ElectionManifest.load(args.manifest)
     board = Board.load(args.board)
-    shares = [TrusteeShare.from_json(_load_json(p)) for p in args.shares]
-    office = Keypair.from_json(_load_json(args.office))
+    shares = [_load(p, TrusteeShare.from_json) for p in args.shares]
+    office = _load(args.office, Keypair.from_json)
     if office.pk != manifest.office_pk:
         raise StarlockError("office key does not match the election manifest")
-    cvrs = _load_json(args.cvrs)
-    papers = _load_json(args.papers)
-    outcome = finish_election(
-        board, manifest, shares, office, cvrs, papers, random.Random(args.seed)
-    )
+    outcome = finish_election(board, manifest, shares, office, load_json(args.cvrs),
+                              load_json(args.papers), random.Random(args.seed))
     board.write(args.board)
     compliance = outcome["compliance"]
     print(f"compliance: {compliance['cast_records']} cast record(s), "
@@ -166,7 +156,7 @@ def cmd_verify(args) -> int:
     report = verifier_mod.verify_board(raw_lines, manifest)
     print(report.summary())
     if args.report:
-        _dump_json(report.to_json(), args.report)
+        dump_json(report.to_json(), args.report)
     return PASS if report.overall else FAIL
 
 
@@ -176,13 +166,10 @@ def cmd_verify(args) -> int:
 def cmd_audit(args) -> int:
     manifest = ElectionManifest.load(args.manifest)
     lines = verifier_mod.parse_lines(verifier_mod.read_board_lines(args.board))
-    cvrs = _load_json(args.cvrs)
-    papers = _load_json(args.papers)
-    published = _load_json(args.commitments) if args.commitments else None
     try:
-        outcome = audit_mod.run_audit(
-            lines, manifest, cvrs, papers, args.seed, args.alpha, published=published
-        )
+        published = load_json(args.commitments) if args.commitments else None
+        outcome = audit_mod.run_audit(lines, manifest, load_json(args.cvrs),
+                                      load_json(args.papers), args.seed, args.alpha, published)
     except (CommitmentMismatch, MarginNotPositive, StarlockError) as exc:
         print(json.dumps({"verdict": "ABORTED", "reason": str(exc)}, indent=2))
         return FAIL

@@ -31,7 +31,7 @@ class MalformedRecord(StarlockError):
     @property
     def detail(self) -> str:
         """Path and fault, e.g. "ballot.contests[0].options[2].a: not lowercase hex"."""
-        return f"{self.path.lstrip('.')}: {self.reason}" if self.path else self.reason
+        return f"{self.path.removeprefix('.')}: {self.reason}" if self.path else self.reason
 
     def __str__(self) -> str:
         return self.detail if self.lineno is None else f"board line {self.lineno}: {self.detail}"

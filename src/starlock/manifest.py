@@ -4,12 +4,11 @@ the verifier, the tally tooling, and auditors."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .ballot import BallotStyle
 from .group import GroupParams
-from .serialize import DIGEST, HEX, INT, SALT, STR, Record, dict_of, record, tuple_of
+from .serialize import DIGEST, HEX, INT, SALT, STR, Record, dict_of, load_json, record, tuple_of
 from .trustees import JointPublicKey
 
 
@@ -39,12 +38,6 @@ class ElectionManifest(Record):
     def style_map(self) -> dict:
         return {s.style_id: s for s in self.styles}
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path) -> "ElectionManifest":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(load_json(path))

@@ -16,17 +16,21 @@ every spoiled record, the homomorphic tally, and a fresh signature.
 
 from __future__ import annotations
 
+import json
+import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .audit import (
+    PAPER_VIEWS,
     SALT_BYTES,
     build_cvrs,
+    column,
     compliance_check,
     interpretation,
     published_commitments,
 )
-from .ballot import BallotStyle, PlaintextBallot
+from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, BallotStyle, Contest, PlaintextBallot, encode
 from .board import Board, decrypt_spoiled, decrypt_tally
 from .boardformat import CAST, SPOILED, UNTALLIED, contest_columns
 from .elgamal import Keypair, keygen
@@ -39,16 +43,41 @@ from .pollsite import (
     REJECT,
     SPOIL_CHALLENGE,
     SPOIL_VOTER,
-    FaultInjector,
     PollSite,
 )
-from .trustees import dkg
+from .serialize import (
+    INT,
+    INTEGER,
+    NUMBER,
+    OBJECT,
+    STR,
+    Codec,
+    FileRecord,
+    decode_field,
+    dict_of,
+    dump_json,
+    load_json,
+    optional,
+    record,
+    tuple_of,
+)
+from .trustees import check_threshold, dkg
 
 ACTIONS = ("cast", "spoil", "challenge", "abandon", "provisional")
+FAULTS = ("lost_papers", "dropped_scans", "duplicated_scans")  # voter indices, under "faults"
+
+# {contest id: [option id or "(write-in)", ...]}, lists as in the file
+SELECTIONS = dict_of(Codec(list, lambda v: list(tuple_of(STR).decode(v))))
+
+
+def _given(value, keys, decode) -> dict:
+    """{key: decode(value[key])} for each of keys that the object value gives."""
+    obj = OBJECT.decode(value)
+    return {key: decode_field(obj, key, decode) for key in keys if key in obj}
 
 
 @dataclass
-class Voter:
+class Voter(FileRecord):
     style: str
     selections: dict
     action: str = "cast"
@@ -56,19 +85,19 @@ class Voter:
     revote: dict | None = None
     adjudication: str | None = None
 
-    def to_json(self) -> dict:
-        out = {"style": self.style, "selections": self.selections, "action": self.action}
-        if self.terminal is not None:
-            out["terminal"] = self.terminal
-        if self.revote is not None:
-            out["revote"] = self.revote
-        if self.adjudication is not None:
-            out["adjudication"] = self.adjudication
-        return out
+    FIELDS = (
+        ("style", "style", STR),
+        ("selections", "selections", SELECTIONS),
+        ("action", "action", STR),
+        ("terminal", "terminal", optional(STR)),
+        ("revote", "revote", optional(SELECTIONS)),
+        ("adjudication", "adjudication", optional(STR)),
+    )
+    DEFAULTS = {"selections": {}}
 
 
 @dataclass
-class Scenario:
+class Scenario(FileRecord):
     election_id: str
     group: str
     trustees: tuple  # (n, k)
@@ -84,6 +113,26 @@ class Scenario:
     paper_overrides: tuple = ()  # ({"voter": i, "contests": {...}}, ...)
     paper_noise_rate: float = 0.0
 
+    FIELDS = (
+        ("election_id", "election_id", STR),
+        ("group", "group", STR),
+        ("trustees", "trustees", Codec(  # (n, k); either one left out is 1
+            lambda t: {"n": t[0], "k": t[1]},
+            lambda v: tuple(_given(v, "nk", INTEGER.decode).get(key, 1) for key in "nk"))),
+        ("seed", "seed", INTEGER),
+        ("ttl", "ttl", INTEGER),
+        ("styles", "styles", tuple_of(record(BallotStyle))),
+        ("terminals", "terminals", tuple_of(STR)),
+        ("voters", "voters", tuple_of(record(Voter))),
+        ("rigged_terminals", "rigged_terminals", tuple_of(STR)),
+        ("faults", None, Codec(lambda s: {key: list(getattr(s, key)) for key in FAULTS},
+                               lambda v: _given(v, FAULTS, tuple_of(INTEGER).decode))),
+        ("paper_overrides", "paper_overrides", tuple_of(OBJECT)),  # views: see validate
+        ("paper_noise_rate", "paper_noise_rate", NUMBER),
+    )
+    DEFAULTS = {"election_id": "starlock-election", "group": "test", "trustees": {},
+                "terminals": ["T1"], "voters": []}
+
     def __post_init__(self):
         self.validate()
 
@@ -95,22 +144,20 @@ class Scenario:
             raise ScenarioError("trustee counts must be integers")
         if not isinstance(self.seed, int):
             raise ScenarioError("scenario seed is mandatory and must be an integer")
-        if not self.styles:
-            raise ScenarioError("at least one ballot style required")
-        style_ids = {s.style_id for s in self.styles}
-        if len(style_ids) != len(self.styles):
-            raise ScenarioError("duplicate style ids")
+        styles = {s.style_id: s for s in self.styles}
+        if not styles or len(styles) != len(self.styles):
+            raise ScenarioError("styles must be nonempty with unique ids")
         try:
-            contest_columns({s.style_id: s for s in self.styles})
-        except StarlockError as exc:
+            check_threshold(n, k, GROUPS[self.group])
+            contest_columns(styles)
+        except StarlockError as exc:  # InvalidThreshold, or a contest defined twice
             raise ScenarioError(str(exc)) from None
         if not self.terminals or len(set(self.terminals)) != len(self.terminals):
             raise ScenarioError("terminals must be nonempty and unique")
-        for t in self.rigged_terminals:
-            if t not in self.terminals:
-                raise ScenarioError(f"rigged terminal {t!r} is not a terminal")
+        if not set(self.rigged_terminals) <= set(self.terminals):
+            raise ScenarioError("rigged_terminals: not all terminals")
         for i, voter in enumerate(self.voters):
-            if voter.style not in style_ids:
+            if voter.style not in styles:
                 raise ScenarioError(f"voter {i} references unknown style {voter.style!r}")
             if voter.action not in ACTIONS:
                 raise ScenarioError(f"voter {i} has unknown action {voter.action!r}")
@@ -123,92 +170,26 @@ class Scenario:
                     raise ScenarioError(f"voter {i}: adjudication requires a provisional vote")
                 if voter.adjudication not in (ACCEPT, REJECT):
                     raise ScenarioError(f"voter {i}: adjudication must be ACCEPT or REJECT")
-        n_voters = len(self.voters)
-        for name, indices in (
-            ("lost_papers", self.lost_papers),
-            ("dropped_scans", self.dropped_scans),
-            ("duplicated_scans", self.duplicated_scans),
-        ):
-            for idx in indices:
-                if not (isinstance(idx, int) and 0 <= idx < n_voters):
-                    raise ScenarioError(f"{name} index {idx!r} out of range")
-        for override in self.paper_overrides:
-            idx = override.get("voter")
-            if not (isinstance(idx, int) and 0 <= idx < n_voters):
-                raise ScenarioError(f"paper override voter {idx!r} out of range")
-            if "contests" not in override:
-                raise ScenarioError("paper override needs a contests map")
+        indices = [(key, idx) for key in FAULTS for idx in getattr(self, key)]
+        for j, override in enumerate(self.paper_overrides):
+            try:
+                decode_field(override, "contests", PAPER_VIEWS)
+            except MalformedRecord as exc:
+                raise ScenarioError(str(exc.within(j).within("paper_overrides"))) from None
+            indices.append(("paper_overrides", override.get("voter")))
+        for key, idx in indices:
+            if not (isinstance(idx, int) and 0 <= idx < len(self.voters)):
+                raise ScenarioError(f"{key}: voter index {idx!r} out of range")
         if not 0.0 <= self.paper_noise_rate <= 1.0:
             raise ScenarioError("paper_noise_rate must be in [0, 1]")
 
-    def to_json(self) -> dict:
-        return {
-            "election_id": self.election_id,
-            "group": self.group,
-            "trustees": {"n": self.trustees[0], "k": self.trustees[1]},
-            "seed": self.seed,
-            "ttl": self.ttl,
-            "styles": [s.to_json() for s in self.styles],
-            "terminals": list(self.terminals),
-            "voters": [v.to_json() for v in self.voters],
-            "rigged_terminals": list(self.rigged_terminals),
-            "faults": {
-                "lost_papers": list(self.lost_papers),
-                "dropped_scans": list(self.dropped_scans),
-                "duplicated_scans": list(self.duplicated_scans),
-            },
-            "paper_overrides": list(self.paper_overrides),
-            "paper_noise_rate": self.paper_noise_rate,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Scenario":
-        try:
-            trustees = obj.get("trustees", {})
-            styles = tuple(BallotStyle.from_json(s) for s in obj["styles"])
-            voters = tuple(
-                Voter(
-                    style=v["style"],
-                    selections=v.get("selections", {}),
-                    action=v.get("action", "cast"),
-                    terminal=v.get("terminal"),
-                    revote=v.get("revote"),
-                    adjudication=v.get("adjudication"),
-                )
-                for v in obj.get("voters", [])
-            )
-            faults = obj.get("faults", {})
-            return cls(
-                election_id=obj.get("election_id", "starlock-election"),
-                group=obj.get("group", "test"),
-                trustees=(trustees.get("n", 1), trustees.get("k", 1)),
-                seed=obj["seed"],
-                ttl=obj.get("ttl", DEFAULT_TTL),
-                styles=styles,
-                terminals=tuple(obj.get("terminals", ["T1"])),
-                voters=voters,
-                rigged_terminals=tuple(obj.get("rigged_terminals", [])),
-                lost_papers=tuple(faults.get("lost_papers", [])),
-                dropped_scans=tuple(faults.get("dropped_scans", [])),
-                duplicated_scans=tuple(faults.get("duplicated_scans", [])),
-                paper_overrides=tuple(obj.get("paper_overrides", [])),
-                paper_noise_rate=float(obj.get("paper_noise_rate", 0.0)),
-            )
-        except ScenarioError:
-            raise
-        except (KeyError, TypeError, ValueError, MalformedRecord) as exc:
-            raise ScenarioError(f"bad scenario file: {exc}") from None
-
 
 def load_scenario(path) -> Scenario:
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"scenario is not valid JSON: {exc}") from None
-    return Scenario.from_json(obj)
+    """The scenario in the file at path; ScenarioError names the file or field at fault."""
+    try:
+        return Scenario.from_json(load_json(path))
+    except MalformedRecord as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def make_keys(scenario: Scenario):
@@ -225,14 +206,24 @@ def make_keys(scenario: Scenario):
 def run_scenario(scenario: Scenario, keys=None) -> dict:
     """Simulate the full election day and publish the board.
 
-    Returns the complete artifact set; write_artifacts serializes it."""
+    Returns the complete artifact set; write_artifacts serializes it. Each
+    ballot first goes through the terminal's encoding (not in validate, which
+    runs for every Scenario built): one it refuses raises ScenarioError,
+    naming the voter, before the day starts."""
+    styles = {s.style_id: s for s in scenario.styles}
+    for i, voter in enumerate(scenario.voters):
+        for key in ("selections", "revote") if voter.revote is not None else ("selections",):
+            try:
+                encode(PlaintextBallot.from_raw_selections(voter.style, getattr(voter, key)),
+                       styles[voter.style])
+            except StarlockError as exc:
+                raise ScenarioError(f"voters[{i}].{key}: {exc}") from None
     gp = resolve_group(scenario.group)
     if keys is None:
         keys = make_keys(scenario)
     jpk, office = keys["jpk"], keys["office"]
     rng = random.Random(scenario.seed)
     salt = rng.getrandbits(8 * SALT_BYTES).to_bytes(SALT_BYTES, "big")
-    styles = {s.style_id: s for s in scenario.styles}
     site = PollSite(
         election_id=scenario.election_id,
         gp=gp,
@@ -242,7 +233,6 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
         salt=salt,
         rng=rng,
         ttl=scenario.ttl,
-        injector=FaultInjector(),
         rigged_terminals=scenario.rigged_terminals,
     )
     manifest = ElectionManifest(
@@ -341,11 +331,10 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
         for row in paper_rows:
             if rng.random() < scenario.paper_noise_rate:
                 _stray_mark(row, styles, rng)
-    serial_of_voter = {i: s for i, s in final_serial.items()}
     overrides = {o["voter"]: o["contests"] for o in scenario.paper_overrides}
     for row in paper_rows:
         for voter_idx, contests in overrides.items():
-            if serial_of_voter.get(voter_idx) == row["serial"]:
+            if final_serial.get(voter_idx) == row["serial"]:
                 row["contests"] = {
                     cid: dict(view) for cid, view in {**row["contests"], **contests}.items()
                 }
@@ -400,11 +389,10 @@ def finish_election(board: Board, manifest: ElectionManifest, trustee_shares,
     gp = manifest.gp
     style_map = manifest.style_map
 
-    index_of = {row["serial"]: int(row["index"]) for row in cvrs}
-    cast_serials = {
-        s for s, i in index_of.items() if board.effective_status(i) == CAST
-    }
-    compliance = compliance_check(cast_serials, [row["serial"] for row in paper_rows])
+    index_of = dict(zip(column(cvrs, "cvrs", "serial", STR.decode),
+                        column(cvrs, "cvrs", "index", INT.decode)))
+    cast_serials = {s for s, i in index_of.items() if board.effective_status(i) == CAST}
+    compliance = compliance_check(cast_serials, column(paper_rows, "papers", "serial", STR.decode))
     for serial in compliance["cast_without_paper"]:
         board.append_status(index_of[serial], UNTALLIED, reason="cast-without-paper")
 
@@ -423,9 +411,6 @@ def finish_election(board: Board, manifest: ElectionManifest, trustee_shares,
 
 def write_artifacts(result: dict, outdir) -> dict:
     """Serialize a run's artifact set under outdir. Returns {name: path}."""
-    import json
-    import os
-
     os.makedirs(outdir, exist_ok=True)
     paths = {}
 
@@ -435,20 +420,11 @@ def write_artifacts(result: dict, outdir) -> dict:
 
     result["manifest"].save(path("params.json"))
     result["board"].write(path("board.jsonl"))
+    events = [{"event": "init", "seeds": result["initial_seeds"]}, *result["events"]]
     with open(path("eventlog.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"event": "init", "seeds": result["initial_seeds"]},
-                            sort_keys=True) + "\n")
-        for event in result["events"]:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
-    for name, rows in (
-        ("papers.json", result["papers"]),
-        ("cvrs.json", result["cvrs"]),
-        ("commitments.json", result["commitments"]),
-        ("receipts.json", result["receipts"]),
-    ):
-        with open(path(name), "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        fh.writelines(json.dumps(event, sort_keys=True) + "\n" for event in events)
+    for name in ("papers", "cvrs", "commitments", "receipts"):
+        dump_json(result[name], path(f"{name}.json"))
     return paths
 
 
@@ -469,8 +445,8 @@ def make_demo_scenario(seed: int = 7) -> Scenario:
         BallotStyle(
             style_id="downtown",
             contests=(
-                _contest("mayor", ("ada", "grace"), 1, True),
-                _contest("council", ("ida", "joan", "mary"), 2, False),
+                Contest("mayor", ("ada", "grace"), 1, True),
+                Contest("council", ("ida", "joan", "mary"), 2, False),
             ),
         ),
     )
@@ -499,13 +475,6 @@ def make_demo_scenario(seed: int = 7) -> Scenario:
     )
 
 
-def _contest(cid, options, limit, writein):
-    from .ballot import Contest
-
-    return Contest(contest_id=cid, options=tuple(options), limit=limit,
-                   writein_slot=writein)
-
-
 def make_random_scenario(seed: int, max_voters: int = 200, max_contests: int = 4) -> Scenario:
     """Randomized-but-capacity-safe scenario for end-to-end trials."""
     rng = random.Random(("scenario", seed).__repr__())
@@ -530,7 +499,7 @@ def make_random_scenario(seed: int, max_voters: int = 200, max_contests: int = 4
             n_options = max(2, -(-n_voters // 10) + rng.randint(1, 3))
             writein = False
         options = tuple(f"c{c}x{o}" for o in range(n_options))
-        contests.append(_contest(f"race{c}", options, limit, writein))
+        contests.append(Contest(f"race{c}", options, limit, writein))
 
     styles = [BallotStyle(style_id="full", contests=tuple(contests))]
     if small and n_contests > 1 and rng.random() < 0.5:
@@ -589,22 +558,12 @@ def expected_counts(scenario: Scenario) -> dict:
     """Plaintext oracle: per-contest column counts implied by the script,
     counting only ballots that end the day CAST (casts, revote casts, and
     accepted provisionals). Derived purely from the scenario text."""
-    from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN
-
     styles = {s.style_id: s for s in scenario.styles}
-    counts = {}
-    cast_counts = {}
-    for style in scenario.styles:
-        for contest in style.contests:
-            if contest.contest_id not in counts:
-                cols = {opt: 0 for opt in contest.options}
-                cols[ABSTAIN_COLUMN] = 0
-                if contest.writein_slot:
-                    cols[WRITE_IN_COLUMN] = 0
-                counts[contest.contest_id] = cols
-                cast_counts[contest.contest_id] = 0
+    layout = contest_columns(styles)
+    counts = {cid: dict.fromkeys(columns, 0) for cid, (_, columns) in layout.items()}
+    cast_counts = dict.fromkeys(counts, 0)
 
-    for i, voter in enumerate(scenario.voters):
+    for voter in scenario.voters:
         if voter.action == "cast":
             selections = voter.selections
         elif voter.action in ("spoil", "challenge") and voter.revote is not None:
@@ -617,8 +576,8 @@ def expected_counts(scenario: Scenario) -> dict:
         for contest in style.contests:
             cols = counts[contest.contest_id]
             cast_counts[contest.contest_id] += 1
-            chosen = [s for s in selections.get(contest.contest_id, [])]
-            real = [s for s in chosen if s != WRITE_IN_COLUMN]
+            chosen = selections.get(contest.contest_id, [])
+            real = {s for s in chosen if s != WRITE_IN_COLUMN}  # a repeat counts once
             for opt in real:
                 cols[opt] += 1
             cols[ABSTAIN_COLUMN] += contest.limit - len(real)

@@ -7,8 +7,10 @@ declared order, and a nested structure is embedded as a single length-prefixed
 bytes field. All digests are SHA-256, rendered as lowercase hex.
 
 JSON form: each published record declares its wire form once, as Record
-FIELDS rows (JSON key, attribute, codec). Decoding is total: anything else
-raises MalformedRecord naming the field path.
+FIELDS rows (JSON key, attribute, codec); an operator file's records (the
+scenario) are FileRecords, which may leave keys out. Decoding is total:
+anything else raises MalformedRecord naming the field path. Every JSON file is
+read by load_json and written by dump_json.
 
 Keeping this in one module is what lets independent readers of the public
 artifacts (verifier, auditors, receipt checkers) reproduce every hash
@@ -72,6 +74,23 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def load_json(path) -> Any:
+    """The JSON document in the file at path; MalformedRecord naming the file
+    when it holds none (bad UTF-8 or nesting too deep to parse included)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise MalformedRecord(f"not a JSON document ({exc})").within(str(path)) from None
+
+
+def dump_json(obj: Any, path) -> None:
+    """Write obj to the file at path as indented, key-sorted JSON and a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 # -- the wire codec ----------------------------------------------------------------
 
 Codec = namedtuple("Codec", "encode decode")  # decode raises MalformedRecord
@@ -97,8 +116,16 @@ def _natural(value) -> int:
 HEX = Codec(int_to_hex, hex_to_int)
 STR = Codec(str, lambda v: _check(type(v) is str, v, "not a string"))
 BOOL = Codec(bool, lambda v: _check(type(v) is bool, v, "not a boolean"))
+OBJECT = Codec(dict, lambda v: _check(type(v) is dict, v, "not an object"))
 INT = Codec(int, _natural)  # INT and NUMERAL decode a JSON int or a decimal string;
 NUMERAL = Codec(str, _natural)  # NUMERAL writes the string (board counts and indices)
+INTEGER = Codec(int, lambda v: _check(type(v) is int, v, "not an integer"))  # JSON ints only
+NUMBER = Codec(float, lambda v: float(_check(type(v) in (int, float), v, "not a number")))
+
+
+def one_of(*words: str) -> Codec:
+    """A string among words."""
+    return Codec(str, lambda v: _check(v in words, v, f"not one of {', '.join(words)}"))
 
 
 def hex_bytes(size: int) -> Codec:
@@ -177,6 +204,9 @@ class Record:
     def to_json(self) -> dict:
         return {key: codec.encode(getattr(self, attr)) for key, attr, codec in self.FIELDS}
 
+    def save(self, path) -> None:
+        dump_json(self.to_json(), path)
+
     @classmethod
     def from_json(cls, obj):
         _check(type(obj) is dict, obj, "not an object")
@@ -185,3 +215,26 @@ class Record:
             return cls(**values)
         except ValueError as exc:  # refused by the record's own __post_init__
             raise MalformedRecord(str(exc)) from None
+
+
+class FileRecord(Record):
+    """A record of an operator file (a scenario, a voter). A key may be left out
+    when DEFAULTS gives its JSON value or its attribute a plain dataclass default;
+    a row with attribute None encodes the whole record, decoding to attributes."""
+
+    DEFAULTS = {}
+
+    def to_json(self) -> dict:
+        return {key: codec.encode(self if attr is None else getattr(self, attr))
+                for key, attr, codec in self.FIELDS}
+
+    @classmethod
+    def from_json(cls, obj):
+        obj = {**cls.DEFAULTS, **OBJECT.decode(obj)}
+        values = {}
+        for key, attr, codec in cls.FIELDS:
+            # a dataclass keeps a plain field default as a class attribute
+            if key in obj or not (attr is None or hasattr(cls, attr)):
+                value = decode_field(obj, key, codec.decode)
+                values.update(value if attr is None else {attr: value})
+        return cls(**values)

@@ -69,6 +69,16 @@ class DecryptionShare(Record):
     )
 
 
+def check_threshold(n: int, k: int, gp: GroupParams) -> None:
+    """InvalidThreshold unless 1 <= k <= n <= MAX_TRUSTEES and n < q."""
+    if k < 1 or k > n:
+        raise InvalidThreshold(f"trustees: need 1 <= k <= n, got k={k} n={n}")
+    if n > MAX_TRUSTEES:
+        raise InvalidThreshold(f"trustees: n={n} exceeds supported maximum {MAX_TRUSTEES}")
+    if n >= gp.q:
+        raise InvalidThreshold(f"trustees: n={n} collides share points modulo q={gp.q}")
+
+
 def dkg(n: int, k: int, gp: GroupParams, rng: random.Random):
     """Dealer-based distributed key generation.
 
@@ -76,12 +86,7 @@ def dkg(n: int, k: int, gp: GroupParams, rng: random.Random):
     style sharing; k = 1, n = 1 yields a single share equal to sk itself.
     The dealer's polynomial lives only inside this call.
     """
-    if k < 1 or k > n:
-        raise InvalidThreshold(f"need 1 <= k <= n, got k={k} n={n}")
-    if n > MAX_TRUSTEES:
-        raise InvalidThreshold(f"n={n} exceeds supported maximum {MAX_TRUSTEES}")
-    if n >= gp.q:
-        raise InvalidThreshold(f"n={n} collides share points modulo q={gp.q}")
+    check_threshold(n, k, gp)
     coeffs = [rng.randrange(1, gp.q)] + [rng.randrange(0, gp.q) for _ in range(k - 1)]
     commitments = tuple(pow(gp.g, a, gp.p) for a in coeffs)
 

@@ -280,6 +280,18 @@ def test_hand_count_ignores_unknown_marks() -> None:
     assert manual["winners"] == {"race": ["A"]}
 
 
+@pytest.mark.parametrize("selections, counts, winner", [
+    (["B", "B", "B", "B", "B"], {"A": 5, "B": 5}, "A"),  # one B, named five times
+    (["A", "B"], {"A": 5, "B": 4}, "A"),  # an overvote counts for neither
+], ids=["repeated-selection", "overvote"])
+def test_hand_count_counts_each_option_once_and_no_overvote(selections, counts, winner) -> None:
+    _, manifest, _, papers = synthetic_comparison_record(n=10, winner_votes=6)
+    papers[0]["contests"]["race"]["selections"] = selections  # an A ballot
+    manual = hand_count(papers, manifest)
+    assert manual["counts"] == {"race": counts}
+    assert manual["winners"] == {"race": [winner]}
+
+
 def test_honest_audit_confirms_in_45_draws() -> None:
     lines, manifest, cvrs, papers = synthetic_comparison_record()
     out = run_audit(lines, manifest, cvrs, papers, SEED_A, 0.1)

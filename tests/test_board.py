@@ -29,6 +29,7 @@ from starlock.elgamal import keygen
 from starlock.errors import (
     BadShareProof,
     InsufficientShares,
+    MalformedRecord,
     NotSpoiled,
     RejectInvalidProof,
     StarlockError,
@@ -103,6 +104,19 @@ def test_publish_rejects_invalid_proof_and_bad_status() -> None:
         board.publish_entry(forged, CAST, STYLE, jpk.K, GP)
     with pytest.raises(ValueError):
         board.publish_entry(record, "PENDING", STYLE, jpk.K, GP)
+
+
+def test_board_refuses_a_status_outside_the_format() -> None:
+    jpk, _, _, rng = setup_keys()
+    board = Board(EID)
+    board.publish_entry(make_record(ballot("ada"), jpk, rng), CAST, STYLE, jpk.K, GP)
+    before = (len(board.lines()), board.last_hash)
+    for status in ("VOID", "cast", "PENDING"):
+        with pytest.raises(MalformedRecord) as exc:
+            board.append_status(0, status)
+        assert exc.value.detail == "status: not one of CAST, SPOILED, UNTALLIED"
+    assert (len(board.lines()), board.last_hash) == before
+    assert board.effective_status(0) == CAST
 
 
 def test_line_chain_matches_manual_hashing() -> None:

@@ -14,6 +14,7 @@ from helpers import board_raw_lines, demo_commands, demo_run, rechain
 from starlock.cli import main
 from starlock.scenario import make_demo_scenario
 from starlock.serialize import int_to_hex
+from starlock.verifier import verify_board
 
 SEED20 = "01234567890123456789"
 
@@ -341,3 +342,91 @@ def test_rechained_edits_end_with_an_exit_code_not_a_traceback(edit, command, co
     board, commands = demo_commands(tmp_path)
     board.write_text("\n".join(retamper_demo(edit)) + "\n", encoding="utf-8")
     assert main(commands[command]) == code
+
+
+# Input files that hold no JSON document, or not the document their command
+# reads: (command, file under tmp_path, its content).
+MALFORMED_FILES = [
+    ("verify", "params.json", b"{not json"),
+    ("audit", "cvrs.json", b"[{"),
+    ("audit", "papers.json", b"\xff\xfe not utf-8"),
+    ("tally", "cvrs.json", b"[" * 100000),
+    ("tally", "papers.json", b""),
+    ("tally", "share1.json", b"{not json"),
+    ("tally", "office.json", b"{not json"),
+    ("simulate", "keys/joint_key.json", b"[]"),
+]
+
+
+@pytest.mark.parametrize("command, name, content", MALFORMED_FILES,
+                         ids=[f"{c}-{n.split('/')[-1]}" for c, n, _ in MALFORMED_FILES])
+def test_a_malformed_input_file_exits_2_naming_it(command, name, content, tmp_path,
+                                                   capsys) -> None:
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    raw = board_raw_lines(result["board"])
+    if command == "tally":  # the board as it stood before the tally
+        kinds = [json.loads(line)["kind"] for line in raw]
+        raw = raw[: kinds.index("signature") + 1]
+    board.write_text("\n".join(raw) + "\n", encoding="utf-8")
+    if command == "simulate":
+        assert main(["keygen", "--n", "3", "--k", "2", "--seed", "5",
+                     "--outdir", str(tmp_path / "keys")]) == 0
+        commands["simulate"] = ["simulate", "--scenario", write_demo_scenario(tmp_path),
+                                "--keys", str(tmp_path / "keys"), "--outdir", str(tmp_path / "out")]
+    (tmp_path / name).write_bytes(content)
+    capsys.readouterr()
+    assert main(commands[command]) == 2
+    printed = capsys.readouterr()
+    assert str(tmp_path / name) in printed.out + printed.err
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda cvrs: [{k: v for k, v in cvrs[0].items() if k != "serial"}, *cvrs[1:]],
+     "cvrs[0].serial: missing"),
+    (lambda cvrs: [dict(cvrs[0], index="x"), *cvrs[1:]],
+     "cvrs[0].index: not a non-negative integer"),
+    (lambda cvrs: {}, "cvrs: not a list"),
+], ids=["row-without-serial", "index-not-a-number", "an-object"])
+def test_tally_refuses_a_malformed_cvr_file(edit, fault, tmp_path, capsys) -> None:
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    raw = board_raw_lines(result["board"])
+    kinds = [json.loads(line)["kind"] for line in raw]
+    board.write_text("\n".join(raw[: kinds.index("signature") + 1]) + "\n", encoding="utf-8")
+    cvrs = tmp_path / "cvrs.json"
+    cvrs.write_text(json.dumps(edit(json.loads(cvrs.read_text()))), encoding="utf-8")
+    before = board.read_bytes()
+    assert main(commands["tally"]) == 2
+    assert fault in capsys.readouterr().out
+    assert board.read_bytes() == before
+
+
+def test_an_entry_with_an_unknown_status_fails_at_its_line(tmp_path, capsys) -> None:
+    """A CAST entry re-labelled VOID and the board re-chained and re-signed: the
+    status is not in the board format, so no reader counts the entry as any
+    status, and each names the line."""
+    result, _ = demo_run()
+    cast = next(r for r in result["receipts"] if r["status"] == "CAST")
+    where = []
+
+    def mutate(lines):
+        entry = next(x for x in lines if x["kind"] == "entry" and x["index"] == str(cast["entry"]))
+        entry["status"] = "VOID"
+        where.append(lines.index(entry))
+
+    raw = retamper_demo(mutate)
+    report = verify_board(raw, result["manifest"])
+    chain = next(item for item in report.items if item.check == "line_chain")
+    assert not chain.ok and chain.line == where[0]
+    assert chain.detail == "malformed status: not one of CAST, SPOILED, UNTALLIED"
+
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(raw) + "\n", encoding="utf-8")
+    receipt = commands["receipt-check"]
+    receipt[receipt.index("--terminal") + 1] = cast["terminal"]
+    receipt[receipt.index("--code") + 1] = cast["code"]
+    for argv in (receipt, commands["audit"], commands["verify"]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv[0]
+        assert f"line {where[0]}" in capsys.readouterr().out, argv[0]

@@ -1,6 +1,7 @@
 """Scripted election days: scenario validation, the demo run, fault knobs,
 and the plaintext oracle they are all checked against."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -10,6 +11,7 @@ import pytest
 
 from helpers import board_raw_lines, demo_run, finish, mid_demo_run
 from starlock.ballot import BallotStyle, Contest, PlaintextBallot
+from starlock.cli import main
 from starlock.errors import ScenarioError
 from starlock.scenario import (
     Scenario,
@@ -84,6 +86,135 @@ def test_scenario_json_round_trip(tmp_path) -> None:
     (tmp_path / "noseed.json").write_text('{"styles": []}', encoding="utf-8")
     with pytest.raises(ScenarioError):
         load_scenario(tmp_path / "noseed.json")
+
+
+def test_a_file_may_leave_out_every_optional_key(tmp_path) -> None:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"seed": 3, "styles": [STYLE.to_json()],
+                                "voters": [{"style": "s"}], "trustees": {"n": 3}}))
+    scenario = load_scenario(path)
+    assert scenario == Scenario(election_id="starlock-election", group="test", trustees=(3, 1),
+                                seed=3, styles=(STYLE,), terminals=("T1",),
+                                voters=(Voter("s", {}),))
+    assert (scenario.ttl, scenario.lost_papers, scenario.paper_noise_rate) == (600, (), 0.0)
+
+
+def test_what_the_run_would_fail_on_is_refused_before_it_starts() -> None:
+    # Each of these once passed validation and failed partway through the run.
+    for trustees in ((2, 3), (11, 2)):  # k above n; n not below q = 11
+        with pytest.raises(ScenarioError, match="^trustees: "):
+            base(trustees=trustees)
+    for voter in (
+        Voter("s", {"race": ["c"]}),  # unknown option
+        Voter("s", {"race": ["a", "b"]}),  # overvote
+        Voter("s", {"race": ["(write-in)"]}),  # no write-in slot
+        Voter("s", {}, "spoil", revote={"race": ["a", "b"]}),
+    ):
+        scenario = base(voters=(Voter("s", {"race": ["a"]}), voter))
+        with pytest.raises(ScenarioError, match=r"^voters\[1\]\.(selections|revote): "):
+            run_scenario(scenario)
+
+
+def _edit(path, value):
+    """An edit of a scenario's JSON that sets the value at path (a key or
+    index sequence; the empty path replaces the whole document)."""
+    def edit(obj):
+        if not path:
+            return value
+        parent = obj
+        for step in path[:-1]:
+            parent = parent[step]
+        parent[path[-1]] = value
+        return obj
+
+    return edit
+
+
+# Each edit of the demo scenario's JSON and the error that starlock simulate
+# prints for it (exit 3): the field or voter it names, and why.
+SCENARIO_EDITS = {
+    "selections-a-number": (_edit(("voters", 0, "selections"), 5),
+                            "voters[0].selections: not an object"),
+    "terminals-a-string": (_edit(("terminals",), "T1"), "terminals: not a list"),
+    "seed-true": (_edit(("seed",), True), "seed: not an integer"),
+    "faults-a-list": (_edit(("faults",), []), "faults: not an object"),
+    "trustees-a-list": (_edit(("trustees",), [3, 2]), "trustees: not an object"),
+    "ttl-a-string": (_edit(("ttl",), "x"), "ttl: not an integer"),
+    "election-id-a-number": (_edit(("election_id",), 5), "election_id: not a string"),
+    "paper-override-a-number": (_edit(("paper_overrides",), [5]),
+                                "paper_overrides[0]: not an object"),
+    "revote-a-number": (_edit(("voters", 2, "revote"), 5), "voters[2].revote: not an object"),
+    "document-a-list": (_edit((), []), "scenario error: not an object"),
+    "unknown-option": (_edit(("voters", 0, "selections", "mayor"), ["zed"]),
+                       "voters[0].selections: contest mayor: unknown option 'zed'"),
+    "overvote": (_edit(("voters", 1, "selections", "council"), ["ida", "joan", "mary"]),
+                 "voters[1].selections: contest council: 3 selections exceed limit 2"),
+    "write-in-without-slot": (_edit(("voters", 2, "revote", "council"), ["(write-in)"]),
+                              "voters[2].revote: contest council has no write-in slot"),
+    "k-above-n": (_edit(("trustees",), {"n": 2, "k": 3}),
+                  "trustees: need 1 <= k <= n, got k=3 n=2"),
+    "not-json": (lambda obj: "{not json", "not a JSON document"),
+}
+
+
+@pytest.mark.parametrize("edit, message", SCENARIO_EDITS.values(), ids=SCENARIO_EDITS)
+def test_simulate_refuses_a_malformed_scenario_by_name(edit, message, tmp_path, capsys) -> None:
+    path = tmp_path / "scenario.json"
+    obj = edit(make_demo_scenario().to_json())
+    path.write_text(obj if isinstance(obj, str) else json.dumps(obj), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(path), "--outdir", str(tmp_path / "out")]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+MUTATION_SEED = 3
+WRONG_VALUES = (5, "x", [], {}, None, True)
+CLI_SHARE = 5  # about one mutant in 5 also runs through starlock simulate
+
+
+def scenario_mutants():
+    """The demo scenario's JSON, each time with one key or list item removed or
+    one value replaced by a value of WRONG_VALUES, at every depth."""
+    pristine = make_demo_scenario().to_json()
+
+    def paths(obj, prefix=()):
+        if isinstance(obj, (dict, list)):
+            for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+                yield prefix + (key,)
+                yield from paths(value, prefix + (key,))
+
+    for path in paths(pristine):
+        for value in ("(removed)", *WRONG_VALUES):
+            obj = copy.deepcopy(pristine)
+            parent = obj
+            for step in path[:-1]:
+                parent = parent[step]
+            if value == "(removed)":
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+            yield f"{path} = {value!r}", obj
+
+
+def test_every_scenario_mutant_loads_or_is_refused_never_raised(tmp_path, capsys) -> None:
+    """Each mutant loads to a Scenario or is refused with ScenarioError, and
+    simulate runs it (exit 0) or refuses it (exit 3, also for a ballot the
+    terminal would not encode); nothing else is raised."""
+    rng = random.Random(MUTATION_SEED)
+    path = tmp_path / "scenario.json"
+    loaded = {True: 0, False: 0}
+    for label, obj in scenario_mutants():
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        try:
+            ok = isinstance(load_scenario(path), Scenario)
+        except ScenarioError:
+            ok = False
+        loaded[ok] += 1
+        if rng.randrange(CLI_SHARE) == 0:
+            argv = ["simulate", "--scenario", str(path), "--outdir", str(tmp_path / "out")]
+            assert main(argv) in ((0, 3) if ok else (3,)), label
+    capsys.readouterr()
+    assert loaded[True] > 100 and loaded[False] > 500
 
 
 def test_demo_day_covers_every_flow() -> None:

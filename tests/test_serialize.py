@@ -14,12 +14,14 @@ from starlock.ballot import Contest, EncryptedBallot
 from starlock.errors import MalformedRecord
 from starlock.serialize import (
     canonical_json,
+    dump_json,
     enc_bytes,
     enc_int,
     enc_str,
     hex_to_int,
     int_to_bytes,
     int_to_hex,
+    load_json,
     sha256,
     sha256_hex,
 )
@@ -137,3 +139,20 @@ def test_hex_is_only_what_int_to_hex_writes(value) -> None:
     assert hex_to_int(int_to_hex(13)) == 13
     with pytest.raises(MalformedRecord):
         hex_to_int(value)
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"", b"\xff\xfe[]", b"[" * 100000],
+                         ids=["not-json", "empty", "not-utf-8", "nested-too-deep"])
+def test_a_file_without_a_json_document_is_a_malformed_record(content, tmp_path) -> None:
+    path = tmp_path / "cvrs.json"
+    path.write_bytes(content)
+    with pytest.raises(MalformedRecord) as exc:
+        load_json(path)
+    assert exc.value.detail.startswith(f"{path}: not a JSON document (")
+
+
+def test_json_files_are_indented_key_sorted_and_end_in_a_newline(tmp_path) -> None:
+    path = tmp_path / "out.json"
+    dump_json({"b": [1], "a": None}, path)
+    assert path.read_text(encoding="utf-8") == '{\n  "a": null,\n  "b": [\n    1\n  ]\n}\n'
+    assert load_json(path) == {"a": None, "b": [1]}

@@ -1,5 +1,6 @@
 """The benchmark's per-layer trace hooks name code that exists in src/, and
-source-level rules that keep one definition of a group or proof-layer fact."""
+source-level rules that keep one definition of a group, proof-layer or file
+format fact."""
 
 import ast
 import importlib
@@ -87,5 +88,22 @@ def test_only_chaum_pedersen_py_batches_proof_equations() -> None:
             calls_holds = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                            and node.func.attr == "holds")
             if names_collect or calls_holds:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_only_serialize_py_reads_or_writes_json_files() -> None:
+    """No module but serialize.py calls json.load or json.dump: every JSON file
+    goes through serialize.load_json and serialize.dump_json (json.loads and
+    json.dumps on strings stay allowed)."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "serialize.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "dump")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"
+                    or isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and {a.name for a in node.names} & {"load", "dump"}):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
