@@ -129,11 +129,12 @@ def build_cvrs(records, manifest: ElectionManifest, rng) -> list:
 
 def published_commitments(cvrs) -> list:
     """The publishable face of the CVR store: serial, board index, and
-    digests only. No plaintext, no salts."""
-    return [
-        {"serial": row["serial"], "index": row["index"], "commitments": dict(row["commitments"])}
-        for row in cvrs
-    ]
+    digests only. No plaintext, no salts. A row without its serial, index or
+    commitments object raises MalformedRecord naming it."""
+    rows = zip(column(cvrs, "cvrs", "serial", STR.decode),
+               column(cvrs, "cvrs", "index", INT.decode),
+               column(cvrs, "cvrs", "commitments", OBJECT.decode))
+    return [{"serial": s, "index": i, "commitments": dict(c)} for s, i, c in rows]
 
 
 def open_commitment(row: dict, published: dict) -> None:

@@ -187,12 +187,18 @@ def aggregate(board: Board, style_map: dict, gp: GroupParams):
     return fold_ballots(board._index.cast_ballots(), style_map, gp)
 
 
-def _decrypt_column(ct, trustee_shares, jpk: JointPublicKey, bound: int, gp: GroupParams,
-                    rng: random.Random, context: bytes):
-    """Partial-decrypt one column with every supplied trustee share and
-    combine. Returns (plaintext, the shares)."""
-    shares = tuple(partial_decrypt(ct, ts, gp, rng, context) for ts in trustee_shares)
-    return combine_shares(ct, shares, jpk, bound, gp, context), shares
+def _decrypt_columns(cls, columns, trustee_shares, jpk: JointPublicKey, gp: GroupParams,
+                     rng: random.Random):
+    """Partial-decrypt each (contest, column, ciphertext, bound, context) with
+    every supplied trustee share, column by column, then verify and combine
+    them all in one call (one batch of share proofs). Returns cls(contest,
+    column, plaintext, ciphertext, shares) for each column, in order."""
+    shared = [tuple(partial_decrypt(ct, ts, gp, rng, context) for ts in trustee_shares)
+              for _, _, ct, _, context in columns]
+    values = combine_shares([(ct, shares, bound, context) for (_, _, ct, bound, context), shares
+                             in zip(columns, shared)], jpk, gp)
+    return [cls(cid, column, value, ct, shares)
+            for (cid, column, ct, _, _), value, shares in zip(columns, values, shared)]
 
 
 def decrypt_tally(
@@ -207,19 +213,16 @@ def decrypt_tally(
     share and combine. InsufficientShares/BadShareProof propagate from the
     combine step."""
     agg = aggregate(board, style_map, gp)
-    columns, result, cast_counts = [], {}, {}
-    for cid, bucket in agg.items():
-        contest = bucket["contest"]
-        n_cast = bucket["cast_count"]
-        cast_counts[cid] = n_cast
-        result[cid] = {}
-        for column, ct in bucket["columns"].items():
-            context = tally_context(board.election_id, cid, column)
-            bound = column_bound(contest, column, n_cast)
-            count, shares = _decrypt_column(ct, trustee_shares, jpk, bound, gp, rng, context)
-            result[cid][column] = count
-            columns.append(TallyColumn(cid, column, count, ct, shares))
-    return TallyRecord(columns=tuple(columns), result=result, cast_counts=cast_counts)
+    columns = _decrypt_columns(TallyColumn, [
+        (cid, column, ct, column_bound(bucket["contest"], column, bucket["cast_count"]),
+         tally_context(board.election_id, cid, column))
+        for cid, bucket in agg.items() for column, ct in bucket["columns"].items()],
+        trustee_shares, jpk, gp, rng)
+    result = {cid: {} for cid in agg}
+    for col in columns:
+        result[col.contest][col.column] = col.value
+    return TallyRecord(columns=tuple(columns), result=result,
+                       cast_counts={cid: bucket["cast_count"] for cid, bucket in agg.items()})
 
 
 def decrypt_spoiled(
@@ -240,12 +243,11 @@ def decrypt_spoiled(
     style = style_map.get(ballot.style_id)
     if style is None:
         raise StarlockError(f"unknown ballot style {ballot.style_id!r}")
-    columns, bits = [], {}
-    for contest, enc in zip(style.contests, ballot.contests):
-        cid = contest.contest_id
-        for column, ct in enc.all_columns(contest):
-            context = spoiled_context(board.election_id, entry_index, cid, column)
-            bit, shares = _decrypt_column(ct, trustee_shares, jpk, 1, gp, rng, context)
-            bits[(cid, column)] = bit
-            columns.append(SpoiledColumn(cid, column, bit, ct, shares).to_json())
-    return columns, spoiled_plaintext(style, bits)
+    columns = _decrypt_columns(SpoiledColumn, [
+        (contest.contest_id, column, ct, 1,
+         spoiled_context(board.election_id, entry_index, contest.contest_id, column))
+        for contest, enc in zip(style.contests, ballot.contests)
+        for column, ct in enc.all_columns(contest)],
+        trustee_shares, jpk, gp, rng)
+    bits = {(col.contest, col.column): col.value for col in columns}
+    return [col.to_json() for col in columns], spoiled_plaintext(style, bits)

@@ -14,7 +14,8 @@ Exit codes: 0 pass, 1 internal failure, 2 verification/audit failure
 line that breaks the chain or does not fit its kind, a record that does
 not match its declared wire form, each named by line and field, and a file
 that is not JSON, named by path), 3 usage or scenario-file error (a scenario
-file that is not JSON included). The only environment variable consulted is
+file that is not JSON included, and an input path that is missing, a
+directory or unreadable, named). The only environment variable consulted is
 STARLOCK_GROUP (default group for keygen when --group is omitted).
 """
 
@@ -283,8 +284,8 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return USAGE
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory, a file that cannot be read
+        print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return USAGE
     except InvalidGroup as exc:
         print(f"invalid group in manifest: {exc}", file=sys.stderr)

@@ -7,10 +7,11 @@ instant; PROD_GROUP is the 2048-bit MODP safe prime with g = 4, which is a
 quadratic residue and therefore generates the subgroup of order q.
 
 In a safe-prime group the order-q subgroup is exactly the quadratic
-residues, so membership is a Legendre symbol; bases that recur (g and the
-joint key) are raised through a fixed-base comb table. Both beat `pow` from
-about 64-bit p on and lose to it in the tiny test group, so a group decides
-once, from the size of p, which way it goes (`GroupParams.large`).
+residues, so membership is a Legendre symbol; bases that recur (g, the
+joint key, a ciphertext a tally column decrypts) are raised through a
+fixed-base comb table. Both beat `pow` from about 64-bit p on and lose to it
+in the tiny test group, so a group decides once, from the size of p, which
+way it goes (`GroupParams.large`).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .serialize import NUMERAL, Record, enc_int
 
 LARGE_GROUP_BITS = 128  # p of at least this many bits: Legendre membership and combs
 COMB_WINDOW = 8  # comb rows; a table holds 2^8 products, about 70 KB for 2048-bit p
-COMB_TABLES = 8  # comb tables kept, one per (base, p)
+COMB_TABLES = 8  # tables kept, one per (base, p): g, K, and a tally column's c.a (2k powers)
 
 # Miller-Rabin witnesses: the first twelve primes. Together they decide
 # primality exactly below 3.1e23; above that a composite passes all twelve
@@ -95,8 +96,10 @@ def fixed_pow(base: int, e: int, p: int) -> int:
     """base^e mod p through base's comb table: a squaring and a product per
     column, a quarter of pow's work on a full-size exponent once the table
     (built on first use, one per (base, p)) is there. Only for a base that
-    recurs, in a large group; an exponent outside [0, p >> 1), which is
-    [0, q) in a safe-prime group, goes to pow."""
+    recurs, in a large group: g, the joint key, or a ciphertext's c.a, which
+    the k trustees of a tally column raise 2k times. The table costs about
+    one pow, so two powers of a base already pay for it. An exponent outside
+    [0, p >> 1), which is [0, q) in a safe-prime group, goes to pow."""
     if not 0 <= e < p >> 1:
         return pow(base, e, p)
     table, cols = _comb(base, p)

@@ -114,12 +114,6 @@ def verification_key(trustee_id: int, commitments, gp: GroupParams) -> int:
     return acc
 
 
-def verify_share(share: TrusteeShare, gp: GroupParams) -> bool:
-    """Feldman consistency check a trustee runs on receipt of its share."""
-    expected = verification_key(share.trustee_id, share.commitments, gp)
-    return pow(gp.g, share.secret_share, gp.p) == expected
-
-
 def partial_decrypt(
     c: Ciphertext,
     share: TrusteeShare,
@@ -127,13 +121,14 @@ def partial_decrypt(
     rng: random.Random,
     context: bytes,
 ) -> DecryptionShare:
-    """share_value = a^f(i), proved equal in exponent to the verification key."""
-    fixed = fixed_pow if gp.large else pow
-    value = pow(c.a, share.secret_share, gp.p)
-    vk = fixed(gp.g, share.secret_share, gp.p)
+    """share_value = a^f(i), proved equal in exponent to the verification key.
+    Both powers of a (the share and the proof's commitment) go through a's
+    comb table in a large group: the k trustees of a column raise it 2k times."""
+    value = (fixed_pow if gp.large else pow)(c.a, share.secret_share, gp.p)
+    vk = verification_key(share.trustee_id, share.commitments, gp)
     proof = prove_eq_dlog(
         share.secret_share, gp.g, vk, c.a, value, gp, rng,
-        context=context, domain=DOMAIN_DECRYPT_SHARE,
+        context=context, domain=DOMAIN_DECRYPT_SHARE, fixed=True,
     )
     return DecryptionShare(trustee_id=share.trustee_id, share_value=value, proof=proof)
 
@@ -198,23 +193,19 @@ def combine_in_exponent(c: Ciphertext, shares, jpk: JointPublicKey, gp: GroupPar
     return c.b * pow(combined, -1, gp.p) % gp.p
 
 
-def combine_shares(
-    c: Ciphertext,
-    shares,
-    jpk: JointPublicKey,
-    max_m: int,
-    gp: GroupParams,
-    context: bytes,
-) -> int:
-    """Verify k decryption shares, interpolate in the exponent, decrypt; the
-    share proofs' equations are batched (chaum_pedersen.batched).
+def combine_shares(columns, jpk: JointPublicKey, gp: GroupParams) -> list:
+    """Verify, interpolate and decrypt each column, given as (ciphertext,
+    shares, bound, context); the share proofs' equations of every column go
+    to one batch (chaum_pedersen.batched). Returns the plaintexts in order.
 
-    Raises what combine_in_exponent raises, and NoDlogInRange when the
-    plaintext exceeds max_m.
+    Raises what combine_in_exponent raises for the first column at fault, and
+    NoDlogInRange when a plaintext exceeds its column's bound.
     """
     def seed() -> bytes:  # fixes every response the batch weighs
-        return enc_bytes(context) + enc_int(c.a) + b"".join(
+        return b"".join(enc_bytes(context) + enc_int(c.a) + b"".join(
             enc_int(ds.share_value) + ds.proof.canonical_bytes() for ds in shares)
+            for c, shares, _, context in columns)
 
-    g_m = batched(gp, seed, lambda eqs: combine_in_exponent(c, shares, jpk, gp, context, eqs))
-    return dlog_search(g_m, max_m, gp)
+    powers = batched(gp, seed, lambda eqs: [combine_in_exponent(c, shares, jpk, gp, context, eqs)
+                                            for c, shares, _, context in columns])
+    return [dlog_search(g_m, bound, gp) for g_m, (_, _, bound, _) in zip(powers, columns)]

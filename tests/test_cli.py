@@ -333,7 +333,7 @@ def _numeric_election_id(lines):
     (_null_writein, "tally", 1),
     (_twin_share, "verify", 2),
     (_no_mayor_result, "audit", 2),
-    (_no_entries_from_7, "tally", 1),
+    (_no_entries_from_7, "tally", 2),
     (_numeric_election_id, "tally", 2),
 ], ids=["null-write-in", "null-write-in-tally", "twin-trustee-share", "result-without-contest",
         "cvr-of-a-missing-entry", "numeric-election-id"])
@@ -387,7 +387,8 @@ def test_a_malformed_input_file_exits_2_naming_it(command, name, content, tmp_pa
     (lambda cvrs: [dict(cvrs[0], index="x"), *cvrs[1:]],
      "cvrs[0].index: not a non-negative integer"),
     (lambda cvrs: {}, "cvrs: not a list"),
-], ids=["row-without-serial", "index-not-a-number", "an-object"])
+    (lambda cvrs: [dict(cvrs[0], index=999), *cvrs[1:]], "cvrs[0].index: no entry 999"),
+], ids=["row-without-serial", "index-not-a-number", "an-object", "index-of-no-entry"])
 def test_tally_refuses_a_malformed_cvr_file(edit, fault, tmp_path, capsys) -> None:
     result, _ = demo_run()
     board, commands = demo_commands(tmp_path)
@@ -400,6 +401,46 @@ def test_tally_refuses_a_malformed_cvr_file(edit, fault, tmp_path, capsys) -> No
     assert main(commands["tally"]) == 2
     assert fault in capsys.readouterr().out
     assert board.read_bytes() == before
+
+
+@pytest.mark.parametrize("edit", [
+    lambda row: {k: v for k, v in row.items() if k != "commitments"},
+    lambda row: dict(row, commitments=["not", "an", "object"]),
+], ids=["row-without-commitments", "commitments-not-an-object"])
+def test_audit_without_a_commitment_file_names_a_malformed_cvr_row(edit, tmp_path, capsys) -> None:
+    """With no --commitments, audit publishes the CVR rows' own digests, read
+    through the same row decoder as every other CVR field."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(board_raw_lines(result["board"])) + "\n", encoding="utf-8")
+    cvrs = tmp_path / "cvrs.json"
+    rows = json.loads(cvrs.read_text())
+    cvrs.write_text(json.dumps([*rows[:2], edit(rows[2]), *rows[3:]]), encoding="utf-8")
+    assert main(commands["audit"]) == 2
+    assert json.loads(capsys.readouterr().out)["reason"].startswith("cvrs[2].commitments: ")
+
+
+# Every file argument of the commands that read files: (command, flag).
+FILE_ARGS = [(command, flag) for command, flags in (
+    ("tally", ("--manifest", "--board", "--shares", "--office", "--cvrs", "--papers")),
+    ("verify", ("--manifest", "--board")),
+    ("audit", ("--manifest", "--board", "--cvrs", "--papers", "--commitments")),
+    ("receipt-check", ("--manifest", "--board")),
+) for flag in flags]
+
+
+@pytest.mark.parametrize("command, flag", FILE_ARGS, ids=[f"{c}{f}" for c, f in FILE_ARGS])
+def test_a_directory_as_an_input_path_exits_3_naming_it(command, flag, tmp_path, capsys) -> None:
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(board_raw_lines(result["board"])) + "\n", encoding="utf-8")
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    argv = commands[command] + ([flag, "x"] if flag not in commands[command] else [])
+    argv[argv.index(flag) + 1] = str(directory)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert str(directory) in capsys.readouterr().err
 
 
 def test_an_entry_with_an_unknown_status_fails_at_its_line(tmp_path, capsys) -> None:

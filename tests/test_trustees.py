@@ -7,7 +7,7 @@ import random
 import pytest
 
 from helpers import MID_GROUP
-from starlock.chaum_pedersen import Immediate
+from starlock.chaum_pedersen import Collect, Immediate
 from starlock.elgamal import encrypt_exp
 from starlock.errors import BadShareProof, InsufficientShares, InvalidThreshold
 from starlock.group import PROD_GROUP, TEST_GROUP
@@ -21,7 +21,6 @@ from starlock.trustees import (
     partial_decrypt,
     verification_key,
     verify_decryption_share,
-    verify_share,
 )
 
 GP = TEST_GROUP
@@ -31,6 +30,18 @@ CTX = b"tally:race:col"
 def shares_for(ct, trustee_shares, seed=0):
     rng = random.Random(seed)
     return [partial_decrypt(ct, s, GP, rng, CTX) for s in trustee_shares]
+
+
+def combine_one(ct, shares, jpk, gp=GP):
+    """combine_shares on the one column (ct, shares), its plaintext at most 10."""
+    [m] = combine_shares([(ct, shares, 10, CTX)], jpk, gp)
+    return m
+
+
+def verify_share(share: TrusteeShare, gp) -> bool:
+    """Feldman consistency check a trustee runs on receipt of its share."""
+    expected = verification_key(share.trustee_id, share.commitments, gp)
+    return pow(gp.g, share.secret_share, gp.p) == expected
 
 
 def test_single_trustee_share_is_the_secret() -> None:
@@ -83,7 +94,7 @@ def test_any_two_of_three_decrypt_alike() -> None:
     ct = encrypt_exp(7, 4, jpk.K, GP)
     all_shares = shares_for(ct, trustees)
     for pair in itertools.combinations(all_shares, 2):
-        assert combine_shares(ct, list(pair), jpk, 10, GP, CTX) == 7
+        assert combine_one(ct, list(pair), jpk) == 7
 
 
 def test_any_three_of_five_decrypt_alike() -> None:
@@ -91,7 +102,7 @@ def test_any_three_of_five_decrypt_alike() -> None:
     ct = encrypt_exp(9, 6, jpk.K, GP)
     all_shares = shares_for(ct, trustees)
     for trio in itertools.combinations(all_shares, 3):
-        assert combine_shares(ct, list(trio), jpk, 10, GP, CTX) == 9
+        assert combine_one(ct, list(trio), jpk) == 9
 
 
 def test_combine_uses_first_k_and_dedupes() -> None:
@@ -100,11 +111,11 @@ def test_combine_uses_first_k_and_dedupes() -> None:
     all_shares = shares_for(ct, trustees)
     # duplicates of one trustee do not count toward the threshold
     with pytest.raises(InsufficientShares):
-        combine_shares(ct, [all_shares[0], all_shares[0]], jpk, 10, GP, CTX)
+        combine_one(ct, [all_shares[0], all_shares[0]], jpk)
     with pytest.raises(InsufficientShares):
-        combine_shares(ct, all_shares[:1], jpk, 10, GP, CTX)
+        combine_one(ct, all_shares[:1], jpk)
     # extra shares beyond k are tolerated
-    assert combine_shares(ct, all_shares, jpk, 10, GP, CTX) == 4
+    assert combine_one(ct, all_shares, jpk) == 4
 
 
 @pytest.mark.parametrize("gp", [TEST_GROUP, MID_GROUP], ids=["test", "mid"])
@@ -121,8 +132,67 @@ def test_bad_share_proof_names_trustee(gp) -> None:
         good[1], proof=dataclasses.replace(proof, response=(proof.response + 1) % gp.q))
     for forged, other in ((value_forged, good[1]), (response_forged, good[0])):
         with pytest.raises(BadShareProof) as exc:
-            combine_shares(ct, [forged, other], jpk, 10, gp, CTX)
+            combine_one(ct, [forged, other], jpk, gp)
         assert exc.value.trustee_id == forged.trustee_id
+
+
+def test_prod_shares_are_the_integers_pow_gives() -> None:
+    """A share and its proof's commitments, raised through the combs, equal
+    the builtin pow of the same base and exponent."""
+    gp = PROD_GROUP
+    rng = random.Random(72)
+    jpk, trustees = dkg(3, 2, gp, rng)
+    ct = encrypt_exp(1, rng.randrange(1, gp.q), jpk.K, gp)
+    for share in trustees[:2]:
+        clone = random.Random()
+        clone.setstate(rng.getstate())
+        w = clone.randrange(0, gp.q)  # the proof's one draw
+        ds = partial_decrypt(ct, share, gp, rng, CTX)
+        assert ds.share_value == pow(ct.a, share.secret_share, gp.p)
+        assert ds.proof.commit1 == pow(gp.g, w, gp.p)
+        assert ds.proof.commit2 == pow(ct.a, w, gp.p)
+        assert verify_decryption_share(ds, ct, jpk.commitments, gp, CTX)
+
+
+def mid_columns(rng, jpk, trustees, plaintexts):
+    """One (ciphertext, shares, bound, context) column per plaintext, in MID_GROUP."""
+    columns = []
+    for j, m in enumerate(plaintexts):
+        ct = encrypt_exp(m, rng.randrange(1, MID_GROUP.q), jpk.K, MID_GROUP)
+        context = CTX + bytes([j])
+        columns.append((ct, [partial_decrypt(ct, t, MID_GROUP, rng, context) for t in trustees],
+                        10, context))
+    return columns
+
+
+def test_one_batch_over_three_columns_decrypts_each_as_alone(monkeypatch) -> None:
+    rng = random.Random(73)
+    jpk, trustees = dkg(3, 2, MID_GROUP, rng)
+    columns = mid_columns(rng, jpk, trustees, (0, 1, 7))
+    batches = []
+    holds = Collect.holds
+    monkeypatch.setattr(Collect, "holds", lambda self: batches.append(self.n) or holds(self))
+    assert combine_shares(columns, jpk, MID_GROUP) == [0, 1, 7]
+    assert batches == [3 * 2 * 2]  # one batch: 3 columns, k = 2 shares, 2 equations each
+    assert [combine_shares([col], jpk, MID_GROUP)[0] for col in columns] == [0, 1, 7]
+
+
+def test_a_forged_response_in_the_middle_column_names_its_trustee(monkeypatch) -> None:
+    rng = random.Random(74)
+    jpk, trustees = dkg(3, 2, MID_GROUP, rng)
+    columns = mid_columns(rng, jpk, trustees, (1, 0, 1))
+    ct, shares, bound, context = columns[1]
+    proof = shares[1].proof
+    shares[1] = dataclasses.replace(
+        shares[1], proof=dataclasses.replace(proof, response=(proof.response + 1) % MID_GROUP.q))
+    verdicts = []
+    holds = Collect.holds
+    monkeypatch.setattr(Collect, "holds",
+                        lambda self: verdicts.append(holds(self)) or verdicts[-1])
+    with pytest.raises(BadShareProof) as exc:
+        combine_shares(columns, jpk, MID_GROUP)
+    assert exc.value.trustee_id == shares[1].trustee_id == 2
+    assert verdicts == [False]  # the batch failed; the per-proof rerun named the trustee
 
 
 def test_decryption_share_binds_context() -> None:
