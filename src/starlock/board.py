@@ -23,11 +23,11 @@ from .boardformat import (
     SPOILED,
     UNTALLIED,
     BoardIndex,
-    ChainBroken,
     SpoiledColumn,
     TallyColumn,
     TallyRecord,
     TerminalClose,
+    at_line,
     column_bound,
     fold_ballots,
     read_board,
@@ -37,8 +37,8 @@ from .boardformat import (
     tally_context,
 )
 from .chaum_pedersen import batched
-from .elgamal import Keypair
-from .errors import NotSpoiled, RejectInvalidProof, StarlockError
+from .elgamal import Keypair, dlog_search
+from .errors import ChainBroken, MalformedRecord, NoDlogInRange, NotSpoiled, RejectInvalidProof
 from .group import GroupParams
 from .pollsite import EncryptedBallotRecord
 from .schnorr import sign
@@ -87,10 +87,9 @@ class Board:
         if index.broken:
             raise ChainBroken(*index.broken)
         if not index.lines or index.lines[0]["kind"] != "header":
-            raise StarlockError("board file missing header line")
+            raise ChainBroken(0, "board file missing header line")
         if index.misnumbered:
-            lineno = index.misnumbered[0]
-            raise StarlockError(f"board line {lineno}: entry index out of sequence")
+            raise ChainBroken(index.misnumbered[0], "entry index out of sequence")
         board = cls.__new__(cls)
         board._index = index
         board.election_id = decode_field(index.lines[0], "election_id", STR.decode)
@@ -123,19 +122,21 @@ class Board:
         self._append(line)
         return index
 
-    def _check_entry(self, entry_index: int) -> None:
+    def check_entry(self, entry_index: int) -> int:
+        """entry_index, if the board has that entry; else MalformedRecord."""
         if entry_index not in self._index.statuses:
-            raise StarlockError(f"no entry {entry_index}")
+            raise MalformedRecord(f"no entry {entry_index}")
+        return entry_index
 
     def append_status(self, entry_index: int, status: str, reason: str | None = None) -> int:
-        self._check_entry(entry_index)
+        self.check_entry(entry_index)
         line = {"kind": "status", "ref": str(entry_index), "status": status}
         if reason is not None:
             line["reason"] = reason
         return self._append(line)
 
     def append_decryption(self, entry_index: int, columns: list, plaintext: dict) -> int:
-        self._check_entry(entry_index)
+        self.check_entry(entry_index)
         return self._append(
             {
                 "kind": "decryption",
@@ -171,7 +172,7 @@ class Board:
         return [(i, json.loads(texts[lineno])) for i, lineno, _ in self._index.entries]
 
     def effective_status(self, entry_index: int) -> str:
-        self._check_entry(entry_index)
+        self.check_entry(entry_index)
         return self._index.statuses[entry_index]
 
     def entry_record(self, entry_index: int):
@@ -192,13 +193,19 @@ def _decrypt_columns(cls, columns, trustee_shares, jpk: JointPublicKey, gp: Grou
     """Partial-decrypt each (contest, column, ciphertext, bound, context) with
     every supplied trustee share, column by column, then verify and combine
     them all in one call (one batch of share proofs). Returns cls(contest,
-    column, plaintext, ciphertext, shares) for each column, in order."""
+    column, plaintext, ciphertext, shares) for each column, in order; a
+    NoDlogInRange names the contest and column whose plaintext exceeds its bound."""
     shared = [tuple(partial_decrypt(ct, ts, gp, rng, context) for ts in trustee_shares)
               for _, _, ct, _, context in columns]
-    values = combine_shares([(ct, shares, bound, context) for (_, _, ct, bound, context), shares
+    powers = combine_shares([(ct, shares, context) for (_, _, ct, _, context), shares
                              in zip(columns, shared)], jpk, gp)
-    return [cls(cid, column, value, ct, shares)
-            for (cid, column, ct, _, _), value, shares in zip(columns, values, shared)]
+    out = []
+    for (cid, column, ct, bound, _), g_m, shares in zip(columns, powers, shared):
+        try:
+            out.append(cls(cid, column, dlog_search(g_m, bound, gp), ct, shares))
+        except NoDlogInRange as exc:
+            raise exc.within(column).within(cid)
+    return out
 
 
 def decrypt_tally(
@@ -235,19 +242,21 @@ def decrypt_spoiled(
     rng: random.Random,
 ):
     """Column-by-column verifiable decryption of a spoiled (or untallied)
-    entry. Returns (columns, plaintext summary) ready for a decryption line."""
+    entry. Returns (columns, plaintext summary) ready for a decryption line.
+    A MalformedRecord names the entry's board line."""
     status = board.effective_status(entry_index)
     if status not in (SPOILED, UNTALLIED):
         raise NotSpoiled(f"entry {entry_index} is {status}")
     ballot = board._index.ballot(entry_index)  # its proof stays undecoded
+    _, lineno, _ = board._index.entries[entry_index]
     style = style_map.get(ballot.style_id)
     if style is None:
-        raise StarlockError(f"unknown ballot style {ballot.style_id!r}")
-    columns = _decrypt_columns(SpoiledColumn, [
+        raise MalformedRecord(f"unknown ballot style {ballot.style_id!r}").at(lineno, entry_index)
+    columns = at_line(lineno, _decrypt_columns, SpoiledColumn, [
         (contest.contest_id, column, ct, 1,
          spoiled_context(board.election_id, entry_index, contest.contest_id, column))
         for contest, enc in zip(style.contests, ballot.contests)
         for column, ct in enc.all_columns(contest)],
-        trustee_shares, jpk, gp, rng)
+        trustee_shares, jpk, gp, rng, entry=entry_index)
     bits = {(col.contest, col.column): col.value for col in columns}
     return [col.to_json() for col in columns], spoiled_plaintext(style, bits)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, EncryptedBallot, WellFormednessProof
 from .elgamal import Ciphertext, homomorphic_add, identity_ciphertext
-from .errors import MalformedRecord, StarlockError
+from .errors import ChainBroken, MalformedRecord
 from .group import GroupParams
 from .schnorr import SchnorrSignature, verify_sig
 from .serialize import (
@@ -50,16 +50,6 @@ UNTALLIED = "UNTALLIED"
 STATUS = one_of(CAST, SPOILED, UNTALLIED)  # BoardIndex.add refuses any other status
 GENESIS_HASH = "0" * 64
 SIGNER = "election-office"
-
-
-class ChainBroken(StarlockError):
-    """A board line that does not parse to a JSON object, is not canonical,
-    does not link to the line before it, or does not fit its kind."""
-
-    def __init__(self, lineno: int, reason: str):
-        self.lineno = lineno
-        self.reason = reason
-        super().__init__(f"board line {lineno}: {reason}")
 
 
 # -- line records and the keys of every line kind ----------------------------------
@@ -230,9 +220,8 @@ def contest_columns(style_map: dict):
         for contest in style.contests:
             seen = contests.setdefault(contest.contest_id, contest)
             if seen != contest:
-                raise StarlockError(
-                    f"contest {contest.contest_id} defined differently across styles"
-                )
+                raise MalformedRecord(f"contest {contest.contest_id} defined differently "
+                                      "across styles")
     out = {}
     for cid, contest in contests.items():
         columns = list(contest.options) + [ABSTAIN_COLUMN]
@@ -266,7 +255,7 @@ def fold_ballots(ballots, style_map: dict, gp: GroupParams):
     for ballot in ballots:
         style = style_map.get(ballot.style_id)
         if style is None:
-            raise StarlockError(f"unknown ballot style {ballot.style_id!r}")
+            raise MalformedRecord(f"unknown ballot style {ballot.style_id!r}")
         for contest, enc in zip(style.contests, ballot.contests):
             bucket = agg[contest.contest_id]
             bucket["cast_count"] += 1
@@ -277,7 +266,7 @@ def fold_ballots(ballots, style_map: dict, gp: GroupParams):
                 cols[ABSTAIN_COLUMN] = homomorphic_add(cols[ABSTAIN_COLUMN], ct, gp)
             if contest.writein_slot:
                 if enc.writein_ct is None:
-                    raise StarlockError("ballot lacks its write-in ciphertext")
+                    raise MalformedRecord("ballot lacks its write-in ciphertext")
                 cols[WRITE_IN_COLUMN] = homomorphic_add(cols[WRITE_IN_COLUMN], enc.writein_ct, gp)
     return agg
 

@@ -9,14 +9,16 @@ Subcommands mirror the election lifecycle:
   audit         ballot-level comparison risk-limiting audit
   receipt-check resolve one take-home receipt against the board
 
-Exit codes: 0 pass, 1 internal failure, 2 verification/audit failure
-(included: a manifest whose group is not a valid safe-prime group, a board
-line that breaks the chain or does not fit its kind, a record that does
-not match its declared wire form, each named by line and field, and a file
-that is not JSON, named by path), 3 usage or scenario-file error (a scenario
-file that is not JSON included, and an input path that is missing, a
-directory or unreadable, named). The only environment variable consulted is
-STARLOCK_GROUP (default group for keygen when --group is omitted).
+Exit codes (each error class declares its own in errors.py): 0 pass; 1
+internal failure; 2 a verdict on the files read: verify's FAIL, an audit that
+does not confirm, a receipt not found, or an input fault named by path or
+board line and field (a file that is not JSON, a record or line out of form,
+an invalid group, a count beyond its bound, missing or failing decryption
+shares, an ambiguous receipt); 3 a usage or scenario fault (a bad scenario
+file or threshold, key files for another group, an input path that is
+missing, a directory or unreadable). An error prints one line, "Class:
+message", to stdout with code 2 and to stderr otherwise. STARLOCK_GROUP, the
+only environment variable consulted, is keygen's default --group.
 """
 
 from __future__ import annotations
@@ -32,24 +34,16 @@ from collections import Counter
 from . import audit as audit_mod
 from . import verifier as verifier_mod
 from .board import Board
-from .boardformat import ChainBroken, index_lines
+from .boardformat import index_lines
 from .elgamal import Keypair, keygen
-from .errors import (
-    AmbiguousReceipt,
-    CommitmentMismatch,
-    InvalidGroup,
-    MalformedRecord,
-    MarginNotPositive,
-    ScenarioError,
-    StarlockError,
-)
+from .errors import MalformedRecord, ScenarioError, StarlockError
 from .group import GROUPS, resolve_group
 from .manifest import ElectionManifest
 from .scenario import finish_election, load_scenario, run_scenario, write_artifacts
 from .serialize import STR, decode_field, dump_json, load_json
 from .trustees import JointPublicKey, TrusteeShare, dkg
 
-PASS, INTERNAL, FAIL, USAGE = 0, 1, 2, 3
+PASS, FAIL, USAGE = 0, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,10 +85,13 @@ def cmd_keygen(args) -> int:
 
 
 def _load_keys(keydir, expected_group):
-    jpk, group = _load(os.path.join(keydir, "joint_key.json"), lambda joint: (
+    path = os.path.join(keydir, "joint_key.json")
+    jpk, group = _load(path, lambda joint: (
         JointPublicKey.from_json(joint), decode_field(joint, "group", STR.decode)))
     if group != expected_group:
-        raise StarlockError(f"key files are for group {group!r}, scenario wants {expected_group!r}")
+        raise ScenarioError(f"key files are for group {group!r}, scenario wants {expected_group!r}")
+    if not resolve_group(group).is_element(jpk.K):
+        raise MalformedRecord("not an element of the group").within("K").within(path)
     office = _load(os.path.join(keydir, "office_key.json"), Keypair.from_json)
     shares = []
     for i in range(1, jpk.n + 1):
@@ -129,8 +126,8 @@ def cmd_tally(args) -> int:
     board = Board.load(args.board)
     shares = [_load(p, TrusteeShare.from_json) for p in args.shares]
     office = _load(args.office, Keypair.from_json)
-    if office.pk != manifest.office_pk:
-        raise StarlockError("office key does not match the election manifest")
+    if not office.pk == pow(manifest.gp.g, office.sk, manifest.gp.p) == manifest.office_pk:
+        raise MalformedRecord("not the election manifest's office key pair").within(args.office)
     outcome = finish_election(board, manifest, shares, office, load_json(args.cvrs),
                               load_json(args.papers), random.Random(args.seed))
     board.write(args.board)
@@ -171,7 +168,7 @@ def cmd_audit(args) -> int:
         published = load_json(args.commitments) if args.commitments else None
         outcome = audit_mod.run_audit(lines, manifest, load_json(args.cvrs),
                                       load_json(args.papers), args.seed, args.alpha, published)
-    except (CommitmentMismatch, MarginNotPositive, StarlockError) as exc:
+    except StarlockError as exc:
         print(json.dumps({"verdict": "ABORTED", "reason": str(exc)}, indent=2))
         return FAIL
     printable = dict(outcome)
@@ -191,13 +188,7 @@ def cmd_audit(args) -> int:
 def cmd_receipt_check(args) -> int:
     manifest = ElectionManifest.load(args.manifest)
     index = index_lines(verifier_mod.parse_lines(verifier_mod.read_board_lines(args.board)))
-    try:
-        status, plaintext = verifier_mod.lookup_receipt(
-            index, manifest, args.terminal, args.code
-        )
-    except AmbiguousReceipt as exc:
-        print(f"ambiguous receipt: {exc}")
-        return FAIL
+    status, plaintext = verifier_mod.lookup_receipt(index, manifest, args.terminal, args.code)
     if status == verifier_mod.NOT_FOUND:
         print(f"receipt {args.code} on terminal {args.terminal}: NOT FOUND")
         return FAIL
@@ -281,21 +272,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return USAGE
     except OSError as exc:  # a missing file, a directory, a file that cannot be read
         print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return USAGE
-    except InvalidGroup as exc:
-        print(f"invalid group in manifest: {exc}", file=sys.stderr)
-        return FAIL
-    except (ChainBroken, MalformedRecord) as exc:
-        print(f"malformed {'record' if exc.lineno is None else 'board'}: {exc}")
-        return FAIL
-    except StarlockError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INTERNAL
+    except StarlockError as exc:  # its class declares the exit code (errors.py)
+        stream = sys.stdout if exc.exit_code == FAIL else sys.stderr  # 2 is a verdict, like FAIL
+        print(f"{type(exc).__name__}: {exc}", file=stream)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

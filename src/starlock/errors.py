@@ -1,7 +1,12 @@
-"""Exception types raised across the toolkit.
+"""Exception types raised across the toolkit. All derive from StarlockError,
+so callers catch toolkit failures without swallowing programming errors, and
+each declares exit_code, the code of a starlock command it ends (cli.main):
 
-Everything derives from StarlockError so callers can catch toolkit failures
-without swallowing programming errors.
+  1  internal failure: StarlockError and every class not named below
+  2  input fault, a verdict on the files read: MalformedRecord (NoDlogInRange
+     among them), ChainBroken, InvalidGroup, InsufficientShares, BadShareProof,
+     AmbiguousReceipt, CommitmentMismatch, MarginNotPositive
+  3  usage or scenario fault: ScenarioError, InvalidThreshold
 """
 
 from __future__ import annotations
@@ -9,11 +14,13 @@ from __future__ import annotations
 
 class StarlockError(Exception):
     """Base class for all toolkit errors."""
+    exit_code = 1
 
 
 class MalformedRecord(StarlockError):
     """A record that does not match its declared wire form. detail names the
     field path and the fault; lineno and entry place it on the board, when known."""
+    exit_code = 2
 
     def __init__(self, reason: str):
         super().__init__(reason)
@@ -37,25 +44,42 @@ class MalformedRecord(StarlockError):
         return self.detail if self.lineno is None else f"board line {self.lineno}: {self.detail}"
 
 
+class ChainBroken(StarlockError):
+    """A board line that does not parse to a JSON object, is not canonical,
+    does not link to the line before it, does not fit its kind, or is out of
+    place (no header first, an entry index out of sequence)."""
+    exit_code = 2
+
+    def __init__(self, lineno: int, reason: str):
+        self.lineno = lineno
+        self.reason = reason
+        super().__init__(f"board line {lineno}: {reason}")
+
+
 class InvalidGroup(StarlockError, ValueError):
     """Group parameters that are not a safe prime p = 2q + 1 with a generator
     of the order-q subgroup."""
+    exit_code = 2
 
 
-class NoDlogInRange(StarlockError):
-    """Bounded discrete-log search exhausted its range without a match."""
+class NoDlogInRange(MalformedRecord):
+    """Bounded discrete-log search exhausted its range without a match: the
+    ciphertext does not hold a count its column allows."""
 
 
 class InvalidThreshold(StarlockError):
     """Key generation parameters violate 1 <= k <= n (or n >= q)."""
+    exit_code = 3
 
 
 class InsufficientShares(StarlockError):
     """Fewer than k decryption shares were supplied."""
+    exit_code = 2
 
 
 class BadShareProof(StarlockError):
     """A decryption share failed its equality-of-dlog proof."""
+    exit_code = 2
 
     def __init__(self, trustee_id: int, message: str | None = None):
         self.trustee_id = trustee_id
@@ -104,15 +128,19 @@ class RejectInvalidProof(StarlockError):
 
 class AmbiguousReceipt(StarlockError):
     """A truncated receipt code matched more than one chain position."""
+    exit_code = 2
 
 
 class MarginNotPositive(StarlockError):
     """The reported outcome has no positive margin, so no audit can confirm it."""
+    exit_code = 2
 
 
 class CommitmentMismatch(StarlockError):
     """A cast-vote record does not open a published commitment."""
+    exit_code = 2
 
 
 class ScenarioError(StarlockError):
     """A scenario description is malformed or internally inconsistent."""
+    exit_code = 3

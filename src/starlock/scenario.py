@@ -388,15 +388,8 @@ def finish_election(board: Board, manifest: ElectionManifest, trustee_shares,
     rng = rng or random.Random(0)
     gp = manifest.gp
     style_map = manifest.style_map
-
-    def entry(value) -> int:
-        index = INT.decode(value)
-        if index >= board.entry_count:
-            raise MalformedRecord(f"no entry {index}")
-        return index
-
     index_of = dict(zip(column(cvrs, "cvrs", "serial", STR.decode),
-                        column(cvrs, "cvrs", "index", entry)))
+                        column(cvrs, "cvrs", "index", lambda v: board.check_entry(INT.decode(v)))))
     cast_serials = {s for s, i in index_of.items() if board.effective_status(i) == CAST}
     compliance = compliance_check(cast_serials, column(paper_rows, "papers", "serial", STR.decode))
     for serial in compliance["cast_without_paper"]:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .chaum_pedersen import ChaumPedersenProof, batched, prove_eq_dlog, verify_eq_dlog
-from .elgamal import Ciphertext, dlog_search
+from .elgamal import Ciphertext
 from .errors import BadShareProof, InsufficientShares, InvalidThreshold
 from .fiatshamir import DOMAIN_DECRYPT_SHARE
 from .group import GroupParams, fixed_pow
@@ -194,18 +194,16 @@ def combine_in_exponent(c: Ciphertext, shares, jpk: JointPublicKey, gp: GroupPar
 
 
 def combine_shares(columns, jpk: JointPublicKey, gp: GroupParams) -> list:
-    """Verify, interpolate and decrypt each column, given as (ciphertext,
-    shares, bound, context); the share proofs' equations of every column go
-    to one batch (chaum_pedersen.batched). Returns the plaintexts in order.
-
-    Raises what combine_in_exponent raises for the first column at fault, and
-    NoDlogInRange when a plaintext exceeds its column's bound.
+    """Verify and interpolate each column, given as (ciphertext, shares,
+    context); the share proofs' equations of every column go to one batch
+    (chaum_pedersen.batched). Returns g^m for each column's plaintext m, in
+    order, and raises what combine_in_exponent raises for the first column
+    at fault.
     """
     def seed() -> bytes:  # fixes every response the batch weighs
         return b"".join(enc_bytes(context) + enc_int(c.a) + b"".join(
             enc_int(ds.share_value) + ds.proof.canonical_bytes() for ds in shares)
-            for c, shares, _, context in columns)
+            for c, shares, context in columns)
 
-    powers = batched(gp, seed, lambda eqs: [combine_in_exponent(c, shares, jpk, gp, context, eqs)
-                                            for c, shares, _, context in columns])
-    return [dlog_search(g_m, bound, gp) for g_m, (_, _, bound, _) in zip(powers, columns)]
+    return batched(gp, seed, lambda eqs: [combine_in_exponent(c, shares, jpk, gp, context, eqs)
+                                          for c, shares, context in columns])

@@ -34,7 +34,6 @@ from .boardformat import (
     SPOILED_COLUMNS,
     UNTALLIED,
     BoardIndex,
-    ChainBroken,
     TallyRecord,
     TerminalClose,
     at_line,
@@ -54,9 +53,9 @@ from .elgamal import Ciphertext
 from .errors import (
     AmbiguousReceipt,
     BadShareProof,
+    ChainBroken,
     InsufficientShares,
     MalformedRecord,
-    StarlockError,
 )
 from .manifest import ElectionManifest
 from .serialize import DIGEST, decode_field, sha256
@@ -307,7 +306,7 @@ def _check_tally(index: BoardIndex, manifest: ElectionManifest, eqs) -> list:
     tally, ballots = at_line(lineno, TallyRecord.from_json, line), index.cast_ballots()
     try:
         agg = fold_ballots(ballots, manifest.style_map, manifest.gp)
-    except StarlockError as exc:
+    except MalformedRecord as exc:
         return [ReportItem("tally", False, str(exc))]
 
     published = {(col.contest, col.column): col for col in tally.columns}

@@ -1,6 +1,6 @@
 """Command-line workflow: keygen, simulate, tally, verify, audit,
 receipt-check, and the exit-code contract (0 pass, 1 internal, 2 fail,
-3 usage)."""
+3 usage; each error class declares its code)."""
 
 import json
 import os
@@ -62,7 +62,7 @@ def test_keygen_writes_every_key_file(tmp_path) -> None:
 
 def test_keygen_rejects_impossible_threshold(tmp_path) -> None:
     assert main(["keygen", "--n", "2", "--k", "3", "--seed", "1",
-                 "--outdir", str(tmp_path)]) == 1
+                 "--outdir", str(tmp_path)]) == 3
 
 
 def test_env_var_sets_the_default_group(tmp_path, monkeypatch) -> None:
@@ -197,8 +197,8 @@ def test_manifest_with_an_invalid_group_is_refused(group, tmp_path, capsys) -> N
     assert main(["verify", "--board", board, "--manifest", params]) == 2
     assert main(["receipt-check", "--board", board, "--manifest", params,
                  "--terminal", "T1", "--code", "A" * 20]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 2 and all(line.startswith("invalid group in manifest") for line in err)
+    out = capsys.readouterr().out.strip().splitlines()
+    assert len(out) == 2 and all(line.startswith("InvalidGroup: ") for line in out)
 
 
 @pytest.mark.parametrize("z", [None, "not hex"], ids=["no-z", "non-hex-z"])
@@ -216,7 +216,7 @@ def test_receipt_check_refuses_an_entry_with_a_bad_z(z, tmp_path, capsys) -> Non
     board, params = write_demo_record(tmp_path, retamper_demo(mutate))
     assert main(["receipt-check", "--board", board, "--manifest", params,
                  "--terminal", terminal[0], "--code", "A" * 20]) == 2
-    assert "malformed board" in capsys.readouterr().out
+    assert "MalformedRecord: board line" in capsys.readouterr().out
 
 
 def test_receipt_check_refuses_a_decryption_line_without_its_plaintext(tmp_path, capsys) -> None:
@@ -231,7 +231,22 @@ def test_receipt_check_refuses_a_decryption_line_without_its_plaintext(tmp_path,
     board, params = write_demo_record(tmp_path, retamper_demo(mutate))
     assert main(["receipt-check", "--board", board, "--manifest", params,
                  "--terminal", spoiled["terminal"], "--code", spoiled["code"]]) == 2
-    assert "malformed board: board line" in capsys.readouterr().out
+    assert "ChainBroken: board line" in capsys.readouterr().out
+
+
+def test_receipt_check_reports_an_ambiguous_receipt_as_a_verdict(tmp_path, capsys) -> None:
+    """The first entry line twice, re-chained and re-signed: the receipt
+    matches two chain positions, and AmbiguousReceipt's own exit code ends
+    the command, its line on stdout."""
+    def duplicate_first_entry(lines):
+        i = next(i for i, x in enumerate(lines) if x["kind"] == "entry")
+        lines.insert(i, dict(lines[i]))
+
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(retamper_demo(duplicate_first_entry)) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(commands["receipt-check"]) == 2
+    assert capsys.readouterr().out == "AmbiguousReceipt: receipt code matches entries [0, 0]\n"
 
 
 def test_tally_refuses_a_spoiled_entry_of_an_unknown_style(tmp_path, capsys) -> None:
@@ -258,8 +273,8 @@ def test_tally_refuses_a_spoiled_entry_of_an_unknown_style(tmp_path, capsys) -> 
         shares[-1].write_text(json.dumps(share.to_json()), encoding="utf-8")
     assert main(["tally", "--manifest", params, "--board", board,
                  "--cvrs", str(files["cvrs"]), "--papers", str(files["papers"]),
-                 "--shares", *map(str, shares), "--office", str(files["office"])]) == 1
-    assert "unknown ballot style 'nowhere'" in capsys.readouterr().err
+                 "--shares", *map(str, shares), "--office", str(files["office"])]) == 2
+    assert "unknown ballot style 'nowhere'" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("damage", ["entry-without-index", "unparseable-line", "not-utf-8"])
@@ -280,7 +295,7 @@ def test_every_command_refuses_a_malformed_board_with_exit_2(damage, tmp_path, c
         assert main(argv) == 2, name
         out = capsys.readouterr().out
         if name in ("receipt-check", "tally"):
-            assert "malformed board: board line" in out, name
+            assert out.startswith(("ChainBroken: board line", "MalformedRecord: board line")), name
 
 
 def test_tally_and_receipt_check_decode_only_what_they_read(tmp_path, monkeypatch) -> None:
@@ -330,7 +345,7 @@ def _numeric_election_id(lines):
 
 @pytest.mark.parametrize("edit, command, code", [
     (_null_writein, "verify", 2),
-    (_null_writein, "tally", 1),
+    (_null_writein, "tally", 2),
     (_twin_share, "verify", 2),
     (_no_mayor_result, "audit", 2),
     (_no_entries_from_7, "tally", 2),
@@ -400,6 +415,69 @@ def test_tally_refuses_a_malformed_cvr_file(edit, fault, tmp_path, capsys) -> No
     before = board.read_bytes()
     assert main(commands["tally"]) == 2
     assert fault in capsys.readouterr().out
+    assert board.read_bytes() == before
+
+
+def write_pre_tally(board, raw):
+    """The board lines as they stood before the tally (up to the first
+    signature line), written to the board file."""
+    kinds = [json.loads(line)["kind"] for line in raw]
+    board.write_text("\n".join(raw[: kinds.index("signature") + 1]) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda office: dict(office, sk=int_to_hex(int(office["sk"], 16) + 1)),
+    lambda office: dict(office, pk=int_to_hex(int(office["pk"], 16) + 1)),
+], ids=["wrong-secret", "wrong-public"])
+def test_tally_refuses_an_office_key_pair_the_manifest_does_not_name(edit, tmp_path,
+                                                                     capsys) -> None:
+    """g^sk, the file's pk and the manifest's office key must agree: a wrong
+    secret would sign the board with a signature that verify rejects."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    write_pre_tally(board, board_raw_lines(result["board"]))
+    office = tmp_path / "office.json"
+    office.write_text(json.dumps(edit(json.loads(office.read_text()))), encoding="utf-8")
+    before = board.read_bytes()
+    capsys.readouterr()
+    assert main(commands["tally"]) == 2
+    assert capsys.readouterr().out == (
+        f"MalformedRecord: {office}: not the election manifest's office key pair\n")
+    assert board.read_bytes() == before
+
+
+@pytest.mark.parametrize("status", ["SPOILED", "CAST"])
+def test_a_count_beyond_its_bound_names_its_column(status, tmp_path, capsys) -> None:
+    """An entry's first option ciphertext shifted in the exponent past what its
+    column can hold: tally names the contest and column (and, for a spoiled
+    ballot, the entry's board line), exits 2 and leaves the board as it was."""
+    result, outcome = demo_run()
+    gp = result["manifest"].gp
+    where = []
+
+    def mutate(lines):
+        lineno, entry = next((i, x) for i, x in enumerate(lines)
+                             if x["kind"] == "entry" and x["status"] == status)
+        contest = entry["ballot"]["contests"][0]
+        cid, option = contest["contest_id"], result["manifest"].style_map[
+            entry["ballot"]["style_id"]].contests[0].options[0]
+        if status == "SPOILED":
+            shift, bound = 2, 1
+        else:
+            bound = outcome["tally"].cast_counts[cid]
+            shift = bound + 1 - outcome["tally"].result[cid][option]
+        ct = contest["options"][0]
+        ct["b"] = int_to_hex(int(ct["b"], 16) * pow(gp.g, shift, gp.p) % gp.p)
+        where.append((f"board line {lineno}: " if status == "SPOILED" else "")
+                     + f"{cid}.{option}: no exponent in [0, {bound}] matches")
+
+    board, commands = demo_commands(tmp_path)
+    kinds = [line["kind"] for line in result["board"].lines()]
+    write_pre_tally(board, retamper_demo(mutate, upto=kinds.index("signature")))
+    before = board.read_bytes()
+    capsys.readouterr()
+    assert main(commands["tally"]) == 2
+    assert capsys.readouterr().out == f"NoDlogInRange: {where[0]}\n"
     assert board.read_bytes() == before
 
 

@@ -144,7 +144,7 @@ SCENARIO_EDITS = {
     "paper-override-a-number": (_edit(("paper_overrides",), [5]),
                                 "paper_overrides[0]: not an object"),
     "revote-a-number": (_edit(("voters", 2, "revote"), 5), "voters[2].revote: not an object"),
-    "document-a-list": (_edit((), []), "scenario error: not an object"),
+    "document-a-list": (_edit((), []), "ScenarioError: not an object"),
     "unknown-option": (_edit(("voters", 0, "selections", "mayor"), ["zed"]),
                        "voters[0].selections: contest mayor: unknown option 'zed'"),
     "overvote": (_edit(("voters", 1, "selections", "council"), ["ida", "joan", "mary"]),

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import MID_GROUP
 from starlock.chaum_pedersen import Collect, Immediate
-from starlock.elgamal import encrypt_exp
+from starlock.elgamal import dlog_search, encrypt_exp
 from starlock.errors import BadShareProof, InsufficientShares, InvalidThreshold
 from starlock.group import PROD_GROUP, TEST_GROUP
 from starlock.trustees import (
@@ -34,8 +34,8 @@ def shares_for(ct, trustee_shares, seed=0):
 
 def combine_one(ct, shares, jpk, gp=GP):
     """combine_shares on the one column (ct, shares), its plaintext at most 10."""
-    [m] = combine_shares([(ct, shares, 10, CTX)], jpk, gp)
-    return m
+    [g_m] = combine_shares([(ct, shares, CTX)], jpk, gp)
+    return dlog_search(g_m, 10, gp)
 
 
 def verify_share(share: TrusteeShare, gp) -> bool:
@@ -155,13 +155,13 @@ def test_prod_shares_are_the_integers_pow_gives() -> None:
 
 
 def mid_columns(rng, jpk, trustees, plaintexts):
-    """One (ciphertext, shares, bound, context) column per plaintext, in MID_GROUP."""
+    """One (ciphertext, shares, context) column per plaintext, in MID_GROUP."""
     columns = []
     for j, m in enumerate(plaintexts):
         ct = encrypt_exp(m, rng.randrange(1, MID_GROUP.q), jpk.K, MID_GROUP)
         context = CTX + bytes([j])
         columns.append((ct, [partial_decrypt(ct, t, MID_GROUP, rng, context) for t in trustees],
-                        10, context))
+                        context))
     return columns
 
 
@@ -172,16 +172,17 @@ def test_one_batch_over_three_columns_decrypts_each_as_alone(monkeypatch) -> Non
     batches = []
     holds = Collect.holds
     monkeypatch.setattr(Collect, "holds", lambda self: batches.append(self.n) or holds(self))
-    assert combine_shares(columns, jpk, MID_GROUP) == [0, 1, 7]
+    powers = [pow(MID_GROUP.g, m, MID_GROUP.p) for m in (0, 1, 7)]
+    assert combine_shares(columns, jpk, MID_GROUP) == powers
     assert batches == [3 * 2 * 2]  # one batch: 3 columns, k = 2 shares, 2 equations each
-    assert [combine_shares([col], jpk, MID_GROUP)[0] for col in columns] == [0, 1, 7]
+    assert [combine_shares([col], jpk, MID_GROUP)[0] for col in columns] == powers
 
 
 def test_a_forged_response_in_the_middle_column_names_its_trustee(monkeypatch) -> None:
     rng = random.Random(74)
     jpk, trustees = dkg(3, 2, MID_GROUP, rng)
     columns = mid_columns(rng, jpk, trustees, (1, 0, 1))
-    ct, shares, bound, context = columns[1]
+    ct, shares, context = columns[1]
     proof = shares[1].proof
     shares[1] = dataclasses.replace(
         shares[1], proof=dataclasses.replace(proof, response=(proof.response + 1) % MID_GROUP.q))
