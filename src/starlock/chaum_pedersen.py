@@ -4,7 +4,14 @@ zero-or-one variant that ballot columns carry.
 Challenges are Fiat-Shamir derived over the full transcript: a caller-supplied
 context (election, style, contest, column identifiers), the statement
 elements, and the commitments. Binding the statement into the hash is what
-stops a proof from being replayed against any other statement.
+stops a proof from being replayed against any other statement. Every
+challenge lies in [0, M), M = gp.challenge_space = min(q, 2^256): the
+Fiat-Shamir challenge is a SHA-256 digest mod q, and a zero-or-one proof's
+two branch challenges are each below M and sum to that challenge mod M
+(Cramer, Damgard and Schoenmakers, CRYPTO 1994: two accepting transcripts
+differ in a branch challenge by less than M <= q, which is invertible mod q).
+In the prod group M = 2^256, so every power of a statement value is a
+256-bit one.
 
 Every proof equation has one form, base^s == commit * y^c (the y of a
 zero-or-one branch for bit m is b * g^-m), and a verifier states its
@@ -20,9 +27,14 @@ Fiat-Shamir and challenge-sum checks have passed:
     is bytes that fix every response the batch weighs (a whole board, a
     ballot's canonical bytes, a column's shares), so no response can be
     chosen once its weight is known, and no rng is drawn. Exponents are
-    summed per base mod q: g and the joint key each take one comb power, the
-    other bases one multi-exponentiation (group.multi_exp), and the commits,
-    with their 64-bit weights, a second one. Every element has order q, so
+    summed per element mod q, on its own side: base^(w s) and g^(w m c) on
+    the left, where g and the joint key each take one comb power and the
+    other bases one multi-exponentiation (group.multi_exp); commit^w and
+    y^(w c) on the right, a second multi-exponentiation whose exponents are
+    short, 64 + 256 bits at most per equation. Each equation keeps its own
+    weight, a zero-or-one proof's four included: with one weight on both
+    branches, an encryption of 2 could meet the combined equations by a c1
+    chosen after the hash. Every element has order q, so
     an honest batch always holds, and a batch with a false equation holds
     with probability at most 2^-64. batched() is its one user: a check that
     fails its batch runs again through Immediate, which names the failing
@@ -62,18 +74,18 @@ class Collect:
     def __init__(self, gp: GroupParams, seed: bytes):
         self.gp, self.seed, self.n = gp, sha256(seed), 0
         self.exps = {}  # base -> summed exponent mod q, on the base^s side
-        self.commits = {}  # commit -> summed weight, on the other side
+        self.commits = {}  # commit or y -> summed exponent mod q, on the other side
         self.fixed = {gp.g}
 
     def check(self, base, s, commit, y, c, m=0, fixed=False) -> bool:
-        q, g, exps = self.gp.q, self.gp.g, self.exps
+        q, g, exps, commits = self.gp.q, self.gp.g, self.exps, self.commits
         self.n += 1
         w = int.from_bytes(sha256(self.seed + self.n.to_bytes(8, "big"))[:8], "big")
         exps[base] = (exps.get(base, 0) + w * s) % q
-        exps[y] = (exps.get(y, 0) - w * c) % q
-        if m:  # (y * g^-m)^c folds into y and g
+        if m:  # (y * g^-m)^c: g^(m c) moves to the base^s side
             exps[g] = (exps.get(g, 0) + w * m * c) % q
-        self.commits[commit] = self.commits.get(commit, 0) + w
+        commits[commit] = (commits.get(commit, 0) + w) % q
+        commits[y] = (commits.get(y, 0) + w * c) % q  # positive: as short as w * c
         if fixed:
             self.fixed.add(base)
         return True
@@ -231,13 +243,14 @@ def prove_zero_or_one(
     """Prove ct = Enc(bit; r), bit in {0, 1}, unrevealed; r must be ct's randomness."""
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    p, q, g = gp.p, gp.q, gp.g
+    p, q, g, space = gp.p, gp.q, gp.g, gp.challenge_space
     fixed = fixed_pow if gp.large else pow
 
     # Branch m claims (ct.a, ct.b / g^m) is a DH pair under (g, public_key); the
     # other bit's is simulated from r: g^v a^-c = g^u, K^v (b/g^sim)^-c = K^u g^((sim-bit)c).
+    # Both branch challenges lie in [0, M), M = gp.challenge_space.
     sim = 1 - bit
-    c_sim = rng.randrange(0, q)
+    c_sim = rng.randrange(0, space)
     v_sim = rng.randrange(0, q)
     u = (v_sim - r * c_sim) % q
     a_sim_commit = fixed(g, u, p)
@@ -255,7 +268,7 @@ def prove_zero_or_one(
     e = fiat_shamir_challenge(
         DOMAIN_ZERO_ONE, _zero_one_transcript(context, public_key, ct, a0c, b0c, a1c, b1c), gp
     )
-    c_real = (e - c_sim) % q
+    c_real = (e - c_sim) % space
     v_real = (w + c_real * r) % q
 
     if bit == 0:
@@ -284,8 +297,9 @@ def verify_zero_or_one(
     )
     if not all(gp.is_element(el) for el in elements):
         return False
-    exponents = (proof.challenge0, proof.challenge1, proof.response0, proof.response1)
-    if not all(gp.is_exponent(x) for x in exponents):
+    space = gp.challenge_space
+    if not (gp.is_exponent(proof.response0) and gp.is_exponent(proof.response1)
+            and 0 <= proof.challenge0 < space and 0 <= proof.challenge1 < space):
         return False
 
     e = fiat_shamir_challenge(
@@ -296,7 +310,7 @@ def verify_zero_or_one(
         ),
         gp,
     )
-    if (proof.challenge0 + proof.challenge1) % gp.q != e:
+    if (proof.challenge0 + proof.challenge1) % space != e:  # e < M in every group
         return False
 
     # Branch m: (a, b / g^m) is a DH pair under (g, public_key).

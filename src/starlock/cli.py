@@ -37,7 +37,7 @@ from .board import Board
 from .boardformat import index_lines
 from .elgamal import Keypair, keygen
 from .errors import MalformedRecord, ScenarioError, StarlockError
-from .group import GROUPS, resolve_group
+from .group import GROUPS, fixed_pow, resolve_group
 from .manifest import ElectionManifest
 from .scenario import finish_election, load_scenario, run_scenario, write_artifacts
 from .serialize import STR, decode_field, dump_json, load_json
@@ -84,15 +84,27 @@ def cmd_keygen(args) -> int:
     return PASS
 
 
+def _load_office(path, gp, manifest_pk=None):
+    """The office key pair in the file at path; a MalformedRecord naming the
+    file unless its pk is g^sk and, given the manifest's key, that key."""
+    office = _load(path, Keypair.from_json)
+    power = fixed_pow if gp.large else pow  # simulate and tally build g's comb anyway
+    if office.pk != power(gp.g, office.sk, gp.p) or manifest_pk not in (None, office.pk):
+        whose = "an" if manifest_pk is None else "the election manifest's"
+        raise MalformedRecord(f"not {whose} office key pair").within(path)
+    return office
+
+
 def _load_keys(keydir, expected_group):
     path = os.path.join(keydir, "joint_key.json")
     jpk, group = _load(path, lambda joint: (
         JointPublicKey.from_json(joint), decode_field(joint, "group", STR.decode)))
     if group != expected_group:
         raise ScenarioError(f"key files are for group {group!r}, scenario wants {expected_group!r}")
-    if not resolve_group(group).is_element(jpk.K):
+    gp = resolve_group(group)
+    if not gp.is_element(jpk.K):
         raise MalformedRecord("not an element of the group").within("K").within(path)
-    office = _load(os.path.join(keydir, "office_key.json"), Keypair.from_json)
+    office = _load_office(os.path.join(keydir, "office_key.json"), gp)
     shares = []
     for i in range(1, jpk.n + 1):
         path = os.path.join(keydir, f"trustee_share_{i}.json")
@@ -125,9 +137,7 @@ def cmd_tally(args) -> int:
     manifest = ElectionManifest.load(args.manifest)
     board = Board.load(args.board)
     shares = [_load(p, TrusteeShare.from_json) for p in args.shares]
-    office = _load(args.office, Keypair.from_json)
-    if not office.pk == pow(manifest.gp.g, office.sk, manifest.gp.p) == manifest.office_pk:
-        raise MalformedRecord("not the election manifest's office key pair").within(args.office)
+    office = _load_office(args.office, manifest.gp, manifest.office_pk)
     outcome = finish_election(board, manifest, shares, office, load_json(args.cvrs),
                               load_json(args.papers), random.Random(args.seed))
     board.write(args.board)

@@ -2,7 +2,10 @@
 
 Every non-interactive proof and signature in the toolkit hashes a domain tag
 followed by its full transcript; the digest is read big-endian and reduced
-mod q. Distinct domain tags keep a transcript valid for one proof type only.
+mod q, so a challenge lies in [0, M) with M = gp.challenge_space =
+min(q, 2^256). A zero-or-one proof splits its challenge into two branch
+challenges in the same space. Distinct domain tags keep a transcript valid
+for one proof type only.
 """
 
 from __future__ import annotations

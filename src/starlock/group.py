@@ -25,6 +25,7 @@ from .serialize import NUMERAL, Record, enc_int
 LARGE_GROUP_BITS = 128  # p of at least this many bits: Legendre membership and combs
 COMB_WINDOW = 8  # comb rows; a table holds 2^8 products, about 70 KB for 2048-bit p
 COMB_TABLES = 8  # tables kept, one per (base, p): g, K, and a tally column's c.a (2k powers)
+CHALLENGE_BITS = 256  # a Fiat-Shamir challenge is a SHA-256 digest
 
 # Miller-Rabin witnesses: the first twelve primes. Together they decide
 # primality exactly below 3.1e23; above that a composite passes all twelve
@@ -154,12 +155,17 @@ class GroupParams(Record):
     # True, pow otherwise. Callers raising g or the joint key bind
     # `fixed_pow if gp.large else pow`, so the small group pays no extra call.
     large: bool = field(init=False, repr=False, compare=False)
+    # M = min(q, 2^256), the proof format's challenge space: every
+    # Fiat-Shamir challenge lies in [0, M), and so does each branch challenge
+    # of a zero-or-one proof. M = q in a group of q below 2^256.
+    challenge_space: int = field(init=False, repr=False, compare=False)
 
     # Decimal strings: big integers survive any JSON parser untouched.
     FIELDS = tuple((name, name, NUMERAL) for name in "pqg")
 
     def __post_init__(self):
         object.__setattr__(self, "large", self.p.bit_length() >= LARGE_GROUP_BITS)
+        object.__setattr__(self, "challenge_space", min(self.q, 1 << CHALLENGE_BITS))
 
     def is_element(self, x: int) -> bool:
         """Membership in the order-q subgroup (the identity counts): the

@@ -47,7 +47,7 @@ from .boardformat import (
     spoiled_plaintext,
     tally_context,
 )
-from .chain import chain_hash, receipt_code
+from .chain import chain_hash, initial_chain_seed, receipt_code
 from .chaum_pedersen import batched
 from .elgamal import Ciphertext
 from .errors import (
@@ -139,8 +139,9 @@ def check_signatures(index: BoardIndex, manifest: ElectionManifest) -> list:
 
 
 def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
-    """Recompute every terminal's z chain in published order and compare
-    against the published z values and the signed final z."""
+    """Recompute every terminal's z chain in published order, from the z0
+    that the manifest's salt gives it, and compare against the manifest's
+    z0, the published z values and the signed final z."""
     per_terminal = {tid: [] for tid in manifest.terminal_seeds}
     for pos, (k, lineno, line) in enumerate(index.entries):
         tid = line["terminal"]
@@ -161,7 +162,11 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
         fails.append(ReportItem("terminal_chain", False, detail, **where))
 
     for tid in sorted(per_terminal):
-        z_prev = manifest.terminal_seeds[tid]
+        z_prev = initial_chain_seed(manifest.election_id, manifest.gp, manifest.jpk.K,
+                                    manifest.salt, tid)
+        if z_prev != manifest.terminal_seeds[tid]:
+            fail(f"terminal {tid}: seed does not follow from the manifest's salt")
+            continue
         for pos, k, lineno, line in per_terminal[tid]:
             expected = chain_hash(index.ballot(pos), index.proof(pos), tid, z_prev)
             if expected.hex() != line["z"]:

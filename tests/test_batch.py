@@ -21,9 +21,10 @@ from starlock import ballot, chaum_pedersen, elgamal, group, verifier
 from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballot, verify_ballot
 from starlock.chaum_pedersen import Collect, Immediate, batched, prove_eq_dlog, verify_eq_dlog
 from starlock.cli import main
-from starlock.elgamal import keygen
+from starlock.elgamal import encrypt_exp, keygen
 from starlock.group import PROD_GROUP, TEST_GROUP, multi_exp
 from starlock.scenario import make_demo_scenario, run_scenario
+from starlock.trustees import combine_shares, dkg, partial_decrypt
 from starlock.verifier import verify_board
 from test_fuzz import corpus
 
@@ -69,6 +70,44 @@ def test_encrypting_a_ballot_makes_no_full_size_power(monkeypatch) -> None:
     assert exponent_bits and max(exponent_bits) <= 64
     monkeypatch.undo()
     assert verify_ballot(eb, proof, style, key, MID_GROUP, "ops")
+
+
+SHORT_EXPONENT_BITS = 64 + 256 + 8  # a weight times a challenge, summed over a few equations
+
+
+def test_a_batch_raises_only_response_bases_to_full_size(monkeypatch) -> None:
+    # In the prod group a statement base's batch exponent is a 64-bit weight
+    # times a challenge below 2^256; only a share proof's c.a, raised to its
+    # responses, keeps a full-size exponent.
+    gp, rng = PROD_GROUP, random.Random(13)
+    stated = []
+
+    def recording_multi_exp(pairs, p):
+        pairs = list(pairs)
+        stated.extend(pairs)
+        return multi_exp(pairs, p)
+
+    def exponent_bits(run, response_base=None):
+        """(bits of each other base's exponent, bits of response_base's)."""
+        del stated[:]
+        assert run()
+        assert stated  # a Collect batch ran
+        return ([e.bit_length() for base, e in stated if base != response_base],
+                [e.bit_length() for base, e in stated if base == response_base])
+
+    monkeypatch.setattr(chaum_pedersen, "multi_exp", recording_multi_exp)
+    jpk, shares = dkg(3, 2, gp, rng)
+    style = BallotStyle("s", (Contest("mayor", ("ada", "grace"), 1),))
+    eb, proof = encrypt_ballot(PlaintextBallot("s", {"mayor": ("grace",)}), style, jpk.K, gp,
+                               rng, "ops")
+    short, _ = exponent_bits(lambda: batched(
+        gp, lambda: b"ballot", lambda eqs: verify_ballot(eb, proof, style, jpk.K, gp, "ops", eqs)))
+    assert max(short) <= SHORT_EXPONENT_BITS, short
+    ct = encrypt_exp(1, rng.randrange(1, gp.q), jpk.K, gp)
+    dshares = [partial_decrypt(ct, share, gp, rng, b"col") for share in shares[:2]]
+    short, full = exponent_bits(lambda: combine_shares([(ct, dshares, b"col")], jpk, gp) == [gp.g],
+                                ct.a)
+    assert max(short) <= SHORT_EXPONENT_BITS < max(full), (short, full)
 
 
 @pytest.mark.parametrize("gp, bump, sinks", [

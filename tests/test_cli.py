@@ -446,6 +446,42 @@ def test_tally_refuses_an_office_key_pair_the_manifest_does_not_name(edit, tmp_p
     assert board.read_bytes() == before
 
 
+def test_simulate_refuses_an_office_key_whose_pk_is_not_g_to_its_sk(tmp_path, capsys) -> None:
+    """A wrong secret next to keygen's pk would sign a board that verify
+    rejects: simulate --keys exits 2 naming the file and writes nothing."""
+    keys, out = tmp_path / "keys", tmp_path / "run"
+    assert main(["keygen", "--n", "3", "--k", "2", "--seed", "5", "--outdir", str(keys)]) == 0
+    office = keys / "office_key.json"
+    doc = json.loads(office.read_text())
+    office.write_text(json.dumps(dict(doc, sk=int_to_hex(int(doc["sk"], 16) + 1))),
+                      encoding="utf-8")
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", write_demo_scenario(tmp_path), "--keys", str(keys),
+                 "--outdir", str(out)]) == 2
+    assert capsys.readouterr().out == f"MalformedRecord: {office}: not an office key pair\n"
+    assert not out.exists()
+
+
+def test_verify_refuses_a_manifest_whose_salt_does_not_give_its_seeds(tmp_path, capsys) -> None:
+    """Each terminal's z0 is derived from the manifest's salt; a salt off by
+    one leaves every published chain intact but fails terminal_chain."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(board_raw_lines(result["board"])) + "\n", encoding="utf-8")
+    params = tmp_path / "params.json"
+    doc = json.loads(params.read_text())
+    params.write_text(json.dumps(dict(doc, salt=f"{int(doc['salt'], 16) + 1:032x}")),
+                      encoding="utf-8")
+    capsys.readouterr()
+    assert main(commands["verify"]) == 2
+    failures = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("FAIL")]
+    assert failures == [
+        *(f"FAIL terminal_chain: terminal {tid}: seed does not follow from the manifest's salt"
+          for tid in sorted(result["manifest"].terminal_seeds)),
+        "FAIL overall"]
+
+
 @pytest.mark.parametrize("status", ["SPOILED", "CAST"])
 def test_a_count_beyond_its_bound_names_its_column(status, tmp_path, capsys) -> None:
     """An entry's first option ciphertext shifted in the exponent past what its

@@ -151,7 +151,7 @@ def test_comb_agrees_with_pow_in_the_prod_group() -> None:
     assert fixed_pow(K, -1, p) == pow(K, -1, p)
 
 
-PINNED_PROD_BALLOT = "c9766748c8fd487d90c89daf7e28e93a2c808acffbd1235c9b86f4c25ef43adb"
+PINNED_PROD_BALLOT = "e36ca7d4b92bae06920f98f28b5671256c979abf77a72c3df5021b932d34dbc1"
 
 
 def test_prod_group_ballot_is_pinned_and_verifies() -> None:

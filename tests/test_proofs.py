@@ -13,6 +13,7 @@ import pytest
 from helpers import MID_GROUP
 from starlock.chaum_pedersen import (
     ChaumPedersenProof,
+    Immediate,
     ZeroOneProof,
     _eq_dlog_transcript,
     _zero_one_transcript,
@@ -206,11 +207,11 @@ def test_proof_json_round_trips() -> None:
 def _ciphertext_formula_zero_or_one(bit, r, ct, public_key, gp, rng, context):
     """The zero-or-one prover with its simulated branch raised from the
     ciphertext (a^-c and (b / g^sim)^-c by pow): the reference that the
-    witness-built branch must equal."""
-    p, q, g = gp.p, gp.q, gp.g
+    witness-built branch must equal. Branch challenges lie in [0, M)."""
+    p, q, g, space = gp.p, gp.q, gp.g, gp.challenge_space
     fixed = fixed_pow if gp.large else pow
     sim = 1 - bit
-    c_sim = rng.randrange(0, q)
+    c_sim = rng.randrange(0, space)
     v_sim = rng.randrange(0, q)
     target_b_sim = ct.b * pow(pow(g, sim, p), -1, p) % p
     a_sim_commit = fixed(g, v_sim, p) * pow(pow(ct.a, c_sim, p), -1, p) % p
@@ -228,7 +229,7 @@ def _ciphertext_formula_zero_or_one(bit, r, ct, public_key, gp, rng, context):
     e = fiat_shamir_challenge(
         DOMAIN_ZERO_ONE, _zero_one_transcript(context, public_key, ct, a0c, b0c, a1c, b1c), gp
     )
-    c_real = (e - c_sim) % q
+    c_real = (e - c_sim) % space
     v_real = (w + c_real * r) % q
 
     if bit == 0:
@@ -288,3 +289,119 @@ def test_contest_sum_with_the_key_fixed_is_the_same_proof(gp) -> None:
         statement = (gp.g, total.a, key, target_b, gp, ctx, DOMAIN_CONTEST_SUM)
         assert verify_eq_dlog(proof, *statement, fixed=True)
         assert verify_eq_dlog(proof, *statement)
+
+
+def _old_rule_zero_or_one(bit, r, ct, public_key, gp, rng, context, draw=None):
+    """prove_zero_or_one as it was before branch challenges were short, word
+    for word: c_sim from [0, q), c_real = (e - c_sim) mod q. draw, when
+    given, replaces q as c_sim's bound only."""
+    if bit not in (0, 1):
+        raise ValueError("bit must be 0 or 1")
+    p, q, g = gp.p, gp.q, gp.g
+    fixed = fixed_pow if gp.large else pow
+
+    sim = 1 - bit
+    c_sim = rng.randrange(0, draw or q)
+    v_sim = rng.randrange(0, q)
+    u = (v_sim - r * c_sim) % q
+    a_sim_commit = fixed(g, u, p)
+    b_sim_commit = fixed(public_key, u, p) * fixed(g, (sim - bit) * c_sim % q, p) % p
+
+    w = rng.randrange(0, q)
+    a_real_commit = fixed(g, w, p)
+    b_real_commit = fixed(public_key, w, p)
+
+    if bit == 0:
+        a0c, b0c, a1c, b1c = a_real_commit, b_real_commit, a_sim_commit, b_sim_commit
+    else:
+        a0c, b0c, a1c, b1c = a_sim_commit, b_sim_commit, a_real_commit, b_real_commit
+
+    e = fiat_shamir_challenge(
+        DOMAIN_ZERO_ONE, _zero_one_transcript(context, public_key, ct, a0c, b0c, a1c, b1c), gp
+    )
+    c_real = (e - c_sim) % q
+    v_real = (w + c_real * r) % q
+
+    if bit == 0:
+        c0, c1, v0, v1 = c_real, c_sim, v_real, v_sim
+    else:
+        c0, c1, v0, v1 = c_sim, c_real, v_sim, v_real
+    return ZeroOneProof(
+        commit0_g=a0c, commit0_k=b0c, commit1_g=a1c, commit1_k=b1c,
+        challenge0=c0, challenge1=c1, response0=v0, response1=v1,
+    )
+
+
+class _AcceptEveryEquation:
+    """A sink that holds every equation: a proof refused with it was refused
+    by its membership, range, Fiat-Shamir or challenge-sum checks."""
+
+    def check(self, *args, **kwargs) -> bool:
+        return True
+
+
+def _equations_hold(proof, ct, key, gp) -> bool:
+    """The zero-or-one proof's four equations, each tested at once."""
+    eqs = Immediate(gp)
+    return all(eqs.check(gp.g, v, commit_g, ct.a, c) and eqs.check(key, v, commit_k, ct.b, c, m)
+               for m, commit_g, commit_k, c, v in (
+                   (0, proof.commit0_g, proof.commit0_k, proof.challenge0, proof.response0),
+                   (1, proof.commit1_g, proof.commit1_k, proof.challenge1, proof.response1)))
+
+
+def _prod_statement(seed):
+    rng = random.Random(seed)
+    key = keygen(PROD_GROUP, rng).pk
+    r = rng.randrange(1, PROD_GROUP.q)
+    return rng, key, r, encrypt_exp(1, r, key, PROD_GROUP)
+
+
+@pytest.mark.parametrize("gp, space", [(TEST_GROUP, TEST_GROUP.q), (MID_GROUP, MID_GROUP.q),
+                                       (PROD_GROUP, 2**256)], ids=["test", "mid", "prod"])
+def test_the_challenge_space_is_q_below_2_256_and_2_256_above(gp, space) -> None:
+    assert gp.challenge_space == space
+
+
+def test_a_prod_branch_challenge_of_2_256_or_more_is_refused() -> None:
+    rng, key, r, ct = _prod_statement(51)
+    proof = prove_zero_or_one(1, r, ct, key, PROD_GROUP, rng, b"cell")
+    assert max(proof.challenge0, proof.challenge1) < 2**256
+    for field in ("challenge0", "challenge1"):
+        # The sum mod 2^256 is unchanged; only the range rule refuses it.
+        bad = dataclasses.replace(proof, **{field: getattr(proof, field) + 2**256})
+        assert not verify_zero_or_one(bad, ct, key, PROD_GROUP, b"cell", _AcceptEveryEquation())
+    assert verify_zero_or_one(proof, ct, key, PROD_GROUP, b"cell", _AcceptEveryEquation())
+
+
+def test_branch_challenges_that_sum_to_e_mod_q_but_not_mod_2_256_are_refused() -> None:
+    # Short draws with the sum kept mod q: the real branch's challenge wraps
+    # to near q whenever c_sim > e, which would reveal the vote.
+    rng, key, r, ct = _prod_statement(52)
+    wrapped = 0
+    for trial in range(4):
+        proof = _old_rule_zero_or_one(1, r, ct, key, PROD_GROUP, rng, f"cell-{trial}".encode(),
+                                      draw=2**256)
+        e = (proof.challenge0 + proof.challenge1) % PROD_GROUP.q
+        assert _equations_hold(proof, ct, key, PROD_GROUP)
+        valid = verify_zero_or_one(proof, ct, key, PROD_GROUP, f"cell-{trial}".encode())
+        wrapped += (proof.challenge0 + proof.challenge1) % 2**256 != e
+        assert valid == ((proof.challenge0 + proof.challenge1) % 2**256 == e)
+    assert 0 < wrapped < 4  # some proofs wrapped, and those that did not are valid
+
+
+def test_a_proof_from_the_old_prover_is_refused_in_the_prod_group() -> None:
+    rng, key, r, ct = _prod_statement(53)
+    proof = _old_rule_zero_or_one(1, r, ct, key, PROD_GROUP, rng, b"cell")
+    assert _equations_hold(proof, ct, key, PROD_GROUP)
+    assert not verify_zero_or_one(proof, ct, key, PROD_GROUP, b"cell")
+
+
+@pytest.mark.parametrize("gp", [TEST_GROUP, MID_GROUP], ids=["test", "mid"])
+def test_the_old_prover_is_the_prover_below_2_256(gp) -> None:
+    rng = random.Random(54)
+    key = keygen(gp, rng).pk
+    for trial in range(10):
+        bit, r = trial % 2, rng.randrange(1, gp.q)
+        ct, seed = encrypt_exp(bit, r, key, gp), rng.getrandbits(64)
+        proof = prove_zero_or_one(bit, r, ct, key, gp, random.Random(seed), b"cell")
+        assert proof == _old_rule_zero_or_one(bit, r, ct, key, gp, random.Random(seed), b"cell")
