@@ -274,15 +274,6 @@ class KMState:
         return self.p_value
 
 
-def km_risk(state: KMState, draws) -> float:
-    """Fold (reported, manual) interpretation pairs into the running
-    P-value. Returns the updated P (math.inf means mandatory escalation)."""
-    pairs = pairs_by_contest(state.pairs)
-    for reported, manual in draws:
-        state.observe(overstatement(reported, manual, pairs))
-    return state.p_value
-
-
 def column(rows, name: str, key: str, decode) -> list:
     """decode(row[key]) for each row of the named file, a list of objects; a
     MalformedRecord names the file, row and field, as in "cvrs[3].index: missing"."""

@@ -95,12 +95,6 @@ class BallotStyle(Record):
             raise ValueError(f"style {self.style_id} repeats a contest id")
         object.__setattr__(self, "contests", tuple(self.contests))
 
-    def contest(self, contest_id: str) -> Contest:
-        for c in self.contests:
-            if c.contest_id == contest_id:
-                return c
-        raise KeyError(contest_id)
-
 
 @dataclass(frozen=True)
 class PlaintextBallot:
@@ -265,12 +259,6 @@ class EncryptedBallot(Record):
         ("contests", "contests", tuple_of(record(EncryptedContest))),
     )
 
-    def contest(self, contest_id: str) -> EncryptedContest:
-        for c in self.contests:
-            if c.contest_id == contest_id:
-                return c
-        raise KeyError(contest_id)
-
     def canonical_bytes(self) -> bytes:
         out = enc_str(self.style_id) + enc_int(len(self.contests))
         for c in self.contests:
@@ -345,7 +333,7 @@ def encrypt_ballot(
         ctx = column_context(election_id, style.style_id, contest.contest_id, SUM_COLUMN)
         sum_proof = prove_eq_dlog(
             sum(options_r + padding_r) % gp.q, gp.g, a, K, b, gp, rng,
-            context=ctx, domain=DOMAIN_CONTEST_SUM, fixed=True,
+            context=ctx, domain=DOMAIN_CONTEST_SUM,
         )
         enc_contests.append(EncryptedContest(contest.contest_id, *split_columns(contest, cts)))
         proof_contests.append(

@@ -23,6 +23,7 @@ from .boardformat import (
     SPOILED,
     UNTALLIED,
     BoardIndex,
+    EncryptedBallotRecord,
     SpoiledColumn,
     TallyColumn,
     TallyRecord,
@@ -40,7 +41,6 @@ from .chaum_pedersen import batched
 from .elgamal import Keypair, dlog_search
 from .errors import ChainBroken, MalformedRecord, NoDlogInRange, NotSpoiled, RejectInvalidProof
 from .group import GroupParams
-from .pollsite import EncryptedBallotRecord
 from .schnorr import sign
 from .serialize import DIGEST, STR, canonical_json, decode_field, sha256_hex
 from .trustees import JointPublicKey, combine_shares, partial_decrypt
@@ -174,10 +174,6 @@ class Board:
     def effective_status(self, entry_index: int) -> str:
         self.check_entry(entry_index)
         return self._index.statuses[entry_index]
-
-    def entry_record(self, entry_index: int):
-        """The entry's (EncryptedBallot, WellFormednessProof), decoded once."""
-        return self._index.ballot(entry_index), self._index.proof(entry_index)
 
 
 # -- aggregation and decryption ----------------------------------------------------

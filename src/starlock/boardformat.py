@@ -9,7 +9,7 @@ effective status is its own `status`, overridden by the status lines that
 reference it, in file order; a status line counts even when it precedes its
 entry. Only effective-CAST entries enter the homomorphic tally. LINE_KEYS
 lists the keys of each line kind; the records below declare the values of
-the terminal_close and tally lines and of a decryption line's columns.
+the entry, terminal_close and tally lines and of a decryption line's columns.
 
 This module is format-level: it never imports the polling-place, board,
 scenario or CLI machinery, so the verifier can share it and stay
@@ -48,11 +48,32 @@ CAST = "CAST"
 SPOILED = "SPOILED"
 UNTALLIED = "UNTALLIED"
 STATUS = one_of(CAST, SPOILED, UNTALLIED)  # BoardIndex.add refuses any other status
+VERSION = one_of("1")  # the header's format version
 GENESIS_HASH = "0" * 64
 SIGNER = "election-office"
 
 
 # -- line records and the keys of every line kind ----------------------------------
+
+
+@dataclass(frozen=True)
+class EncryptedBallotRecord(Record):
+    """What a terminal hands the judge's station, published as an entry line
+    beside the entry's index and status (its serial is never published)."""
+
+    ballot: EncryptedBallot
+    proof: WellFormednessProof
+    terminal_id: str
+    z: bytes
+    timestamp: int
+
+    FIELDS = (
+        ("ballot", "ballot", record(EncryptedBallot)),
+        ("proof", "proof", record(WellFormednessProof)),
+        ("terminal", "terminal_id", STR),
+        ("z", "z", DIGEST),
+        ("timestamp", "timestamp", NUMERAL),
+    )
 
 
 @dataclass(frozen=True)
@@ -125,12 +146,21 @@ class TallyRecord(Record):
 # carries, then those it may also carry.
 LINE_KEYS = {
     "header": ({"election_id", "version"}, set()),
-    "entry": ({"index", "status", "terminal", "z", "timestamp", "ballot", "proof"}, {"reason"}),
+    "entry": ({"index", "status"} | {key for key, _, _ in EncryptedBallotRecord.FIELDS},
+              {"reason"}),
     "status": ({"ref", "status"}, {"reason"}),
     "decryption": ({"ref", "columns", "plaintext"}, set()),
     "terminal_close": ({key for key, _, _ in TerminalClose.FIELDS}, set()),
     "tally": ({key for key, _, _ in TallyRecord.FIELDS}, set()),
     "signature": ({"signer", "sig"}, set()),
+}
+
+# The values BoardIndex.add decodes, where the line carries them, beside the
+# index, ref and status it reads.
+CHECKED_KEYS = {
+    "header": (("version", VERSION),),
+    "entry": (("timestamp", NUMERAL), ("reason", STR)),
+    "status": (("reason", STR),),
 }
 
 
@@ -309,9 +339,12 @@ class BoardIndex:
         self._proofs = {}
 
     def add(self, lineno: int, line: dict, text: str | None = None) -> None:
-        """Index one line, decoding only the index, ref and status it reads;
-        MalformedRecord leaves the line unindexed."""
+        """Index one line, decoding the index, ref and status it reads and the
+        values of CHECKED_KEYS; MalformedRecord leaves the line unindexed."""
         kind = line.get("kind")
+        for key, codec in CHECKED_KEYS.get(kind, ()):
+            if key in line:
+                decode_field(line, key, codec.decode)
         if kind == "entry":
             k = decode_field(line, "index", NUMERAL.decode)
             status = decode_field(line, "status", STATUS.decode)

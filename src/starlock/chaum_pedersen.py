@@ -147,12 +147,11 @@ def prove_eq_dlog(
     rng: random.Random,
     context: bytes,
     domain: bytes = DOMAIN_EQ_DLOG,
-    fixed: bool = False,  # g2 recurs too (the joint key): raise it through its comb
 ) -> ChaumPedersenProof:
-    comb = fixed_pow if gp.large else pow  # g1 is g at every caller
+    comb = fixed_pow if gp.large else pow  # g1 is g, g2 the joint key or a c.a: both recur
     w = rng.randrange(0, gp.q)
     t1 = comb(g1, w, gp.p)
-    t2 = (comb if fixed else pow)(g2, w, gp.p)
+    t2 = comb(g2, w, gp.p)
     e = fiat_shamir_challenge(domain, _eq_dlog_transcript(context, g1, y1, g2, y2, t1, t2), gp)
     s = (w + e * witness) % gp.q
     return ChaumPedersenProof(commit1=t1, commit2=t2, challenge=e, response=s)

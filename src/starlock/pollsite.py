@@ -5,8 +5,9 @@ One judge's station is the single serialization point: every state change
 through its logical event loop and is stamped with a logical clock tick.
 Terminals hold only their own hash-chain state. Terminals, the ballot-box
 scanner, and the judge's station talk over an in-process ordered reliable
-message bus with a pluggable fault injector; duplicate deliveries are made
-harmless by idempotency keys.
+message bus with a pluggable fault injector: each send names the station's
+handler that receives it, and duplicate deliveries are made harmless by
+idempotency keys. A terminal's record is the board's EncryptedBallotRecord.
 
 Paper handling is modeled explicitly: the printed summary (always the
 selections shown to the voter) becomes the paper ballot, which lands in the
@@ -19,8 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .ballot import BallotStyle, PlaintextBallot, encrypt_ballot
-from .boardformat import CAST, SPOILED
+from .ballot import BallotStyle, PlaintextBallot, encode, encrypt_ballot
+from .boardformat import CAST, SPOILED, EncryptedBallotRecord
 from .chain import chain_hash, initial_chain_seed, new_serial, receipt_code
 from .errors import (
     AlreadyFinalized,
@@ -57,27 +58,6 @@ class Token:
     provisional: bool
 
 
-@dataclass(frozen=True)
-class EncryptedBallotRecord:
-    """The tuple a terminal transmits to the judge's station (minus the
-    serial, which rides alongside and is never published)."""
-
-    ballot: object
-    proof: object
-    terminal_id: str
-    z: bytes
-    timestamp: int
-
-    def to_json(self) -> dict:
-        return {
-            "ballot": self.ballot.to_json(),
-            "proof": self.proof.to_json(),
-            "terminal": self.terminal_id,
-            "z": self.z.hex(),
-            "timestamp": str(self.timestamp),
-        }
-
-
 @dataclass
 class BallotRecord:
     serial: str
@@ -111,50 +91,38 @@ class FaultInjector:
         self.duplicate = set(duplicate)
         self.delay = set(delay)
 
-    def plan(self, kind: str, occurrence: int) -> str:
-        key = (kind, occurrence)
-        if key in self.drop:
-            return "drop"
-        if key in self.duplicate:
-            return "duplicate"
-        if key in self.delay:
-            return "delay"
-        return "deliver"
-
 
 class MessageBus:
-    """In-process ordered reliable delivery to registered handlers. A handler
-    runs once per message id; a repeat gets the stored result of that run."""
+    """In-process ordered reliable delivery to the handler each send names. A
+    handler runs once per message id; a repeat gets the stored result of that
+    run. The bus keeps no handler past its delivery."""
 
     def __init__(self, injector: FaultInjector | None = None):
         self.injector = injector or FaultInjector()
-        self.handlers = {}
         self.counts = {}
         self.held = []
         self.results = {}  # msg_id -> handler result; a handler that raised stores none
 
-    def register(self, kind: str, handler) -> None:
-        self.handlers[kind] = handler
-
-    def _deliver(self, kind: str, payload: dict, msg_id: str):
+    def _deliver(self, handler, payload: dict, msg_id: str):
         if msg_id not in self.results:
-            self.results[msg_id] = self.handlers[kind](payload)
+            self.results[msg_id] = handler(payload)
         return self.results[msg_id]
 
-    def send(self, kind: str, payload: dict, msg_id: str):
-        """Synchronous send; handler errors propagate to the sender. Returns
-        the handler's result, or None when the delivery was dropped/held."""
+    def send(self, kind: str, handler, payload: dict, msg_id: str):
+        """Synchronous send of the kind's next message to handler; handler
+        errors propagate to the sender. Returns the handler's result, or None
+        when the delivery was dropped/held."""
         occurrence = self.counts.get(kind, 0)
         self.counts[kind] = occurrence + 1
-        plan = self.injector.plan(kind, occurrence)
-        if plan == "drop":
+        key = (kind, occurrence)
+        if key in self.injector.drop:
             return None
-        if plan == "delay":
-            self.held.append((kind, payload, msg_id))
+        if key in self.injector.delay:
+            self.held.append((handler, payload, msg_id))
             return None
-        result = self._deliver(kind, payload, msg_id)
-        if plan == "duplicate":
-            self._deliver(kind, payload, msg_id)
+        result = self._deliver(handler, payload, msg_id)
+        if key in self.injector.duplicate:
+            self._deliver(handler, payload, msg_id)
         while self.held:
             self._deliver(*self.held.pop(0))
         return result
@@ -211,9 +179,6 @@ class PollSite:
 
         self._cast_calls = 0
         self.bus = MessageBus(injector)
-        self.bus.register("redeem", self._handle_redeem)
-        self.bus.register("record", self._handle_record)
-        self.bus.register("cast_scan", self._handle_cast_scan)
 
     # -- judge's station event log ------------------------------------------
 
@@ -275,9 +240,8 @@ class PollSite:
             raise TerminalBusy(f"terminal {terminal_id} has a session in progress")
         terminal.busy = True
         try:
-            redeemed = self.bus.send(
-                "redeem", {"code": code}, msg_id=f"redeem:{code}:{self.clock}"
-            )
+            redeemed = self.bus.send("redeem", self._handle_redeem, {"code": code},
+                                     msg_id=f"redeem:{code}:{self.clock}")
             if redeemed is None:
                 raise UnknownOrSpentToken("redemption message lost in transit")
             style_id, provisional = redeemed
@@ -286,7 +250,10 @@ class PollSite:
                 raise UnknownOption(
                     f"token is for style {style_id!r}, ballot claims {pb.style_id!r}"
                 )
-            actual = self._tamper(pb, style) if terminal_id in self.rigged_terminals else pb
+            actual = pb
+            if terminal_id in self.rigged_terminals:
+                encode(pb, style)  # refuse the voter's own ballot before altering it
+                actual = self._tamper(pb, style)
             eb, proof = encrypt_ballot(
                 actual, style, self.joint_key, self.gp, self.rng, self.election_id
             )
@@ -298,6 +265,7 @@ class PollSite:
             terminal.ballots_produced += 1
             record = self.bus.send(
                 "record",
+                self._handle_record,
                 {
                     "serial": serial,
                     "ballot": eb,
@@ -378,9 +346,8 @@ class PollSite:
         if serial not in self.papers:
             raise UnknownSerial(f"no printed ballot with serial {serial}")
         self._cast_calls += 1
-        self.bus.send(
-            "cast_scan", {"serial": serial}, msg_id=f"cast:{serial}:{self._cast_calls}"
-        )
+        self.bus.send("cast_scan", self._handle_cast_scan, {"serial": serial},
+                      msg_id=f"cast:{serial}:{self._cast_calls}")
         # The paper is through the slot whether or not the message arrived.
         self._box_paper(serial)
 
@@ -480,19 +447,6 @@ class PollSite:
         )
         self.closed = True
         return final_z
-
-    # -- accounting ----------------------------------------------------------------
-
-    def status_counts(self) -> dict:
-        """Per-terminal {status: count} plus produced counts."""
-        out = {
-            tid: {"produced": t.ballots_produced, PENDING: 0, CAST: 0, SPOILED: 0,
-                  PROVISIONAL_PENDING: 0}
-            for tid, t in self.terminals.items()
-        }
-        for record in self.records.values():
-            out[record.record.terminal_id][record.status] += 1
-        return out
 
 
 def replay_event_log(events, initial_seeds: dict):

@@ -30,11 +30,11 @@ from .audit import (
     interpretation,
     published_commitments,
 )
-from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, BallotStyle, Contest, PlaintextBallot, encode
+from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, BallotStyle, Contest, PlaintextBallot
 from .board import Board, decrypt_spoiled, decrypt_tally
 from .boardformat import CAST, SPOILED, UNTALLIED, contest_columns
 from .elgamal import Keypair, keygen
-from .errors import MalformedRecord, ScenarioError, StarlockError
+from .errors import MalformedRecord, OvervoteRejected, ScenarioError, StarlockError, UnknownOption
 from .group import GROUPS, resolve_group
 from .manifest import ElectionManifest
 from .pollsite import (
@@ -206,18 +206,11 @@ def make_keys(scenario: Scenario):
 def run_scenario(scenario: Scenario, keys=None) -> dict:
     """Simulate the full election day and publish the board.
 
-    Returns the complete artifact set; write_artifacts serializes it. Each
-    ballot first goes through the terminal's encoding (not in validate, which
-    runs for every Scenario built): one it refuses raises ScenarioError,
-    naming the voter, before the day starts."""
+    Returns the complete artifact set; write_artifacts serializes it. A
+    ballot the voter's terminal refuses (an unknown option or an overvote)
+    raises ScenarioError naming the voter's selections or revote, before any
+    artifact exists."""
     styles = {s.style_id: s for s in scenario.styles}
-    for i, voter in enumerate(scenario.voters):
-        for key in ("selections", "revote") if voter.revote is not None else ("selections",):
-            try:
-                encode(PlaintextBallot.from_raw_selections(voter.style, getattr(voter, key)),
-                       styles[voter.style])
-            except StarlockError as exc:
-                raise ScenarioError(f"voters[{i}].{key}: {exc}") from None
     gp = resolve_group(scenario.group)
     if keys is None:
         keys = make_keys(scenario)
@@ -253,10 +246,14 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
     dropped = set(scenario.dropped_scans)
     duplicated = set(scenario.duplicated_scans)
 
-    def session(i, voter, terminal, selections, which):
-        pb = PlaintextBallot.from_raw_selections(voter.style, selections)
+    def session(i, voter, terminal, which):
+        key = "selections" if which == "primary" else "revote"
+        pb = PlaintextBallot.from_raw_selections(voter.style, getattr(voter, key))
         token = site.issue_token(voter.style, provisional=(voter.action == "provisional"))
-        record, receipt, summary = site.vote_session(terminal, token.code, pb)
+        try:
+            _, receipt, summary = site.vote_session(terminal, token.code, pb)
+        except (UnknownOption, OvervoteRejected) as exc:
+            raise ScenarioError(f"voters[{i}].{key}: {exc}") from None
         serial = summary["serial"]
         final_serial[i] = serial
         if i in lost:
@@ -277,7 +274,7 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
 
     for i, voter in enumerate(scenario.voters):
         terminal = voter.terminal or scenario.terminals[i % len(scenario.terminals)]
-        serial, pb = session(i, voter, terminal, voter.selections, "primary")
+        serial, pb = session(i, voter, terminal, "primary")
         if voter.action == "cast":
             scan(i, serial)
         elif voter.action in ("spoil", "challenge"):
@@ -286,7 +283,7 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
             if voter.action == "challenge":
                 challenges.append({"voter": i, "serial": serial, "intended": pb.to_json()})
             if voter.revote is not None:
-                serial, _ = session(i, voter, terminal, voter.revote, "revote")
+                serial, _ = session(i, voter, terminal, "revote")
                 scan(i, serial)
         elif voter.action == "provisional":
             if voter.adjudication is not None:

@@ -128,7 +128,7 @@ def partial_decrypt(
     vk = verification_key(share.trustee_id, share.commitments, gp)
     proof = prove_eq_dlog(
         share.secret_share, gp.g, vk, c.a, value, gp, rng,
-        context=context, domain=DOMAIN_DECRYPT_SHARE, fixed=True,
+        context=context, domain=DOMAIN_DECRYPT_SHARE,
     )
     return DecryptionShare(trustee_id=share.trustee_id, share_value=value, proof=proof)
 

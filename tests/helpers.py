@@ -14,11 +14,11 @@ import random
 from starlock.audit import build_cvrs
 from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballot
 from starlock.board import Board
+from starlock.boardformat import CAST, EncryptedBallotRecord
 from starlock.chain import chain_hash, initial_chain_seed
 from starlock.elgamal import keygen
 from starlock.group import GROUPS, TEST_GROUP, GroupParams
 from starlock.manifest import ElectionManifest
-from starlock.pollsite import CAST, EncryptedBallotRecord
 from starlock.scenario import (
     Scenario,
     Voter,

@@ -18,7 +18,7 @@ from helpers import (
     margin_scenario,
     synthetic_comparison_record,
 )
-from starlock.audit import KMState, km_risk, run_audit
+from starlock.audit import KMState, overstatement, run_audit
 from starlock.ballot import (
     BallotStyle,
     Contest,
@@ -164,8 +164,10 @@ def test_criterion_5_risk_product_desk_check() -> None:
         {"race": {"selections": ["A"], "writein": False}},
     )
     state = KMState(N=100, V=10, alpha=0.1, pairs=pairs)
-    assert km_risk(state, [clean] * 44) > 0.1
-    p45 = km_risk(state, [clean])
+    for _ in range(44):
+        state.observe(overstatement(*clean, pairs))
+    assert state.p_value > 0.1
+    p45 = state.observe(overstatement(*clean, pairs))
     assert abs(p45 - 0.09944025698709225) <= 1e-9
     assert p45 <= 0.1
     assert state.draws == 45

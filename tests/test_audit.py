@@ -24,7 +24,6 @@ from starlock.audit import (
     contest_commitment,
     hand_count,
     interpretation,
-    km_risk,
     margin_pairs,
     open_commitment,
     overstatement,
@@ -247,6 +246,11 @@ def test_km_risk_factors() -> None:
 
     def interp(sel):
         return {"race": {"selections": sel, "writein": False}}
+
+    def km_risk(state, draws):
+        for reported, manual in draws:
+            state.observe(overstatement(reported, manual, state.pairs))
+        return state.p_value
 
     clean = (interp(["A"]), interp(["A"]))
     state = KMState(N=100, V=10, alpha=0.1, pairs=pairs)

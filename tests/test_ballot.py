@@ -161,18 +161,16 @@ def test_encrypted_shape_matches_style() -> None:
     kp = make_key()
     pb = PlaintextBallot(style_id="downtown", selections={"mayor": ("ada",)})
     eb, proof = encrypt_ballot(pb, STYLE, kp.pk, GP, random.Random(73), EID)
-    mayor = eb.contest("mayor")
+    mayor, council = eb.contests
+    assert (mayor.contest_id, council.contest_id) == ("mayor", "council")
     assert len(mayor.option_cts) == 2
     assert len(mayor.padding_cts) == 1
     assert mayor.writein_ct is not None
-    council = eb.contest("council")
     assert len(council.option_cts) == 3
     assert len(council.padding_cts) == 2
     assert council.writein_ct is None
-    cols = dict(mayor.all_columns(STYLE.contest("mayor")))
+    cols = dict(mayor.all_columns(STYLE.contests[0]))
     assert set(cols) == {"ada", "grace", "(pad0)", "(write-in)"}
-    with pytest.raises(KeyError):
-        eb.contest("senate")
 
 
 def test_columns_decrypt_to_the_encoded_bits() -> None:
@@ -184,8 +182,8 @@ def test_columns_decrypt_to_the_encoded_bits() -> None:
     )
     eb, _ = encrypt_ballot(pb, STYLE, kp.pk, GP, random.Random(74), EID)
     rows = encode(pb, STYLE)
-    for contest in STYLE.contests:
-        columns = eb.contest(contest.contest_id).all_columns(contest)
+    for contest, enc in zip(STYLE.contests, eb.contests, strict=True):
+        columns = enc.all_columns(contest)
         assert [column for column, _ in columns] == contest.column_ids()
         for (_, ct), bit in zip(columns, rows[contest.contest_id], strict=True):
             assert decrypt_dlog(ct, kp.sk, 1, GP) == bit
@@ -203,7 +201,7 @@ def test_homomorphic_column_totals_match_counts() -> None:
         eb, _ = encrypt_ballot(pb, STYLE, kp.pk, GP, rng, EID)
         if choice:
             tallies[choice] += 1
-        for name, ct in zip(("ada", "grace"), eb.contest("mayor").option_cts):
+        for name, ct in zip(("ada", "grace"), eb.contests[0].option_cts):
             column_cts[name].append(ct)
     for name in tallies:
         total = add_many(column_cts[name], GP)
@@ -214,7 +212,7 @@ def test_verify_rejects_swapped_columns() -> None:
     kp = make_key()
     pb = PlaintextBallot(style_id="downtown", selections={"mayor": ("ada",)})
     eb, proof = encrypt_ballot(pb, STYLE, kp.pk, GP, random.Random(76), EID)
-    mayor = eb.contest("mayor")
+    mayor = eb.contests[0]
     swapped = dataclasses.replace(mayor, option_cts=tuple(reversed(mayor.option_cts)))
     forged = EncryptedBallot(style_id=eb.style_id, contests=(swapped, eb.contests[1]))
     assert not verify_ballot(forged, proof, STYLE, kp.pk, GP, EID)

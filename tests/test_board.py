@@ -24,7 +24,7 @@ from starlock.board import (
     decrypt_spoiled,
     decrypt_tally,
 )
-from starlock.boardformat import GENESIS_HASH, contest_columns
+from starlock.boardformat import CAST, GENESIS_HASH, SPOILED, EncryptedBallotRecord, contest_columns
 from starlock.elgamal import keygen
 from starlock.errors import (
     BadShareProof,
@@ -36,7 +36,6 @@ from starlock.errors import (
 )
 from starlock.group import TEST_GROUP
 from starlock.manifest import ElectionManifest
-from starlock.pollsite import CAST, SPOILED, EncryptedBallotRecord
 from starlock.serialize import canonical_json
 from starlock.trustees import dkg
 from starlock.verifier import verify_board
@@ -362,7 +361,8 @@ def test_entry_record_round_trip() -> None:
     jpk, _, _, rng = setup_keys()
     board = Board(EID)
     record = make_record(ballot("ada"), jpk, rng)
-    board.publish_entry(record, CAST, STYLE, jpk.K, GP)
-    eb, proof = board.entry_record(0)
-    assert eb.canonical_bytes() == record.ballot.canonical_bytes()
-    assert proof.canonical_bytes() == record.proof.canonical_bytes()
+    board.publish_entry(record, CAST, STYLE, jpk.K, GP, reason="none")
+    [(index, line)] = board.entries()
+    assert EncryptedBallotRecord.from_json(line) == record
+    assert line == {"kind": "entry", "index": str(index), "status": CAST, "reason": "none",
+                    "prev": line["prev"], **record.to_json()}

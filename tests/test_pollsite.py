@@ -9,9 +9,11 @@ from starlock.chain import chain_hash, receipt_code
 from starlock.errors import (
     AlreadyFinalized,
     NotProvisional,
+    OvervoteRejected,
     PoolExhausted,
     StarlockError,
     TerminalBusy,
+    UnknownOption,
     UnknownOrSpentToken,
     UnknownSerial,
 )
@@ -305,6 +307,16 @@ def test_rigged_terminal_prints_truth_but_encrypts_a_lie() -> None:
     encode(claimed, STYLE)  # and still a well-formed ballot for the style
 
 
+@pytest.mark.parametrize("selections, error", [(("zed",), UnknownOption),
+                                               (("ada", "bo"), OvervoteRejected)],
+                         ids=["unknown-option", "overvote"])
+def test_rigged_terminal_refuses_what_an_honest_one_refuses(selections, error) -> None:
+    pb = PlaintextBallot(style_id="s", selections={"race": selections})
+    for terminal in ("T1", "T2"):
+        with pytest.raises(error):
+            vote(make_site(rigged=("T1",)), terminal, pb)
+
+
 def test_replay_event_log_matches_site_chains() -> None:
     site = make_site()
     r1, _, _ = vote(site, "T1")
@@ -337,17 +349,3 @@ def test_replay_event_log_flags_unknown_and_repeated_serials() -> None:
     chains, conservation_ok = replay_event_log(site.events + [stray], site.initial_seeds)
     assert not conservation_ok
     assert set(chains) == {"T1", "T2"}
-
-
-def test_status_counts() -> None:
-    site = make_site()
-    r1, _, _ = vote(site, "T1")
-    r2, _, _ = vote(site, "T1")
-    r3, _, _ = vote(site, "T2")
-    site.cast(r1.serial)
-    site.spoil(r2.serial, "VOTER")
-    counts = site.status_counts()
-    assert counts["T1"]["produced"] == 2
-    assert counts["T1"][CAST] == 1
-    assert counts["T1"][SPOILED] == 1
-    assert counts["T2"][PENDING] == 1

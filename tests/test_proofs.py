@@ -243,7 +243,7 @@ def _ciphertext_formula_zero_or_one(bit, r, ct, public_key, gp, rng, context):
 
 
 def _plain_pow_eq_dlog(witness, g1, y1, g2, y2, gp, rng, context, domain):
-    """The eq-dlog prover with g2 raised by pow: the reference for fixed=True."""
+    """The eq-dlog prover with g2 raised by pow: the reference for the comb of g2."""
     fixed = fixed_pow if gp.large else pow
     w = rng.randrange(0, gp.q)
     t1 = fixed(g1, w, gp.p)
@@ -284,7 +284,7 @@ def test_contest_sum_with_the_key_fixed_is_the_same_proof(gp) -> None:
         target_b = total.b * pow(pow(gp.g, sum(bits), gp.p), -1, gp.p) % gp.p
         args = (sum(rs) % gp.q, gp.g, total.a, key, target_b, gp)
         ctx, seed = f"sum-{trial}".encode(), rng.getrandbits(64)
-        proof = prove_eq_dlog(*args, random.Random(seed), ctx, DOMAIN_CONTEST_SUM, fixed=True)
+        proof = prove_eq_dlog(*args, random.Random(seed), ctx, DOMAIN_CONTEST_SUM)
         assert proof == _plain_pow_eq_dlog(*args, random.Random(seed), ctx, DOMAIN_CONTEST_SUM)
         statement = (gp.g, total.a, key, target_b, gp, ctx, DOMAIN_CONTEST_SUM)
         assert verify_eq_dlog(proof, *statement, fixed=True)

@@ -3,9 +3,11 @@ and the plaintext oracle they are all checked against."""
 
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import random
+import weakref
 
 import pytest
 
@@ -130,6 +132,11 @@ def _edit(path, value):
     return edit
 
 
+def _rigged(edit):
+    """The edit, on a scenario whose terminal T1 (voters 0, 2, ...) is rigged."""
+    return lambda obj: edit(_edit(("rigged_terminals",), ["T1"])(obj))
+
+
 # Each edit of the demo scenario's JSON and the error that starlock simulate
 # prints for it (exit 3): the field or voter it names, and why.
 SCENARIO_EDITS = {
@@ -149,6 +156,10 @@ SCENARIO_EDITS = {
                        "voters[0].selections: contest mayor: unknown option 'zed'"),
     "overvote": (_edit(("voters", 1, "selections", "council"), ["ida", "joan", "mary"]),
                  "voters[1].selections: contest council: 3 selections exceed limit 2"),
+    "rigged-unknown-option": (_rigged(_edit(("voters", 0, "selections", "mayor"), ["zed"])),
+                              "voters[0].selections: contest mayor: unknown option 'zed'"),
+    "rigged-overvote": (_rigged(_edit(("voters", 2, "selections", "mayor"), ["ada", "grace"])),
+                        "voters[2].selections: contest mayor: 2 selections exceed limit 1"),
     "write-in-without-slot": (_edit(("voters", 2, "revote", "council"), ["(write-in)"]),
                               "voters[2].revote: contest council has no write-in slot"),
     "k-above-n": (_edit(("trustees",), {"n": 2, "k": 3}),
@@ -165,6 +176,19 @@ def test_simulate_refuses_a_malformed_scenario_by_name(edit, message, tmp_path, 
     assert main(["simulate", "--scenario", str(path), "--outdir", str(tmp_path / "out")]) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_finished_poll_site_is_freed_without_the_collector() -> None:
+    """Nothing holds a PollSite in a reference cycle, so dropping a run's
+    result frees its site, records and event log at once."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        site = weakref.ref(run_scenario(make_demo_scenario())["site"])
+        assert site() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 MUTATION_SEED = 3

@@ -10,10 +10,11 @@ from collections import Counter
 
 import pytest
 
-from helpers import board_raw_lines, demo_run, rechain
+from helpers import board_raw_lines, demo_commands, demo_run, rechain
 from starlock.ballot import EncryptedBallot, PlaintextBallot, WellFormednessProof
 from starlock.board import Board
 from starlock.boardformat import ChainBroken, index_lines, read_board, spoiled_plaintext
+from starlock.cli import main
 from starlock.errors import AmbiguousReceipt
 from starlock.serialize import canonical_json
 from starlock.verifier import (
@@ -147,6 +148,37 @@ def test_malformed_entry_is_reported_and_named(status, field, tmp_path) -> None:
         assert err.value.lineno == edited[0]
 
 
+# Values no check reads, each set out of form on the first line it fits:
+# (which line, key, value).
+OUT_OF_FORM = {
+    "timestamp-a-word": (lambda l: l["kind"] == "entry", "timestamp", "x"),
+    "timestamp-a-list": (lambda l: l["kind"] == "entry", "timestamp", []),
+    "reason-a-number": (lambda l: l["kind"] == "entry" and "reason" in l, "reason", 5),
+    "version-a-word": (lambda l: l["kind"] == "header", "version", "zz"),
+    "version-a-number": (lambda l: l["kind"] == "header", "version", 7),
+}
+
+
+@pytest.mark.parametrize("fits, key, value", OUT_OF_FORM.values(), ids=OUT_OF_FORM)
+def test_out_of_form_value_is_malformed_at_its_line(fits, key, value, tmp_path, capsys) -> None:
+    result, _ = demo_board()
+    edited = []
+
+    def mutate(lines):
+        edited.append(next(i for i, line in enumerate(lines) if fits(line)))
+        lines[edited[0]][key] = value
+
+    raw = retamper(result, mutate)
+    chain = verify_board(raw, result["manifest"]).items[0]
+    assert (chain.check, chain.ok, chain.line) == ("line_chain", False, edited[0])
+    assert chain.detail.startswith(f"malformed {key}: ")
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(raw) + "\n", encoding="utf-8")
+    for name in ("tally", "audit", "receipt-check"):
+        assert main(commands[name]) == 2, name
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("edit", ["signer", "extra-key", "missing-key"])
 def test_signature_line_is_the_offices_with_exactly_its_keys(edit) -> None:
     result, raw = demo_board()
@@ -265,7 +297,7 @@ def test_forged_decryption_plaintext_fails() -> None:
                 plain = line["plaintext"]
                 cid = sorted(plain["selections"])[0]
                 style = result["manifest"].style_map[plain["style_id"]]
-                contest = style.contest(cid)
+                contest = next(c for c in style.contests if c.contest_id == cid)
                 current = set(plain["selections"][cid])
                 plain["selections"][cid] = sorted(
                     set(list(current)[:-1]) | {next(o for o in contest.options if o not in current)}
