@@ -59,6 +59,13 @@ def check_seed(seed: str) -> str:
     return seed
 
 
+def check_alpha(alpha: float) -> float:
+    """A risk limit is a number strictly between 0 and 1 (not NaN)."""
+    if not 0 < alpha < 1:
+        raise ValueError("risk limit must be in (0, 1)")
+    return alpha
+
+
 def prng_sequence(seed: str, n: int):
     """Yield indices in [0, n): index_j = SHA-256(seed , j) mod n for
     j = 1, 2, ...  Reproducible by anyone with the seed."""
@@ -173,26 +180,31 @@ def _contests(manifest: ElectionManifest) -> dict:
     return {cid: contest for cid, (contest, _) in layout.items()}
 
 
+def _ranked(contest, counts: dict) -> list:
+    """The contest's options by count, most first, ties by option id; the
+    first `limit` of them win."""
+    return sorted(contest.options, key=lambda o: (-counts[o], o))
+
+
 def margin_pairs(manifest: ElectionManifest, result: dict):
-    """Reported winners per contest and every (contest, winner, loser) pair,
-    with the smallest winner-loser margin V across all pairs. Named options
-    only; the abstain and write-in counters hold no seat."""
+    """Reported winners per contest, {contest: [(winner, loser), ...]} for
+    every contest with a loser, and the smallest winner-loser margin V across
+    all pairs. Named options only; the abstain and write-in counters hold no
+    seat."""
     winners = {}
-    pairs = []
+    pairs = {}
     v = None
     for cid, contest in sorted(_contests(manifest).items()):
         if not set(contest.options) <= result.get(cid, {}).keys():
             raise StarlockError(f"reported result lacks an option of {cid}")
         counts = {opt: int(result[cid][opt]) for opt in contest.options}
-        ranked = sorted(contest.options, key=lambda o: (-counts[o], o))
-        top = ranked[: contest.limit]
-        rest = ranked[contest.limit :]
+        ranked = _ranked(contest, counts)
+        top, rest = ranked[: contest.limit], ranked[contest.limit :]
         winners[cid] = top
-        for w in top:
-            for l in rest:
-                pairs.append((cid, w, l))
-                margin = counts[w] - counts[l]
-                v = margin if v is None else min(v, margin)
+        if rest:
+            pairs[cid] = [(w, l) for w in top for l in rest]
+            margin = counts[top[-1]] - counts[rest[0]]  # the closest pair's
+            v = margin if v is None else min(v, margin)
     if v is None:
         raise MarginNotPositive("no contested contest: nothing to audit")
     if v <= 0:
@@ -200,22 +212,12 @@ def margin_pairs(manifest: ElectionManifest, result: dict):
     return winners, pairs, v
 
 
-def pairs_by_contest(pairs) -> dict:
-    """{contest_id: [(winner, loser), ...]} from (contest, winner, loser) triples."""
-    grouped = {}
-    for cid, w, l in pairs:
-        grouped.setdefault(cid, []).append((w, l))
-    return grouped
-
-
-def overstatement(reported: dict, manual: dict, pairs) -> int:
+def overstatement(reported: dict, manual: dict, pairs: dict) -> int:
     """Worst-case per-ballot overstatement across all winner-loser pairs,
-    given as (contest, winner, loser) triples or, to serve many draws, as
-    pairs_by_contest of them. Each term is in {-1, 0, 1}, so e is always in
-    {-2, ..., 2}. Only the contests either interpretation carries are
-    walked: each pair of any other contest scores exactly 0."""
-    if not isinstance(pairs, dict):
-        pairs = pairs_by_contest(pairs)
+    given as margin_pairs gives them, {contest: [(winner, loser), ...]}. Each
+    term is in {-1, 0, 1}, so e is always in {-2, ..., 2}. Only the contests
+    either interpretation carries are walked: each pair of any other contest
+    scores exactly 0."""
 
     def selections(interp, cid):
         view = interp.get(cid)
@@ -243,8 +245,6 @@ class KMState:
 
     N: int
     V: int
-    alpha: float
-    pairs: tuple = ()
     p_value: float = 1.0
     draws: int = 0
     discrepancies: dict = field(default_factory=dict)
@@ -256,7 +256,6 @@ class KMState:
             raise ValueError("need at least one cast ballot")
         if self.U <= 1:
             raise MarginNotPositive(f"error bound U={self.U} must exceed 1")
-        self.pairs = tuple(self.pairs)
 
     @property
     def U(self) -> float:
@@ -324,10 +323,7 @@ def hand_count(papers, manifest: ElectionManifest) -> dict:
             if len(named) <= contests[cid].limit:
                 for opt in named:
                     counts[cid][opt] += 1
-    winners = {}
-    for cid, contest in contests.items():
-        ranked = sorted(contest.options, key=lambda o: (-counts[cid][o], o))
-        winners[cid] = ranked[: contest.limit]
+    winners = {cid: _ranked(c, counts[cid])[: c.limit] for cid, c in contests.items()}
     return {"counts": counts, "winners": winners}
 
 
@@ -347,8 +343,7 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
     form), a CVR row without its index, or a published row without its serial
     or commitments raises MalformedRecord naming the row and the field."""
     check_seed(seed)
-    if not 0 < alpha < 1:
-        raise ValueError("risk limit must be in (0, 1)")
+    check_alpha(alpha)
 
     board_index = index_lines(lines)
     cast_indices = {i for i, s in board_index.statuses.items() if s == CAST}
@@ -382,8 +377,7 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
     result = at_line(lineno, decode_field, tally, "result", TALLY_RESULT.decode)
     winners, pairs, v = margin_pairs(manifest, result)
     n = len(population)
-    state = KMState(N=n, V=v, alpha=alpha, pairs=pairs)
-    by_contest = pairs_by_contest(pairs)
+    state = KMState(N=n, V=v)
 
     trajectory = []
     verdict = None
@@ -393,7 +387,7 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
             raise CommitmentMismatch(f"serial {row['serial']} has no published commitment")
         open_commitment(row, published_by_serial[row["serial"]])
         paper = papers_by_serial[row["serial"]]
-        e = overstatement(row["contests"], paper["contests"], by_contest)
+        e = overstatement(row["contests"], paper["contests"], pairs)
         p = state.observe(e)
         trajectory.append(
             {"draw_j": state.draws, "index": index, "e_j": e, "P_j": p}

@@ -332,7 +332,7 @@ def encrypt_ballot(
         options_r, padding_r, _ = split_columns(contest, randomness)
         ctx = column_context(election_id, style.style_id, contest.contest_id, SUM_COLUMN)
         sum_proof = prove_eq_dlog(
-            sum(options_r + padding_r) % gp.q, gp.g, a, K, b, gp, rng,
+            sum(options_r + padding_r) % gp.q, a, K, b, gp, rng,
             context=ctx, domain=DOMAIN_CONTEST_SUM,
         )
         enc_contests.append(EncryptedContest(contest.contest_id, *split_columns(contest, cts)))
@@ -377,7 +377,7 @@ def verify_ballot(
         a, b = contest_sum_statement(contest, cts, gp)
         ctx = column_context(election_id, style.style_id, contest.contest_id, SUM_COLUMN)
         if not verify_eq_dlog(
-            cpr.sum_proof, gp.g, a, K, b, gp,
+            cpr.sum_proof, a, K, b, gp,
             context=ctx, domain=DOMAIN_CONTEST_SUM, eqs=eqs, fixed=True,
         ):
             return False

@@ -32,6 +32,7 @@ from .boardformat import (
     column_bound,
     fold_ballots,
     read_board,
+    read_board_lines,
     signature_message,
     spoiled_context,
     spoiled_plaintext,
@@ -80,10 +81,8 @@ class Board:
     @classmethod
     def load(cls, path) -> "Board":
         """Reload a board file, refusing files whose line chain is broken.
-        Each line is parsed once, by the verifier's reader (read_board); bytes
-        that are not UTF-8 read as U+FFFD, which no canonical line holds."""
-        with open(path, encoding="utf-8", errors="replace") as fh:
-            index = read_board(raw.rstrip("\n") for raw in fh)
+        Each line is read and parsed once, by the verifier's readers."""
+        index = read_board(read_board_lines(path))
         if index.broken:
             raise ChainBroken(*index.broken)
         if not index.lines or index.lines[0]["kind"] != "header":
@@ -170,6 +169,13 @@ class Board:
         """(entry_index, line dict) pairs in publication order."""
         texts = self._index.texts
         return [(i, json.loads(texts[lineno])) for i, lineno, _ in self._index.entries]
+
+    def check_untallied(self) -> None:
+        """Raise ChainBroken at the first decryption or tally line: a board is
+        tallied once."""
+        for lineno, line in enumerate(self._index.lines):
+            if line["kind"] in ("decryption", "tally"):
+                raise ChainBroken(lineno, f"{line['kind']} line: the board is already tallied")
 
     def effective_status(self, entry_index: int) -> str:
         self.check_entry(entry_index)

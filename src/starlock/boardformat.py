@@ -400,6 +400,13 @@ class BoardIndex:
         ]
 
 
+def read_board_lines(path) -> list:
+    """Raw text lines (no trailing newline) straight from the file; bytes
+    that are not UTF-8 read as U+FFFD, which no canonical line holds."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        return [line.rstrip("\n") for line in fh]
+
+
 def parse_line(lineno: int, raw: str) -> dict:
     """One raw board line's JSON object; ChainBroken when it is none."""
     try:

@@ -47,7 +47,7 @@ import random
 from dataclasses import dataclass
 
 from .elgamal import Ciphertext
-from .fiatshamir import DOMAIN_EQ_DLOG, DOMAIN_ZERO_ONE, fiat_shamir_challenge
+from .fiatshamir import DOMAIN_ZERO_ONE, fiat_shamir_challenge
 from .group import GroupParams, fixed_pow, multi_exp
 from .serialize import HEX, Record, enc_bytes, enc_int, sha256
 
@@ -112,7 +112,7 @@ def batched(gp: GroupParams, seed, run):
 
 @dataclass(frozen=True)
 class ChaumPedersenProof(Record):
-    """Proof that log_{g1}(y1) = log_{g2}(y2)."""
+    """Proof that log_g(y1) = log_{g2}(y2)."""
 
     commit1: int
     commit2: int
@@ -139,53 +139,52 @@ def _eq_dlog_transcript(context: bytes, g1, y1, g2, y2, t1, t2) -> bytes:
 
 def prove_eq_dlog(
     witness: int,
-    g1: int,
     y1: int,
     g2: int,
     y2: int,
     gp: GroupParams,
     rng: random.Random,
     context: bytes,
-    domain: bytes = DOMAIN_EQ_DLOG,
+    domain: bytes,
 ) -> ChaumPedersenProof:
-    comb = fixed_pow if gp.large else pow  # g1 is g, g2 the joint key or a c.a: both recur
+    """Prove log_g(y1) = log_g2(y2) = witness; the transcript hashes g too."""
+    comb = fixed_pow if gp.large else pow  # g2 is the joint key or a c.a: both recur
     w = rng.randrange(0, gp.q)
-    t1 = comb(g1, w, gp.p)
+    t1 = comb(gp.g, w, gp.p)
     t2 = comb(g2, w, gp.p)
-    e = fiat_shamir_challenge(domain, _eq_dlog_transcript(context, g1, y1, g2, y2, t1, t2), gp)
+    e = fiat_shamir_challenge(domain, _eq_dlog_transcript(context, gp.g, y1, g2, y2, t1, t2), gp)
     s = (w + e * witness) % gp.q
     return ChaumPedersenProof(commit1=t1, commit2=t2, challenge=e, response=s)
 
 
 def verify_eq_dlog(
     proof: ChaumPedersenProof,
-    g1: int,
     y1: int,
     g2: int,
     y2: int,
     gp: GroupParams,
     context: bytes,
-    domain: bytes = DOMAIN_EQ_DLOG,
+    domain: bytes,
     eqs=None,
     fixed: bool = False,
 ) -> bool:
     """The proof's checks, and its two equations stated to eqs (an
     Immediate sink when None); fixed names g2 a recurring base."""
-    for el in (g1, y1, g2, y2, proof.commit1, proof.commit2):
+    for el in (y1, g2, y2, proof.commit1, proof.commit2):
         if not gp.is_element(el):
             return False
     if not gp.is_exponent(proof.response) or not gp.is_exponent(proof.challenge):
         return False
     expected = fiat_shamir_challenge(
         domain,
-        _eq_dlog_transcript(context, g1, y1, g2, y2, proof.commit1, proof.commit2),
+        _eq_dlog_transcript(context, gp.g, y1, g2, y2, proof.commit1, proof.commit2),
         gp,
     )
     if proof.challenge != expected:
         return False
     eqs = eqs or Immediate(gp)
     e, s = proof.challenge, proof.response
-    return (eqs.check(g1, s, proof.commit1, y1, e, fixed=True)  # g1 is g at every caller
+    return (eqs.check(gp.g, s, proof.commit1, y1, e, fixed=True)
             and eqs.check(g2, s, proof.commit2, y2, e, fixed=fixed))
 
 

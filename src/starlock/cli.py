@@ -14,9 +14,10 @@ internal failure; 2 a verdict on the files read: verify's FAIL, an audit that
 does not confirm, a receipt not found, or an input fault named by path or
 board line and field (a file that is not JSON, a record or line out of form,
 an invalid group, a count beyond its bound, missing or failing decryption
-shares, an ambiguous receipt); 3 a usage or scenario fault (a bad scenario
-file or threshold, key files for another group, an input path that is
-missing, a directory or unreadable). An error prints one line, "Class:
+shares, an ambiguous receipt, a board already tallied); 3 a usage or scenario
+fault (a bad scenario file or threshold, a risk limit outside (0, 1), key
+files for another group, an input path that is missing, a directory or
+unreadable). An error prints one line, "Class:
 message", to stdout with code 2 and to stderr otherwise. STARLOCK_GROUP, the
 only environment variable consulted, is keygen's default --group.
 """
@@ -211,11 +212,18 @@ def cmd_receipt_check(args) -> int:
 # -- parser -------------------------------------------------------------------------
 
 
-def _seed20(value: str) -> str:
-    try:
-        return audit_mod.check_seed(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _checked(check):
+    """An argparse type: check(value), where a ValueError is a usage error (exit 3)."""
+    def parse(value: str):
+        try:
+            return check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+_seed20 = _checked(audit_mod.check_seed)
+_alpha = _checked(lambda value: audit_mod.check_alpha(float(value)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--papers", required=True)
     p.add_argument("--commitments", help="published commitment file")
     p.add_argument("--seed", type=_seed20, required=True, help="20-digit dice seed")
-    p.add_argument("--alpha", type=float, default=0.1, help="risk limit")
+    p.add_argument("--alpha", type=_alpha, default=0.1, help="risk limit in (0, 1)")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("receipt-check", help="resolve a voter receipt")

@@ -7,7 +7,8 @@ Terminals hold only their own hash-chain state. Terminals, the ballot-box
 scanner, and the judge's station talk over an in-process ordered reliable
 message bus with a pluggable fault injector: each send names the station's
 handler that receives it, and duplicate deliveries are made harmless by
-idempotency keys. A terminal's record is the board's EncryptedBallotRecord.
+idempotency keys. A terminal sends one message per ballot: its record, the
+board's EncryptedBallotRecord, which also redeems the voter's token.
 
 Paper handling is modeled explicitly: the printed summary (always the
 selections shown to the voter) becomes the paper ballot, which lands in the
@@ -82,14 +83,12 @@ class FaultInjector:
     """Deterministic fault plan keyed by (message kind, occurrence index).
 
     drop: the delivery never happens. duplicate: delivered twice with the
-    same idempotency key. delay: held back and delivered after the next
-    normally delivered message (a one-slot reorder).
+    same idempotency key.
     """
 
-    def __init__(self, drop=(), duplicate=(), delay=()):
+    def __init__(self, drop=(), duplicate=()):
         self.drop = set(drop)
         self.duplicate = set(duplicate)
-        self.delay = set(delay)
 
 
 class MessageBus:
@@ -100,7 +99,6 @@ class MessageBus:
     def __init__(self, injector: FaultInjector | None = None):
         self.injector = injector or FaultInjector()
         self.counts = {}
-        self.held = []
         self.results = {}  # msg_id -> handler result; a handler that raised stores none
 
     def _deliver(self, handler, payload: dict, msg_id: str):
@@ -111,20 +109,15 @@ class MessageBus:
     def send(self, kind: str, handler, payload: dict, msg_id: str):
         """Synchronous send of the kind's next message to handler; handler
         errors propagate to the sender. Returns the handler's result, or None
-        when the delivery was dropped/held."""
+        when the delivery was dropped."""
         occurrence = self.counts.get(kind, 0)
         self.counts[kind] = occurrence + 1
         key = (kind, occurrence)
         if key in self.injector.drop:
             return None
-        if key in self.injector.delay:
-            self.held.append((handler, payload, msg_id))
-            return None
         result = self._deliver(handler, payload, msg_id)
         if key in self.injector.duplicate:
             self._deliver(handler, payload, msg_id)
-        while self.held:
-            self._deliver(*self.held.pop(0))
         return result
 
 
@@ -213,19 +206,13 @@ class PollSite:
         self._tick("token_issued", code=code, style=style_id, provisional=provisional)
         return token
 
-    def _handle_redeem(self, payload: dict):
-        code = payload["code"]
-        token = self.active_tokens.pop(code, None)
-        if token is None:
-            raise UnknownOrSpentToken(f"code {code} is not active")
-        self._tick("token_redeemed", code=code, style=token.style_id)
-        return token.style_id, token.provisional
-
     # -- voting session --------------------------------------------------------
 
     def vote_session(self, terminal_id: str, code: str, pb: PlaintextBallot):
-        """Redeem the token, encrypt at the terminal, extend the terminal's
-        hash chain, and register the record with the judge's station.
+        """Encrypt the ballot at the terminal in the style of the code's token,
+        extend the terminal's hash chain, and send the judge's station the one
+        record that redeems the token. A ballot the terminal refuses (an
+        unknown option, an overvote, another style) leaves the token active.
 
         Returns (BallotRecord, Receipt, printed_summary). The printed summary
         always shows the voter's own selections; a rigged terminal alters
@@ -238,18 +225,12 @@ class PollSite:
             raise StarlockError(f"unknown terminal {terminal_id!r}") from None
         if terminal.busy:
             raise TerminalBusy(f"terminal {terminal_id} has a session in progress")
+        token = self.active_tokens.get(code)
+        if token is None:
+            raise UnknownOrSpentToken(f"code {code} is not active")
+        style = self.styles[token.style_id]
         terminal.busy = True
         try:
-            redeemed = self.bus.send("redeem", self._handle_redeem, {"code": code},
-                                     msg_id=f"redeem:{code}:{self.clock}")
-            if redeemed is None:
-                raise UnknownOrSpentToken("redemption message lost in transit")
-            style_id, provisional = redeemed
-            style = self.styles[style_id]
-            if pb.style_id != style_id:
-                raise UnknownOption(
-                    f"token is for style {style_id!r}, ballot claims {pb.style_id!r}"
-                )
             actual = pb
             if terminal_id in self.rigged_terminals:
                 encode(pb, style)  # refuse the voter's own ballot before altering it
@@ -261,24 +242,24 @@ class PollSite:
             while serial in self.records:
                 serial = new_serial(self.rng)
             z = chain_hash(eb, proof, terminal_id, terminal.z_prev)
-            terminal.z_prev = z
-            terminal.ballots_produced += 1
             record = self.bus.send(
                 "record",
                 self._handle_record,
                 {
+                    "code": code,
                     "serial": serial,
                     "ballot": eb,
                     "proof": proof,
                     "terminal": terminal_id,
                     "z": z,
-                    "provisional": provisional,
                     "claimed": actual,
                 },
                 msg_id=f"record:{serial}",
             )
             if record is None:
                 raise StarlockError("ballot record lost in transit")
+            terminal.z_prev = z
+            terminal.ballots_produced += 1
             receipt = Receipt(
                 terminal_id=terminal_id, timestamp=record.produced_at, code=receipt_code(z)
             )
@@ -310,15 +291,17 @@ class PollSite:
         )
 
     def _handle_record(self, payload: dict):
-        serial = payload["serial"]
-        if serial in self.records:
-            raise StarlockError(f"serial collision on {serial}")
+        """Redeem the token (vote_session found it active) and register the
+        terminal's record, in one step of the station."""
+        serial = payload["serial"]  # fresh: vote_session drew it outside self.records
+        token = self.active_tokens.pop(payload["code"])
+        self._tick("token_redeemed", code=token.code, style=token.style_id)
         clock = self._tick(
             "ballot_produced",
             serial=serial,
             terminal=payload["terminal"],
             z=payload["z"].hex(),
-            provisional=payload["provisional"],
+            provisional=token.provisional,
             ballot=payload["ballot"].to_json(),
             proof=payload["proof"].to_json(),
         )
@@ -332,7 +315,7 @@ class PollSite:
         record = BallotRecord(
             serial=serial,
             record=ebr,
-            status=PROVISIONAL_PENDING if payload["provisional"] else PENDING,
+            status=PROVISIONAL_PENDING if token.provisional else PENDING,
         )
         self.records[serial] = record
         self.claimed[serial] = payload["claimed"]
@@ -392,18 +375,16 @@ class PollSite:
         self._tick("provisional_adjudicated", serial=record.serial, decision=REJECT)
         self._spoil(record, SPOIL_REJECTED)
 
-    def timeout_sweep(self, now: int | None = None, ttl: int | None = None):
-        """Spoil every PENDING record older than ttl. Ages are measured
-        against the moment the sweep starts."""
-        now = self.clock if now is None else now
-        ttl = self.ttl if ttl is None else ttl
+    def timeout_sweep(self):
+        """Spoil every PENDING record older than the site's ttl. Ages are
+        measured against the moment the sweep starts."""
         overdue = [
             r for r in self.records.values()
-            if r.status == PENDING and now - r.produced_at > ttl
+            if r.status == PENDING and self.clock - r.produced_at > self.ttl
         ]
         for record in overdue:
             self._spoil(record, SPOIL_TIMEOUT)
-        self._tick("timeout_sweep", ttl=ttl, spoiled=[r.serial for r in overdue])
+        self._tick("timeout_sweep", ttl=self.ttl, spoiled=[r.serial for r in overdue])
         return [r.serial for r in overdue]
 
     # -- provisional adjudication ------------------------------------------------

@@ -377,12 +377,13 @@ def _stray_mark(row: dict, styles: dict, rng: random.Random) -> None:
 
 
 def finish_election(board: Board, manifest: ElectionManifest, trustee_shares,
-                    office: Keypair, cvrs, paper_rows, rng=None) -> dict:
-    """The officials' post-close pipeline on an already-published board:
+                    office: Keypair, cvrs, paper_rows, rng: random.Random) -> dict:
+    """The officials' post-close pipeline on an already-published board that
+    carries no decryption or tally line yet (else ChainBroken at that line):
     reconcile paper against electronic records, demote paper-less CAST
     records to UNTALLIED, publish verifiable decryptions of every spoiled or
     untallied record, publish the tally, and sign the extended board."""
-    rng = rng or random.Random(0)
+    board.check_untallied()
     gp = manifest.gp
     style_map = manifest.style_map
     index_of = dict(zip(column(cvrs, "cvrs", "serial", STR.decode),

@@ -127,7 +127,7 @@ def partial_decrypt(
     value = (fixed_pow if gp.large else pow)(c.a, share.secret_share, gp.p)
     vk = verification_key(share.trustee_id, share.commitments, gp)
     proof = prove_eq_dlog(
-        share.secret_share, gp.g, vk, c.a, value, gp, rng,
+        share.secret_share, vk, c.a, value, gp, rng,
         context=context, domain=DOMAIN_DECRYPT_SHARE,
     )
     return DecryptionShare(trustee_id=share.trustee_id, share_value=value, proof=proof)
@@ -144,7 +144,7 @@ def verify_decryption_share(
     """The share's proof, its equations stated to eqs (see verify_eq_dlog)."""
     vk = verification_key(dshare.trustee_id, commitments, gp)
     return verify_eq_dlog(
-        dshare.proof, gp.g, vk, c.a, dshare.share_value, gp,
+        dshare.proof, vk, c.a, dshare.share_value, gp,
         context=context, domain=DOMAIN_DECRYPT_SHARE, eqs=eqs,
     )
 

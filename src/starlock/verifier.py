@@ -42,6 +42,7 @@ from .boardformat import (
     line_fault,
     parse_line,
     read_board,
+    read_board_lines,  # the commands read board files as verifier.read_board_lines
     signature_verifies,
     spoiled_context,
     spoiled_plaintext,
@@ -105,13 +106,6 @@ class VerificationReport:
             lines.append(f"{mark} {item.check}{where}: {item.detail}")
         lines.append(f"{'PASS' if self.overall else 'FAIL'} overall")
         return "\n".join(lines)
-
-
-def read_board_lines(path):
-    """Raw text lines (no trailing newline) straight from the file; bytes
-    that are not UTF-8 read as U+FFFD, which no canonical line holds."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        return [line.rstrip("\n") for line in fh]
 
 
 def parse_lines(raw_lines):

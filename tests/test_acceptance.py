@@ -158,12 +158,12 @@ def test_criterion_4_chain_tampering_is_caught_and_named() -> None:
 def test_criterion_5_risk_product_desk_check() -> None:
     # N=100, V=10 gives U=20; each clean draw multiplies P by 1-1/20=0.95,
     # and 0.95^45 = 0.09944... is the first value at or under alpha=0.1.
-    pairs = (("race", "A", "B"),)
+    pairs = {"race": [("A", "B")]}
     clean = (
         {"race": {"selections": ["A"], "writein": False}},
         {"race": {"selections": ["A"], "writein": False}},
     )
-    state = KMState(N=100, V=10, alpha=0.1, pairs=pairs)
+    state = KMState(N=100, V=10)
     for _ in range(44):
         state.observe(overstatement(*clean, pairs))
     assert state.p_value > 0.1

@@ -27,7 +27,6 @@ from starlock.audit import (
     margin_pairs,
     open_commitment,
     overstatement,
-    pairs_by_contest,
     prng_sequence,
     published_commitments,
     run_audit,
@@ -128,7 +127,7 @@ def test_margin_pairs_ranks_and_measures() -> None:
     _, manifest, _, _ = synthetic_comparison_record()
     winners, pairs, v = margin_pairs(manifest, {"race": {"A": "55", "B": "45"}})
     assert winners == {"race": ["A"]}
-    assert pairs == [("race", "A", "B")]
+    assert pairs == {"race": [("A", "B")]}
     assert v == 10
     with pytest.raises(MarginNotPositive):
         margin_pairs(manifest, {"race": {"A": "50", "B": "50"}})
@@ -147,7 +146,7 @@ def test_margin_pairs_multiwinner_and_uncontested() -> None:
     result = {"council": {"ida": "3", "joan": "2", "mary": "3"}}
     winners, pairs, v = margin_pairs(manifest_like, result)
     assert winners == {"council": ["ida", "mary"]}
-    assert pairs == [("council", "ida", "joan"), ("council", "mary", "joan")]
+    assert pairs == {"council": [("ida", "joan"), ("mary", "joan")]}
     assert v == 1
 
     solo = BallotStyle(
@@ -159,7 +158,7 @@ def test_margin_pairs_multiwinner_and_uncontested() -> None:
 
 
 def test_overstatement_covers_its_whole_range() -> None:
-    pairs = [("race", "A", "B")]
+    pairs = {"race": [("A", "B")]}
 
     def interp(sel):
         return {"race": {"selections": sel, "writein": False}}
@@ -169,11 +168,11 @@ def test_overstatement_covers_its_whole_range() -> None:
     assert overstatement(interp(["A"]), interp(["B"]), pairs) == 2
     assert overstatement(interp([]), interp(["A"]), pairs) == -1
     assert overstatement(interp(["B"]), interp(["A"]), pairs) == -2
-    two = pairs + [("other", "X", "Y")]
+    two = {**pairs, "other": [("X", "Y")]}
     reported = {"race": {"selections": ["A"]}, "other": {"selections": []}}
     manual = {"race": {"selections": ["A"]}, "other": {"selections": ["Y"]}}
     assert overstatement(reported, manual, two) == 1  # worst pair wins
-    assert overstatement(interp(["A"]), interp(["A"]), []) == 0
+    assert overstatement(interp(["A"]), interp(["A"]), {}) == 0
 
 
 def walk_every_pair(reported, manual, pairs):
@@ -215,58 +214,57 @@ def test_overstatement_walks_only_the_drawn_contests(run) -> None:
     reported = [row["contests"] for row in result["cvrs"]]
     manual = [papers[row["serial"]] for row in result["cvrs"] if row["serial"] in papers]
     assert len(manual) > 1
-    grouped = pairs_by_contest(pairs)
+    triples = [(cid, w, l) for cid, contest_pairs in pairs.items() for w, l in contest_pairs]
     seen = set()
     # every draw as sampled (row against its own paper), and every row
     # against every other paper, which mixes contests
     for rep in reported:
         for man in manual:
-            e = walk_every_pair(rep, man, pairs)
-            assert overstatement(rep, man, grouped) == e
+            e = walk_every_pair(rep, man, triples)
             assert overstatement(rep, man, pairs) == e
             seen.add(e)
     assert len(seen) >= 3
-    assert overstatement(reported[0], manual[0], []) == 0
+    assert overstatement(reported[0], manual[0], {}) == 0
 
 
 def test_km_state_guards() -> None:
     with pytest.raises(MarginNotPositive):
-        KMState(N=100, V=0, alpha=0.1)
+        KMState(N=100, V=0)
     with pytest.raises(MarginNotPositive):
-        KMState(N=100, V=-3, alpha=0.1)
+        KMState(N=100, V=-3)
     with pytest.raises(ValueError):
-        KMState(N=0, V=5, alpha=0.1)
+        KMState(N=0, V=5)
     with pytest.raises(MarginNotPositive):
-        KMState(N=5, V=10, alpha=0.1)  # U = 1 cannot shrink the risk
-    assert KMState(N=100, V=10, alpha=0.1).U == 20.0
+        KMState(N=5, V=10)  # U = 1 cannot shrink the risk
+    assert KMState(N=100, V=10).U == 20.0
 
 
 def test_km_risk_factors() -> None:
-    pairs = (("race", "A", "B"),)
+    pairs = {"race": [("A", "B")]}
 
     def interp(sel):
         return {"race": {"selections": sel, "writein": False}}
 
     def km_risk(state, draws):
         for reported, manual in draws:
-            state.observe(overstatement(reported, manual, state.pairs))
+            state.observe(overstatement(reported, manual, pairs))
         return state.p_value
 
     clean = (interp(["A"]), interp(["A"]))
-    state = KMState(N=100, V=10, alpha=0.1, pairs=pairs)
+    state = KMState(N=100, V=10)
     assert km_risk(state, [clean]) == pytest.approx(0.95)
     assert km_risk(state, [(interp(["A"]), interp([]))]) == pytest.approx(0.95 * 1.9)
-    understate = KMState(N=100, V=10, alpha=0.1, pairs=pairs)
+    understate = KMState(N=100, V=10)
     assert km_risk(understate, [(interp([]), interp(["A"]))]) == pytest.approx(0.95 / 1.5)
     assert km_risk(understate, [(interp(["B"]), interp(["A"]))]) == pytest.approx(
         0.95 / 1.5 * 0.475
     )
-    poisoned = KMState(N=100, V=10, alpha=0.1, pairs=pairs)
+    poisoned = KMState(N=100, V=10)
     assert km_risk(poisoned, [(interp(["A"]), interp(["B"]))]) == math.inf
     assert km_risk(poisoned, [clean]) == math.inf  # no recovery after e = 2
     assert poisoned.discrepancies == {2: 1, 0: 1}
 
-    fortyfive = KMState(N=100, V=10, alpha=0.1, pairs=pairs)
+    fortyfive = KMState(N=100, V=10)
     p = km_risk(fortyfive, [clean] * 44)
     assert p > 0.1
     p = km_risk(fortyfive, [clean])

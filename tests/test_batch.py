@@ -22,6 +22,7 @@ from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballo
 from starlock.chaum_pedersen import Collect, Immediate, batched, prove_eq_dlog, verify_eq_dlog
 from starlock.cli import main
 from starlock.elgamal import encrypt_exp, keygen
+from starlock.fiatshamir import DOMAIN_EQ_DLOG
 from starlock.group import PROD_GROUP, TEST_GROUP, multi_exp
 from starlock.scenario import make_demo_scenario, run_scenario
 from starlock.trustees import combine_shares, dkg, partial_decrypt
@@ -118,13 +119,13 @@ def test_batched_runs_again_per_proof_only_when_the_batch_fails(gp, bump, sinks)
     rng = random.Random(9)
     x, h = rng.randrange(1, gp.q), pow(gp.g, rng.randrange(1, gp.q), gp.p)
     y1, y2 = pow(gp.g, x, gp.p), pow(h, x, gp.p)
-    proof = prove_eq_dlog(x, gp.g, y1, h, y2, gp, rng, b"ctx")
+    proof = prove_eq_dlog(x, y1, h, y2, gp, rng, b"ctx", DOMAIN_EQ_DLOG)
     proof = dataclasses.replace(proof, response=(proof.response + bump) % gp.q)
     seeds, seen = [], []
 
     def run(eqs):
         seen.append(type(eqs).__name__)
-        return len(seen), verify_eq_dlog(proof, gp.g, y1, h, y2, gp, b"ctx", eqs=eqs)
+        return len(seen), verify_eq_dlog(proof, y1, h, y2, gp, b"ctx", DOMAIN_EQ_DLOG, eqs=eqs)
 
     result = batched(gp, lambda: seeds.append(1) or b"seed", run)
     assert seen == sinks and len(seeds) == (sinks[0] == "Collect")

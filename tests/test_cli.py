@@ -134,11 +134,18 @@ def test_resimulation_is_byte_identical(tmp_path) -> None:
         (tmp_path / "b" / "board.jsonl").read_bytes()
 
 
-def test_usage_errors_exit_3(tmp_path) -> None:
+def test_usage_errors_exit_3(tmp_path, capsys) -> None:
     assert main([]) == 3
     assert main(["no-such-command"]) == 3
     assert main(["audit", "--board", "x", "--manifest", "x", "--cvrs", "x",
                  "--papers", "x", "--seed", "42"]) == 3  # seed not 20 digits
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(board_raw_lines(demo_run()[0]["board"])) + "\n", encoding="utf-8")
+    for alpha in ("0", "1.5", "-1", "nan", "1", "inf"):  # a risk limit is in (0, 1)
+        capsys.readouterr()
+        assert main([*commands["audit"], "--alpha", alpha]) == 3
+        assert "argument --alpha: risk limit must be in (0, 1)" in capsys.readouterr().err
+    assert main([*commands["audit"], "--alpha", "0.5"]) == 2  # sound files: a verdict
     assert main(["simulate", "--scenario", str(tmp_path / "missing.json"),
                  "--outdir", str(tmp_path)]) == 3
     bad = tmp_path / "bad.json"
@@ -444,6 +451,23 @@ def test_tally_refuses_an_office_key_pair_the_manifest_does_not_name(edit, tmp_p
     assert capsys.readouterr().out == (
         f"MalformedRecord: {office}: not the election manifest's office key pair\n")
     assert board.read_bytes() == before
+
+
+def test_a_second_tally_is_refused_at_its_first_decryption_line(tmp_path, capsys) -> None:
+    """Tallying a tallied board again would publish each decryption and the
+    tally twice and re-sign a board that verify rejects."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    write_pre_tally(board, board_raw_lines(result["board"]))
+    assert main(commands["tally"]) == 0
+    tallied = board.read_bytes()
+    kinds = [json.loads(line)["kind"] for line in tallied.decode().splitlines()]
+    capsys.readouterr()
+    assert main(commands["tally"]) == 2
+    assert capsys.readouterr().out == (f"ChainBroken: board line {kinds.index('decryption')}: "
+                                       "decryption line: the board is already tallied\n")
+    assert board.read_bytes() == tallied
+    assert main(commands["verify"]) == 0
 
 
 def test_simulate_refuses_an_office_key_whose_pk_is_not_g_to_its_sk(tmp_path, capsys) -> None:

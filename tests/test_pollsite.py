@@ -178,12 +178,14 @@ def test_provisional_adjudication() -> None:
 
 
 def test_timeout_sweep_boundary() -> None:
-    site = make_site()
+    site = make_site(ttl=5)
     record, _, _ = vote(site)
-    born = record.produced_at
-    assert site.timeout_sweep(now=born + 5, ttl=5) == []
+    for _ in range(5):
+        site.issue_token("s")  # one clock tick each
+    assert site.clock == record.produced_at + 5
+    assert site.timeout_sweep() == []  # and the sweep's own tick
     assert record.status == PENDING
-    assert site.timeout_sweep(now=born + 6, ttl=5) == [record.serial]
+    assert site.timeout_sweep() == [record.serial]
     assert record.status == SPOILED
     assert record.reason == "TIMEOUT"
 
@@ -249,35 +251,36 @@ def test_duplicated_cast_scan_is_idempotent() -> None:
     assert sum(1 for e in site.events if e["event"] == "cast") == 1
 
 
-@pytest.mark.parametrize("kind, event", [("redeem", "token_redeemed"),
-                                         ("record", "ballot_produced")])
+@pytest.mark.parametrize("kind, event", [("record", "ballot_produced")])
 def test_duplicated_session_message_is_idempotent(kind, event) -> None:
     site = make_site(injector=FaultInjector(duplicate=[(kind, 0)]))
     record, _, _ = vote(site)
     assert record.status == PENDING
     assert list(site.records.values()) == [record]
     assert sum(1 for e in site.events if e["event"] == event) == 1
+    assert [e["event"] for e in site.events].count("token_redeemed") == 1
 
 
-def test_delayed_cast_scan_reorders_once() -> None:
-    site = make_site(injector=FaultInjector(delay=[("cast_scan", 0)]))
-    ra, _, _ = vote(site)
-    rb, _, _ = vote(site)
-    site.cast(ra.serial)
-    assert ra.status == PENDING  # held back
-    site.cast(rb.serial)
-    assert ra.status == CAST and rb.status == CAST
-    order = [e["serial"] for e in site.events if e["event"] == "cast"]
-    assert order == [rb.serial, ra.serial]
-
-
-def test_dropped_redemption_can_be_retried() -> None:
-    site = make_site(injector=FaultInjector(drop=[("redeem", 0)]))
+@pytest.mark.parametrize("selections, error", [
+    ({"race": ("ada", "bo")}, OvervoteRejected),
+    ({"race": ("zed",)}, UnknownOption),
+    (None, UnknownOption),  # a ballot of another style than the token's
+], ids=["overvote", "unknown-option", "other-style"])
+@pytest.mark.parametrize("rigged", [(), ("T1",)], ids=["honest", "rigged"])
+def test_a_refused_ballot_leaves_the_token_active(selections, error, rigged) -> None:
+    site = make_site(rigged=rigged)
     token = site.issue_token("s")
-    with pytest.raises(UnknownOrSpentToken):
-        site.vote_session("T1", token.code, PB)
-    record, _, _ = site.vote_session("T1", token.code, PB)
-    assert record.status == PENDING
+    refused = PlaintextBallot(style_id="t", selections={}) if selections is None \
+        else PlaintextBallot(style_id="s", selections=selections)
+    with pytest.raises(error):
+        site.vote_session("T1", token.code, refused)
+    assert token.code in site.active_tokens
+    assert not site.records and not site.terminals["T1"].busy
+    assert site.terminals["T1"].z_prev == site.initial_seeds["T1"]
+    record, _, _ = site.vote_session("T1", token.code, PB)  # the retry, same code
+    assert record.status == PENDING and token.code not in site.active_tokens
+    assert [e["event"] for e in site.events] == ["token_issued", "token_redeemed",
+                                                 "ballot_produced"]
 
 
 def test_dropped_record_message_raises() -> None:
@@ -285,6 +288,11 @@ def test_dropped_record_message_raises() -> None:
     token = site.issue_token("s")
     with pytest.raises(StarlockError):
         site.vote_session("T1", token.code, PB)
+    # The station never heard of the ballot: the token and the chain are as before.
+    assert token.code in site.active_tokens
+    assert site.terminals["T1"].z_prev == site.initial_seeds["T1"]
+    record, _, _ = site.vote_session("T1", token.code, PB)
+    assert record.status == PENDING
 
 
 def test_diverted_paper_leaves_box_empty() -> None:

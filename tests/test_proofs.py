@@ -78,8 +78,8 @@ def test_eq_dlog_completeness() -> None:
         g2 = pow(GP.g, rng.randrange(1, GP.q), GP.p)
         y1 = pow(GP.g, w, GP.p)
         y2 = pow(g2, w, GP.p)
-        proof = prove_eq_dlog(w, GP.g, y1, g2, y2, GP, rng, f"ctx-{trial}".encode(), DOMAIN_EQ_DLOG)
-        assert verify_eq_dlog(proof, GP.g, y1, g2, y2, GP, f"ctx-{trial}".encode(), DOMAIN_EQ_DLOG)
+        proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, f"ctx-{trial}".encode(), DOMAIN_EQ_DLOG)
+        assert verify_eq_dlog(proof, y1, g2, y2, GP, f"ctx-{trial}".encode(), DOMAIN_EQ_DLOG)
 
 
 def test_eq_dlog_rejects_every_tampered_field() -> None:
@@ -88,7 +88,7 @@ def test_eq_dlog_rejects_every_tampered_field() -> None:
     g2 = pow(GP.g, 3, GP.p)
     y1 = pow(GP.g, w, GP.p)
     y2 = pow(g2, w, GP.p)
-    proof = prove_eq_dlog(w, GP.g, y1, g2, y2, GP, rng, b"ctx", DOMAIN_EQ_DLOG)
+    proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, b"ctx", DOMAIN_EQ_DLOG)
     variants = [
         dataclasses.replace(proof, commit1=proof.commit1 * GP.g % GP.p),
         dataclasses.replace(proof, commit2=proof.commit2 * GP.g % GP.p),
@@ -96,7 +96,7 @@ def test_eq_dlog_rejects_every_tampered_field() -> None:
         dataclasses.replace(proof, response=(proof.response + 1) % GP.q),
     ]
     for bad in variants:
-        assert not verify_eq_dlog(bad, GP.g, y1, g2, y2, GP, b"ctx", DOMAIN_EQ_DLOG)
+        assert not verify_eq_dlog(bad, y1, g2, y2, GP, b"ctx", DOMAIN_EQ_DLOG)
 
 
 def test_eq_dlog_rejects_false_statement() -> None:
@@ -104,8 +104,8 @@ def test_eq_dlog_rejects_false_statement() -> None:
     g2 = pow(GP.g, 3, GP.p)
     y1 = pow(GP.g, 5, GP.p)
     y2 = pow(g2, 6, GP.p)  # unequal exponents
-    proof = prove_eq_dlog(5, GP.g, y1, g2, y2, GP, rng, b"ctx", DOMAIN_EQ_DLOG)
-    assert not verify_eq_dlog(proof, GP.g, y1, g2, y2, GP, b"ctx", DOMAIN_EQ_DLOG)
+    proof = prove_eq_dlog(5, y1, g2, y2, GP, rng, b"ctx", DOMAIN_EQ_DLOG)
+    assert not verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx", DOMAIN_EQ_DLOG)
 
 
 def test_eq_dlog_binds_context_and_domain() -> None:
@@ -114,19 +114,18 @@ def test_eq_dlog_binds_context_and_domain() -> None:
     g2 = pow(GP.g, 9, GP.p)
     y1 = pow(GP.g, w, GP.p)
     y2 = pow(g2, w, GP.p)
-    proof = prove_eq_dlog(w, GP.g, y1, g2, y2, GP, rng, b"ctx-a", DOMAIN_EQ_DLOG)
-    assert not verify_eq_dlog(proof, GP.g, y1, g2, y2, GP, b"ctx-b", DOMAIN_EQ_DLOG)
-    assert not verify_eq_dlog(proof, GP.g, y1, g2, y2, GP, b"ctx-a", DOMAIN_DECRYPT_SHARE)
+    proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, b"ctx-a", DOMAIN_EQ_DLOG)
+    assert not verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx-b", DOMAIN_EQ_DLOG)
+    assert not verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx-a", DOMAIN_DECRYPT_SHARE)
 
 
 def test_eq_dlog_rejects_non_subgroup_inputs() -> None:
     rng = random.Random(35)
     w = 4
     y1 = pow(GP.g, w, GP.p)
-    proof = prove_eq_dlog(w, GP.g, y1, GP.g, y1, GP, rng, b"ctx", DOMAIN_EQ_DLOG)
+    proof = prove_eq_dlog(w, y1, GP.g, y1, GP, rng, b"ctx", DOMAIN_EQ_DLOG)
     # 5 is not in the order-11 subgroup of Z_23*
-    assert not verify_eq_dlog(proof, GP.g, y1, GP.g, 5, GP, b"ctx", DOMAIN_EQ_DLOG)
-    assert not verify_eq_dlog(proof, 5, y1, GP.g, y1, GP, b"ctx", DOMAIN_EQ_DLOG)
+    assert not verify_eq_dlog(proof, y1, GP.g, 5, GP, b"ctx", DOMAIN_EQ_DLOG)
 
 
 def test_zero_or_one_completeness_both_branches() -> None:
@@ -197,7 +196,7 @@ def test_proof_json_round_trips() -> None:
     rng = random.Random(46)
     w = 6
     y1 = pow(GP.g, w, GP.p)
-    cp = prove_eq_dlog(w, GP.g, y1, GP.g, y1, GP, rng, b"ctx", DOMAIN_EQ_DLOG)
+    cp = prove_eq_dlog(w, y1, GP.g, y1, GP, rng, b"ctx", DOMAIN_EQ_DLOG)
     assert ChaumPedersenProof.from_json(cp.to_json()) == cp
     ct = encrypt_exp(0, 2, K, GP)
     zo = prove_zero_or_one(0, 2, ct, K, GP, rng, b"cell")
@@ -242,13 +241,13 @@ def _ciphertext_formula_zero_or_one(bit, r, ct, public_key, gp, rng, context):
     )
 
 
-def _plain_pow_eq_dlog(witness, g1, y1, g2, y2, gp, rng, context, domain):
+def _plain_pow_eq_dlog(witness, y1, g2, y2, gp, rng, context, domain):
     """The eq-dlog prover with g2 raised by pow: the reference for the comb of g2."""
     fixed = fixed_pow if gp.large else pow
     w = rng.randrange(0, gp.q)
-    t1 = fixed(g1, w, gp.p)
+    t1 = fixed(gp.g, w, gp.p)
     t2 = pow(g2, w, gp.p)
-    e = fiat_shamir_challenge(domain, _eq_dlog_transcript(context, g1, y1, g2, y2, t1, t2), gp)
+    e = fiat_shamir_challenge(domain, _eq_dlog_transcript(context, gp.g, y1, g2, y2, t1, t2), gp)
     s = (w + e * witness) % gp.q
     return ChaumPedersenProof(commit1=t1, commit2=t2, challenge=e, response=s)
 
@@ -282,11 +281,11 @@ def test_contest_sum_with_the_key_fixed_is_the_same_proof(gp) -> None:
         rs = [rng.randrange(1, gp.q) for _ in bits]
         total = add_many([encrypt_exp(b, r, key, gp) for b, r in zip(bits, rs)], gp)
         target_b = total.b * pow(pow(gp.g, sum(bits), gp.p), -1, gp.p) % gp.p
-        args = (sum(rs) % gp.q, gp.g, total.a, key, target_b, gp)
+        args = (sum(rs) % gp.q, total.a, key, target_b, gp)
         ctx, seed = f"sum-{trial}".encode(), rng.getrandbits(64)
         proof = prove_eq_dlog(*args, random.Random(seed), ctx, DOMAIN_CONTEST_SUM)
         assert proof == _plain_pow_eq_dlog(*args, random.Random(seed), ctx, DOMAIN_CONTEST_SUM)
-        statement = (gp.g, total.a, key, target_b, gp, ctx, DOMAIN_CONTEST_SUM)
+        statement = (total.a, key, target_b, gp, ctx, DOMAIN_CONTEST_SUM)
         assert verify_eq_dlog(proof, *statement, fixed=True)
         assert verify_eq_dlog(proof, *statement)
 

@@ -180,12 +180,16 @@ def test_simulate_refuses_a_malformed_scenario_by_name(edit, message, tmp_path, 
 
 def test_a_finished_poll_site_is_freed_without_the_collector() -> None:
     """Nothing holds a PollSite in a reference cycle, so dropping a run's
-    result frees its site, records and event log at once."""
+    result frees its site, records and event log at once, also when the last
+    scan before the close of polls (voter 4's) is dropped or duplicated."""
+    demo = make_demo_scenario()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        site = weakref.ref(run_scenario(make_demo_scenario())["site"])
-        assert site() is None
+        for scenario in (demo, dataclasses.replace(demo, dropped_scans=(4,)),
+                         dataclasses.replace(demo, duplicated_scans=(4,))):
+            site = weakref.ref(run_scenario(scenario)["site"])
+            assert site() is None
     finally:
         if enabled:
             gc.enable()
