@@ -342,6 +342,8 @@ class BoardIndex:
         """Index one line, decoding the index, ref and status it reads and the
         values of CHECKED_KEYS; MalformedRecord leaves the line unindexed."""
         kind = line.get("kind")
+        if not (kind is None or type(kind) is str):  # a list or object cannot key CHECKED_KEYS
+            raise MalformedRecord("not a string").within("kind")
         for key, codec in CHECKED_KEYS.get(kind, ()):
             if key in line:
                 decode_field(line, key, codec.decode)

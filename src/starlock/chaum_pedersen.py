@@ -10,17 +10,19 @@ Fiat-Shamir challenge is a SHA-256 digest mod q, and a zero-or-one proof's
 two branch challenges are each below M and sum to that challenge mod M
 (Cramer, Damgard and Schoenmakers, CRYPTO 1994: two accepting transcripts
 differ in a branch challenge by less than M <= q, which is invertible mod q).
-In the prod group M = 2^256, so every power of a statement value is a
-256-bit one.
+In the prod group q itself is below 2^256, so M = q, and every exponent, a
+response or a power of a statement value, is a 256-bit one.
 
 Every proof equation has one form, base^s == commit * y^c (the y of a
-zero-or-one branch for bit m is b * g^-m), and a verifier states its
-equations to a sink after the proof's membership, exponent-range,
+zero-or-one branch for bit m is b * g^-m). A verifier asks a sink whether
+each element of the proof is in the order-q subgroup (sink.member), and
+states its equations to the sink after the proof's exponent-range,
 Fiat-Shamir and challenge-sum checks have passed:
 
-  * Immediate tests each equation as it comes. It is the default, and the
-    only sink of a small group: with q = 11 a 64-bit weight reduces mod 11
-    and would let a false equation through with probability 1/11.
+  * Immediate tests each membership exactly (GroupParams.is_element) and
+    each equation as it comes. It is the default, and the only sink of a
+    small group: with q = 11 a 64-bit weight reduces mod 11 and would let a
+    false equation through with probability 1/11.
   * Collect, in a large group, is the small-exponents batch test of Bellare,
     Garay and Rabin (EUROCRYPT 1998). Equation i is raised to its own 64-bit
     weight w_i, the first 8 bytes of SHA-256(SHA-256(seed) || i); the seed
@@ -34,11 +36,18 @@ Fiat-Shamir and challenge-sum checks have passed:
     short, 64 + 256 bits at most per equation. Each equation keeps its own
     weight, a zero-or-one proof's four included: with one weight on both
     branches, an encryption of 2 could meet the combined equations by a c1
-    chosen after the hash. Every element has order q, so
-    an honest batch always holds, and a batch with a false equation holds
-    with probability at most 2^-64. batched() is its one user: a check that
-    fails its batch runs again through Immediate, which names the failing
-    proof exactly as a proof-by-proof run does.
+    chosen after the hash. Membership is batched too: each distinct element
+    x_i gets its Legendre symbol at once (the residues, of order qm) and a
+    64-bit weight v_i under a label of its own, and the batch also requires
+    (prod x_i^v_i)^q = 1. A residue outside the order-q subgroup has an
+    order-m part, and m is a prime above 2^64 (GroupParams.validate), so it
+    passes with probability at most 2^-64; in a safe-prime group (m = 1) the
+    Legendre symbol alone is exact. Every element of an honest batch has
+    order q, so the batch always holds; one with a false equation holds with
+    probability at most 2^-64, and so does one with a non-member. batched()
+    is its one user: a check that fails its batch runs again through
+    Immediate, which names the failing proof exactly as a proof-by-proof run
+    does.
 """
 
 from __future__ import annotations
@@ -48,15 +57,17 @@ from dataclasses import dataclass
 
 from .elgamal import Ciphertext
 from .fiatshamir import DOMAIN_ZERO_ONE, fiat_shamir_challenge
-from .group import GroupParams, fixed_pow, multi_exp
+from .group import GroupParams, multi_exp
 from .serialize import HEX, Record, enc_bytes, enc_int, sha256
 
 
 class Immediate:
-    """Tests each proof equation as it is stated."""
+    """Tests each proof equation, and each element's membership, as it is
+    stated."""
 
     def __init__(self, gp: GroupParams):
         self.gp = gp
+        self.member = gp.is_element
 
     def check(self, base, s, commit, y, c, m=0, fixed=False) -> bool:
         """base^s == commit * (y * g^-m)^c mod p. A fixed base (g or the joint
@@ -64,18 +75,30 @@ class Immediate:
         p = self.gp.p
         if m:
             y = y * pow(pow(self.gp.g, m, p), -1, p) % p
-        raised = fixed_pow(base, s, p) if fixed and self.gp.large else pow(base, s, p)
+        raised = self.gp.comb(base, s, p) if fixed and self.gp.large else pow(base, s, p)
         return raised == commit * pow(y, c, p) % p
 
 
 class Collect:
-    """Weighs each proof equation and tests them all at once in holds()."""
+    """Weighs each proof equation and each element's order-q test, and tests
+    them all at once in holds()."""
 
     def __init__(self, gp: GroupParams, seed: bytes):
         self.gp, self.seed, self.n = gp, sha256(seed), 0
         self.exps = {}  # base -> summed exponent mod q, on the base^s side
         self.commits = {}  # commit or y -> summed exponent mod q, on the other side
         self.fixed = {gp.g}
+        self.members = {}  # element -> its weight in the product raised to q
+
+    def member(self, x) -> bool:
+        """The Legendre symbol, once per distinct element; x^q = 1 is left to
+        holds(), under the element's own weight."""
+        if x not in self.members:
+            if not self.gp.residues.is_element(x):
+                return False
+            label = b"member" + len(self.members).to_bytes(8, "big")
+            self.members[x] = int.from_bytes(sha256(self.seed + label)[:8], "big")
+        return True
 
     def check(self, base, s, commit, y, c, m=0, fixed=False) -> bool:
         q, g, exps, commits = self.gp.q, self.gp.g, self.exps, self.commits
@@ -91,11 +114,12 @@ class Collect:
         return True
 
     def holds(self) -> bool:
-        p, exps = self.gp.p, self.exps
+        gp, p, exps = self.gp, self.gp.p, self.exps
         lhs = multi_exp([(b, e) for b, e in exps.items() if b not in self.fixed], p)
         for b in self.fixed & exps.keys():
-            lhs = lhs * fixed_pow(b, exps[b], p) % p
-        return lhs == multi_exp(self.commits.items(), p)
+            lhs = lhs * gp.comb(b, exps[b], p) % p
+        return (lhs == multi_exp(self.commits.items(), p)
+                and (gp.safe or gp.is_element(multi_exp(self.members.items(), p))))
 
 
 def batched(gp: GroupParams, seed, run):
@@ -148,7 +172,7 @@ def prove_eq_dlog(
     domain: bytes,
 ) -> ChaumPedersenProof:
     """Prove log_g(y1) = log_g2(y2) = witness; the transcript hashes g too."""
-    comb = fixed_pow if gp.large else pow  # g2 is the joint key or a c.a: both recur
+    comb = gp.comb if gp.large else pow  # g2 is the joint key or a c.a: both recur
     w = rng.randrange(0, gp.q)
     t1 = comb(gp.g, w, gp.p)
     t2 = comb(g2, w, gp.p)
@@ -168,10 +192,11 @@ def verify_eq_dlog(
     eqs=None,
     fixed: bool = False,
 ) -> bool:
-    """The proof's checks, and its two equations stated to eqs (an
-    Immediate sink when None); fixed names g2 a recurring base."""
+    """The proof's checks, and its membership tests and two equations stated
+    to eqs (an Immediate sink when None); fixed names g2 a recurring base."""
+    eqs = eqs or Immediate(gp)
     for el in (y1, g2, y2, proof.commit1, proof.commit2):
-        if not gp.is_element(el):
+        if not eqs.member(el):
             return False
     if not gp.is_exponent(proof.response) or not gp.is_exponent(proof.challenge):
         return False
@@ -182,7 +207,6 @@ def verify_eq_dlog(
     )
     if proof.challenge != expected:
         return False
-    eqs = eqs or Immediate(gp)
     e, s = proof.challenge, proof.response
     return (eqs.check(gp.g, s, proof.commit1, y1, e, fixed=True)
             and eqs.check(g2, s, proof.commit2, y2, e, fixed=fixed))
@@ -242,7 +266,7 @@ def prove_zero_or_one(
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     p, q, g, space = gp.p, gp.q, gp.g, gp.challenge_space
-    fixed = fixed_pow if gp.large else pow
+    fixed = gp.comb if gp.large else pow
 
     # Branch m claims (ct.a, ct.b / g^m) is a DH pair under (g, public_key); the
     # other bit's is simulated from r: g^v a^-c = g^u, K^v (b/g^sim)^-c = K^u g^((sim-bit)c).
@@ -287,13 +311,14 @@ def verify_zero_or_one(
     context: bytes,
     eqs=None,
 ) -> bool:
-    """The proof's checks, and its four equations stated to eqs (an
-    Immediate sink when None)."""
+    """The proof's checks, and its membership tests and four equations
+    stated to eqs (an Immediate sink when None)."""
+    eqs = eqs or Immediate(gp)
     elements = (
         ct.a, ct.b, public_key,
         proof.commit0_g, proof.commit0_k, proof.commit1_g, proof.commit1_k,
     )
-    if not all(gp.is_element(el) for el in elements):
+    if not all(eqs.member(el) for el in elements):
         return False
     space = gp.challenge_space
     if not (gp.is_exponent(proof.response0) and gp.is_exponent(proof.response1)
@@ -312,7 +337,6 @@ def verify_zero_or_one(
         return False
 
     # Branch m: (a, b / g^m) is a DH pair under (g, public_key).
-    eqs = eqs or Immediate(gp)
     for m, commit_g, commit_k, c, v in (
         (0, proof.commit0_g, proof.commit0_k, proof.challenge0, proof.response0),
         (1, proof.commit1_g, proof.commit1_k, proof.challenge1, proof.response1),

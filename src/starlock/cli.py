@@ -38,7 +38,7 @@ from .board import Board
 from .boardformat import index_lines
 from .elgamal import Keypair, keygen
 from .errors import MalformedRecord, ScenarioError, StarlockError
-from .group import GROUPS, fixed_pow, resolve_group
+from .group import GROUPS, resolve_group
 from .manifest import ElectionManifest
 from .scenario import finish_election, load_scenario, run_scenario, write_artifacts
 from .serialize import STR, decode_field, dump_json, load_json
@@ -89,7 +89,7 @@ def _load_office(path, gp, manifest_pk=None):
     """The office key pair in the file at path; a MalformedRecord naming the
     file unless its pk is g^sk and, given the manifest's key, that key."""
     office = _load(path, Keypair.from_json)
-    power = fixed_pow if gp.large else pow  # simulate and tally build g's comb anyway
+    power = gp.comb if gp.large else pow  # simulate and tally build g's comb anyway
     if office.pk != power(gp.g, office.sk, gp.p) or manifest_pk not in (None, office.pk):
         whose = "an" if manifest_pk is None else "the election manifest's"
         raise MalformedRecord(f"not {whose} office key pair").within(path)

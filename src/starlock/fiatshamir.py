@@ -3,9 +3,10 @@
 Every non-interactive proof and signature in the toolkit hashes a domain tag
 followed by its full transcript; the digest is read big-endian and reduced
 mod q, so a challenge lies in [0, M) with M = gp.challenge_space =
-min(q, 2^256). A zero-or-one proof splits its challenge into two branch
-challenges in the same space. Distinct domain tags keep a transcript valid
-for one proof type only.
+min(q, 2^256), which is q in the prod group (a 256-bit q). A zero-or-one
+proof splits its challenge into two branch challenges in the same space.
+Distinct domain tags keep a transcript valid for one proof type only; an
+eq-dlog proof is a contest sum or a decryption share, each with its own.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from .group import GroupParams
 from .serialize import sha256
 
-DOMAIN_EQ_DLOG = b"starlock/v1/eq-dlog"
 DOMAIN_ZERO_ONE = b"starlock/v1/zero-or-one"
 DOMAIN_CONTEST_SUM = b"starlock/v1/contest-sum"
 DOMAIN_DECRYPT_SHARE = b"starlock/v1/decrypt-share"

@@ -1,23 +1,28 @@
-"""Schnorr group parameters: a safe prime p = 2q + 1 and a generator of the
-order-q subgroup.
+"""Schnorr group parameters: a prime p = 2qm + 1, with q prime and m = 1 or
+a prime above 2^64, and a generator g of the order-q subgroup.
 
 Two built-in groups: TEST_GROUP is intentionally tiny (p = 23) so that test
 suites can run thousands of encryptions and the bounded dlog search stays
-instant; PROD_GROUP is the 2048-bit MODP safe prime with g = 4, which is a
-quadratic residue and therefore generates the subgroup of order q.
+instant; PROD_GROUP is a 2048-bit Lim-Lee prime p = 2qm + 1 with a 256-bit q
+and a 1791-bit prime m (Lim and Lee, CRYPTO 1997; the FIPS 186-4 sizes
+L = 2048, N = 256), so every secret, nonce and response is a 256-bit
+exponent. scripts/derive_prod_group.py derives its constants from fixed
+seeds.
 
-In a safe-prime group the order-q subgroup is exactly the quadratic
-residues, so membership is a Legendre symbol; bases that recur (g, the
-joint key, a ciphertext a tally column decrypts) are raised through a
-fixed-base comb table. Both beat `pow` from about 64-bit p on and lose to it
-in the tiny test group, so a group decides once, from the size of p, which
-way it goes (`GroupParams.large`).
+Membership in the order-q subgroup is a Legendre symbol, which leaves the
+quadratic residues (the subgroup of order qm), and then x^q = 1 when m > 1
+(GroupParams.is_element); a proof batch tests the second half for all its
+elements at once (chaum_pedersen.Collect). Bases that recur (g, the joint
+key, a ciphertext a tally column decrypts) are raised through a fixed-base
+comb table sized to q. The Legendre symbol and the combs beat `pow` from
+about 64-bit p on and lose to it in the tiny test group, so a group decides
+once, from the size of p, which way it goes (`GroupParams.large`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .errors import InvalidGroup, MalformedRecord
 from .serialize import NUMERAL, Record, enc_int
@@ -26,6 +31,7 @@ LARGE_GROUP_BITS = 128  # p of at least this many bits: Legendre membership and 
 COMB_WINDOW = 8  # comb rows; a table holds 2^8 products, about 70 KB for 2048-bit p
 COMB_TABLES = 8  # tables kept, one per (base, p): g, K, and a tally column's c.a (2k powers)
 CHALLENGE_BITS = 256  # a Fiat-Shamir challenge is a SHA-256 digest
+MIN_COFACTOR = 1 << 64  # a cofactor m > 1 must be a prime above this
 
 # Miller-Rabin witnesses: the first twelve primes. Together they decide
 # primality exactly below 3.1e23; above that a composite passes all twelve
@@ -74,13 +80,12 @@ def jacobi(a: int, n: int) -> int:
 
 
 @lru_cache(maxsize=COMB_TABLES)
-def _comb(base: int, p: int):
+def _comb(base: int, p: int, cols: int) -> dict:
     """Lim-Lee comb table for base mod p (Lim and Lee, CRYPTO 1994; HAC
     14.6.3). An exponent below 2^(COMB_WINDOW * cols) is cut into COMB_WINDOW
     rows of `cols` bits; the table maps each column of row bits, top row
     first, to the product of base^(2^(i * cols)) over the rows i whose bit is
-    set. Returns (table, cols)."""
-    cols = -(-(p >> 1).bit_length() // COMB_WINDOW)
+    set."""
     row_bases = [base % p]
     for _ in range(COMB_WINDOW - 1):
         x = row_bases[-1]
@@ -90,23 +95,25 @@ def _comb(base: int, p: int):
     products = [1]  # products[j]: rows i with bit i of j set
     for x in row_bases:
         products += [y * x % p for y in products]
-    return {tuple(format(j, f"0{COMB_WINDOW}b")): v for j, v in enumerate(products)}, cols
+    return {tuple(format(j, f"0{COMB_WINDOW}b")): v for j, v in enumerate(products)}
 
 
-def fixed_pow(base: int, e: int, p: int) -> int:
+def fixed_pow(base: int, e: int, p: int, bits: int) -> int:
     """base^e mod p through base's comb table: a squaring and a product per
-    column, a quarter of pow's work on a full-size exponent once the table
-    (built on first use, one per (base, p)) is there. Only for a base that
-    recurs, in a large group: g, the joint key, or a ciphertext's c.a, which
-    the k trustees of a tally column raise 2k times. The table costs about
-    one pow, so two powers of a base already pay for it. An exponent outside
-    [0, p >> 1), which is [0, q) in a safe-prime group, goes to pow."""
-    if not 0 <= e < p >> 1:
+    column, a quarter of pow's work once the table (built on first use, one
+    per (base, p, bits)) is there. Only for a base that recurs, in a large
+    group: g, the joint key, or a ciphertext's c.a, which the k trustees of a
+    tally column raise 2k times. The table costs about one pow, so two powers
+    of a base already pay for it. A table holds exponents of `bits` bits, a
+    group's q's (GroupParams.comb): about 1.1 ms a power in the prod group
+    against 4.8 for pow, on a 2 vCPU Xeon. Any other exponent goes to pow."""
+    cols = -(-bits // COMB_WINDOW)
+    if not 0 <= e < 1 << (COMB_WINDOW * cols):
         return pow(base, e, p)
-    table, cols = _comb(base, p)
-    bits = format(e, f"0{COMB_WINDOW * cols}b")
+    table = _comb(base, p, cols)
+    digits = format(e, f"0{COMB_WINDOW * cols}b")
     acc = 1
-    for column in zip(*[bits[i:i + cols] for i in range(0, len(bits), cols)]):
+    for column in zip(*[digits[i:i + cols] for i in range(0, len(digits), cols)]):
         acc = acc * acc % p * table[column] % p
     return acc
 
@@ -153,11 +160,16 @@ class GroupParams(Record):
     g: int
     # Decided once per group: Legendre membership and fixed-base combs when
     # True, pow otherwise. Callers raising g or the joint key bind
-    # `fixed_pow if gp.large else pow`, so the small group pays no extra call.
+    # `gp.comb if gp.large else pow`, so the small group pays no extra call.
     large: bool = field(init=False, repr=False, compare=False)
+    # fixed_pow with tables that hold exponents of q's size; pow's signature.
+    comb: partial = field(init=False, repr=False, compare=False)
+    # p = 2q + 1 (m = 1): the order-q subgroup is the quadratic residues.
+    safe: bool = field(init=False, repr=False, compare=False)
     # M = min(q, 2^256), the proof format's challenge space: every
     # Fiat-Shamir challenge lies in [0, M), and so does each branch challenge
-    # of a zero-or-one proof. M = q in a group of q below 2^256.
+    # of a zero-or-one proof. M = q in a group of q below 2^256, the prod
+    # group's included.
     challenge_space: int = field(init=False, repr=False, compare=False)
 
     # Decimal strings: big integers survive any JSON parser untouched.
@@ -165,16 +177,27 @@ class GroupParams(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "large", self.p.bit_length() >= LARGE_GROUP_BITS)
+        object.__setattr__(self, "safe", self.p == 2 * self.q + 1)
         object.__setattr__(self, "challenge_space", min(self.q, 1 << CHALLENGE_BITS))
+        object.__setattr__(self, "comb", partial(fixed_pow, bits=self.q.bit_length()))
 
     def is_element(self, x: int) -> bool:
-        """Membership in the order-q subgroup (the identity counts): the
-        quadratic residues, since p = 2q + 1 with both prime."""
+        """Membership in the order-q subgroup (the identity counts), exactly:
+        a quadratic residue (the order-qm subgroup) whose q-th power is 1.
+        In a safe-prime group the residues are the subgroup."""
         if not 0 < x < self.p:
             return False
         if self.large:
-            return jacobi(x, self.p) == 1
+            return jacobi(x, self.p) == 1 and (self.safe or pow(x, self.q, self.p) == 1)
         return pow(x, self.q, self.p) == 1
+
+    @cached_property
+    def residues(self) -> "GroupParams":
+        """The quadratic residues mod p, of order (p - 1) / 2, as a group of
+        its own: its is_element is the Legendre symbol alone. A proof batch
+        tests its elements with it and leaves x^q = 1 to one product of them
+        all (chaum_pedersen.Collect)."""
+        return self if self.safe else GroupParams(p=self.p, q=(self.p - 1) // 2, g=self.g)
 
     def is_exponent(self, x: int) -> bool:
         return 0 <= x < self.q
@@ -184,21 +207,25 @@ class GroupParams(Record):
 
     def validate(self) -> None:
         """Structural desk-check; raises InvalidGroup (a ValueError) on any
-        violation."""
+        violation. The cofactor m = (p - 1) / 2q must be 1 or a prime above
+        2^64, which a batch's 64-bit weights cannot cancel (Collect)."""
         if not is_probable_prime(self.p):
             raise InvalidGroup("p is not prime")
         if not is_probable_prime(self.q):
             raise InvalidGroup("q is not prime")
-        if self.p != 2 * self.q + 1:
-            raise InvalidGroup("p != 2q + 1")
+        m, rest = divmod(self.p - 1, 2 * self.q)
+        if rest:
+            raise InvalidGroup("2q does not divide p - 1")
+        if m != 1 and (m <= MIN_COFACTOR or not is_probable_prime(m)):
+            raise InvalidGroup("p - 1 = 2qm with m neither 1 nor a prime above 2^64")
         if not (1 < self.g < self.p) or pow(self.g, self.q, self.p) != 1:
             raise InvalidGroup("g does not generate the order-q subgroup")
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupParams":
         """A built-in group as itself; any other only if it validates, since
-        membership by the Legendre symbol is exact only in a safe-prime group.
-        Raises InvalidGroup."""
+        membership and the proof batch are exact only for the shape that
+        validate() checks. Raises InvalidGroup."""
         try:
             gp = super().from_json(obj)
         except MalformedRecord as exc:
@@ -212,20 +239,32 @@ class GroupParams(Record):
 
 TEST_GROUP = GroupParams(p=23, q=11, g=4)
 
-# 2048-bit MODP safe prime (the widely deployed Diffie-Hellman group).
-_P_2048 = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
-    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
-    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
-    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
-    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
-    "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
-    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF6955817183"
-    "995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
+# The Lim-Lee prime p = 2qm + 1 that scripts/derive_prod_group.py derives:
+# q a 256-bit prime, m a 1791-bit prime, g = 2^(2m) mod p.
+_Q_256 = int("e4cf177d54b7cf72dd050acbbedf0b94be8d85f2906f2201b752b90409cdc85f", 16)
+_M_1791 = int(
+    "62428b64eee3206ba6c0235c39da364d93ad0a62ae5b84efde7983828d34563f"
+    "1c27ca60f3aee0cf407bf92511cb4c221991828a27f41ac58d70057113efe552"
+    "2edbb9dd325894f78884a625f60da348cb1e9100bf20071ecd64a85153b430b9"
+    "b97b9f6878bcdbeee5b59ad88f8f9eae76d7070e96797b585990d7745fe24bc7"
+    "2f8d98867daf9e20575498a1c2a8b279b7c2bad34c31c063834b32aa67f5784e"
+    "8038c7e54f9ca05d8ddb3726c6b3072c31bd2463596a38b5ab5c69e204065667"
+    "adff159c88033ebbe13f3e01afa9ecdb159ac2818eb8c66d372ce43cacea34df",
+    16,
+)
+_G_2048 = int(
+    "6d7e3397ede6746fea1fc34088f44fa24d1ec1cafa863c92889eae4228197c0e"
+    "2c49fbf3b58b31b41e691b452b92119c130a26ff7d8fd54375658e7c8e17cb27"
+    "f7229a5d18aeca480e9aa5aaae4e58830a6dab09039f7b3bd11e6cb7549881f4"
+    "7a30ed7ccec81ab726de4f5ffc9a761a202a9683a83eb9e01fa1ca94a6d914a1"
+    "8299eaaf2c8a3e6b2fc2f7ccf1f4fec4e50ecf142b693050871abe0f5e2c73fe"
+    "849b963b88d1cf373ff0a042c63c90581dafe0ab0ead9300e1850969aa19bb7b"
+    "f941ee24ff275cad7d2eec650957a4cb5cc2c66bf7d5345eb387a4ca21bd9a84"
+    "4ba509287f161b9cc4a10ee881dd392984d20ed47fbb23b78db72caaf0b17b25",
     16,
 )
 
-PROD_GROUP = GroupParams(p=_P_2048, q=(_P_2048 - 1) // 2, g=4)
+PROD_GROUP = GroupParams(p=2 * _Q_256 * _M_1791 + 1, q=_Q_256, g=_G_2048)
 
 GROUPS = {"test": TEST_GROUP, "prod": PROD_GROUP}
 

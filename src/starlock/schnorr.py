@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .elgamal import Keypair
 from .fiatshamir import DOMAIN_NONCE, DOMAIN_SIGNATURE
-from .group import GroupParams, fixed_pow
+from .group import GroupParams
 from .serialize import DIGEST, HEX, Record, enc_bytes, enc_int, sha256
 
 
@@ -35,7 +35,7 @@ def _challenge_digest(commit: int, pk: int, msg: bytes) -> bytes:
 
 
 def sign(msg: bytes, kp: Keypair, gp: GroupParams) -> SchnorrSignature:
-    fixed = fixed_pow if gp.large else pow
+    fixed = gp.comb if gp.large else pow
     r = _nonce(kp.sk, msg, gp)
     commit = fixed(gp.g, r, gp.p)
     digest = _challenge_digest(commit, kp.pk, msg)
@@ -50,6 +50,6 @@ def verify_sig(msg: bytes, sig: SchnorrSignature, pk: int, gp: GroupParams) -> b
     if len(sig.commit_hash) != 32:
         return False
     e = int.from_bytes(sig.commit_hash, "big") % gp.q
-    fixed = fixed_pow if gp.large else pow
+    fixed = gp.comb if gp.large else pow
     commit = fixed(gp.g, sig.response, gp.p) * pow(pk, e, gp.p) % gp.p
     return _challenge_digest(commit, pk, msg) == sig.commit_hash

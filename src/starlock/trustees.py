@@ -18,7 +18,7 @@ from .chaum_pedersen import ChaumPedersenProof, batched, prove_eq_dlog, verify_e
 from .elgamal import Ciphertext
 from .errors import BadShareProof, InsufficientShares, InvalidThreshold
 from .fiatshamir import DOMAIN_DECRYPT_SHARE
-from .group import GroupParams, fixed_pow
+from .group import GroupParams
 from .serialize import HEX, INT, Record, enc_bytes, enc_int, record, tuple_of
 
 # Dealer ceremonies beyond this size are outside the supported envelope.
@@ -124,7 +124,7 @@ def partial_decrypt(
     """share_value = a^f(i), proved equal in exponent to the verification key.
     Both powers of a (the share and the proof's commitment) go through a's
     comb table in a large group: the k trustees of a column raise it 2k times."""
-    value = (fixed_pow if gp.large else pow)(c.a, share.secret_share, gp.p)
+    value = (gp.comb if gp.large else pow)(c.a, share.secret_share, gp.p)
     vk = verification_key(share.trustee_id, share.commitments, gp)
     proof = prove_eq_dlog(
         share.secret_share, vk, c.a, value, gp, rng,

@@ -41,6 +41,23 @@ _cache = {}
 _P_MID = int("cbe78059834b3c9ab831b7e8877365e192dd2ca76ab5e1d073e6777a9819aeef", 16)
 MID_GROUP = GroupParams(p=_P_MID, q=_P_MID // 2, g=4)
 
+# The 2048-bit MODP safe prime (RFC 3526, group 14) with g = 4, which was the
+# prod group before it became a 256-bit-q Lim-Lee group. Its q is above
+# 2^256, so it is the one group whose challenge space M = 2^256 is below q
+# and whose exponents are 2047 bits: tests of that branch run here.
+_P_MODP = int(
+    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74"
+    "020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B302B0A6DF25F1437"
+    "4FE1356D6D51C245E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED"
+    "EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3DC2007CB8A163BF05"
+    "98DA48361C55D39A69163FA8FD24CF5F83655D23DCA3AD961C62F356208552BB"
+    "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
+    "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF6955817183"
+    "995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
+    16,
+)
+MODP_GROUP = GroupParams(p=_P_MODP, q=_P_MODP // 2, g=4)
+
 
 def finish(result, seed=0):
     """Run the officials' post-close pipeline on a run_scenario result."""

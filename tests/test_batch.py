@@ -9,6 +9,7 @@ import pytest
 
 from helpers import (
     MID_GROUP,
+    MODP_GROUP,
     board_raw_lines,
     demo_commands,
     demo_run,
@@ -19,11 +20,19 @@ from helpers import (
 )
 from starlock import ballot, chaum_pedersen, elgamal, group, verifier
 from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballot, verify_ballot
-from starlock.chaum_pedersen import Collect, Immediate, batched, prove_eq_dlog, verify_eq_dlog
+from starlock.chaum_pedersen import (
+    Collect,
+    Immediate,
+    batched,
+    prove_eq_dlog,
+    prove_zero_or_one,
+    verify_eq_dlog,
+    verify_zero_or_one,
+)
 from starlock.cli import main
-from starlock.elgamal import encrypt_exp, keygen
-from starlock.fiatshamir import DOMAIN_EQ_DLOG
-from starlock.group import PROD_GROUP, TEST_GROUP, multi_exp
+from starlock.elgamal import Ciphertext, encrypt_exp, keygen
+from starlock.fiatshamir import DOMAIN_CONTEST_SUM
+from starlock.group import PROD_GROUP, TEST_GROUP, GroupParams, multi_exp
 from starlock.scenario import make_demo_scenario, run_scenario
 from starlock.trustees import combine_shares, dkg, partial_decrypt
 from starlock.verifier import verify_board
@@ -77,10 +86,11 @@ SHORT_EXPONENT_BITS = 64 + 256 + 8  # a weight times a challenge, summed over a 
 
 
 def test_a_batch_raises_only_response_bases_to_full_size(monkeypatch) -> None:
-    # In the prod group a statement base's batch exponent is a 64-bit weight
-    # times a challenge below 2^256; only a share proof's c.a, raised to its
-    # responses, keeps a full-size exponent.
-    gp, rng = PROD_GROUP, random.Random(13)
+    # In the 2048-bit safe-prime group, where q is above 2^256, a statement
+    # base's batch exponent is a 64-bit weight times a challenge below 2^256;
+    # only a share proof's c.a, raised to its responses, keeps a full-size
+    # exponent.
+    gp, rng = MODP_GROUP, random.Random(13)
     stated = []
 
     def recording_multi_exp(pairs, p):
@@ -119,17 +129,106 @@ def test_batched_runs_again_per_proof_only_when_the_batch_fails(gp, bump, sinks)
     rng = random.Random(9)
     x, h = rng.randrange(1, gp.q), pow(gp.g, rng.randrange(1, gp.q), gp.p)
     y1, y2 = pow(gp.g, x, gp.p), pow(h, x, gp.p)
-    proof = prove_eq_dlog(x, y1, h, y2, gp, rng, b"ctx", DOMAIN_EQ_DLOG)
+    proof = prove_eq_dlog(x, y1, h, y2, gp, rng, b"ctx", DOMAIN_CONTEST_SUM)
     proof = dataclasses.replace(proof, response=(proof.response + bump) % gp.q)
     seeds, seen = [], []
 
     def run(eqs):
         seen.append(type(eqs).__name__)
-        return len(seen), verify_eq_dlog(proof, y1, h, y2, gp, b"ctx", DOMAIN_EQ_DLOG, eqs=eqs)
+        return len(seen), verify_eq_dlog(proof, y1, h, y2, gp, b"ctx", DOMAIN_CONTEST_SUM, eqs=eqs)
 
     result = batched(gp, lambda: seeds.append(1) or b"seed", run)
     assert seen == sinks and len(seeds) == (sinks[0] == "Collect")
     assert result == (len(sinks), not bump)  # the last run's result: Immediate's after a failure
+
+
+BAD = 1  # the index of the proof with a non-member among four
+
+
+def _zero_one_checks(gp, rng, bad_key):
+    """Four zero-or-one checks (functions of a sink) under a joint key; the
+    BAD one is under bad_key, with randomness 0, which keeps all four of its
+    equations exact whatever bad_key's order."""
+    key, checks = keygen(gp, rng).pk, []
+    for i in range(4):
+        bit = i % 2
+        if i == BAD:
+            k, r, ct = bad_key, 0, Ciphertext(1, pow(gp.g, bit, gp.p))
+        else:
+            k, r = key, rng.randrange(1, gp.q)
+            ct = encrypt_exp(bit, r, k, gp)
+        proof = prove_zero_or_one(bit, r, ct, k, gp, rng, b"cell")
+        checks.append(lambda eqs, proof=proof, ct=ct, k=k:
+                      verify_zero_or_one(proof, ct, k, gp, b"cell", eqs))
+    return checks
+
+
+def _eq_dlog_checks(gp, rng, bad_base):
+    """Four eq-dlog checks; the BAD one is an honest proof over bad_base with
+    witness 0, which keeps both of its equations exact."""
+    checks = []
+    for i in range(4):
+        x, h = (0, bad_base) if i == BAD else (
+            rng.randrange(1, gp.q), pow(gp.g, rng.randrange(1, gp.q), gp.p))
+        y1, y2 = pow(gp.g, x, gp.p), pow(h, x, gp.p)
+        proof = prove_eq_dlog(x, y1, h, y2, gp, rng, b"ctx", DOMAIN_CONTEST_SUM)
+        checks.append(lambda eqs, proof=proof, h=h, y1=y1, y2=y2:
+                      verify_eq_dlog(proof, y1, h, y2, gp, b"ctx", DOMAIN_CONTEST_SUM, eqs=eqs))
+    return checks
+
+
+def _non_member_cases():
+    """{case: four checks}: in the prod group, z = 2^(2q) has order m, so
+    K*z and a*z are quadratic residues outside the order-q subgroup; p - a
+    is not a residue at all (-1 is none, as p = 3 mod 4)."""
+    gp, rng = PROD_GROUP, random.Random(17)
+    p, q = gp.p, gp.q
+    z = pow(2, 2 * q, p)
+    assert z != 1 and pow(z, (p - 1) // (2 * q), p) == 1 and p % 4 == 3
+    K = keygen(gp, rng).pk
+    a = pow(gp.g, rng.randrange(1, q), p)
+    return {
+        "joint-key-K*z": _zero_one_checks(gp, rng, K * z % p),
+        "eq-dlog-base-a*z": _eq_dlog_checks(gp, rng, a * z % p),
+        "legendre-p-a": _eq_dlog_checks(gp, rng, p - a),
+    }
+
+
+@pytest.fixture(scope="module")
+def non_member_cases():
+    return _non_member_cases()
+
+
+@pytest.mark.parametrize("case", ["joint-key-K*z", "eq-dlog-base-a*z", "legendre-p-a"])
+def test_a_non_member_that_meets_every_equation_is_refused_and_named(
+        non_member_cases, case, monkeypatch) -> None:
+    gp, checks = PROD_GROUP, non_member_cases[case]
+    named = [i != BAD for i in range(4)]
+
+    def run(eqs):
+        return [check(eqs) for check in checks]
+
+    everyone = Immediate(gp)
+    everyone.member = lambda x: True
+    assert run(everyone) == [True] * 4  # only membership stands in the way
+    assert run(Immediate(gp)) == named
+    batch = Collect(gp, b"seed")
+    verdicts = run(batch)
+    if case.startswith("legendre"):  # refused at once, by its Legendre symbol
+        assert verdicts == named and batch.holds()
+    else:  # every residue passes; the batch's q-th power refuses them together
+        assert verdicts == [True] * 4 and not batch.holds()
+    assert batched(gp, lambda: b"seed", run) == named
+
+    # An honest batch holds, testing each distinct element's Legendre symbol once.
+    tested = []
+    is_element = GroupParams.is_element
+    monkeypatch.setattr(GroupParams, "is_element",
+                        lambda gp, x: tested.append(x) or is_element(gp, x))
+    honest = Collect(gp, b"seed")
+    assert [check(honest) for i, check in enumerate(checks) if i != BAD] == [True] * 3
+    assert tested and len(tested) == len(set(tested)) == len(honest.members)
+    assert honest.holds() and len(tested) == len(honest.members) + 1
 
 
 def _bump_response(line: dict, key: str, nth: int = 0) -> None:

@@ -2,6 +2,7 @@
 receipt-check, and the exit-code contract (0 pass, 1 internal, 2 fail,
 3 usage; each error class declares its code)."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 import starlock
 from helpers import board_raw_lines, demo_commands, demo_run, rechain
 from starlock.cli import main
+from starlock.group import PROD_GROUP
 from starlock.scenario import make_demo_scenario
 from starlock.serialize import int_to_hex
 from starlock.verifier import verify_board
@@ -453,6 +455,21 @@ def test_tally_refuses_an_office_key_pair_the_manifest_does_not_name(edit, tmp_p
     assert board.read_bytes() == before
 
 
+@pytest.mark.parametrize("kind", [["header"], {"header": 1}], ids=["list", "object"])
+def test_a_line_kind_that_is_not_a_string_exits_2_naming_the_line(tmp_path, capsys, kind) -> None:
+    """audit and receipt-check read the board without its chain check, so
+    the index refuses the kind itself; tally's chained read refuses the line."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    lines = board_raw_lines(result["board"])
+    lines[0] = json.dumps(dict(json.loads(lines[0]), kind=kind))
+    board.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    for name in ("audit", "receipt-check", "receipt-check-spoiled", "tally"):
+        assert main(commands[name]) == 2, name
+        assert "board line 0: " in capsys.readouterr().out, name
+
+
 def test_a_second_tally_is_refused_at_its_first_decryption_line(tmp_path, capsys) -> None:
     """Tallying a tallied board again would publish each decryption and the
     tally twice and re-sign a board that verify rejects."""
@@ -483,6 +500,27 @@ def test_simulate_refuses_an_office_key_whose_pk_is_not_g_to_its_sk(tmp_path, ca
     assert main(["simulate", "--scenario", write_demo_scenario(tmp_path), "--keys", str(keys),
                  "--outdir", str(out)]) == 2
     assert capsys.readouterr().out == f"MalformedRecord: {office}: not an office key pair\n"
+    assert not out.exists()
+
+
+def test_simulate_refuses_a_joint_key_outside_the_order_q_subgroup(tmp_path, capsys) -> None:
+    """K * z, with z = 2^(2q) of order m in the prod group, is a quadratic
+    residue, so only the q-th power test refuses it: exit 2, naming the file."""
+    keys, out = tmp_path / "keys", tmp_path / "run"
+    assert main(["keygen", "--n", "1", "--k", "1", "--seed", "5", "--group", "prod",
+                 "--outdir", str(keys)]) == 0
+    joint = keys / "joint_key.json"
+    doc = json.loads(joint.read_text())
+    p, q = PROD_GROUP.p, PROD_GROUP.q
+    bad_key = int(doc["K"], 16) * pow(2, 2 * q, p) % p
+    joint.write_text(json.dumps(dict(doc, K=int_to_hex(bad_key))), encoding="utf-8")
+    scenario = tmp_path / "scenario.json"
+    prod_demo = dataclasses.replace(make_demo_scenario(), group="prod")
+    scenario.write_text(json.dumps(prod_demo.to_json()), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(scenario), "--keys", str(keys),
+                 "--outdir", str(out)]) == 2
+    assert capsys.readouterr().out == f"MalformedRecord: {joint}.K: not an element of the group\n"
     assert not out.exists()
 
 

@@ -2,8 +2,10 @@
 arithmetic (membership, fixed-base exponentiation) in both of them."""
 
 import hashlib
+import importlib.util
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,6 @@ from starlock.group import (
     PROD_GROUP,
     TEST_GROUP,
     GroupParams,
-    fixed_pow,
     is_probable_prime,
     jacobi,
     resolve_group,
@@ -47,17 +48,31 @@ def test_exponent_range() -> None:
 
 
 def test_prod_group_shape() -> None:
-    assert PROD_GROUP.p.bit_length() == 2048
-    assert PROD_GROUP.q == (PROD_GROUP.p - 1) // 2
-    assert PROD_GROUP.p == 2 * PROD_GROUP.q + 1
-    assert PROD_GROUP.g == 4
-    hexp = f"{PROD_GROUP.p:x}"
-    assert hexp.startswith("ffffffffffffffff")
-    assert hexp.endswith("ffffffffffffffff")
+    # p = 2qm + 1: a 2048-bit p, a 256-bit q, a 1791-bit prime cofactor m,
+    # and g = 2^(2m) of order q.
+    p, q, g = PROD_GROUP.p, PROD_GROUP.q, PROD_GROUP.g
+    assert p.bit_length() == 2048 and q.bit_length() == 256
+    m, rest = divmod(p - 1, 2 * q)
+    assert rest == 0 and m.bit_length() == 1791 and is_probable_prime(m)
+    assert g == pow(2, 2 * m, p) != 1 and pow(g, q, p) == 1
+    assert not PROD_GROUP.safe and PROD_GROUP.challenge_space == q
 
 
 def test_prod_group_validates() -> None:
     PROD_GROUP.validate()
+
+
+def test_prod_group_cofactor_is_the_first_prime_from_its_seed() -> None:
+    # The cofactor search of scripts/derive_prod_group.py takes about 0.3 s
+    # and is re-run here; the search for q (about 10 s) is not, but q lies
+    # at or above its seed's expansion.
+    path = Path(__file__).resolve().parent.parent / "scripts" / "derive_prod_group.py"
+    spec = importlib.util.spec_from_file_location("derive_prod_group", path)
+    derive = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(derive)
+    m = derive.derive_m()
+    assert PROD_GROUP.p == 2 * PROD_GROUP.q * m + 1
+    assert 0 <= PROD_GROUP.q - derive.expand(derive.Q_SEED, 256) < 2**32
 
 
 def test_validate_rejects_bad_parameters() -> None:
@@ -67,6 +82,31 @@ def test_validate_rejects_bad_parameters() -> None:
         GroupParams(p=23, q=7, g=4).validate()  # p != 2q+1
     with pytest.raises(ValueError):
         GroupParams(p=23, q=11, g=5).validate()  # 5 generates the full group, not the subgroup
+
+
+# (q, m) with p = 2qm + 1 prime: a cofactor m > 1 must be a prime above 2^64.
+COFACTORS = {
+    "small-prime": (11, 3, False),
+    "prime-below-2^64": (3, 2**64 - 59, False),
+    "composite": (821, (2**61 - 1) * (2**89 - 1), False),
+    "prime-above-2^64": (811, 2**64 + 13, True),
+}
+
+
+@pytest.mark.parametrize("q, m, valid", COFACTORS.values(), ids=COFACTORS)
+def test_validate_takes_a_cofactor_only_if_it_is_a_prime_above_2_64(q, m, valid) -> None:
+    p = 2 * q * m + 1
+    assert is_probable_prime(p) and is_probable_prime(q)
+    g = next(x for x in (pow(h, 2 * m, p) for h in range(2, 10)) if x != 1)
+    gp = GroupParams(p=p, q=q, g=g)
+    if valid:
+        gp.validate()
+        assert GroupParams.from_json(gp.to_json()) == gp
+        return
+    with pytest.raises(InvalidGroup, match="m neither 1 nor a prime above 2"):
+        gp.validate()
+    with pytest.raises(InvalidGroup):
+        GroupParams.from_json(gp.to_json())
 
 
 def test_primality_rejects_strong_pseudoprimes() -> None:
@@ -134,9 +174,13 @@ def test_membership_agrees_with_pow(gp) -> None:
     p, q = gp.p, gp.q
     members = [pow(gp.g, rng.randrange(q), p) for _ in range(3)]
     others = [rng.randrange(2, p - 1) for _ in range(4)]
-    for x in members + others + [0, 1, 2, p - 1, p, p + 1, -1, -p]:
+    # residues outside the order-q subgroup: a member times an element of order m
+    residues = [x * pow(2, 2 * q, p) % p for x in members]
+    for x in members + others + residues + [0, 1, 2, p - 1, p, p + 1, -1, -p]:
         assert gp.is_element(x) == (0 < x < p and pow(x, q, p) == 1), x
+        assert gp.residues.is_element(x) == (0 < x < p and pow(x, (p - 1) // 2, p) == 1), x
     assert all(gp.is_element(x) for x in members)
+    assert gp is TEST_GROUP or not any(gp.is_element(x) for x in residues)
 
 
 def test_comb_agrees_with_pow_in_the_prod_group() -> None:
@@ -145,13 +189,15 @@ def test_comb_agrees_with_pow_in_the_prod_group() -> None:
     K = pow(PROD_GROUP.g, rng.randrange(1, q), p)
     for base in (PROD_GROUP.g, K):
         for e in (0, 1, 2, q - 1, rng.randrange(q), rng.randrange(2**256)):
-            assert fixed_pow(base, e, p) == pow(base, e, p)
-    # outside [0, q): plain pow
-    assert fixed_pow(K, q, p) == 1
-    assert fixed_pow(K, -1, p) == pow(K, -1, p)
+            assert PROD_GROUP.comb(base, e, p) == pow(base, e, p)
+    # the table holds exponents of q's 256 bits; any other goes to pow
+    assert PROD_GROUP.comb(K, q, p) == 1
+    assert PROD_GROUP.comb(K, -1, p) == pow(K, -1, p)
+    for e in (2**256, 2**256 + q - 1, rng.randrange(p)):
+        assert PROD_GROUP.comb(K, e, p) == pow(K, e, p)
 
 
-PINNED_PROD_BALLOT = "e36ca7d4b92bae06920f98f28b5671256c979abf77a72c3df5021b932d34dbc1"
+PINNED_PROD_BALLOT = "aee3fee75d6f3b2192b728228d0e2d5de73c41e67a6f70c3cfe323507bf63d4a"
 
 
 def test_prod_group_ballot_is_pinned_and_verifies() -> None:

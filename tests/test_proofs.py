@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from helpers import MID_GROUP
+from helpers import MID_GROUP, MODP_GROUP
 from starlock.chaum_pedersen import (
     ChaumPedersenProof,
     Immediate,
@@ -26,11 +26,10 @@ from starlock.elgamal import add_many, encrypt_exp, keygen
 from starlock.fiatshamir import (
     DOMAIN_CONTEST_SUM,
     DOMAIN_DECRYPT_SHARE,
-    DOMAIN_EQ_DLOG,
     DOMAIN_ZERO_ONE,
     fiat_shamir_challenge,
 )
-from starlock.group import PROD_GROUP, TEST_GROUP, fixed_pow
+from starlock.group import PROD_GROUP, TEST_GROUP
 from starlock.schnorr import SchnorrSignature, sign, verify_sig
 
 GP = TEST_GROUP
@@ -78,8 +77,8 @@ def test_eq_dlog_completeness() -> None:
         g2 = pow(GP.g, rng.randrange(1, GP.q), GP.p)
         y1 = pow(GP.g, w, GP.p)
         y2 = pow(g2, w, GP.p)
-        proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, f"ctx-{trial}".encode(), DOMAIN_EQ_DLOG)
-        assert verify_eq_dlog(proof, y1, g2, y2, GP, f"ctx-{trial}".encode(), DOMAIN_EQ_DLOG)
+        proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, f"ctx-{trial}".encode(), DOMAIN_CONTEST_SUM)
+        assert verify_eq_dlog(proof, y1, g2, y2, GP, f"ctx-{trial}".encode(), DOMAIN_CONTEST_SUM)
 
 
 def test_eq_dlog_rejects_every_tampered_field() -> None:
@@ -88,7 +87,7 @@ def test_eq_dlog_rejects_every_tampered_field() -> None:
     g2 = pow(GP.g, 3, GP.p)
     y1 = pow(GP.g, w, GP.p)
     y2 = pow(g2, w, GP.p)
-    proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, b"ctx", DOMAIN_EQ_DLOG)
+    proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, b"ctx", DOMAIN_CONTEST_SUM)
     variants = [
         dataclasses.replace(proof, commit1=proof.commit1 * GP.g % GP.p),
         dataclasses.replace(proof, commit2=proof.commit2 * GP.g % GP.p),
@@ -96,7 +95,7 @@ def test_eq_dlog_rejects_every_tampered_field() -> None:
         dataclasses.replace(proof, response=(proof.response + 1) % GP.q),
     ]
     for bad in variants:
-        assert not verify_eq_dlog(bad, y1, g2, y2, GP, b"ctx", DOMAIN_EQ_DLOG)
+        assert not verify_eq_dlog(bad, y1, g2, y2, GP, b"ctx", DOMAIN_CONTEST_SUM)
 
 
 def test_eq_dlog_rejects_false_statement() -> None:
@@ -104,8 +103,8 @@ def test_eq_dlog_rejects_false_statement() -> None:
     g2 = pow(GP.g, 3, GP.p)
     y1 = pow(GP.g, 5, GP.p)
     y2 = pow(g2, 6, GP.p)  # unequal exponents
-    proof = prove_eq_dlog(5, y1, g2, y2, GP, rng, b"ctx", DOMAIN_EQ_DLOG)
-    assert not verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx", DOMAIN_EQ_DLOG)
+    proof = prove_eq_dlog(5, y1, g2, y2, GP, rng, b"ctx", DOMAIN_CONTEST_SUM)
+    assert not verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx", DOMAIN_CONTEST_SUM)
 
 
 def test_eq_dlog_binds_context_and_domain() -> None:
@@ -114,8 +113,8 @@ def test_eq_dlog_binds_context_and_domain() -> None:
     g2 = pow(GP.g, 9, GP.p)
     y1 = pow(GP.g, w, GP.p)
     y2 = pow(g2, w, GP.p)
-    proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, b"ctx-a", DOMAIN_EQ_DLOG)
-    assert not verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx-b", DOMAIN_EQ_DLOG)
+    proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, b"ctx-a", DOMAIN_CONTEST_SUM)
+    assert not verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx-b", DOMAIN_CONTEST_SUM)
     assert not verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx-a", DOMAIN_DECRYPT_SHARE)
 
 
@@ -123,9 +122,9 @@ def test_eq_dlog_rejects_non_subgroup_inputs() -> None:
     rng = random.Random(35)
     w = 4
     y1 = pow(GP.g, w, GP.p)
-    proof = prove_eq_dlog(w, y1, GP.g, y1, GP, rng, b"ctx", DOMAIN_EQ_DLOG)
+    proof = prove_eq_dlog(w, y1, GP.g, y1, GP, rng, b"ctx", DOMAIN_CONTEST_SUM)
     # 5 is not in the order-11 subgroup of Z_23*
-    assert not verify_eq_dlog(proof, y1, GP.g, 5, GP, b"ctx", DOMAIN_EQ_DLOG)
+    assert not verify_eq_dlog(proof, y1, GP.g, 5, GP, b"ctx", DOMAIN_CONTEST_SUM)
 
 
 def test_zero_or_one_completeness_both_branches() -> None:
@@ -196,7 +195,7 @@ def test_proof_json_round_trips() -> None:
     rng = random.Random(46)
     w = 6
     y1 = pow(GP.g, w, GP.p)
-    cp = prove_eq_dlog(w, y1, GP.g, y1, GP, rng, b"ctx", DOMAIN_EQ_DLOG)
+    cp = prove_eq_dlog(w, y1, GP.g, y1, GP, rng, b"ctx", DOMAIN_CONTEST_SUM)
     assert ChaumPedersenProof.from_json(cp.to_json()) == cp
     ct = encrypt_exp(0, 2, K, GP)
     zo = prove_zero_or_one(0, 2, ct, K, GP, rng, b"cell")
@@ -208,7 +207,7 @@ def _ciphertext_formula_zero_or_one(bit, r, ct, public_key, gp, rng, context):
     ciphertext (a^-c and (b / g^sim)^-c by pow): the reference that the
     witness-built branch must equal. Branch challenges lie in [0, M)."""
     p, q, g, space = gp.p, gp.q, gp.g, gp.challenge_space
-    fixed = fixed_pow if gp.large else pow
+    fixed = gp.comb if gp.large else pow
     sim = 1 - bit
     c_sim = rng.randrange(0, space)
     v_sim = rng.randrange(0, q)
@@ -243,7 +242,7 @@ def _ciphertext_formula_zero_or_one(bit, r, ct, public_key, gp, rng, context):
 
 def _plain_pow_eq_dlog(witness, y1, g2, y2, gp, rng, context, domain):
     """The eq-dlog prover with g2 raised by pow: the reference for the comb of g2."""
-    fixed = fixed_pow if gp.large else pow
+    fixed = gp.comb if gp.large else pow
     w = rng.randrange(0, gp.q)
     t1 = fixed(gp.g, w, gp.p)
     t2 = pow(g2, w, gp.p)
@@ -297,7 +296,7 @@ def _old_rule_zero_or_one(bit, r, ct, public_key, gp, rng, context, draw=None):
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     p, q, g = gp.p, gp.q, gp.g
-    fixed = fixed_pow if gp.large else pow
+    fixed = gp.comb if gp.large else pow
 
     sim = 1 - bit
     c_sim = rng.randrange(0, draw or q)
@@ -331,7 +330,7 @@ def _old_rule_zero_or_one(bit, r, ct, public_key, gp, rng, context, draw=None):
     )
 
 
-class _AcceptEveryEquation:
+class _AcceptEveryEquation(Immediate):
     """A sink that holds every equation: a proof refused with it was refused
     by its membership, range, Fiat-Shamir or challenge-sum checks."""
 
@@ -348,54 +347,56 @@ def _equations_hold(proof, ct, key, gp) -> bool:
                    (1, proof.commit1_g, proof.commit1_k, proof.challenge1, proof.response1)))
 
 
-def _prod_statement(seed):
+def _modp_statement(seed):
     rng = random.Random(seed)
-    key = keygen(PROD_GROUP, rng).pk
-    r = rng.randrange(1, PROD_GROUP.q)
-    return rng, key, r, encrypt_exp(1, r, key, PROD_GROUP)
+    key = keygen(MODP_GROUP, rng).pk
+    r = rng.randrange(1, MODP_GROUP.q)
+    return rng, key, r, encrypt_exp(1, r, key, MODP_GROUP)
 
 
-@pytest.mark.parametrize("gp, space", [(TEST_GROUP, TEST_GROUP.q), (MID_GROUP, MID_GROUP.q),
-                                       (PROD_GROUP, 2**256)], ids=["test", "mid", "prod"])
+@pytest.mark.parametrize("gp, space", [
+    (TEST_GROUP, TEST_GROUP.q), (MID_GROUP, MID_GROUP.q), (PROD_GROUP, PROD_GROUP.q),
+    (MODP_GROUP, 2**256)], ids=["test", "mid", "prod", "modp"])
 def test_the_challenge_space_is_q_below_2_256_and_2_256_above(gp, space) -> None:
     assert gp.challenge_space == space
 
 
-def test_a_prod_branch_challenge_of_2_256_or_more_is_refused() -> None:
-    rng, key, r, ct = _prod_statement(51)
-    proof = prove_zero_or_one(1, r, ct, key, PROD_GROUP, rng, b"cell")
+def test_a_branch_challenge_of_2_256_or_more_is_refused_in_the_modp_group() -> None:
+    rng, key, r, ct = _modp_statement(51)
+    proof = prove_zero_or_one(1, r, ct, key, MODP_GROUP, rng, b"cell")
     assert max(proof.challenge0, proof.challenge1) < 2**256
+    accept = _AcceptEveryEquation(MODP_GROUP)
     for field in ("challenge0", "challenge1"):
         # The sum mod 2^256 is unchanged; only the range rule refuses it.
         bad = dataclasses.replace(proof, **{field: getattr(proof, field) + 2**256})
-        assert not verify_zero_or_one(bad, ct, key, PROD_GROUP, b"cell", _AcceptEveryEquation())
-    assert verify_zero_or_one(proof, ct, key, PROD_GROUP, b"cell", _AcceptEveryEquation())
+        assert not verify_zero_or_one(bad, ct, key, MODP_GROUP, b"cell", accept)
+    assert verify_zero_or_one(proof, ct, key, MODP_GROUP, b"cell", accept)
 
 
 def test_branch_challenges_that_sum_to_e_mod_q_but_not_mod_2_256_are_refused() -> None:
     # Short draws with the sum kept mod q: the real branch's challenge wraps
     # to near q whenever c_sim > e, which would reveal the vote.
-    rng, key, r, ct = _prod_statement(52)
+    rng, key, r, ct = _modp_statement(52)
     wrapped = 0
     for trial in range(4):
-        proof = _old_rule_zero_or_one(1, r, ct, key, PROD_GROUP, rng, f"cell-{trial}".encode(),
+        proof = _old_rule_zero_or_one(1, r, ct, key, MODP_GROUP, rng, f"cell-{trial}".encode(),
                                       draw=2**256)
-        e = (proof.challenge0 + proof.challenge1) % PROD_GROUP.q
-        assert _equations_hold(proof, ct, key, PROD_GROUP)
-        valid = verify_zero_or_one(proof, ct, key, PROD_GROUP, f"cell-{trial}".encode())
+        e = (proof.challenge0 + proof.challenge1) % MODP_GROUP.q
+        assert _equations_hold(proof, ct, key, MODP_GROUP)
+        valid = verify_zero_or_one(proof, ct, key, MODP_GROUP, f"cell-{trial}".encode())
         wrapped += (proof.challenge0 + proof.challenge1) % 2**256 != e
         assert valid == ((proof.challenge0 + proof.challenge1) % 2**256 == e)
     assert 0 < wrapped < 4  # some proofs wrapped, and those that did not are valid
 
 
-def test_a_proof_from_the_old_prover_is_refused_in_the_prod_group() -> None:
-    rng, key, r, ct = _prod_statement(53)
-    proof = _old_rule_zero_or_one(1, r, ct, key, PROD_GROUP, rng, b"cell")
-    assert _equations_hold(proof, ct, key, PROD_GROUP)
-    assert not verify_zero_or_one(proof, ct, key, PROD_GROUP, b"cell")
+def test_a_proof_from_the_old_prover_is_refused_in_the_modp_group() -> None:
+    rng, key, r, ct = _modp_statement(53)
+    proof = _old_rule_zero_or_one(1, r, ct, key, MODP_GROUP, rng, b"cell")
+    assert _equations_hold(proof, ct, key, MODP_GROUP)
+    assert not verify_zero_or_one(proof, ct, key, MODP_GROUP, b"cell")
 
 
-@pytest.mark.parametrize("gp", [TEST_GROUP, MID_GROUP], ids=["test", "mid"])
+@pytest.mark.parametrize("gp", [TEST_GROUP, MID_GROUP, PROD_GROUP], ids=["test", "mid", "prod"])
 def test_the_old_prover_is_the_prover_below_2_256(gp) -> None:
     rng = random.Random(54)
     key = keygen(gp, rng).pk
