@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .boardformat import CAST, TALLY_RESULT, at_line, contest_columns, index_lines
+from .boardformat import CAST, TALLY_RESULT, BoardIndex, at_line, contest_columns
 from .errors import CommitmentMismatch, MalformedRecord, MarginNotPositive, StarlockError
 from .fiatshamir import DOMAIN_COMMITMENT
 from .manifest import ElectionManifest
@@ -327,17 +327,18 @@ def hand_count(papers, manifest: ElectionManifest) -> dict:
     return {"counts": counts, "winners": winners}
 
 
-def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
+def run_audit(board: BoardIndex, manifest: ElectionManifest, cvrs, papers, seed: str,
               alpha: float, published=None) -> dict:
     """Drive the comparison audit to a verdict.
 
-    lines: parsed board lines (the published record, tallied and signed).
+    board: boardformat.parse_lines of the published record, tallied and signed.
     cvrs: the official's private opening store from build_cvrs.
     papers: list of {"serial", "contests"} paper-summary interpretations.
     published: the published commitment rows; defaults to digests recomputed
     from cvrs, but passing the genuinely published file is the point.
 
-    Stops as soon as P <= alpha (CONFIRMED) or after N draws
+    Draws CAST ballots with replacement (prng_sequence) and stops as soon as
+    P <= alpha (CONFIRMED) or after N draws, escalating to a full hand count
     (FULL_HAND_COUNT, returning the manual count and its winners).
     A CVR row or paper without its serial or contests (or with a view out of
     form), a CVR row without its index, or a published row without its serial
@@ -345,8 +346,7 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
     check_seed(seed)
     check_alpha(alpha)
 
-    board_index = index_lines(lines)
-    cast_indices = {i for i, s in board_index.statuses.items() if s == CAST}
+    cast_indices = {i for i, s in board.statuses.items() if s == CAST}
     indices = column(cvrs, "cvrs", "index", INT.decode)
     serials = column(cvrs, "cvrs", "serial", STR.decode)
     column(cvrs, "cvrs", "contests", CVR_VIEWS)
@@ -371,9 +371,9 @@ def run_audit(lines, manifest: ElectionManifest, cvrs, papers, seed: str,
     published_by_serial = dict(zip(column(rows, "commitments", "serial", STR.decode),
                                    column(rows, "commitments", "commitments", OBJECT.decode)))
 
-    if not board_index.tallies:
+    if not board.tallies:
         raise StarlockError("board carries no tally; audit needs reported results")
-    lineno, tally = board_index.tallies[-1]
+    lineno, tally = board.tallies[-1]
     result = at_line(lineno, decode_field, tally, "result", TALLY_RESULT.decode)
     winners, pairs, v = margin_pairs(manifest, result)
     n = len(population)

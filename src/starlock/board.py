@@ -31,7 +31,7 @@ from .boardformat import (
     at_line,
     column_bound,
     fold_ballots,
-    read_board,
+    parse_lines,
     read_board_lines,
     signature_message,
     spoiled_context,
@@ -42,6 +42,7 @@ from .chaum_pedersen import batched
 from .elgamal import Keypair, dlog_search
 from .errors import ChainBroken, MalformedRecord, NoDlogInRange, NotSpoiled, RejectInvalidProof
 from .group import GroupParams
+from .manifest import ElectionManifest
 from .schnorr import sign
 from .serialize import DIGEST, STR, canonical_json, decode_field, sha256_hex
 from .trustees import JointPublicKey, combine_shares, partial_decrypt
@@ -79,16 +80,10 @@ class Board:
                 fh.write(text + "\n")
 
     @classmethod
-    def load(cls, path) -> "Board":
-        """Reload a board file, refusing files whose line chain is broken.
-        Each line is read and parsed once, by the verifier's readers."""
-        index = read_board(read_board_lines(path))
-        if index.broken:
-            raise ChainBroken(*index.broken)
-        if not index.lines or index.lines[0]["kind"] != "header":
-            raise ChainBroken(0, "board file missing header line")
-        if index.misnumbered:
-            raise ChainBroken(index.misnumbered[0], "entry index out of sequence")
+    def load(cls, path, manifest: ElectionManifest) -> "Board":
+        """Reload a board file by the strict read (boardformat.parse_lines),
+        with the canonical form: ChainBroken names the line it refuses."""
+        index = parse_lines(read_board_lines(path), manifest, canonical=True)
         board = cls.__new__(cls)
         board._index = index
         board.election_id = decode_field(index.lines[0], "election_id", STR.decode)

@@ -10,6 +10,7 @@ reference it, in file order; a status line counts even when it precedes its
 entry. Only effective-CAST entries enter the homomorphic tally. LINE_KEYS
 lists the keys of each line kind; the records below declare the values of
 the entry, terminal_close and tally lines and of a decryption line's columns.
+Its last line is the office's signature; parse_lines is the one strict read.
 
 This module is format-level: it never imports the polling-place, board,
 scenario or CLI machinery, so the verifier can share it and stay
@@ -25,6 +26,7 @@ from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, EncryptedBallot, WellFormed
 from .elgamal import Ciphertext, homomorphic_add, identity_ciphertext
 from .errors import ChainBroken, MalformedRecord
 from .group import GroupParams
+from .manifest import ElectionManifest
 from .schnorr import SchnorrSignature, verify_sig
 from .serialize import (
     DIGEST,
@@ -155,6 +157,9 @@ LINE_KEYS = {
     "signature": ({"signer", "sig"}, set()),
 }
 
+ALLOWED_KEYS = {kind: required | optional | {"kind", "prev"}
+                for kind, (required, optional) in LINE_KEYS.items()}
+
 # The values BoardIndex.add decodes, where the line carries them, beside the
 # index, ref and status it reads.
 CHECKED_KEYS = {
@@ -170,12 +175,11 @@ def line_fault(line: dict) -> str | None:
     kind = line.get("kind")
     if type(kind) is not str or kind not in LINE_KEYS:
         return "unknown line kind"
-    required, optional = LINE_KEYS[kind]
-    keys = line.keys() - {"kind", "prev"}
-    if not required <= keys:
+    required, keys = LINE_KEYS[kind][0], line.keys()  # no set is built for a line that fits
+    if not keys >= required:
         return f"{kind} line lacks {', '.join(sorted(required - keys))}"
-    if not keys <= required | optional:
-        return f"{kind} line has unexpected {', '.join(sorted(keys - required - optional))}"
+    if not keys <= ALLOWED_KEYS[kind]:
+        return f"{kind} line has unexpected {', '.join(sorted(keys - ALLOWED_KEYS[kind]))}"
     if kind == "signature" and line["signer"] != SIGNER:
         return f"signature line not by {SIGNER}"
     return None
@@ -228,14 +232,6 @@ def signature_message(election_id: str, head: bytes) -> bytes:
     """What the election office signs: the hash of the line before the
     signature, which transitively covers every byte above it."""
     return enc_str(election_id) + enc_bytes(head)
-
-
-def signature_verifies(line: dict, office_pk: int, gp: GroupParams, election_id: str) -> bool:
-    """Whether a signature line signs the hash it carries in prev; raises
-    MalformedRecord when its prev or sig is not in wire form."""
-    message = signature_message(election_id, decode_field(line, "prev", DIGEST.decode))
-    sig = decode_field(line, "sig", SchnorrSignature.from_json)
-    return verify_sig(message, sig, office_pk, gp)
 
 
 # -- contest layout and the homomorphic fold ---------------------------------------
@@ -308,11 +304,10 @@ class BoardIndex:
     """Board lines indexed in one pass, in file order. `add` takes one line
     at a time, so a writer can keep the index current as it appends.
 
-    lines lists the indexed lines, texts their canonical text (None where
-    the caller had none) and last the line number of the last of them;
-    head is the hash of the last line read;
-    broken is read_board's (lineno, reason) for the first line that breaks
-    the chain, or None. entries lists (index, lineno, line) of every entry
+    lines lists the indexed lines, texts their text as read or written and
+    last the line number of the last of them; head is the hash of the last
+    line read; broken is read_board's (lineno, reason) for the first line
+    that breaks the chain or its kind's keys, or None. entries lists (index, lineno, line) of every entry
     line, the index taken from the line's own field; statuses maps an entry
     index to its effective status and decryptions to its decryption lines;
     closes, tallies and signatures list (lineno, line) pairs. misnumbered
@@ -338,12 +333,10 @@ class BoardIndex:
         self._ballots = {}
         self._proofs = {}
 
-    def add(self, lineno: int, line: dict, text: str | None = None) -> None:
+    def add(self, lineno: int, line: dict, text: str) -> None:
         """Index one line, decoding the index, ref and status it reads and the
         values of CHECKED_KEYS; MalformedRecord leaves the line unindexed."""
         kind = line.get("kind")
-        if not (kind is None or type(kind) is str):  # a list or object cannot key CHECKED_KEYS
-            raise MalformedRecord("not a string").within("kind")
         for key, codec in CHECKED_KEYS.get(kind, ()):
             if key in line:
                 decode_field(line, key, codec.decode)
@@ -420,21 +413,11 @@ def parse_line(lineno: int, raw: str) -> dict:
     return line
 
 
-def index_lines(lines) -> BoardIndex:
-    """Index already-parsed lines without checking the line chain or the
-    line keys. Raises MalformedRecord, naming the line, at an index, ref or
-    status that is not in wire form."""
-    index = BoardIndex()
-    for lineno, line in enumerate(lines):
-        at_line(lineno, index.add, lineno, line)
-    return index
-
-
 def read_board(raw_lines) -> BoardIndex:
-    """Parse each raw line (no newline) once, check that it is a canonical JSON
-    object carrying the previous line's hash, and index it with its text. The
-    first break goes to `broken`; every object whose keys fit its kind
-    (line_fault) and whose index, ref and status decode is indexed."""
+    """Parse each raw line (no newline) once, check that it is a JSON object
+    carrying the previous line's hash (not that it is canonical), and index it
+    with its text. The first break goes to `broken`; every object whose keys
+    fit its kind (line_fault) and whose index, ref and status decode is indexed."""
     index = BoardIndex()
     for lineno, raw in enumerate(raw_lines):
         try:
@@ -442,11 +425,7 @@ def read_board(raw_lines) -> BoardIndex:
         except ChainBroken as exc:
             reason = exc.reason
         else:
-            reason = None
-            if canonical_json(line) != raw:
-                reason = "line not in canonical form"
-            elif line.get("prev") != index.head:
-                reason = "hash chain broken"
+            reason = None if line.get("prev") == index.head else "hash chain broken"
             fault = line_fault(line)
             if fault is None:
                 try:
@@ -457,4 +436,51 @@ def read_board(raw_lines) -> BoardIndex:
         if reason and index.broken is None:
             index.broken = (lineno, reason)
         index.head = sha256_hex(raw.encode("utf-8"))
+    return index
+
+
+def canonical_break(index: BoardIndex, raw_lines: list):
+    """index.broken, or the first line before or at it whose text is not the
+    canonical encoding of its object; only verify and the tally re-encode."""
+    end = index.broken[0] if index.broken else len(raw_lines)
+    for lineno, raw in enumerate(raw_lines[: end + 1]):
+        try:  # every line before the break is indexed, in file order
+            line = index.lines[lineno] if lineno < end else parse_line(lineno, raw)
+        except ChainBroken:
+            break
+        if canonical_json(line) != raw:
+            return lineno, "line not in canonical form"
+    return index.broken
+
+
+def signature_fault(index: BoardIndex, manifest: ElectionManifest, signatures):
+    """(lineno, reason) at the first of these (lineno, line) signature lines
+    that does not verify under the manifest's office key, or at the last line
+    when it is not a signature; MalformedRecord at a prev or sig out of form."""
+    for lineno, line in signatures:
+        prev = at_line(lineno, decode_field, line, "prev", DIGEST.decode)
+        sig = at_line(lineno, decode_field, line, "sig", SchnorrSignature.from_json)
+        message = signature_message(manifest.election_id, prev)
+        if not verify_sig(message, sig, manifest.office_pk, manifest.gp):
+            return lineno, "signature does not verify"
+    if not index.lines or index.lines[-1]["kind"] != "signature":
+        return index.last, "final line is not a signature"
+    return None
+
+
+def parse_lines(raw_lines: list, manifest: ElectionManifest, canonical=False) -> BoardIndex:
+    """The strict read of every command that trusts a board: read_board, then
+    ChainBroken at its break (canonical_break's with canonical), a missing
+    header, an entry index out of sequence, or a final signature_fault."""
+    index = read_board(raw_lines)
+    broken = canonical_break(index, raw_lines) if canonical else index.broken
+    if broken:
+        raise ChainBroken(*broken)
+    if not index.lines or index.lines[0]["kind"] != "header":
+        raise ChainBroken(0, "board file missing header line")
+    if index.misnumbered:
+        raise ChainBroken(index.misnumbered[0], "entry index out of sequence")
+    fault = signature_fault(index, manifest, index.signatures[-1:])
+    if fault:
+        raise ChainBroken(*fault)
     return index

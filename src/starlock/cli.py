@@ -13,11 +13,11 @@ Exit codes (each error class declares its own in errors.py): 0 pass; 1
 internal failure; 2 a verdict on the files read: verify's FAIL, an audit that
 does not confirm, a receipt not found, or an input fault named by path or
 board line and field (a file that is not JSON, a record or line out of form,
-an invalid group, a count beyond its bound, missing or failing decryption
-shares, an ambiguous receipt, a board already tallied); 3 a usage or scenario
-fault (a bad scenario file or threshold, a risk limit outside (0, 1), key
-files for another group, an input path that is missing, a directory or
-unreadable). An error prints one line, "Class:
+a broken line chain or signature, an invalid group, a count beyond its bound,
+missing or failing decryption shares, an ambiguous receipt, a board already
+tallied); 3 a usage or scenario fault (a bad scenario file or threshold, a
+risk limit outside (0, 1), key files for another group, an input path that is
+missing, a directory or unreadable). An error prints one line, "Class:
 message", to stdout with code 2 and to stderr otherwise. STARLOCK_GROUP, the
 only environment variable consulted, is keygen's default --group.
 """
@@ -35,7 +35,6 @@ from collections import Counter
 from . import audit as audit_mod
 from . import verifier as verifier_mod
 from .board import Board
-from .boardformat import index_lines
 from .elgamal import Keypair, keygen
 from .errors import MalformedRecord, ScenarioError, StarlockError
 from .group import GROUPS, resolve_group
@@ -136,7 +135,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_tally(args) -> int:
     manifest = ElectionManifest.load(args.manifest)
-    board = Board.load(args.board)
+    board = Board.load(args.board, manifest)
     shares = [_load(p, TrusteeShare.from_json) for p in args.shares]
     office = _load_office(args.office, manifest.gp, manifest.office_pk)
     outcome = finish_election(board, manifest, shares, office, load_json(args.cvrs),
@@ -174,22 +173,19 @@ def cmd_verify(args) -> int:
 
 def cmd_audit(args) -> int:
     manifest = ElectionManifest.load(args.manifest)
-    lines = verifier_mod.parse_lines(verifier_mod.read_board_lines(args.board))
+    index = verifier_mod.parse_lines(verifier_mod.read_board_lines(args.board), manifest)
     try:
         published = load_json(args.commitments) if args.commitments else None
-        outcome = audit_mod.run_audit(lines, manifest, load_json(args.cvrs),
+        outcome = audit_mod.run_audit(index, manifest, load_json(args.cvrs),
                                       load_json(args.papers), args.seed, args.alpha, published)
     except StarlockError as exc:
         print(json.dumps({"verdict": "ABORTED", "reason": str(exc)}, indent=2))
         return FAIL
-    printable = dict(outcome)
-    if math.isinf(printable["p_value"]):
-        printable["p_value"] = "inf"
-    printable["trajectory"] = [
-        {**step, "P_j": ("inf" if math.isinf(step["P_j"]) else step["P_j"])}
-        for step in outcome["trajectory"]
-    ]
-    print(json.dumps(printable, indent=2))
+    def finite(p):  # JSON has no infinity
+        return "inf" if math.isinf(p) else p
+
+    print(json.dumps({**outcome, "p_value": finite(outcome["p_value"]), "trajectory": [
+        {**step, "P_j": finite(step["P_j"])} for step in outcome["trajectory"]]}, indent=2))
     return PASS if outcome["verdict"] == audit_mod.CONFIRMED else FAIL
 
 
@@ -198,8 +194,8 @@ def cmd_audit(args) -> int:
 
 def cmd_receipt_check(args) -> int:
     manifest = ElectionManifest.load(args.manifest)
-    index = index_lines(verifier_mod.parse_lines(verifier_mod.read_board_lines(args.board)))
-    status, plaintext = verifier_mod.lookup_receipt(index, manifest, args.terminal, args.code)
+    index = verifier_mod.parse_lines(verifier_mod.read_board_lines(args.board), manifest)
+    status, plaintext = verifier_mod.lookup_receipt(index, args.terminal, args.code)
     if status == verifier_mod.NOT_FOUND:
         print(f"receipt {args.code} on terminal {args.terminal}: NOT FOUND")
         return FAIL

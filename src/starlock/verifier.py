@@ -7,7 +7,8 @@ decryption proof, the homomorphic aggregate, the announced counts, and the
 per-contest sum identity. The board is parsed once, into the index that
 every check reads, and each record is decoded where a check reads it.
 Failures, malformed records included, are report items naming the first
-affected line or entry; nothing here raises on adversarial input.
+affected line or entry; nothing here raises on adversarial input. Other
+commands refuse such a board in parse_lines, the strict read of boardformat.
 
 Proof equations are batched per check (ballot_proofs, decryptions, tally;
 chaum_pedersen.batched) in a large group: every membership, range,
@@ -37,13 +38,13 @@ from .boardformat import (
     TallyRecord,
     TerminalClose,
     at_line,
+    canonical_break,
     column_bound,
     fold_ballots,
-    line_fault,
-    parse_line,
+    parse_lines,  # the strict read, which the commands call as verifier.parse_lines
     read_board,
     read_board_lines,  # the commands read board files as verifier.read_board_lines
-    signature_verifies,
+    signature_fault,
     spoiled_context,
     spoiled_plaintext,
     tally_context,
@@ -51,13 +52,7 @@ from .boardformat import (
 from .chain import chain_hash, initial_chain_seed, receipt_code
 from .chaum_pedersen import batched
 from .elgamal import Ciphertext
-from .errors import (
-    AmbiguousReceipt,
-    BadShareProof,
-    ChainBroken,
-    InsufficientShares,
-    MalformedRecord,
-)
+from .errors import AmbiguousReceipt, BadShareProof, InsufficientShares, MalformedRecord
 from .manifest import ElectionManifest
 from .serialize import DIGEST, decode_field, sha256
 from .trustees import combine_in_exponent
@@ -108,27 +103,19 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def parse_lines(raw_lines):
-    """Each line's JSON object, with no chain check: the audit's and
-    receipt-check's read. Raises ChainBroken at a line that is none."""
-    return [parse_line(lineno, raw) for lineno, raw in enumerate(raw_lines)]
-
-
-def check_line_chain(index: BoardIndex) -> list:
+def check_line_chain(index: BoardIndex, raw_lines: list) -> list:
     """Every line is a canonical JSON object embedding the previous line's hash."""
-    if index.broken:
-        lineno, reason = index.broken
+    broken = canonical_break(index, raw_lines)
+    if broken:
+        lineno, reason = broken
         return [ReportItem("line_chain", False, reason, line=lineno)]
     return [ReportItem("line_chain", True, f"{len(index.lines)} lines linked")]
 
 
 def check_signatures(index: BoardIndex, manifest: ElectionManifest) -> list:
-    for lineno, line in index.signatures:
-        args = (line, manifest.office_pk, manifest.gp, manifest.election_id)
-        if not at_line(lineno, signature_verifies, *args):
-            return [ReportItem("signature", False, "signature does not verify", line=lineno)]
-    if not index.lines or index.lines[-1].get("kind") != "signature":
-        return [ReportItem("signature", False, "final line is not a signature", line=index.last)]
+    fault = signature_fault(index, manifest, index.signatures)
+    if fault:
+        return [ReportItem("signature", False, fault[1], line=fault[0])]
     return [ReportItem("signature", True, f"{len(index.signatures)} signature(s) verify")]
 
 
@@ -369,7 +356,7 @@ def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
     raw_lines = list(raw_lines)
     index = read_board(raw_lines)
     digest = sha256("\n".join(raw_lines).encode("utf-8")) if manifest.gp.large else b""
-    report = VerificationReport(check_line_chain(index))
+    report = VerificationReport(check_line_chain(index, raw_lines))
     for check, run in (("signature", check_signatures), ("terminal_chain", verify_chain)):
         report.items.extend(_guarded(check, run, index, manifest))
     report.items.extend(verify_proofs(index, manifest, digest))
@@ -377,14 +364,13 @@ def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
     return report
 
 
-def lookup_receipt(index: BoardIndex, manifest: ElectionManifest, terminal_id: str, code: str):
+def lookup_receipt(index: BoardIndex, terminal_id: str, code: str):
     """Match a take-home receipt against an index of the board's lines.
 
     Returns (FOUND_CAST, None), (FOUND_SPOILED, plaintext or None), or
     (NOT_FOUND, None). Raises AmbiguousReceipt when the truncated code
-    matches more than one entry of that terminal, MalformedRecord at an
-    entry of that terminal whose z is missing or not a 32-byte digest, and
-    ChainBroken at a decryption line of the match that does not fit its kind."""
+    matches more than one entry of that terminal, and MalformedRecord at an
+    entry of that terminal whose z is not a 32-byte digest."""
     matches = []
     for pos, (k, _, line) in enumerate(index.entries):
         if line.get("terminal") == terminal_id:
@@ -398,9 +384,4 @@ def lookup_receipt(index: BoardIndex, manifest: ElectionManifest, terminal_id: s
     if index.statuses[k] == CAST:
         return FOUND_CAST, None
     decs = index.decryptions.get(k)
-    if not decs:
-        return FOUND_SPOILED, None
-    lineno, line = decs[-1]
-    if line_fault(line):
-        raise ChainBroken(lineno, line_fault(line))
-    return FOUND_SPOILED, line["plaintext"]
+    return FOUND_SPOILED, decs[-1][1]["plaintext"] if decs else None

@@ -14,7 +14,7 @@ import random
 from starlock.audit import build_cvrs
 from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballot
 from starlock.board import Board
-from starlock.boardformat import CAST, EncryptedBallotRecord
+from starlock.boardformat import CAST, EncryptedBallotRecord, read_board
 from starlock.chain import chain_hash, initial_chain_seed
 from starlock.elgamal import keygen
 from starlock.group import GROUPS, TEST_GROUP, GroupParams
@@ -152,19 +152,34 @@ def demo_commands(tmp_path, run=demo_run):
     }
 
 
-def synthetic_comparison_record(n=100, winner_votes=55, flips=0, cvr_seed=4242):
+def synthetic_entry(k, status=CAST):
+    """Entry line k of a synthetic record: its keys fit the entry kind, but it
+    holds no ballot; only its index and status are ever read."""
+    return {"kind": "entry", "index": str(k), "status": status, "ballot": {}, "proof": {},
+            "terminal": "T1", "z": "00" * 32, "timestamp": "1"}
+
+
+def synthetic_comparison_record(n=100, winner_votes=55, flips=0, blanks=0, seats=1,
+                                extra=(), tallied=True, cvr_seed=4242):
     """A minimal published record for exercising the audit layer alone.
 
-    n CAST entries over one two-option contest "race": the first winner_votes
-    records vote A, the rest B, and the reported tally says so. The paper
-    summaries agree except that the first `flips` A-voters' papers read B.
-    Returns (board lines, manifest, cvr store, papers)."""
+    n CAST entries over one contest "race" with options A and B and, when
+    seats > 1, sure winners S1, ..., which every ballot also marks: the
+    first winner_votes records vote A, the rest B, and the reported tally
+    says so. The paper summaries agree except that the first `flips`
+    A-voters' papers read B and the next `blanks` A-voters' papers mark
+    neither A nor B. The board holds the header, the entries, the `extra`
+    lines, the tally line (unless not tallied) and the office's signature,
+    chained. Returns (the board's read_board index, manifest, cvr store,
+    papers)."""
     gp = TEST_GROUP
     rng = random.Random(1)
     jpk, _ = dkg(1, 1, gp, rng)
     office = keygen(gp, rng)
+    sure = [f"S{j}" for j in range(1, seats)]
     style = BallotStyle(
-        style_id="s", contests=(Contest(contest_id="race", options=("A", "B"), limit=1),)
+        style_id="s",
+        contests=(Contest(contest_id="race", options=("A", "B", *sure), limit=seats),),
     )
     manifest = ElectionManifest(
         election_id="audit-lab",
@@ -179,29 +194,26 @@ def synthetic_comparison_record(n=100, winner_votes=55, flips=0, cvr_seed=4242):
     records, papers = [], []
     for i in range(n):
         reported = "A" if i < winner_votes else "B"
-        on_paper = "B" if i < flips else reported
+        on_paper = ["B"] if i < flips else [] if i < flips + blanks else [reported]
         serial = f"S{i:04d}"
         records.append(
             {
                 "serial": serial,
                 "index": i,
-                "plaintext": {"style_id": "s", "selections": {"race": [reported]}, "writeins": []},
+                "plaintext": {"style_id": "s", "selections": {"race": [reported, *sure]},
+                              "writeins": []},
             }
         )
-        papers.append(
-            {"serial": serial, "contests": {"race": {"selections": [on_paper], "writein": False}}}
-        )
+        papers.append({"serial": serial, "contests": {
+            "race": {"selections": [*on_paper, *sure], "writein": False}}})
     cvrs = build_cvrs(records, manifest, random.Random(cvr_seed))
-    lines = [{"kind": "entry", "index": str(i), "status": "CAST"} for i in range(n)]
-    lines.append(
-        {
-            "kind": "tally",
-            "result": {
-                "race": {"A": str(winner_votes), "B": str(n - winner_votes), "(abstain)": "0"}
-            },
-        }
-    )
-    return lines, manifest, cvrs, papers
+    result = {"A": str(winner_votes), "B": str(n - winner_votes), "(abstain)": "0",
+              **{option: str(n) for option in sure}}
+    tally = {"kind": "tally", "columns": [], "result": {"race": result}, "cast": {}}
+    lines = [{"kind": "header", "election_id": "audit-lab", "version": "1"},
+             *(synthetic_entry(i) for i in range(n)), *extra, *([tally] if tallied else [])]
+    board = read_board(rechain(lines, "audit-lab", office, gp))
+    return board, manifest, cvrs, papers
 
 
 def margin_scenario(trial, rng):

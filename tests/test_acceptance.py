@@ -16,6 +16,7 @@ from helpers import (
     finish,
     hundred_entry_board,
     margin_scenario,
+    rechain,
     synthetic_comparison_record,
 )
 from starlock.audit import KMState, overstatement, run_audit
@@ -26,7 +27,7 @@ from starlock.ballot import (
     encrypt_ballot,
     verify_ballot,
 )
-from starlock.boardformat import index_lines
+from starlock.boardformat import read_board
 from starlock.group import TEST_GROUP
 from starlock.scenario import (
     Scenario,
@@ -42,7 +43,6 @@ from starlock.verifier import (
     FOUND_SPOILED,
     NOT_FOUND,
     lookup_receipt,
-    parse_lines,
     verify_board,
     verify_chain,
 )
@@ -77,7 +77,7 @@ def test_criterion_2_verifier_tally_and_audit_agree_on_honest_runs() -> None:
         assert outcome["tally"].result == expected["counts"], f"trial {trial}"
         seed = f"{rng.randrange(10 ** 20):020d}"
         audit = run_audit(
-            parse_lines(raw), result["manifest"], result["cvrs"],
+            read_board(raw), result["manifest"], result["cvrs"],
             result["papers"], seed, 0.1,
         )
         assert audit["verdict"] == "CONFIRMED", f"trial {trial}"
@@ -118,35 +118,35 @@ def test_criterion_3_every_challenged_ballot_exposes_a_rigged_terminal() -> None
 
 
 def test_criterion_4_chain_tampering_is_caught_and_named() -> None:
-    board, manifest, _ = hundred_entry_board()
-    pristine = board_raw_lines(board)
+    board, manifest, office = hundred_entry_board()
     entry_pos = {
         int(line["index"]): pos
-        for pos, line in enumerate(parse_lines(pristine))
+        for pos, line in enumerate(board.lines())
         if line.get("kind") == "entry"
     }
 
     def first_failure(lines):
-        bad = [item for item in verify_chain(index_lines(lines), manifest) if not item.ok]
+        index = read_board(rechain(lines, manifest.election_id, office, manifest.gp))
+        bad = [item for item in verify_chain(index, manifest) if not item.ok]
         assert bad, "tampering went unnoticed"
         return bad[0]
 
     rng = random.Random(4004)
     checked = 0
     for i in rng.sample(range(100), 10):  # substitution: swap in another entry's ballot
-        lines = parse_lines(pristine)
+        lines = board.lines()
         donor = lines[entry_pos[(i + 37) % 100]]
         victim = lines[entry_pos[i]]
         victim["ballot"], victim["proof"] = donor["ballot"], donor["proof"]
         assert first_failure(lines).entry == i
         checked += 1
     for i in rng.sample(range(99), 10):  # deletion: the next entry's link breaks
-        lines = parse_lines(pristine)
+        lines = board.lines()
         del lines[entry_pos[i]]
         assert first_failure(lines).entry == i + 1
         checked += 1
     for i in rng.sample(range(99), 10):  # reorder: adjacent swap
-        lines = parse_lines(pristine)
+        lines = board.lines()
         a, b = entry_pos[i], entry_pos[i + 1]
         lines[a], lines[b] = lines[b], lines[a]
         assert first_failure(lines).entry == i + 1
@@ -172,8 +172,8 @@ def test_criterion_5_risk_product_desk_check() -> None:
     assert p45 <= 0.1
     assert state.draws == 45
 
-    lines, manifest, cvrs, papers = synthetic_comparison_record()
-    out = run_audit(lines, manifest, cvrs, papers, "09876543210987654321", 0.1)
+    board, manifest, cvrs, papers = synthetic_comparison_record()
+    out = run_audit(board, manifest, cvrs, papers, "09876543210987654321", 0.1)
     assert out["verdict"] == "CONFIRMED"
     assert out["draws"] == 45
     assert abs(out["p_value"] - 0.09944025698709225) <= 1e-9
@@ -185,10 +185,10 @@ def test_criterion_6_wrong_outcomes_rarely_survive_the_audit() -> None:
     # 10 of 100 papers flip A->B, so B actually won 55-45 while the board
     # says A. A wrong confirmation needs 45 draws that all miss the 10
     # flipped ballots: 0.9^45 ~= 0.0087, far under the 0.13 ceiling.
-    lines, manifest, cvrs, papers = synthetic_comparison_record(flips=10)
+    board, manifest, cvrs, papers = synthetic_comparison_record(flips=10)
     confirmed = escalated = 0
     for i in range(1000):
-        out = run_audit(lines, manifest, cvrs, papers, f"{i:020d}", 0.1)
+        out = run_audit(board, manifest, cvrs, papers, f"{i:020d}", 0.1)
         if out["verdict"] == "CONFIRMED":
             confirmed += 1
         else:
@@ -299,11 +299,10 @@ def test_criterion_8_proof_battery_accepts_honest_and_rejects_perturbed() -> Non
 
 def test_criterion_9_receipts_resolve_and_fabrications_do_not() -> None:
     result, _ = demo_run()
-    index = index_lines(parse_lines(board_raw_lines(result["board"])))
-    manifest = result["manifest"]
+    index = read_board(board_raw_lines(result["board"]))
     for row in result["receipts"]:
         assert len(row["code"]) == 20
-        status, _ = lookup_receipt(index, manifest, row["terminal"], row["code"])
+        status, _ = lookup_receipt(index, row["terminal"], row["code"])
         expected = FOUND_CAST if row["status"] == "CAST" else FOUND_SPOILED
         assert status == expected, row
     alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZ234567"
@@ -312,7 +311,7 @@ def test_criterion_9_receipts_resolve_and_fabrications_do_not() -> None:
     for _ in range(10_000):
         code = "".join(rng.choices(alphabet, k=20))
         terminal = rng.choice(["T1", "T2"])
-        status, _ = lookup_receipt(index, manifest, terminal, code)
+        status, _ = lookup_receipt(index, terminal, code)
         if status != NOT_FOUND:
             false_positives += 1
     assert false_positives == 0

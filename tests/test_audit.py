@@ -9,12 +9,19 @@ a short closed-form product that was computed by hand first.
 import copy
 import json
 import math
-
+from collections import Counter
 from itertools import islice
 
 import pytest
 
-from helpers import board_raw_lines, demo_commands, demo_run, finish, synthetic_comparison_record
+from helpers import (
+    board_raw_lines,
+    demo_commands,
+    demo_run,
+    finish,
+    synthetic_comparison_record,
+    synthetic_entry,
+)
 from starlock import audit
 from starlock.audit import (
     KMState,
@@ -32,10 +39,10 @@ from starlock.audit import (
     run_audit,
 )
 from starlock.ballot import BallotStyle, Contest
+from starlock.boardformat import read_board
 from starlock.cli import main
 from starlock.errors import CommitmentMismatch, MalformedRecord, MarginNotPositive, StarlockError
 from starlock.scenario import Scenario, Voter, run_scenario
-from starlock.serialize import canonical_json
 
 SEED_A = "09876543210987654321"
 SEED_B = "00000000000000000001"
@@ -295,8 +302,8 @@ def test_hand_count_counts_each_option_once_and_no_overvote(selections, counts, 
 
 
 def test_honest_audit_confirms_in_45_draws() -> None:
-    lines, manifest, cvrs, papers = synthetic_comparison_record()
-    out = run_audit(lines, manifest, cvrs, papers, SEED_A, 0.1)
+    board, manifest, cvrs, papers = synthetic_comparison_record()
+    out = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1)
     assert out["verdict"] == "CONFIRMED"
     assert out["draws"] == 45
     assert abs(out["p_value"] - 0.09944025698709225) <= 1e-9
@@ -319,22 +326,22 @@ def test_audit_works_out_each_draws_overstatement_once(monkeypatch) -> None:
         return overstatement(*args)
 
     monkeypatch.setattr(audit, "overstatement", counted)
-    out = run_audit(result["board"].lines(), result["manifest"], result["cvrs"],
-                    result["papers"], SEED_A, 0.1)
+    out = run_audit(read_board(board_raw_lines(result["board"])), result["manifest"],
+                    result["cvrs"], result["papers"], SEED_A, 0.1)
     assert out["draws"] > 0
     assert len(calls) == out["draws"]
 
 
 def test_audit_is_reproducible() -> None:
-    lines, manifest, cvrs, papers = synthetic_comparison_record()
-    first = run_audit(lines, manifest, cvrs, papers, SEED_A, 0.1)
-    second = run_audit(lines, manifest, cvrs, papers, SEED_A, 0.1)
+    board, manifest, cvrs, papers = synthetic_comparison_record()
+    first = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1)
+    second = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1)
     assert first == second
 
 
 def test_flipped_papers_force_a_full_hand_count() -> None:
-    lines, manifest, cvrs, papers = synthetic_comparison_record(flips=55)
-    out = run_audit(lines, manifest, cvrs, papers, SEED_B, 0.1)
+    board, manifest, cvrs, papers = synthetic_comparison_record(flips=55)
+    out = run_audit(board, manifest, cvrs, papers, SEED_B, 0.1)
     assert out["verdict"] == "FULL_HAND_COUNT"
     assert out["p_value"] == math.inf
     assert out["draws"] == 100
@@ -344,54 +351,83 @@ def test_flipped_papers_force_a_full_hand_count() -> None:
     assert out["result"] == {"race": {"A": 0, "B": 100}}
 
 
+# Wrong reported outcomes of the default 55-45 record: (papers edited, seats).
+# Blank papers are 1-vote overstatements, flipped papers 2-vote ones; with
+# seats=2 every ballot also marks a sure winner, so margin_pairs walks two pairs.
+WRONG_OUTCOMES = {
+    "blank-papers": ({"blanks": 11}, 1),  # true result 44-45
+    "flipped-papers": ({"flips": 6}, 1),  # true result 49-51
+    "tie": ({"blanks": 10}, 1),  # true result 45-45
+    "two-seats": ({"blanks": 11}, 2),  # true result S1 100, A 44, B 45
+}
+RISK_TRIALS = 250
+RISK_ALPHA = 0.1
+
+
+@pytest.mark.parametrize("edit, seats", WRONG_OUTCOMES.values(), ids=WRONG_OUTCOMES.keys())
+def test_a_wrong_outcome_is_confirmed_at_most_alpha_of_the_time(edit, seats) -> None:
+    """The risk limit as a property: over RISK_TRIALS seeds, an audit confirms
+    a wrong outcome in at most alpha of them, plus three standard deviations
+    of a Binomial(RISK_TRIALS, alpha) count (39 of 250), and escalates to a
+    full hand count otherwise; the correct record confirms on every seed."""
+    board, manifest, cvrs, papers = synthetic_comparison_record(seats=seats, **edit)
+    verdicts = Counter(run_audit(board, manifest, cvrs, papers, f"{seed:020d}", RISK_ALPHA)[
+        "verdict"] for seed in range(RISK_TRIALS))
+    margin = 3 * math.sqrt(RISK_TRIALS * RISK_ALPHA * (1 - RISK_ALPHA))
+    assert verdicts["CONFIRMED"] <= RISK_TRIALS * RISK_ALPHA + margin, verdicts
+    assert verdicts["CONFIRMED"] + verdicts["FULL_HAND_COUNT"] == RISK_TRIALS
+    board, manifest, cvrs, papers = synthetic_comparison_record(seats=seats)
+    for seed in range(20):
+        out = run_audit(board, manifest, cvrs, papers, f"{seed:020d}", RISK_ALPHA)
+        assert out["verdict"] == "CONFIRMED", seed
+
+
 def test_audit_accepts_the_separately_published_digests() -> None:
-    lines, manifest, cvrs, papers = synthetic_comparison_record()
+    board, manifest, cvrs, papers = synthetic_comparison_record()
     published = published_commitments(cvrs)
-    out = run_audit(lines, manifest, cvrs, papers, SEED_A, 0.1, published=published)
+    out = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1, published=published)
     assert out["verdict"] == "CONFIRMED"
 
 
 def test_tampered_cvr_row_is_caught_on_its_first_draw() -> None:
-    lines, manifest, cvrs, papers = synthetic_comparison_record()
+    board, manifest, cvrs, papers = synthetic_comparison_record()
     published = published_commitments(cvrs)
     cooked = copy.deepcopy(cvrs)
     cooked[80]["contests"]["race"]["selections"] = ["A"]  # first draw of SEED_A
     with pytest.raises(CommitmentMismatch):
-        run_audit(lines, manifest, cooked, papers, SEED_A, 0.1, published=published)
+        run_audit(board, manifest, cooked, papers, SEED_A, 0.1, published=published)
 
 
 def test_missing_published_row_is_caught() -> None:
-    lines, manifest, cvrs, papers = synthetic_comparison_record()
+    board, manifest, cvrs, papers = synthetic_comparison_record()
     published = [row for row in published_commitments(cvrs) if row["index"] != 80]
     with pytest.raises(CommitmentMismatch):
-        run_audit(lines, manifest, cvrs, papers, SEED_A, 0.1, published=published)
+        run_audit(board, manifest, cvrs, papers, SEED_A, 0.1, published=published)
 
 
 def test_audit_preconditions() -> None:
-    lines, manifest, cvrs, papers = synthetic_comparison_record()
+    board, manifest, cvrs, papers = synthetic_comparison_record()
     with pytest.raises(StarlockError):
-        run_audit(lines, manifest, cvrs[:-1], papers, SEED_A, 0.1)  # CVR gap
+        run_audit(board, manifest, cvrs[:-1], papers, SEED_A, 0.1)  # CVR gap
     with pytest.raises(StarlockError):
-        run_audit(lines, manifest, cvrs, papers + [dict(papers[0])], SEED_A, 0.1)
+        run_audit(board, manifest, cvrs, papers + [dict(papers[0])], SEED_A, 0.1)
     with pytest.raises(StarlockError):
-        run_audit(lines, manifest, cvrs, papers[:-1], SEED_A, 0.1)  # lost paper
+        run_audit(board, manifest, cvrs, papers[:-1], SEED_A, 0.1)  # lost paper
     with pytest.raises(ValueError):
-        run_audit(lines, manifest, cvrs, papers, SEED_A, 0.0)
+        run_audit(board, manifest, cvrs, papers, SEED_A, 0.0)
     with pytest.raises(ValueError):
-        run_audit(lines, manifest, cvrs, papers, SEED_A, 1.0)
+        run_audit(board, manifest, cvrs, papers, SEED_A, 1.0)
     with pytest.raises(ValueError):
-        run_audit(lines, manifest, cvrs, papers, "42", 0.1)
+        run_audit(board, manifest, cvrs, papers, "42", 0.1)
+    untallied, *_ = synthetic_comparison_record(tallied=False)
     with pytest.raises(StarlockError):
-        run_audit(lines[:-1], manifest, cvrs, papers, SEED_A, 0.1)  # no tally line
+        run_audit(untallied, manifest, cvrs, papers, SEED_A, 0.1)  # no tally line
 
 
 def test_spoiled_entries_stay_out_of_the_population() -> None:
-    lines, manifest, cvrs, papers = synthetic_comparison_record()
-    lines = lines[:-1] + [
-        {"kind": "entry", "index": "100", "status": "SPOILED"},
-        lines[-1],
-    ]
-    out = run_audit(lines, manifest, cvrs, papers, SEED_A, 0.1)
+    board, manifest, cvrs, papers = synthetic_comparison_record(
+        extra=[synthetic_entry(100, "SPOILED")])
+    out = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1)
     assert out["N"] == 100
     assert out["verdict"] == "CONFIRMED"
 
@@ -399,12 +435,12 @@ def test_spoiled_entries_stay_out_of_the_population() -> None:
 @pytest.mark.parametrize("file, key", [("cvrs", "index"), ("papers", "contests"),
                                        ("commitments", "serial")])
 def test_a_row_without_its_field_is_a_malformed_record(file, key, tmp_path, capsys) -> None:
-    lines, manifest, cvrs, papers = synthetic_comparison_record()
+    board, manifest, cvrs, papers = synthetic_comparison_record()
     files = copy.deepcopy({"cvrs": cvrs, "papers": papers,
                            "commitments": published_commitments(cvrs)})
     del files[file][7][key]
     with pytest.raises(MalformedRecord) as exc:
-        run_audit(lines, manifest, files["cvrs"], files["papers"], SEED_A, 0.1,
+        run_audit(board, manifest, files["cvrs"], files["papers"], SEED_A, 0.1,
                   published=files["commitments"])
     assert exc.value.detail == f"{file}[7].{key}: missing"
 
@@ -412,7 +448,7 @@ def test_a_row_without_its_field_is_a_malformed_record(file, key, tmp_path, caps
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
         argv += [f"--{name}", str(tmp_path / f"{name}.json")]
-    (tmp_path / "board.jsonl").write_text("".join(canonical_json(x) + "\n" for x in lines))
+    (tmp_path / "board.jsonl").write_text("".join(text + "\n" for text in board.texts))
     manifest.save(tmp_path / "params.json")
     argv += ["--board", str(tmp_path / "board.jsonl"), "--manifest", str(tmp_path / "params.json")]
     assert main(argv) == 2

@@ -28,6 +28,7 @@ from starlock.boardformat import CAST, GENESIS_HASH, SPOILED, EncryptedBallotRec
 from starlock.elgamal import keygen
 from starlock.errors import (
     BadShareProof,
+    ChainBroken,
     InsufficientShares,
     MalformedRecord,
     NotSpoiled,
@@ -60,6 +61,11 @@ def setup_keys(seed=90):
 def make_record(pb, jpk, rng, terminal="T1", z=b"\x01" * 32, ts=1):
     eb, proof = encrypt_ballot(pb, STYLE, jpk.K, GP, rng, EID)
     return EncryptedBallotRecord(ballot=eb, proof=proof, terminal_id=terminal, z=z, timestamp=ts)
+
+
+def manifest_for(jpk, office_pk, election_id=EID):
+    return ElectionManifest(election_id=election_id, gp=GP, jpk=jpk, office_pk=office_pk,
+                            styles=(STYLE,), terminal_seeds={}, salt=b"\x00" * 16, ttl=1)
 
 
 def ballot(*opts, writein=False):
@@ -153,7 +159,7 @@ def test_write_load_round_trip(tmp_path) -> None:
     board.sign_board(office, GP)
     path = tmp_path / "board.jsonl"
     board.write(path)
-    reloaded = Board.load(path)
+    reloaded = Board.load(path, manifest_for(jpk, office.pk))
     assert reloaded.lines() == board.lines()
     assert reloaded.election_id == EID
     assert reloaded.last_hash == board.last_hash
@@ -168,7 +174,7 @@ def test_write_and_lines_reuse_each_line_text(tmp_path, monkeypatch) -> None:
     monkeypatch.setattr("starlock.board.canonical_json", None)  # no second serialisation
     path = tmp_path / "board.jsonl"
     board.write(path)
-    Board.load(path).write(tmp_path / "again.jsonl")
+    Board.load(path, manifest_for(jpk, office.pk)).write(tmp_path / "again.jsonl")
     assert path.read_text() == (tmp_path / "again.jsonl").read_text() == expected
 
 
@@ -180,13 +186,14 @@ def test_load_rejects_edited_or_reformatted_files(tmp_path) -> None:
     path = tmp_path / "board.jsonl"
     board.write(path)
     text = path.read_text().splitlines()
+    manifest = manifest_for(jpk, office.pk)
 
     edited = tmp_path / "edited.jsonl"
     line = json.loads(text[1])
     line["status"] = SPOILED
     edited.write_text("\n".join([text[0], canonical_json(line)] + text[2:]) + "\n")
     with pytest.raises(StarlockError):
-        Board.load(edited)
+        Board.load(edited, manifest)
 
     # same data, non-canonical whitespace on the last line
     pretty = tmp_path / "pretty.jsonl"
@@ -194,13 +201,29 @@ def test_load_rejects_edited_or_reformatted_files(tmp_path) -> None:
     pretty_last = json.dumps(last, sort_keys=True, separators=(", ", ": "))
     pretty.write_text("\n".join(text[:-1] + [pretty_last]) + "\n")
     with pytest.raises(StarlockError):
-        Board.load(pretty)
+        Board.load(pretty, manifest)
 
     headless = tmp_path / "headless.jsonl"
     headless.write_text(canonical_json({"kind": "status", "ref": "0", "status": CAST,
                                         "prev": GENESIS_HASH}) + "\n")
     with pytest.raises(StarlockError):
-        Board.load(headless)
+        Board.load(headless, manifest)
+
+
+def test_load_refuses_a_board_the_office_did_not_sign(tmp_path) -> None:
+    jpk, _, office, rng = setup_keys()
+    board = Board(EID)
+    board.publish_entry(make_record(ballot("ada"), jpk, rng), CAST, STYLE, jpk.K, GP)
+    path = tmp_path / "board.jsonl"
+    board.write(path)
+    with pytest.raises(ChainBroken, match="board line 1: final line is not a signature"):
+        Board.load(path, manifest_for(jpk, office.pk))
+    board.sign_board(office, GP)
+    board.write(path)
+    other = keygen(GP, random.Random(91))
+    with pytest.raises(ChainBroken, match="board line 2: signature does not verify"):
+        Board.load(path, manifest_for(jpk, other.pk))
+    assert Board.load(path, manifest_for(jpk, office.pk)).lines() == board.lines()
 
 
 def test_aggregate_counts_only_effective_cast() -> None:
@@ -310,9 +333,8 @@ def test_publish_refuses_a_response_that_fails_only_its_equation() -> None:
 
 def _signature_holds(lines, jpk, office_pk, election_id=EID) -> bool:
     """The verdict of verify_board's one signature item on these lines."""
-    manifest = ElectionManifest(election_id=election_id, gp=GP, jpk=jpk, office_pk=office_pk,
-                                styles=(STYLE,), terminal_seeds={}, salt=b"\x00" * 16, ttl=1)
-    report = verify_board([canonical_json(line) for line in lines], manifest)
+    report = verify_board([canonical_json(line) for line in lines],
+                          manifest_for(jpk, office_pk, election_id))
     [item] = [item for item in report.items if item.check == "signature"]
     return item.ok
 

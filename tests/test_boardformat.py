@@ -4,18 +4,22 @@ one-pass index, as the tally tooling, the verifier and the audit share them."""
 import ast
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from helpers import board_raw_lines, demo_run, rechain, synthetic_comparison_record
+from helpers import synthetic_entry as entry
 from starlock.audit import run_audit
 from starlock.ballot import BallotStyle, Contest
-from starlock.boardformat import CAST, SPOILED, UNTALLIED, contest_columns, index_lines
+from starlock.boardformat import CAST, SPOILED, UNTALLIED, contest_columns, read_board
 from starlock.cli import main
+from starlock.elgamal import keygen
 from starlock.errors import ScenarioError, StarlockError
+from starlock.group import TEST_GROUP
 from starlock.scenario import Scenario, Voter
-from starlock.verifier import parse_lines, verify_board
+from starlock.verifier import verify_board
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "starlock"
 
@@ -23,17 +27,18 @@ MAYOR_XY = BallotStyle(style_id="a", contests=(Contest("mayor", ("x", "y")),))
 MAYOR_XYZ = BallotStyle(style_id="b", contests=(Contest("mayor", ("x", "y", "z")),))
 
 
-def entry(k, status=CAST):
-    return {"kind": "entry", "index": str(k), "status": status}
-
-
 def status(k, value):
     return {"kind": "status", "ref": str(k), "status": value}
 
 
+def chained(lines):
+    """read_board's index of the lines, chained and signed."""
+    return read_board(rechain(lines, "e", keygen(TEST_GROUP, random.Random(1)), TEST_GROUP))
+
+
 def test_status_lines_override_in_file_order_even_before_their_entry() -> None:
     lines = [
-        {"kind": "header"},
+        {"kind": "header", "election_id": "e", "version": "1"},
         status(1, UNTALLIED),
         entry(0),
         entry(1),
@@ -41,18 +46,19 @@ def test_status_lines_override_in_file_order_even_before_their_entry() -> None:
         status(0, CAST),
         entry(2, SPOILED),
     ]
-    index = index_lines(lines)
+    index = chained(lines)
+    assert index.broken is None
     assert index.statuses == {0: CAST, 1: UNTALLIED, 2: SPOILED}
     assert [k for k, _, _ in index.entries] == [0, 1, 2]
     assert index.refs == [(1, 1), (4, 0), (5, 0)]
     assert index.misnumbered == []
-    assert index_lines([entry(0), entry(2)]).misnumbered == [1]
+    assert chained([entry(0), entry(2)]).misnumbered == [1]
 
 
 def test_verifier_reads_a_leading_status_line_by_the_same_rule() -> None:
     result, _ = demo_run()
-    lines = parse_lines(board_raw_lines(result["board"]))
-    statuses = index_lines(lines).statuses
+    lines = result["board"].lines()
+    statuses = read_board(board_raw_lines(result["board"])).statuses
     k = min(i for i, s in statuses.items() if s == CAST)
     lines.insert(1, status(k, UNTALLIED))
     raw = rechain(lines, result["manifest"].election_id, result["office"], result["manifest"].gp)
@@ -63,18 +69,18 @@ def test_verifier_reads_a_leading_status_line_by_the_same_rule() -> None:
 
 
 def test_audit_reads_a_leading_status_line_by_the_same_rule() -> None:
-    lines, manifest, cvrs, papers = synthetic_comparison_record()
     # Entry 100 says CAST, but a status line before it demotes it; it has no
     # CVR row, so counting it as CAST would abort the audit.
-    lines = lines[:-1] + [status(100, SPOILED), entry(100), lines[-1]]
-    out = run_audit(lines, manifest, cvrs, papers, "01234567890123456789", 0.1)
+    board, manifest, cvrs, papers = synthetic_comparison_record(
+        extra=[status(100, SPOILED), entry(100)])
+    out = run_audit(board, manifest, cvrs, papers, "01234567890123456789", 0.1)
     assert out["N"] == 100
     assert out["verdict"] == "CONFIRMED"
 
 
 def test_dangling_references_fail_the_decryption_check() -> None:
     result, _ = demo_run()
-    lines = parse_lines(board_raw_lines(result["board"]))
+    lines = result["board"].lines()
     lines.append(status(999, CAST))
     raw = rechain(lines, result["manifest"].election_id, result["office"], result["manifest"].gp)
     report = verify_board(raw, result["manifest"])

@@ -15,7 +15,7 @@ from helpers import board_raw_lines, demo_commands, demo_run, rechain
 from starlock.cli import main
 from starlock.group import PROD_GROUP
 from starlock.scenario import make_demo_scenario
-from starlock.serialize import int_to_hex
+from starlock.serialize import canonical_json, int_to_hex
 from starlock.verifier import verify_board
 
 SEED20 = "01234567890123456789"
@@ -210,22 +210,26 @@ def test_manifest_with_an_invalid_group_is_refused(group, tmp_path, capsys) -> N
     assert len(out) == 2 and all(line.startswith("InvalidGroup: ") for line in out)
 
 
-@pytest.mark.parametrize("z", [None, "not hex"], ids=["no-z", "non-hex-z"])
-def test_receipt_check_refuses_an_entry_with_a_bad_z(z, tmp_path, capsys) -> None:
-    terminal = []
+@pytest.mark.parametrize("z, fault", [
+    (None, "ChainBroken: board line {}: entry line lacks z"),  # the strict read's line keys
+    ("not hex", "MalformedRecord: board line {}: z: "),  # the lookup's decode
+], ids=["no-z", "non-hex-z"])
+def test_receipt_check_refuses_an_entry_with_a_bad_z(z, fault, tmp_path, capsys) -> None:
+    where = []
 
     def mutate(lines):
         entry = next(line for line in lines if line["kind"] == "entry")
-        terminal.append(entry["terminal"])
+        where.append((lines.index(entry), entry["terminal"]))
         if z is None:
             del entry["z"]
         else:
             entry["z"] = z
 
     board, params = write_demo_record(tmp_path, retamper_demo(mutate))
+    lineno, terminal = where[0]
     assert main(["receipt-check", "--board", board, "--manifest", params,
-                 "--terminal", terminal[0], "--code", "A" * 20]) == 2
-    assert "MalformedRecord: board line" in capsys.readouterr().out
+                 "--terminal", terminal, "--code", "A" * 20]) == 2
+    assert capsys.readouterr().out.startswith(fault.format(lineno))
 
 
 def test_receipt_check_refuses_a_decryption_line_without_its_plaintext(tmp_path, capsys) -> None:
@@ -243,19 +247,62 @@ def test_receipt_check_refuses_a_decryption_line_without_its_plaintext(tmp_path,
     assert "ChainBroken: board line" in capsys.readouterr().out
 
 
+def forged_plaintext_boards():
+    """The demo board with the plaintext of the first spoiled receipt's
+    decryption line edited to a forged style: raw, and re-chained but still
+    carrying the office's old signature. Returns (decryption line number,
+    raw board lines, re-chained board lines)."""
+    result, _ = demo_run()
+    spoiled = next(r for r in result["receipts"] if r["status"] == "SPOILED")
+    lines = result["board"].lines()
+    at = next(i for i, x in enumerate(lines)
+              if x["kind"] == "decryption" and x["ref"] == str(spoiled["entry"]))
+    lines[at]["plaintext"] = dict(lines[at]["plaintext"], style_id="forged")
+    raw = board_raw_lines(result["board"])
+    manifest = result["manifest"]
+    rechained = rechain(lines, manifest.election_id, result["office"], manifest.gp)
+    resealed = dict(json.loads(rechained[-1]), sig=lines[-1]["sig"])
+    return at, [*raw[:at], canonical_json(lines[at]), *raw[at + 1:]], [
+        *rechained[:-1], canonical_json(resealed)]
+
+
+def test_a_forged_spoiled_plaintext_is_refused_by_every_reader(tmp_path, capsys) -> None:
+    """Raw-edited, the forged decryption line breaks the chain at the next
+    line; re-chained by anyone without the office's key, the final signature
+    fails. Every command that reads the board exits 2 naming that line,
+    where the receipt check once printed the forged plaintext as found."""
+    at, raw, rechained = forged_plaintext_boards()
+    board, commands = demo_commands(tmp_path)
+    last = len(rechained) - 1
+    for lines, fault in ((raw, f"board line {at + 1}: hash chain broken"),
+                         (rechained, f"board line {last}: signature does not verify")):
+        board.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for name in ("audit", "receipt-check", "receipt-check-spoiled"):
+            capsys.readouterr()
+            assert main(commands[name]) == 2, name
+            assert capsys.readouterr().out == f"ChainBroken: {fault}\n", name
+        capsys.readouterr()
+        assert main(commands["verify"]) == 2
+        assert fault.split(": ", 1)[1] in capsys.readouterr().out
+
+
 def test_receipt_check_reports_an_ambiguous_receipt_as_a_verdict(tmp_path, capsys) -> None:
-    """The first entry line twice, re-chained and re-signed: the receipt
-    matches two chain positions, and AmbiguousReceipt's own exit code ends
-    the command, its line on stdout."""
+    """The first entry line again as the next entry after the last,
+    re-chained and re-signed: the receipt matches two chain positions, and
+    AmbiguousReceipt's own exit code ends the command, its line on stdout."""
+    count = []
+
     def duplicate_first_entry(lines):
-        i = next(i for i, x in enumerate(lines) if x["kind"] == "entry")
-        lines.insert(i, dict(lines[i]))
+        positions = [i for i, x in enumerate(lines) if x["kind"] == "entry"]
+        count.append(len(positions))
+        lines.insert(positions[-1] + 1, dict(lines[positions[0]], index=str(len(positions))))
 
     board, commands = demo_commands(tmp_path)
     board.write_text("\n".join(retamper_demo(duplicate_first_entry)) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(commands["receipt-check"]) == 2
-    assert capsys.readouterr().out == "AmbiguousReceipt: receipt code matches entries [0, 0]\n"
+    assert capsys.readouterr().out == (
+        f"AmbiguousReceipt: receipt code matches entries [0, {count[0]}]\n")
 
 
 def test_tally_refuses_a_spoiled_entry_of_an_unknown_style(tmp_path, capsys) -> None:
@@ -457,8 +504,7 @@ def test_tally_refuses_an_office_key_pair_the_manifest_does_not_name(edit, tmp_p
 
 @pytest.mark.parametrize("kind", [["header"], {"header": 1}], ids=["list", "object"])
 def test_a_line_kind_that_is_not_a_string_exits_2_naming_the_line(tmp_path, capsys, kind) -> None:
-    """audit and receipt-check read the board without its chain check, so
-    the index refuses the kind itself; tally's chained read refuses the line."""
+    """Every command's strict read refuses the line: its kind has no line keys."""
     result, _ = demo_run()
     board, commands = demo_commands(tmp_path)
     lines = board_raw_lines(result["board"])

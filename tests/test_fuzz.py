@@ -8,6 +8,7 @@ sign, _, a space, empty, a non-hex digit). An edit that leaves the board
 unchanged is skipped. The verifier must never raise, every raw edit must fail a named
 check at a line, and every command (receipt-check on a cast and on a spoiled
 receipt) must end with exit 0 or 2: a board is an input, never an internal fault.
+On a raw edit, verify, audit and both receipt-checks must exit 2.
 
 A second corpus edits the operator files (manifest, CVR, paper, commitment,
 office key, trustee share and joint key files) the same way, plus hex values
@@ -28,6 +29,7 @@ from starlock.verifier import verify_board
 SEED = 5
 EDITS = 150  # each applied raw, and re-chained and re-signed
 VERIFY_EVERY = 8  # every edited board goes through the other commands, every 8th through verify
+READS_STRICTLY = ("audit", "receipt-check", "receipt-check-spoiled")  # besides tally
 KINDS = ("flip", "delete", "duplicate", "swap", "drop_key", "wrong_type", "bad_hex")
 WRONG_VALUES = ("zz", [], 7, None, {}, True)
 HEX = "0123456789abcdef"
@@ -138,8 +140,8 @@ def test_every_command_ends_with_a_documented_exit_code(tmp_path, capsys) -> Non
             board.write_text("\n".join(lines) + "\n", encoding="utf-8")
             code = main(argv)  # a traceback fails the test
             assert code in (0, 2), (name, kind, rechained, code)
-            if name == "verify" and not rechained:
-                assert code == 2, (kind, lines)
+            if name in ("verify", *READS_STRICTLY) and not rechained:
+                assert code == 2, (name, kind, lines)
     capsys.readouterr()
 
 

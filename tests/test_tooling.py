@@ -107,3 +107,21 @@ def test_only_serialize_py_reads_or_writes_json_files() -> None:
                     and {a.name for a in node.names} & {"load", "dump"}):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_a_board_index_is_built_only_by_read_board_and_the_board() -> None:
+    """BoardIndex is called only in boardformat.read_board and Board.__init__:
+    every command reads a board file through read_board, so no second reader
+    of the format can come back."""
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> its innermost enclosing function (ast.walk goes outside in)
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, scope.name) for node in ast.walk(scope))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "BoardIndex" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append(f"{path.name}:{owner.get(node, '<module>')}")
+    assert sorted(calls) == ["board.py:__init__", "boardformat.py:read_board"]

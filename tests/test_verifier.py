@@ -13,7 +13,7 @@ import pytest
 from helpers import board_raw_lines, demo_commands, demo_run, rechain
 from starlock.ballot import EncryptedBallot, PlaintextBallot, WellFormednessProof
 from starlock.board import Board
-from starlock.boardformat import ChainBroken, index_lines, read_board, spoiled_plaintext
+from starlock.boardformat import ChainBroken, read_board, spoiled_plaintext
 from starlock.cli import main
 from starlock.errors import AmbiguousReceipt
 from starlock.serialize import canonical_json
@@ -23,7 +23,6 @@ from starlock.verifier import (
     NOT_FOUND,
     check_line_chain,
     lookup_receipt,
-    parse_lines,
     verify_board,
 )
 
@@ -72,7 +71,7 @@ def test_edited_line_breaks_the_chain_at_the_next_line() -> None:
     line = json.loads(raw[target])
     line["timestamp"] = str(int(line["timestamp"]) + 1)
     raw = raw[:target] + [canonical_json(line)] + raw[target + 1 :]
-    items = check_line_chain(read_board(raw))
+    items = check_line_chain(read_board(raw), raw)
     assert not items[0].ok
     assert items[0].line == target + 1
     assert not verify_board(raw, result["manifest"]).overall
@@ -81,11 +80,11 @@ def test_edited_line_breaks_the_chain_at_the_next_line() -> None:
 def test_deleted_and_reordered_lines_break_the_chain() -> None:
     result, raw = demo_board()
     deleted = raw[:5] + raw[6:]
-    items = check_line_chain(read_board(deleted))
+    items = check_line_chain(read_board(deleted), deleted)
     assert not items[0].ok and items[0].line == 5
     swapped = raw[:]
     swapped[2], swapped[3] = swapped[3], swapped[2]
-    items = check_line_chain(read_board(swapped))
+    items = check_line_chain(read_board(swapped), swapped)
     assert not items[0].ok and items[0].line == 2
 
 
@@ -93,11 +92,11 @@ def test_non_canonical_or_unparseable_lines_are_rejected() -> None:
     _, raw = demo_board()
     pretty = raw[:]
     pretty[1] = json.dumps(json.loads(raw[1]), sort_keys=True, separators=(", ", ": "))
-    items = check_line_chain(read_board(pretty))
+    items = check_line_chain(read_board(pretty), pretty)
     assert not items[0].ok and "canonical" in items[0].detail
     garbage = raw[:]
     garbage[4] = "not json {"
-    items = check_line_chain(read_board(garbage))
+    items = check_line_chain(read_board(garbage), garbage)
     assert not items[0].ok and items[0].line == 4
 
 
@@ -113,7 +112,7 @@ def test_malformed_line_is_reported_and_the_other_lines_checked(bad, tmp_path) -
     path = tmp_path / "board.jsonl"
     path.write_text("\n".join(raw) + "\n", encoding="utf-8")
     with pytest.raises(ChainBroken) as err:
-        Board.load(path)
+        Board.load(path, result["manifest"])
     assert err.value.lineno == 5
 
 
@@ -144,7 +143,7 @@ def test_malformed_entry_is_reported_and_named(status, field, tmp_path) -> None:
         path = tmp_path / "board.jsonl"
         path.write_text("\n".join(raw) + "\n", encoding="utf-8")
         with pytest.raises(ChainBroken) as err:
-            Board.load(path)
+            Board.load(path, result["manifest"])
         assert err.value.lineno == edited[0]
 
 
@@ -420,12 +419,11 @@ def test_terminal_bookkeeping_failures() -> None:
 
 def test_every_scripted_receipt_resolves_to_its_status() -> None:
     result, raw = demo_board()
-    index = index_lines(parse_lines(raw))
-    manifest = result["manifest"]
+    index = read_board(raw)
     scenario = result["scenario"]
     assert result["receipts"], "demo must hand out receipts"
     for row in result["receipts"]:
-        status, plaintext = lookup_receipt(index, manifest, row["terminal"], row["code"])
+        status, plaintext = lookup_receipt(index, row["terminal"], row["code"])
         if row["status"] == "CAST":
             assert status == FOUND_CAST
             assert plaintext is None
@@ -439,12 +437,11 @@ def test_every_scripted_receipt_resolves_to_its_status() -> None:
 
 def test_receipt_misses() -> None:
     result, raw = demo_board()
-    index = index_lines(parse_lines(raw))
-    manifest = result["manifest"]
+    index = read_board(raw)
     row = result["receipts"][0]
     other_terminal = "T2" if row["terminal"] == "T1" else "T1"
-    assert lookup_receipt(index, manifest, other_terminal, row["code"]) == (NOT_FOUND, None)
-    assert lookup_receipt(index, manifest, row["terminal"], "A" * 20) == (NOT_FOUND, None)
+    assert lookup_receipt(index, other_terminal, row["code"]) == (NOT_FOUND, None)
+    assert lookup_receipt(index, row["terminal"], "A" * 20) == (NOT_FOUND, None)
 
 
 def test_colliding_receipts_are_flagged_ambiguous() -> None:
@@ -453,11 +450,12 @@ def test_colliding_receipts_are_flagged_ambiguous() -> None:
     z = "ab" * 32
     entry = {
         "kind": "entry", "index": "0", "terminal": "T1", "timestamp": "1",
-        "status": "CAST", "z": z,
+        "status": "CAST", "z": z, "ballot": {}, "proof": {},
     }
     twin = dict(entry, index="1", timestamp="2")
     from starlock.chain import receipt_code
 
     code = receipt_code(bytes.fromhex(z))
     with pytest.raises(AmbiguousReceipt):
-        lookup_receipt(index_lines([entry, twin]), manifest, "T1", code)
+        lookup_receipt(read_board(rechain([entry, twin], manifest.election_id,
+                                          result["office"], manifest.gp)), "T1", code)
