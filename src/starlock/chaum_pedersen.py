@@ -75,8 +75,7 @@ class Immediate:
         p = self.gp.p
         if m:
             y = y * pow(pow(self.gp.g, m, p), -1, p) % p
-        raised = self.gp.comb(base, s, p) if fixed and self.gp.large else pow(base, s, p)
-        return raised == commit * pow(y, c, p) % p
+        return (self.gp.comb if fixed else pow)(base, s, p) == commit * pow(y, c, p) % p
 
 
 class Collect:
@@ -172,7 +171,7 @@ def prove_eq_dlog(
     domain: bytes,
 ) -> ChaumPedersenProof:
     """Prove log_g(y1) = log_g2(y2) = witness; the transcript hashes g too."""
-    comb = gp.comb if gp.large else pow  # g2 is the joint key or a c.a: both recur
+    comb = gp.comb  # g2 is the joint key or a c.a: both recur
     w = rng.randrange(0, gp.q)
     t1 = comb(gp.g, w, gp.p)
     t2 = comb(g2, w, gp.p)
@@ -266,7 +265,7 @@ def prove_zero_or_one(
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     p, q, g, space = gp.p, gp.q, gp.g, gp.challenge_space
-    fixed = gp.comb if gp.large else pow
+    fixed = gp.comb
 
     # Branch m claims (ct.a, ct.b / g^m) is a DH pair under (g, public_key); the
     # other bit's is simulated from r: g^v a^-c = g^u, K^v (b/g^sim)^-c = K^u g^((sim-bit)c).

@@ -88,8 +88,8 @@ def _load_office(path, gp, manifest_pk=None):
     """The office key pair in the file at path; a MalformedRecord naming the
     file unless its pk is g^sk and, given the manifest's key, that key."""
     office = _load(path, Keypair.from_json)
-    power = gp.comb if gp.large else pow  # simulate and tally build g's comb anyway
-    if office.pk != power(gp.g, office.sk, gp.p) or manifest_pk not in (None, office.pk):
+    # through g's comb table: simulate and tally build it anyway
+    if office.pk != gp.comb(gp.g, office.sk, gp.p) or manifest_pk not in (None, office.pk):
         whose = "an" if manifest_pk is None else "the election manifest's"
         raise MalformedRecord(f"not {whose} office key pair").within(path)
     return office

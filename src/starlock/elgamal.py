@@ -50,7 +50,7 @@ def encrypt_exp(m: int, r: int, public_key: int, gp: GroupParams) -> Ciphertext:
         raise ValueError(f"message {m} outside [0, q)")
     if not 1 <= r < gp.q:
         raise ValueError("encryption randomness must lie in [1, q)")
-    fixed = gp.comb if gp.large else pow
+    fixed = gp.comb
     a = fixed(gp.g, r, gp.p)
     b = pow(gp.g, m, gp.p) * fixed(public_key, r, gp.p) % gp.p
     return Ciphertext(a, b)

@@ -103,10 +103,6 @@ class UnknownOrSpentToken(StarlockError):
     """Token code is not active (never issued, already redeemed, or expired)."""
 
 
-class TerminalBusy(StarlockError):
-    """Terminal already has a voting session in progress."""
-
-
 class UnknownSerial(StarlockError):
     """No ballot record carries this serial number."""
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from typing import Callable
 
 from .errors import InvalidGroup, MalformedRecord
 from .serialize import NUMERAL, Record, enc_int
@@ -159,11 +160,10 @@ class GroupParams(Record):
     q: int
     g: int
     # Decided once per group: Legendre membership and fixed-base combs when
-    # True, pow otherwise. Callers raising g or the joint key bind
-    # `gp.comb if gp.large else pow`, so the small group pays no extra call.
+    # True, pow otherwise.
     large: bool = field(init=False, repr=False, compare=False)
     # fixed_pow with tables that hold exponents of q's size; pow's signature.
-    comb: partial = field(init=False, repr=False, compare=False)
+    _comb: partial = field(init=False, repr=False, compare=False)
     # p = 2q + 1 (m = 1): the order-q subgroup is the quadratic residues.
     safe: bool = field(init=False, repr=False, compare=False)
     # M = min(q, 2^256), the proof format's challenge space: every
@@ -179,7 +179,15 @@ class GroupParams(Record):
         object.__setattr__(self, "large", self.p.bit_length() >= LARGE_GROUP_BITS)
         object.__setattr__(self, "safe", self.p == 2 * self.q + 1)
         object.__setattr__(self, "challenge_space", min(self.q, 1 << CHALLENGE_BITS))
-        object.__setattr__(self, "comb", partial(fixed_pow, bits=self.q.bit_length()))
+        object.__setattr__(self, "_comb", partial(fixed_pow, bits=self.q.bit_length()))
+
+    @property
+    def comb(self) -> Callable:
+        """The power of a base that recurs (g, the joint key, a c.a), with
+        pow's signature: through its comb table in a large group, pow in the
+        small one. pow is looked up here at each use, not bound once, so that
+        perfbench's tracer, which shadows the name, still counts the power."""
+        return self._comb if self.large else pow
 
     def is_element(self, x: int) -> bool:
         """Membership in the order-q subgroup (the identity counts), exactly:

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ballot import BallotStyle
+from .errors import MalformedRecord
 from .group import GroupParams
 from .serialize import DIGEST, HEX, INT, SALT, STR, Record, dict_of, load_json, record, tuple_of
 from .trustees import JointPublicKey
@@ -39,5 +40,19 @@ class ElectionManifest(Record):
         return {s.style_id: s for s in self.styles}
 
     @classmethod
+    def from_json(cls, obj) -> "ElectionManifest":
+        """The manifest, with its office key tested once for membership in the
+        order-q subgroup: every signature check takes that key as tested."""
+        manifest = super().from_json(obj)
+        if not manifest.gp.is_element(manifest.office_pk):
+            raise MalformedRecord("not an element of the group").within("office_pk")
+        return manifest
+
+    @classmethod
     def load(cls, path) -> "ElectionManifest":
-        return cls.from_json(load_json(path))
+        """The manifest in the file at path; a MalformedRecord names the file."""
+        obj = load_json(path)
+        try:
+            return cls.from_json(obj)
+        except MalformedRecord as exc:
+            raise exc.within(path)

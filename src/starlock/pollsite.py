@@ -1,18 +1,17 @@
 """The in-precinct protocol state machine.
 
 One judge's station is the single serialization point: every state change
-(token lifecycle, ballot registration, cast, spoil, adjudication) flows
-through its logical event loop and is stamped with a logical clock tick.
-Terminals hold only their own hash-chain state. Terminals, the ballot-box
-scanner, and the judge's station talk over an in-process ordered reliable
-message bus with a pluggable fault injector: each send names the station's
-handler that receives it, and duplicate deliveries are made harmless by
-idempotency keys. A terminal sends one message per ballot: its record, the
-board's EncryptedBallotRecord, which also redeems the voter's token.
+(token lifecycle, ballot registration, cast, spoil, adjudication) is one of
+its steps, called directly, and is stamped with a logical clock tick.
+Terminals hold only their own hash-chain state. A terminal hands the station
+one record per ballot, the board's EncryptedBallotRecord, which also redeems
+the voter's token; the ballot-box scanner hands it the serial of each scanned
+paper. A scan whose serial is in dropped_scans never reaches the station: the
+paper is boxed and its record stays PENDING.
 
 Paper handling is modeled explicitly: the printed summary (always the
 selections shown to the voter) becomes the paper ballot, which lands in the
-box on a successful scan, in the spoiled pile on a spoil, and nowhere if a
+box on a successful scan, stays out of it on a spoil, and lands nowhere if a
 configured fault diverts it.
 """
 
@@ -29,7 +28,6 @@ from .errors import (
     NotProvisional,
     PoolExhausted,
     StarlockError,
-    TerminalBusy,
     UnknownOption,
     UnknownOrSpentToken,
     UnknownSerial,
@@ -79,54 +77,11 @@ class Receipt:
     code: str
 
 
-class FaultInjector:
-    """Deterministic fault plan keyed by (message kind, occurrence index).
-
-    drop: the delivery never happens. duplicate: delivered twice with the
-    same idempotency key.
-    """
-
-    def __init__(self, drop=(), duplicate=()):
-        self.drop = set(drop)
-        self.duplicate = set(duplicate)
-
-
-class MessageBus:
-    """In-process ordered reliable delivery to the handler each send names. A
-    handler runs once per message id; a repeat gets the stored result of that
-    run. The bus keeps no handler past its delivery."""
-
-    def __init__(self, injector: FaultInjector | None = None):
-        self.injector = injector or FaultInjector()
-        self.counts = {}
-        self.results = {}  # msg_id -> handler result; a handler that raised stores none
-
-    def _deliver(self, handler, payload: dict, msg_id: str):
-        if msg_id not in self.results:
-            self.results[msg_id] = handler(payload)
-        return self.results[msg_id]
-
-    def send(self, kind: str, handler, payload: dict, msg_id: str):
-        """Synchronous send of the kind's next message to handler; handler
-        errors propagate to the sender. Returns the handler's result, or None
-        when the delivery was dropped."""
-        occurrence = self.counts.get(kind, 0)
-        self.counts[kind] = occurrence + 1
-        key = (kind, occurrence)
-        if key in self.injector.drop:
-            return None
-        result = self._deliver(handler, payload, msg_id)
-        if key in self.injector.duplicate:
-            self._deliver(handler, payload, msg_id)
-        return result
-
-
 @dataclass
 class Terminal:
     terminal_id: str
     z_prev: bytes
     ballots_produced: int = 0
-    busy: bool = False
 
 
 class PollSite:
@@ -142,7 +97,6 @@ class PollSite:
         salt: bytes,
         rng: random.Random,
         ttl: int = DEFAULT_TTL,
-        injector: FaultInjector | None = None,
         rigged_terminals=(),
     ):
         self.election_id = election_id
@@ -166,12 +120,9 @@ class PollSite:
         self.claimed = {}  # serial -> PlaintextBallot the terminal reported
         self.papers = {}  # serial -> PlaintextBallot printed on the summary
         self.box = []  # serials physically in the ballot box
-        self.spoiled_pile = []  # serials of spoiled papers kept out of the box
         self.diverted_papers = set()  # serials whose paper vanishes after scan
+        self.dropped_scans = set()  # serials whose scan never reaches the station
         self.closed = False
-
-        self._cast_calls = 0
-        self.bus = MessageBus(injector)
 
     # -- judge's station event log ------------------------------------------
 
@@ -210,7 +161,7 @@ class PollSite:
 
     def vote_session(self, terminal_id: str, code: str, pb: PlaintextBallot):
         """Encrypt the ballot at the terminal in the style of the code's token,
-        extend the terminal's hash chain, and send the judge's station the one
+        extend the terminal's hash chain, and hand the judge's station the one
         record that redeems the token. A ballot the terminal refuses (an
         unknown option, an overvote, another style) leaves the token active.
 
@@ -223,51 +174,30 @@ class PollSite:
             terminal = self.terminals[terminal_id]
         except KeyError:
             raise StarlockError(f"unknown terminal {terminal_id!r}") from None
-        if terminal.busy:
-            raise TerminalBusy(f"terminal {terminal_id} has a session in progress")
         token = self.active_tokens.get(code)
         if token is None:
             raise UnknownOrSpentToken(f"code {code} is not active")
         style = self.styles[token.style_id]
-        terminal.busy = True
-        try:
-            actual = pb
-            if terminal_id in self.rigged_terminals:
-                encode(pb, style)  # refuse the voter's own ballot before altering it
-                actual = self._tamper(pb, style)
-            eb, proof = encrypt_ballot(
-                actual, style, self.joint_key, self.gp, self.rng, self.election_id
-            )
+        actual = pb
+        if terminal_id in self.rigged_terminals:
+            encode(pb, style)  # refuse the voter's own ballot before altering it
+            actual = self._tamper(pb, style)
+        eb, proof = encrypt_ballot(
+            actual, style, self.joint_key, self.gp, self.rng, self.election_id
+        )
+        serial = new_serial(self.rng)
+        while serial in self.records:
             serial = new_serial(self.rng)
-            while serial in self.records:
-                serial = new_serial(self.rng)
-            z = chain_hash(eb, proof, terminal_id, terminal.z_prev)
-            record = self.bus.send(
-                "record",
-                self._handle_record,
-                {
-                    "code": code,
-                    "serial": serial,
-                    "ballot": eb,
-                    "proof": proof,
-                    "terminal": terminal_id,
-                    "z": z,
-                    "claimed": actual,
-                },
-                msg_id=f"record:{serial}",
-            )
-            if record is None:
-                raise StarlockError("ballot record lost in transit")
-            terminal.z_prev = z
-            terminal.ballots_produced += 1
-            receipt = Receipt(
-                terminal_id=terminal_id, timestamp=record.produced_at, code=receipt_code(z)
-            )
-            self.papers[serial] = pb
-            summary = {"plaintext": pb.to_json(), "serial": serial}
-            return record, receipt, summary
-        finally:
-            terminal.busy = False
+        z = chain_hash(eb, proof, terminal_id, terminal.z_prev)
+        record = self._register(code, serial, eb, proof, terminal_id, z, actual)
+        terminal.z_prev = z
+        terminal.ballots_produced += 1
+        receipt = Receipt(
+            terminal_id=terminal_id, timestamp=record.produced_at, code=receipt_code(z)
+        )
+        self.papers[serial] = pb
+        summary = {"plaintext": pb.to_json(), "serial": serial}
+        return record, receipt, summary
 
     def _tamper(self, pb: PlaintextBallot, style: BallotStyle) -> PlaintextBallot:
         """Deterministic cheat: shift the first contest's vote to a different
@@ -290,27 +220,22 @@ class PollSite:
             style_id=pb.style_id, selections=selections, writeins=pb.writeins
         )
 
-    def _handle_record(self, payload: dict):
+    def _register(self, code, serial, ballot, proof, terminal_id, z, claimed):
         """Redeem the token (vote_session found it active) and register the
-        terminal's record, in one step of the station."""
-        serial = payload["serial"]  # fresh: vote_session drew it outside self.records
-        token = self.active_tokens.pop(payload["code"])
+        terminal's record under its fresh serial, in one step of the station."""
+        token = self.active_tokens.pop(code)
         self._tick("token_redeemed", code=token.code, style=token.style_id)
         clock = self._tick(
             "ballot_produced",
             serial=serial,
-            terminal=payload["terminal"],
-            z=payload["z"].hex(),
+            terminal=terminal_id,
+            z=z.hex(),
             provisional=token.provisional,
-            ballot=payload["ballot"].to_json(),
-            proof=payload["proof"].to_json(),
+            ballot=ballot.to_json(),
+            proof=proof.to_json(),
         )
         ebr = EncryptedBallotRecord(
-            ballot=payload["ballot"],
-            proof=payload["proof"],
-            terminal_id=payload["terminal"],
-            z=payload["z"],
-            timestamp=clock,
+            ballot=ballot, proof=proof, terminal_id=terminal_id, z=z, timestamp=clock
         )
         record = BallotRecord(
             serial=serial,
@@ -318,20 +243,21 @@ class PollSite:
             status=PROVISIONAL_PENDING if token.provisional else PENDING,
         )
         self.records[serial] = record
-        self.claimed[serial] = payload["claimed"]
+        self.claimed[serial] = claimed
         return record
 
     # -- cast / spoil -----------------------------------------------------------
 
     def cast(self, serial: str) -> None:
-        """Ballot-box scan: the paper enters the box and the scan message
-        travels to the judge's station (unless a fault interferes)."""
+        """Ballot-box scan: the paper enters the box and the station casts its
+        record, unless the scan is dropped."""
         if serial not in self.papers:
             raise UnknownSerial(f"no printed ballot with serial {serial}")
-        self._cast_calls += 1
-        self.bus.send("cast_scan", self._handle_cast_scan, {"serial": serial},
-                      msg_id=f"cast:{serial}:{self._cast_calls}")
-        # The paper is through the slot whether or not the message arrived.
+        if serial not in self.dropped_scans:
+            record = self._pending_record(serial)
+            record.status = CAST
+            self._tick("cast", serial=serial, terminal=record.record.terminal_id)
+        # The paper is through the slot whether or not the station heard.
         self._box_paper(serial)
 
     def _box_paper(self, serial: str) -> None:
@@ -350,11 +276,6 @@ class PollSite:
             raise AlreadyFinalized(f"record {serial} is {record.status}")
         return record
 
-    def _handle_cast_scan(self, payload: dict):
-        record = self._pending_record(payload["serial"])
-        record.status = CAST
-        self._tick("cast", serial=record.serial, terminal=record.record.terminal_id)
-
     def spoil(self, serial: str, reason: str) -> None:
         if reason not in SPOIL_REASONS:
             raise ValueError(f"unknown spoil reason {reason!r}")
@@ -363,7 +284,6 @@ class PollSite:
     def _spoil(self, record: BallotRecord, reason: str) -> None:
         record.status = SPOILED
         record.reason = reason
-        self.spoiled_pile.append(record.serial)
         self._tick(
             "spoiled",
             serial=record.serial,

@@ -108,8 +108,10 @@ class Scenario(FileRecord):
     ttl: int = DEFAULT_TTL
     rigged_terminals: tuple = ()
     lost_papers: tuple = ()  # voter indices whose final paper vanishes
-    dropped_scans: tuple = ()  # voter indices whose final scan message is lost
-    duplicated_scans: tuple = ()  # voter indices whose scan message arrives twice
+    dropped_scans: tuple = ()  # voter indices whose final scan never reaches the station
+    # Voter indices whose scan is read twice. Validated only: the station acts
+    # on a scan once, so the repeat changes no artifact.
+    duplicated_scans: tuple = ()
     paper_overrides: tuple = ()  # ({"voter": i, "contests": {...}}, ...)
     paper_noise_rate: float = 0.0
 
@@ -244,7 +246,6 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
     final_serial = {}  # voter index -> serial of their last produced ballot
     lost = set(scenario.lost_papers)
     dropped = set(scenario.dropped_scans)
-    duplicated = set(scenario.duplicated_scans)
 
     def session(i, voter, terminal, which):
         key = "selections" if which == "primary" else "revote"
@@ -265,11 +266,8 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
         return serial, pb
 
     def scan(i, serial):
-        occurrence = site.bus.counts.get("cast_scan", 0)
         if i in dropped:
-            site.bus.injector.drop.add(("cast_scan", occurrence))
-        if i in duplicated:
-            site.bus.injector.duplicate.add(("cast_scan", occurrence))
+            site.dropped_scans.add(serial)
         site.cast(serial)
 
     for i, voter in enumerate(scenario.voters):

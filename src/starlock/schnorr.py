@@ -35,9 +35,8 @@ def _challenge_digest(commit: int, pk: int, msg: bytes) -> bytes:
 
 
 def sign(msg: bytes, kp: Keypair, gp: GroupParams) -> SchnorrSignature:
-    fixed = gp.comb if gp.large else pow
     r = _nonce(kp.sk, msg, gp)
-    commit = fixed(gp.g, r, gp.p)
+    commit = gp.comb(gp.g, r, gp.p)
     digest = _challenge_digest(commit, kp.pk, msg)
     e = int.from_bytes(digest, "big") % gp.q
     s = (r - e * kp.sk) % gp.q
@@ -45,7 +44,10 @@ def sign(msg: bytes, kp: Keypair, gp: GroupParams) -> SchnorrSignature:
 
 
 def verify_sig(msg: bytes, sig: SchnorrSignature, pk: int, gp: GroupParams) -> bool:
-    if not gp.is_element(pk) or not gp.is_exponent(sig.response):
+    """Whether sig is pk's signature of msg. The caller passes a key already
+    tested for membership in the order-q subgroup (ElectionManifest's decode
+    tests the office key)."""
+    if not gp.is_exponent(sig.response):
         return False
     if len(sig.commit_hash) != 32:
         return False

@@ -124,7 +124,7 @@ def partial_decrypt(
     """share_value = a^f(i), proved equal in exponent to the verification key.
     Both powers of a (the share and the proof's commitment) go through a's
     comb table in a large group: the k trustees of a column raise it 2k times."""
-    value = (gp.comb if gp.large else pow)(c.a, share.secret_share, gp.p)
+    value = gp.comb(c.a, share.secret_share, gp.p)
     vk = verification_key(share.trustee_id, share.commitments, gp)
     proof = prove_eq_dlog(
         share.secret_share, vk, c.a, value, gp, rng,

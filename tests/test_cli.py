@@ -13,7 +13,9 @@ import pytest
 import starlock
 from helpers import board_raw_lines, demo_commands, demo_run, rechain
 from starlock.cli import main
-from starlock.group import PROD_GROUP
+from starlock.errors import MalformedRecord
+from starlock.group import PROD_GROUP, TEST_GROUP
+from starlock.manifest import ElectionManifest
 from starlock.scenario import make_demo_scenario
 from starlock.serialize import canonical_json, int_to_hex
 from starlock.verifier import verify_board
@@ -419,6 +421,8 @@ def test_rechained_edits_end_with_an_exit_code_not_a_traceback(edit, command, co
 # reads: (command, file under tmp_path, its content).
 MALFORMED_FILES = [
     ("verify", "params.json", b"{not json"),
+    ("verify", "params.json", b"{}"),
+    ("receipt-check", "params.json", b'{"election_id": 7}'),
     ("audit", "cvrs.json", b"[{"),
     ("audit", "papers.json", b"\xff\xfe not utf-8"),
     ("tally", "cvrs.json", b"[" * 100000),
@@ -429,8 +433,16 @@ MALFORMED_FILES = [
 ]
 
 
-@pytest.mark.parametrize("command, name, content", MALFORMED_FILES,
-                         ids=[f"{c}-{n.split('/')[-1]}" for c, n, _ in MALFORMED_FILES])
+def case_ids(cases) -> list:
+    """command-file for each case; a pair named before also gets its position."""
+    ids = []
+    for i, (command, name, _) in enumerate(cases):
+        case = f"{command}-{name.split('/')[-1]}"
+        ids.append(f"{case}-{i}" if case in ids else case)
+    return ids
+
+
+@pytest.mark.parametrize("command, name, content", MALFORMED_FILES, ids=case_ids(MALFORMED_FILES))
 def test_a_malformed_input_file_exits_2_naming_it(command, name, content, tmp_path,
                                                    capsys) -> None:
     result, _ = demo_run()
@@ -500,6 +512,46 @@ def test_tally_refuses_an_office_key_pair_the_manifest_does_not_name(edit, tmp_p
     assert capsys.readouterr().out == (
         f"MalformedRecord: {office}: not the election manifest's office key pair\n")
     assert board.read_bytes() == before
+
+
+def test_an_office_key_outside_the_subgroup_is_refused_where_the_manifest_loads(
+        tmp_path, capsys) -> None:
+    """p - pk is not a quadratic residue in the test group (p = 23 is 3 mod 4):
+    every command that reads the manifest exits 2 naming its office key,
+    where verify once reported FAIL and the others a signature that does not
+    verify."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    raw = board_raw_lines(result["board"])
+    params = tmp_path / "params.json"
+    doc = json.loads(params.read_text())
+    bad_key = TEST_GROUP.p - int(doc["office_pk"], 16)
+    params.write_text(json.dumps(dict(doc, office_pk=int_to_hex(bad_key))), encoding="utf-8")
+    for name in ("verify", "tally", "audit", "receipt-check", "receipt-check-spoiled"):
+        if name == "tally":
+            write_pre_tally(board, raw)
+        else:
+            board.write_text("\n".join(raw) + "\n", encoding="utf-8")
+        before = board.read_bytes()
+        capsys.readouterr()
+        assert main(commands[name]) == 2, name
+        assert capsys.readouterr().out == (
+            f"MalformedRecord: {params}.office_pk: not an element of the group\n"), name
+        assert board.read_bytes() == before, name
+
+
+def test_a_prod_manifest_refuses_an_office_key_outside_the_order_q_subgroup() -> None:
+    """pk * z, with z = 2^(2q) of order m in the prod group, is a quadratic
+    residue, so only the q-th power test refuses it."""
+    p, q, g = PROD_GROUP.p, PROD_GROUP.q, PROD_GROUP.g
+    doc = dict(demo_run()[0]["manifest"].to_json(), group=PROD_GROUP.to_json())
+    pk = pow(g, 12345, p)
+    assert ElectionManifest.from_json(dict(doc, office_pk=int_to_hex(pk))).office_pk == pk
+    bad_key = pk * pow(2, 2 * q, p) % p
+    assert PROD_GROUP.residues.is_element(bad_key)
+    with pytest.raises(MalformedRecord) as refused:
+        ElectionManifest.from_json(dict(doc, office_pk=int_to_hex(bad_key)))
+    assert refused.value.detail == "office_pk: not an element of the group"
 
 
 @pytest.mark.parametrize("kind", [["header"], {"header": 1}], ids=["list", "object"])

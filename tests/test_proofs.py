@@ -207,7 +207,7 @@ def _ciphertext_formula_zero_or_one(bit, r, ct, public_key, gp, rng, context):
     ciphertext (a^-c and (b / g^sim)^-c by pow): the reference that the
     witness-built branch must equal. Branch challenges lie in [0, M)."""
     p, q, g, space = gp.p, gp.q, gp.g, gp.challenge_space
-    fixed = gp.comb if gp.large else pow
+    fixed = gp.comb
     sim = 1 - bit
     c_sim = rng.randrange(0, space)
     v_sim = rng.randrange(0, q)
@@ -242,7 +242,7 @@ def _ciphertext_formula_zero_or_one(bit, r, ct, public_key, gp, rng, context):
 
 def _plain_pow_eq_dlog(witness, y1, g2, y2, gp, rng, context, domain):
     """The eq-dlog prover with g2 raised by pow: the reference for the comb of g2."""
-    fixed = gp.comb if gp.large else pow
+    fixed = gp.comb
     w = rng.randrange(0, gp.q)
     t1 = fixed(gp.g, w, gp.p)
     t2 = pow(g2, w, gp.p)
@@ -296,7 +296,7 @@ def _old_rule_zero_or_one(bit, r, ct, public_key, gp, rng, context, draw=None):
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     p, q, g = gp.p, gp.q, gp.g
-    fixed = gp.comb if gp.large else pow
+    fixed = gp.comb
 
     sim = 1 - bit
     c_sim = rng.randrange(0, draw or q)

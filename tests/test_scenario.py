@@ -309,20 +309,37 @@ def test_lost_paper_is_demoted_and_excluded() -> None:
     assert outcome["tally"].cast_counts["mayor"] == 5
 
 
-def test_dropped_scan_times_out_as_orphan_paper() -> None:
-    scenario = dataclasses.replace(make_demo_scenario(), dropped_scans=(0,))
+@pytest.mark.parametrize("voter, option, votes", [(0, "ada", 1), (2, "grace", 2)],
+                         ids=["cast", "spoil-revote"])
+def test_dropped_scan_times_out_as_orphan_paper(voter, option, votes) -> None:
+    """The voter's final scan never reaches the station: that record stays
+    PENDING until the close of polls spoils it TIMEOUT, and its paper is in
+    the box with no record behind it. A ballot the voter spoiled first keeps
+    its own reason."""
+    scenario = dataclasses.replace(make_demo_scenario(), dropped_scans=(voter,))
     result = run_scenario(scenario)
-    serial = next(r["serial"] for r in result["receipts"] if r["voter"] == 0)
+    *spoiled, serial = [r["serial"] for r in result["receipts"] if r["voter"] == voter]
+    assert len(spoiled) == (voter == 2)
     board = result["board"]
+    lines = dict(board.entries())
+    for first in spoiled:
+        entry = result["index_by_serial"][first]
+        assert board.effective_status(entry) == "SPOILED"
+        assert lines[entry]["reason"] == "VOTER"
     entry = result["index_by_serial"][serial]
     assert board.effective_status(entry) == "SPOILED"
-    line = dict(board.entries())[entry]
-    assert line["reason"] == "TIMEOUT"
+    assert lines[entry]["reason"] == "TIMEOUT"
+    # no cast step ran: the record's next event is the close of polls' spoil
+    events = [e for e in result["site"].events if e.get("serial") == serial]
+    assert [(e["event"], e.get("reason")) for e in events] == [
+        ("ballot_produced", None), ("spoiled", "TIMEOUT")]
+    assert events[1]["clock"] > next(e["clock"] for e in result["site"].events
+                                     if e["event"] == "timeout_sweep")
     # the paper went into the box but no electronic record backs it
     outcome = finish(result)
     assert outcome["compliance"]["paper_without_record"] == [serial]
     assert not outcome["compliance"]["clean"]
-    assert outcome["tally"].result["mayor"]["ada"] == 1
+    assert outcome["tally"].result["mayor"][option] == votes
 
 
 def test_duplicated_scan_is_harmless() -> None:

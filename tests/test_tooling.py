@@ -48,6 +48,25 @@ def test_subgroup_membership_is_defined_only_in_group_py() -> None:
     assert offenders == []
 
 
+def test_the_power_of_a_recurring_base_is_chosen_only_in_group_py() -> None:
+    """No module but group.py holds a conditional expression whose test reads
+    `.large` and whose branches name `comb` (`gp.comb if gp.large else pow`):
+    GroupParams.comb chooses between a comb table and pow for every caller."""
+    def names(node, word):
+        return any(isinstance(n, ast.Attribute) and n.attr == word
+                   or isinstance(n, ast.Name) and n.id == word for n in ast.walk(node))
+
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "group.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.IfExp) and names(node.test, "large")
+                    and (names(node.body, "comb") or names(node.orelse, "comb"))):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_hex_is_parsed_only_in_serialize_py() -> None:
     """No module but serialize.py calls hex_to_int, int(x, 16) or bytes.fromhex
     on a value that is not a constant: the hex wire format and its strict
