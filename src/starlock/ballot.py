@@ -374,6 +374,8 @@ def verify_ballot(
             if not verify_zero_or_one(pr, ct, K, gp, ctx, eqs):
                 return False
 
+        # Products of the column ciphertexts just tested (a contest has at
+        # least one column), under the K tested with them: no test of their own.
         a, b = contest_sum_statement(contest, cts, gp)
         ctx = column_context(election_id, style.style_id, contest.contest_id, SUM_COLUMN)
         if not verify_eq_dlog(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, EncryptedBallot, WellFormednessProof
 from .elgamal import Ciphertext, homomorphic_add, identity_ciphertext
@@ -76,6 +77,16 @@ class EncryptedBallotRecord(Record):
         ("z", "z", DIGEST),
         ("timestamp", "timestamp", NUMERAL),
     )
+
+    @cached_property
+    def _wire(self) -> dict:
+        return super().to_json()
+
+    def to_json(self) -> dict:
+        """The wire form, encoded once from the frozen record: the station's
+        ballot_produced event and the board's entry line share its ballot
+        and proof trees, so a caller copies what it would change."""
+        return self._wire
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,10 @@ response or a power of a statement value, is a 256-bit one.
 
 Every proof equation has one form, base^s == commit * y^c (the y of a
 zero-or-one branch for bit m is b * g^-m). A verifier asks a sink whether
-each element of the proof is in the order-q subgroup (sink.member), and
-states its equations to the sink after the proof's exponent-range,
-Fiat-Shamir and challenge-sum checks have passed:
+each element of the proof and of its statement is in the order-q subgroup
+(sink.member), save a statement value that is a product of elements already
+asked about (a contest sum), and states its equations to the sink after the
+proof's exponent-range, Fiat-Shamir and challenge-sum checks have passed:
 
   * Immediate tests each membership exactly (GroupParams.is_element) and
     each equation as it comes. It is the default, and the only sink of a
@@ -191,12 +192,13 @@ def verify_eq_dlog(
     eqs=None,
     fixed: bool = False,
 ) -> bool:
-    """The proof's checks, and its membership tests and two equations stated
-    to eqs (an Immediate sink when None); fixed names g2 a recurring base."""
+    """The proof's checks, and its commits' membership tests and two
+    equations stated to eqs (an Immediate sink when None); fixed names g2 a
+    recurring base. The caller tests the statement y1, g2, y2, or knows it
+    is a product of elements it has tested."""
     eqs = eqs or Immediate(gp)
-    for el in (y1, g2, y2, proof.commit1, proof.commit2):
-        if not eqs.member(el):
-            return False
+    if not (eqs.member(proof.commit1) and eqs.member(proof.commit2)):
+        return False
     if not gp.is_exponent(proof.response) or not gp.is_exponent(proof.challenge):
         return False
     expected = fiat_shamir_challenge(

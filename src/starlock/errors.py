@@ -4,8 +4,8 @@ each declares exit_code, the code of a starlock command it ends (cli.main):
 
   1  internal failure: StarlockError and every class not named below
   2  input fault, a verdict on the files read: MalformedRecord (NoDlogInRange
-     among them), ChainBroken, InvalidGroup, InsufficientShares, BadShareProof,
-     AmbiguousReceipt, CommitmentMismatch, MarginNotPositive
+     and InvalidGroup among them), ChainBroken, InsufficientShares,
+     BadShareProof, AmbiguousReceipt, CommitmentMismatch, MarginNotPositive
   3  usage or scenario fault: ScenarioError, InvalidThreshold
 """
 
@@ -57,10 +57,10 @@ class ChainBroken(StarlockError):
         super().__init__(f"board line {lineno}: {reason}")
 
 
-class InvalidGroup(StarlockError, ValueError):
-    """Group parameters that are not a safe prime p = 2q + 1 with a generator
-    of the order-q subgroup."""
-    exit_code = 2
+class InvalidGroup(MalformedRecord, ValueError):
+    """Group parameters that are not a prime p = 2qm + 1, with q prime and m
+    1 or a prime above 2^64, and a generator g of the order-q subgroup. As a
+    MalformedRecord, one met loading a manifest names the file and its group."""
 
 
 class NoDlogInRange(MalformedRecord):

@@ -237,7 +237,7 @@ class GroupParams(Record):
         try:
             gp = super().from_json(obj)
         except MalformedRecord as exc:
-            raise InvalidGroup(f"group is not three integers p, q, g ({exc})") from None
+            raise InvalidGroup(f"not three integers p, q, g ({exc})") from None
         for known in GROUPS.values():
             if gp == known:
                 return known

@@ -225,17 +225,18 @@ class PollSite:
         terminal's record under its fresh serial, in one step of the station."""
         token = self.active_tokens.pop(code)
         self._tick("token_redeemed", code=token.code, style=token.style_id)
-        clock = self._tick(
+        ebr = EncryptedBallotRecord(  # stamped with the ballot_produced tick below
+            ballot=ballot, proof=proof, terminal_id=terminal_id, z=z, timestamp=self.clock + 1
+        )
+        wire = ebr.to_json()  # the entry line's encoding, shared by the event
+        self._tick(
             "ballot_produced",
             serial=serial,
             terminal=terminal_id,
-            z=z.hex(),
+            z=wire["z"],
             provisional=token.provisional,
-            ballot=ballot.to_json(),
-            proof=proof.to_json(),
-        )
-        ebr = EncryptedBallotRecord(
-            ballot=ballot, proof=proof, terminal_id=terminal_id, z=z, timestamp=clock
+            ballot=wire["ballot"],
+            proof=wire["proof"],
         )
         record = BallotRecord(
             serial=serial,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .chaum_pedersen import ChaumPedersenProof, batched, prove_eq_dlog, verify_eq_dlog
+from .chaum_pedersen import ChaumPedersenProof, Immediate, batched, prove_eq_dlog, verify_eq_dlog
 from .elgamal import Ciphertext
 from .errors import BadShareProof, InsufficientShares, InvalidThreshold
 from .fiatshamir import DOMAIN_DECRYPT_SHARE
@@ -141,9 +141,12 @@ def verify_decryption_share(
     context: bytes,
     eqs=None,
 ) -> bool:
-    """The share's proof, its equations stated to eqs (see verify_eq_dlog)."""
+    """The share's proof, its statement's membership tests (the verification
+    key, c.a and the share) and its equations stated to eqs (see
+    verify_eq_dlog)."""
+    eqs = eqs or Immediate(gp)
     vk = verification_key(dshare.trustee_id, commitments, gp)
-    return verify_eq_dlog(
+    return all(eqs.member(x) for x in (vk, c.a, dshare.share_value)) and verify_eq_dlog(
         dshare.proof, vk, c.a, dshare.share_value, gp,
         context=context, domain=DOMAIN_DECRYPT_SHARE, eqs=eqs,
     )

@@ -31,10 +31,16 @@ from starlock.chaum_pedersen import (
 )
 from starlock.cli import main
 from starlock.elgamal import Ciphertext, encrypt_exp, keygen
-from starlock.fiatshamir import DOMAIN_CONTEST_SUM
+from starlock.fiatshamir import DOMAIN_CONTEST_SUM, DOMAIN_DECRYPT_SHARE
 from starlock.group import PROD_GROUP, TEST_GROUP, GroupParams, multi_exp
 from starlock.scenario import make_demo_scenario, run_scenario
-from starlock.trustees import combine_shares, dkg, partial_decrypt
+from starlock.trustees import (
+    DecryptionShare,
+    combine_shares,
+    dkg,
+    partial_decrypt,
+    verify_decryption_share,
+)
 from starlock.verifier import verify_board
 from test_fuzz import corpus
 
@@ -164,16 +170,20 @@ def _zero_one_checks(gp, rng, bad_key):
 
 
 def _eq_dlog_checks(gp, rng, bad_base):
-    """Four eq-dlog checks; the BAD one is an honest proof over bad_base with
-    witness 0, which keeps both of its equations exact."""
+    """Four decryption-share checks, each by trustee 1 of a one-coefficient
+    commitment g^x, of a ciphertext whose a is h; the BAD one is an honest
+    share of bad_base with x = 0, which keeps both of its proof's equations
+    exact. verify_decryption_share tests h for membership, verify_eq_dlog
+    only its commits."""
     checks = []
     for i in range(4):
         x, h = (0, bad_base) if i == BAD else (
             rng.randrange(1, gp.q), pow(gp.g, rng.randrange(1, gp.q), gp.p))
         y1, y2 = pow(gp.g, x, gp.p), pow(h, x, gp.p)
-        proof = prove_eq_dlog(x, y1, h, y2, gp, rng, b"ctx", DOMAIN_CONTEST_SUM)
-        checks.append(lambda eqs, proof=proof, h=h, y1=y1, y2=y2:
-                      verify_eq_dlog(proof, y1, h, y2, gp, b"ctx", DOMAIN_CONTEST_SUM, eqs=eqs))
+        proof = prove_eq_dlog(x, y1, h, y2, gp, rng, b"ctx", DOMAIN_DECRYPT_SHARE)
+        share = DecryptionShare(trustee_id=1, share_value=y2, proof=proof)
+        checks.append(lambda eqs, share=share, ct=Ciphertext(h, 1), y1=y1:
+                      verify_decryption_share(share, ct, (y1,), gp, b"ctx", eqs))
     return checks
 
 
@@ -229,6 +239,56 @@ def test_a_non_member_that_meets_every_equation_is_refused_and_named(
     assert [check(honest) for i, check in enumerate(checks) if i != BAD] == [True] * 3
     assert tested and len(tested) == len(set(tested)) == len(honest.members)
     assert honest.holds() and len(tested) == len(honest.members) + 1
+
+
+# (line kind, path to a published element, the check that must refuse it): a
+# column's a, a contest-sum commit, a decryption share and a share-proof commit.
+ELEMENTS = (
+    ("entry", ("ballot", "contests", 0, "options", 0, "a"), "ballot_proofs"),
+    ("entry", ("proof", "contests", 0, "sum", "commit1"), "ballot_proofs"),
+    ("decryption", ("columns", 0, "shares", 0, "share_value"), "decryptions"),
+    ("decryption", ("columns", 0, "shares", 0, "proof", "commit2"), "decryptions"),
+)
+
+
+def _finished_in(name):
+    """A finished election in the MID_GROUP (the demo) or the prod group (its
+    first voter, who casts, and its third, who spoils and votes again)."""
+    if name == "mid":
+        return mid_demo_run()[0]
+    demo = make_demo_scenario()
+    result = run_scenario(dataclasses.replace(demo, group=name,
+                                              voters=(demo.voters[0], demo.voters[2])))
+    finish(result)
+    return result
+
+
+@pytest.mark.parametrize("name", ["mid", "prod"])
+def test_each_kind_of_published_element_outside_the_subgroup_is_refused_by_entry(name) -> None:
+    """p - x is no quadratic residue (p = 3 mod 4 in both groups), so outside the
+    order-q subgroup; a board with one such element, re-chained and re-signed,
+    fails the check that reads it, at its line and entry alone. Each value is
+    also in its proof's Fiat-Shamir transcript, so this guards where a
+    refusal is named; the witness-0 tests above guard the membership tests."""
+    result = _finished_in(name)
+    manifest = result["manifest"]
+    p = manifest.gp.p
+    assert p % 4 == 3
+    for kind, path, check in ELEMENTS:
+        lines = result["board"].lines()
+        lineno, line = next((n, line) for n, line in enumerate(lines) if line["kind"] == kind)
+        entry = int(line["index"] if kind == "entry" else line["ref"])
+        *parents, key = path
+        obj = line
+        for step in parents:
+            obj = obj[step]
+        x = int(obj[key], 16)
+        assert not manifest.gp.is_element(p - x)
+        obj[key] = format(p - x, "x")
+        report = verify_board(rechain(lines, manifest.election_id, result["office"],
+                                      manifest.gp), manifest)
+        failing = [(item.line, item.entry) for item in report.failures() if item.check == check]
+        assert failing == [(lineno, entry)], (kind, path)
 
 
 def _bump_response(line: dict, key: str, nth: int = 0) -> None:

@@ -540,6 +540,31 @@ def test_an_office_key_outside_the_subgroup_is_refused_where_the_manifest_loads(
         assert board.read_bytes() == before, name
 
 
+@pytest.mark.parametrize("edit, fault", [
+    (lambda group: dict(group, p="24"), "p is not prime"),
+    (lambda group: {key: v for key, v in group.items() if key != "q"},
+     "not three integers p, q, g (q: missing)"),
+], ids=["p-24", "no-q"])
+def test_a_group_that_does_not_validate_is_refused_naming_the_manifest_and_group(
+        edit, fault, tmp_path, capsys) -> None:
+    """InvalidGroup is a MalformedRecord, so the manifest's load names the
+    file and its group field, as it does an office key out of the subgroup."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    raw = board_raw_lines(result["board"])
+    params = tmp_path / "params.json"
+    doc = json.loads(params.read_text())
+    params.write_text(json.dumps(dict(doc, group=edit(doc["group"]))), encoding="utf-8")
+    for name in ("verify", "tally", "audit", "receipt-check"):
+        if name == "tally":
+            write_pre_tally(board, raw)
+        else:
+            board.write_text("\n".join(raw) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(commands[name]) == 2, name
+        assert capsys.readouterr().out == f"InvalidGroup: {params}.group: {fault}\n", name
+
+
 def test_a_prod_manifest_refuses_an_office_key_outside_the_order_q_subgroup() -> None:
     """pk * z, with z = 2^(2q) of order m in the prod group, is a quadratic
     residue, so only the q-th power test refuses it."""

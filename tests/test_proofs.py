@@ -22,7 +22,7 @@ from starlock.chaum_pedersen import (
     verify_eq_dlog,
     verify_zero_or_one,
 )
-from starlock.elgamal import add_many, encrypt_exp, keygen
+from starlock.elgamal import Ciphertext, add_many, encrypt_exp, keygen
 from starlock.fiatshamir import (
     DOMAIN_CONTEST_SUM,
     DOMAIN_DECRYPT_SHARE,
@@ -31,6 +31,7 @@ from starlock.fiatshamir import (
 )
 from starlock.group import PROD_GROUP, TEST_GROUP
 from starlock.schnorr import SchnorrSignature, sign, verify_sig
+from starlock.trustees import DecryptionShare, verify_decryption_share
 
 GP = TEST_GROUP
 K = 18  # public key for secret 3 in the test group
@@ -119,12 +120,21 @@ def test_eq_dlog_binds_context_and_domain() -> None:
 
 
 def test_eq_dlog_rejects_non_subgroup_inputs() -> None:
+    """5 is not in the order-11 subgroup of Z_23*. Over the base 5 with
+    witness 0 both equations hold, so only membership stands in the way:
+    verify_eq_dlog refuses its commit 5^w when that is outside the subgroup
+    (odd w), and verify_decryption_share, which tests its statement, refuses
+    the base 5 whatever w."""
     rng = random.Random(35)
-    w = 4
-    y1 = pow(GP.g, w, GP.p)
-    proof = prove_eq_dlog(w, y1, GP.g, y1, GP, rng, b"ctx", DOMAIN_CONTEST_SUM)
-    # 5 is not in the order-11 subgroup of Z_23*
-    assert not verify_eq_dlog(proof, y1, GP.g, 5, GP, b"ctx", DOMAIN_CONTEST_SUM)
+    seen = set()
+    for _ in range(20):
+        proof = prove_eq_dlog(0, 1, 5, 1, GP, rng, b"ctx", DOMAIN_DECRYPT_SHARE)
+        member = GP.is_element(proof.commit2)
+        seen.add(member)
+        assert verify_eq_dlog(proof, 1, 5, 1, GP, b"ctx", DOMAIN_DECRYPT_SHARE) == member
+        share = DecryptionShare(trustee_id=1, share_value=1, proof=proof)
+        assert not verify_decryption_share(share, Ciphertext(5, 1), (1,), GP, b"ctx")
+    assert seen == {True, False}
 
 
 def test_zero_or_one_completeness_both_branches() -> None:

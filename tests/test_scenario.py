@@ -7,12 +7,20 @@ import gc
 import hashlib
 import json
 import random
+import sys
 import weakref
+from collections import Counter
 
 import pytest
 
 from helpers import board_raw_lines, demo_run, finish, mid_demo_run
-from starlock.ballot import BallotStyle, Contest, PlaintextBallot
+from starlock.ballot import (
+    BallotStyle,
+    Contest,
+    EncryptedBallot,
+    PlaintextBallot,
+    WellFormednessProof,
+)
 from starlock.cli import main
 from starlock.errors import ScenarioError
 from starlock.scenario import (
@@ -26,6 +34,7 @@ from starlock.scenario import (
     run_scenario,
     write_artifacts,
 )
+from starlock.serialize import Record
 
 STYLE = BallotStyle(
     style_id="s", contests=(Contest(contest_id="race", options=("a", "b"), limit=1),)
@@ -193,6 +202,33 @@ def test_a_finished_poll_site_is_freed_without_the_collector() -> None:
     finally:
         if enabled:
             gc.enable()
+
+
+def test_each_ballot_is_encoded_once_for_the_event_log_and_the_board() -> None:
+    """During the demo's run_scenario the encoder runs once per ballot produced
+    on its ballot and once on its proof (a profile hook counts the calls of
+    Record.to_json, which every record codec holds), and the ballot_produced
+    event shares the entry line's ballot and proof trees."""
+    calls = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is Record.to_json.__code__:
+            calls[type(frame.f_locals["self"])] += 1
+
+    sys.setprofile(count)
+    try:
+        result = run_scenario(make_demo_scenario())
+    finally:
+        sys.setprofile(None)
+    records = result["site"].records
+    assert records and calls[EncryptedBallot] == calls[WellFormednessProof] == len(records)
+    produced = {event["serial"]: event for event in result["events"]
+                if event["event"] == "ballot_produced"}
+    for serial, record in records.items():
+        wire = record.record.to_json()
+        assert wire is record.record.to_json()
+        assert produced[serial]["ballot"] is wire["ballot"]
+        assert produced[serial]["proof"] is wire["proof"]
 
 
 MUTATION_SEED = 3
