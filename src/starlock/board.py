@@ -29,14 +29,13 @@ from .boardformat import (
     TallyRecord,
     TerminalClose,
     at_line,
-    column_bound,
     fold_ballots,
     parse_lines,
     read_board_lines,
     signature_message,
-    spoiled_context,
     spoiled_plaintext,
-    tally_context,
+    spoiled_statements,
+    tally_statements,
 )
 from .chaum_pedersen import batched
 from .elgamal import Keypair, dlog_search
@@ -185,23 +184,23 @@ def aggregate(board: Board, style_map: dict, gp: GroupParams):
     return fold_ballots(board._index.cast_ballots(), style_map, gp)
 
 
-def _decrypt_columns(cls, columns, trustee_shares, jpk: JointPublicKey, gp: GroupParams,
+def _decrypt_columns(cls, rows, trustee_shares, jpk: JointPublicKey, gp: GroupParams,
                      rng: random.Random):
-    """Partial-decrypt each (contest, column, ciphertext, bound, context) with
-    every supplied trustee share, column by column, then verify and combine
-    them all in one call (one batch of share proofs). Returns cls(contest,
-    column, plaintext, ciphertext, shares) for each column, in order; a
-    NoDlogInRange names the contest and column whose plaintext exceeds its bound."""
-    shared = [tuple(partial_decrypt(ct, ts, gp, rng, context) for ts in trustee_shares)
-              for _, _, ct, _, context in columns]
-    powers = combine_shares([(ct, shares, context) for (_, _, ct, _, context), shares
-                             in zip(columns, shared)], jpk, gp)
+    """Partial-decrypt each ColumnStatement row with every supplied trustee
+    share, then verify and combine them all in one call (one batch of share
+    proofs). Returns cls(contest, column, plaintext, ciphertext, shares) per
+    row, in order; a NoDlogInRange names a row whose plaintext exceeds its bound."""
+    shared = [tuple(partial_decrypt(row.ciphertext, ts, gp, rng, row.context)
+                    for ts in trustee_shares) for row in rows]
+    powers = combine_shares([(row.ciphertext, shares, row.context)
+                             for row, shares in zip(rows, shared)], jpk, gp)
     out = []
-    for (cid, column, ct, bound, _), g_m, shares in zip(columns, powers, shared):
+    for row, g_m, shares in zip(rows, powers, shared):
         try:
-            out.append(cls(cid, column, dlog_search(g_m, bound, gp), ct, shares))
+            out.append(cls(row.contest, row.column, dlog_search(g_m, row.bound, gp),
+                           row.ciphertext, shares))
         except NoDlogInRange as exc:
-            raise exc.within(column).within(cid)
+            raise exc.within(row.column).within(row.contest)
     return out
 
 
@@ -217,11 +216,8 @@ def decrypt_tally(
     share and combine. InsufficientShares/BadShareProof propagate from the
     combine step."""
     agg = aggregate(board, style_map, gp)
-    columns = _decrypt_columns(TallyColumn, [
-        (cid, column, ct, column_bound(bucket["contest"], column, bucket["cast_count"]),
-         tally_context(board.election_id, cid, column))
-        for cid, bucket in agg.items() for column, ct in bucket["columns"].items()],
-        trustee_shares, jpk, gp, rng)
+    columns = _decrypt_columns(TallyColumn, tally_statements(board.election_id, agg),
+                               trustee_shares, jpk, gp, rng)
     result = {cid: {} for cid in agg}
     for col in columns:
         result[col.contest][col.column] = col.value
@@ -249,11 +245,8 @@ def decrypt_spoiled(
     style = style_map.get(ballot.style_id)
     if style is None:
         raise MalformedRecord(f"unknown ballot style {ballot.style_id!r}").at(lineno, entry_index)
-    columns = at_line(lineno, _decrypt_columns, SpoiledColumn, [
-        (contest.contest_id, column, ct, 1,
-         spoiled_context(board.election_id, entry_index, contest.contest_id, column))
-        for contest, enc in zip(style.contests, ballot.contests)
-        for column, ct in enc.all_columns(contest)],
-        trustee_shares, jpk, gp, rng, entry=entry_index)
+    rows = spoiled_statements(board.election_id, entry_index, ballot, style)
+    columns = at_line(lineno, _decrypt_columns, SpoiledColumn, rows, trustee_shares, jpk, gp,
+                      rng, entry=entry_index)
     bits = {(col.contest, col.column): col.value for col in columns}
     return [col.to_json() for col in columns], spoiled_plaintext(style, bits)

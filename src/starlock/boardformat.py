@@ -10,7 +10,10 @@ reference it, in file order; a status line counts even when it precedes its
 entry. Only effective-CAST entries enter the homomorphic tally. LINE_KEYS
 lists the keys of each line kind; the records below declare the values of
 the entry, terminal_close and tally lines and of a decryption line's columns.
-Its last line is the office's signature; parse_lines is the one strict read.
+A decrypted column's statement, the ColumnStatement row (ciphertext, bound,
+context) that the tally and verify both read, comes from tally_statements or
+spoiled_statements. The file's last line is the office's signature;
+parse_lines is the one strict read.
 
 This module is format-level: it never imports the polling-place, board,
 scenario or CLI machinery, so the verifier can share it and stay
@@ -20,6 +23,7 @@ independent of the officials' code.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -204,21 +208,7 @@ def at_line(lineno: int, fn, *args, entry: int | None = None):
         raise exc.at(lineno, entry)
 
 
-# -- decryption contexts and the board signature ----------------------------------
-
-
-def tally_context(election_id: str, contest_id: str, column: str) -> bytes:
-    return enc_str(election_id) + enc_str("tally") + enc_str(contest_id) + enc_str(column)
-
-
-def spoiled_context(election_id: str, entry_index: int, contest_id: str, column: str) -> bytes:
-    return (
-        enc_str(election_id)
-        + enc_str("spoiled")
-        + enc_int(entry_index)
-        + enc_str(contest_id)
-        + enc_str(column)
-    )
+# -- spoiled plaintexts and the board signature ------------------------------------
 
 
 def spoiled_plaintext(style, bits: dict) -> dict:
@@ -268,13 +258,6 @@ def contest_columns(style_map: dict):
     return out
 
 
-def column_bound(contest, column: str, cast: int) -> int:
-    """The largest count a tally column can open to after `cast` ballots of
-    the contest: each adds at most 1 to an option or the write-in column and
-    at most the limit to "(abstain)"."""
-    return cast * contest.limit if column == ABSTAIN_COLUMN else cast
-
-
 def fold_ballots(ballots, style_map: dict, gp: GroupParams):
     """Componentwise homomorphic fold of the given encrypted ballots.
 
@@ -306,6 +289,35 @@ def fold_ballots(ballots, style_map: dict, gp: GroupParams):
                     raise MalformedRecord("ballot lacks its write-in ciphertext")
                 cols[WRITE_IN_COLUMN] = homomorphic_add(cols[WRITE_IN_COLUMN], enc.writein_ct, gp)
     return agg
+
+
+# -- column statements: what the trustees prove of each decrypted column ------------
+
+ColumnStatement = namedtuple("ColumnStatement", "contest column ciphertext bound context")
+
+
+def tally_statements(election_id: str, agg: dict) -> list:
+    """The tally line's rows, in fold_ballots' order: after `cast` ballots, an
+    option or the write-in column holds at most `cast`, "(abstain)" at most
+    `cast` times the contest's limit."""
+    rows = []
+    for cid, bucket in agg.items():
+        cast, limit = bucket["cast_count"], bucket["contest"].limit
+        prefix = enc_str(election_id) + enc_str("tally") + enc_str(cid)
+        rows += [ColumnStatement(cid, column, ct, cast * limit if column == ABSTAIN_COLUMN
+                                 else cast, prefix + enc_str(column))
+                 for column, ct in bucket["columns"].items()]
+    return rows
+
+
+def spoiled_statements(election_id: str, entry_index: int, ballot, style) -> list:
+    """A spoiled (or untallied) entry's rows: its ballot's column ciphertexts
+    in canonical order, each opening to a bit."""
+    prefix = enc_str(election_id) + enc_str("spoiled") + enc_int(entry_index)
+    return [ColumnStatement(contest.contest_id, column, ct, 1,
+                            prefix + enc_str(contest.contest_id) + enc_str(column))
+            for contest, enc in zip(style.contests, ballot.contests)
+            for column, ct in enc.all_columns(contest)]
 
 
 # -- the one-pass reader and index -------------------------------------------------

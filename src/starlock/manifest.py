@@ -5,6 +5,7 @@ the verifier, the tally tooling, and auditors."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .ballot import BallotStyle
 from .errors import MalformedRecord
@@ -35,15 +36,17 @@ class ElectionManifest(Record):
         ("ttl", "ttl", INT),
     )
 
-    @property
+    @cached_property
     def style_map(self) -> dict:
         return {s.style_id: s for s in self.styles}
 
     @classmethod
     def from_json(cls, obj) -> "ElectionManifest":
-        """The manifest, with its office key tested once for membership in the
-        order-q subgroup: every signature check takes that key as tested."""
+        """The manifest, its style ids unrepeated and its office key tested once
+        for membership in the order-q subgroup, as every signature check takes it."""
         manifest = super().from_json(obj)
+        if len(manifest.style_map) != len(manifest.styles):
+            raise MalformedRecord("a style id is repeated").within("styles")
         if not manifest.gp.is_element(manifest.office_pk):
             raise MalformedRecord("not an element of the group").within("office_pk")
         return manifest

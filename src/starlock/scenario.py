@@ -323,9 +323,10 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
         )
     rng.shuffle(paper_rows)  # a physical box has no order
     if scenario.paper_noise_rate > 0:
+        layout = contest_columns(styles)
         for row in paper_rows:
             if rng.random() < scenario.paper_noise_rate:
-                _stray_mark(row, styles, rng)
+                _stray_mark(row, layout, rng)
     overrides = {o["voter"]: o["contests"] for o in scenario.paper_overrides}
     for row in paper_rows:
         for voter_idx, contests in overrides.items():
@@ -353,14 +354,14 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
     }
 
 
-def _stray_mark(row: dict, styles: dict, rng: random.Random) -> None:
-    """Reinterpret one contest on a paper summary: a human reader sees a
-    stray mark as a different (or an extra) selection."""
+def _stray_mark(row: dict, layout: dict, rng: random.Random) -> None:
+    """Reinterpret one contest on a paper summary (layout is contest_columns'):
+    a human reader sees a stray mark as a different (or an extra) selection."""
     candidates = [cid for cid in row["contests"]]
     if not candidates:
         return
     cid = rng.choice(sorted(candidates))
-    contest, _ = contest_columns(styles)[cid]
+    contest, _ = layout[cid]
     view = dict(row["contests"][cid])
     selections = list(view["selections"])
     others = [opt for opt in contest.options if opt not in selections]

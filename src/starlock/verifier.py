@@ -39,19 +39,17 @@ from .boardformat import (
     TerminalClose,
     at_line,
     canonical_break,
-    column_bound,
     fold_ballots,
     parse_lines,  # the strict read, which the commands call as verifier.parse_lines
     read_board,
     read_board_lines,  # the commands read board files as verifier.read_board_lines
     signature_fault,
-    spoiled_context,
     spoiled_plaintext,
-    tally_context,
+    spoiled_statements,
+    tally_statements,
 )
 from .chain import chain_hash, initial_chain_seed, receipt_code
 from .chaum_pedersen import batched
-from .elgamal import Ciphertext
 from .errors import AmbiguousReceipt, BadShareProof, InsufficientShares, MalformedRecord
 from .manifest import ElectionManifest
 from .serialize import DIGEST, decode_field, sha256
@@ -172,23 +170,23 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
     ]
 
 
-def _verify_share_set(ct: Ciphertext, shares, claimed: int, bound: int, manifest, context,
-                      eqs) -> str | None:
-    """Check a claimed plaintext against its bound (g^m fixes m only mod q),
-    and decryption shares against the ciphertext and the claim, their proof
-    equations stated to eqs. Returns None when fine, else a failure detail."""
-    if claimed > bound:
-        return f"claimed plaintext {claimed} exceeds its bound {bound}"
+def _verify_share_set(col, row, manifest, eqs) -> str | None:
+    """Check a published column's claimed plaintext against its row's bound
+    (g^m fixes m only mod q), and its decryption shares against the row's
+    ciphertext, context and the claim, their proof equations stated to eqs.
+    Returns None when fine, else a failure detail."""
+    if col.value > row.bound:
+        return f"claimed plaintext {col.value} exceeds its bound {row.bound}"
     gp = manifest.gp
     try:
-        g_m = combine_in_exponent(ct, shares, manifest.jpk, gp, context, eqs)
+        g_m = combine_in_exponent(row.ciphertext, col.shares, manifest.jpk, gp, row.context, eqs)
     except InsufficientShares:
-        distinct = len({ds.trustee_id for ds in shares})
+        distinct = len({ds.trustee_id for ds in col.shares})
         return f"only {distinct} decryption shares, need {manifest.jpk.k}"
     except BadShareProof as exc:
         return f"share proof of trustee {exc.trustee_id} fails"
-    if g_m != pow(gp.g, claimed, gp.p):
-        return f"claimed plaintext {claimed} inconsistent with shares"
+    if g_m != pow(gp.g, col.value, gp.p):
+        return f"claimed plaintext {col.value} inconsistent with shares"
     return None
 
 
@@ -249,24 +247,19 @@ def _check_decryptions(index, manifest: ElectionManifest, eqs) -> list:
         if style is None:
             fail(f"entry {k}: unknown ballot style {ballot.style_id!r}", line=lineno, entry=k)
             continue
-        expected_cols = {
-            (contest.contest_id, column): ct
-            for contest, enc in zip(style.contests, ballot.contests)
-            for column, ct in enc.all_columns(contest)
-        }
+        rows = {(row.contest, row.column): row
+                for row in spoiled_statements(manifest.election_id, k, ballot, style)}
         bits = {}
         for col in columns:
             key = (col.contest, col.column)
-            if expected_cols.get(key) != col.ciphertext:
+            if key not in rows or rows[key].ciphertext != col.ciphertext:
                 fail(f"entry {k}: decryption ciphertext mismatch on {key}", line=lineno, entry=k)
                 continue
             bits[key] = col.value
-            context = spoiled_context(manifest.election_id, k, *key)
-            failure = _verify_share_set(col.ciphertext, col.shares, col.value, 1, manifest,
-                                        context, eqs)
+            failure = _verify_share_set(col, rows[key], manifest, eqs)
             if failure:
                 fail(f"entry {k}, column {key}: {failure}", line=lineno, entry=k)
-        if set(bits) != set(expected_cols):
+        if set(bits) != set(rows):
             fail(f"entry {k}: decryption does not cover all columns", line=lineno, entry=k)
             continue
         # The published plaintext summary is exactly the one the proven bits give.
@@ -296,7 +289,8 @@ def _check_tally(index: BoardIndex, manifest: ElectionManifest, eqs) -> list:
         return [ReportItem("tally", False, str(exc))]
 
     published = {(col.contest, col.column): col for col in tally.columns}
-    if set(published) != {(cid, col) for cid, bucket in agg.items() for col in bucket["columns"]}:
+    rows = {(row.contest, row.column): row for row in tally_statements(manifest.election_id, agg)}
+    if set(published) != set(rows):
         return [ReportItem("tally", False, "published tally columns do not match ballot layout",
                            line=lineno)]
     fails = {"tally": [], "sum_check": []}
@@ -305,13 +299,10 @@ def _check_tally(index: BoardIndex, manifest: ElectionManifest, eqs) -> list:
         fails[check].append(ReportItem(check, False, detail, line=lineno))
 
     for (cid, column), col in sorted(published.items()):
-        if agg[cid]["columns"][column] != col.ciphertext:
+        if rows[cid, column].ciphertext != col.ciphertext:
             fail("tally", f"aggregate mismatch for {cid}/{column}")
             continue
-        context = tally_context(manifest.election_id, cid, column)
-        bound = column_bound(agg[cid]["contest"], column, agg[cid]["cast_count"])
-        failure = _verify_share_set(col.ciphertext, col.shares, col.value, bound, manifest,
-                                    context, eqs)
+        failure = _verify_share_set(col, rows[cid, column], manifest, eqs)
         if failure:
             fail("tally", f"{cid}/{column}: {failure}")
         if tally.result.get(cid, {}).get(column) != col.value:

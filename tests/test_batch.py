@@ -291,6 +291,78 @@ def test_each_kind_of_published_element_outside_the_subgroup_is_refused_by_entry
         assert failing == [(lineno, entry)], (kind, path)
 
 
+def _proved_until(prove, even):
+    """prove(rng) re-drawn until even(proof): each equation with an even
+    challenge holds over -a as over a, since (-a)^c = a^c."""
+    rng = random.Random(23)
+    while True:
+        proof = prove(rng)
+        if even(proof):
+            return proof
+
+
+@pytest.mark.parametrize("name", ["mid", "prod"])
+def test_a_negated_column_whose_proofs_hold_over_it_is_refused_by_membership(
+        name, monkeypatch) -> None:
+    """One cast column's a becomes p - a, outside the order-q subgroup (p = 3
+    mod 4). Its zero-or-one proof is made again with the column's own r, and
+    its contest-sum proof with the contest's, each re-drawn until every
+    challenge is even: then every equation and transcript holds over p - a,
+    and only the membership test of the column's a refuses the entry."""
+    seen = {}  # column ciphertext -> (bit, r) of every encryption of the run
+
+    def recording(m, r, K, gp):
+        ct = encrypt_exp(m, r, K, gp)
+        seen[ct] = (m, r)
+        return ct
+
+    monkeypatch.setattr(ballot, "encrypt_exp", recording)
+    monkeypatch.setitem(group.GROUPS, "mid", MID_GROUP)
+    demo = make_demo_scenario()
+    result = run_scenario(dataclasses.replace(demo, group=name,
+                                              voters=(demo.voters[0], demo.voters[2])))
+    manifest = result["manifest"]
+    gp, K, election_id = manifest.gp, manifest.jpk.K, manifest.election_id
+    assert gp.p % 4 == 3
+    lines = result["board"].lines()
+    lineno, line = next((n, line) for n, line in enumerate(lines)
+                        if line["kind"] == "entry" and line["status"] == "CAST")
+    eb = ballot.EncryptedBallot.from_json(line["ballot"])
+    proof = ballot.WellFormednessProof.from_json(line["proof"])
+    style = manifest.style_map[eb.style_id]
+    contest, enc, cpr = style.contests[0], eb.contests[0], proof.contests[0]
+    bit, r = seen[enc.option_cts[0]]
+    witness = sum(seen[ct][1] for ct in (*enc.option_cts, *enc.padding_cts)) % gp.q
+    negated = Ciphertext(gp.p - enc.option_cts[0].a, enc.option_cts[0].b)
+    assert not gp.is_element(negated.a)
+
+    def context(column):
+        return ballot.column_context(election_id, style.style_id, contest.contest_id, column)
+
+    column_proof = _proved_until(
+        lambda rng: prove_zero_or_one(bit, r, negated, K, gp, rng, context(contest.options[0])),
+        lambda zp: zp.challenge0 % 2 == zp.challenge1 % 2 == 0)
+    enc = dataclasses.replace(enc, option_cts=(negated, *enc.option_cts[1:]))
+    cts = ballot.join_columns(contest, enc.option_cts, enc.padding_cts, enc.writein_ct)
+    a, b = ballot.contest_sum_statement(contest, cts, gp)
+    sum_proof = _proved_until(lambda rng: prove_eq_dlog(
+        witness, a, K, b, gp, rng, context(ballot.SUM_COLUMN), DOMAIN_CONTEST_SUM),
+        lambda cp: cp.challenge % 2 == 0)
+    cpr = dataclasses.replace(cpr, option_proofs=(column_proof, *cpr.option_proofs[1:]),
+                              sum_proof=sum_proof)
+    eb = dataclasses.replace(eb, contests=(enc, *eb.contests[1:]))
+    proof = dataclasses.replace(proof, contests=(cpr, *proof.contests[1:]))
+    everyone = Immediate(gp)
+    everyone.member = lambda x: True  # only membership stands in the way
+    assert verify_ballot(eb, proof, style, K, gp, election_id, everyone)
+
+    line["ballot"], line["proof"] = eb.to_json(), proof.to_json()
+    report = verify_board(rechain(lines, election_id, result["office"], gp), manifest)
+    failing = [(item.line, item.entry) for item in report.failures()
+               if item.check == "ballot_proofs"]
+    assert failing == [(lineno, int(line["index"]))]
+
+
 def _bump_response(line: dict, key: str, nth: int = 0) -> None:
     """Add 1 (mod q) to the nth value under `key` inside a line, in key order:
     a proof response that still passes every check but its equation."""

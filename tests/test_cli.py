@@ -565,6 +565,36 @@ def test_a_group_that_does_not_validate_is_refused_naming_the_manifest_and_group
         assert capsys.readouterr().out == f"InvalidGroup: {params}.group: {fault}\n", name
 
 
+@pytest.mark.parametrize("edit", [
+    lambda style: style,
+    lambda style: dict(style, contests=[c for c in style["contests"]
+                                        if c["contest_id"] != "council"]),
+], ids=["listed-twice", "second-without-council"])
+def test_a_manifest_that_repeats_a_style_id_is_refused_naming_its_styles(
+        edit, tmp_path, capsys) -> None:
+    """A style map keeps one style per id, so a second style of the same id
+    would silently shadow the first; every command that reads the manifest
+    exits 2 naming its styles instead."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    raw = board_raw_lines(result["board"])
+    params = tmp_path / "params.json"
+    doc = json.loads(params.read_text())
+    (style,) = doc["styles"]
+    params.write_text(json.dumps(dict(doc, styles=[style, edit(style)])), encoding="utf-8")
+    for name in ("verify", "tally", "audit", "receipt-check"):
+        if name == "tally":
+            write_pre_tally(board, raw)
+        else:
+            board.write_text("\n".join(raw) + "\n", encoding="utf-8")
+        before = board.read_bytes()
+        capsys.readouterr()
+        assert main(commands[name]) == 2, name
+        assert capsys.readouterr().out == (
+            f"MalformedRecord: {params}.styles: a style id is repeated\n"), name
+        assert board.read_bytes() == before, name
+
+
 def test_a_prod_manifest_refuses_an_office_key_outside_the_order_q_subgroup() -> None:
     """pk * z, with z = 2^(2q) of order m in the prod group, is a quadratic
     residue, so only the q-th power test refuses it."""

@@ -144,3 +144,29 @@ def test_a_board_index_is_built_only_by_read_board_and_the_board() -> None:
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 calls.append(f"{path.name}:{owner.get(node, '<module>')}")
     assert sorted(calls) == ["board.py:__init__", "boardformat.py:read_board"]
+
+
+def test_decryption_contexts_and_column_bounds_are_built_only_in_boardformat_py() -> None:
+    """No module but boardformat.py calls enc_str("tally") or enc_str("spoiled")
+    or names tally_context, spoiled_context or column_bound: each decrypted
+    column's statement is a boardformat.ColumnStatement row, which the tally
+    and the verifier both read."""
+    builders = {"tally_context", "spoiled_context", "column_bound"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "boardformat.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            builds_context = (
+                isinstance(node, ast.Call) and node.args and "enc_str" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value in ("tally", "spoiled"))
+            names_builder = (
+                isinstance(node, ast.Name) and node.id in builders
+                or isinstance(node, ast.Attribute) and node.attr in builders
+                or isinstance(node, ast.alias) and node.name in builders
+                or isinstance(node, ast.FunctionDef) and node.name in builders)
+            if builds_context or names_builder:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
