@@ -1,6 +1,7 @@
 """Derive the prod group's constants: p = 2qm + 1 with q a 256-bit prime and
 m a 1791-bit prime (a Lim-Lee prime; Lim and Lee, CRYPTO 1997), and
-g = h^(2m) mod p for the least h >= 2 with g != 1.
+g = |h^(2m) mod p| for the least h >= 2 with h^(2m) != 1, in the signed form
+min(x, p - x) that starlock publishes every element in.
 
     PYTHONPATH=src python3 scripts/derive_prod_group.py
 
@@ -23,7 +24,7 @@ import hashlib
 import sys
 import time
 
-from starlock.group import is_probable_prime
+from starlock.group import GroupParams, is_probable_prime
 
 M_SEED = b"starlock prod group m"
 Q_SEED = b"starlock prod group q"
@@ -65,9 +66,9 @@ def main() -> int:
     h = 2
     while pow(h, 2 * m, p) == 1:
         h += 1
-    g = pow(h, 2 * m, p)
+    g = GroupParams(p=p, q=q, g=1).signed(pow(h, 2 * m, p))
     assert m.bit_length() == M_BITS and q.bit_length() == Q_BITS and p.bit_length() == 2048
-    assert pow(g, q, p) == 1
+    assert pow(g, q, p) in (1, p - 1)
     print(f"# derived in {time.perf_counter() - start:.1f} s; h = {h}", file=sys.stderr)
     for name, value in (("q", q), ("m", m), ("g", g)):
         print(f"{name} = {value:#x}")

@@ -176,8 +176,7 @@ def compliance_check(cast_serials, box_serials) -> dict:
 
 
 def _contests(manifest: ElectionManifest) -> dict:
-    layout = contest_columns({style.style_id: style for style in manifest.styles})
-    return {cid: contest for cid, (contest, _) in layout.items()}
+    return {cid: contest for cid, (contest, _) in contest_columns(manifest.style_map).items()}
 
 
 def _ranked(contest, counts: dict) -> list:

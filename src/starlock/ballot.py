@@ -204,10 +204,10 @@ def join_columns(contest: Contest, options, padding, writein):
 
 
 def contest_sum_statement(contest: Contest, cts, gp: GroupParams) -> tuple:
-    """(a, b / g^limit) of the product of the options and padding of cts (in
+    """(a, |b / g^limit|) of the product of the options and padding of cts (in
     column_ids() order): a DH pair under (g, K) exactly when they sum to limit."""
     total = add_many(cts[:len(contest.options) + contest.limit], gp)
-    return total.a, total.b * pow(pow(gp.g, contest.limit, gp.p), -1, gp.p) % gp.p
+    return total.a, gp.signed(total.b * pow(pow(gp.g, contest.limit, gp.p), -1, gp.p) % gp.p)
 
 
 def _column_bytes(options, padding, writein) -> bytes:

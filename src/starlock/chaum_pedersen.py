@@ -14,16 +14,18 @@ In the prod group q itself is below 2^256, so M = q, and every exponent, a
 response or a power of a statement value, is a 256-bit one.
 
 Every proof equation has one form, base^s == commit * y^c (the y of a
-zero-or-one branch for bit m is b * g^-m). A verifier asks a sink whether
+zero-or-one branch for bit m is b * g^-m), between signed forms
+(GroupParams.signed): both sides are taken mod p and compared up to sign,
+so a commit is published as |base^w|. A verifier asks a sink whether
 each element of the proof and of its statement is in the order-q subgroup
 (sink.member), save a statement value that is a product of elements already
 asked about (a contest sum), and states its equations to the sink after the
 proof's exponent-range, Fiat-Shamir and challenge-sum checks have passed:
 
-  * Immediate tests each membership exactly (GroupParams.is_element) and
-    each equation as it comes. It is the default, and the only sink of a
-    small group: with q = 11 a 64-bit weight reduces mod 11 and would let a
-    false equation through with probability 1/11.
+  * Immediate tests each membership exactly (GroupParams.is_element: the
+    range and x^q = +-1) and each equation as it comes. It is the default,
+    and the only sink of a small group: with q = 11 a 64-bit weight reduces
+    mod 11 and would let a false equation through with probability 1/11.
   * Collect, in a large group, is the small-exponents batch test of Bellare,
     Garay and Rabin (EUROCRYPT 1998). Equation i is raised to its own 64-bit
     weight w_i, the first 8 bytes of SHA-256(SHA-256(seed) || i); the seed
@@ -38,12 +40,13 @@ proof's exponent-range, Fiat-Shamir and challenge-sum checks have passed:
     weight, a zero-or-one proof's four included: with one weight on both
     branches, an encryption of 2 could meet the combined equations by a c1
     chosen after the hash. Membership is batched too: each distinct element
-    x_i gets its Legendre symbol at once (the residues, of order qm) and a
-    64-bit weight v_i under a label of its own, and the batch also requires
-    (prod x_i^v_i)^q = 1. A residue outside the order-q subgroup has an
-    order-m part, and m is a prime above 2^64 (GroupParams.validate), so it
-    passes with probability at most 2^-64; in a safe-prime group (m = 1) the
-    Legendre symbol alone is exact. Every element of an honest batch has
+    x_i gets its range check at once (a signed representative, in the group
+    Z_p^*/{+-1} of order qm) and a 64-bit weight v_i under a label of its
+    own, and the batch also requires (prod x_i^v_i)^q = +-1. A signed
+    representative outside the order-q subgroup has an order-m part, and m
+    is a prime above 2^64 (GroupParams.validate), so it passes with
+    probability at most 2^-64; in a safe-prime group (m = 1) the range check
+    alone is exact. Every element of an honest batch has
     order q, so the batch always holds; one with a false equation holds with
     probability at most 2^-64, and so does one with a non-member. batched()
     is its one user: a check that fails its batch runs again through
@@ -71,12 +74,13 @@ class Immediate:
         self.member = gp.is_element
 
     def check(self, base, s, commit, y, c, m=0, fixed=False) -> bool:
-        """base^s == commit * (y * g^-m)^c mod p. A fixed base (g or the joint
-        key) goes through its comb table in a large group."""
-        p = self.gp.p
+        """base^s == commit * (y * g^-m)^c mod p, up to sign. A fixed base (g
+        or the joint key) goes through its comb table in a large group."""
+        gp, p = self.gp, self.gp.p
         if m:
-            y = y * pow(pow(self.gp.g, m, p), -1, p) % p
-        return (self.gp.comb if fixed else pow)(base, s, p) == commit * pow(y, c, p) % p
+            y = y * pow(pow(gp.g, m, p), -1, p) % p
+        return gp.signed((gp.comb if fixed else pow)(base, s, p)) == gp.signed(
+            commit * pow(y, c, p) % p)
 
 
 class Collect:
@@ -91,10 +95,10 @@ class Collect:
         self.members = {}  # element -> its weight in the product raised to q
 
     def member(self, x) -> bool:
-        """The Legendre symbol, once per distinct element; x^q = 1 is left to
+        """The range check, once per distinct element; x^q = +-1 is left to
         holds(), under the element's own weight."""
         if x not in self.members:
-            if not self.gp.residues.is_element(x):
+            if not self.gp.is_signed(x):
                 return False
             label = b"member" + len(self.members).to_bytes(8, "big")
             self.members[x] = int.from_bytes(sha256(self.seed + label)[:8], "big")
@@ -118,8 +122,8 @@ class Collect:
         lhs = multi_exp([(b, e) for b, e in exps.items() if b not in self.fixed], p)
         for b in self.fixed & exps.keys():
             lhs = lhs * gp.comb(b, exps[b], p) % p
-        return (lhs == multi_exp(self.commits.items(), p)
-                and (gp.safe or gp.is_element(multi_exp(self.members.items(), p))))
+        return (gp.signed(lhs) == gp.signed(multi_exp(self.commits.items(), p))
+                and gp.is_element(gp.signed(multi_exp(self.members.items(), p))))
 
 
 def batched(gp: GroupParams, seed, run):
@@ -174,8 +178,8 @@ def prove_eq_dlog(
     """Prove log_g(y1) = log_g2(y2) = witness; the transcript hashes g too."""
     comb = gp.comb  # g2 is the joint key or a c.a: both recur
     w = rng.randrange(0, gp.q)
-    t1 = comb(gp.g, w, gp.p)
-    t2 = comb(g2, w, gp.p)
+    t1 = gp.signed(comb(gp.g, w, gp.p))
+    t2 = gp.signed(comb(g2, w, gp.p))
     e = fiat_shamir_challenge(domain, _eq_dlog_transcript(context, gp.g, y1, g2, y2, t1, t2), gp)
     s = (w + e * witness) % gp.q
     return ChaumPedersenProof(commit1=t1, commit2=t2, challenge=e, response=s)
@@ -276,12 +280,12 @@ def prove_zero_or_one(
     c_sim = rng.randrange(0, space)
     v_sim = rng.randrange(0, q)
     u = (v_sim - r * c_sim) % q
-    a_sim_commit = fixed(g, u, p)
-    b_sim_commit = fixed(public_key, u, p) * fixed(g, (sim - bit) * c_sim % q, p) % p
+    a_sim_commit = gp.signed(fixed(g, u, p))
+    b_sim_commit = gp.signed(fixed(public_key, u, p) * fixed(g, (sim - bit) * c_sim % q, p) % p)
 
     w = rng.randrange(0, q)
-    a_real_commit = fixed(g, w, p)
-    b_real_commit = fixed(public_key, w, p)
+    a_real_commit = gp.signed(fixed(g, w, p))
+    b_real_commit = gp.signed(fixed(public_key, w, p))
 
     if bit == 0:
         a0c, b0c, a1c, b1c = a_real_commit, b_real_commit, a_sim_commit, b_sim_commit

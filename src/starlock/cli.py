@@ -86,10 +86,11 @@ def cmd_keygen(args) -> int:
 
 def _load_office(path, gp, manifest_pk=None):
     """The office key pair in the file at path; a MalformedRecord naming the
-    file unless its pk is g^sk and, given the manifest's key, that key."""
+    file unless its pk is |g^sk| and, given the manifest's key, that key."""
     office = _load(path, Keypair.from_json)
     # through g's comb table: simulate and tally build it anyway
-    if office.pk != gp.comb(gp.g, office.sk, gp.p) or manifest_pk not in (None, office.pk):
+    pk = gp.signed(gp.comb(gp.g, office.sk, gp.p))
+    if office.pk != pk or manifest_pk not in (None, office.pk):
         whose = "an" if manifest_pk is None else "the election manifest's"
         raise MalformedRecord(f"not {whose} office key pair").within(path)
     return office
@@ -104,6 +105,8 @@ def _load_keys(keydir, expected_group):
     gp = resolve_group(group)
     if not gp.is_element(jpk.K):
         raise MalformedRecord("not an element of the group").within("K").within(path)
+    if not all(map(gp.is_signed, jpk.commitments)):
+        raise MalformedRecord("not a signed representative").within("commitments").within(path)
     office = _load_office(os.path.join(keydir, "office_key.json"), gp)
     shares = []
     for i in range(1, jpk.n + 1):

@@ -2,8 +2,9 @@
 
 Enc(m; r) = (g^r, g^m * K^r). Putting the message in the exponent makes the
 scheme additively homomorphic: componentwise multiplication of ciphertexts
-adds plaintexts. Decryption recovers g^m and then walks the bounded exponent
-range, which is fine here because tallies are small integers.
+adds plaintexts. Every component is published in its signed form
+(GroupParams.signed). Decryption recovers g^m and then walks the bounded
+exponent range, which is fine here because tallies are small integers.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class Ciphertext(Record):
 
 def keygen(gp: GroupParams, rng: random.Random) -> Keypair:
     sk = rng.randrange(1, gp.q)
-    return Keypair(sk=sk, pk=pow(gp.g, sk, gp.p))
+    return Keypair(sk=sk, pk=gp.signed(pow(gp.g, sk, gp.p)))
 
 
 def identity_ciphertext() -> Ciphertext:
@@ -53,11 +54,11 @@ def encrypt_exp(m: int, r: int, public_key: int, gp: GroupParams) -> Ciphertext:
     fixed = gp.comb
     a = fixed(gp.g, r, gp.p)
     b = pow(gp.g, m, gp.p) * fixed(public_key, r, gp.p) % gp.p
-    return Ciphertext(a, b)
+    return Ciphertext(gp.signed(a), gp.signed(b))
 
 
 def homomorphic_add(c1: Ciphertext, c2: Ciphertext, gp: GroupParams) -> Ciphertext:
-    return Ciphertext(c1.a * c2.a % gp.p, c1.b * c2.b % gp.p)
+    return Ciphertext(gp.signed(c1.a * c2.a % gp.p), gp.signed(c1.b * c2.b % gp.p))
 
 
 def add_many(cts, gp: GroupParams) -> Ciphertext:
@@ -68,16 +69,17 @@ def add_many(cts, gp: GroupParams) -> Ciphertext:
 
 
 def dlog_search(target: int, max_m: int, gp: GroupParams) -> int:
-    """Smallest m in [0, max_m] with g^m = target, else NoDlogInRange."""
+    """Smallest m in [0, max_m] with |g^m| = target, else NoDlogInRange. g
+    has odd order q, so |g^m| is one to one on [0, q)."""
     cur = 1
     for m in range(max_m + 1):
         if cur == target:
             return m
-        cur = cur * gp.g % gp.p
+        cur = gp.signed(cur * gp.g % gp.p)
     raise NoDlogInRange(f"no exponent in [0, {max_m}] matches")
 
 
 def decrypt_dlog(c: Ciphertext, sk: int, max_m: int, gp: GroupParams) -> int:
     shared = pow(c.a, sk, gp.p)
-    target = c.b * pow(shared, -1, gp.p) % gp.p
+    target = gp.signed(c.b * pow(shared, -1, gp.p) % gp.p)
     return dlog_search(target, max_m, gp)

@@ -9,26 +9,32 @@ L = 2048, N = 256), so every secret, nonce and response is a 256-bit
 exponent. scripts/derive_prod_group.py derives its constants from fixed
 seeds.
 
-Membership in the order-q subgroup is a Legendre symbol, which leaves the
-quadratic residues (the subgroup of order qm), and then x^q = 1 when m > 1
-(GroupParams.is_element); a proof batch tests the second half for all its
-elements at once (chaum_pedersen.Collect). Bases that recur (g, the joint
-key, a ciphertext a tally column decrypts) are raised through a fixed-base
-comb table sized to q. The Legendre symbol and the combs beat `pow` from
-about 64-bit p on and lose to it in the tiny test group, so a group decides
-once, from the size of p, which way it goes (`GroupParams.large`).
+Elements are published as signed quadratic residues (Hofheinz and Kiltz,
+CRYPTO 2009): every built-in group has p = 3 mod 4, so exactly one of x and
+p - x is a quadratic residue, and the group is Z_p^*/{+-1}, each class
+written as its representative |x| = min(x, p - x) in [1, (p - 1) / 2]
+(GroupParams.signed). Products and powers are taken mod p as usual and
+signed where a value is published, hashed or compared. Membership in the
+order-q subgroup is then a range check and x^q = +-1
+(GroupParams.is_element); a proof batch makes the range check per element
+and one q-th power of a weighted product for them all
+(chaum_pedersen.Collect). Bases that recur (g, the joint key, a ciphertext a
+tally column decrypts) are raised through a fixed-base comb table sized to
+q. The combs beat `pow` from about 64-bit p on and lose to it in the tiny
+test group, so a group decides once, from the size of p, which way it goes
+(`GroupParams.large`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable
 
 from .errors import InvalidGroup, MalformedRecord
 from .serialize import NUMERAL, Record, enc_int
 
-LARGE_GROUP_BITS = 128  # p of at least this many bits: Legendre membership and combs
+LARGE_GROUP_BITS = 128  # p of at least this many bits: combs and batched proofs
 COMB_WINDOW = 8  # comb rows; a table holds 2^8 products, about 70 KB for 2048-bit p
 COMB_TABLES = 8  # tables kept, one per (base, p): g, K, and a tally column's c.a (2k powers)
 CHALLENGE_BITS = 256  # a Fiat-Shamir challenge is a SHA-256 digest
@@ -61,23 +67,6 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a | n) for odd n > 0, by the binary algorithm; for a
-    prime n it is the Legendre symbol: 1 on a nonzero square mod n, -1 on a
-    non-square, 0 on a multiple of n."""
-    a %= n
-    t = 1
-    while a:
-        z = (a & -a).bit_length() - 1  # (2 | n) = -1 exactly when n = 3, 5 mod 8
-        a >>= z
-        if z & 1 and n & 7 in (3, 5):
-            t = -t
-        if a & n & 2:  # reciprocity: both 3 mod 4
-            t = -t
-        a, n = n % a, a
-    return t if n == 1 else 0
 
 
 @lru_cache(maxsize=COMB_TABLES)
@@ -159,13 +148,13 @@ class GroupParams(Record):
     p: int
     q: int
     g: int
-    # Decided once per group: Legendre membership and fixed-base combs when
-    # True, pow otherwise.
+    # Decided once per group: fixed-base combs and batched proof equations
+    # when True, pow and proof-by-proof equations otherwise.
     large: bool = field(init=False, repr=False, compare=False)
     # fixed_pow with tables that hold exponents of q's size; pow's signature.
     _comb: partial = field(init=False, repr=False, compare=False)
-    # p = 2q + 1 (m = 1): the order-q subgroup is the quadratic residues.
-    safe: bool = field(init=False, repr=False, compare=False)
+    # (p - 1) / 2: the largest signed representative.
+    half: int = field(init=False, repr=False, compare=False)
     # M = min(q, 2^256), the proof format's challenge space: every
     # Fiat-Shamir challenge lies in [0, M), and so does each branch challenge
     # of a zero-or-one proof. M = q in a group of q below 2^256, the prod
@@ -177,7 +166,7 @@ class GroupParams(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "large", self.p.bit_length() >= LARGE_GROUP_BITS)
-        object.__setattr__(self, "safe", self.p == 2 * self.q + 1)
+        object.__setattr__(self, "half", (self.p - 1) // 2)
         object.__setattr__(self, "challenge_space", min(self.q, 1 << CHALLENGE_BITS))
         object.__setattr__(self, "_comb", partial(fixed_pow, bits=self.q.bit_length()))
 
@@ -189,23 +178,21 @@ class GroupParams(Record):
         perfbench's tracer, which shadows the name, still counts the power."""
         return self._comb if self.large else pow
 
+    def signed(self, x: int) -> int:
+        """|x| = min(x, p - x) for x in [0, p): the one representative of x's
+        class in Z_p^*/{+-1} that is published, hashed or compared."""
+        return x if x <= self.half else self.p - x
+
+    def is_signed(self, x: int) -> bool:
+        """Whether x is a signed representative, in [1, (p - 1) / 2]: the
+        range check of membership, which refuses p - x of every element."""
+        return 0 < x <= self.half
+
     def is_element(self, x: int) -> bool:
         """Membership in the order-q subgroup (the identity counts), exactly:
-        a quadratic residue (the order-qm subgroup) whose q-th power is 1.
-        In a safe-prime group the residues are the subgroup."""
-        if not 0 < x < self.p:
-            return False
-        if self.large:
-            return jacobi(x, self.p) == 1 and (self.safe or pow(x, self.q, self.p) == 1)
-        return pow(x, self.q, self.p) == 1
-
-    @cached_property
-    def residues(self) -> "GroupParams":
-        """The quadratic residues mod p, of order (p - 1) / 2, as a group of
-        its own: its is_element is the Legendre symbol alone. A proof batch
-        tests its elements with it and leaves x^q = 1 to one product of them
-        all (chaum_pedersen.Collect)."""
-        return self if self.safe else GroupParams(p=self.p, q=(self.p - 1) // 2, g=self.g)
+        a signed representative whose q-th power is +-1. p - x of a member is
+        refused by the range, an element with an order-m part by the power."""
+        return self.is_signed(x) and pow(x, self.q, self.p) in (1, self.p - 1)
 
     def is_exponent(self, x: int) -> bool:
         return 0 <= x < self.q
@@ -215,18 +202,24 @@ class GroupParams(Record):
 
     def validate(self) -> None:
         """Structural desk-check; raises InvalidGroup (a ValueError) on any
-        violation. The cofactor m = (p - 1) / 2q must be 1 or a prime above
-        2^64, which a batch's 64-bit weights cannot cancel (Collect)."""
+        violation. p must be 3 mod 4, so that -1 is no square and |x| names
+        one class of Z_p^*/{+-1}; the cofactor m = (p - 1) / 2q must be 1 or
+        a prime above 2^64, which a batch's 64-bit weights cannot cancel
+        (Collect); g must be a signed representative of order q."""
         if not is_probable_prime(self.p):
             raise InvalidGroup("p is not prime")
         if not is_probable_prime(self.q):
             raise InvalidGroup("q is not prime")
+        if self.p % 4 != 3:
+            raise InvalidGroup("p is not 3 mod 4")
         m, rest = divmod(self.p - 1, 2 * self.q)
         if rest:
             raise InvalidGroup("2q does not divide p - 1")
         if m != 1 and (m <= MIN_COFACTOR or not is_probable_prime(m)):
             raise InvalidGroup("p - 1 = 2qm with m neither 1 nor a prime above 2^64")
-        if not (1 < self.g < self.p) or pow(self.g, self.q, self.p) != 1:
+        if not 2 <= self.g <= self.half:
+            raise InvalidGroup("g is not a signed representative in [2, (p - 1) / 2]")
+        if not self.is_element(self.g):
             raise InvalidGroup("g does not generate the order-q subgroup")
 
     @classmethod
@@ -248,7 +241,7 @@ class GroupParams(Record):
 TEST_GROUP = GroupParams(p=23, q=11, g=4)
 
 # The Lim-Lee prime p = 2qm + 1 that scripts/derive_prod_group.py derives:
-# q a 256-bit prime, m a 1791-bit prime, g = 2^(2m) mod p.
+# q a 256-bit prime, m a 1791-bit prime, g = |2^(2m) mod p|.
 _Q_256 = int("e4cf177d54b7cf72dd050acbbedf0b94be8d85f2906f2201b752b90409cdc85f", 16)
 _M_1791 = int(
     "62428b64eee3206ba6c0235c39da364d93ad0a62ae5b84efde7983828d34563f"
@@ -261,14 +254,14 @@ _M_1791 = int(
     16,
 )
 _G_2048 = int(
-    "6d7e3397ede6746fea1fc34088f44fa24d1ec1cafa863c92889eae4228197c0e"
-    "2c49fbf3b58b31b41e691b452b92119c130a26ff7d8fd54375658e7c8e17cb27"
-    "f7229a5d18aeca480e9aa5aaae4e58830a6dab09039f7b3bd11e6cb7549881f4"
-    "7a30ed7ccec81ab726de4f5ffc9a761a202a9683a83eb9e01fa1ca94a6d914a1"
-    "8299eaaf2c8a3e6b2fc2f7ccf1f4fec4e50ecf142b693050871abe0f5e2c73fe"
-    "849b963b88d1cf373ff0a042c63c90581dafe0ab0ead9300e1850969aa19bb7b"
-    "f941ee24ff275cad7d2eec650957a4cb5cc2c66bf7d5345eb387a4ca21bd9a84"
-    "4ba509287f161b9cc4a10ee881dd392984d20ed47fbb23b78db72caaf0b17b25",
+    "42274e5973e979f9b00de152aca0ef3608dc7c8ead38c522a91220dde3d1447a"
+    "1205b7dcd1d9bde5b0ee15f625689425afbfb98a4f711ec19f6e19d57fb3001b"
+    "5c715b694217628902f287bdd493a07a45d1f79941a5cd47721f0d6866d2a5ff"
+    "e776cf127ed27c38e1bd3f8d7a7c670082e1087ef2100fd5bd774e4c309a19ca"
+    "e2adfd3166c16705c01158ff57a042901abcfa1169a2aa921c6709731a3695ca"
+    "58bb3de8be1cca000be721d05a15375774bbd16cf7e894fa04f1a0e35e22b3cb"
+    "5f922a9eb378b3318ce8f59a3b0a92d7e36b858e69b614d61a6a6c2fdf4ef3a3"
+    "e1251eec796eed73e2d0ee8d120f3105cc66e30776dc64adf0266253b2e4325e",
     16,
 )
 

@@ -42,11 +42,19 @@ class ElectionManifest(Record):
 
     @classmethod
     def from_json(cls, obj) -> "ElectionManifest":
-        """The manifest, its style ids unrepeated and its office key tested once
-        for membership in the order-q subgroup, as every signature check takes it."""
+        """The manifest, its style ids unrepeated, its joint key and commitments
+        signed representatives (each proof tests K, and each share check the
+        verification key the commitments give, for membership), and its office
+        key tested once for membership in the order-q subgroup, as every
+        signature check takes it."""
         manifest = super().from_json(obj)
         if len(manifest.style_map) != len(manifest.styles):
             raise MalformedRecord("a style id is repeated").within("styles")
+        jpk = manifest.jpk
+        for field, values in (("K", (jpk.K,)), ("commitments", jpk.commitments)):
+            if not all(map(manifest.gp.is_signed, values)):
+                raise MalformedRecord("not a signed representative").within(field).within(
+                    "joint_key")
         if not manifest.gp.is_element(manifest.office_pk):
             raise MalformedRecord("not an element of the group").within("office_pk")
         return manifest

@@ -349,40 +349,3 @@ class PollSite:
         )
         self.closed = True
         return final_z
-
-
-def replay_event_log(events, initial_seeds: dict):
-    """Independent replay of a site event log.
-
-    Recomputes every z from the ballot/proof bytes embedded in
-    ballot_produced events. Conservation holds when, at every prefix, each
-    terminal's produced count equals the number of distinct serials it
-    produced and every cast, spoil or adjudication names a produced serial.
-    Returns (chains, conservation_ok) where chains maps terminal id to the
-    list of recomputed z hex digests."""
-    from .ballot import EncryptedBallot, WellFormednessProof
-
-    z_prev = dict(initial_seeds)
-    chains = {tid: [] for tid in initial_seeds}
-    produced = set()
-    conservation_ok = True
-
-    for event in events:
-        kind = event["event"]
-        if kind == "ballot_produced":
-            tid = event["terminal"]
-            if tid not in z_prev:
-                conservation_ok = False
-                continue
-            ballot = EncryptedBallot.from_json(event["ballot"])
-            proof = WellFormednessProof.from_json(event["proof"])
-            z = chain_hash(ballot, proof, tid, z_prev[tid])
-            chains[tid].append(z.hex())
-            z_prev[tid] = z
-            if event["serial"] in produced:
-                conservation_ok = False
-            produced.add(event["serial"])
-        elif kind in ("cast", "spoiled", "provisional_adjudicated"):
-            if event["serial"] not in produced:
-                conservation_ok = False
-    return chains, conservation_ok

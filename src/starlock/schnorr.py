@@ -1,10 +1,10 @@
 """Schnorr signatures over the shared group, hash-commitment variant.
 
 The signature stores the challenge digest rather than the commitment R, so a
-verifier recomputes R = g^s * pk^e and checks that it hashes back to the
-stored digest. The nonce is derived deterministically from the secret key and
-message, which keeps signing free of ambient randomness and makes repeated
-pipeline runs byte-identical.
+verifier recomputes R = |g^s * pk^e| (GroupParams.signed) and checks that it
+hashes back to the stored digest. The nonce is derived deterministically from
+the secret key and message, which keeps signing free of ambient randomness
+and makes repeated pipeline runs byte-identical.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _challenge_digest(commit: int, pk: int, msg: bytes) -> bytes:
 
 def sign(msg: bytes, kp: Keypair, gp: GroupParams) -> SchnorrSignature:
     r = _nonce(kp.sk, msg, gp)
-    commit = gp.comb(gp.g, r, gp.p)
+    commit = gp.signed(gp.comb(gp.g, r, gp.p))
     digest = _challenge_digest(commit, kp.pk, msg)
     e = int.from_bytes(digest, "big") % gp.q
     s = (r - e * kp.sk) % gp.q
@@ -53,5 +53,5 @@ def verify_sig(msg: bytes, sig: SchnorrSignature, pk: int, gp: GroupParams) -> b
         return False
     e = int.from_bytes(sig.commit_hash, "big") % gp.q
     # Not g's comb: for the one check a receipt-check makes, the table costs more than it saves.
-    commit = multi_exp([(gp.g, sig.response), (pk, e)], gp.p)
+    commit = gp.signed(multi_exp([(gp.g, sig.response), (pk, e)], gp.p))
     return _challenge_digest(commit, pk, msg) == sig.commit_hash

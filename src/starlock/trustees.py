@@ -4,9 +4,10 @@ A trusted dealer runs Feldman verifiable secret sharing: a random degree
 k-1 polynomial f over Z_q with f(0) = sk, share i = f(i) for trustee ids
 1..n, and public commitments A_j = g^(a_j) to every coefficient. Any k
 trustees reconstruct the decryption in the exponent via Lagrange
-interpolation; fewer than k cannot. Each partial decryption ships with a
-Chaum-Pedersen proof tying it to the trustee's public verification key,
-which anyone can derive from the commitments.
+interpolation; fewer than k cannot. Every published element (commitment,
+key, share) is a signed form (GroupParams.signed). Each partial decryption
+ships with a Chaum-Pedersen proof tying it to the trustee's public
+verification key, which anyone can derive from the commitments.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ def dkg(n: int, k: int, gp: GroupParams, rng: random.Random):
     """
     check_threshold(n, k, gp)
     coeffs = [rng.randrange(1, gp.q)] + [rng.randrange(0, gp.q) for _ in range(k - 1)]
-    commitments = tuple(pow(gp.g, a, gp.p) for a in coeffs)
+    commitments = tuple(gp.signed(pow(gp.g, a, gp.p)) for a in coeffs)
 
     def f(x: int) -> int:
         acc = 0
@@ -105,13 +106,13 @@ def dkg(n: int, k: int, gp: GroupParams, rng: random.Random):
 
 
 def verification_key(trustee_id: int, commitments, gp: GroupParams) -> int:
-    """g^f(trustee_id) from the public commitments: prod A_j^(id^j)."""
+    """|g^f(trustee_id)| from the public commitments: |prod A_j^(id^j)|."""
     acc = 1
     power = 1
     for a_j in commitments:
         acc = acc * pow(a_j, power, gp.p) % gp.p
         power = power * trustee_id % gp.q
-    return acc
+    return gp.signed(acc)
 
 
 def partial_decrypt(
@@ -124,7 +125,7 @@ def partial_decrypt(
     """share_value = a^f(i), proved equal in exponent to the verification key.
     Both powers of a (the share and the proof's commitment) go through a's
     comb table in a large group: the k trustees of a column raise it 2k times."""
-    value = gp.comb(c.a, share.secret_share, gp.p)
+    value = gp.signed(gp.comb(c.a, share.secret_share, gp.p))
     vk = verification_key(share.trustee_id, share.commitments, gp)
     proof = prove_eq_dlog(
         share.secret_share, vk, c.a, value, gp, rng,
@@ -166,7 +167,7 @@ def lagrange_coeff(i: int, subset, q: int) -> int:
 def combine_in_exponent(c: Ciphertext, shares, jpk: JointPublicKey, gp: GroupParams,
                         context: bytes, eqs) -> int:
     """Verify k decryption shares and interpolate them in the exponent.
-    Returns g^m for the plaintext m of c. The share proofs' equations go to
+    Returns |g^m| for the plaintext m of c. The share proofs' equations go to
     the sink eqs, which the caller tests (see combine_shares).
 
     Raises InsufficientShares when fewer than k distinct trustees
@@ -193,13 +194,13 @@ def combine_in_exponent(c: Ciphertext, shares, jpk: JointPublicKey, gp: GroupPar
         if lam > gp.q // 2:
             lam -= gp.q
         combined = combined * pow(ds.share_value, lam, gp.p) % gp.p
-    return c.b * pow(combined, -1, gp.p) % gp.p
+    return gp.signed(c.b * pow(combined, -1, gp.p) % gp.p)
 
 
 def combine_shares(columns, jpk: JointPublicKey, gp: GroupParams) -> list:
     """Verify and interpolate each column, given as (ciphertext, shares,
     context); the share proofs' equations of every column go to one batch
-    (chaum_pedersen.batched). Returns g^m for each column's plaintext m, in
+    (chaum_pedersen.batched). Returns |g^m| for each column's plaintext m, in
     order, and raises what combine_in_exponent raises for the first column
     at fault.
     """

@@ -185,7 +185,7 @@ def _verify_share_set(col, row, manifest, eqs) -> str | None:
         return f"only {distinct} decryption shares, need {manifest.jpk.k}"
     except BadShareProof as exc:
         return f"share proof of trustee {exc.trustee_id} fails"
-    if g_m != pow(gp.g, col.value, gp.p):
+    if g_m != gp.signed(pow(gp.g, col.value, gp.p)):
         return f"claimed plaintext {col.value} inconsistent with shares"
     return None
 

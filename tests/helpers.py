@@ -34,9 +34,9 @@ _cache = {}
 
 # A 256-bit safe prime p = 2q + 1 with g = 4: the first safe prime from
 # SHA-256(b"starlock test group 256") >> 1 with bit 254 set, stepping q by 2.
-# Above LARGE_GROUP_BITS, so it takes the large-group paths (Legendre
-# membership, combs, batched proof equations) at about 1/150 of the prod
-# group's cost per power. A simulation group: a 256-bit discrete log is not
+# Above LARGE_GROUP_BITS, so it takes the large-group paths (combs, batched
+# proof equations and membership) at about 1/150 of the prod group's cost per
+# power. A simulation group: a 256-bit discrete log is not
 # secure. test_batch.py validates it.
 _P_MID = int("cbe78059834b3c9ab831b7e8877365e192dd2ca76ab5e1d073e6777a9819aeef", 16)
 MID_GROUP = GroupParams(p=_P_MID, q=_P_MID // 2, g=4)

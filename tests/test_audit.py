@@ -7,6 +7,7 @@ a short closed-form product that was computed by hand first.
 """
 
 import copy
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -147,11 +148,9 @@ def test_margin_pairs_multiwinner_and_uncontested() -> None:
             Contest(contest_id="council", options=("ida", "joan", "mary"), limit=2),
         ),
     )
-    manifest_like = type(
-        "M", (), {"styles": (style,)}
-    )()
+    manifest = dataclasses.replace(demo_run()[0]["manifest"], styles=(style,))
     result = {"council": {"ida": "3", "joan": "2", "mary": "3"}}
-    winners, pairs, v = margin_pairs(manifest_like, result)
+    winners, pairs, v = margin_pairs(manifest, result)
     assert winners == {"council": ["ida", "mary"]}
     assert pairs == {"council": [("ida", "joan"), ("mary", "joan")]}
     assert v == 1
@@ -159,7 +158,7 @@ def test_margin_pairs_multiwinner_and_uncontested() -> None:
     solo = BallotStyle(
         style_id="u", contests=(Contest(contest_id="sole", options=("only",), limit=1),)
     )
-    uncontested = type("M", (), {"styles": (solo,)})()
+    uncontested = dataclasses.replace(manifest, styles=(solo,))
     with pytest.raises(MarginNotPositive):
         margin_pairs(uncontested, {"sole": {"only": "9"}})
 

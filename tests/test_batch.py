@@ -20,6 +20,7 @@ from helpers import (
 )
 from starlock import ballot, chaum_pedersen, elgamal, group, verifier
 from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballot, verify_ballot
+from starlock.boardformat import spoiled_statements
 from starlock.chaum_pedersen import (
     Collect,
     Immediate,
@@ -31,7 +32,7 @@ from starlock.chaum_pedersen import (
 )
 from starlock.cli import main
 from starlock.elgamal import Ciphertext, encrypt_exp, keygen
-from starlock.fiatshamir import DOMAIN_CONTEST_SUM, DOMAIN_DECRYPT_SHARE
+from starlock.fiatshamir import DOMAIN_CONTEST_SUM, DOMAIN_DECRYPT_SHARE, fiat_shamir_challenge
 from starlock.group import PROD_GROUP, TEST_GROUP, GroupParams, multi_exp
 from starlock.scenario import make_demo_scenario, run_scenario
 from starlock.trustees import (
@@ -39,6 +40,7 @@ from starlock.trustees import (
     combine_shares,
     dkg,
     partial_decrypt,
+    verification_key,
     verify_decryption_share,
 )
 from starlock.verifier import verify_board
@@ -159,7 +161,7 @@ def _zero_one_checks(gp, rng, bad_key):
     for i in range(4):
         bit = i % 2
         if i == BAD:
-            k, r, ct = bad_key, 0, Ciphertext(1, pow(gp.g, bit, gp.p))
+            k, r, ct = bad_key, 0, Ciphertext(1, gp.signed(pow(gp.g, bit, gp.p)))
         else:
             k, r = key, rng.randrange(1, gp.q)
             ct = encrypt_exp(bit, r, k, gp)
@@ -178,8 +180,8 @@ def _eq_dlog_checks(gp, rng, bad_base):
     checks = []
     for i in range(4):
         x, h = (0, bad_base) if i == BAD else (
-            rng.randrange(1, gp.q), pow(gp.g, rng.randrange(1, gp.q), gp.p))
-        y1, y2 = pow(gp.g, x, gp.p), pow(h, x, gp.p)
+            rng.randrange(1, gp.q), gp.signed(pow(gp.g, rng.randrange(1, gp.q), gp.p)))
+        y1, y2 = gp.signed(pow(gp.g, x, gp.p)), gp.signed(pow(h, x, gp.p))
         proof = prove_eq_dlog(x, y1, h, y2, gp, rng, b"ctx", DOMAIN_DECRYPT_SHARE)
         share = DecryptionShare(trustee_id=1, share_value=y2, proof=proof)
         checks.append(lambda eqs, share=share, ct=Ciphertext(h, 1), y1=y1:
@@ -189,17 +191,18 @@ def _eq_dlog_checks(gp, rng, bad_base):
 
 def _non_member_cases():
     """{case: four checks}: in the prod group, z = 2^(2q) has order m, so
-    K*z and a*z are quadratic residues outside the order-q subgroup; p - a
-    is not a residue at all (-1 is none, as p = 3 mod 4)."""
+    |K*z| and |a*z| are signed forms outside the order-q subgroup; p - a is
+    the other representative of a's class, which once failed its Legendre
+    symbol (-1 is no square, as p = 3 mod 4) and now fails the range."""
     gp, rng = PROD_GROUP, random.Random(17)
     p, q = gp.p, gp.q
     z = pow(2, 2 * q, p)
     assert z != 1 and pow(z, (p - 1) // (2 * q), p) == 1 and p % 4 == 3
     K = keygen(gp, rng).pk
-    a = pow(gp.g, rng.randrange(1, q), p)
+    a = gp.signed(pow(gp.g, rng.randrange(1, q), p))
     return {
-        "joint-key-K*z": _zero_one_checks(gp, rng, K * z % p),
-        "eq-dlog-base-a*z": _eq_dlog_checks(gp, rng, a * z % p),
+        "joint-key-K*z": _zero_one_checks(gp, rng, gp.signed(K * z % p)),
+        "eq-dlog-base-a*z": _eq_dlog_checks(gp, rng, gp.signed(a * z % p)),
         "legendre-p-a": _eq_dlog_checks(gp, rng, p - a),
     }
 
@@ -224,21 +227,22 @@ def test_a_non_member_that_meets_every_equation_is_refused_and_named(
     assert run(Immediate(gp)) == named
     batch = Collect(gp, b"seed")
     verdicts = run(batch)
-    if case.startswith("legendre"):  # refused at once, by its Legendre symbol
+    if case.startswith("legendre"):  # refused at once, by the range check
         assert verdicts == named and batch.holds()
-    else:  # every residue passes; the batch's q-th power refuses them together
+    else:  # every signed form passes; the batch's q-th power refuses them together
         assert verdicts == [True] * 4 and not batch.holds()
     assert batched(gp, lambda: b"seed", run) == named
 
-    # An honest batch holds, testing each distinct element's Legendre symbol once.
+    # An honest batch holds; it range-checks each distinct element once and
+    # makes one membership test, of the weighted product, in holds().
     tested = []
     is_element = GroupParams.is_element
     monkeypatch.setattr(GroupParams, "is_element",
                         lambda gp, x: tested.append(x) or is_element(gp, x))
     honest = Collect(gp, b"seed")
     assert [check(honest) for i, check in enumerate(checks) if i != BAD] == [True] * 3
-    assert tested and len(tested) == len(set(tested)) == len(honest.members)
-    assert honest.holds() and len(tested) == len(honest.members) + 1
+    assert not tested and honest.members
+    assert honest.holds() and len(tested) == 1
 
 
 # (line kind, path to a published element, the check that must refuse it): a
@@ -265,11 +269,11 @@ def _finished_in(name):
 
 @pytest.mark.parametrize("name", ["mid", "prod"])
 def test_each_kind_of_published_element_outside_the_subgroup_is_refused_by_entry(name) -> None:
-    """p - x is no quadratic residue (p = 3 mod 4 in both groups), so outside the
-    order-q subgroup; a board with one such element, re-chained and re-signed,
+    """p - x is the other representative of x's class, not its signed form, so
+    no element; a board with one such element, re-chained and re-signed,
     fails the check that reads it, at its line and entry alone. Each value is
     also in its proof's Fiat-Shamir transcript, so this guards where a
-    refusal is named; the witness-0 tests above guard the membership tests."""
+    refusal is named; the re-proved cases below guard the membership tests."""
     result = _finished_in(name)
     manifest = result["manifest"]
     p = manifest.gp.p
@@ -291,39 +295,104 @@ def test_each_kind_of_published_element_outside_the_subgroup_is_refused_by_entry
         assert failing == [(lineno, entry)], (kind, path)
 
 
-def _proved_until(prove, even):
-    """prove(rng) re-drawn until even(proof): each equation with an even
-    challenge holds over -a as over a, since (-a)^c = a^c."""
-    rng = random.Random(23)
-    while True:
-        proof = prove(rng)
-        if even(proof):
-            return proof
+def _eq_dlog_with_commit(witness, y1, g2, y2, gp, context, domain, which):
+    """An eq-dlog proof whose commit `which` (1 or 2) is published, and hashed,
+    as p - t, the other representative of t's class: every equation still
+    holds up to sign."""
+    w = random.Random(which).randrange(1, gp.q)
+    commits = [gp.signed(pow(gp.g, w, gp.p)), gp.signed(pow(g2, w, gp.p))]
+    commits[which - 1] = gp.p - commits[which - 1]
+    e = fiat_shamir_challenge(
+        domain, chaum_pedersen._eq_dlog_transcript(context, gp.g, y1, g2, y2, *commits), gp)
+    return chaum_pedersen.ChaumPedersenProof(*commits, e, (w + e * witness) % gp.q)
 
 
-@pytest.mark.parametrize("name", ["mid", "prod"])
-def test_a_negated_column_whose_proofs_hold_over_it_is_refused_by_membership(
-        name, monkeypatch) -> None:
-    """One cast column's a becomes p - a, outside the order-q subgroup (p = 3
-    mod 4). Its zero-or-one proof is made again with the column's own r, and
-    its contest-sum proof with the contest's, each re-drawn until every
-    challenge is even: then every equation and transcript holds over p - a,
-    and only the membership test of the column's a refuses the entry."""
-    seen = {}  # column ciphertext -> (bit, r) of every encryption of the run
+def _sum_commit(result, seen, lines):
+    """A cast entry's first contest-sum proof, made again with commit1 = p - t1.
+    Returns (the check, the line number, the entry)."""
+    manifest = result["manifest"]
+    gp, K, election_id = manifest.gp, manifest.jpk.K, manifest.election_id
+    lineno, line = next((n, line) for n, line in enumerate(lines)
+                        if line["kind"] == "entry" and line["status"] == "CAST")
+    eb = ballot.EncryptedBallot.from_json(line["ballot"])
+    style = manifest.style_map[eb.style_id]
+    contest, enc = style.contests[0], eb.contests[0]
+    cts = ballot.join_columns(contest, enc.option_cts, enc.padding_cts, enc.writein_ct)
+    witness = sum(seen[ct][1] for ct in (*enc.option_cts, *enc.padding_cts)) % gp.q
+    a, b = ballot.contest_sum_statement(contest, cts, gp)
+    context = ballot.column_context(election_id, style.style_id, contest.contest_id,
+                                    ballot.SUM_COLUMN)
+    proof = _eq_dlog_with_commit(witness, a, K, b, gp, context, DOMAIN_CONTEST_SUM, 1)
+    line["proof"]["contests"][0]["sum"] = proof.to_json()
+    return "ballot_proofs", lineno, int(line["index"])
+
+
+def _share(result, lines, which):
+    """The first decryption line's first share, made again over p - x: its
+    share value (which = 0) or its proof's commit2 (which = 2)."""
+    manifest = result["manifest"]
+    gp = manifest.gp
+    lineno, line = next((n, line) for n, line in enumerate(lines) if line["kind"] == "decryption")
+    k = int(line["ref"])
+    entry = next(line for line in lines if line["kind"] == "entry" and line["index"] == str(k))
+    eb = ballot.EncryptedBallot.from_json(entry["ballot"])
+    column = line["columns"][0]
+    row = next(row for row in spoiled_statements(manifest.election_id, k, eb,
+                                                 manifest.style_map[eb.style_id])
+               if (row.contest, row.column) == (column["contest"], column["column"]))
+    share = DecryptionShare.from_json(column["shares"][0])
+    x = next(t.secret_share for t in result["trustee_shares"] if t.trustee_id == share.trustee_id)
+    vk = verification_key(share.trustee_id, manifest.jpk.commitments, gp)
+    value, rng = share.share_value, random.Random(3)
+    if which == 0:
+        value = gp.p - value
+        proof = prove_eq_dlog(x, vk, row.ciphertext.a, value, gp, rng, row.context,
+                              DOMAIN_DECRYPT_SHARE)
+    else:
+        proof = _eq_dlog_with_commit(x, vk, row.ciphertext.a, value, gp, row.context,
+                                     DOMAIN_DECRYPT_SHARE, which)
+    column["shares"][0] = DecryptionShare(share.trustee_id, value, proof).to_json()
+    return "decryptions", lineno, k
+
+
+REPROVED = {
+    "sum-commit": _sum_commit,
+    "share-value": lambda result, seen, lines: _share(result, lines, 0),
+    "share-commit": lambda result, seen, lines: _share(result, lines, 2),
+}
+
+
+@pytest.fixture(scope="module", params=["mid", "prod"])
+def recorded_run(request):
+    """The demo's first and third voters in the group, tallied, with the
+    (bit, r) of every column encryption of the run, keyed by ciphertext."""
+    seen = {}
 
     def recording(m, r, K, gp):
         ct = encrypt_exp(m, r, K, gp)
         seen[ct] = (m, r)
         return ct
 
-    monkeypatch.setattr(ballot, "encrypt_exp", recording)
-    monkeypatch.setitem(group.GROUPS, "mid", MID_GROUP)
-    demo = make_demo_scenario()
-    result = run_scenario(dataclasses.replace(demo, group=name,
-                                              voters=(demo.voters[0], demo.voters[2])))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(ballot, "encrypt_exp", recording)
+        monkeypatch.setitem(group.GROUPS, "mid", MID_GROUP)
+        demo = make_demo_scenario()
+        result = run_scenario(dataclasses.replace(demo, group=request.param,
+                                                  voters=(demo.voters[0], demo.voters[2])))
+    finish(result)
+    return result, seen
+
+
+def test_a_negated_column_whose_proofs_hold_over_it_is_refused_by_membership(
+        recorded_run) -> None:
+    """One cast column's a becomes p - a, the other representative of its
+    class. Its zero-or-one proof is made again over p - a with the column's
+    own r; the contest sum, signed, is the same value, so its proof stands.
+    Every equation (compared up to sign) and transcript holds, and only the
+    range check of the column's a refuses the entry."""
+    result, seen = recorded_run
     manifest = result["manifest"]
     gp, K, election_id = manifest.gp, manifest.jpk.K, manifest.election_id
-    assert gp.p % 4 == 3
     lines = result["board"].lines()
     lineno, line = next((n, line) for n, line in enumerate(lines)
                         if line["kind"] == "entry" and line["status"] == "CAST")
@@ -332,24 +401,17 @@ def test_a_negated_column_whose_proofs_hold_over_it_is_refused_by_membership(
     style = manifest.style_map[eb.style_id]
     contest, enc, cpr = style.contests[0], eb.contests[0], proof.contests[0]
     bit, r = seen[enc.option_cts[0]]
-    witness = sum(seen[ct][1] for ct in (*enc.option_cts, *enc.padding_cts)) % gp.q
     negated = Ciphertext(gp.p - enc.option_cts[0].a, enc.option_cts[0].b)
     assert not gp.is_element(negated.a)
-
-    def context(column):
-        return ballot.column_context(election_id, style.style_id, contest.contest_id, column)
-
-    column_proof = _proved_until(
-        lambda rng: prove_zero_or_one(bit, r, negated, K, gp, rng, context(contest.options[0])),
-        lambda zp: zp.challenge0 % 2 == zp.challenge1 % 2 == 0)
+    context = ballot.column_context(election_id, style.style_id, contest.contest_id,
+                                    contest.options[0])
+    column_proof = prove_zero_or_one(bit, r, negated, K, gp, random.Random(23), context)
+    cts = ballot.join_columns(contest, enc.option_cts, enc.padding_cts, enc.writein_ct)
+    statement = ballot.contest_sum_statement(contest, cts, gp)
     enc = dataclasses.replace(enc, option_cts=(negated, *enc.option_cts[1:]))
     cts = ballot.join_columns(contest, enc.option_cts, enc.padding_cts, enc.writein_ct)
-    a, b = ballot.contest_sum_statement(contest, cts, gp)
-    sum_proof = _proved_until(lambda rng: prove_eq_dlog(
-        witness, a, K, b, gp, rng, context(ballot.SUM_COLUMN), DOMAIN_CONTEST_SUM),
-        lambda cp: cp.challenge % 2 == 0)
-    cpr = dataclasses.replace(cpr, option_proofs=(column_proof, *cpr.option_proofs[1:]),
-                              sum_proof=sum_proof)
+    assert ballot.contest_sum_statement(contest, cts, gp) == statement
+    cpr = dataclasses.replace(cpr, option_proofs=(column_proof, *cpr.option_proofs[1:]))
     eb = dataclasses.replace(eb, contests=(enc, *eb.contests[1:]))
     proof = dataclasses.replace(proof, contests=(cpr, *proof.contests[1:]))
     everyone = Immediate(gp)
@@ -361,6 +423,29 @@ def test_a_negated_column_whose_proofs_hold_over_it_is_refused_by_membership(
     failing = [(item.line, item.entry) for item in report.failures()
                if item.check == "ballot_proofs"]
     assert failing == [(lineno, int(line["index"]))]
+
+
+@pytest.mark.parametrize("kind", REPROVED)
+def test_a_non_canonical_element_whose_proof_holds_over_it_is_refused_by_its_range(
+        recorded_run, kind, monkeypatch) -> None:
+    """A contest-sum commit, a decryption share or a share-proof commit is
+    published as p - x, the other representative of its class, and its proof
+    is made again over that value, so that every transcript and every
+    equation (compared up to sign) holds; the board is re-chained and
+    re-signed. Only the membership test of that one element refuses it, at
+    its line and entry; with membership waived, the check passes."""
+    result, seen = recorded_run
+    manifest = result["manifest"]
+    lines = result["board"].lines()
+    check, lineno, entry = REPROVED[kind](result, seen, lines)
+    raw = rechain(lines, manifest.election_id, result["office"], manifest.gp)
+    failing = [(item.line, item.entry) for item in verify_board(raw, manifest).failures()
+               if item.check == check]
+    assert failing == [(lineno, entry)]
+
+    monkeypatch.setattr(GroupParams, "is_element", lambda gp, x: True)
+    monkeypatch.setattr(Collect, "member", lambda self, x: True)
+    assert check not in {item.check for item in verify_board(raw, manifest).failures()}
 
 
 def _bump_response(line: dict, key: str, nth: int = 0) -> None:

@@ -199,7 +199,7 @@ def retamper_demo(mutate, upto=None):
 
 @pytest.mark.parametrize("group", [
     {"p": "15", "q": "7", "g": "4"},  # p = 2q + 1 composite
-    {"p": "23", "q": "11", "g": "5"},  # g outside the order-q subgroup
+    {"p": "23", "q": "11", "g": "12"},  # g = 23 - 11, not a signed representative
     {"p": "twenty-three", "q": "11", "g": "4"},
 ], ids=["composite-p", "bad-g", "not-a-number"])
 def test_manifest_with_an_invalid_group_is_refused(group, tmp_path, capsys) -> None:
@@ -210,6 +210,32 @@ def test_manifest_with_an_invalid_group_is_refused(group, tmp_path, capsys) -> N
                  "--terminal", "T1", "--code", "A" * 20]) == 2
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 2 and all(line.startswith("InvalidGroup: ") for line in out)
+
+
+def test_a_manifest_with_the_unsigned_prod_generator_exits_2_naming_its_group(
+        tmp_path, capsys) -> None:
+    """Before elements were published in signed form, the prod group's g was
+    2^(2m) mod p, above (p - 1) / 2. A manifest that still carries it is no
+    built-in group, and validate() refuses it: every command that reads the
+    manifest exits 2 naming `<manifest>.group`."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    raw = board_raw_lines(result["board"])
+    params = tmp_path / "params.json"
+    old = dict(PROD_GROUP.to_json(), g=str(PROD_GROUP.p - PROD_GROUP.g))
+    assert int(old["g"]) > (PROD_GROUP.p - 1) // 2
+    params.write_text(json.dumps(dict(json.loads(params.read_text()), group=old)),
+                      encoding="utf-8")
+    for name in ("verify", "tally", "audit", "receipt-check"):
+        if name == "tally":
+            write_pre_tally(board, raw)
+        else:
+            board.write_text("\n".join(raw) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(commands[name]) == 2, name
+        assert capsys.readouterr().out == (
+            f"InvalidGroup: {params}.group: g is not a signed representative in "
+            "[2, (p - 1) / 2]\n"), name
 
 
 @pytest.mark.parametrize("z, fault", [
@@ -516,7 +542,7 @@ def test_tally_refuses_an_office_key_pair_the_manifest_does_not_name(edit, tmp_p
 
 def test_an_office_key_outside_the_subgroup_is_refused_where_the_manifest_loads(
         tmp_path, capsys) -> None:
-    """p - pk is not a quadratic residue in the test group (p = 23 is 3 mod 4):
+    """p - pk is the other representative of pk's class, not its signed form:
     every command that reads the manifest exits 2 naming its office key,
     where verify once reported FAIL and the others a signature that does not
     verify."""
@@ -596,14 +622,14 @@ def test_a_manifest_that_repeats_a_style_id_is_refused_naming_its_styles(
 
 
 def test_a_prod_manifest_refuses_an_office_key_outside_the_order_q_subgroup() -> None:
-    """pk * z, with z = 2^(2q) of order m in the prod group, is a quadratic
-    residue, so only the q-th power test refuses it."""
+    """|pk * z|, with z = 2^(2q) of order m in the prod group, is a signed
+    representative, so only the q-th power test refuses it."""
     p, q, g = PROD_GROUP.p, PROD_GROUP.q, PROD_GROUP.g
     doc = dict(demo_run()[0]["manifest"].to_json(), group=PROD_GROUP.to_json())
-    pk = pow(g, 12345, p)
+    pk = PROD_GROUP.signed(pow(g, 12345, p))
     assert ElectionManifest.from_json(dict(doc, office_pk=int_to_hex(pk))).office_pk == pk
-    bad_key = pk * pow(2, 2 * q, p) % p
-    assert PROD_GROUP.residues.is_element(bad_key)
+    bad_key = PROD_GROUP.signed(pk * pow(2, 2 * q, p) % p)
+    assert 0 < bad_key <= (p - 1) // 2
     with pytest.raises(MalformedRecord) as refused:
         ElectionManifest.from_json(dict(doc, office_pk=int_to_hex(bad_key)))
     assert refused.value.detail == "office_pk: not an element of the group"
@@ -657,15 +683,16 @@ def test_simulate_refuses_an_office_key_whose_pk_is_not_g_to_its_sk(tmp_path, ca
 
 
 def test_simulate_refuses_a_joint_key_outside_the_order_q_subgroup(tmp_path, capsys) -> None:
-    """K * z, with z = 2^(2q) of order m in the prod group, is a quadratic
-    residue, so only the q-th power test refuses it: exit 2, naming the file."""
+    """|K * z|, with z = 2^(2q) of order m in the prod group, is a signed
+    representative, so only the q-th power test refuses it: exit 2, naming
+    the file."""
     keys, out = tmp_path / "keys", tmp_path / "run"
     assert main(["keygen", "--n", "1", "--k", "1", "--seed", "5", "--group", "prod",
                  "--outdir", str(keys)]) == 0
     joint = keys / "joint_key.json"
     doc = json.loads(joint.read_text())
     p, q = PROD_GROUP.p, PROD_GROUP.q
-    bad_key = int(doc["K"], 16) * pow(2, 2 * q, p) % p
+    bad_key = PROD_GROUP.signed(int(doc["K"], 16) * pow(2, 2 * q, p) % p)
     joint.write_text(json.dumps(dict(doc, K=int_to_hex(bad_key))), encoding="utf-8")
     scenario = tmp_path / "scenario.json"
     prod_demo = dataclasses.replace(make_demo_scenario(), group="prod")
@@ -674,6 +701,50 @@ def test_simulate_refuses_a_joint_key_outside_the_order_q_subgroup(tmp_path, cap
     assert main(["simulate", "--scenario", str(scenario), "--keys", str(keys),
                  "--outdir", str(out)]) == 2
     assert capsys.readouterr().out == f"MalformedRecord: {joint}.K: not an element of the group\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["K", "commitments"])
+def test_a_joint_key_value_not_in_signed_form_is_refused_where_it_loads(
+        tmp_path, capsys, field) -> None:
+    """p - x names the same class as x, so the joint key or a coefficient
+    commitment published as p - x would pass every proof and share check:
+    the manifest's decode refuses it, and every command that reads the
+    manifest exits 2 naming it."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    raw = board_raw_lines(result["board"])
+    params = tmp_path / "params.json"
+    doc = json.loads(params.read_text())
+    values = doc["joint_key"]["commitments"] if field == "commitments" else doc["joint_key"]
+    key = -1 if field == "commitments" else "K"
+    values[key] = int_to_hex(TEST_GROUP.p - int(values[key], 16))
+    params.write_text(json.dumps(doc), encoding="utf-8")
+    for name in ("verify", "tally", "audit", "receipt-check"):
+        if name == "tally":
+            write_pre_tally(board, raw)
+        else:
+            board.write_text("\n".join(raw) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(commands[name]) == 2, name
+        assert capsys.readouterr().out == (
+            f"MalformedRecord: {params}.joint_key.{field}: not a signed representative\n"), name
+
+
+def test_simulate_refuses_a_key_file_commitment_not_in_signed_form(tmp_path, capsys) -> None:
+    keys, out = tmp_path / "keys", tmp_path / "run"
+    assert main(["keygen", "--n", "3", "--k", "2", "--seed", "5", "--outdir", str(keys)]) == 0
+    joint = keys / "joint_key.json"
+    doc = json.loads(joint.read_text())
+    doc["commitments"][1] = int_to_hex(TEST_GROUP.p - int(doc["commitments"][1], 16))
+    joint.write_text(json.dumps(doc), encoding="utf-8")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(make_demo_scenario().to_json()), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(scenario), "--keys", str(keys),
+                 "--outdir", str(out)]) == 2
+    assert capsys.readouterr().out == (
+        f"MalformedRecord: {joint}.commitments: not a signed representative\n")
     assert not out.exists()
 
 

@@ -177,8 +177,8 @@ def edit_file(doc, kind: str, rng: random.Random, gp):
         return doc
     path = rng.choice(hexes)
     parent = _leaf(doc, path[:-1])
-    value = int(parent[path[-1]], 16) + 1 if kind == "off_by_one" else pow(
-        gp.g, rng.randrange(1, gp.q), gp.p)
+    value = int(parent[path[-1]], 16) + 1 if kind == "off_by_one" else gp.signed(pow(
+        gp.g, rng.randrange(1, gp.q), gp.p))
     parent[path[-1]] = int_to_hex(value)
     return doc
 
@@ -217,7 +217,8 @@ def test_no_operator_file_edit_ends_in_a_raise_or_exit_1(tmp_path, capsys) -> No
     pristine = {name: (tmp_path / name).read_text(encoding="utf-8") for name in READERS}
     share, office = json.loads(pristine["share1.json"]), json.loads(pristine["office.json"])
     joint = json.loads(pristine["keys/joint_key.json"])
-    assert not gp.is_element(int(joint["K"], 16) + 1)
+    bad_key = gp.p - int(joint["K"], 16)  # the other representative of K's class
+    assert not gp.is_element(bad_key)
     tally = commands["tally"]
     cases = [  # (file, its edited text, command, argv, the line it prints or None)
         ("share1.json", json.dumps(dict(share, secret_share=int_to_hex(
@@ -229,7 +230,7 @@ def test_no_operator_file_edit_ends_in_a_raise_or_exit_1(tmp_path, capsys) -> No
         ("office.json", json.dumps(dict(office, sk=int_to_hex(int(office["sk"], 16) + 1))),
          "tally", tally, f"MalformedRecord: {tmp_path / 'office.json'}: "
          "not the election manifest's office key pair"),
-        ("keys/joint_key.json", json.dumps(dict(joint, K=int_to_hex(int(joint["K"], 16) + 1))),
+        ("keys/joint_key.json", json.dumps(dict(joint, K=int_to_hex(bad_key))),
          "simulate", commands["simulate"],
          f"MalformedRecord: {tmp_path / 'keys' / 'joint_key.json'}.K: not an element of the group"),
     ]

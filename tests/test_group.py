@@ -18,7 +18,6 @@ from starlock.group import (
     TEST_GROUP,
     GroupParams,
     is_probable_prime,
-    jacobi,
     resolve_group,
 )
 
@@ -33,11 +32,15 @@ def test_test_group_validates() -> None:
 
 
 def test_test_group_membership_is_quadratic_residues() -> None:
-    # the order-11 subgroup of Z_23* is exactly the quadratic residues
+    # the order-11 subgroup of Z_23* is exactly the quadratic residues, and
+    # their signed forms min(x, 23 - x) are exactly 1..11
     residues = sorted({pow(x, 2, 23) for x in range(1, 23)})
     assert residues == [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]
+    signed = sorted(TEST_GROUP.signed(x) for x in residues)
+    assert signed == list(range(1, 12))
     for x in range(-1, 25):
-        assert TEST_GROUP.is_element(x) == (x in residues)
+        assert TEST_GROUP.is_element(x) == (x in signed)
+    assert [TEST_GROUP.signed(x) for x in range(23)] == [min(x, 23 - x) for x in range(23)]
 
 
 def test_exponent_range() -> None:
@@ -54,8 +57,8 @@ def test_prod_group_shape() -> None:
     assert p.bit_length() == 2048 and q.bit_length() == 256
     m, rest = divmod(p - 1, 2 * q)
     assert rest == 0 and m.bit_length() == 1791 and is_probable_prime(m)
-    assert g == pow(2, 2 * m, p) != 1 and pow(g, q, p) == 1
-    assert not PROD_GROUP.safe and PROD_GROUP.challenge_space == q
+    assert g == PROD_GROUP.signed(pow(2, 2 * m, p)) != 1 and pow(g, q, p) in (1, p - 1)
+    assert g <= (p - 1) // 2 != pow(2, 2 * m, p) and PROD_GROUP.challenge_space == q
 
 
 def test_prod_group_validates() -> None:
@@ -81,7 +84,31 @@ def test_validate_rejects_bad_parameters() -> None:
     with pytest.raises(ValueError):
         GroupParams(p=23, q=7, g=4).validate()  # p != 2q+1
     with pytest.raises(ValueError):
-        GroupParams(p=23, q=11, g=5).validate()  # 5 generates the full group, not the subgroup
+        GroupParams(p=23, q=11, g=12).validate()  # 12 = 23 - 11: not a signed form
+
+
+# (p, q, g, the reason validate() names): p = 1 mod 4, where -1 is a square and
+# |x| names no class; a g that is not a signed representative; and, with
+# p = 2qm + 1 for q = 811 and the prime m = 2^64 + 13, the signed form of
+# z = 2^(2q), which has order m.
+_P_811 = 2 * 811 * (2**64 + 13) + 1
+_Z = pow(2, 2 * 811, _P_811)
+REFUSED = {
+    "p-5-mod-4": (5, 2, 2, "p is not 3 mod 4"),
+    "p-13-mod-4": (13, 3, 3, "p is not 3 mod 4"),
+    "g-1": (23, 11, 1, "g is not a signed representative"),
+    "unsigned-prod-g": (PROD_GROUP.p, PROD_GROUP.q, PROD_GROUP.p - PROD_GROUP.g,
+                        "g is not a signed representative"),
+    "g-of-order-m": (_P_811, 811, min(_Z, _P_811 - _Z), "g does not generate"),
+}
+
+
+@pytest.mark.parametrize("p, q, g, reason", REFUSED.values(), ids=REFUSED)
+def test_validate_refuses_p_1_mod_4_and_a_g_outside_the_signed_range(p, q, g, reason) -> None:
+    with pytest.raises(InvalidGroup, match=reason):
+        GroupParams(p=p, q=q, g=g).validate()
+    with pytest.raises(InvalidGroup, match=reason):
+        GroupParams.from_json({"p": str(p), "q": str(q), "g": str(g)})
 
 
 # (q, m) with p = 2qm + 1 prime: a cofactor m > 1 must be a prime above 2^64.
@@ -98,7 +125,7 @@ def test_validate_takes_a_cofactor_only_if_it_is_a_prime_above_2_64(q, m, valid)
     p = 2 * q * m + 1
     assert is_probable_prime(p) and is_probable_prime(q)
     g = next(x for x in (pow(h, 2 * m, p) for h in range(2, 10)) if x != 1)
-    gp = GroupParams(p=p, q=q, g=g)
+    gp = GroupParams(p=p, q=q, g=min(g, p - g))
     if valid:
         gp.validate()
         assert GroupParams.from_json(gp.to_json()) == gp
@@ -146,7 +173,7 @@ def test_from_json_returns_built_in_groups_and_validates_others() -> None:
     other = GroupParams.from_json({"p": "47", "q": "23", "g": "4"})
     assert other == GroupParams(p=47, q=23, g=4) and not other.large
     for bad in ({"p": "15", "q": "7", "g": "4"},  # p = 2q + 1 composite
-                {"p": "23", "q": "11", "g": "5"},
+                {"p": "23", "q": "11", "g": "12"},  # 12 = 23 - 11: not a signed form
                 {"p": "x", "q": "11", "g": "4"},
                 {"p": "23", "q": "11"},
                 {"p": 23.9, "q": "11", "g": "4"},
@@ -161,43 +188,52 @@ def test_method_is_chosen_from_the_size_of_p() -> None:
     assert PROD_GROUP.large
 
 
-def test_jacobi_is_the_legendre_symbol_mod_a_prime() -> None:
-    for n in (3, 5, 7, 11, 13, 23, 47, 101):
-        for a in range(-2 * n, 2 * n):
-            euler = pow(a, (n - 1) // 2, n)
-            assert jacobi(a, n) == {1: 1, n - 1: -1, 0: 0}[euler], (a, n)
-
-
 @pytest.mark.parametrize("gp", [TEST_GROUP, PROD_GROUP], ids=["test", "prod"])
 def test_membership_agrees_with_pow(gp) -> None:
     rng = random.Random(5)
     p, q = gp.p, gp.q
-    members = [pow(gp.g, rng.randrange(q), p) for _ in range(3)]
+    members = [gp.signed(pow(gp.g, rng.randrange(q), p)) for _ in range(3)]
     others = [rng.randrange(2, p - 1) for _ in range(4)]
     # residues outside the order-q subgroup: a member times an element of order m
-    residues = [x * pow(2, 2 * q, p) % p for x in members]
+    residues = [gp.signed(x * pow(2, 2 * q, p) % p) for x in members]
     for x in members + others + residues + [0, 1, 2, p - 1, p, p + 1, -1, -p]:
-        assert gp.is_element(x) == (0 < x < p and pow(x, q, p) == 1), x
-        assert gp.residues.is_element(x) == (0 < x < p and pow(x, (p - 1) // 2, p) == 1), x
+        expected = 0 < x <= (p - 1) // 2 and pow(x, q, p) in (1, p - 1)
+        assert gp.is_element(x) == expected, x
+        assert gp.is_element(x) == (0 < x < p and gp.signed(x) == x
+                                    and pow(x * x % p, q, p) == 1), x
     assert all(gp.is_element(x) for x in members)
+    assert not any(gp.is_element(p - x) for x in members)  # the other representative
     assert gp is TEST_GROUP or not any(gp.is_element(x) for x in residues)
+
+
+@pytest.mark.parametrize("gp", [TEST_GROUP, PROD_GROUP], ids=["test", "prod"])
+def test_the_signed_form_is_a_homomorphism(gp) -> None:
+    # |x| names x's class in Z_p^*/{+-1}: products and powers of signed forms,
+    # signed again, equal those of any representatives.
+    rng = random.Random(7)
+    p = gp.p
+    for _ in range(20):
+        x, y, e = rng.randrange(1, p), rng.randrange(1, p), rng.randrange(gp.q)
+        assert gp.signed(x) == gp.signed(p - x) <= (p - 1) // 2
+        assert gp.signed(gp.signed(x) * gp.signed(y) % p) == gp.signed(x * y % p)
+        assert gp.signed(pow(gp.signed(x), e, p)) == gp.signed(pow(x, e, p))
 
 
 def test_comb_agrees_with_pow_in_the_prod_group() -> None:
     rng = random.Random(6)
     p, q = PROD_GROUP.p, PROD_GROUP.q
-    K = pow(PROD_GROUP.g, rng.randrange(1, q), p)
+    K = PROD_GROUP.signed(pow(PROD_GROUP.g, rng.randrange(1, q), p))
     for base in (PROD_GROUP.g, K):
         for e in (0, 1, 2, q - 1, rng.randrange(q), rng.randrange(2**256)):
             assert PROD_GROUP.comb(base, e, p) == pow(base, e, p)
     # the table holds exponents of q's 256 bits; any other goes to pow
-    assert PROD_GROUP.comb(K, q, p) == 1
+    assert PROD_GROUP.comb(K, q, p) in (1, p - 1)
     assert PROD_GROUP.comb(K, -1, p) == pow(K, -1, p)
     for e in (2**256, 2**256 + q - 1, rng.randrange(p)):
         assert PROD_GROUP.comb(K, e, p) == pow(K, e, p)
 
 
-PINNED_PROD_BALLOT = "aee3fee75d6f3b2192b728228d0e2d5de73c41e67a6f70c3cfe323507bf63d4a"
+PINNED_PROD_BALLOT = "e357433aca705f4ed384bdb746ec49628aa267e0178bd90932e30fb888233e0e"
 
 
 def test_prod_group_ballot_is_pinned_and_verifies() -> None:
@@ -209,6 +245,10 @@ def test_prod_group_ballot_is_pinned_and_verifies() -> None:
     digest = hashlib.sha256(eb.canonical_bytes() + proof.canonical_bytes()).hexdigest()
     assert digest == PINNED_PROD_BALLOT
     assert verify_ballot(eb, proof, style, K, PROD_GROUP, "pinned")
+    elements = [ct.a for ct in eb.contests[0].option_cts + eb.contests[0].padding_cts]
+    elements += [getattr(zp, f"commit{i}_{k}") for zp in proof.contests[0].option_proofs
+                 for i in "01" for k in "gk"]
+    assert all(PROD_GROUP.is_element(x) for x in elements)  # each in its signed form
 
     contest = proof.contests[0]
     first = contest.option_proofs[0]

@@ -1,4 +1,4 @@
-"""Polling-place protocol: tokens, sessions, casting, faults, and replay."""
+"""Polling-place protocol: tokens, sessions, casting and faults."""
 
 import random
 
@@ -24,7 +24,6 @@ from starlock.pollsite import (
     SPOILED,
     TOKEN_POOL_SIZE,
     PollSite,
-    replay_event_log,
 )
 from starlock.trustees import dkg
 
@@ -284,37 +283,3 @@ def test_rigged_terminal_refuses_what_an_honest_one_refuses(selections, error) -
     for terminal in ("T1", "T2"):
         with pytest.raises(error):
             vote(make_site(rigged=("T1",)), terminal, pb)
-
-
-def test_replay_event_log_matches_site_chains() -> None:
-    site = make_site()
-    r1, _, _ = vote(site, "T1")
-    r2, _, _ = vote(site, "T2")
-    r3, _, _ = vote(site, "T1", provisional=True)
-    site.cast(r1.serial)
-    site.spoil(r2.serial, "VOTER")
-    site.provisional_flow(r3.serial, "ACCEPT")
-    site.close_polls()
-    chains, conservation_ok = replay_event_log(site.events, site.initial_seeds)
-    assert conservation_ok
-    produced = {"T1": [], "T2": []}
-    for record in site.records.values():
-        produced[record.record.terminal_id].append(record.record.z.hex())
-    assert chains == produced
-
-
-def test_replay_event_log_flags_unknown_and_repeated_serials() -> None:
-    chains, conservation_ok = replay_event_log(
-        [{"event": "cast", "serial": "ghost"}], {"T1": "00" * 32}
-    )
-    assert chains == {"T1": []}
-    assert not conservation_ok
-    site = make_site()
-    vote(site, "T1")
-    produced = next(e for e in site.events if e["event"] == "ballot_produced")
-    _, conservation_ok = replay_event_log(site.events + [produced], site.initial_seeds)
-    assert not conservation_ok
-    stray = dict(produced, terminal="T9", serial="fresh")
-    chains, conservation_ok = replay_event_log(site.events + [stray], site.initial_seeds)
-    assert not conservation_ok
-    assert set(chains) == {"T1", "T2"}

@@ -34,7 +34,7 @@ from starlock.schnorr import SchnorrSignature, sign, verify_sig
 from starlock.trustees import DecryptionShare, verify_decryption_share
 
 GP = TEST_GROUP
-K = 18  # public key for secret 3 in the test group
+K = 5  # public key for secret 3 in the test group: |4^3 mod 23| = |18|
 
 
 def test_schnorr_sign_verify_round_trip() -> None:
@@ -75,9 +75,9 @@ def test_eq_dlog_completeness() -> None:
     rng = random.Random(31)
     for trial in range(50):
         w = rng.randrange(1, GP.q)
-        g2 = pow(GP.g, rng.randrange(1, GP.q), GP.p)
-        y1 = pow(GP.g, w, GP.p)
-        y2 = pow(g2, w, GP.p)
+        g2 = GP.signed(pow(GP.g, rng.randrange(1, GP.q), GP.p))
+        y1 = GP.signed(pow(GP.g, w, GP.p))
+        y2 = GP.signed(pow(g2, w, GP.p))
         proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, f"ctx-{trial}".encode(), DOMAIN_CONTEST_SUM)
         assert verify_eq_dlog(proof, y1, g2, y2, GP, f"ctx-{trial}".encode(), DOMAIN_CONTEST_SUM)
 
@@ -85,13 +85,13 @@ def test_eq_dlog_completeness() -> None:
 def test_eq_dlog_rejects_every_tampered_field() -> None:
     rng = random.Random(32)
     w = 5
-    g2 = pow(GP.g, 3, GP.p)
-    y1 = pow(GP.g, w, GP.p)
-    y2 = pow(g2, w, GP.p)
+    g2 = GP.signed(pow(GP.g, 3, GP.p))
+    y1 = GP.signed(pow(GP.g, w, GP.p))
+    y2 = GP.signed(pow(g2, w, GP.p))
     proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, b"ctx", DOMAIN_CONTEST_SUM)
     variants = [
-        dataclasses.replace(proof, commit1=proof.commit1 * GP.g % GP.p),
-        dataclasses.replace(proof, commit2=proof.commit2 * GP.g % GP.p),
+        dataclasses.replace(proof, commit1=GP.signed(proof.commit1 * GP.g % GP.p)),
+        dataclasses.replace(proof, commit2=GP.signed(proof.commit2 * GP.g % GP.p)),
         dataclasses.replace(proof, challenge=(proof.challenge + 1) % GP.q),
         dataclasses.replace(proof, response=(proof.response + 1) % GP.q),
     ]
@@ -101,40 +101,52 @@ def test_eq_dlog_rejects_every_tampered_field() -> None:
 
 def test_eq_dlog_rejects_false_statement() -> None:
     rng = random.Random(33)
-    g2 = pow(GP.g, 3, GP.p)
-    y1 = pow(GP.g, 5, GP.p)
-    y2 = pow(g2, 6, GP.p)  # unequal exponents
-    proof = prove_eq_dlog(5, y1, g2, y2, GP, rng, b"ctx", DOMAIN_CONTEST_SUM)
-    assert not verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx", DOMAIN_CONTEST_SUM)
+    g2 = GP.signed(pow(GP.g, 3, GP.p))
+    y1 = GP.signed(pow(GP.g, 5, GP.p))
+    y2 = GP.signed(pow(g2, 6, GP.p))  # unequal exponents
+    verdicts = []
+    for _ in range(20):
+        proof = prove_eq_dlog(5, y1, g2, y2, GP, rng, b"ctx", DOMAIN_CONTEST_SUM)
+        # g2^s = t2 * y2^e holds only if g2^e = 1: with q = 11, a challenge of 0
+        verdicts.append(verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx", DOMAIN_CONTEST_SUM))
+        assert verdicts[-1] == (proof.challenge == 0)
+    assert not all(verdicts)
 
 
 def test_eq_dlog_binds_context_and_domain() -> None:
     rng = random.Random(34)
     w = 7
-    g2 = pow(GP.g, 9, GP.p)
-    y1 = pow(GP.g, w, GP.p)
-    y2 = pow(g2, w, GP.p)
+    g2 = GP.signed(pow(GP.g, 9, GP.p))
+    y1 = GP.signed(pow(GP.g, w, GP.p))
+    y2 = GP.signed(pow(g2, w, GP.p))
     proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, b"ctx-a", DOMAIN_CONTEST_SUM)
     assert not verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx-b", DOMAIN_CONTEST_SUM)
     assert not verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx-a", DOMAIN_DECRYPT_SHARE)
 
 
 def test_eq_dlog_rejects_non_subgroup_inputs() -> None:
-    """5 is not in the order-11 subgroup of Z_23*. Over the base 5 with
-    witness 0 both equations hold, so only membership stands in the way:
-    verify_eq_dlog refuses its commit 5^w when that is outside the subgroup
-    (odd w), and verify_decryption_share, which tests its statement, refuses
-    the base 5 whatever w."""
+    """12 = 23 - 11 is the other representative of 11's class, not a signed
+    form, so no element. Over the base 12 with witness 0 both equations hold
+    up to sign, so only membership stands in the way: verify_decryption_share,
+    which tests its statement, refuses the base 12; and verify_eq_dlog
+    refuses a proof whose commit is published, and hashed, as p - t."""
     rng = random.Random(35)
-    seen = set()
+    everyone = Immediate(GP)
+    everyone.member = lambda x: True
     for _ in range(20):
-        proof = prove_eq_dlog(0, 1, 5, 1, GP, rng, b"ctx", DOMAIN_DECRYPT_SHARE)
-        member = GP.is_element(proof.commit2)
-        seen.add(member)
-        assert verify_eq_dlog(proof, 1, 5, 1, GP, b"ctx", DOMAIN_DECRYPT_SHARE) == member
+        proof = prove_eq_dlog(0, 1, 12, 1, GP, rng, b"ctx", DOMAIN_DECRYPT_SHARE)
+        assert GP.is_element(proof.commit1) and GP.is_element(proof.commit2)
+        assert verify_eq_dlog(proof, 1, 12, 1, GP, b"ctx", DOMAIN_DECRYPT_SHARE)
         share = DecryptionShare(trustee_id=1, share_value=1, proof=proof)
-        assert not verify_decryption_share(share, Ciphertext(5, 1), (1,), GP, b"ctx")
-    assert seen == {True, False}
+        assert not verify_decryption_share(share, Ciphertext(12, 1), (1,), GP, b"ctx")
+        assert verify_decryption_share(share, Ciphertext(12, 1), (1,), GP, b"ctx", everyone)
+
+        t1, t2 = proof.commit1, GP.p - proof.commit2
+        e = fiat_shamir_challenge(DOMAIN_DECRYPT_SHARE,
+                                  _eq_dlog_transcript(b"ctx", GP.g, 1, 11, 1, t1, t2), GP)
+        negated = ChaumPedersenProof(t1, t2, e, proof.response)  # response = w, witness 0
+        assert not verify_eq_dlog(negated, 1, 11, 1, GP, b"ctx", DOMAIN_DECRYPT_SHARE)
+        assert verify_eq_dlog(negated, 1, 11, 1, GP, b"ctx", DOMAIN_DECRYPT_SHARE, everyone)
 
 
 def test_zero_or_one_completeness_both_branches() -> None:
@@ -168,7 +180,8 @@ def test_zero_or_one_rejects_every_tampered_field() -> None:
         element_fields = ("commit0_g", "commit0_k", "commit1_g", "commit1_k")
         exponent_fields = ("challenge0", "challenge1", "response0", "response1")
         for field in element_fields:
-            bad = dataclasses.replace(proof, **{field: getattr(proof, field) * GP.g % GP.p})
+            bad = dataclasses.replace(
+                proof, **{field: GP.signed(getattr(proof, field) * GP.g % GP.p)})
             assert not verify_zero_or_one(bad, ct, K, GP, b"cell"), field
         for field in exponent_fields:
             bad = dataclasses.replace(proof, **{field: (getattr(proof, field) + 1) % GP.q})
@@ -196,15 +209,23 @@ def test_zero_or_one_binds_ciphertext_key_and_context() -> None:
     proof = prove_zero_or_one(1, r, ct, K, GP, rng, b"cell")
     other_ct = encrypt_exp(1, (r + 1) % GP.q, K, GP)
     assert not verify_zero_or_one(proof, other_ct, K, GP, b"cell")
-    other_key = pow(GP.g, 5, GP.p)
+    other_key = GP.signed(pow(GP.g, 5, GP.p))
     assert not verify_zero_or_one(proof, ct, other_key, GP, b"cell")
-    assert not verify_zero_or_one(proof, ct, K, GP, b"other-cell")
+    # another context binds another challenge, which in the test group (q =
+    # 11) meets the proof's branch challenges with probability 1/11
+    verdicts = []
+    for context in (b"other-cell", b"cell-2", b"cell-3"):
+        e = fiat_shamir_challenge(DOMAIN_ZERO_ONE, _zero_one_transcript(
+            context, K, ct, proof.commit0_g, proof.commit0_k, proof.commit1_g, proof.commit1_k), GP)
+        verdicts.append(verify_zero_or_one(proof, ct, K, GP, context))
+        assert verdicts[-1] == (e == (proof.challenge0 + proof.challenge1) % GP.q), context
+    assert not all(verdicts)
 
 
 def test_proof_json_round_trips() -> None:
     rng = random.Random(46)
     w = 6
-    y1 = pow(GP.g, w, GP.p)
+    y1 = GP.signed(pow(GP.g, w, GP.p))
     cp = prove_eq_dlog(w, y1, GP.g, y1, GP, rng, b"ctx", DOMAIN_CONTEST_SUM)
     assert ChaumPedersenProof.from_json(cp.to_json()) == cp
     ct = encrypt_exp(0, 2, K, GP)
@@ -222,12 +243,13 @@ def _ciphertext_formula_zero_or_one(bit, r, ct, public_key, gp, rng, context):
     c_sim = rng.randrange(0, space)
     v_sim = rng.randrange(0, q)
     target_b_sim = ct.b * pow(pow(g, sim, p), -1, p) % p
-    a_sim_commit = fixed(g, v_sim, p) * pow(pow(ct.a, c_sim, p), -1, p) % p
-    b_sim_commit = fixed(public_key, v_sim, p) * pow(pow(target_b_sim, c_sim, p), -1, p) % p
+    a_sim_commit = gp.signed(fixed(g, v_sim, p) * pow(pow(ct.a, c_sim, p), -1, p) % p)
+    b_sim_commit = gp.signed(
+        fixed(public_key, v_sim, p) * pow(pow(target_b_sim, c_sim, p), -1, p) % p)
 
     w = rng.randrange(0, q)
-    a_real_commit = fixed(g, w, p)
-    b_real_commit = fixed(public_key, w, p)
+    a_real_commit = gp.signed(fixed(g, w, p))
+    b_real_commit = gp.signed(fixed(public_key, w, p))
 
     if bit == 0:
         a0c, b0c, a1c, b1c = a_real_commit, b_real_commit, a_sim_commit, b_sim_commit
@@ -254,8 +276,8 @@ def _plain_pow_eq_dlog(witness, y1, g2, y2, gp, rng, context, domain):
     """The eq-dlog prover with g2 raised by pow: the reference for the comb of g2."""
     fixed = gp.comb
     w = rng.randrange(0, gp.q)
-    t1 = fixed(gp.g, w, gp.p)
-    t2 = pow(g2, w, gp.p)
+    t1 = gp.signed(fixed(gp.g, w, gp.p))
+    t2 = gp.signed(pow(g2, w, gp.p))
     e = fiat_shamir_challenge(domain, _eq_dlog_transcript(context, gp.g, y1, g2, y2, t1, t2), gp)
     s = (w + e * witness) % gp.q
     return ChaumPedersenProof(commit1=t1, commit2=t2, challenge=e, response=s)
@@ -289,7 +311,7 @@ def test_contest_sum_with_the_key_fixed_is_the_same_proof(gp) -> None:
         bits = [rng.randrange(2) for _ in range(3)]
         rs = [rng.randrange(1, gp.q) for _ in bits]
         total = add_many([encrypt_exp(b, r, key, gp) for b, r in zip(bits, rs)], gp)
-        target_b = total.b * pow(pow(gp.g, sum(bits), gp.p), -1, gp.p) % gp.p
+        target_b = gp.signed(total.b * pow(pow(gp.g, sum(bits), gp.p), -1, gp.p) % gp.p)
         args = (sum(rs) % gp.q, total.a, key, target_b, gp)
         ctx, seed = f"sum-{trial}".encode(), rng.getrandbits(64)
         proof = prove_eq_dlog(*args, random.Random(seed), ctx, DOMAIN_CONTEST_SUM)
@@ -312,12 +334,12 @@ def _old_rule_zero_or_one(bit, r, ct, public_key, gp, rng, context, draw=None):
     c_sim = rng.randrange(0, draw or q)
     v_sim = rng.randrange(0, q)
     u = (v_sim - r * c_sim) % q
-    a_sim_commit = fixed(g, u, p)
-    b_sim_commit = fixed(public_key, u, p) * fixed(g, (sim - bit) * c_sim % q, p) % p
+    a_sim_commit = gp.signed(fixed(g, u, p))
+    b_sim_commit = gp.signed(fixed(public_key, u, p) * fixed(g, (sim - bit) * c_sim % q, p) % p)
 
     w = rng.randrange(0, q)
-    a_real_commit = fixed(g, w, p)
-    b_real_commit = fixed(public_key, w, p)
+    a_real_commit = gp.signed(fixed(g, w, p))
+    b_real_commit = gp.signed(fixed(public_key, w, p))
 
     if bit == 0:
         a0c, b0c, a1c, b1c = a_real_commit, b_real_commit, a_sim_commit, b_sim_commit

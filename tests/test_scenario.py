@@ -457,12 +457,12 @@ def test_write_artifacts_emits_the_whole_set(tmp_path) -> None:
 # SHA-256 of every demo artifact. Any change to these bytes is a format
 # change and must be made on purpose, never as a side effect of a refactor.
 DEMO_DIGESTS = {
-    "board.jsonl": "ee94f6c35b84ebe99fb47842c86f10c9c76d1f37c38dbc3cd9dbbb559b8b32ab",
-    "receipts.json": "17530eba9e7bef42adad76bf1956a9b9b214f3cf2c6008a53d1fdb89209496f1",
+    "board.jsonl": "ed817ab115e7da478f2cfcde6b3a61a81af62ce5d713af7226183a131fb5b696",
+    "receipts.json": "e2c040b84a4a082673f3ea1d9268130f1c1c061077efbbd2c5a506893433c684",
     "commitments.json": "622c966bd99c1ee4f795970a343c492dca24d889ec394f425ffbfcc32879f1ed",
     "cvrs.json": "a8297ad83aef913ce6dcfeaec9ab69338cba752289aec945de0e1c9137727a3a",
     "papers.json": "4d5ef4f2d2c5c4edb57c821bfd6520b8c4cb2e9295e99c7b950aa4c7e7398dd3",
-    "eventlog.jsonl": "6848a2578fcf49f20e015a6f75e0ffe005d0dda9e576f54a4cdf199ebc2365d3",
+    "eventlog.jsonl": "b897c66cd4d2d505a3455ad52d07999750ea1f1ef7052ca3840deefaf8b70f09",
     "params.json": "7521875188c91cc9655d02180af139e4652e8e57c284981bfe4cc7c25630c77d",
 }
 
@@ -480,9 +480,9 @@ def test_demo_artifact_bytes_are_pinned(tmp_path) -> None:
 
 
 FAULTED_DEMO_DIGESTS = {
-    "eventlog.jsonl": "7c9d0e3e7f57d4ae64f83c534bc8d0e85903f5da98e18272f7cb95b93916a333",
-    "board.jsonl": "ba3b4ae4355fd7d3219e4ad56dfad07f501872d802f414f5b32890a1f6eb4b64",
-    "receipts.json": "030d512b0b7129c2c8e7d96ec2c8adee9b2064ad9ddf02df3564e11e47dbe0a5",
+    "eventlog.jsonl": "085474751e5c4a6b50763d817073f2174693b924fc49cdff05ace0a328b55a2c",
+    "board.jsonl": "043d93d664cb922acb3d89487d09033d6c26af397d780eb07b50a1744bebaaec",
+    "receipts.json": "33982026517108549ca7ec4b7f4aa96b2e26c612713f1078e8ea281bcb79ceb1",
 }
 
 
@@ -507,9 +507,9 @@ def test_faulted_demo_artifact_bytes_are_pinned(tmp_path) -> None:
 # where ballots are proven through the combs and the tally's share proofs
 # are batched: the same pin on the large-group paths.
 MID_DEMO_DIGESTS = {
-    "board.jsonl": "9bc82da8d2cecb9075dd0f2d9f4fad5c7e0700980f8505f260eab37bf0949959",
-    "receipts.json": "9f03fe2c096a7440d0c8494621db10187d43a6cbdd8ecace4a9a36ada9be7dfd",
-    "eventlog.jsonl": "42bd4b926d803d3911e7107d3f08e1070563c950d9da7dee47e46a9743e63ab3",
+    "board.jsonl": "270da763b7fcc5d8b82a36ef46d3a88ff1b6b50c4d556323bb6d10e72a8c6011",
+    "receipts.json": "147ed8e2a00db1de3766fed96388c11f16740ce035d73be9b07d9b26537ffe69",
+    "eventlog.jsonl": "b7ee0de2b598d608f4a1f19b423117a8824ccdcd82e6bfdb27c422547913186e",
 }
 
 

@@ -48,6 +48,26 @@ def test_subgroup_membership_is_defined_only_in_group_py() -> None:
     assert offenders == []
 
 
+def test_the_signed_form_is_computed_only_in_group_py() -> None:
+    """No module but group.py subtracts anything but a constant from a `p`
+    (`p - x`, `gp.p - x`, so no `min(x, p - x)` either): every element that
+    is published, hashed or compared takes its signed form from
+    GroupParams.signed."""
+    def is_p(node):
+        return (isinstance(node, ast.Name) and node.id == "p"
+                or isinstance(node, ast.Attribute) and node.attr == "p")
+
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "group.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and is_p(node.left) and not isinstance(node.right, ast.Constant)):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_the_power_of_a_recurring_base_is_chosen_only_in_group_py() -> None:
     """No module but group.py holds a conditional expression whose test reads
     `.large` and whose branches name `comb` (`gp.comb if gp.large else pow`):

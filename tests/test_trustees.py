@@ -41,7 +41,7 @@ def combine_one(ct, shares, jpk, gp=GP):
 def verify_share(share: TrusteeShare, gp) -> bool:
     """Feldman consistency check a trustee runs on receipt of its share."""
     expected = verification_key(share.trustee_id, share.commitments, gp)
-    return pow(gp.g, share.secret_share, gp.p) == expected
+    return gp.signed(pow(gp.g, share.secret_share, gp.p)) == expected
 
 
 def test_single_trustee_share_is_the_secret() -> None:
@@ -49,7 +49,7 @@ def test_single_trustee_share_is_the_secret() -> None:
     assert jpk.n == 1 and jpk.k == 1
     assert len(shares) == 1
     assert shares[0].trustee_id == 1
-    assert pow(GP.g, shares[0].secret_share, GP.p) == jpk.K
+    assert GP.signed(pow(GP.g, shares[0].secret_share, GP.p)) == jpk.K
     assert jpk.commitments == (jpk.K,)
 
 
@@ -58,9 +58,9 @@ def test_every_share_passes_feldman_check() -> None:
     assert len(jpk.commitments) == 3
     for share in shares:
         assert verify_share(share, GP)
-        assert verification_key(share.trustee_id, jpk.commitments, GP) == pow(
+        assert verification_key(share.trustee_id, jpk.commitments, GP) == GP.signed(pow(
             GP.g, share.secret_share, GP.p
-        )
+        ))
 
 
 def test_tampered_share_fails_feldman_check() -> None:
@@ -137,8 +137,8 @@ def test_bad_share_proof_names_trustee(gp) -> None:
 
 
 def test_prod_shares_are_the_integers_pow_gives() -> None:
-    """A share and its proof's commitments, raised through the combs, equal
-    the builtin pow of the same base and exponent."""
+    """A share and its proof's commitments, raised through the combs, are the
+    signed forms of the builtin pow of the same base and exponent."""
     gp = PROD_GROUP
     rng = random.Random(72)
     jpk, trustees = dkg(3, 2, gp, rng)
@@ -148,9 +148,9 @@ def test_prod_shares_are_the_integers_pow_gives() -> None:
         clone.setstate(rng.getstate())
         w = clone.randrange(0, gp.q)  # the proof's one draw
         ds = partial_decrypt(ct, share, gp, rng, CTX)
-        assert ds.share_value == pow(ct.a, share.secret_share, gp.p)
-        assert ds.proof.commit1 == pow(gp.g, w, gp.p)
-        assert ds.proof.commit2 == pow(ct.a, w, gp.p)
+        assert ds.share_value == gp.signed(pow(ct.a, share.secret_share, gp.p))
+        assert ds.proof.commit1 == gp.signed(pow(gp.g, w, gp.p))
+        assert ds.proof.commit2 == gp.signed(pow(ct.a, w, gp.p))
         assert verify_decryption_share(ds, ct, jpk.commitments, gp, CTX)
 
 
@@ -172,7 +172,7 @@ def test_one_batch_over_three_columns_decrypts_each_as_alone(monkeypatch) -> Non
     batches = []
     holds = Collect.holds
     monkeypatch.setattr(Collect, "holds", lambda self: batches.append(self.n) or holds(self))
-    powers = [pow(MID_GROUP.g, m, MID_GROUP.p) for m in (0, 1, 7)]
+    powers = [MID_GROUP.signed(pow(MID_GROUP.g, m, MID_GROUP.p)) for m in (0, 1, 7)]
     assert combine_shares(columns, jpk, MID_GROUP) == powers
     assert batches == [3 * 2 * 2]  # one batch: 3 columns, k = 2 shares, 2 equations each
     assert [combine_shares([col], jpk, MID_GROUP)[0] for col in columns] == powers
@@ -228,6 +228,6 @@ def test_signed_lagrange_coefficients_give_the_plain_interpolation(gp, n, k, tri
             for ds in subset:
                 lam = lagrange_coeff(ds.trustee_id, ids, gp.q)
                 combined = combined * pow(ds.share_value, lam, gp.p) % gp.p
-            expected = ct.b * pow(combined, -1, gp.p) % gp.p
+            expected = gp.signed(ct.b * pow(combined, -1, gp.p) % gp.p)
             g_m = combine_in_exponent(ct, list(subset), jpk, gp, CTX, Immediate(gp))
             assert g_m == expected, ids
