@@ -13,7 +13,8 @@ the entry, terminal_close and tally lines and of a decryption line's columns.
 A decrypted column's statement, the ColumnStatement row (ciphertext, bound,
 context) that the tally and verify both read, comes from tally_statements or
 spoiled_statements. The file's last line is the office's signature;
-parse_lines is the one strict read.
+parse_lines is the one strict read, and lookup_receipt the receipt rule a
+take-home receipt is resolved by on the index it returns.
 
 This module is format-level: it never imports the polling-place, board,
 scenario or CLI machinery, so the verifier can share it and stay
@@ -28,8 +29,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, EncryptedBallot, WellFormednessProof
+from .chain import receipt_code
 from .elgamal import Ciphertext, homomorphic_add, identity_ciphertext
-from .errors import ChainBroken, MalformedRecord
+from .errors import AmbiguousReceipt, ChainBroken, MalformedRecord
 from .group import GroupParams
 from .manifest import ElectionManifest
 from .schnorr import SchnorrSignature, verify_sig
@@ -58,6 +60,9 @@ STATUS = one_of(CAST, SPOILED, UNTALLIED)  # BoardIndex.add refuses any other st
 VERSION = one_of("1")  # the header's format version
 GENESIS_HASH = "0" * 64
 SIGNER = "election-office"
+FOUND_CAST = "FOUND_CAST"  # lookup_receipt's verdicts
+FOUND_SPOILED = "FOUND_SPOILED"
+NOT_FOUND = "NOT_FOUND"
 
 
 # -- line records and the keys of every line kind ----------------------------------
@@ -507,3 +512,26 @@ def parse_lines(raw_lines: list, manifest: ElectionManifest, canonical=False) ->
     if fault:
         raise ChainBroken(*fault)
     return index
+
+
+def lookup_receipt(index: BoardIndex, terminal_id: str, code: str):
+    """Match a take-home receipt against an index of the board's lines.
+
+    Returns (FOUND_CAST, None), (FOUND_SPOILED, plaintext or None), or
+    (NOT_FOUND, None). Raises AmbiguousReceipt when the truncated code
+    matches more than one entry of that terminal, and MalformedRecord at an
+    entry of that terminal whose z is not a 32-byte digest."""
+    matches = []
+    for pos, (k, _, line) in enumerate(index.entries):
+        if line.get("terminal") == terminal_id:
+            if receipt_code(index.entry_field(pos, "z", DIGEST.decode)) == code:
+                matches.append(k)
+    if not matches:
+        return NOT_FOUND, None
+    if len(matches) > 1:
+        raise AmbiguousReceipt(f"receipt code matches entries {matches}")
+    k = matches[0]
+    if index.statuses[k] == CAST:
+        return FOUND_CAST, None
+    decs = index.decryptions.get(k)
+    return FOUND_SPOILED, decs[-1][1]["plaintext"] if decs else None

@@ -32,16 +32,11 @@ import random
 import sys
 from collections import Counter
 
-from . import audit as audit_mod
-from . import verifier as verifier_mod
-from .board import Board
-from .elgamal import Keypair, keygen
+# Each command imports what it runs in its handler, so that a read-only command
+# started in a fresh interpreter loads (and compiles) only the modules it reads.
 from .errors import MalformedRecord, ScenarioError, StarlockError
 from .group import GROUPS, resolve_group
-from .manifest import ElectionManifest
-from .scenario import finish_election, load_scenario, run_scenario, write_artifacts
 from .serialize import STR, decode_field, dump_json, load_json
-from .trustees import JointPublicKey, TrusteeShare, dkg
 
 PASS, FAIL, USAGE = 0, 2, 3
 
@@ -68,6 +63,8 @@ def _load(path, decode):
 
 
 def cmd_keygen(args) -> int:
+    from .elgamal import keygen
+    from .trustees import dkg
     gp = resolve_group(args.group)
     rng = random.Random(args.seed)
     jpk, shares = dkg(args.n, args.k, gp, rng)
@@ -87,6 +84,7 @@ def cmd_keygen(args) -> int:
 def _load_office(path, gp, manifest_pk=None):
     """The office key pair in the file at path; a MalformedRecord naming the
     file unless its pk is |g^sk| and, given the manifest's key, that key."""
+    from .elgamal import Keypair
     office = _load(path, Keypair.from_json)
     # through g's comb table: simulate and tally build it anyway
     pk = gp.signed(gp.comb(gp.g, office.sk, gp.p))
@@ -97,6 +95,7 @@ def _load_office(path, gp, manifest_pk=None):
 
 
 def _load_keys(keydir, expected_group):
+    from .trustees import JointPublicKey, TrusteeShare
     path = os.path.join(keydir, "joint_key.json")
     jpk, group = _load(path, lambda joint: (
         JointPublicKey.from_json(joint), decode_field(joint, "group", STR.decode)))
@@ -120,6 +119,7 @@ def _load_keys(keydir, expected_group):
 
 
 def cmd_simulate(args) -> int:
+    from .scenario import load_scenario, run_scenario, write_artifacts
     scenario = load_scenario(args.scenario)
     keys = _load_keys(args.keys, scenario.group) if args.keys else None
     result = run_scenario(scenario, keys=keys)
@@ -137,6 +137,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tally(args) -> int:
+    from .board import Board
+    from .manifest import ElectionManifest
+    from .scenario import finish_election
+    from .trustees import TrusteeShare
     manifest = ElectionManifest.load(args.manifest)
     board = Board.load(args.board, manifest)
     shares = [_load(p, TrusteeShare.from_json) for p in args.shares]
@@ -162,9 +166,10 @@ def cmd_tally(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .manifest import ElectionManifest
+    from .verifier import read_board_lines, verify_board
     manifest = ElectionManifest.load(args.manifest)
-    raw_lines = verifier_mod.read_board_lines(args.board)
-    report = verifier_mod.verify_board(raw_lines, manifest)
+    report = verify_board(read_board_lines(args.board), manifest)
     print(report.summary())
     if args.report:
         dump_json(report.to_json(), args.report)
@@ -175,12 +180,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .audit import CONFIRMED, run_audit
+    from .boardformat import parse_lines, read_board_lines
+    from .manifest import ElectionManifest
     manifest = ElectionManifest.load(args.manifest)
-    index = verifier_mod.parse_lines(verifier_mod.read_board_lines(args.board), manifest)
+    index = parse_lines(read_board_lines(args.board), manifest)
     try:
         published = load_json(args.commitments) if args.commitments else None
-        outcome = audit_mod.run_audit(index, manifest, load_json(args.cvrs),
-                                      load_json(args.papers), args.seed, args.alpha, published)
+        outcome = run_audit(index, manifest, load_json(args.cvrs),
+                            load_json(args.papers), args.seed, args.alpha, published)
     except StarlockError as exc:
         print(json.dumps({"verdict": "ABORTED", "reason": str(exc)}, indent=2))
         return FAIL
@@ -189,17 +197,19 @@ def cmd_audit(args) -> int:
 
     print(json.dumps({**outcome, "p_value": finite(outcome["p_value"]), "trajectory": [
         {**step, "P_j": finite(step["P_j"])} for step in outcome["trajectory"]]}, indent=2))
-    return PASS if outcome["verdict"] == audit_mod.CONFIRMED else FAIL
+    return PASS if outcome["verdict"] == CONFIRMED else FAIL
 
 
 # -- receipt-check ------------------------------------------------------------------
 
 
 def cmd_receipt_check(args) -> int:
+    from .boardformat import NOT_FOUND, lookup_receipt, parse_lines, read_board_lines
+    from .manifest import ElectionManifest
     manifest = ElectionManifest.load(args.manifest)
-    index = verifier_mod.parse_lines(verifier_mod.read_board_lines(args.board), manifest)
-    status, plaintext = verifier_mod.lookup_receipt(index, args.terminal, args.code)
-    if status == verifier_mod.NOT_FOUND:
+    index = parse_lines(read_board_lines(args.board), manifest)
+    status, plaintext = lookup_receipt(index, args.terminal, args.code)
+    if status == NOT_FOUND:
         print(f"receipt {args.code} on terminal {args.terminal}: NOT FOUND")
         return FAIL
     print(f"receipt {args.code} on terminal {args.terminal}: {status}")
@@ -221,8 +231,14 @@ def _checked(check):
     return parse
 
 
-_seed20 = _checked(audit_mod.check_seed)
-_alpha = _checked(lambda value: audit_mod.check_alpha(float(value)))
+def _audit():
+    """The audit module, imported only once an audit argument is parsed."""
+    from . import audit
+    return audit
+
+
+_seed20 = _checked(lambda value: _audit().check_seed(value))
+_alpha = _checked(lambda value: _audit().check_alpha(float(value)))
 
 
 def build_parser() -> argparse.ArgumentParser:

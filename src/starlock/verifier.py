@@ -9,6 +9,9 @@ every check reads, and each record is decoded where a check reads it.
 Failures, malformed records included, are report items naming the first
 affected line or entry; nothing here raises on adversarial input. Other
 commands refuse such a board in parse_lines, the strict read of boardformat.
+The receipt rule, lookup_receipt and its three verdicts, is boardformat's
+too, so that receipt-check need not load this module; both are re-exported
+here under their old names.
 
 Proof equations are batched per check (ballot_proofs, decryptions, tally;
 chaum_pedersen.batched) in a large group: every membership, range,
@@ -29,8 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .ballot import ABSTAIN_COLUMN, verify_ballot
-from .boardformat import (
-    CAST,
+from .boardformat import (  # the receipt rule and the strict read are re-exported
+    FOUND_CAST,
+    FOUND_SPOILED,
+    NOT_FOUND,
     SPOILED,
     SPOILED_COLUMNS,
     UNTALLIED,
@@ -40,25 +45,21 @@ from .boardformat import (
     at_line,
     canonical_break,
     fold_ballots,
-    parse_lines,  # the strict read, which the commands call as verifier.parse_lines
+    lookup_receipt,
+    parse_lines,
     read_board,
-    read_board_lines,  # the commands read board files as verifier.read_board_lines
+    read_board_lines,
     signature_fault,
     spoiled_plaintext,
     spoiled_statements,
     tally_statements,
 )
-from .chain import chain_hash, initial_chain_seed, receipt_code
+from .chain import chain_hash, initial_chain_seed
 from .chaum_pedersen import batched
-from .errors import AmbiguousReceipt, BadShareProof, InsufficientShares, MalformedRecord
+from .errors import BadShareProof, InsufficientShares, MalformedRecord
 from .manifest import ElectionManifest
-from .serialize import DIGEST, decode_field, sha256
+from .serialize import decode_field, sha256
 from .trustees import combine_in_exponent
-
-FOUND_CAST = "FOUND_CAST"
-FOUND_SPOILED = "FOUND_SPOILED"
-NOT_FOUND = "NOT_FOUND"
-
 
 @dataclass
 class ReportItem:
@@ -354,25 +355,3 @@ def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
     report.items.extend(verify_tally(index, manifest, digest))
     return report
 
-
-def lookup_receipt(index: BoardIndex, terminal_id: str, code: str):
-    """Match a take-home receipt against an index of the board's lines.
-
-    Returns (FOUND_CAST, None), (FOUND_SPOILED, plaintext or None), or
-    (NOT_FOUND, None). Raises AmbiguousReceipt when the truncated code
-    matches more than one entry of that terminal, and MalformedRecord at an
-    entry of that terminal whose z is not a 32-byte digest."""
-    matches = []
-    for pos, (k, _, line) in enumerate(index.entries):
-        if line.get("terminal") == terminal_id:
-            if receipt_code(index.entry_field(pos, "z", DIGEST.decode)) == code:
-                matches.append(k)
-    if not matches:
-        return NOT_FOUND, None
-    if len(matches) > 1:
-        raise AmbiguousReceipt(f"receipt code matches entries {matches}")
-    k = matches[0]
-    if index.statuses[k] == CAST:
-        return FOUND_CAST, None
-    decs = index.decryptions.get(k)
-    return FOUND_SPOILED, decs[-1][1]["plaintext"] if decs else None

@@ -174,6 +174,41 @@ def test_module_entry_point_runs() -> None:
     assert "keygen" in proc.stdout and "receipt-check" in proc.stdout
 
 
+def starlock_modules_after(argv):
+    """(exit code, the starlock modules loaded) of starlock.cli's main(argv)
+    run in a fresh interpreter; argv None imports the CLI and runs nothing."""
+    src = os.path.dirname(os.path.dirname(starlock.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import json, sys\n"
+            "from starlock.cli import main\n"
+            "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(json.dumps(sorted(m.removeprefix('starlock.') for m in sys.modules\n"
+            "                        if m.startswith('starlock.'))))\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *(argv or [])],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return proc.returncode, set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_each_read_only_command_loads_only_what_it_reads(tmp_path) -> None:
+    """Every command runs in its own interpreter, so a module it imports but
+    never calls is start-up paid for nothing: importing the CLI loads no
+    command's modules, verify and audit load none of the officials' code, and
+    receipt-check reads the board format and the manifest alone."""
+    officials = {"scenario", "pollsite", "board"}
+    _, loaded = starlock_modules_after(None)
+    assert loaded == {"cli", "elgamal", "errors", "group", "serialize"}
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(board_raw_lines(demo_run()[0]["board"])) + "\n", encoding="utf-8")
+    # the demo's one-vote margin makes its audit escalate: a verdict, exit 2
+    for name, want in (("verify", 0), ("audit", 2), ("receipt-check", 0)):
+        code, loaded = starlock_modules_after(commands[name])
+        assert code == want, name
+        assert not loaded & officials, (name, loaded & officials)
+    assert {"boardformat", "manifest"} <= loaded
+    assert not loaded & {"verifier", "audit"}, loaded
+
+
 def write_demo_record(tmp_path, raw_lines, group=None):
     """The demo's manifest (its group optionally replaced) and the given board
     lines as files; returns (board path, manifest path)."""

@@ -36,6 +36,26 @@ from starlock.trustees import DecryptionShare, verify_decryption_share
 GP = TEST_GROUP
 K = 5  # public key for secret 3 in the test group: |4^3 mod 23| = |18|
 
+# A proof checked against a changed context, domain or statement is refused
+# by its Fiat-Shamir challenge, which the changed transcript's meets with
+# probability 1/11 in the test group (q = 11), and by its equations. Tests of
+# such a change assert the verdict these two give, over several draws, so no
+# change of encoding can turn a collision into a failing test.
+
+
+def _eq_dlog_collides(proof, y1, g2, y2, context, domain) -> bool:
+    """Whether the eq-dlog challenge over this statement is the proof's own."""
+    transcript = _eq_dlog_transcript(context, GP.g, y1, g2, y2, proof.commit1, proof.commit2)
+    return fiat_shamir_challenge(domain, transcript, GP) == proof.challenge
+
+
+def _zero_one_collides(proof, ct, key, context) -> bool:
+    """Whether the zero-or-one challenge over this statement is the sum of
+    the proof's branch challenges."""
+    e = fiat_shamir_challenge(DOMAIN_ZERO_ONE, _zero_one_transcript(
+        context, key, ct, proof.commit0_g, proof.commit0_k, proof.commit1_g, proof.commit1_k), GP)
+    return e == (proof.challenge0 + proof.challenge1) % GP.q
+
 
 def test_schnorr_sign_verify_round_trip() -> None:
     kp = keygen(GP, random.Random(21))
@@ -89,14 +109,20 @@ def test_eq_dlog_rejects_every_tampered_field() -> None:
     y1 = GP.signed(pow(GP.g, w, GP.p))
     y2 = GP.signed(pow(g2, w, GP.p))
     proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, b"ctx", DOMAIN_CONTEST_SUM)
+    commit1 = GP.signed(proof.commit1 * GP.g % GP.p)
+    commit2 = GP.signed(proof.commit2 * GP.g % GP.p)
     variants = [
-        dataclasses.replace(proof, commit1=GP.signed(proof.commit1 * GP.g % GP.p)),
-        dataclasses.replace(proof, commit2=GP.signed(proof.commit2 * GP.g % GP.p)),
+        dataclasses.replace(proof, commit1=commit1),
+        dataclasses.replace(proof, commit2=commit2),
         dataclasses.replace(proof, challenge=(proof.challenge + 1) % GP.q),
         dataclasses.replace(proof, response=(proof.response + 1) % GP.q),
     ]
     for bad in variants:
         assert not verify_eq_dlog(bad, y1, g2, y2, GP, b"ctx", DOMAIN_CONTEST_SUM)
+    # a commit times g misses its equation by that factor, whatever the
+    # challenge: the refusal does not rest on the transcript's hash
+    eqs, e, s = Immediate(GP), proof.challenge, proof.response
+    assert not eqs.check(GP.g, s, commit1, y1, e) and not eqs.check(g2, s, commit2, y2, e)
 
 
 def test_eq_dlog_rejects_false_statement() -> None:
@@ -120,8 +146,13 @@ def test_eq_dlog_binds_context_and_domain() -> None:
     y1 = GP.signed(pow(GP.g, w, GP.p))
     y2 = GP.signed(pow(g2, w, GP.p))
     proof = prove_eq_dlog(w, y1, g2, y2, GP, rng, b"ctx-a", DOMAIN_CONTEST_SUM)
-    assert not verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx-b", DOMAIN_CONTEST_SUM)
-    assert not verify_eq_dlog(proof, y1, g2, y2, GP, b"ctx-a", DOMAIN_DECRYPT_SHARE)
+    # the statement holds, so only the challenge can refuse
+    verdicts = []
+    for context, domain in ((b"ctx-b", DOMAIN_CONTEST_SUM), (b"ctx-a", DOMAIN_DECRYPT_SHARE),
+                            (b"ctx-c", DOMAIN_CONTEST_SUM), (b"ctx-b", DOMAIN_DECRYPT_SHARE)):
+        verdicts.append(verify_eq_dlog(proof, y1, g2, y2, GP, context, domain))
+        assert verdicts[-1] == _eq_dlog_collides(proof, y1, g2, y2, context, domain), context
+    assert not all(verdicts)
 
 
 def test_eq_dlog_rejects_non_subgroup_inputs() -> None:
@@ -166,9 +197,14 @@ def test_zero_or_one_rejects_other_messages() -> None:
     # a proof transplanted onto a ciphertext of 2 must not verify
     r = 5
     ct0 = encrypt_exp(0, r, K, GP)
-    proof = prove_zero_or_one(0, r, ct0, K, GP, rng, b"cell")
     ct2 = encrypt_exp(2, r, K, GP)
-    assert not verify_zero_or_one(proof, ct2, K, GP, b"cell")
+    verdicts = []
+    for _ in range(20):
+        proof = prove_zero_or_one(0, r, ct0, K, GP, rng, b"cell")
+        verdicts.append(verify_zero_or_one(proof, ct2, K, GP, b"cell"))
+        assert verdicts[-1] == (_zero_one_collides(proof, ct2, K, b"cell")
+                                and _equations_hold(proof, ct2, K, GP))
+    assert not all(verdicts)
 
 
 def test_zero_or_one_rejects_every_tampered_field() -> None:
@@ -183,6 +219,8 @@ def test_zero_or_one_rejects_every_tampered_field() -> None:
             bad = dataclasses.replace(
                 proof, **{field: GP.signed(getattr(proof, field) * GP.g % GP.p)})
             assert not verify_zero_or_one(bad, ct, K, GP, b"cell"), field
+            # its equation misses by a factor of g, whatever the challenge
+            assert not _equations_hold(bad, ct, K, GP), field
         for field in exponent_fields:
             bad = dataclasses.replace(proof, **{field: (getattr(proof, field) + 1) % GP.q})
             assert not verify_zero_or_one(bad, ct, K, GP, b"cell"), field
@@ -206,19 +244,23 @@ def test_zero_or_one_binds_ciphertext_key_and_context() -> None:
     rng = random.Random(45)
     r = 4
     ct = encrypt_exp(1, r, K, GP)
-    proof = prove_zero_or_one(1, r, ct, K, GP, rng, b"cell")
     other_ct = encrypt_exp(1, (r + 1) % GP.q, K, GP)
-    assert not verify_zero_or_one(proof, other_ct, K, GP, b"cell")
     other_key = GP.signed(pow(GP.g, 5, GP.p))
-    assert not verify_zero_or_one(proof, ct, other_key, GP, b"cell")
-    # another context binds another challenge, which in the test group (q =
-    # 11) meets the proof's branch challenges with probability 1/11
+    # another ciphertext also misses the equations unless both branch
+    # challenges are 0, and another key unless both responses are
+    verdicts = []
+    for _ in range(20):
+        proof = prove_zero_or_one(1, r, ct, K, GP, rng, b"cell")
+        for name, stated, key in (("other_ct", other_ct, K), ("other_key", ct, other_key)):
+            verdicts.append(verify_zero_or_one(proof, stated, key, GP, b"cell"))
+            assert verdicts[-1] == (_zero_one_collides(proof, stated, key, b"cell")
+                                    and _equations_hold(proof, stated, key, GP)), name
+    assert not all(verdicts)
+    # another context binds another challenge, and the equations still hold
     verdicts = []
     for context in (b"other-cell", b"cell-2", b"cell-3"):
-        e = fiat_shamir_challenge(DOMAIN_ZERO_ONE, _zero_one_transcript(
-            context, K, ct, proof.commit0_g, proof.commit0_k, proof.commit1_g, proof.commit1_k), GP)
         verdicts.append(verify_zero_or_one(proof, ct, K, GP, context))
-        assert verdicts[-1] == (e == (proof.challenge0 + proof.challenge1) % GP.q), context
+        assert verdicts[-1] == _zero_one_collides(proof, ct, K, context), context
     assert not all(verdicts)
 
 
