@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from .elgamal import Ciphertext
 from .fiatshamir import DOMAIN_ZERO_ONE, fiat_shamir_challenge
 from .group import GroupParams, multi_exp
-from .serialize import HEX, Record, enc_bytes, enc_int, sha256
+from .serialize import HEX, Record, sha256
 
 
 class Immediate:
@@ -149,21 +149,6 @@ class ChaumPedersenProof(Record):
 
     FIELDS = tuple((name, name, HEX) for name in ("commit1", "commit2", "challenge", "response"))
 
-    def canonical_bytes(self) -> bytes:  # each field, in FIELDS order
-        return b"".join(enc_int(getattr(self, attr)) for _, attr, _ in self.FIELDS)
-
-
-def _eq_dlog_transcript(context: bytes, g1, y1, g2, y2, t1, t2) -> bytes:
-    return (
-        enc_bytes(context)
-        + enc_int(g1)
-        + enc_int(y1)
-        + enc_int(g2)
-        + enc_int(y2)
-        + enc_int(t1)
-        + enc_int(t2)
-    )
-
 
 def prove_eq_dlog(
     witness: int,
@@ -180,7 +165,7 @@ def prove_eq_dlog(
     w = rng.randrange(0, gp.q)
     t1 = gp.signed(comb(gp.g, w, gp.p))
     t2 = gp.signed(comb(g2, w, gp.p))
-    e = fiat_shamir_challenge(domain, _eq_dlog_transcript(context, gp.g, y1, g2, y2, t1, t2), gp)
+    e = fiat_shamir_challenge(domain, context, (gp.g, y1, g2, y2, t1, t2), gp)
     s = (w + e * witness) % gp.q
     return ChaumPedersenProof(commit1=t1, commit2=t2, challenge=e, response=s)
 
@@ -206,10 +191,7 @@ def verify_eq_dlog(
     if not gp.is_exponent(proof.response) or not gp.is_exponent(proof.challenge):
         return False
     expected = fiat_shamir_challenge(
-        domain,
-        _eq_dlog_transcript(context, gp.g, y1, g2, y2, proof.commit1, proof.commit2),
-        gp,
-    )
+        domain, context, (gp.g, y1, g2, y2, proof.commit1, proof.commit2), gp)
     if proof.challenge != expected:
         return False
     e, s = proof.challenge, proof.response
@@ -239,23 +221,6 @@ class ZeroOneProof(Record):
         "commit0_g", "commit0_k", "commit1_g", "commit1_k",
         "challenge0", "challenge1", "response0", "response1",
     ))
-
-    def canonical_bytes(self) -> bytes:  # each field, in FIELDS order
-        return b"".join(enc_int(getattr(self, attr)) for _, attr, _ in self.FIELDS)
-
-
-def _zero_one_transcript(context: bytes, public_key: int, ct: Ciphertext,
-                         a0, b0, a1, b1) -> bytes:
-    return (
-        enc_bytes(context)
-        + enc_int(public_key)
-        + enc_int(ct.a)
-        + enc_int(ct.b)
-        + enc_int(a0)
-        + enc_int(b0)
-        + enc_int(a1)
-        + enc_int(b1)
-    )
 
 
 def prove_zero_or_one(
@@ -293,8 +258,7 @@ def prove_zero_or_one(
         a0c, b0c, a1c, b1c = a_sim_commit, b_sim_commit, a_real_commit, b_real_commit
 
     e = fiat_shamir_challenge(
-        DOMAIN_ZERO_ONE, _zero_one_transcript(context, public_key, ct, a0c, b0c, a1c, b1c), gp
-    )
+        DOMAIN_ZERO_ONE, context, (public_key, ct.a, ct.b, a0c, b0c, a1c, b1c), gp)
     c_real = (e - c_sim) % space
     v_real = (w + c_real * r) % q
 
@@ -330,14 +294,10 @@ def verify_zero_or_one(
             and 0 <= proof.challenge0 < space and 0 <= proof.challenge1 < space):
         return False
 
-    e = fiat_shamir_challenge(
-        DOMAIN_ZERO_ONE,
-        _zero_one_transcript(
-            context, public_key, ct,
-            proof.commit0_g, proof.commit0_k, proof.commit1_g, proof.commit1_k,
-        ),
-        gp,
-    )
+    e = fiat_shamir_challenge(DOMAIN_ZERO_ONE, context, (
+        public_key, ct.a, ct.b,
+        proof.commit0_g, proof.commit0_k, proof.commit1_g, proof.commit1_k,
+    ), gp)
     if (proof.challenge0 + proof.challenge1) % space != e:  # e < M in every group
         return False
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import NoDlogInRange
 from .group import GroupParams
-from .serialize import HEX, Record, enc_int
+from .serialize import HEX, Record
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,6 @@ class Ciphertext(Record):
     b: int
 
     FIELDS = (("a", "a", HEX), ("b", "b", HEX))
-
-    def canonical_bytes(self) -> bytes:
-        return enc_int(self.a) + enc_int(self.b)
 
 
 def keygen(gp: GroupParams, rng: random.Random) -> Keypair:

@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 from typing import Callable
 
 from .errors import InvalidGroup, MalformedRecord
-from .serialize import NUMERAL, Record, enc_int
+from .serialize import NUMERAL, Record
 
 LARGE_GROUP_BITS = 128  # p of at least this many bits: combs and batched proofs
 COMB_WINDOW = 8  # comb rows; a table holds 2^8 products, about 70 KB for 2048-bit p
@@ -196,9 +196,6 @@ class GroupParams(Record):
 
     def is_exponent(self, x: int) -> bool:
         return 0 <= x < self.q
-
-    def canonical_bytes(self) -> bytes:
-        return enc_int(self.p) + enc_int(self.q) + enc_int(self.g)
 
     def validate(self) -> None:
         """Structural desk-check; raises InvalidGroup (a ValueError) on any

@@ -292,7 +292,7 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
 
     board = Board(scenario.election_id)
     index_by_serial = {}
-    for serial, record in sorted(site.records.items(), key=lambda kv: kv[1].produced_at):
+    for serial, record in site.records.items():  # in production order
         style = styles[record.record.ballot.style_id]
         index = board.publish_entry(
             record.record, record.status, style, jpk.K, gp, reason=record.reason

@@ -1,10 +1,12 @@
 """Canonical encodings shared by every hashing and signing path.
 
-Byte layout: each field is a 4-byte big-endian length prefix followed by the
-field's bytes; integers contribute their minimal big-endian magnitude (zero
-encodes as a single zero byte). Structures concatenate their fields in
-declared order, and a nested structure is embedded as a single length-prefixed
-bytes field. All digests are SHA-256, rendered as lowercase hex.
+Byte layout: an integer (its minimal big-endian magnitude; zero is one zero
+byte) or a string (UTF-8) is a 4-byte big-endian length prefix and its bytes.
+Record.canonical_bytes derives a record's bytes from its FIELDS, in order: a
+nested record inline, a tuple as its item count then each item, an optional
+value as a 0/1 flag then the value. Only chain_hash and initial_chain_seed
+wrap a whole record as one length-prefixed field. All digests are SHA-256,
+rendered as lowercase hex.
 
 JSON form: each published record declares its wire form once, as Record
 FIELDS rows (JSON key, attribute, codec); an operator file's records (the
@@ -93,7 +95,8 @@ def dump_json(obj: Any, path) -> None:
 
 # -- the wire codec ----------------------------------------------------------------
 
-Codec = namedtuple("Codec", "encode decode")  # decode raises MalformedRecord
+# decode raises MalformedRecord; canon is a field's hashed bytes (None: never hashed)
+Codec = namedtuple("Codec", "encode decode canon", defaults=(None,))
 
 
 def _check(ok: bool, value, reason: str):
@@ -113,12 +116,13 @@ def _natural(value) -> int:
     raise MalformedRecord("not a non-negative integer")
 
 
-HEX = Codec(int_to_hex, hex_to_int)
-STR = Codec(str, lambda v: _check(type(v) is str, v, "not a string"))
+# enc_int and enc_str are looked up per call, so that a tracer rebinding them counts them
+HEX = Codec(int_to_hex, hex_to_int, lambda v: enc_int(v))
+STR = Codec(str, lambda v: _check(type(v) is str, v, "not a string"), lambda v: enc_str(v))
 BOOL = Codec(bool, lambda v: _check(type(v) is bool, v, "not a boolean"))
 OBJECT = Codec(dict, lambda v: _check(type(v) is dict, v, "not an object"))
 INT = Codec(int, _natural)  # INT and NUMERAL decode a JSON int or a decimal string;
-NUMERAL = Codec(str, _natural)  # NUMERAL writes the string (board counts and indices)
+NUMERAL = Codec(str, _natural, lambda v: enc_int(v))  # NUMERAL writes the string
 INTEGER = Codec(int, lambda v: _check(type(v) is int, v, "not an integer"))  # JSON ints only
 NUMBER = Codec(float, lambda v: float(_check(type(v) in (int, float), v, "not a number")))
 
@@ -143,14 +147,15 @@ SALT = hex_bytes(SALT_BYTES)
 
 
 def record(cls) -> Codec:
-    return Codec(cls.to_json, cls.from_json)
+    return Codec(cls.to_json, cls.from_json, lambda v: v.canonical_bytes())
 
 
 def optional(codec: Codec) -> Codec:
-    """The codec's value, or None as JSON null."""
-    encode, decode = codec
+    """The codec's value, or None as JSON null; hashed behind a 0/1 flag."""
+    encode, decode, canon = codec
     return Codec(lambda v: None if v is None else encode(v),
-                 lambda v: None if v is None else decode(v))
+                 lambda v: None if v is None else decode(v),
+                 lambda v: enc_int(0) if v is None else enc_int(1) + canon(v))
 
 
 def _decode_each(pairs, decode) -> dict:
@@ -165,19 +170,20 @@ def _decode_each(pairs, decode) -> dict:
 
 
 def tuple_of(codec: Codec) -> Codec:
-    """A JSON list, decoded to a tuple."""
-    encode, decode = codec
+    """A JSON list, decoded to a tuple; hashed behind its item count."""
+    encode, decode, canon = codec
 
     def decode_list(v) -> tuple:
         items = _check(type(v) is list, v, "not a list")
         return tuple(_decode_each(enumerate(items), decode).values())
 
-    return Codec(lambda items: list(map(encode, items)), decode_list)
+    return Codec(lambda items: list(map(encode, items)), decode_list,
+                 lambda items: enc_int(len(items)) + b"".join(map(canon, items)))
 
 
 def dict_of(codec: Codec) -> Codec:
     """A JSON object keyed by ids (contest, column or terminal ids)."""
-    encode, decode = codec
+    encode, decode, _ = codec
 
     def decode_dict(v) -> dict:
         return _decode_each(_check(type(v) is dict, v, "not an object").items(), decode)
@@ -203,6 +209,10 @@ class Record:
 
     def to_json(self) -> dict:
         return {key: codec.encode(getattr(self, attr)) for key, attr, codec in self.FIELDS}
+
+    def canonical_bytes(self) -> bytes:
+        """What the record adds to a hash: each field's canon, in FIELDS order."""
+        return b"".join(codec.canon(getattr(self, attr)) for _, attr, codec in self.FIELDS)
 
     def save(self, path) -> None:
         dump_json(self.to_json(), path)

@@ -302,8 +302,7 @@ def _eq_dlog_with_commit(witness, y1, g2, y2, gp, context, domain, which):
     w = random.Random(which).randrange(1, gp.q)
     commits = [gp.signed(pow(gp.g, w, gp.p)), gp.signed(pow(g2, w, gp.p))]
     commits[which - 1] = gp.p - commits[which - 1]
-    e = fiat_shamir_challenge(
-        domain, chaum_pedersen._eq_dlog_transcript(context, gp.g, y1, g2, y2, *commits), gp)
+    e = fiat_shamir_challenge(domain, context, (gp.g, y1, g2, y2, *commits), gp)
     return chaum_pedersen.ChaumPedersenProof(*commits, e, (w + e * witness) % gp.q)
 
 

@@ -108,6 +108,9 @@ def test_terminal_chains_link_in_production_order() -> None:
     )
     assert site.terminals["T1"].z_prev == r2.record.z
     assert site.terminals["T2"].z_prev == r3.record.z
+    # records are kept in production order, which the board publishes as is
+    assert list(site.records.values()) == [r1, r2, r3]
+    assert r1.produced_at < r2.produced_at < r3.produced_at
 
 
 def test_cast_finalizes_and_boxes_the_paper() -> None:

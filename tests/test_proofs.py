@@ -15,8 +15,6 @@ from starlock.chaum_pedersen import (
     ChaumPedersenProof,
     Immediate,
     ZeroOneProof,
-    _eq_dlog_transcript,
-    _zero_one_transcript,
     prove_eq_dlog,
     prove_zero_or_one,
     verify_eq_dlog,
@@ -45,15 +43,15 @@ K = 5  # public key for secret 3 in the test group: |4^3 mod 23| = |18|
 
 def _eq_dlog_collides(proof, y1, g2, y2, context, domain) -> bool:
     """Whether the eq-dlog challenge over this statement is the proof's own."""
-    transcript = _eq_dlog_transcript(context, GP.g, y1, g2, y2, proof.commit1, proof.commit2)
-    return fiat_shamir_challenge(domain, transcript, GP) == proof.challenge
+    elements = (GP.g, y1, g2, y2, proof.commit1, proof.commit2)
+    return fiat_shamir_challenge(domain, context, elements, GP) == proof.challenge
 
 
 def _zero_one_collides(proof, ct, key, context) -> bool:
     """Whether the zero-or-one challenge over this statement is the sum of
     the proof's branch challenges."""
-    e = fiat_shamir_challenge(DOMAIN_ZERO_ONE, _zero_one_transcript(
-        context, key, ct, proof.commit0_g, proof.commit0_k, proof.commit1_g, proof.commit1_k), GP)
+    e = fiat_shamir_challenge(DOMAIN_ZERO_ONE, context, (
+        key, ct.a, ct.b, proof.commit0_g, proof.commit0_k, proof.commit1_g, proof.commit1_k), GP)
     return e == (proof.challenge0 + proof.challenge1) % GP.q
 
 
@@ -173,8 +171,7 @@ def test_eq_dlog_rejects_non_subgroup_inputs() -> None:
         assert verify_decryption_share(share, Ciphertext(12, 1), (1,), GP, b"ctx", everyone)
 
         t1, t2 = proof.commit1, GP.p - proof.commit2
-        e = fiat_shamir_challenge(DOMAIN_DECRYPT_SHARE,
-                                  _eq_dlog_transcript(b"ctx", GP.g, 1, 11, 1, t1, t2), GP)
+        e = fiat_shamir_challenge(DOMAIN_DECRYPT_SHARE, b"ctx", (GP.g, 1, 11, 1, t1, t2), GP)
         negated = ChaumPedersenProof(t1, t2, e, proof.response)  # response = w, witness 0
         assert not verify_eq_dlog(negated, 1, 11, 1, GP, b"ctx", DOMAIN_DECRYPT_SHARE)
         assert verify_eq_dlog(negated, 1, 11, 1, GP, b"ctx", DOMAIN_DECRYPT_SHARE, everyone)
@@ -299,8 +296,7 @@ def _ciphertext_formula_zero_or_one(bit, r, ct, public_key, gp, rng, context):
         a0c, b0c, a1c, b1c = a_sim_commit, b_sim_commit, a_real_commit, b_real_commit
 
     e = fiat_shamir_challenge(
-        DOMAIN_ZERO_ONE, _zero_one_transcript(context, public_key, ct, a0c, b0c, a1c, b1c), gp
-    )
+        DOMAIN_ZERO_ONE, context, (public_key, ct.a, ct.b, a0c, b0c, a1c, b1c), gp)
     c_real = (e - c_sim) % space
     v_real = (w + c_real * r) % q
 
@@ -320,7 +316,7 @@ def _plain_pow_eq_dlog(witness, y1, g2, y2, gp, rng, context, domain):
     w = rng.randrange(0, gp.q)
     t1 = gp.signed(fixed(gp.g, w, gp.p))
     t2 = gp.signed(pow(g2, w, gp.p))
-    e = fiat_shamir_challenge(domain, _eq_dlog_transcript(context, gp.g, y1, g2, y2, t1, t2), gp)
+    e = fiat_shamir_challenge(domain, context, (gp.g, y1, g2, y2, t1, t2), gp)
     s = (w + e * witness) % gp.q
     return ChaumPedersenProof(commit1=t1, commit2=t2, challenge=e, response=s)
 
@@ -389,8 +385,7 @@ def _old_rule_zero_or_one(bit, r, ct, public_key, gp, rng, context, draw=None):
         a0c, b0c, a1c, b1c = a_sim_commit, b_sim_commit, a_real_commit, b_real_commit
 
     e = fiat_shamir_challenge(
-        DOMAIN_ZERO_ONE, _zero_one_transcript(context, public_key, ct, a0c, b0c, a1c, b1c), gp
-    )
+        DOMAIN_ZERO_ONE, context, (public_key, ct.a, ct.b, a0c, b0c, a1c, b1c), gp)
     c_real = (e - c_sim) % q
     v_real = (w + c_real * r) % q
 

@@ -4,15 +4,26 @@ Every hash in the toolkit depends on these byte layouts staying fixed, so the
 expected values below are frozen literals computed by hand.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
 
 import pytest
 
-from starlock.ballot import Contest, EncryptedBallot
+from starlock.ballot import (
+    Contest,
+    ContestProof,
+    EncryptedBallot,
+    EncryptedContest,
+    WellFormednessProof,
+)
+from starlock.chaum_pedersen import ChaumPedersenProof, ZeroOneProof
+from starlock.elgamal import Ciphertext
 from starlock.errors import MalformedRecord
+from starlock.group import TEST_GROUP
 from starlock.serialize import (
+    Record,
     canonical_json,
     dump_json,
     enc_bytes,
@@ -62,6 +73,71 @@ def test_field_sequences_cannot_collide() -> None:
         )
         blob = enc_str(pair[0]) + enc_str(pair[1])
         assert seen.setdefault(blob, pair) == pair
+
+
+def _ints(*values) -> bytes:
+    return b"".join(enc_int(v) for v in values)
+
+
+def test_record_canonical_bytes_frozen() -> None:
+    """Fields in FIELDS order: a nested record inline, a tuple behind its item
+    count, an optional value behind a 0/1 flag."""
+    contest = EncryptedContest(
+        "c", (Ciphertext(13, 2), Ciphertext(3, 4)), (Ciphertext(5, 6),), Ciphertext(7, 8))
+    assert contest.canonical_bytes() == (
+        enc_str("c")
+        + enc_int(2) + _ints(13, 2) + _ints(3, 4)
+        + enc_int(1) + _ints(5, 6)
+        + enc_int(1) + _ints(7, 8)
+    )
+    zero_one = ZeroOneProof(*range(1, 9))
+    proof = ContestProof("c", (zero_one,), (), None, ChaumPedersenProof(9, 10, 11, 12))
+    assert proof.canonical_bytes() == (
+        enc_str("c")
+        + enc_int(1) + _ints(1, 2, 3, 4, 5, 6, 7, 8)
+        + enc_int(0)
+        + enc_int(0)
+        + _ints(9, 10, 11, 12)
+    )
+    assert TEST_GROUP.canonical_bytes() == _ints(23, 11, 4)
+
+
+def _variants(value) -> list:
+    """Values of value's form that differ from it in one place: a record in
+    one field, a tuple in its length or in one item."""
+    if isinstance(value, Record):
+        return [dataclasses.replace(value, **{attr: v})
+                for _, attr, _ in value.FIELDS for v in _variants(getattr(value, attr))]
+    if isinstance(value, tuple):
+        return [value[1:], value + value[:1]] + [
+            value[:i] + (v,) + value[i + 1:]
+            for i, item in enumerate(value) for v in _variants(item)]
+    if value is None:  # an optional field: the samples hold it both ways
+        return []
+    return [value + ("x" if isinstance(value, str) else 1)]
+
+
+_ZERO_ONE = ZeroOneProof(*range(1, 9))
+_CONTESTS = (
+    EncryptedContest("c", (Ciphertext(1, 2), Ciphertext(3, 4)), (Ciphertext(5, 6),), None),
+    EncryptedContest("d", (Ciphertext(1, 2),), (), Ciphertext(7, 8)),
+)
+_PROOFS = (
+    ContestProof("c", (_ZERO_ONE, _ZERO_ONE), (_ZERO_ONE,), None, ChaumPedersenProof(1, 2, 3, 4)),
+    ContestProof("d", (_ZERO_ONE,), (), _ZERO_ONE, ChaumPedersenProof(5, 6, 7, 8)),
+)
+HASHED_RECORDS = [
+    TEST_GROUP, Ciphertext(1, 2), ChaumPedersenProof(1, 2, 3, 4), _ZERO_ONE, *_CONTESTS,
+    *_PROOFS, WellFormednessProof(_PROOFS), EncryptedBallot("s", _CONTESTS),
+]
+
+
+@pytest.mark.parametrize("sample", HASHED_RECORDS, ids=lambda r: type(r).__name__)
+def test_every_field_change_changes_the_canonical_bytes(sample) -> None:
+    """Distinct values of a hashed record, each one change away from the
+    sample, have distinct canonical bytes: no field is left out of the hash."""
+    values = {sample, *_variants(sample)}
+    assert len({value.canonical_bytes() for value in values}) == len(values) > 1
 
 
 def test_sha256_matches_hashlib() -> None:

@@ -190,3 +190,24 @@ def test_decryption_contexts_and_column_bounds_are_built_only_in_boardformat_py(
             if builds_context or names_builder:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_hashed_layouts_are_defined_only_in_serialize_py() -> None:
+    """No module but serialize.py defines canonical_bytes (an alias of
+    Record.canonical_bytes aside), and no module defines a *_transcript
+    function: a record's hashed bytes are derived from its FIELDS, and every
+    proof transcript is built by fiatshamir.fiat_shamir_challenge."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                bad = (node.name.endswith("_transcript")
+                       or node.name == "canonical_bytes" and path.name != "serialize.py")
+            elif isinstance(node, ast.Assign):
+                bad = (any(getattr(t, "id", None) == "canonical_bytes" for t in node.targets)
+                       and ast.unparse(node.value) != "Record.canonical_bytes")
+            else:
+                continue
+            if bad:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
