@@ -370,9 +370,9 @@ def run_audit(board: BoardIndex, manifest: ElectionManifest, cvrs, papers, seed:
     published_by_serial = dict(zip(column(rows, "commitments", "serial", STR.decode),
                                    column(rows, "commitments", "commitments", OBJECT.decode)))
 
-    if not board.tallies:
+    if board.tally is None:
         raise StarlockError("board carries no tally; audit needs reported results")
-    lineno, tally = board.tallies[-1]
+    lineno, tally = board.tally
     result = at_line(lineno, decode_field, tally, "result", TALLY_RESULT.decode)
     winners, pairs, v = margin_pairs(manifest, result)
     n = len(population)

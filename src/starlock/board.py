@@ -43,7 +43,7 @@ from .errors import ChainBroken, MalformedRecord, NoDlogInRange, NotSpoiled, Rej
 from .group import GroupParams
 from .manifest import ElectionManifest
 from .schnorr import sign
-from .serialize import DIGEST, STR, canonical_json, decode_field, sha256_hex
+from .serialize import DIGEST, canonical_json, sha256_hex
 from .trustees import JointPublicKey, combine_shares, partial_decrypt
 
 
@@ -52,7 +52,7 @@ class Board:
 
     def __init__(self, election_id: str):
         self.election_id = election_id
-        self._index = BoardIndex()
+        self._index = BoardIndex(election_id)
         self._append({"kind": "header", "election_id": election_id, "version": "1"})
 
     # -- low-level chain ------------------------------------------------------
@@ -61,7 +61,7 @@ class Board:
         line = dict(obj)
         line["prev"] = self._index.head
         text = canonical_json(line)
-        self._index.add(len(self._index.lines), line, text)
+        self._index.add(len(self._index.lines), line, text)  # no line Board writes breaks a rule
         self._index.head = sha256_hex(text.encode("utf-8"))
         return len(self._index.lines) - 1
 
@@ -81,11 +81,12 @@ class Board:
     @classmethod
     def load(cls, path, manifest: ElectionManifest) -> "Board":
         """Reload a board file by the strict read (boardformat.parse_lines),
-        with the canonical form: ChainBroken names the line it refuses."""
+        with the canonical form, for the manifest's election: ChainBroken
+        names the line it refuses."""
         index = parse_lines(read_board_lines(path), manifest, canonical=True)
         board = cls.__new__(cls)
         board._index = index
-        board.election_id = decode_field(index.lines[0], "election_id", STR.decode)
+        board.election_id = manifest.election_id
         return board
 
     # -- publication -----------------------------------------------------------

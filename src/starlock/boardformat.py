@@ -3,13 +3,20 @@ the officials' tally tooling, the independent verifier and the audit read a
 board file.
 
 A board file is JSON lines, each in canonical form and carrying the SHA-256
-of the previous line in `prev` (the first line carries GENESIS_HASH). Entry
-k is the k-th entry line and says so in its `index` field. An entry's
-effective status is its own `status`, overridden by the status lines that
-reference it, in file order; a status line counts even when it precedes its
-entry. Only effective-CAST entries enter the homomorphic tally. LINE_KEYS
-lists the keys of each line kind; the records below declare the values of
-the entry, terminal_close and tally lines and of a decryption line's columns.
+of the previous line in `prev` (the first line carries GENESIS_HASH). Where
+a line may stand follows seven rules, which BoardIndex.add alone decides:
+1. line 0 is the header, and no other line is one;
+2. the header names the manifest's election;
+3. entry k is the k-th entry line, and says so in its `index` field;
+4. a status or decryption line names an entry published above it;
+5. an entry has at most one decryption line;
+6. a terminal has at most one terminal_close line;
+7. a board has at most one tally line.
+An entry's effective status is its own `status`, overridden by the status
+lines that follow it, in file order. Only effective-CAST entries enter the
+homomorphic tally. LINE_KEYS lists the keys of each line kind; the records
+below declare the values of the entry, terminal_close and tally lines and of
+a decryption line's columns.
 A decrypted column's statement, the ColumnStatement row (ciphertext, bound,
 context) that the tally and verify both read, comes from tally_statements or
 spoiled_statements. The file's last line is the office's signature;
@@ -181,7 +188,7 @@ ALLOWED_KEYS = {kind: required | optional | {"kind", "prev"}
                 for kind, (required, optional) in LINE_KEYS.items()}
 
 # The values BoardIndex.add decodes, where the line carries them, beside the
-# index, ref and status it reads.
+# election id, index, ref, status and terminal it reads.
 CHECKED_KEYS = {
     "header": (("version", VERSION),),
     "entry": (("timestamp", NUMERAL), ("reason", STR)),
@@ -329,21 +336,22 @@ def spoiled_statements(election_id: str, entry_index: int, ballot, style) -> lis
 
 
 class BoardIndex:
-    """Board lines indexed in one pass, in file order. `add` takes one line
-    at a time, so a writer can keep the index current as it appends.
+    """Board lines indexed in one pass, in file order, for the election
+    election_id. `add` takes one line at a time, so a writer can keep the
+    index current as it appends.
 
     lines lists the indexed lines, texts their text as read or written and
     last the line number of the last of them; head is the hash of the last
     line read; broken is read_board's (lineno, reason) for the first line
-    that breaks the chain or its kind's keys, or None. entries lists (index, lineno, line) of every entry
-    line, the index taken from the line's own field; statuses maps an entry
-    index to its effective status and decryptions to its decryption lines;
-    closes, tallies and signatures list (lineno, line) pairs. misnumbered
-    lists the line numbers of entries whose index field is not their
-    position among the entries, and refs the (lineno, ref) of every status
-    and decryption line."""
+    that breaks the chain, its kind's keys or a structure rule, or None.
+    entries lists (index, lineno, line) of every entry line, the index taken
+    from the line's own field; statuses maps an entry index to its effective
+    status, decryptions to its (lineno, line) decryption line; closes maps a
+    terminal to its (lineno, line) terminal_close line; tally is the tally
+    line's (lineno, line) or None; signatures lists (lineno, line) pairs."""
 
-    def __init__(self):
+    def __init__(self, election_id: str):
+        self.election_id = election_id
         self.lines = []
         self.texts = []
         self.last = None
@@ -352,49 +360,60 @@ class BoardIndex:
         self.entries = []
         self.statuses = {}
         self.decryptions = {}
-        self.closes = []
-        self.tallies = []
+        self.closes = {}
+        self.tally = None
         self.signatures = []
-        self.misnumbered = []
-        self.refs = []
-        self._overrides = {}
         self._ballots = {}
         self._proofs = {}
 
-    def add(self, lineno: int, line: dict, text: str) -> None:
+    def add(self, lineno: int, line: dict, text: str) -> str | None:
         """Index one line, decoding the index, ref and status it reads and the
-        values of CHECKED_KEYS; MalformedRecord leaves the line unindexed."""
-        kind = line.get("kind")
+        values of CHECKED_KEYS, and return the structure rule (see the module
+        docstring) it breaks, or None; MalformedRecord leaves the line
+        unindexed. A line that breaks a rule is kept out of the structure it
+        would break; an entry out of sequence is indexed all the same, so that
+        the entries after it are judged on their own."""
+        kind, fault = line.get("kind"), None
         for key, codec in CHECKED_KEYS.get(kind, ()):
             if key in line:
                 decode_field(line, key, codec.decode)
-        if kind == "entry":
+        if kind == "header":
+            election_id = decode_field(line, "election_id", STR.decode)
+            if election_id != self.election_id:
+                fault = f"header names election {election_id!r}, not {self.election_id!r}"
+        elif kind == "entry":
             k = decode_field(line, "index", NUMERAL.decode)
             status = decode_field(line, "status", STATUS.decode)
             if k != len(self.entries):
-                self.misnumbered.append(lineno)
+                fault = "entry index out of sequence"
             self.entries.append((k, lineno, line))
-            self.statuses[k] = self._overrides.get(k, status)
-        elif kind == "status":
+            self.statuses[k] = status
+        elif kind in ("status", "decryption"):
             ref = decode_field(line, "ref", NUMERAL.decode)
-            status = decode_field(line, "status", STATUS.decode)
-            self.refs.append((lineno, ref))
-            self._overrides[ref] = status
-            if ref in self.statuses:
+            status = decode_field(line, "status", STATUS.decode) if kind == "status" else None
+            if ref not in self.statuses:
+                fault = f"{kind} line refers to no entry {ref}"
+            elif kind == "status":
                 self.statuses[ref] = status
-        elif kind == "decryption":
-            ref = decode_field(line, "ref", NUMERAL.decode)
-            self.refs.append((lineno, ref))
-            self.decryptions.setdefault(ref, []).append((lineno, line))
+            elif self.decryptions.setdefault(ref, (lineno, line))[0] != lineno:
+                fault = f"entry {ref} decrypted twice"
         elif kind == "terminal_close":
-            self.closes.append((lineno, line))
+            terminal = decode_field(line, "terminal", STR.decode)
+            if self.closes.setdefault(terminal, (lineno, line))[0] != lineno:
+                fault = f"terminal {terminal} closed twice"
         elif kind == "tally":
-            self.tallies.append((lineno, line))
+            if self.tally:
+                fault = "second tally line"
+            else:
+                self.tally = (lineno, line)
         elif kind == "signature":
             self.signatures.append((lineno, line))
+        if (kind == "header") != (lineno == 0):
+            fault = "header line not first" if lineno else "board file missing header line"
         self.lines.append(line)
         self.texts.append(text)
         self.last = lineno
+        return fault
 
     def entry_field(self, pos: int, key: str, decode):
         """The pos-th entry line's key, decoded; a MalformedRecord names the
@@ -441,12 +460,14 @@ def parse_line(lineno: int, raw: str) -> dict:
     return line
 
 
-def read_board(raw_lines) -> BoardIndex:
+def read_board(raw_lines, election_id: str) -> BoardIndex:
     """Parse each raw line (no newline) once, check that it is a JSON object
     carrying the previous line's hash (not that it is canonical), and index it
-    with its text. The first break goes to `broken`; every object whose keys
-    fit its kind (line_fault) and whose index, ref and status decode is indexed."""
-    index = BoardIndex()
+    with its text for the election election_id. The first break, a structure
+    rule that BoardIndex.add names included, goes to `broken`; every object
+    whose keys fit its kind (line_fault) and whose values add reads decode is
+    indexed. A board with no line lacks its header at line 0."""
+    index = BoardIndex(election_id)
     for lineno, raw in enumerate(raw_lines):
         try:
             line = parse_line(lineno, raw)
@@ -457,13 +478,15 @@ def read_board(raw_lines) -> BoardIndex:
             fault = line_fault(line)
             if fault is None:
                 try:
-                    index.add(lineno, line, raw)
+                    fault = index.add(lineno, line, raw)
                 except MalformedRecord as exc:
                     fault = f"malformed {exc.detail}"
             reason = reason or fault
         if reason and index.broken is None:
             index.broken = (lineno, reason)
         index.head = sha256_hex(raw.encode("utf-8"))
+    if index.head == GENESIS_HASH:
+        index.broken = (0, "board file missing header line")
     return index
 
 
@@ -497,17 +520,13 @@ def signature_fault(index: BoardIndex, manifest: ElectionManifest, signatures):
 
 
 def parse_lines(raw_lines: list, manifest: ElectionManifest, canonical=False) -> BoardIndex:
-    """The strict read of every command that trusts a board: read_board, then
-    ChainBroken at its break (canonical_break's with canonical), a missing
-    header, an entry index out of sequence, or a final signature_fault."""
-    index = read_board(raw_lines)
+    """The strict read of every command that trusts a board: read_board for
+    the manifest's election, then ChainBroken at its break (canonical_break's
+    with canonical) or at a final signature_fault."""
+    index = read_board(raw_lines, manifest.election_id)
     broken = canonical_break(index, raw_lines) if canonical else index.broken
     if broken:
         raise ChainBroken(*broken)
-    if not index.lines or index.lines[0]["kind"] != "header":
-        raise ChainBroken(0, "board file missing header line")
-    if index.misnumbered:
-        raise ChainBroken(index.misnumbered[0], "entry index out of sequence")
     fault = signature_fault(index, manifest, index.signatures[-1:])
     if fault:
         raise ChainBroken(*fault)
@@ -533,5 +552,5 @@ def lookup_receipt(index: BoardIndex, terminal_id: str, code: str):
     k = matches[0]
     if index.statuses[k] == CAST:
         return FOUND_CAST, None
-    decs = index.decryptions.get(k)
-    return FOUND_SPOILED, decs[-1][1]["plaintext"] if decs else None
+    dec = index.decryptions.get(k)
+    return FOUND_SPOILED, dec[1]["plaintext"] if dec else None

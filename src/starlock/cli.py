@@ -18,8 +18,7 @@ missing or failing decryption shares, an ambiguous receipt, a board already
 tallied); 3 a usage or scenario fault (a bad scenario file or threshold, a
 risk limit outside (0, 1), key files for another group, an input path that is
 missing, a directory or unreadable). An error prints one line, "Class:
-message", to stdout with code 2 and to stderr otherwise. STARLOCK_GROUP, the
-only environment variable consulted, is keygen's default --group.
+message", to stdout with code 2 and to stderr otherwise.
 """
 
 from __future__ import annotations
@@ -249,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="trustee key ceremony and office signing key")
     p.add_argument("--n", type=int, required=True, help="number of trustees")
     p.add_argument("--k", type=int, required=True, help="decryption threshold")
-    p.add_argument("--group", choices=sorted(GROUPS),
-                   default=os.environ.get("STARLOCK_GROUP", "test"))
+    p.add_argument("--group", choices=sorted(GROUPS), default="test")
     p.add_argument("--seed", type=int, required=True, help="ceremony RNG seed")
     p.add_argument("--outdir", default=".", help="directory for key files")
     p.set_defaults(func=cmd_keygen)

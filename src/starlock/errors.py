@@ -47,8 +47,10 @@ class MalformedRecord(StarlockError):
 class ChainBroken(StarlockError):
     """A board line that does not parse to a JSON object, is not canonical,
     does not link to the line before it, does not fit its kind, or is out of
-    place (no header first, an entry index out of sequence, no verified office
-    signature last, a decryption or tally line on a board handed to the tally)."""
+    place: it breaks a structure rule of the board format (listed in
+    boardformat's docstring, decided by BoardIndex.add), is not a verified
+    office signature last, or is a decryption or tally line on a board handed
+    to the tally."""
     exit_code = 2
 
     def __init__(self, lineno: int, reason: str):

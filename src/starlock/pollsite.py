@@ -140,18 +140,9 @@ class PollSite:
             raise UnknownOption(f"no ballot style {style_id!r}")
         if len(self.active_tokens) >= TOKEN_POOL_SIZE:
             raise PoolExhausted(f"all {TOKEN_POOL_SIZE} codes active")
-        code = None
-        for _ in range(50):
-            candidate = f"{self.rng.randrange(TOKEN_POOL_SIZE):05d}"
-            if candidate not in self.active_tokens:
-                code = candidate
-                break
-        if code is None:
-            # Pool nearly full: pick uniformly from the sorted complement.
-            free = sorted(
-                set(f"{i:05d}" for i in range(TOKEN_POOL_SIZE)) - set(self.active_tokens)
-            )
-            code = free[self.rng.randrange(len(free))]
+        # Draw until a code is free: uniform over the free codes.
+        while (code := f"{self.rng.randrange(TOKEN_POOL_SIZE):05d}") in self.active_tokens:
+            pass
         token = Token(code=code, style_id=style_id, provisional=provisional)
         self.active_tokens[code] = token
         self._tick("token_issued", code=code, style=style_id, provisional=provisional)

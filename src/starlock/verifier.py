@@ -103,7 +103,8 @@ class VerificationReport:
 
 
 def check_line_chain(index: BoardIndex, raw_lines: list) -> list:
-    """Every line is a canonical JSON object embedding the previous line's hash."""
+    """Every line is a canonical JSON object embedding the previous line's
+    hash, and stands where the board's structure rules let it (read_board)."""
     broken = canonical_break(index, raw_lines)
     if broken:
         lineno, reason = broken
@@ -128,13 +129,6 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
         if type(tid) is not str or tid not in per_terminal:
             return [ReportItem("terminal_chain", False, f"unknown terminal {tid}", line=lineno)]
         per_terminal[tid].append((pos, k, lineno, line))
-    closes = {}
-    for lineno, line in index.closes:
-        close = at_line(lineno, TerminalClose.from_json, line)
-        if close.terminal in closes:
-            return [ReportItem("terminal_chain", False, f"terminal {close.terminal} closed twice",
-                               line=lineno)]
-        closes[close.terminal] = (lineno, close)
 
     fails = []
 
@@ -154,16 +148,15 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
                 break
             z_prev = expected
         else:
-            if tid not in closes:
+            if tid not in index.closes:
                 fail(f"terminal {tid} never closed")
                 continue
-            lineno, close = closes[tid]
+            lineno, line = index.closes[tid]
+            close = at_line(lineno, TerminalClose.from_json, line)
             if close.final_z != z_prev:
                 fail(f"terminal {tid}: final z mismatch at close", line=lineno)
             elif close.produced != len(per_terminal[tid]):
                 fail(f"terminal {tid}: produced count mismatch", line=lineno)
-    if index.misnumbered:
-        fail("entry index out of sequence", line=index.misnumbered[0])
     total = sum(len(v) for v in per_terminal.values())
     return fails or [
         ReportItem("terminal_chain", True,
@@ -217,20 +210,14 @@ def _check_ballot_proofs(index: BoardIndex, manifest: ElectionManifest, eqs) -> 
 
 
 def _check_decryptions(index, manifest: ElectionManifest, eqs) -> list:
-    """Failures among status and decryption lines: each names an entry, each
-    spoiled or untallied entry has exactly one decryption and no other entry
-    has any, every column is proven, and the plaintext summary is truthful."""
+    """Failures among decryption lines: each spoiled or untallied entry has
+    one and no other entry has any (BoardIndex.add keeps a second one out),
+    every column is proven, and the plaintext summary is truthful."""
     fails = []
 
     def fail(detail, **where):
         fails.append(ReportItem("decryptions", False, detail, **where))
 
-    for lineno, ref in index.refs:
-        if ref not in index.statuses:
-            fail(f"line refers to no entry {ref}", line=lineno)
-    for ref, decs in sorted(index.decryptions.items()):
-        for lineno, _ in decs[1:]:
-            fail(f"entry {ref} decrypted twice", line=lineno)
     positions = {k: pos for pos, (k, _, _) in enumerate(index.entries)}
     for k, status in sorted(index.statuses.items()):
         needs = status in (SPOILED, UNTALLIED)
@@ -239,9 +226,9 @@ def _check_decryptions(index, manifest: ElectionManifest, eqs) -> list:
             continue
         if not needs:
             if k in index.decryptions:
-                fail(f"entry {k} is {status} but was decrypted", line=index.decryptions[k][0][0])
+                fail(f"entry {k} is {status} but was decrypted", line=index.decryptions[k][0])
             continue
-        lineno, dec = index.decryptions[k][0]
+        lineno, dec = index.decryptions[k]
         ballot = index.ballot(positions[k])
         columns = at_line(lineno, decode_field, dec, "columns", SPOILED_COLUMNS.decode, entry=k)
         style = manifest.style_map.get(ballot.style_id)
@@ -278,11 +265,9 @@ def verify_tally(index: BoardIndex, manifest: ElectionManifest, digest: bytes) -
 
 
 def _check_tally(index: BoardIndex, manifest: ElectionManifest, eqs) -> list:
-    if not index.tallies:
+    if index.tally is None:
         return [ReportItem("tally", False, "no tally line published")]
-    if len(index.tallies) > 1:
-        return [ReportItem("tally", False, "multiple tally lines", line=index.tallies[1][0])]
-    lineno, line = index.tallies[0]
+    lineno, line = index.tally
     tally, ballots = at_line(lineno, TallyRecord.from_json, line), index.cast_ballots()
     try:
         agg = fold_ballots(ballots, manifest.style_map, manifest.gp)
@@ -343,10 +328,10 @@ def _batched(check: str, run, index: BoardIndex, manifest: ElectionManifest,
 def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
     """Run every check; the report's overall verdict is their conjunction.
     The board is parsed once (boardformat.read_board) and every check reads
-    that index; a line that breaks the chain or holds a malformed record is
-    reported, not raised."""
+    that index; a line that breaks the chain or a structure rule or holds a
+    malformed record is reported, not raised."""
     raw_lines = list(raw_lines)
-    index = read_board(raw_lines)
+    index = read_board(raw_lines, manifest.election_id)
     digest = sha256("\n".join(raw_lines).encode("utf-8")) if manifest.gp.large else b""
     report = VerificationReport(check_line_chain(index, raw_lines))
     for check, run in (("signature", check_signatures), ("terminal_chain", verify_chain)):

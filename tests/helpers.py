@@ -212,7 +212,7 @@ def synthetic_comparison_record(n=100, winner_votes=55, flips=0, blanks=0, seats
     tally = {"kind": "tally", "columns": [], "result": {"race": result}, "cast": {}}
     lines = [{"kind": "header", "election_id": "audit-lab", "version": "1"},
              *(synthetic_entry(i) for i in range(n)), *extra, *([tally] if tallied else [])]
-    board = read_board(rechain(lines, "audit-lab", office, gp))
+    board = read_board(rechain(lines, "audit-lab", office, gp), "audit-lab")
     return board, manifest, cvrs, papers
 
 

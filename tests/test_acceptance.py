@@ -77,7 +77,7 @@ def test_criterion_2_verifier_tally_and_audit_agree_on_honest_runs() -> None:
         assert outcome["tally"].result == expected["counts"], f"trial {trial}"
         seed = f"{rng.randrange(10 ** 20):020d}"
         audit = run_audit(
-            read_board(raw), result["manifest"], result["cvrs"],
+            read_board(raw, scenario.election_id), result["manifest"], result["cvrs"],
             result["papers"], seed, 0.1,
         )
         assert audit["verdict"] == "CONFIRMED", f"trial {trial}"
@@ -126,7 +126,8 @@ def test_criterion_4_chain_tampering_is_caught_and_named() -> None:
     }
 
     def first_failure(lines):
-        index = read_board(rechain(lines, manifest.election_id, office, manifest.gp))
+        index = read_board(rechain(lines, manifest.election_id, office, manifest.gp),
+                           manifest.election_id)
         bad = [item for item in verify_chain(index, manifest) if not item.ok]
         assert bad, "tampering went unnoticed"
         return bad[0]
@@ -299,7 +300,7 @@ def test_criterion_8_proof_battery_accepts_honest_and_rejects_perturbed() -> Non
 
 def test_criterion_9_receipts_resolve_and_fabrications_do_not() -> None:
     result, _ = demo_run()
-    index = read_board(board_raw_lines(result["board"]))
+    index = read_board(board_raw_lines(result["board"]), result["manifest"].election_id)
     for row in result["receipts"]:
         assert len(row["code"]) == 20
         status, _ = lookup_receipt(index, row["terminal"], row["code"])

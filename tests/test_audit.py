@@ -325,8 +325,8 @@ def test_audit_works_out_each_draws_overstatement_once(monkeypatch) -> None:
         return overstatement(*args)
 
     monkeypatch.setattr(audit, "overstatement", counted)
-    out = run_audit(read_board(board_raw_lines(result["board"])), result["manifest"],
-                    result["cvrs"], result["papers"], SEED_A, 0.1)
+    out = run_audit(read_board(board_raw_lines(result["board"]), result["board"].election_id),
+                    result["manifest"], result["cvrs"], result["papers"], SEED_A, 0.1)
     assert out["draws"] > 0
     assert len(calls) == out["draws"]
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import board_raw_lines, demo_run, rechain, synthetic_comparison_record
+from helpers import board_raw_lines, demo_commands, demo_run, rechain, synthetic_comparison_record
 from helpers import synthetic_entry as entry
 from starlock.audit import run_audit
 from starlock.ballot import BallotStyle, Contest
@@ -32,16 +32,16 @@ def status(k, value):
 
 
 def chained(lines):
-    """read_board's index of the lines, chained and signed."""
-    return read_board(rechain(lines, "e", keygen(TEST_GROUP, random.Random(1)), TEST_GROUP))
+    """read_board's index of the lines of election "e", chained and signed."""
+    return read_board(rechain(lines, "e", keygen(TEST_GROUP, random.Random(1)), TEST_GROUP), "e")
 
 
-def test_status_lines_override_in_file_order_even_before_their_entry() -> None:
+def test_status_lines_override_in_file_order_after_their_entry() -> None:
     lines = [
         {"kind": "header", "election_id": "e", "version": "1"},
-        status(1, UNTALLIED),
         entry(0),
         entry(1),
+        status(1, UNTALLIED),
         status(0, SPOILED),
         status(0, CAST),
         entry(2, SPOILED),
@@ -50,41 +50,138 @@ def test_status_lines_override_in_file_order_even_before_their_entry() -> None:
     assert index.broken is None
     assert index.statuses == {0: CAST, 1: UNTALLIED, 2: SPOILED}
     assert [k for k, _, _ in index.entries] == [0, 1, 2]
-    assert index.refs == [(1, 1), (4, 0), (5, 0)]
-    assert index.misnumbered == []
-    assert chained([entry(0), entry(2)]).misnumbered == [1]
+    # A status line above its entry is refused, and overrides nothing.
+    leading = chained([lines[0], status(0, SPOILED), *lines[1:]])
+    assert leading.broken == (1, "status line refers to no entry 0")
+    assert leading.statuses == index.statuses
+    # An entry out of sequence is the break, and is indexed all the same.
+    skipped = chained([lines[0], entry(0), entry(2), entry(3)])
+    assert skipped.broken == (2, "entry index out of sequence")
+    assert [k for k, _, _ in skipped.entries] == [0, 2, 3]
+    assert read_board([], "e").broken == (0, "board file missing header line")
 
 
 def test_verifier_reads_a_leading_status_line_by_the_same_rule() -> None:
     result, _ = demo_run()
     lines = result["board"].lines()
-    statuses = read_board(board_raw_lines(result["board"])).statuses
+    manifest = result["manifest"]
+    statuses = read_board(board_raw_lines(result["board"]), manifest.election_id).statuses
     k = min(i for i, s in statuses.items() if s == CAST)
     lines.insert(1, status(k, UNTALLIED))
-    raw = rechain(lines, result["manifest"].election_id, result["office"], result["manifest"].gp)
-    report = verify_board(raw, result["manifest"])
-    details = [item.detail for item in report.failures()]
-    assert f"entry {k} (UNTALLIED) has no decryption" in details
-    assert "aggregate mismatch for mayor/ada" in details
+    raw = rechain(lines, manifest.election_id, result["office"], manifest.gp)
+    report = verify_board(raw, manifest)
+    chain = report.items[0]
+    assert (chain.check, chain.ok, chain.line) == ("line_chain", False, 1)
+    assert chain.detail == f"status line refers to no entry {k}"
+    # The refused line demotes nothing: the decryptions and the tally still verify.
+    assert {item.check for item in report.failures()} == {"line_chain", "signature"}
 
 
 def test_audit_reads_a_leading_status_line_by_the_same_rule() -> None:
-    # Entry 100 says CAST, but a status line before it demotes it; it has no
-    # CVR row, so counting it as CAST would abort the audit.
+    # Entry 100 says CAST, and a status line before it would demote it: the
+    # read refuses the board at that line, as parse_lines does for the audit.
+    board, _, _, _ = synthetic_comparison_record(extra=[status(100, SPOILED), entry(100)])
+    assert board.broken == (101, "status line refers to no entry 100")
+    # After its entry the line demotes it; entry 100 has no CVR row, so
+    # counting it as CAST would abort the audit.
     board, manifest, cvrs, papers = synthetic_comparison_record(
-        extra=[status(100, SPOILED), entry(100)])
+        extra=[entry(100), status(100, SPOILED)])
+    assert board.broken is None
     out = run_audit(board, manifest, cvrs, papers, "01234567890123456789", 0.1)
     assert out["N"] == 100
     assert out["verdict"] == "CONFIRMED"
 
 
-def test_dangling_references_fail_the_decryption_check() -> None:
+def test_dangling_references_break_the_line_chain() -> None:
+    result, _ = demo_run()
+    decryption = {"kind": "decryption", "ref": "999", "columns": [], "plaintext": {}}
+    for line in (status(999, CAST), decryption):
+        lines = [*result["board"].lines(), line]
+        raw = rechain(lines, result["manifest"].election_id, result["office"],
+                      result["manifest"].gp)
+        report = verify_board(raw, result["manifest"])
+        assert [(item.check, item.line, item.detail) for item in report.failures()] == [
+            ("line_chain", len(lines) - 1, f"{line['kind']} line refers to no entry 999")]
+
+
+def _drop_header(lines):
+    del lines[0]
+    return 0
+
+
+def _rename_election(lines):
+    lines[0]["election_id"] = "elsewhere"
+    return 0
+
+
+def _drop_entry_1(lines):
+    del lines[2]  # entry 1: the entries after it are out of sequence
+    return 2
+
+
+def _leading_status(lines):
+    lines.insert(1, status(0, UNTALLIED))
+    return 1
+
+
+def _insert_copy(kind, edit=lambda line: None):
+    """A board edit: a copy of the first `kind` line, edited, inserted after it."""
+    def mutate(lines):
+        at = next(i for i, line in enumerate(lines) if line["kind"] == kind)
+        copy = json.loads(json.dumps(lines[at]))
+        edit(copy)
+        lines.insert(at + 1, copy)
+        return at + 1
+    return mutate
+
+
+def _empty_selections(dec):
+    dec["plaintext"]["selections"] = {cid: [] for cid in dec["plaintext"]["selections"]}
+
+
+def _zero_counts(tally):
+    tally["result"] = {cid: dict.fromkeys(cols, "0") for cid, cols in tally["result"].items()}
+
+
+# One crafted demo board per structure rule of the boardformat docstring: an
+# edit returning the line it breaks, and the reason every reader gives.
+RULE_BREAKS = {
+    "1-no-header": (_drop_header, "board file missing header line"),
+    "1-second-header": (_insert_copy("header"), "header line not first"),
+    "2-other-election": (_rename_election, "header names election 'elsewhere', not "
+                                           "'starlock-demo'"),
+    "3-entry-out-of-sequence": (_drop_entry_1, "entry index out of sequence"),
+    "4-status-before-its-entry": (_leading_status, "status line refers to no entry 0"),
+    "5-second-decryption": (_insert_copy("decryption", _empty_selections),
+                            "entry 2 decrypted twice"),
+    "6-second-close": (_insert_copy("terminal_close"), "terminal T1 closed twice"),
+    "7-second-tally": (_insert_copy("tally", _zero_counts), "second tally line"),
+}
+
+
+@pytest.mark.parametrize("edit, reason", RULE_BREAKS.values(), ids=RULE_BREAKS)
+def test_every_reader_refuses_a_structure_break_at_its_line(edit, reason, tmp_path,
+                                                            capsys) -> None:
+    """Re-chained, and every signature re-made, so that only the structure
+    rule is broken: verify fails line_chain at the line where tally, audit and
+    receipt-check each exit 2 with ChainBroken, for the same reason."""
     result, _ = demo_run()
     lines = result["board"].lines()
-    lines.append(status(999, CAST))
-    raw = rechain(lines, result["manifest"].election_id, result["office"], result["manifest"].gp)
-    report = verify_board(raw, result["manifest"])
-    assert [item.detail for item in report.failures()] == ["line refers to no entry 999"]
+    lineno = edit(lines)
+    manifest = result["manifest"]
+    for at in [i for i, line in enumerate(lines) if line["kind"] == "signature"]:
+        # the signature after the polls close is re-made too, not only the last
+        lines[at] = json.loads(rechain(lines[:at], manifest.election_id, result["office"],
+                                       manifest.gp)[-1])
+    board, commands = demo_commands(tmp_path)
+    raw = rechain(lines, manifest.election_id, result["office"], manifest.gp)
+    board.write_text("\n".join(raw) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(commands["verify"]) == 2
+    assert f"FAIL line_chain [line {lineno}]: {reason}\n" in capsys.readouterr().out
+    for name in ("tally", "audit", "receipt-check", "receipt-check-spoiled"):
+        assert main(commands[name]) == 2, name
+        assert capsys.readouterr().out == f"ChainBroken: board line {lineno}: {reason}\n", name
 
 
 def test_contest_defined_two_ways_is_refused_everywhere(tmp_path) -> None:

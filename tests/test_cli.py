@@ -69,14 +69,6 @@ def test_keygen_rejects_impossible_threshold(tmp_path) -> None:
                  "--outdir", str(tmp_path)]) == 3
 
 
-def test_env_var_sets_the_default_group(tmp_path, monkeypatch) -> None:
-    monkeypatch.setenv("STARLOCK_GROUP", "prod")
-    keys = tmp_path / "keys"
-    assert main(["keygen", "--n", "1", "--k", "1", "--seed", "1",
-                 "--outdir", str(keys)]) == 0
-    assert json.loads((keys / "joint_key.json").read_text())["group"] == "prod"
-
-
 def test_full_pipeline_verifies_and_resolves_receipts(tmp_path, capsys) -> None:
     out = run_pipeline(tmp_path)
     report_path = tmp_path / "report.json"

@@ -211,3 +211,16 @@ def test_hashed_layouts_are_defined_only_in_serialize_py() -> None:
             if bad:
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_module_reads_the_environment() -> None:
+    """No module reads os.environ or calls os.getenv: every input a command
+    takes is a flag or a file, so a run depends on nothing the shell sets."""
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    or isinstance(node, ast.ImportFrom) and node.module == "os"
+                    and {a.name for a in node.names} & {"environ", "getenv"}):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -37,6 +37,9 @@ ALL_CHECKS = {
 }
 
 
+EID = "starlock-demo"  # the demo election's id, which read_board takes
+
+
 def demo_board():
     result, _ = demo_run()
     return result, board_raw_lines(result["board"])
@@ -71,7 +74,7 @@ def test_edited_line_breaks_the_chain_at_the_next_line() -> None:
     line = json.loads(raw[target])
     line["timestamp"] = str(int(line["timestamp"]) + 1)
     raw = raw[:target] + [canonical_json(line)] + raw[target + 1 :]
-    items = check_line_chain(read_board(raw), raw)
+    items = check_line_chain(read_board(raw, EID), raw)
     assert not items[0].ok
     assert items[0].line == target + 1
     assert not verify_board(raw, result["manifest"]).overall
@@ -80,11 +83,11 @@ def test_edited_line_breaks_the_chain_at_the_next_line() -> None:
 def test_deleted_and_reordered_lines_break_the_chain() -> None:
     result, raw = demo_board()
     deleted = raw[:5] + raw[6:]
-    items = check_line_chain(read_board(deleted), deleted)
+    items = check_line_chain(read_board(deleted, EID), deleted)
     assert not items[0].ok and items[0].line == 5
     swapped = raw[:]
     swapped[2], swapped[3] = swapped[3], swapped[2]
-    items = check_line_chain(read_board(swapped), swapped)
+    items = check_line_chain(read_board(swapped, EID), swapped)
     assert not items[0].ok and items[0].line == 2
 
 
@@ -92,11 +95,11 @@ def test_non_canonical_or_unparseable_lines_are_rejected() -> None:
     _, raw = demo_board()
     pretty = raw[:]
     pretty[1] = json.dumps(json.loads(raw[1]), sort_keys=True, separators=(", ", ": "))
-    items = check_line_chain(read_board(pretty), pretty)
+    items = check_line_chain(read_board(pretty, EID), pretty)
     assert not items[0].ok and "canonical" in items[0].detail
     garbage = raw[:]
     garbage[4] = "not json {"
-    items = check_line_chain(read_board(garbage), garbage)
+    items = check_line_chain(read_board(garbage, EID), garbage)
     assert not items[0].ok and items[0].line == 4
 
 
@@ -383,12 +386,15 @@ def test_terminal_bookkeeping_failures() -> None:
     assert fails and "unknown terminal" in fails[0].detail
 
     def double_close(lines):
-        close = next(l for l in lines if l.get("kind") == "terminal_close")
-        lines.append(dict(close))
+        at = next(i for i, l in enumerate(lines) if l.get("kind") == "terminal_close")
+        lines.insert(at + 1, dict(lines[at]))
+        where["line"] = at + 1
 
+    where = {}
     report = verify_board(retamper(result, double_close), result["manifest"])
-    fails = [i for i in report.failures() if i.check == "terminal_chain"]
-    assert fails and "closed twice" in fails[0].detail
+    fails = [i for i in report.failures() if i.check in ("line_chain", "terminal_chain")]
+    assert [(i.check, i.line) for i in fails] == [("line_chain", where["line"])]
+    assert fails[0].detail.endswith("closed twice")
 
     def drop_close(lines):
         idx = next(
@@ -419,7 +425,7 @@ def test_terminal_bookkeeping_failures() -> None:
 
 def test_every_scripted_receipt_resolves_to_its_status() -> None:
     result, raw = demo_board()
-    index = read_board(raw)
+    index = read_board(raw, EID)
     scenario = result["scenario"]
     assert result["receipts"], "demo must hand out receipts"
     for row in result["receipts"]:
@@ -437,7 +443,7 @@ def test_every_scripted_receipt_resolves_to_its_status() -> None:
 
 def test_receipt_misses() -> None:
     result, raw = demo_board()
-    index = read_board(raw)
+    index = read_board(raw, EID)
     row = result["receipts"][0]
     other_terminal = "T2" if row["terminal"] == "T1" else "T1"
     assert lookup_receipt(index, other_terminal, row["code"]) == (NOT_FOUND, None)
@@ -448,6 +454,7 @@ def test_colliding_receipts_are_flagged_ambiguous() -> None:
     result, raw = demo_board()
     manifest = result["manifest"]
     z = "ab" * 32
+    header = {"kind": "header", "election_id": EID, "version": "1"}
     entry = {
         "kind": "entry", "index": "0", "terminal": "T1", "timestamp": "1",
         "status": "CAST", "z": z, "ballot": {}, "proof": {},
@@ -456,6 +463,7 @@ def test_colliding_receipts_are_flagged_ambiguous() -> None:
     from starlock.chain import receipt_code
 
     code = receipt_code(bytes.fromhex(z))
+    index = read_board(rechain([header, entry, twin], EID, result["office"], manifest.gp), EID)
+    assert index.broken is None
     with pytest.raises(AmbiguousReceipt):
-        lookup_receipt(read_board(rechain([entry, twin], manifest.election_id,
-                                          result["office"], manifest.gp)), "T1", code)
+        lookup_receipt(index, "T1", code)
