@@ -16,14 +16,22 @@ board line and field (a file that is not JSON, a record or line out of form,
 a broken line chain or signature, an invalid group, a count beyond its bound,
 missing or failing decryption shares, an ambiguous receipt, a board already
 tallied); 3 a usage or scenario fault (a bad scenario file or threshold, a
-risk limit outside (0, 1), key files for another group, an input path that is
-missing, a directory or unreadable). An error prints one line, "Class:
-message", to stdout with code 2 and to stderr otherwise.
+risk limit outside (0, 1), a negative seed, key files for another group, an
+input path that is missing, a directory or unreadable, an output path that
+cannot be written). An error prints one line, "Class: message", to stdout with
+code 2 and to stderr otherwise; a path that cannot be opened, read or written
+prints "cannot open PATH: reason" to stderr.
+
+Every --seed is a non-negative integer: random.Random seeds from the absolute
+value of an int, so a negative seed would repeat its positive twin's draws.
+main(argv) may be called any number of times in one process; it builds its
+parser on the first call and reuses it, since parsing keeps no state.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -236,10 +244,23 @@ def _audit():
     return audit
 
 
+def _natural(value: str) -> int:
+    """A keygen or tally seed: random.Random seeds from abs(n), so -n would repeat n's draws."""
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {value!r}")
+    return seed
+
+
+_seed = _checked(_natural)
 _seed20 = _checked(lambda value: _audit().check_seed(value))
 _alpha = _checked(lambda value: _audit().check_alpha(float(value)))
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="starlock", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -249,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of trustees")
     p.add_argument("--k", type=int, required=True, help="decryption threshold")
     p.add_argument("--group", choices=sorted(GROUPS), default="test")
-    p.add_argument("--seed", type=int, required=True, help="ceremony RNG seed")
+    p.add_argument("--seed", type=_seed, required=True, help="ceremony RNG seed")
     p.add_argument("--outdir", default=".", help="directory for key files")
     p.set_defaults(func=cmd_keygen)
 
@@ -266,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--papers", required=True, help="ballot-box paper summaries")
     p.add_argument("--shares", nargs="+", required=True, help="trustee share files")
     p.add_argument("--office", required=True, help="office key file (signing)")
-    p.add_argument("--seed", type=int, default=0, help="proof RNG seed")
+    p.add_argument("--seed", type=_seed, default=0, help="proof RNG seed")
     p.set_defaults(func=cmd_tally)
 
     p = sub.add_parser("verify", help="independent full-board verification")
@@ -303,8 +324,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE
     try:
         return args.func(args)
-    except OSError as exc:  # a missing file, a directory, a file that cannot be read
-        print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:  # a path missing, a directory, or not readable or writable
+        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return USAGE
     except StarlockError as exc:  # its class declares the exit code (errors.py)
         stream = sys.stdout if exc.exit_code == FAIL else sys.stderr  # 2 is a verdict, like FAIL

@@ -146,6 +146,8 @@ class Scenario(FileRecord):
             raise ScenarioError("trustee counts must be integers")
         if not isinstance(self.seed, int):
             raise ScenarioError("scenario seed is mandatory and must be an integer")
+        if self.seed < 0:  # random.Random seeds from abs(seed): -n would repeat n's run
+            raise ScenarioError(f"seed: {self.seed} is negative; a seed is a non-negative integer")
         styles = {s.style_id: s for s in self.styles}
         if not styles or len(styles) != len(self.styles):
             raise ScenarioError("styles must be nonempty with unique ids")

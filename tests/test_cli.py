@@ -2,6 +2,7 @@
 receipt-check, and the exit-code contract (0 pass, 1 internal, 2 fail,
 3 usage; each error class declares its code)."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -142,6 +143,13 @@ def test_usage_errors_exit_3(tmp_path, capsys) -> None:
         assert main([*commands["audit"], "--alpha", alpha]) == 3
         assert "argument --alpha: risk limit must be in (0, 1)" in capsys.readouterr().err
     assert main([*commands["audit"], "--alpha", "0.5"]) == 2  # sound files: a verdict
+    keygen = ["keygen", "--n", "1", "--k", "1", "--outdir", str(tmp_path / "keys")]
+    for argv in (keygen, commands["tally"]):  # random.Random(-1) would repeat seed 1's draws
+        capsys.readouterr()
+        assert main([*argv, "--seed", "-1"]) == 3
+        assert "argument --seed: seed must be a non-negative integer, got '-1'" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "keys").exists()
     assert main(["simulate", "--scenario", str(tmp_path / "missing.json"),
                  "--outdir", str(tmp_path)]) == 3
     bad = tmp_path / "bad.json"
@@ -154,23 +162,79 @@ def test_usage_errors_exit_3(tmp_path, capsys) -> None:
                  "--outdir", str(tmp_path)]) == 3
 
 
-def test_module_entry_point_runs() -> None:
-    # The child imports starlock from wherever this process found it.
+def child_env():
+    """This process's environment, with starlock importable from wherever this
+    process found it."""
     src = os.path.dirname(os.path.dirname(starlock.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point_runs() -> None:
     proc = subprocess.run(
         [sys.executable, "-m", "starlock", "--help"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0
     assert "keygen" in proc.stdout and "receipt-check" in proc.stdout
 
 
+def test_main_builds_its_parser_once_per_process(monkeypatch, capsys) -> None:
+    """After one main call, later calls construct no ArgumentParser (the
+    top-level parser and its six subcommand parsers are built once)."""
+    assert main([]) == 3
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["no-such-command"]) == 3
+    assert main(["keygen", "--n", "1", "--k", "1"]) == 3  # no --seed
+    assert main(["--help"]) == 0
+    assert built == []
+    shown = capsys.readouterr().out
+    for command in ("keygen", "simulate", "tally", "verify", "audit", "receipt-check"):
+        assert command in shown, command
+
+
+def test_repeated_main_calls_share_no_state(tmp_path, monkeypatch, capsys) -> None:
+    """A run of main calls in one process, each after another that set other
+    options or failed, gives each call the exit code, output and files of the
+    same call in a fresh interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap alike in both
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(board_raw_lines(demo_run()[0]["board"])) + "\n", encoding="utf-8")
+    report = tmp_path / "report.json"
+    calls = [
+        ["verify", "--report", str(report), "--board", str(board)],  # no --manifest: usage
+        commands["receipt-check"],
+        [*commands["verify"], "--report", str(report)],
+        commands["verify"],
+    ]
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "starlock", *argv],
+                              capture_output=True, text=True, env=child_env())
+        fresh.append(((proc.returncode, proc.stdout, proc.stderr),
+                      report.read_bytes() if report.exists() else None))
+        report.unlink(missing_ok=True)
+    assert [code for (code, _, _), _ in fresh] == [3, 0, 0, 0]
+    assert fresh[2][1] is not None
+    for argv, want in zip(calls, fresh):
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert ((code, captured.out, captured.err),
+                report.read_bytes() if report.exists() else None) == want, argv
+        report.unlink(missing_ok=True)
+
+
 def starlock_modules_after(argv):
     """(exit code, the starlock modules loaded) of starlock.cli's main(argv)
     run in a fresh interpreter; argv None imports the CLI and runs nothing."""
-    src = os.path.dirname(os.path.dirname(starlock.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import json, sys\n"
             "from starlock.cli import main\n"
             "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
@@ -178,7 +242,7 @@ def starlock_modules_after(argv):
             "                        if m.startswith('starlock.'))))\n"
             "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", code, *(argv or [])],
-                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=child_env())
     return proc.returncode, set(json.loads(proc.stdout.splitlines()[-1]))
 
 
@@ -898,3 +962,18 @@ def test_an_entry_with_an_unknown_status_fails_at_its_line(tmp_path, capsys) -> 
         capsys.readouterr()
         assert main(argv) == 2, argv[0]
         assert f"line {where[0]}" in capsys.readouterr().out, argv[0]
+
+
+def test_an_output_path_that_cannot_be_written_exits_3_naming_it(tmp_path, capsys) -> None:
+    """A failed write is described as one: a report path that is a directory,
+    and a key directory under a file."""
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(board_raw_lines(demo_run()[0]["board"])) + "\n", encoding="utf-8")
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    capsys.readouterr()
+    assert main([*commands["verify"], "--report", str(directory)]) == 3
+    assert f"cannot open {directory}: Is a directory" in capsys.readouterr().err
+    outdir = tmp_path / "params.json" / "keys"
+    assert main(["keygen", "--n", "1", "--k", "1", "--seed", "1", "--outdir", str(outdir)]) == 3
+    assert capsys.readouterr().err == f"cannot open {outdir}: Not a directory\n"

@@ -444,18 +444,22 @@ def test_a_branch_challenge_of_2_256_or_more_is_refused_in_the_modp_group() -> N
 
 def test_branch_challenges_that_sum_to_e_mod_q_but_not_mod_2_256_are_refused() -> None:
     # Short draws with the sum kept mod q: the real branch's challenge wraps
-    # to near q whenever c_sim > e, which would reveal the vote.
+    # to near q whenever c_sim > e, which would reveal the vote. A proof wraps
+    # with probability about one half, so trials are drawn until both kinds
+    # have occurred; 64 trials all of one kind would happen about once in 2^63.
     rng, key, r, ct = _modp_statement(52)
-    wrapped = 0
-    for trial in range(4):
+    seen = set()
+    for trial in range(64):
         proof = _old_rule_zero_or_one(1, r, ct, key, MODP_GROUP, rng, f"cell-{trial}".encode(),
                                       draw=2**256)
         e = (proof.challenge0 + proof.challenge1) % MODP_GROUP.q
         assert _equations_hold(proof, ct, key, MODP_GROUP)
         valid = verify_zero_or_one(proof, ct, key, MODP_GROUP, f"cell-{trial}".encode())
-        wrapped += (proof.challenge0 + proof.challenge1) % 2**256 != e
+        seen.add((proof.challenge0 + proof.challenge1) % 2**256 != e)
         assert valid == ((proof.challenge0 + proof.challenge1) % 2**256 == e)
-    assert 0 < wrapped < 4  # some proofs wrapped, and those that did not are valid
+        if len(seen) == 2:
+            break
+    assert seen == {True, False}  # some proofs wrapped, and those that did not are valid
 
 
 def test_a_proof_from_the_old_prover_is_refused_in_the_modp_group() -> None:

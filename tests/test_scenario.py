@@ -153,6 +153,7 @@ SCENARIO_EDITS = {
                             "voters[0].selections: not an object"),
     "terminals-a-string": (_edit(("terminals",), "T1"), "terminals: not a list"),
     "seed-true": (_edit(("seed",), True), "seed: not an integer"),
+    "seed-negative": (_edit(("seed",), -7), "seed: -7 is negative"),
     "faults-a-list": (_edit(("faults",), []), "faults: not an object"),
     "trustees-a-list": (_edit(("trustees",), [3, 2]), "trustees: not an object"),
     "ttl-a-string": (_edit(("ttl",), "x"), "ttl: not an integer"),
