@@ -43,7 +43,7 @@ from .errors import ChainBroken, MalformedRecord, NoDlogInRange, NotSpoiled, Rej
 from .group import GroupParams
 from .manifest import ElectionManifest
 from .schnorr import sign
-from .serialize import DIGEST, canonical_json, sha256_hex
+from .serialize import DIGEST, canonical_json, sha256_hex, write_text
 from .trustees import JointPublicKey, combine_shares, partial_decrypt
 
 
@@ -74,9 +74,7 @@ class Board:
         return [json.loads(text) for text in self._index.texts]
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for text in self._index.texts:
-                fh.write(text + "\n")
+        write_text(path, (text + "\n" for text in self._index.texts))
 
     @classmethod
     def load(cls, path, manifest: ElectionManifest) -> "Board":

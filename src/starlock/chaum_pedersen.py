@@ -16,11 +16,14 @@ response or a power of a statement value, is a 256-bit one.
 Every proof equation has one form, base^s == commit * y^c (the y of a
 zero-or-one branch for bit m is b * g^-m), between signed forms
 (GroupParams.signed): both sides are taken mod p and compared up to sign,
-so a commit is published as |base^w|. A verifier asks a sink whether
-each element of the proof and of its statement is in the order-q subgroup
-(sink.member), save a statement value that is a product of elements already
-asked about (a contest sum), and states its equations to the sink after the
-proof's exponent-range, Fiat-Shamir and challenge-sum checks have passed:
+so a commit is published as |base^w|. A verifier asks a sink whether each
+element of a proof's statement is in the order-q subgroup (sink.member:
+ct.a, ct.b, the joint key, a verification key, c.a, a share value), save a
+statement value that is a product of elements already asked about (a
+contest sum), and whether each commitment is a signed representative
+(sink.in_range, the range check alone). It states its equations to the sink
+after the proof's exponent-range, Fiat-Shamir and challenge-sum checks have
+passed:
 
   * Immediate tests each membership exactly (GroupParams.is_element: the
     range and x^q = +-1) and each equation as it comes. It is the default,
@@ -32,26 +35,42 @@ proof's exponent-range, Fiat-Shamir and challenge-sum checks have passed:
     is bytes that fix every response the batch weighs (a whole board, a
     ballot's canonical bytes, a column's shares), so no response can be
     chosen once its weight is known, and no rng is drawn. Exponents are
-    summed per element mod q, on its own side: base^(w s) and g^(w m c) on
-    the left, where g and the joint key each take one comb power and the
+    summed per element, on its own side: base^(w s) and g^(w m c) on the
+    left, mod q, where g and the joint key each take one comb power and the
     other bases one multi-exponentiation (group.multi_exp); commit^w and
     y^(w c) on the right, a second multi-exponentiation whose exponents are
     short, 64 + 256 bits at most per equation. Each equation keeps its own
     weight, a zero-or-one proof's four included: with one weight on both
     branches, an encryption of 2 could meet the combined equations by a c1
-    chosen after the hash. Membership is batched too: each distinct element
-    x_i gets its range check at once (a signed representative, in the group
-    Z_p^*/{+-1} of order qm) and a 64-bit weight v_i under a label of its
-    own, and the batch also requires (prod x_i^v_i)^q = +-1. A signed
-    representative outside the order-q subgroup has an order-m part, and m
-    is a prime above 2^64 (GroupParams.validate), so it passes with
-    probability at most 2^-64; in a safe-prime group (m = 1) the range check
-    alone is exact. Every element of an honest batch has
-    order q, so the batch always holds; one with a false equation holds with
-    probability at most 2^-64, and so does one with a non-member. batched()
-    is its one user: a check that fails its batch runs again through
-    Immediate, which names the failing proof exactly as a proof-by-proof run
-    does.
+    chosen after the hash. Membership is batched too: each distinct
+    statement element x_i gets its range check at once (a signed
+    representative, in the group Z_p^*/{+-1} of order qm) and a 64-bit
+    weight v_i under a label of its own, and the batch also requires
+    (prod x_i^v_i)^q = +-1. batched() is its one user: a check that fails
+    its batch runs again through Immediate (first through a batch per part,
+    when its caller passes retry), which names the failing proof exactly as
+    a proof-by-proof run does.
+
+A commitment needs no order test of its own, because its equation makes
+one:
+
+  * In Immediate, a commitment in range is a signed representative, and its
+    equation makes it equal to +-base^s * y^-c, a product of members; so it
+    is a member exactly.
+  * In Collect, a commitment's exponent is the sum of its own 64-bit
+    weights, never reduced mod q. G = Z_p^*/{+-1} has order qm, and m is 1
+    or a prime above 2^64 (GroupParams.validate), so no element has a small
+    order for a weight to cancel (Boyd and Pavlovski, ASIACRYPT 2000, break
+    batch tests where one can). A commitment with an order-m part keeps that
+    part in the weighted product unless one weight hits one residue mod m,
+    which happens with probability at most 2^-64. A commitment that equals a
+    statement element is tested as that element.
+
+So a batch fails to catch each of three events with probability at most
+2^-64: a false equation, a statement element outside the order-q subgroup
+and a commitment outside it. Every element of an honest batch has order q,
+so the batch always holds; in a safe-prime group (m = 1) the range check
+alone is exact.
 """
 
 from __future__ import annotations
@@ -72,6 +91,7 @@ class Immediate:
     def __init__(self, gp: GroupParams):
         self.gp = gp
         self.member = gp.is_element
+        self.in_range = gp.is_signed
 
     def check(self, base, s, commit, y, c, m=0, fixed=False) -> bool:
         """base^s == commit * (y * g^-m)^c mod p, up to sign. A fixed base (g
@@ -84,13 +104,14 @@ class Immediate:
 
 
 class Collect:
-    """Weighs each proof equation and each element's order-q test, and tests
-    them all at once in holds()."""
+    """Weighs each proof equation and each statement element's order-q test,
+    and tests them all at once in holds()."""
 
     def __init__(self, gp: GroupParams, seed: bytes):
         self.gp, self.seed, self.n = gp, sha256(seed), 0
+        self.in_range = gp.is_signed
         self.exps = {}  # base -> summed exponent mod q, on the base^s side
-        self.commits = {}  # commit or y -> summed exponent mod q, on the other side
+        self.commits = {}  # commit or y -> summed exponent, on the other side
         self.fixed = {gp.g}
         self.members = {}  # element -> its weight in the product raised to q
 
@@ -111,7 +132,7 @@ class Collect:
         exps[base] = (exps.get(base, 0) + w * s) % q
         if m:  # (y * g^-m)^c: g^(m c) moves to the base^s side
             exps[g] = (exps.get(g, 0) + w * m * c) % q
-        commits[commit] = (commits.get(commit, 0) + w) % q
+        commits[commit] = commits.get(commit, 0) + w  # not mod q: keeps an order-m part
         commits[y] = (commits.get(y, 0) + w * c) % q  # positive: as short as w * c
         if fixed:
             self.fixed.add(base)
@@ -126,15 +147,18 @@ class Collect:
                 and gp.is_element(gp.signed(multi_exp(self.members.items(), p))))
 
 
-def batched(gp: GroupParams, seed, run):
+def batched(gp: GroupParams, seed, run, retry=None):
     """run(Collect(gp, seed())) in a large group, or run(Immediate(gp)) when
-    that batch fails or the group is the test group. seed() must fix every
+    that batch fails or the group is the test group; retry(), when given,
+    stands for run(Immediate(gp)) after a failed batch. seed() must fix every
     response the batch weighs."""
     if gp.large:
         batch = Collect(gp, seed())
         result = run(batch)
         if batch.holds():
             return result
+        if retry:
+            return retry()
     return run(Immediate(gp))
 
 
@@ -181,12 +205,12 @@ def verify_eq_dlog(
     eqs=None,
     fixed: bool = False,
 ) -> bool:
-    """The proof's checks, and its commits' membership tests and two
-    equations stated to eqs (an Immediate sink when None); fixed names g2 a
-    recurring base. The caller tests the statement y1, g2, y2, or knows it
-    is a product of elements it has tested."""
+    """The proof's checks, and its commits' range checks and two equations
+    stated to eqs (an Immediate sink when None); fixed names g2 a recurring
+    base. The caller tests the statement y1, g2, y2 for membership, or knows
+    it is a product of elements it has tested."""
     eqs = eqs or Immediate(gp)
-    if not (eqs.member(proof.commit1) and eqs.member(proof.commit2)):
+    if not (eqs.in_range(proof.commit1) and eqs.in_range(proof.commit2)):
         return False
     if not gp.is_exponent(proof.response) or not gp.is_exponent(proof.challenge):
         return False
@@ -280,24 +304,20 @@ def verify_zero_or_one(
     context: bytes,
     eqs=None,
 ) -> bool:
-    """The proof's checks, and its membership tests and four equations
-    stated to eqs (an Immediate sink when None)."""
+    """The proof's checks, its statement's membership tests, its commits'
+    range checks and its four equations stated to eqs (an Immediate sink
+    when None)."""
     eqs = eqs or Immediate(gp)
-    elements = (
-        ct.a, ct.b, public_key,
-        proof.commit0_g, proof.commit0_k, proof.commit1_g, proof.commit1_k,
-    )
-    if not all(eqs.member(el) for el in elements):
+    commits = (proof.commit0_g, proof.commit0_k, proof.commit1_g, proof.commit1_k)
+    if not (all(eqs.member(el) for el in (ct.a, ct.b, public_key))
+            and all(eqs.in_range(t) for t in commits)):
         return False
     space = gp.challenge_space
     if not (gp.is_exponent(proof.response0) and gp.is_exponent(proof.response1)
             and 0 <= proof.challenge0 < space and 0 <= proof.challenge1 < space):
         return False
 
-    e = fiat_shamir_challenge(DOMAIN_ZERO_ONE, context, (
-        public_key, ct.a, ct.b,
-        proof.commit0_g, proof.commit0_k, proof.commit1_g, proof.commit1_k,
-    ), gp)
+    e = fiat_shamir_challenge(DOMAIN_ZERO_ONE, context, (public_key, ct.a, ct.b, *commits), gp)
     if (proof.challenge0 + proof.challenge1) % space != e:  # e < M in every group
         return False
 

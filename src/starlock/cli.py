@@ -19,8 +19,9 @@ tallied); 3 a usage or scenario fault (a bad scenario file or threshold, a
 risk limit outside (0, 1), a negative seed, key files for another group, an
 input path that is missing, a directory or unreadable, an output path that
 cannot be written). An error prints one line, "Class: message", to stdout with
-code 2 and to stderr otherwise; a path that cannot be opened, read or written
-prints "cannot open PATH: reason" to stderr.
+code 2 and to stderr otherwise; a path that cannot be opened or read prints
+"cannot open PATH: reason" to stderr, and a file that opened but could not
+be written (a full disk) "cannot write PATH: reason".
 
 Every --seed is a non-negative integer: random.Random seeds from the absolute
 value of an int, so a negative seed would repeat its positive twin's draws.
@@ -43,7 +44,7 @@ from collections import Counter
 # started in a fresh interpreter loads (and compiles) only the modules it reads.
 from .errors import MalformedRecord, ScenarioError, StarlockError
 from .group import GROUPS, resolve_group
-from .serialize import STR, decode_field, dump_json, load_json
+from .serialize import STR, WriteFailed, decode_field, dump_json, load_json
 
 PASS, FAIL, USAGE = 0, 2, 3
 
@@ -325,7 +326,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except OSError as exc:  # a path missing, a directory, or not readable or writable
-        print(f"cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
+        verb = "write" if isinstance(exc, WriteFailed) else "open"
+        print(f"cannot {verb} {exc.filename}: {exc.strerror}", file=sys.stderr)
         return USAGE
     except StarlockError as exc:  # its class declares the exit code (errors.py)
         stream = sys.stdout if exc.exit_code == FAIL else sys.stderr  # 2 is a verdict, like FAIL

@@ -60,6 +60,7 @@ from .serialize import (
     optional,
     record,
     tuple_of,
+    write_text,
 )
 from .trustees import check_threshold, dkg
 
@@ -419,8 +420,8 @@ def write_artifacts(result: dict, outdir) -> dict:
     result["manifest"].save(path("params.json"))
     result["board"].write(path("board.jsonl"))
     events = [{"event": "init", "seeds": result["initial_seeds"]}, *result["events"]]
-    with open(path("eventlog.jsonl"), "w", encoding="utf-8") as fh:
-        fh.writelines(json.dumps(event, sort_keys=True) + "\n" for event in events)
+    write_text(path("eventlog.jsonl"), (json.dumps(event, sort_keys=True) + "\n"
+                                        for event in events))
     for name in ("papers", "cvrs", "commitments", "receipts"):
         dump_json(result[name], path(f"{name}.json"))
     return paths

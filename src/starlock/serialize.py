@@ -12,7 +12,8 @@ JSON form: each published record declares its wire form once, as Record
 FIELDS rows (JSON key, attribute, codec); an operator file's records (the
 scenario) are FileRecords, which may leave keys out. Decoding is total:
 anything else raises MalformedRecord naming the field path. Every JSON file is
-read by load_json and written by dump_json.
+read by load_json and written by dump_json, and every file is written by
+write_text.
 
 Keeping this in one module is what lets independent readers of the public
 artifacts (verifier, auditors, receipt checkers) reproduce every hash
@@ -22,7 +23,9 @@ bit-for-bit and reject every malformed record by the same rules.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import os
 from collections import namedtuple
 from typing import Any
 
@@ -86,11 +89,28 @@ def load_json(path) -> Any:
         raise MalformedRecord(f"not a JSON document ({exc})").within(str(path)) from None
 
 
+class WriteFailed(OSError):
+    """A file that opened but could not be written or closed (a full disk),
+    named by its path: an OSError from write or close carries none."""
+
+
+def write_text(path, chunks) -> None:
+    """Write the strings in chunks to the file at path as UTF-8. An OSError
+    from open names path already; one from a write or the close is raised as
+    WriteFailed naming it."""
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise WriteFailed(exc.errno, exc.strerror, os.fspath(path)) from exc
+
+
 def dump_json(obj: Any, path) -> None:
-    """Write obj to the file at path as indented, key-sorted JSON and a newline."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write obj to the file at path as indented, key-sorted JSON and a newline,
+    streamed as json.dump streams it, not built whole first."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    write_text(path, itertools.chain(chunks, "\n"))
 
 
 # -- the wire codec ----------------------------------------------------------------

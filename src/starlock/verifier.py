@@ -13,13 +13,15 @@ The receipt rule, lookup_receipt and its three verdicts, is boardformat's
 too, so that receipt-check need not load this module; both are re-exported
 here under their old names.
 
-Proof equations are batched per check (ballot_proofs, decryptions, tally;
-chaum_pedersen.batched) in a large group: every membership, range,
-Fiat-Shamir and challenge-sum check still runs proof by proof, and the
-equations are weighted from SHA-256 of the whole raw board and the check's
-name, so a report is reproducible and a false equation passes with
-probability at most 2^-64. When a batch fails, its check runs again with
-each equation tested at once, so its report items are exactly those of a
+Proof equations are batched in a large group: the ballot_proofs,
+decryptions and tally checks state theirs to one batch per board
+(verify_proofs, chaum_pedersen.batched), weighted from SHA-256 of the whole
+raw board and the label "proofs". Every membership, range, Fiat-Shamir and
+challenge-sum check still runs proof by proof, so a report is reproducible
+and a false equation passes with probability at most 2^-64. When the batch
+fails, each check is batched again on its own (the board's SHA-256 and the
+check's name), and a check whose own batch fails runs again with each
+equation tested at once, so every report item is exactly that of a
 proof-by-proof run, each failing entry and line named.
 
 This module deliberately imports only format-level modules (ballot,
@@ -185,14 +187,30 @@ def _verify_share_set(col, row, manifest, eqs) -> str | None:
 
 
 def verify_proofs(index: BoardIndex, manifest: ElectionManifest, digest: bytes) -> list:
-    """Every entry's well-formedness proof, and every published decryption
-    (spoiled and untallied entries must each carry exactly one); digest
-    weights the batches (see _batched)."""
-    bad = _batched("ballot_proofs", _check_ballot_proofs, index, manifest, digest) or [
-        ReportItem("ballot_proofs", True, "all entry proofs verify")]
-    fails = _batched("decryptions", _check_decryptions, index, manifest, digest) or [
-        ReportItem("decryptions", True, "all published decryptions verify")]
-    return bad + fails
+    """Every entry's well-formedness proof, every published decryption
+    (spoiled and untallied entries must each carry exactly one) and the
+    tally (verify_tally), their proof equations stated to one batch
+    (chaum_pedersen.batched) weighted from digest and the label "proofs".
+    When it fails, each check is batched again on its own, under its name,
+    and only a check whose own batch fails runs proof by proof. digest must
+    be the SHA-256 of the whole raw board, which fixes every response before
+    any weight is known."""
+    gp = manifest.gp
+
+    def entry_proofs(eqs):
+        return _guarded("ballot_proofs", _check_ballot_proofs, index, manifest, eqs) or [
+            ReportItem("ballot_proofs", True, "all entry proofs verify")]
+
+    def decryptions(eqs):
+        return _guarded("decryptions", _check_decryptions, index, manifest, eqs) or [
+            ReportItem("decryptions", True, "all published decryptions verify")]
+
+    checks = {"ballot_proofs": entry_proofs, "decryptions": decryptions,
+              "tally": lambda eqs: verify_tally(index, manifest, eqs)}
+    return batched(gp, lambda: digest + b"proofs",
+                   lambda eqs: [item for run in checks.values() for item in run(eqs)],
+                   lambda: [item for check, run in checks.items()
+                            for item in batched(gp, lambda: digest + check.encode(), run)])
 
 
 def _check_ballot_proofs(index: BoardIndex, manifest: ElectionManifest, eqs) -> list:
@@ -256,12 +274,12 @@ def _check_decryptions(index, manifest: ElectionManifest, eqs) -> list:
     return fails
 
 
-def verify_tally(index: BoardIndex, manifest: ElectionManifest, digest: bytes) -> list:
+def verify_tally(index: BoardIndex, manifest: ElectionManifest, eqs) -> list:
     """Recompute the aggregate from effective-CAST entries, compare to the
     published tally ciphertexts bit-exactly, verify the decryption shares,
-    the announced counts, and the per-contest sum identity; digest weights
-    the batch (see _batched)."""
-    return _batched("tally", _check_tally, index, manifest, digest)
+    the announced counts, and the per-contest sum identity; the share
+    proofs' equations are stated to eqs."""
+    return _guarded("tally", _check_tally, index, manifest, eqs)
 
 
 def _check_tally(index: BoardIndex, manifest: ElectionManifest, eqs) -> list:
@@ -316,15 +334,6 @@ def _guarded(check: str, run, index: BoardIndex, manifest: ElectionManifest, *ar
         return [ReportItem(check, False, f"malformed {exc.detail}", exc.lineno, exc.entry)]
 
 
-def _batched(check: str, run, index: BoardIndex, manifest: ElectionManifest,
-             digest: bytes) -> list:
-    """run's report items, its proof equations batched (chaum_pedersen.batched)
-    with weights from digest and the check's name; digest must be the SHA-256
-    of the whole raw board, which fixes every response before any weight is known."""
-    return batched(manifest.gp, lambda: digest + check.encode(),
-                   lambda eqs: _guarded(check, run, index, manifest, eqs))
-
-
 def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
     """Run every check; the report's overall verdict is their conjunction.
     The board is parsed once (boardformat.read_board) and every check reads
@@ -337,6 +346,4 @@ def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
     for check, run in (("signature", check_signatures), ("terminal_chain", verify_chain)):
         report.items.extend(_guarded(check, run, index, manifest))
     report.items.extend(verify_proofs(index, manifest, digest))
-    report.items.extend(verify_tally(index, manifest, digest))
     return report
-

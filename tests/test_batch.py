@@ -245,6 +245,52 @@ def test_a_non_member_that_meets_every_equation_is_refused_and_named(
     assert honest.holds() and len(tested) == 1
 
 
+def _order_m_commit_checks(gp, rng, z):
+    """Four decryption-share checks (functions of a sink), as _eq_dlog_checks
+    makes them with honest members; the BAD one's commit2 is published, and
+    hashed, as |t2 * z|, its challenge and response made over that value."""
+    checks = []
+    for i in range(4):
+        x, h = rng.randrange(1, gp.q), gp.signed(pow(gp.g, rng.randrange(1, gp.q), gp.p))
+        y1, y2 = gp.signed(pow(gp.g, x, gp.p)), gp.signed(pow(h, x, gp.p))
+        proof = prove_eq_dlog(x, y1, h, y2, gp, rng, b"ctx", DOMAIN_DECRYPT_SHARE)
+        if i == BAD:
+            t2 = gp.signed(proof.commit2 * z % gp.p)
+            e = fiat_shamir_challenge(DOMAIN_DECRYPT_SHARE, b"ctx",
+                                      (gp.g, y1, h, y2, proof.commit1, t2), gp)
+            w = (proof.response - proof.challenge * x) % gp.q
+            proof = chaum_pedersen.ChaumPedersenProof(proof.commit1, t2, e, (w + e * x) % gp.q)
+        share = DecryptionShare(trustee_id=1, share_value=y2, proof=proof)
+        checks.append(lambda eqs, share=share, ct=Ciphertext(h, 1), y1=y1:
+                      verify_decryption_share(share, ct, (y1,), gp, b"ctx", eqs))
+    return checks
+
+
+@pytest.mark.parametrize("waived", [False, True], ids=["members-tested", "members-waived"])
+def test_a_commit_with_an_order_m_part_is_refused_by_its_equation(waived, monkeypatch) -> None:
+    """In the prod group z = 2^(2q) has order m, so |t * z| is a signed form
+    outside the order-q subgroup. A share proof whose commit is that value,
+    its challenge re-derived over it, fails its equation: Immediate refuses
+    it, a Collect batch fails and batched names it. With every membership
+    test waived the same holds, so the equation alone refuses it, which is
+    why a commit needs no order test of its own (chaum_pedersen)."""
+    gp, rng = PROD_GROUP, random.Random(19)
+    z = pow(2, 2 * gp.q, gp.p)
+    checks = _order_m_commit_checks(gp, rng, z)
+    if waived:
+        monkeypatch.setattr(GroupParams, "is_element", lambda gp, x: True)
+        monkeypatch.setattr(Collect, "member", lambda self, x: True)
+    named = [i != BAD for i in range(4)]
+
+    def run(eqs):
+        return [check(eqs) for check in checks]
+
+    assert run(Immediate(gp)) == named
+    batch = Collect(gp, b"seed")
+    assert run(batch) == [True] * 4 and not batch.holds()
+    assert batched(gp, lambda: b"seed", run) == named
+
+
 # (line kind, path to a published element, the check that must refuse it): a
 # column's a, a contest-sum commit, a decryption share and a share-proof commit.
 ELEMENTS = (
@@ -295,13 +341,13 @@ def test_each_kind_of_published_element_outside_the_subgroup_is_refused_by_entry
         assert failing == [(lineno, entry)], (kind, path)
 
 
-def _eq_dlog_with_commit(witness, y1, g2, y2, gp, context, domain, which):
+def _eq_dlog_with_commit(witness, y1, g2, y2, gp, context, domain, which, twist=None):
     """An eq-dlog proof whose commit `which` (1 or 2) is published, and hashed,
-    as p - t, the other representative of t's class: every equation still
-    holds up to sign."""
+    as twist(t); by default p - t, the other representative of t's class, so
+    that every equation still holds up to sign."""
     w = random.Random(which).randrange(1, gp.q)
     commits = [gp.signed(pow(gp.g, w, gp.p)), gp.signed(pow(g2, w, gp.p))]
-    commits[which - 1] = gp.p - commits[which - 1]
+    commits[which - 1] = (twist or (lambda t: gp.p - t))(commits[which - 1])
     e = fiat_shamir_challenge(domain, context, (gp.g, y1, g2, y2, *commits), gp)
     return chaum_pedersen.ChaumPedersenProof(*commits, e, (w + e * witness) % gp.q)
 
@@ -326,9 +372,10 @@ def _sum_commit(result, seen, lines):
     return "ballot_proofs", lineno, int(line["index"])
 
 
-def _share(result, lines, which):
+def _share(result, lines, which, twist=None):
     """The first decryption line's first share, made again over p - x: its
-    share value (which = 0) or its proof's commit2 (which = 2)."""
+    share value (which = 0) or its proof's commit2 (which = 2), which twist
+    gives instead when named."""
     manifest = result["manifest"]
     gp = manifest.gp
     lineno, line = next((n, line) for n, line in enumerate(lines) if line["kind"] == "decryption")
@@ -349,7 +396,7 @@ def _share(result, lines, which):
                               DOMAIN_DECRYPT_SHARE)
     else:
         proof = _eq_dlog_with_commit(x, vk, row.ciphertext.a, value, gp, row.context,
-                                     DOMAIN_DECRYPT_SHARE, which)
+                                     DOMAIN_DECRYPT_SHARE, which, twist)
     column["shares"][0] = DecryptionShare(share.trustee_id, value, proof).to_json()
     return "decryptions", lineno, k
 
@@ -431,8 +478,9 @@ def test_a_non_canonical_element_whose_proof_holds_over_it_is_refused_by_its_ran
     published as p - x, the other representative of its class, and its proof
     is made again over that value, so that every transcript and every
     equation (compared up to sign) holds; the board is re-chained and
-    re-signed. Only the membership test of that one element refuses it, at
-    its line and entry; with membership waived, the check passes."""
+    re-signed. Only the membership test of that one element (a commit's:
+    its range check) refuses it, at its line and entry; with both waived,
+    the check passes."""
     result, seen = recorded_run
     manifest = result["manifest"]
     lines = result["board"].lines()
@@ -443,8 +491,30 @@ def test_a_non_canonical_element_whose_proof_holds_over_it_is_refused_by_its_ran
     assert failing == [(lineno, entry)]
 
     monkeypatch.setattr(GroupParams, "is_element", lambda gp, x: True)
+    monkeypatch.setattr(GroupParams, "is_signed", lambda gp, x: True)  # a sink's in_range
     monkeypatch.setattr(Collect, "member", lambda self, x: True)
     assert check not in {item.check for item in verify_board(raw, manifest).failures()}
+
+
+@pytest.mark.parametrize("recorded_run", ["prod"], indirect=True)
+def test_a_share_commit_with_an_order_m_part_fails_decryptions_at_its_line(
+        recorded_run, batch_verdicts) -> None:
+    """A decryption line's first share proof, made again with commit2 =
+    |t2 * z| for z of order m and re-chained and re-signed, fails verify's
+    decryptions check at that line and entry: the one batch fails, then that
+    check's own batch, and its per-proof re-run names it by its equation."""
+    result, _ = recorded_run
+    manifest = result["manifest"]
+    gp = manifest.gp
+    z = pow(2, 2 * gp.q, gp.p)
+    lines = result["board"].lines()
+    check, lineno, entry = _share(result, lines, 2, lambda t: gp.signed(t * z % gp.p))
+    raw = rechain(lines, manifest.election_id, result["office"], gp)
+    del batch_verdicts[:]
+    failing = [(item.line, item.entry) for item in verify_board(raw, manifest).failures()
+               if item.check == check]
+    assert failing == [(lineno, entry)]
+    assert batch_verdicts == [False, True, False, True]  # verify's batch, then each check's
 
 
 def _bump_response(line: dict, key: str, nth: int = 0) -> None:
@@ -474,7 +544,7 @@ def batch_verdicts(monkeypatch):
 
 def _per_proof_report(raw, manifest, monkeypatch) -> dict:
     with monkeypatch.context() as m:
-        m.setattr(verifier, "batched", lambda gp, seed, run: run(Immediate(gp)))
+        m.setattr(verifier, "batched", lambda gp, seed, run, retry=None: run(Immediate(gp)))
         return verify_board(raw, manifest).to_json()
 
 
@@ -508,6 +578,9 @@ def _targeted(result) -> list:
     return out
 
 
+PROOF_CHECKS = ("ballot_proofs", "decryptions", "tally")  # verify's batched checks, in order
+
+
 def test_batch_and_per_proof_reports_agree(batch_verdicts, monkeypatch) -> None:
     result, _ = mid_demo_run()
     manifest = result["manifest"]
@@ -519,8 +592,20 @@ def test_batch_and_per_proof_reports_agree(batch_verdicts, monkeypatch) -> None:
         del batch_verdicts[:]
         report = verify_board(raw, manifest)
         assert check in {item.check for item in report.failures()}
-        assert batch_verdicts.count(False) == 1  # that check's batch, then it runs per proof
+        # verify's one batch fails; then each check is batched on its own, and
+        # only the failing one runs per proof
+        assert batch_verdicts == [False] + [c != check for c in PROOF_CHECKS]
         assert report.to_json() == _per_proof_report(raw, manifest, monkeypatch)
+
+
+@pytest.mark.parametrize("name", ["mid", "prod"])
+def test_an_honest_board_is_verified_in_one_batch(name, batch_verdicts) -> None:
+    """ballot_proofs, decryptions and tally state their equations to one
+    batch, which holds."""
+    result = mid_demo_run()[0] if name == "mid" else _finished_in("prod")
+    del batch_verdicts[:]  # simulate's and tally's
+    assert verify_board(board_raw_lines(result["board"]), result["manifest"]).overall
+    assert batch_verdicts == [True]
 
 
 def test_two_runs_write_byte_identical_reports(tmp_path, capsys) -> None:

@@ -4,6 +4,7 @@ receipt-check, and the exit-code contract (0 pass, 1 internal, 2 fail,
 
 import argparse
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -977,3 +978,14 @@ def test_an_output_path_that_cannot_be_written_exits_3_naming_it(tmp_path, capsy
     outdir = tmp_path / "params.json" / "keys"
     assert main(["keygen", "--n", "1", "--k", "1", "--seed", "1", "--outdir", str(outdir)]) == 3
     assert capsys.readouterr().err == f"cannot open {outdir}: Not a directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_write_that_fails_after_its_file_opened_exits_3_naming_the_path(tmp_path, capsys) -> None:
+    """/dev/full opens, and its writes fail with ENOSPC: an OSError that
+    carries no file name, which the writer names."""
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(board_raw_lines(demo_run()[0]["board"])) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([*commands["verify"], "--report", "/dev/full"]) == 3
+    assert capsys.readouterr().err == f"cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"

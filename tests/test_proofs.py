@@ -158,10 +158,11 @@ def test_eq_dlog_rejects_non_subgroup_inputs() -> None:
     form, so no element. Over the base 12 with witness 0 both equations hold
     up to sign, so only membership stands in the way: verify_decryption_share,
     which tests its statement, refuses the base 12; and verify_eq_dlog
-    refuses a proof whose commit is published, and hashed, as p - t."""
+    refuses a proof whose commit is published, and hashed, as p - t, by the
+    commit's range check."""
     rng = random.Random(35)
     everyone = Immediate(GP)
-    everyone.member = lambda x: True
+    everyone.member = everyone.in_range = lambda x: True
     for _ in range(20):
         proof = prove_eq_dlog(0, 1, 12, 1, GP, rng, b"ctx", DOMAIN_DECRYPT_SHARE)
         assert GP.is_element(proof.commit1) and GP.is_element(proof.commit2)
