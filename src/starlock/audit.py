@@ -54,7 +54,7 @@ FULL_HAND_COUNT = "FULL_HAND_COUNT"
 def check_seed(seed: str) -> str:
     """A sampling seed is exactly 20 decimal digits (two dice per digit pair,
     rolled in public)."""
-    if len(seed) != SEED_DIGITS or not seed.isdigit():
+    if len(seed) != SEED_DIGITS or not (seed.isascii() and seed.isdigit()):
         raise ValueError("seed must be exactly 20 decimal digits")
     return seed
 

@@ -60,10 +60,10 @@ class Board:
     def _append(self, obj: dict) -> int:
         line = dict(obj)
         line["prev"] = self._index.head
-        text = canonical_json(line)
-        self._index.add(len(self._index.lines), line, text)  # no line Board writes breaks a rule
+        text, lineno = canonical_json(line), len(self._index.texts)
+        self._index.add(lineno, line, text)  # no line Board writes breaks a rule
         self._index.head = sha256_hex(text.encode("utf-8"))
-        return len(self._index.lines) - 1
+        return lineno
 
     @property
     def last_hash(self) -> str:
@@ -161,14 +161,16 @@ class Board:
     def entries(self):
         """(entry_index, line dict) pairs in publication order."""
         texts = self._index.texts
-        return [(i, json.loads(texts[lineno])) for i, lineno, _ in self._index.entries]
+        return [(k, json.loads(texts[lineno])) for k, (lineno, _) in self._index.entries.items()]
 
     def check_untallied(self) -> None:
         """Raise ChainBroken at the first decryption or tally line: a board is
         tallied once."""
-        for lineno, line in enumerate(self._index.lines):
-            if line["kind"] in ("decryption", "tally"):
-                raise ChainBroken(lineno, f"{line['kind']} line: the board is already tallied")
+        index = self._index
+        tallied = [*index.decryptions.values(), *([index.tally] if index.tally else [])]
+        if tallied:
+            lineno, line = min(tallied, key=lambda pair: pair[0])
+            raise ChainBroken(lineno, f"{line['kind']} line: the board is already tallied")
 
     def effective_status(self, entry_index: int) -> str:
         self.check_entry(entry_index)
@@ -240,7 +242,7 @@ def decrypt_spoiled(
     if status not in (SPOILED, UNTALLIED):
         raise NotSpoiled(f"entry {entry_index} is {status}")
     ballot = board._index.ballot(entry_index)  # its proof stays undecoded
-    _, lineno, _ = board._index.entries[entry_index]
+    lineno, _ = board._index.entries[entry_index]
     style = style_map.get(ballot.style_id)
     if style is None:
         raise MalformedRecord(f"unknown ballot style {ballot.style_id!r}").at(lineno, entry_index)

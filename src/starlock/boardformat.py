@@ -12,11 +12,13 @@ a line may stand follows seven rules, which BoardIndex.add alone decides:
 5. an entry has at most one decryption line;
 6. a terminal has at most one terminal_close line;
 7. a board has at most one tally line.
-An entry's effective status is its own `status`, overridden by the status
-lines that follow it, in file order. Only effective-CAST entries enter the
-homomorphic tally. LINE_KEYS lists the keys of each line kind; the records
-below declare the values of the entry, terminal_close and tally lines and of
-a decryption line's columns.
+A line that breaks a rule is kept out of the structure it would break, and so
+is an entry line whose number is already published. An entry's effective
+status is its own `status`, overridden by the status lines that follow it, in
+file order. Only effective-CAST entries enter the homomorphic tally.
+LINE_KEYS lists the keys of each line kind; the records below declare the
+values of the entry, terminal_close and tally lines and of a decryption
+line's columns.
 A decrypted column's statement, the ColumnStatement row (ciphertext, bound,
 context) that the tally and verify both read, comes from tally_statements or
 spoiled_statements. The file's last line is the office's signature;
@@ -340,24 +342,24 @@ class BoardIndex:
     election_id. `add` takes one line at a time, so a writer can keep the
     index current as it appends.
 
-    lines lists the indexed lines, texts their text as read or written and
-    last the line number of the last of them; head is the hash of the last
+    texts lists the text of each indexed line as read or written, and last
+    is the line number of the last of them; head is the hash of the last
     line read; broken is read_board's (lineno, reason) for the first line
     that breaks the chain, its kind's keys or a structure rule, or None.
-    entries lists (index, lineno, line) of every entry line, the index taken
-    from the line's own field; statuses maps an entry index to its effective
-    status, decryptions to its (lineno, line) decryption line; closes maps a
-    terminal to its (lineno, line) terminal_close line; tally is the tally
-    line's (lineno, line) or None; signatures lists (lineno, line) pairs."""
+    entries maps an entry number, the line's own `index` field, to its
+    (lineno, line) entry line in file order; statuses maps it to its
+    effective status, decryptions to its (lineno, line) decryption line;
+    closes maps a terminal to its (lineno, line) terminal_close line; tally
+    is the tally line's (lineno, line) or None; signatures lists
+    (lineno, line) pairs."""
 
     def __init__(self, election_id: str):
         self.election_id = election_id
-        self.lines = []
         self.texts = []
         self.last = None
         self.head = GENESIS_HASH
         self.broken = None
-        self.entries = []
+        self.entries = {}
         self.statuses = {}
         self.decryptions = {}
         self.closes = {}
@@ -371,8 +373,9 @@ class BoardIndex:
         values of CHECKED_KEYS, and return the structure rule (see the module
         docstring) it breaks, or None; MalformedRecord leaves the line
         unindexed. A line that breaks a rule is kept out of the structure it
-        would break; an entry out of sequence is indexed all the same, so that
-        the entries after it are judged on their own."""
+        would break: an entry after a gap is indexed under its own number, so
+        that the entries after it are judged on their own, but an entry
+        repeating an indexed number is not."""
         kind, fault = line.get("kind"), None
         for key, codec in CHECKED_KEYS.get(kind, ()):
             if key in line:
@@ -386,8 +389,9 @@ class BoardIndex:
             status = decode_field(line, "status", STATUS.decode)
             if k != len(self.entries):
                 fault = "entry index out of sequence"
-            self.entries.append((k, lineno, line))
-            self.statuses[k] = status
+            if k not in self.entries:
+                self.entries[k] = (lineno, line)
+                self.statuses[k] = status
         elif kind in ("status", "decryption"):
             ref = decode_field(line, "ref", NUMERAL.decode)
             status = decode_field(line, "status", STATUS.decode) if kind == "status" else None
@@ -410,36 +414,31 @@ class BoardIndex:
             self.signatures.append((lineno, line))
         if (kind == "header") != (lineno == 0):
             fault = "header line not first" if lineno else "board file missing header line"
-        self.lines.append(line)
         self.texts.append(text)
         self.last = lineno
         return fault
 
-    def entry_field(self, pos: int, key: str, decode):
-        """The pos-th entry line's key, decoded; a MalformedRecord names the
-        line and the entry."""
-        k, lineno, line = self.entries[pos]
+    def entry_field(self, k: int, key: str, decode):
+        """Entry k's key, decoded; a MalformedRecord names the line and the
+        entry."""
+        lineno, line = self.entries[k]
         return at_line(lineno, decode_field, line, key, decode, entry=k)
 
-    def ballot(self, pos: int) -> EncryptedBallot:
-        """The ballot of the pos-th entry line, decoded on first use only."""
-        if pos not in self._ballots:
-            self._ballots[pos] = self.entry_field(pos, "ballot", EncryptedBallot.from_json)
-        return self._ballots[pos]
+    def ballot(self, k: int) -> EncryptedBallot:
+        """Entry k's ballot, decoded on first use only."""
+        if k not in self._ballots:
+            self._ballots[k] = self.entry_field(k, "ballot", EncryptedBallot.from_json)
+        return self._ballots[k]
 
-    def proof(self, pos: int) -> WellFormednessProof:
-        """The proof of the pos-th entry line, decoded on first use only."""
-        if pos not in self._proofs:
-            self._proofs[pos] = self.entry_field(pos, "proof", WellFormednessProof.from_json)
-        return self._proofs[pos]
+    def proof(self, k: int) -> WellFormednessProof:
+        """Entry k's proof, decoded on first use only."""
+        if k not in self._proofs:
+            self._proofs[k] = self.entry_field(k, "proof", WellFormednessProof.from_json)
+        return self._proofs[k]
 
     def cast_ballots(self):
         """The encrypted ballots of effective-CAST entries, in entry order."""
-        return [
-            self.ballot(pos)
-            for pos, (k, _, _) in enumerate(self.entries)
-            if self.statuses[k] == CAST
-        ]
+        return [self.ballot(k) for k in self.entries if self.statuses[k] == CAST]
 
 
 def read_board_lines(path) -> list:
@@ -460,13 +459,15 @@ def parse_line(lineno: int, raw: str) -> dict:
     return line
 
 
-def read_board(raw_lines, election_id: str) -> BoardIndex:
+def read_board(raw_lines, election_id: str, canonical=False) -> BoardIndex:
     """Parse each raw line (no newline) once, check that it is a JSON object
-    carrying the previous line's hash (not that it is canonical), and index it
-    with its text for the election election_id. The first break, a structure
-    rule that BoardIndex.add names included, goes to `broken`; every object
-    whose keys fit its kind (line_fault) and whose values add reads decode is
-    indexed. A board with no line lacks its header at line 0."""
+    carrying the previous line's hash (with canonical, also that its text is
+    the canonical encoding of that object), and index it with its text for
+    the election election_id. The first break, a structure rule that
+    BoardIndex.add names included, goes to `broken`; at the break line a
+    non-canonical text is the reason given. Every object whose keys fit its
+    kind (line_fault) and whose values add reads decode is indexed. A board
+    with no line lacks its header at line 0."""
     index = BoardIndex(election_id)
     for lineno, raw in enumerate(raw_lines):
         try:
@@ -482,26 +483,14 @@ def read_board(raw_lines, election_id: str) -> BoardIndex:
                 except MalformedRecord as exc:
                     fault = f"malformed {exc.detail}"
             reason = reason or fault
+            if canonical and index.broken is None and canonical_json(line) != raw:
+                reason = "line not in canonical form"
         if reason and index.broken is None:
             index.broken = (lineno, reason)
         index.head = sha256_hex(raw.encode("utf-8"))
     if index.head == GENESIS_HASH:
         index.broken = (0, "board file missing header line")
     return index
-
-
-def canonical_break(index: BoardIndex, raw_lines: list):
-    """index.broken, or the first line before or at it whose text is not the
-    canonical encoding of its object; only verify and the tally re-encode."""
-    end = index.broken[0] if index.broken else len(raw_lines)
-    for lineno, raw in enumerate(raw_lines[: end + 1]):
-        try:  # every line before the break is indexed, in file order
-            line = index.lines[lineno] if lineno < end else parse_line(lineno, raw)
-        except ChainBroken:
-            break
-        if canonical_json(line) != raw:
-            return lineno, "line not in canonical form"
-    return index.broken
 
 
 def signature_fault(index: BoardIndex, manifest: ElectionManifest, signatures):
@@ -514,19 +503,18 @@ def signature_fault(index: BoardIndex, manifest: ElectionManifest, signatures):
         message = signature_message(manifest.election_id, prev)
         if not verify_sig(message, sig, manifest.office_pk, manifest.gp):
             return lineno, "signature does not verify"
-    if not index.lines or index.lines[-1]["kind"] != "signature":
+    if not index.signatures or index.signatures[-1][0] != index.last:
         return index.last, "final line is not a signature"
     return None
 
 
 def parse_lines(raw_lines: list, manifest: ElectionManifest, canonical=False) -> BoardIndex:
     """The strict read of every command that trusts a board: read_board for
-    the manifest's election, then ChainBroken at its break (canonical_break's
-    with canonical) or at a final signature_fault."""
-    index = read_board(raw_lines, manifest.election_id)
-    broken = canonical_break(index, raw_lines) if canonical else index.broken
-    if broken:
-        raise ChainBroken(*broken)
+    the manifest's election, then ChainBroken at its break or at a final
+    signature_fault."""
+    index = read_board(raw_lines, manifest.election_id, canonical)
+    if index.broken:
+        raise ChainBroken(*index.broken)
     fault = signature_fault(index, manifest, index.signatures[-1:])
     if fault:
         raise ChainBroken(*fault)
@@ -541,9 +529,9 @@ def lookup_receipt(index: BoardIndex, terminal_id: str, code: str):
     matches more than one entry of that terminal, and MalformedRecord at an
     entry of that terminal whose z is not a 32-byte digest."""
     matches = []
-    for pos, (k, _, line) in enumerate(index.entries):
+    for k, (_, line) in index.entries.items():
         if line.get("terminal") == terminal_id:
-            if receipt_code(index.entry_field(pos, "z", DIGEST.decode)) == code:
+            if receipt_code(index.entry_field(k, "z", DIGEST.decode)) == code:
                 matches.append(k)
     if not matches:
         return NOT_FOUND, None

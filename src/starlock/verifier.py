@@ -45,7 +45,6 @@ from .boardformat import (  # the receipt rule and the strict read are re-export
     TallyRecord,
     TerminalClose,
     at_line,
-    canonical_break,
     fold_ballots,
     lookup_receipt,
     parse_lines,
@@ -104,14 +103,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def check_line_chain(index: BoardIndex, raw_lines: list) -> list:
+def check_line_chain(index: BoardIndex) -> list:
     """Every line is a canonical JSON object embedding the previous line's
-    hash, and stands where the board's structure rules let it (read_board)."""
-    broken = canonical_break(index, raw_lines)
-    if broken:
-        lineno, reason = broken
+    hash, and stands where the board's structure rules let it: the break of
+    read_board with canonical."""
+    if index.broken:
+        lineno, reason = index.broken
         return [ReportItem("line_chain", False, reason, line=lineno)]
-    return [ReportItem("line_chain", True, f"{len(index.lines)} lines linked")]
+    return [ReportItem("line_chain", True, f"{index.last + 1} lines linked")]
 
 
 def check_signatures(index: BoardIndex, manifest: ElectionManifest) -> list:
@@ -126,11 +125,11 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
     that the manifest's salt gives it, and compare against the manifest's
     z0, the published z values and the signed final z."""
     per_terminal = {tid: [] for tid in manifest.terminal_seeds}
-    for pos, (k, lineno, line) in enumerate(index.entries):
+    for k, (lineno, line) in index.entries.items():
         tid = line["terminal"]
         if type(tid) is not str or tid not in per_terminal:
             return [ReportItem("terminal_chain", False, f"unknown terminal {tid}", line=lineno)]
-        per_terminal[tid].append((pos, k, lineno, line))
+        per_terminal[tid].append((k, lineno, line))
 
     fails = []
 
@@ -143,8 +142,8 @@ def verify_chain(index: BoardIndex, manifest: ElectionManifest) -> list:
         if z_prev != manifest.terminal_seeds[tid]:
             fail(f"terminal {tid}: seed does not follow from the manifest's salt")
             continue
-        for pos, k, lineno, line in per_terminal[tid]:
-            expected = chain_hash(index.ballot(pos), index.proof(pos), tid, z_prev)
+        for k, lineno, line in per_terminal[tid]:
+            expected = chain_hash(index.ballot(k), index.proof(k), tid, z_prev)
             if expected.hex() != line["z"]:
                 fail(f"terminal {tid}: recomputed z mismatch at entry {k}", line=lineno, entry=k)
                 break
@@ -216,8 +215,8 @@ def verify_proofs(index: BoardIndex, manifest: ElectionManifest, digest: bytes) 
 def _check_ballot_proofs(index: BoardIndex, manifest: ElectionManifest, eqs) -> list:
     """Failures among entries: each whose style is unknown or whose proof fails."""
     bad = []
-    for pos, (k, lineno, _) in enumerate(index.entries):
-        ballot, proof = index.ballot(pos), index.proof(pos)
+    for k, (lineno, _) in index.entries.items():
+        ballot, proof = index.ballot(k), index.proof(k)
         style = manifest.style_map.get(ballot.style_id)
         if style is None or not verify_ballot(
             ballot, proof, style, manifest.jpk.K, manifest.gp, manifest.election_id, eqs
@@ -236,7 +235,6 @@ def _check_decryptions(index, manifest: ElectionManifest, eqs) -> list:
     def fail(detail, **where):
         fails.append(ReportItem("decryptions", False, detail, **where))
 
-    positions = {k: pos for pos, (k, _, _) in enumerate(index.entries)}
     for k, status in sorted(index.statuses.items()):
         needs = status in (SPOILED, UNTALLIED)
         if needs and k not in index.decryptions:
@@ -247,7 +245,7 @@ def _check_decryptions(index, manifest: ElectionManifest, eqs) -> list:
                 fail(f"entry {k} is {status} but was decrypted", line=index.decryptions[k][0])
             continue
         lineno, dec = index.decryptions[k]
-        ballot = index.ballot(positions[k])
+        ballot = index.ballot(k)
         columns = at_line(lineno, decode_field, dec, "columns", SPOILED_COLUMNS.decode, entry=k)
         style = manifest.style_map.get(ballot.style_id)
         if style is None:
@@ -340,9 +338,9 @@ def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
     that index; a line that breaks the chain or a structure rule or holds a
     malformed record is reported, not raised."""
     raw_lines = list(raw_lines)
-    index = read_board(raw_lines, manifest.election_id)
+    index = read_board(raw_lines, manifest.election_id, canonical=True)
     digest = sha256("\n".join(raw_lines).encode("utf-8")) if manifest.gp.large else b""
-    report = VerificationReport(check_line_chain(index, raw_lines))
+    report = VerificationReport(check_line_chain(index))
     for check, run in (("signature", check_signatures), ("terminal_chain", verify_chain)):
         report.items.extend(_guarded(check, run, index, manifest))
     report.items.extend(verify_proofs(index, manifest, digest))

@@ -61,7 +61,7 @@ def test_sampling_sequence_is_frozen() -> None:
 
 def test_seed_validation() -> None:
     assert check_seed(SEED_A) == SEED_A
-    for bad in ("123", "1" * 19, "1" * 21, "1234567890123456789x", ""):
+    for bad in ("123", "1" * 19, "1" * 21, "1234567890123456789x", "", "１" * 20, "٠" * 20):
         with pytest.raises(ValueError):
             check_seed(bad)
     with pytest.raises(ValueError):

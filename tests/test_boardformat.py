@@ -49,7 +49,7 @@ def test_status_lines_override_in_file_order_after_their_entry() -> None:
     index = chained(lines)
     assert index.broken is None
     assert index.statuses == {0: CAST, 1: UNTALLIED, 2: SPOILED}
-    assert [k for k, _, _ in index.entries] == [0, 1, 2]
+    assert list(index.entries) == [0, 1, 2]
     # A status line above its entry is refused, and overrides nothing.
     leading = chained([lines[0], status(0, SPOILED), *lines[1:]])
     assert leading.broken == (1, "status line refers to no entry 0")
@@ -57,7 +57,7 @@ def test_status_lines_override_in_file_order_after_their_entry() -> None:
     # An entry out of sequence is the break, and is indexed all the same.
     skipped = chained([lines[0], entry(0), entry(2), entry(3)])
     assert skipped.broken == (2, "entry index out of sequence")
-    assert [k for k, _, _ in skipped.entries] == [0, 2, 3]
+    assert list(skipped.entries) == [0, 2, 3]
     assert read_board([], "e").broken == (0, "board file missing header line")
 
 
@@ -151,6 +151,8 @@ RULE_BREAKS = {
     "2-other-election": (_rename_election, "header names election 'elsewhere', not "
                                            "'starlock-demo'"),
     "3-entry-out-of-sequence": (_drop_entry_1, "entry index out of sequence"),
+    "3-entry-number-repeated": (_insert_copy("entry", lambda e: e.update(status="SPOILED")),
+                                "entry index out of sequence"),
     "4-status-before-its-entry": (_leading_status, "status line refers to no entry 0"),
     "5-second-decryption": (_insert_copy("decryption", _empty_selections),
                             "entry 2 decrypted twice"),
@@ -159,22 +161,28 @@ RULE_BREAKS = {
 }
 
 
-@pytest.mark.parametrize("edit, reason", RULE_BREAKS.values(), ids=RULE_BREAKS)
-def test_every_reader_refuses_a_structure_break_at_its_line(edit, reason, tmp_path,
-                                                            capsys) -> None:
-    """Re-chained, and every signature re-made, so that only the structure
-    rule is broken: verify fails line_chain at the line where tally, audit and
-    receipt-check each exit 2 with ChainBroken, for the same reason."""
+def rule_break(edit):
+    """The demo board after edit, re-chained and every signature re-made (the
+    one after the polls close too, not only the last), so that only the
+    structure rule is broken; and the number of the line edit breaks."""
     result, _ = demo_run()
     lines = result["board"].lines()
     lineno = edit(lines)
     manifest = result["manifest"]
     for at in [i for i, line in enumerate(lines) if line["kind"] == "signature"]:
-        # the signature after the polls close is re-made too, not only the last
         lines[at] = json.loads(rechain(lines[:at], manifest.election_id, result["office"],
                                        manifest.gp)[-1])
+    return rechain(lines, manifest.election_id, result["office"], manifest.gp), lineno
+
+
+@pytest.mark.parametrize("edit, reason", RULE_BREAKS.values(), ids=RULE_BREAKS)
+def test_every_reader_refuses_a_structure_break_at_its_line(edit, reason, tmp_path,
+                                                            capsys) -> None:
+    """Only the structure rule is broken (rule_break): verify fails line_chain
+    at the line where tally, audit and receipt-check each exit 2 with
+    ChainBroken, for the same reason."""
+    raw, lineno = rule_break(edit)
     board, commands = demo_commands(tmp_path)
-    raw = rechain(lines, manifest.election_id, result["office"], manifest.gp)
     board.write_text("\n".join(raw) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(commands["verify"]) == 2
@@ -182,6 +190,22 @@ def test_every_reader_refuses_a_structure_break_at_its_line(edit, reason, tmp_pa
     for name in ("tally", "audit", "receipt-check", "receipt-check-spoiled"):
         assert main(commands[name]) == 2, name
         assert capsys.readouterr().out == f"ChainBroken: board line {lineno}: {reason}\n", name
+
+
+def test_a_repeated_entry_number_counts_for_nothing() -> None:
+    """A copy of entry 0 that says SPOILED is refused, and neither demotes
+    entry 0 nor enters the terminal chain or the tally a second time."""
+    result, _ = demo_run()
+    manifest = result["manifest"]
+    raw, lineno = rule_break(RULE_BREAKS["3-entry-number-repeated"][0])
+    report = verify_board(raw, manifest)
+    assert [(item.check, item.line) for item in report.failures()] == [("line_chain", lineno)]
+    pristine = read_board(board_raw_lines(result["board"]), manifest.election_id)
+    index = read_board(raw, manifest.election_id)
+    assert index.statuses[0] == pristine.statuses[0] == CAST
+    cast = index.cast_ballots()
+    assert cast.count(index.ballot(0)) == 1
+    assert len(cast) == len(pristine.cast_ballots())
 
 
 def test_contest_defined_two_ways_is_refused_everywhere(tmp_path) -> None:

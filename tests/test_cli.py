@@ -144,6 +144,9 @@ def test_usage_errors_exit_3(tmp_path, capsys) -> None:
         assert main([*commands["audit"], "--alpha", alpha]) == 3
         assert "argument --alpha: risk limit must be in (0, 1)" in capsys.readouterr().err
     assert main([*commands["audit"], "--alpha", "0.5"]) == 2  # sound files: a verdict
+    capsys.readouterr()
+    assert main([*commands["audit"], "--seed", "１" * 20]) == 3  # fullwidth digits: not ASCII
+    assert "argument --seed: seed must be exactly 20 decimal digits" in capsys.readouterr().err
     keygen = ["keygen", "--n", "1", "--k", "1", "--outdir", str(tmp_path / "keys")]
     for argv in (keygen, commands["tally"]):  # random.Random(-1) would repeat seed 1's draws
         capsys.readouterr()

@@ -17,6 +17,7 @@ may raise or exit 1.
 """
 
 import copy
+import hashlib
 import json
 import random
 
@@ -35,6 +36,9 @@ WRONG_VALUES = ("zz", [], 7, None, {}, True)
 HEX = "0123456789abcdef"
 CHECKS = {"line_chain", "signature", "terminal_chain", "ballot_proofs", "decryptions",
           "tally", "sum_check"}
+# SHA-256 over every verify report of corpus(), each as json.dumps(report.to_json(),
+# sort_keys=True), in corpus order: a change to any report's bytes must be deliberate.
+REPORTS_SHA256 = "3ea636e1df1198093bcc8e0cda2ad2af335d79024f090551cf33b6033c86ffa0"
 
 
 def paths(obj, prefix=()):
@@ -122,13 +126,16 @@ def corpus(run=demo_run, edits=EDITS):
 def test_verifier_never_raises_and_names_every_raw_edit() -> None:
     result, _ = demo_run()
     boards = corpus()
+    reports = hashlib.sha256()
     for kind, rechained, board in boards:
         report = verify_board(board, result["manifest"])  # must not raise
+        reports.update(json.dumps(report.to_json(), sort_keys=True).encode("utf-8"))
         assert {item.check for item in report.items} <= CHECKS
         if not rechained:
             assert not report.overall, (kind, board)
             assert any(item.line is not None for item in report.failures()), (kind, board)
     assert sum(rechained for _, rechained, _ in boards) > EDITS // 2
+    assert reports.hexdigest() == REPORTS_SHA256
 
 
 def test_every_command_ends_with_a_documented_exit_code(tmp_path, capsys) -> None:

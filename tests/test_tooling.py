@@ -166,6 +166,26 @@ def test_a_board_index_is_built_only_by_read_board_and_the_board() -> None:
     assert sorted(calls) == ["board.py:__init__", "boardformat.py:read_board"]
 
 
+def test_canonical_form_is_judged_only_by_the_reader_and_the_writer() -> None:
+    """canonical_json is called only in boardformat.read_board, which judges
+    each line's canonical form as it reads it, and in Board._append, which
+    writes each line in that form: no second pass over a board re-encodes it."""
+    calls = []
+
+    def visit(path, node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and "canonical_json" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            calls.append(f"{path.name}:{scope or '<module>'}")
+        for child in ast.iter_child_nodes(node):
+            visit(path, child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), "")
+    assert sorted(calls) == ["board.py:Board._append", "boardformat.py:read_board"]
+
+
 def test_decryption_contexts_and_column_bounds_are_built_only_in_boardformat_py() -> None:
     """No module but boardformat.py calls enc_str("tally") or enc_str("spoiled")
     or names tally_context, spoiled_context or column_bound: each decrypted
