@@ -21,7 +21,6 @@ an unusual cross-contest pattern.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .boardformat import CAST, TALLY_RESULT, BoardIndex, at_line, contest_columns
 from .errors import CommitmentMismatch, MalformedRecord, MarginNotPositive, StarlockError
@@ -236,19 +235,14 @@ def overstatement(reported: dict, manual: dict, pairs: dict) -> int:
     return worst if worst is not None else 0
 
 
-@dataclass
 class KMState:
     """Running Kaplan-Markov risk: P = product over draws of
     (1 - 1/U) / (1 - e/2) with U = 2N/V. A maximal overstatement (e = 2)
     drives P to infinity, forcing escalation."""
 
-    N: int
-    V: int
-    p_value: float = 1.0
-    draws: int = 0
-    discrepancies: dict = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, N: int, V: int):
+        self.N, self.V = N, V
+        self.p_value, self.draws, self.discrepancies = 1.0, 0, {}
         if self.V <= 0:
             raise MarginNotPositive(f"margin must be positive, got {self.V}")
         if self.N < 1:

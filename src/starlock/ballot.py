@@ -15,7 +15,6 @@ style, or election.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .chaum_pedersen import (
     ChaumPedersenProof,
@@ -41,12 +40,9 @@ def pad_column(j: int) -> str:
     return f"(pad{j})"
 
 
-@dataclass(frozen=True)
 class Contest(Record):
-    contest_id: str
-    options: tuple
-    limit: int = 1
-    writein_slot: bool = False
+    limit = 1
+    writein_slot = False
 
     FIELDS = (
         ("contest_id", "contest_id", STR),
@@ -80,11 +76,7 @@ class Contest(Record):
         return ids
 
 
-@dataclass(frozen=True)
 class BallotStyle(Record):
-    style_id: str
-    contests: tuple
-
     FIELDS = (("style_id", "style_id", STR), ("contests", "contests", tuple_of(record(Contest))))
 
     def __post_init__(self):
@@ -96,19 +88,14 @@ class BallotStyle(Record):
         object.__setattr__(self, "contests", tuple(self.contests))
 
 
-@dataclass(frozen=True)
 class PlaintextBallot:
     """The voter's selections: real option ids per contest, plus the set of
     contests where the write-in slot was used."""
 
-    style_id: str
-    selections: dict
-    writeins: frozenset = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        norm = {cid: tuple(sorted(set(opts))) for cid, opts in self.selections.items()}
-        object.__setattr__(self, "selections", norm)
-        object.__setattr__(self, "writeins", frozenset(self.writeins))
+    def __init__(self, style_id: str, selections: dict, writeins=frozenset()):
+        self.style_id = style_id
+        self.selections = {cid: tuple(sorted(set(opts))) for cid, opts in selections.items()}
+        self.writeins = frozenset(writeins)
 
     def __eq__(self, other):
         if not isinstance(other, PlaintextBallot):
@@ -210,13 +197,7 @@ def contest_sum_statement(contest: Contest, cts, gp: GroupParams) -> tuple:
     return total.a, gp.signed(total.b * pow(pow(gp.g, contest.limit, gp.p), -1, gp.p) % gp.p)
 
 
-@dataclass(frozen=True)
 class EncryptedContest(Record):
-    contest_id: str
-    option_cts: tuple
-    padding_cts: tuple
-    writein_ct: Ciphertext | None
-
     FIELDS = (
         ("contest_id", "contest_id", STR),
         ("options", "option_cts", tuple_of(record(Ciphertext))),
@@ -233,11 +214,7 @@ class EncryptedContest(Record):
         return cols
 
 
-@dataclass(frozen=True)
 class EncryptedBallot(Record):
-    style_id: str
-    contests: tuple
-
     FIELDS = (
         ("style_id", "style_id", STR),
         ("contests", "contests", tuple_of(record(EncryptedContest))),
@@ -247,14 +224,7 @@ class EncryptedBallot(Record):
     canonical_bytes = Record.canonical_bytes
 
 
-@dataclass(frozen=True)
 class ContestProof(Record):
-    contest_id: str
-    option_proofs: tuple
-    padding_proofs: tuple
-    writein_proof: ZeroOneProof | None
-    sum_proof: ChaumPedersenProof
-
     FIELDS = (
         ("contest_id", "contest_id", STR),
         ("options", "option_proofs", tuple_of(record(ZeroOneProof))),
@@ -264,10 +234,7 @@ class ContestProof(Record):
     )
 
 
-@dataclass(frozen=True)
 class WellFormednessProof(Record):
-    contests: tuple
-
     FIELDS = (("contests", "contests", tuple_of(record(ContestProof))),)
 
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 
 from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, EncryptedBallot, WellFormednessProof
@@ -77,16 +76,9 @@ NOT_FOUND = "NOT_FOUND"
 # -- line records and the keys of every line kind ----------------------------------
 
 
-@dataclass(frozen=True)
 class EncryptedBallotRecord(Record):
     """What a terminal hands the judge's station, published as an entry line
     beside the entry's index and status (its serial is never published)."""
-
-    ballot: EncryptedBallot
-    proof: WellFormednessProof
-    terminal_id: str
-    z: bytes
-    timestamp: int
 
     FIELDS = (
         ("ballot", "ballot", record(EncryptedBallot)),
@@ -107,14 +99,9 @@ class EncryptedBallotRecord(Record):
         return self._wire
 
 
-@dataclass(frozen=True)
 class TerminalClose(Record):
     """A terminal_close line: the terminal's final chain value and how many
     ballots it produced."""
-
-    terminal: str
-    final_z: bytes
-    produced: int
 
     FIELDS = (
         ("terminal", "terminal", STR),
@@ -123,16 +110,9 @@ class TerminalClose(Record):
     )
 
 
-@dataclass(frozen=True)
 class TallyColumn(Record):
     """One decrypted column of the tally line: the aggregate ciphertext, the
     trustees' proven decryption shares, and the count they open to."""
-
-    contest: str
-    column: str
-    value: int
-    ciphertext: Ciphertext
-    shares: tuple
 
     FIELDS = (
         ("contest", "contest", STR),
@@ -154,14 +134,9 @@ SPOILED_COLUMNS = tuple_of(record(SpoiledColumn))  # a decryption line's "column
 TALLY_RESULT = dict_of(dict_of(NUMERAL))  # {contest: {column: count}}
 
 
-@dataclass(frozen=True)
 class TallyRecord(Record):
     """The tally line: every decrypted aggregate column, the announced result
     and the number of ballots cast per contest."""
-
-    columns: tuple
-    result: dict
-    cast_counts: dict
 
     FIELDS = (
         ("columns", "columns", tuple_of(record(TallyColumn))),

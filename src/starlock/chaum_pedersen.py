@@ -76,7 +76,6 @@ alone is exact.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .elgamal import Ciphertext
 from .fiatshamir import DOMAIN_ZERO_ONE, fiat_shamir_challenge
@@ -162,14 +161,8 @@ def batched(gp: GroupParams, seed, run, retry=None):
     return run(Immediate(gp))
 
 
-@dataclass(frozen=True)
 class ChaumPedersenProof(Record):
     """Proof that log_g(y1) = log_{g2}(y2)."""
-
-    commit1: int
-    commit2: int
-    challenge: int
-    response: int
 
     FIELDS = tuple((name, name, HEX) for name in ("commit1", "commit2", "challenge", "response"))
 
@@ -223,7 +216,6 @@ def verify_eq_dlog(
             and eqs.check(g2, s, proof.commit2, y2, e, fixed=fixed))
 
 
-@dataclass(frozen=True)
 class ZeroOneProof(Record):
     """Disjunctive proof that a ciphertext encrypts 0 or 1.
 
@@ -231,15 +223,6 @@ class ZeroOneProof(Record):
     challenges must add up to the Fiat-Shamir challenge of the whole
     transcript, so at least one branch is sound.
     """
-
-    commit0_g: int
-    commit0_k: int
-    commit1_g: int
-    commit1_k: int
-    challenge0: int
-    challenge1: int
-    response0: int
-    response1: int
 
     FIELDS = tuple((name, name, HEX) for name in (
         "commit0_g", "commit0_k", "commit1_g", "commit1_k",

@@ -10,26 +10,17 @@ exponent range, which is fine here because tallies are small integers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import NoDlogInRange
 from .group import GroupParams
 from .serialize import HEX, Record
 
 
-@dataclass(frozen=True)
 class Keypair(Record):
-    sk: int
-    pk: int
-
     FIELDS = (("sk", "sk", HEX), ("pk", "pk", HEX))
 
 
-@dataclass(frozen=True)
 class Ciphertext(Record):
-    a: int
-    b: int
-
     FIELDS = (("a", "a", HEX), ("b", "b", HEX))
 
 

@@ -27,7 +27,6 @@ test group, so a group decides once, from the size of p, which way it goes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable
 
@@ -143,31 +142,22 @@ def multi_exp(pairs, p: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
 class GroupParams(Record):
-    p: int
-    q: int
-    g: int
-    # Decided once per group: fixed-base combs and batched proof equations
-    # when True, pow and proof-by-proof equations otherwise.
-    large: bool = field(init=False, repr=False, compare=False)
-    # fixed_pow with tables that hold exponents of q's size; pow's signature.
-    _comb: partial = field(init=False, repr=False, compare=False)
-    # (p - 1) / 2: the largest signed representative.
-    half: int = field(init=False, repr=False, compare=False)
-    # M = min(q, 2^256), the proof format's challenge space: every
-    # Fiat-Shamir challenge lies in [0, M), and so does each branch challenge
-    # of a zero-or-one proof. M = q in a group of q below 2^256, the prod
-    # group's included.
-    challenge_space: int = field(init=False, repr=False, compare=False)
-
     # Decimal strings: big integers survive any JSON parser untouched.
     FIELDS = tuple((name, name, NUMERAL) for name in "pqg")
 
     def __post_init__(self):
+        # Decided once per group: fixed-base combs and batched proof equations
+        # when large, pow and proof-by-proof equations otherwise.
         object.__setattr__(self, "large", self.p.bit_length() >= LARGE_GROUP_BITS)
+        # (p - 1) / 2: the largest signed representative.
         object.__setattr__(self, "half", (self.p - 1) // 2)
+        # M = min(q, 2^256), the proof format's challenge space: every
+        # Fiat-Shamir challenge lies in [0, M), and so does each branch
+        # challenge of a zero-or-one proof. M = q in a group of q below 2^256,
+        # the prod group's included.
         object.__setattr__(self, "challenge_space", min(self.q, 1 << CHALLENGE_BITS))
+        # fixed_pow with tables that hold exponents of q's size; pow's signature.
         object.__setattr__(self, "_comb", partial(fixed_pow, bits=self.q.bit_length()))
 
     @property

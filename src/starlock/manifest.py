@@ -4,7 +4,6 @@ the verifier, the tally tooling, and auditors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .ballot import BallotStyle
@@ -14,24 +13,14 @@ from .serialize import DIGEST, HEX, INT, SALT, STR, Record, dict_of, load_json, 
 from .trustees import JointPublicKey
 
 
-@dataclass(frozen=True)
 class ElectionManifest(Record):
-    election_id: str
-    gp: GroupParams
-    jpk: JointPublicKey
-    office_pk: int
-    styles: tuple
-    terminal_seeds: dict  # terminal id -> z0
-    salt: bytes
-    ttl: int
-
     FIELDS = (
         ("election_id", "election_id", STR),
         ("group", "gp", record(GroupParams)),
         ("joint_key", "jpk", record(JointPublicKey)),
         ("office_pk", "office_pk", HEX),
         ("styles", "styles", tuple_of(record(BallotStyle))),
-        ("terminals", "terminal_seeds", dict_of(DIGEST)),
+        ("terminals", "terminal_seeds", dict_of(DIGEST)),  # terminal id -> z0
         ("salt", "salt", SALT),
         ("ttl", "ttl", INT),
     )

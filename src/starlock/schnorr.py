@@ -9,19 +9,13 @@ and makes repeated pipeline runs byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .elgamal import Keypair
 from .fiatshamir import DOMAIN_NONCE, DOMAIN_SIGNATURE
 from .group import GroupParams, multi_exp
 from .serialize import DIGEST, HEX, Record, enc_bytes, enc_int, sha256
 
 
-@dataclass(frozen=True)
 class SchnorrSignature(Record):
-    commit_hash: bytes
-    response: int
-
     FIELDS = (("commit_hash", "commit_hash", DIGEST), ("response", "response", HEX))
 
 

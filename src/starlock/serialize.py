@@ -9,8 +9,12 @@ wrap a whole record as one length-prefixed field. All digests are SHA-256,
 rendered as lowercase hex.
 
 JSON form: each published record declares its wire form once, as Record
-FIELDS rows (JSON key, attribute, codec); an operator file's records (the
-scenario) are FileRecords, which may leave keys out. Decoding is total:
+FIELDS rows (JSON key, attribute, codec). The same rows are its attribute
+declaration: Record gives each subclass a generated __init__ over them, and
+equality, hashing, repr and immutability that walk them, so no published
+record is a dataclass and no read-only command imports dataclasses. An
+operator file's records (the scenario) are FileRecords: mutable dataclasses,
+which may leave keys out. Decoding is total:
 anything else raises MalformedRecord naming the field path. Every JSON file is
 read by load_json and written by dump_json, and every file is written by
 write_text.
@@ -74,9 +78,14 @@ def hex_to_int(s: str) -> int:
     return int(s, 16)
 
 
+# One encoder for every call: json.dumps with these options would build one per call.
+# Every input is an acyclic tree, so the encoder skips the circularity check.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON: lexicographic keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def load_json(path) -> Any:
@@ -223,9 +232,64 @@ def decode_field(obj: dict, key: str, decode):
 
 class Record:
     """A published record whose FIELDS rows (JSON key, attribute, codec) are its
-    whole wire form. Other keys are ignored."""
+    whole wire form and its attribute declaration: its attributes are the
+    rows' attribute column, in order, and a class attribute of one of those
+    names is a default (Contest.limit = 1). Other keys are ignored.
+
+    From the rows alone Record supplies what a frozen dataclass would: an
+    __init__ by position or keyword that ends in __post_init__ when the class
+    has one, equality within one class, a hash, a repr, and immutability
+    (setting or deleting an attribute raises AttributeError; __post_init__
+    sets derived values through object.__setattr__, and cached_property
+    writes the instance dict). Only __init__ is generated, one exec per
+    class, because it runs for every decoded record: a generic
+    *args/**kwargs one took verify and simulate more than a tenth more CPU
+    time. The other methods walk FIELDS when called; none of them is hot.
+    """
 
     FIELDS = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "FIELDS" not in vars(cls):
+            return
+        attrs = [attr for _, attr, _ in cls.FIELDS]
+        required = [attr for attr in attrs if not hasattr(cls, attr)]
+        if attrs[:len(required)] != required:
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with it")
+        # object.__setattr__, not the instance dict: reading __dict__ would
+        # give every record a dict in place of its inline attribute values,
+        # which makes every later attribute read slower.
+        code = (f"def __init__(self, {', '.join(attrs)}):\n"
+                + "".join(f" object_setattr(self, {attr!r}, {attr})\n" for attr in attrs)
+                + (" self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""))
+        namespace = {"object_setattr": object.__setattr__}
+        exec(code, namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = tuple(getattr(cls, attr) for attr in attrs[len(required):])
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, attr) for _, attr, _ in self.FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{attr}={getattr(self, attr)!r}" for _, attr, _ in self.FIELDS)
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def to_json(self) -> dict:
         return {key: codec.encode(getattr(self, attr)) for key, attr, codec in self.FIELDS}
@@ -248,11 +312,17 @@ class Record:
 
 
 class FileRecord(Record):
-    """A record of an operator file (a scenario, a voter). A key may be left out
+    """A record of an operator file (a scenario, a voter): a mutable dataclass,
+    which writes its own __init__, __eq__ and __repr__. A key may be left out
     when DEFAULTS gives its JSON value or its attribute a plain dataclass default;
     a row with attribute None encodes the whole record, decoding to attributes."""
 
     DEFAULTS = {}
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init_subclass__(cls, **kwargs):  # no generated __init__: @dataclass writes it
+        pass
 
     def to_json(self) -> dict:
         return {key: codec.encode(self if attr is None else getattr(self, attr))

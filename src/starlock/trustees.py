@@ -13,7 +13,6 @@ verification key, which anyone can derive from the commitments.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .chaum_pedersen import ChaumPedersenProof, Immediate, batched, prove_eq_dlog, verify_eq_dlog
 from .elgamal import Ciphertext
@@ -26,12 +25,7 @@ from .serialize import HEX, INT, Record, enc_bytes, enc_int, record, tuple_of
 MAX_TRUSTEES = 16
 
 
-@dataclass(frozen=True)
 class TrusteeShare(Record):
-    trustee_id: int
-    secret_share: int
-    commitments: tuple
-
     FIELDS = (
         ("trustee_id", "trustee_id", INT),
         ("secret_share", "secret_share", HEX),
@@ -39,15 +33,9 @@ class TrusteeShare(Record):
     )
 
 
-@dataclass(frozen=True)
 class JointPublicKey(Record):
     """Public output of the key ceremony: K = g^sk plus the coefficient
     commitments every observer needs to check decryption shares."""
-
-    K: int
-    n: int
-    k: int
-    commitments: tuple
 
     FIELDS = (
         ("K", "K", HEX),
@@ -57,12 +45,7 @@ class JointPublicKey(Record):
     )
 
 
-@dataclass(frozen=True)
 class DecryptionShare(Record):
-    trustee_id: int
-    share_value: int
-    proof: ChaumPedersenProof
-
     FIELDS = (
         ("trustee_id", "trustee_id", INT),
         ("share_value", "share_value", HEX),

@@ -31,8 +31,6 @@ polling-place or board machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .ballot import ABSTAIN_COLUMN, verify_ballot
 from .boardformat import (  # the receipt rule and the strict read are re-exported
     FOUND_CAST,
@@ -62,13 +60,11 @@ from .manifest import ElectionManifest
 from .serialize import decode_field, sha256
 from .trustees import combine_in_exponent
 
-@dataclass
+
 class ReportItem:
-    check: str
-    ok: bool
-    detail: str
-    line: int | None = None
-    entry: int | None = None
+    def __init__(self, check: str, ok: bool, detail: str, line: int | None = None,
+                 entry: int | None = None):
+        self.check, self.ok, self.detail, self.line, self.entry = check, ok, detail, line, entry
 
     def to_json(self) -> dict:
         out = {"check": self.check, "ok": self.ok, "detail": self.detail}
@@ -79,9 +75,9 @@ class ReportItem:
         return out
 
 
-@dataclass
 class VerificationReport:
-    items: list = field(default_factory=list)
+    def __init__(self, items: list):
+        self.items = items
 
     @property
     def overall(self) -> bool:

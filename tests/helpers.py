@@ -59,6 +59,14 @@ _P_MODP = int(
 MODP_GROUP = GroupParams(p=_P_MODP, q=_P_MODP // 2, g=4)
 
 
+def replace(record, **changes):
+    """A copy of a Record with the given attributes changed, built through its
+    class's __init__ (its __post_init__ included), as dataclasses.replace
+    builds a dataclass; an unknown attribute raises TypeError."""
+    values = {attr: getattr(record, attr) for _, attr, _ in record.FIELDS}
+    return type(record)(**{**values, **changes})
+
+
 def finish(result, seed=0):
     """Run the officials' post-close pipeline on a run_scenario result."""
     return finish_election(

@@ -17,6 +17,7 @@ from helpers import (
     hundred_entry_board,
     margin_scenario,
     rechain,
+    replace,
     synthetic_comparison_record,
 )
 from starlock.audit import KMState, overstatement, run_audit
@@ -266,25 +267,25 @@ def test_criterion_8_proof_battery_accepts_honest_and_rejects_perturbed() -> Non
             "writein": lambda: cp.writein_proof,
             "sum": lambda: cp.sum_proof,
         }[kind]()
-        name = rng.choice([f.name for f in dataclasses.fields(target)])
+        name = rng.choice([attr for _, attr, _ in target.FIELDS])
         old = getattr(target, name)
         new = old * gp.g % gp.p if name in element_fields else (old + 1) % gp.q
-        bent = dataclasses.replace(target, **{name: new})
+        bent = replace(target, **{name: new})
         if kind == "option":
             seq = list(cp.option_proofs)
             seq[i] = bent
-            new_cp = dataclasses.replace(cp, option_proofs=tuple(seq))
+            new_cp = replace(cp, option_proofs=tuple(seq))
         elif kind == "padding":
             seq = list(cp.padding_proofs)
             seq[i] = bent
-            new_cp = dataclasses.replace(cp, padding_proofs=tuple(seq))
+            new_cp = replace(cp, padding_proofs=tuple(seq))
         elif kind == "writein":
-            new_cp = dataclasses.replace(cp, writein_proof=bent)
+            new_cp = replace(cp, writein_proof=bent)
         else:
-            new_cp = dataclasses.replace(cp, sum_proof=bent)
+            new_cp = replace(cp, sum_proof=bent)
         contests = list(proof.contests)
         contests[cidx] = new_cp
-        return dataclasses.replace(proof, contests=tuple(contests))
+        return replace(proof, contests=tuple(contests))
 
     honest = rejected = 0
     for trial in range(1000):

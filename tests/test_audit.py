@@ -7,7 +7,6 @@ a short closed-form product that was computed by hand first.
 """
 
 import copy
-import dataclasses
 import json
 import math
 from collections import Counter
@@ -20,6 +19,7 @@ from helpers import (
     demo_commands,
     demo_run,
     finish,
+    replace,
     synthetic_comparison_record,
     synthetic_entry,
 )
@@ -148,7 +148,7 @@ def test_margin_pairs_multiwinner_and_uncontested() -> None:
             Contest(contest_id="council", options=("ida", "joan", "mary"), limit=2),
         ),
     )
-    manifest = dataclasses.replace(demo_run()[0]["manifest"], styles=(style,))
+    manifest = replace(demo_run()[0]["manifest"], styles=(style,))
     result = {"council": {"ida": "3", "joan": "2", "mary": "3"}}
     winners, pairs, v = margin_pairs(manifest, result)
     assert winners == {"council": ["ida", "mary"]}
@@ -158,7 +158,7 @@ def test_margin_pairs_multiwinner_and_uncontested() -> None:
     solo = BallotStyle(
         style_id="u", contests=(Contest(contest_id="sole", options=("only",), limit=1),)
     )
-    uncontested = dataclasses.replace(manifest, styles=(solo,))
+    uncontested = replace(manifest, styles=(solo,))
     with pytest.raises(MarginNotPositive):
         margin_pairs(uncontested, {"sole": {"only": "9"}})
 

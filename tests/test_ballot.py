@@ -1,10 +1,10 @@
 """Ballot encoding, encryption, and well-formedness verification."""
 
-import dataclasses
 import random
 
 import pytest
 
+from helpers import replace
 from starlock.ballot import (
     BallotStyle,
     Contest,
@@ -213,7 +213,7 @@ def test_verify_rejects_swapped_columns() -> None:
     pb = PlaintextBallot(style_id="downtown", selections={"mayor": ("ada",)})
     eb, proof = encrypt_ballot(pb, STYLE, kp.pk, GP, random.Random(76), EID)
     mayor = eb.contests[0]
-    swapped = dataclasses.replace(mayor, option_cts=tuple(reversed(mayor.option_cts)))
+    swapped = replace(mayor, option_cts=tuple(reversed(mayor.option_cts)))
     forged = EncryptedBallot(style_id=eb.style_id, contests=(swapped, eb.contests[1]))
     assert not verify_ballot(forged, proof, STYLE, kp.pk, GP, EID)
 
@@ -240,11 +240,11 @@ def test_verify_rejects_columns_out_of_layout(contest_id, misfit, part) -> None:
     record, fields = ((eb, ("option_cts", "padding_cts", "writein_ct")) if part == "ciphertexts"
                       else (proof, ("option_proofs", "padding_proofs", "writein_proof")))
     contests = tuple(
-        dataclasses.replace(c, **dict(zip(fields, misfit(*(getattr(c, f) for f in fields)))))
+        replace(c, **dict(zip(fields, misfit(*(getattr(c, f) for f in fields)))))
         if c.contest_id == contest_id else c
         for c in record.contests
     )
-    forged = dataclasses.replace(record, contests=contests)
+    forged = replace(record, contests=contests)
     pair = (forged, proof) if part == "ciphertexts" else (eb, forged)
     assert verify_ballot(*pair, STYLE, kp.pk, GP, EID) is False
 

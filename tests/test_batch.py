@@ -17,6 +17,7 @@ from helpers import (
     finish,
     mid_demo_run,
     rechain,
+    replace,
 )
 from starlock import ballot, chaum_pedersen, elgamal, group, verifier
 from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballot, verify_ballot
@@ -138,7 +139,7 @@ def test_batched_runs_again_per_proof_only_when_the_batch_fails(gp, bump, sinks)
     x, h = rng.randrange(1, gp.q), pow(gp.g, rng.randrange(1, gp.q), gp.p)
     y1, y2 = pow(gp.g, x, gp.p), pow(h, x, gp.p)
     proof = prove_eq_dlog(x, y1, h, y2, gp, rng, b"ctx", DOMAIN_CONTEST_SUM)
-    proof = dataclasses.replace(proof, response=(proof.response + bump) % gp.q)
+    proof = replace(proof, response=(proof.response + bump) % gp.q)
     seeds, seen = [], []
 
     def run(eqs):
@@ -454,12 +455,12 @@ def test_a_negated_column_whose_proofs_hold_over_it_is_refused_by_membership(
     column_proof = prove_zero_or_one(bit, r, negated, K, gp, random.Random(23), context)
     cts = ballot.join_columns(contest, enc.option_cts, enc.padding_cts, enc.writein_ct)
     statement = ballot.contest_sum_statement(contest, cts, gp)
-    enc = dataclasses.replace(enc, option_cts=(negated, *enc.option_cts[1:]))
+    enc = replace(enc, option_cts=(negated, *enc.option_cts[1:]))
     cts = ballot.join_columns(contest, enc.option_cts, enc.padding_cts, enc.writein_ct)
     assert ballot.contest_sum_statement(contest, cts, gp) == statement
-    cpr = dataclasses.replace(cpr, option_proofs=(column_proof, *cpr.option_proofs[1:]))
-    eb = dataclasses.replace(eb, contests=(enc, *eb.contests[1:]))
-    proof = dataclasses.replace(proof, contests=(cpr, *proof.contests[1:]))
+    cpr = replace(cpr, option_proofs=(column_proof, *cpr.option_proofs[1:]))
+    eb = replace(eb, contests=(enc, *eb.contests[1:]))
+    proof = replace(proof, contests=(cpr, *proof.contests[1:]))
     everyone = Immediate(gp)
     everyone.member = lambda x: True  # only membership stands in the way
     assert verify_ballot(eb, proof, style, K, gp, election_id, everyone)

@@ -1,13 +1,12 @@
 """Bulletin board: publication, chaining, aggregation, decryption, signing."""
 
-import dataclasses
 import hashlib
 import json
 import random
 
 import pytest
 
-from helpers import MID_GROUP
+from helpers import MID_GROUP, replace
 from starlock.ballot import (
     BallotStyle,
     Contest,
@@ -101,8 +100,8 @@ def test_publish_rejects_invalid_proof_and_bad_status() -> None:
     board = Board(EID)
     record = make_record(ballot("ada"), jpk, rng)
     contest = record.ballot.contests[0]
-    swapped = dataclasses.replace(contest, option_cts=tuple(reversed(contest.option_cts)))
-    forged = dataclasses.replace(
+    swapped = replace(contest, option_cts=tuple(reversed(contest.option_cts)))
+    forged = replace(
         record, ballot=EncryptedBallot(style_id="s", contests=(swapped,))
     )
     with pytest.raises(RejectInvalidProof):
@@ -268,7 +267,7 @@ def test_decrypt_tally_share_guards() -> None:
     board.publish_entry(make_record(ballot("ada"), jpk, rng), CAST, STYLE, jpk.K, GP)
     with pytest.raises(InsufficientShares):
         decrypt_tally(board, STYLES, trustees[:1], jpk, GP, random.Random(4))
-    forged = dataclasses.replace(
+    forged = replace(
         trustees[0], secret_share=(trustees[0].secret_share + 1) % GP.q
     )
     with pytest.raises(BadShareProof) as exc:
@@ -318,16 +317,16 @@ def test_publish_refuses_a_response_that_fails_only_its_equation() -> None:
     eb, proof = encrypt_ballot(ballot("ada"), STYLE, jpk.K, MID_GROUP, rng, EID)
     cpr = proof.contests[0]
     first = cpr.option_proofs[0]
-    bumped = dataclasses.replace(first, response0=(first.response0 + 1) % MID_GROUP.q)
+    bumped = replace(first, response0=(first.response0 + 1) % MID_GROUP.q)
     forged = WellFormednessProof(
-        (dataclasses.replace(cpr, option_proofs=(bumped,) + cpr.option_proofs[1:]),))
+        (replace(cpr, option_proofs=(bumped,) + cpr.option_proofs[1:]),))
     record = EncryptedBallotRecord(ballot=eb, proof=forged, terminal_id="T1", z=b"\x01" * 32,
                                    timestamp=1)
     board = Board(EID)
     with pytest.raises(RejectInvalidProof):
         board.publish_entry(record, CAST, STYLE, jpk.K, MID_GROUP)
     assert board.entry_count == 0
-    honest = dataclasses.replace(record, proof=proof)
+    honest = replace(record, proof=proof)
     assert board.publish_entry(honest, CAST, STYLE, jpk.K, MID_GROUP) == 0
 
 

@@ -2,14 +2,20 @@
 one-pass index, as the tally tooling, the verifier and the audit share them."""
 
 import ast
-import dataclasses
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from helpers import board_raw_lines, demo_commands, demo_run, rechain, synthetic_comparison_record
+from helpers import (
+    board_raw_lines,
+    demo_commands,
+    demo_run,
+    rechain,
+    replace,
+    synthetic_comparison_record,
+)
 from helpers import synthetic_entry as entry
 from starlock.audit import run_audit
 from starlock.ballot import BallotStyle, Contest
@@ -231,7 +237,7 @@ def test_contest_defined_two_ways_is_refused_everywhere(tmp_path) -> None:
     uptown = BallotStyle(style_id="uptown", contests=(
         Contest("mayor", ("ada", "grace", "zed"), 1, True),
     ))
-    manifest = dataclasses.replace(result["manifest"], styles=(downtown, uptown))
+    manifest = replace(result["manifest"], styles=(downtown, uptown))
     report = verify_board(board_raw_lines(result["board"]), manifest)
     assert [item.check for item in report.failures()] == ["tally"]
     assert "mayor defined differently" in report.failures()[0].detail

@@ -237,34 +237,41 @@ def test_repeated_main_calls_share_no_state(tmp_path, monkeypatch, capsys) -> No
 
 
 def starlock_modules_after(argv):
-    """(exit code, the starlock modules loaded) of starlock.cli's main(argv)
-    run in a fresh interpreter; argv None imports the CLI and runs nothing."""
+    """(exit code, the starlock modules loaded, the other modules loaded) of
+    starlock.cli's main(argv) run in a fresh interpreter; argv None imports
+    the CLI and runs nothing."""
     code = ("import json, sys\n"
             "from starlock.cli import main\n"
             "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-            "print(json.dumps(sorted(m.removeprefix('starlock.') for m in sys.modules\n"
-            "                        if m.startswith('starlock.'))))\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
             "sys.exit(code)\n")
     proc = subprocess.run([sys.executable, "-c", code, *(argv or [])],
                           capture_output=True, text=True, env=child_env())
-    return proc.returncode, set(json.loads(proc.stdout.splitlines()[-1]))
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    ours = {m for m in loaded if m.startswith("starlock.")}
+    return proc.returncode, {m.removeprefix("starlock.") for m in ours}, loaded - ours
 
 
 def test_each_read_only_command_loads_only_what_it_reads(tmp_path) -> None:
     """Every command runs in its own interpreter, so a module it imports but
     never calls is start-up paid for nothing: importing the CLI loads no
     command's modules, verify and audit load none of the officials' code, and
-    receipt-check reads the board format and the manifest alone."""
+    receipt-check reads the board format and the manifest alone. None of
+    them loads dataclasses, or the inspect module it brings: a published
+    record declares itself by its FIELDS."""
     officials = {"scenario", "pollsite", "board"}
-    _, loaded = starlock_modules_after(None)
+    unused = {"dataclasses", "inspect"}
+    _, loaded, others = starlock_modules_after(None)
     assert loaded == {"cli", "elgamal", "errors", "group", "serialize"}
+    assert not others & unused, others & unused
     board, commands = demo_commands(tmp_path)
     board.write_text("\n".join(board_raw_lines(demo_run()[0]["board"])) + "\n", encoding="utf-8")
     # the demo's one-vote margin makes its audit escalate: a verdict, exit 2
     for name, want in (("verify", 0), ("audit", 2), ("receipt-check", 0)):
-        code, loaded = starlock_modules_after(commands[name])
+        code, loaded, others = starlock_modules_after(commands[name])
         assert code == want, name
         assert not loaded & officials, (name, loaded & officials)
+        assert not others & unused, (name, others & unused)
     assert {"boardformat", "manifest"} <= loaded
     assert not loaded & {"verifier", "audit"}, loaded
 

@@ -4,11 +4,11 @@ arithmetic (membership, fixed-base exponentiation) in both of them."""
 import hashlib
 import importlib.util
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from helpers import replace
 from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballot, verify_ballot
 from starlock.elgamal import keygen
 from starlock.errors import InvalidGroup

@@ -5,12 +5,11 @@ of a dishonest variant is rejected, and the statement binding (context
 strings, public keys, ciphertexts) is enforced.
 """
 
-import dataclasses
 import random
 
 import pytest
 
-from helpers import MID_GROUP, MODP_GROUP
+from helpers import MID_GROUP, MODP_GROUP, replace
 from starlock.chaum_pedersen import (
     ChaumPedersenProof,
     Immediate,
@@ -110,10 +109,10 @@ def test_eq_dlog_rejects_every_tampered_field() -> None:
     commit1 = GP.signed(proof.commit1 * GP.g % GP.p)
     commit2 = GP.signed(proof.commit2 * GP.g % GP.p)
     variants = [
-        dataclasses.replace(proof, commit1=commit1),
-        dataclasses.replace(proof, commit2=commit2),
-        dataclasses.replace(proof, challenge=(proof.challenge + 1) % GP.q),
-        dataclasses.replace(proof, response=(proof.response + 1) % GP.q),
+        replace(proof, commit1=commit1),
+        replace(proof, commit2=commit2),
+        replace(proof, challenge=(proof.challenge + 1) % GP.q),
+        replace(proof, response=(proof.response + 1) % GP.q),
     ]
     for bad in variants:
         assert not verify_eq_dlog(bad, y1, g2, y2, GP, b"ctx", DOMAIN_CONTEST_SUM)
@@ -214,13 +213,13 @@ def test_zero_or_one_rejects_every_tampered_field() -> None:
         element_fields = ("commit0_g", "commit0_k", "commit1_g", "commit1_k")
         exponent_fields = ("challenge0", "challenge1", "response0", "response1")
         for field in element_fields:
-            bad = dataclasses.replace(
+            bad = replace(
                 proof, **{field: GP.signed(getattr(proof, field) * GP.g % GP.p)})
             assert not verify_zero_or_one(bad, ct, K, GP, b"cell"), field
             # its equation misses by a factor of g, whatever the challenge
             assert not _equations_hold(bad, ct, K, GP), field
         for field in exponent_fields:
-            bad = dataclasses.replace(proof, **{field: (getattr(proof, field) + 1) % GP.q})
+            bad = replace(proof, **{field: (getattr(proof, field) + 1) % GP.q})
             assert not verify_zero_or_one(bad, ct, K, GP, b"cell"), field
 
 
@@ -230,7 +229,7 @@ def test_zero_or_one_challenge_split_is_enforced() -> None:
     rng = random.Random(44)
     ct = encrypt_exp(1, 9, K, GP)
     proof = prove_zero_or_one(1, 9, ct, K, GP, rng, b"cell")
-    shifted = dataclasses.replace(
+    shifted = replace(
         proof,
         challenge0=(proof.challenge0 + 1) % GP.q,
         challenge1=(proof.challenge1 - 1) % GP.q,
@@ -438,7 +437,7 @@ def test_a_branch_challenge_of_2_256_or_more_is_refused_in_the_modp_group() -> N
     accept = _AcceptEveryEquation(MODP_GROUP)
     for field in ("challenge0", "challenge1"):
         # The sum mod 2^256 is unchanged; only the range rule refuses it.
-        bad = dataclasses.replace(proof, **{field: getattr(proof, field) + 2**256})
+        bad = replace(proof, **{field: getattr(proof, field) + 2**256})
         assert not verify_zero_or_one(bad, ct, key, MODP_GROUP, b"cell", accept)
     assert verify_zero_or_one(proof, ct, key, MODP_GROUP, b"cell", accept)
 

@@ -4,25 +4,37 @@ Every hash in the toolkit depends on these byte layouts staying fixed, so the
 expected values below are frozen literals computed by hand.
 """
 
-import dataclasses
+import copy
 import hashlib
 import json
 import random
 
 import pytest
 
+from helpers import replace
 from starlock.ballot import (
+    BallotStyle,
     Contest,
     ContestProof,
     EncryptedBallot,
     EncryptedContest,
     WellFormednessProof,
 )
+from starlock.boardformat import (
+    EncryptedBallotRecord,
+    SpoiledColumn,
+    TallyColumn,
+    TallyRecord,
+    TerminalClose,
+)
 from starlock.chaum_pedersen import ChaumPedersenProof, ZeroOneProof
-from starlock.elgamal import Ciphertext
+from starlock.elgamal import Ciphertext, Keypair
 from starlock.errors import MalformedRecord
 from starlock.group import TEST_GROUP
+from starlock.manifest import ElectionManifest
+from starlock.schnorr import SchnorrSignature
 from starlock.serialize import (
+    FileRecord,
     Record,
     canonical_json,
     dump_json,
@@ -36,6 +48,7 @@ from starlock.serialize import (
     sha256,
     sha256_hex,
 )
+from starlock.trustees import DecryptionShare, JointPublicKey, TrusteeShare
 
 
 def test_int_to_bytes_minimal_big_endian() -> None:
@@ -106,7 +119,7 @@ def _variants(value) -> list:
     """Values of value's form that differ from it in one place: a record in
     one field, a tuple in its length or in one item."""
     if isinstance(value, Record):
-        return [dataclasses.replace(value, **{attr: v})
+        return [replace(value, **{attr: v})
                 for _, attr, _ in value.FIELDS for v in _variants(getattr(value, attr))]
     if isinstance(value, tuple):
         return [value[1:], value + value[:1]] + [
@@ -138,6 +151,99 @@ def test_every_field_change_changes_the_canonical_bytes(sample) -> None:
     sample, have distinct canonical bytes: no field is left out of the hash."""
     values = {sample, *_variants(sample)}
     assert len({value.canonical_bytes() for value in values}) == len(values) > 1
+
+
+_SHARE = DecryptionShare(1, 2, ChaumPedersenProof(1, 2, 3, 4))
+_COLUMN = ("c", "x", 1, Ciphertext(1, 2), (_SHARE,))
+_STYLE = BallotStyle("s", (Contest("c", ("x", "y"), 2, True),))
+_JOINT_KEY = JointPublicKey(2, 3, 2, (4, 5))
+RECORDS = [
+    *HASHED_RECORDS, _STYLE.contests[0], _STYLE, Keypair(3, 4), SchnorrSignature(bytes(32), 5),
+    TrusteeShare(1, 2, (3, 4)), _JOINT_KEY, _SHARE,
+    ElectionManifest("e", TEST_GROUP, _JOINT_KEY, 2, (_STYLE,), {"T1": bytes(32)}, bytes(16), 3),
+    EncryptedBallotRecord(EncryptedBallot("s", _CONTESTS), WellFormednessProof(_PROOFS), "T1",
+                          b"\x02" * 32, 7),
+    TerminalClose("T1", b"\x03" * 32, 4), TallyColumn(*_COLUMN), SpoiledColumn(*_COLUMN),
+    TallyRecord((TallyColumn(*_COLUMN),), {"c": {"x": 1}}, {"c": 1}),
+]
+
+
+def _record_classes(cls=Record) -> set:
+    """Every published record class: starlock's subclasses of Record but FileRecords."""
+    found = set()
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("starlock.") and not issubclass(sub, FileRecord):
+            found |= {sub} | _record_classes(sub)
+    return found
+
+
+def test_the_contract_samples_cover_every_record_class() -> None:
+    assert {type(r) for r in RECORDS} == _record_classes()
+
+
+@pytest.mark.parametrize("sample", RECORDS, ids=lambda r: type(r).__name__)
+def test_every_record_keeps_the_frozen_dataclass_contract(sample) -> None:
+    """What Record supplies from FIELDS alone: __init__ by position or keyword,
+    equality of one class over every field, a hash that agrees with it,
+    immutability, and TypeError for a missing or unknown argument."""
+    cls, attrs = type(sample), [attr for _, attr, _ in sample.FIELDS]
+    values = [getattr(sample, attr) for attr in attrs]
+    by_position, by_keyword = cls(*values), cls(**dict(zip(attrs, values)))
+    assert by_position == by_keyword == sample and by_position is not sample
+    assert not by_position != sample
+    shown = ", ".join(f"{attr}={value!r}" for attr, value in zip(attrs, values))
+    assert repr(sample) == f"{cls.__name__}({shown})"
+    if any(isinstance(v, dict) for v in values):  # a dict field: unhashable, as in a dataclass
+        with pytest.raises(TypeError):
+            hash(sample)
+    else:
+        assert hash(by_keyword) == hash(sample)
+    for attr in attrs:
+        changed = copy.copy(sample)
+        vars(changed)[attr] = object()
+        assert changed != sample and sample != changed
+        with pytest.raises(AttributeError):
+            setattr(sample, attr, getattr(sample, attr))
+        with pytest.raises(AttributeError):
+            delattr(sample, attr)
+    with pytest.raises(AttributeError):
+        sample.unknown = 1
+    with pytest.raises(TypeError):
+        cls(**dict(zip(attrs[1:], values[1:])))
+    with pytest.raises(TypeError):
+        cls(*values, None)
+    with pytest.raises(TypeError):
+        cls(**dict(zip(attrs, values)), unknown=1)
+    assert sample.__eq__(values) is NotImplemented
+
+
+def test_a_spoiled_column_never_equals_a_tally_column_of_the_same_values() -> None:
+    tally, spoiled = TallyColumn(*_COLUMN), SpoiledColumn(*_COLUMN)
+    assert tally != spoiled and spoiled != tally
+    assert tally.to_json() != spoiled.to_json()  # "count" against "bit"
+
+
+def test_record_defaults_and_post_init_refusals() -> None:
+    contest = Contest("c", ("x", "y"))
+    assert (contest.limit, contest.writein_slot) == (1, False)
+    assert contest == Contest("c", ("x", "y"), 1, False) == Contest(options=["x", "y"],
+                                                                     contest_id="c")
+    assert type(Contest("c", ["x"]).options) is tuple  # __post_init__ ran
+    with pytest.raises(ValueError, match="no options"):
+        Contest("c", ())
+    obj = {"style_id": "s", "contests": [contest.to_json(), contest.to_json()]}
+    with pytest.raises(MalformedRecord) as err:
+        BallotStyle.from_json(obj)
+    assert err.value.detail == "style s repeats a contest id"
+    with pytest.raises(TypeError, match="without a default follows"):
+        type("Misdeclared", (Record,), {"FIELDS": Contest.FIELDS[1:], "limit": 1})
+
+
+def test_cached_values_are_computed_once() -> None:
+    entry = next(r for r in RECORDS if isinstance(r, EncryptedBallotRecord))
+    assert entry.to_json() is entry.to_json()
+    manifest = next(r for r in RECORDS if isinstance(r, ElectionManifest))
+    assert manifest.style_map is manifest.style_map == {"s": _STYLE}
 
 
 def test_sha256_matches_hashlib() -> None:

@@ -1,12 +1,11 @@
 """Threshold key ceremony, share verification, and combined decryption."""
 
-import dataclasses
 import itertools
 import random
 
 import pytest
 
-from helpers import MID_GROUP
+from helpers import MID_GROUP, replace
 from starlock.chaum_pedersen import Collect, Immediate
 from starlock.elgamal import dlog_search, encrypt_exp
 from starlock.errors import BadShareProof, InsufficientShares, InvalidThreshold
@@ -65,7 +64,7 @@ def test_every_share_passes_feldman_check() -> None:
 
 def test_tampered_share_fails_feldman_check() -> None:
     _, shares = dkg(3, 2, GP, random.Random(63))
-    bad = dataclasses.replace(shares[0], secret_share=(shares[0].secret_share + 1) % GP.q)
+    bad = replace(shares[0], secret_share=(shares[0].secret_share + 1) % GP.q)
     assert not verify_share(bad, GP)
 
 
@@ -126,10 +125,10 @@ def test_bad_share_proof_names_trustee(gp) -> None:
     good = [partial_decrypt(ct, s, gp, rng, CTX) for s in trustees]
     # A forged value fails its proof's Fiat-Shamir check; a response raised by
     # 1 fails only its equation, which a large group tests in a batch first.
-    value_forged = dataclasses.replace(good[0], share_value=good[0].share_value * gp.g % gp.p)
+    value_forged = replace(good[0], share_value=good[0].share_value * gp.g % gp.p)
     proof = good[1].proof
-    response_forged = dataclasses.replace(
-        good[1], proof=dataclasses.replace(proof, response=(proof.response + 1) % gp.q))
+    response_forged = replace(
+        good[1], proof=replace(proof, response=(proof.response + 1) % gp.q))
     for forged, other in ((value_forged, good[1]), (response_forged, good[0])):
         with pytest.raises(BadShareProof) as exc:
             combine_one(ct, [forged, other], jpk, gp)
@@ -184,8 +183,8 @@ def test_a_forged_response_in_the_middle_column_names_its_trustee(monkeypatch) -
     columns = mid_columns(rng, jpk, trustees, (1, 0, 1))
     ct, shares, context = columns[1]
     proof = shares[1].proof
-    shares[1] = dataclasses.replace(
-        shares[1], proof=dataclasses.replace(proof, response=(proof.response + 1) % MID_GROUP.q))
+    shares[1] = replace(
+        shares[1], proof=replace(proof, response=(proof.response + 1) % MID_GROUP.q))
     verdicts = []
     holds = Collect.holds
     monkeypatch.setattr(Collect, "holds",

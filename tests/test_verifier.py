@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import board_raw_lines, demo_commands, demo_run, rechain
+from helpers import board_raw_lines, demo_commands, demo_run, rechain, replace
 from starlock.ballot import EncryptedBallot, PlaintextBallot, WellFormednessProof
 from starlock.board import Board
 from starlock.boardformat import ChainBroken, read_board, spoiled_plaintext
@@ -265,9 +265,8 @@ def test_rechained_substitution_is_caught_by_the_terminal_chain() -> None:
 
 def test_forged_signature_key_is_rejected() -> None:
     result, raw = demo_board()
-    import dataclasses
 
-    manifest = dataclasses.replace(result["manifest"], office_pk=result["jpk"].K)
+    manifest = replace(result["manifest"], office_pk=result["jpk"].K)
     report = verify_board(raw, manifest)
     assert "signature" in failing_checks(report)
 
