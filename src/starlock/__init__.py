@@ -12,17 +12,3 @@ election.
 """
 
 __version__ = "0.1.0"
-
-from .group import GroupParams, TEST_GROUP, PROD_GROUP
-from .elgamal import Ciphertext, Keypair, encrypt_exp, homomorphic_add, decrypt_dlog
-
-__all__ = [
-    "GroupParams",
-    "TEST_GROUP",
-    "PROD_GROUP",
-    "Ciphertext",
-    "Keypair",
-    "encrypt_exp",
-    "homomorphic_add",
-    "decrypt_dlog",
-]

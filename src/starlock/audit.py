@@ -2,8 +2,8 @@
 
 Four pieces, all downstream of a closed election:
 
-  * compliance reconciliation: paper summaries in the box vs electronic
-    CAST records, each serial must appear in both;
+  * compliance reconciliation (reconcile, the tally's too): paper summaries
+    in the box vs electronic CAST records, each serial must appear in both;
   * per-contest salted commitments to the machine's plaintext vote records,
     published before the audit seed is fixed so officials cannot adjust
     records to match the sample;
@@ -160,6 +160,31 @@ def open_commitment(row: dict, published: dict) -> None:
         )
 
 
+def reconcile(statuses: dict, cvrs, papers):
+    """Match the CVR store and the paper box one to one with the board, whose
+    entries have the statuses {entry index: status}, by each CVR row's index
+    and serial and each paper's serial. Returns ({entry index: CVR row} for
+    the CAST entries, in entry order, and compliance_check's report). A CVR
+    index naming no entry, or a CVR index or serial or paper serial repeating
+    an earlier row's, is a MalformedRecord naming the file, row and field; a
+    CAST entry without a row is one naming the CVR store and the entry."""
+    def entry(value) -> int:
+        if (i := INT.decode(value)) not in statuses:
+            raise MalformedRecord(f"no entry {i}")
+        return i
+
+    indices = column(cvrs, "cvrs", "index", entry, distinct=True)
+    serials = column(cvrs, "cvrs", "serial", STR.decode, distinct=True)
+    box = column(papers, "papers", "serial", STR.decode, distinct=True)
+    row_of = {i: j for j, i in enumerate(indices)}
+    cast = [i for i, status in sorted(statuses.items()) if status == CAST]
+    for i in cast:
+        if i not in row_of:
+            raise MalformedRecord(f"no row for CAST entry {i}").within("cvrs")
+    report = compliance_check((serials[row_of[i]] for i in cast), box)
+    return {i: cvrs[row_of[i]] for i in cast}, report
+
+
 def compliance_check(cast_serials, box_serials) -> dict:
     """Reconcile electronic CAST records against paper summaries in the box.
     Mismatches are report content, not errors."""
@@ -266,15 +291,18 @@ class KMState:
         return self.p_value
 
 
-def column(rows, name: str, key: str, decode) -> list:
+def column(rows, name: str, key: str, decode, distinct=False) -> list:
     """decode(row[key]) for each row of the named file, a list of objects; a
-    MalformedRecord names the file, row and field, as in "cvrs[3].index: missing"."""
+    MalformedRecord names the file, row and field, as in "cvrs[3].index: missing",
+    and, if distinct, a value that repeats an earlier row's."""
     if type(rows) is not list:
         raise MalformedRecord("not a list").within(name)
-    out = []
+    out, first = [], {}
     for i, row in enumerate(rows):
         try:
             out.append(decode_field(OBJECT.decode(row), key, decode))
+            if distinct and first.setdefault(out[-1], i) != i:
+                raise MalformedRecord(f"repeats {name}[{first[out[-1]]}].{key}").within(key)
         except MalformedRecord as exc:
             raise exc.within(i).within(name)
     return out
@@ -334,25 +362,17 @@ def run_audit(board: BoardIndex, manifest: ElectionManifest, cvrs, papers, seed:
     P <= alpha (CONFIRMED) or after N draws, escalating to a full hand count
     (FULL_HAND_COUNT, returning the manual count and its winners).
     A CVR row or paper without its serial or contests (or with a view out of
-    form), a CVR row without its index, or a published row without its serial
-    or commitments raises MalformedRecord naming the row and the field."""
+    form), a CVR row without its index, a store or box that reconcile refuses,
+    or a published row without its serial or commitments or repeating a serial
+    raises MalformedRecord naming the row and the field."""
     check_seed(seed)
     check_alpha(alpha)
 
-    cast_indices = {i for i, s in board.statuses.items() if s == CAST}
-    indices = column(cvrs, "cvrs", "index", INT.decode)
-    serials = column(cvrs, "cvrs", "serial", STR.decode)
+    cast, compliance = reconcile(board.statuses, cvrs, papers)
+    population = list(cast.values())
+    papers_by_serial = {paper["serial"]: paper for paper in papers}
     column(cvrs, "cvrs", "contests", CVR_VIEWS)
-    cast = sorted((j for j, i in enumerate(indices) if i in cast_indices), key=indices.__getitem__)
-    if {indices[j] for j in cast} != cast_indices:
-        raise StarlockError("CVR store does not cover every CAST board entry")
-    population = [cvrs[j] for j in cast]
-
-    papers_by_serial = dict(zip(column(papers, "papers", "serial", STR.decode), papers))
-    if len(papers_by_serial) != len(papers):
-        raise StarlockError("duplicate serial among paper summaries")
     column(papers, "papers", "contests", PAPER_VIEWS)
-    compliance = compliance_check((serials[j] for j in cast), papers_by_serial)
     if not compliance["clean"]:
         raise StarlockError(
             "compliance check not clean: "
@@ -361,7 +381,7 @@ def run_audit(board: BoardIndex, manifest: ElectionManifest, cvrs, papers, seed:
         )
 
     rows = published if published is not None else published_commitments(cvrs)
-    published_by_serial = dict(zip(column(rows, "commitments", "serial", STR.decode),
+    published_by_serial = dict(zip(column(rows, "commitments", "serial", STR.decode, distinct=True),
                                    column(rows, "commitments", "commitments", OBJECT.decode)))
 
     if board.tally is None:

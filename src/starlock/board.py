@@ -9,6 +9,9 @@ the hash of the final line, which transitively covers every byte above it.
 
 Line kinds: header, entry, status, decryption, terminal_close, tally,
 signature.
+
+finish_election, the officials' post-close step, is here beside the
+decryptions and tally it publishes.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 import random
 
+from .audit import reconcile
 from .ballot import BallotStyle, verify_ballot
 from .boardformat import (
     CAST,
@@ -251,3 +255,32 @@ def decrypt_spoiled(
                       rng, entry=entry_index)
     bits = {(col.contest, col.column): col.value for col in columns}
     return [col.to_json() for col in columns], spoiled_plaintext(style, bits)
+
+
+def finish_election(board: Board, manifest: ElectionManifest, trustee_shares,
+                    office: Keypair, cvrs, paper_rows, rng: random.Random) -> dict:
+    """The officials' post-close step on an already-published board that
+    carries no decryption or tally line yet (else ChainBroken at that line):
+    reconcile the CVR store and the paper box with the board (audit.reconcile,
+    whose MalformedRecord leaves the board unchanged), demote paper-less CAST
+    records to UNTALLIED, publish verifiable decryptions of every spoiled or
+    untallied record, publish the tally, and sign the extended board."""
+    board.check_untallied()
+    gp = manifest.gp
+    style_map = manifest.style_map
+    cast, compliance = reconcile(board._index.statuses, cvrs, paper_rows)
+    index_of = {row["serial"]: i for i, row in cast.items()}
+    for serial in compliance["cast_without_paper"]:
+        board.append_status(index_of[serial], UNTALLIED, reason="cast-without-paper")
+
+    for index in range(board.entry_count):
+        if board.effective_status(index) in (SPOILED, UNTALLIED):
+            columns, plaintext = decrypt_spoiled(
+                board, index, style_map, trustee_shares, manifest.jpk, gp, rng
+            )
+            board.append_decryption(index, columns, plaintext)
+
+    tally = decrypt_tally(board, style_map, trustee_shares, manifest.jpk, gp, rng)
+    board.append_tally(tally)
+    board.sign_board(office, gp)
+    return {"compliance": compliance, "tally": tally}

@@ -15,13 +15,14 @@ does not confirm, a receipt not found, or an input fault named by path or
 board line and field (a file that is not JSON, a record or line out of form,
 a broken line chain or signature, an invalid group, a count beyond its bound,
 missing or failing decryption shares, an ambiguous receipt, a board already
-tallied); 3 a usage or scenario fault (a bad scenario file or threshold, a
-risk limit outside (0, 1), a negative seed, key files for another group, an
-input path that is missing, a directory or unreadable, an output path that
-cannot be written). An error prints one line, "Class: message", to stdout with
-code 2 and to stderr otherwise; a path that cannot be opened or read prints
-"cannot open PATH: reason" to stderr, and a file that opened but could not
-be written (a full disk) "cannot write PATH: reason".
+tallied, a CVR store or paper box that disagrees with the board); 3 a usage
+or scenario fault (a bad scenario file or threshold, a risk limit outside
+(0, 1), a negative seed, key files for another group, an input path that is
+missing, a directory or unreadable, an output that cannot be written). An
+error prints one line, "Class: message", to stdout with code 2 and to stderr
+otherwise; a path that cannot be opened or read prints "cannot open PATH:
+reason" to stderr, and an output that cannot be written, a full disk or a
+closed pipe, "cannot write PATH: reason" (PATH "standard output" for print's).
 
 Every --seed is a non-negative integer: random.Random seeds from the absolute
 value of an int, so a negative seed would repeat its positive twin's draws.
@@ -145,9 +146,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tally(args) -> int:
-    from .board import Board
+    from .board import Board, finish_election
     from .manifest import ElectionManifest
-    from .scenario import finish_election
     from .trustees import TrusteeShare
     manifest = ElectionManifest.load(args.manifest)
     board = Board.load(args.board, manifest)
@@ -326,8 +326,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except OSError as exc:  # a path missing, a directory, or not readable or writable
-        verb = "write" if isinstance(exc, WriteFailed) else "open"
-        print(f"cannot {verb} {exc.filename}: {exc.strerror}", file=sys.stderr)
+        verb = "open" if exc.filename and not isinstance(exc, WriteFailed) else "write"
+        name = exc.filename or "standard output"  # print's write names no file
+        print(f"cannot {verb} {name}: {exc.strerror}", file=sys.stderr)
         return USAGE
     except StarlockError as exc:  # its class declares the exit code (errors.py)
         stream = sys.stdout if exc.exit_code == FAIL else sys.stderr  # 2 is a verdict, like FAIL

@@ -9,9 +9,8 @@ paper summaries, the official's private vote-record store, the published
 commitments, and the voters' receipts. Identical scenario bytes produce
 byte-identical boards.
 
-finish_election is the officials' post-close step: compliance
-reconciliation, demotion of paper-less records, verifiable decryption of
-every spoiled record, the homomorphic tally, and a fresh signature.
+The officials' post-close step, finish_election, is board.py's, so that the
+tally loads neither this module nor the polling place.
 """
 
 from __future__ import annotations
@@ -21,19 +20,12 @@ import os
 import random
 from dataclasses import dataclass
 
-from .audit import (
-    PAPER_VIEWS,
-    SALT_BYTES,
-    build_cvrs,
-    column,
-    compliance_check,
-    interpretation,
-    published_commitments,
-)
+from .audit import PAPER_VIEWS, SALT_BYTES, build_cvrs, interpretation, published_commitments
 from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, BallotStyle, Contest, PlaintextBallot
-from .board import Board, decrypt_spoiled, decrypt_tally
-from .boardformat import CAST, SPOILED, UNTALLIED, contest_columns
-from .elgamal import Keypair, keygen
+# finish_election is re-exported: perfbench's tracer times it as scenario.finish_election
+from .board import Board, finish_election
+from .boardformat import CAST, contest_columns
+from .elgamal import keygen
 from .errors import MalformedRecord, OvervoteRejected, ScenarioError, StarlockError, UnknownOption
 from .group import GROUPS, resolve_group
 from .manifest import ElectionManifest
@@ -46,7 +38,6 @@ from .pollsite import (
     PollSite,
 )
 from .serialize import (
-    INT,
     INTEGER,
     NUMBER,
     OBJECT,
@@ -376,36 +367,6 @@ def _stray_mark(row: dict, layout: dict, rng: random.Random) -> None:
         selections.pop(rng.randrange(len(selections)))
     view["selections"] = sorted(selections)
     row["contests"][cid] = view
-
-
-def finish_election(board: Board, manifest: ElectionManifest, trustee_shares,
-                    office: Keypair, cvrs, paper_rows, rng: random.Random) -> dict:
-    """The officials' post-close pipeline on an already-published board that
-    carries no decryption or tally line yet (else ChainBroken at that line):
-    reconcile paper against electronic records, demote paper-less CAST
-    records to UNTALLIED, publish verifiable decryptions of every spoiled or
-    untallied record, publish the tally, and sign the extended board."""
-    board.check_untallied()
-    gp = manifest.gp
-    style_map = manifest.style_map
-    index_of = dict(zip(column(cvrs, "cvrs", "serial", STR.decode),
-                        column(cvrs, "cvrs", "index", lambda v: board.check_entry(INT.decode(v)))))
-    cast_serials = {s for s, i in index_of.items() if board.effective_status(i) == CAST}
-    compliance = compliance_check(cast_serials, column(paper_rows, "papers", "serial", STR.decode))
-    for serial in compliance["cast_without_paper"]:
-        board.append_status(index_of[serial], UNTALLIED, reason="cast-without-paper")
-
-    for index in range(board.entry_count):
-        if board.effective_status(index) in (SPOILED, UNTALLIED):
-            columns, plaintext = decrypt_spoiled(
-                board, index, style_map, trustee_shares, manifest.jpk, gp, rng
-            )
-            board.append_decryption(index, columns, plaintext)
-
-    tally = decrypt_tally(board, style_map, trustee_shares, manifest.jpk, gp, rng)
-    board.append_tally(tally)
-    board.sign_board(office, gp)
-    return {"compliance": compliance, "tally": tally}
 
 
 def write_artifacts(result: dict, outdir) -> dict:

@@ -9,9 +9,9 @@ every check reads, and each record is decoded where a check reads it.
 Failures, malformed records included, are report items naming the first
 affected line or entry; nothing here raises on adversarial input. Other
 commands refuse such a board in parse_lines, the strict read of boardformat.
-The receipt rule, lookup_receipt and its three verdicts, is boardformat's
-too, so that receipt-check need not load this module; both are re-exported
-here under their old names.
+The receipt rule is boardformat's too, so that receipt-check need not load
+this module; lookup_receipt, parse_lines and read_board_lines are
+re-exported here under their old names, where perfbench's tracer times them.
 
 Proof equations are batched in a large group: the ballot_proofs,
 decryptions and tally checks state theirs to one batch per board
@@ -32,10 +32,7 @@ polling-place or board machinery.
 from __future__ import annotations
 
 from .ballot import ABSTAIN_COLUMN, verify_ballot
-from .boardformat import (  # the receipt rule and the strict read are re-exported
-    FOUND_CAST,
-    FOUND_SPOILED,
-    NOT_FOUND,
+from .boardformat import (  # lookup_receipt, parse_lines and read_board_lines are re-exported
     SPOILED,
     SPOILED_COLUMNS,
     UNTALLIED,

@@ -13,19 +13,13 @@ import random
 
 from starlock.audit import build_cvrs
 from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballot
-from starlock.board import Board
+from starlock.board import Board, finish_election
 from starlock.boardformat import CAST, EncryptedBallotRecord, read_board
 from starlock.chain import chain_hash, initial_chain_seed
 from starlock.elgamal import keygen
 from starlock.group import GROUPS, TEST_GROUP, GroupParams
 from starlock.manifest import ElectionManifest
-from starlock.scenario import (
-    Scenario,
-    Voter,
-    finish_election,
-    make_demo_scenario,
-    run_scenario,
-)
+from starlock.scenario import Scenario, Voter, make_demo_scenario, run_scenario
 from starlock.schnorr import sign
 from starlock.serialize import canonical_json, enc_bytes, enc_str, sha256_hex
 from starlock.trustees import dkg

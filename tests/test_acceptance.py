@@ -28,7 +28,7 @@ from starlock.ballot import (
     encrypt_ballot,
     verify_ballot,
 )
-from starlock.boardformat import read_board
+from starlock.boardformat import FOUND_CAST, FOUND_SPOILED, NOT_FOUND, read_board
 from starlock.group import TEST_GROUP
 from starlock.scenario import (
     Scenario,
@@ -40,9 +40,6 @@ from starlock.scenario import (
 )
 from starlock.trustees import dkg
 from starlock.verifier import (
-    FOUND_CAST,
-    FOUND_SPOILED,
-    NOT_FOUND,
     lookup_receipt,
     verify_board,
     verify_chain,

@@ -37,6 +37,7 @@ from starlock.audit import (
     overstatement,
     prng_sequence,
     published_commitments,
+    reconcile,
     run_audit,
 )
 from starlock.ballot import BallotStyle, Contest
@@ -129,6 +130,20 @@ def test_compliance_check_reports_both_directions() -> None:
     assert report["paper_without_record"] == ["d"]
     assert not report["clean"]
     assert compliance_check(["a", "b"], ["b", "a"])["clean"]
+
+
+def test_reconcile_keys_the_cast_rows_by_their_decoded_entry_in_entry_order() -> None:
+    """A CVR store in any row order, its indices JSON ints or decimal
+    strings: the rows of the CAST entries come back keyed by entry, in entry
+    order, and a non-CAST entry's row is left out of them and of the report."""
+    statuses = {0: "CAST", 1: "SPOILED", 2: "CAST", 3: "UNTALLIED"}
+    cvrs = [{"serial": "c", "index": "2"}, {"serial": "d", "index": 3},
+            {"serial": "a", "index": 0}]
+    cast, report = reconcile(statuses, cvrs, [{"serial": "c"}, {"serial": "e"}])
+    assert cast == {0: cvrs[2], 2: cvrs[0]}
+    assert list(cast) == [0, 2]
+    assert report == {"cast_records": 2, "papers": 2, "cast_without_paper": ["a"],
+                      "paper_without_record": ["e"], "clean": False}
 
 
 def test_margin_pairs_ranks_and_measures() -> None:
@@ -402,6 +417,19 @@ def test_missing_published_row_is_caught() -> None:
     published = [row for row in published_commitments(cvrs) if row["index"] != 80]
     with pytest.raises(CommitmentMismatch):
         run_audit(board, manifest, cvrs, papers, SEED_A, 0.1, published=published)
+
+
+def test_a_serial_published_twice_is_refused_whichever_row_comes_first() -> None:
+    """A commitment file that gives one serial two rows is ambiguous: an audit
+    that opened only the last row would pass over a contradicting first one."""
+    board, manifest, cvrs, papers = synthetic_comparison_record()
+    published = published_commitments(cvrs)
+    bogus = dict(published[80], commitments=dict.fromkeys(published[80]["commitments"], "00" * 32))
+    for rows, where in (([bogus, *published], "[81].serial: repeats commitments[0]"),
+                        ([*published, bogus], "[100].serial: repeats commitments[80]")):
+        with pytest.raises(MalformedRecord) as exc:
+            run_audit(board, manifest, cvrs, papers, SEED_A, 0.1, published=rows)
+        assert exc.value.detail == f"commitments{where}.serial"
 
 
 def test_audit_preconditions() -> None:

@@ -262,7 +262,7 @@ def test_each_read_only_command_loads_only_what_it_reads(tmp_path) -> None:
     officials = {"scenario", "pollsite", "board"}
     unused = {"dataclasses", "inspect"}
     _, loaded, others = starlock_modules_after(None)
-    assert loaded == {"cli", "elgamal", "errors", "group", "serialize"}
+    assert loaded == {"cli", "errors", "group", "serialize"}
     assert not others & unused, others & unused
     board, commands = demo_commands(tmp_path)
     board.write_text("\n".join(board_raw_lines(demo_run()[0]["board"])) + "\n", encoding="utf-8")
@@ -274,6 +274,19 @@ def test_each_read_only_command_loads_only_what_it_reads(tmp_path) -> None:
         assert not others & unused, (name, others & unused)
     assert {"boardformat", "manifest"} <= loaded
     assert not loaded & {"verifier", "audit"}, loaded
+
+
+def test_tally_loads_neither_the_polling_place_nor_the_scenario_runner(tmp_path) -> None:
+    """The tally reads published files and the officials' private ones: its
+    post-close step is the board module's, so a fresh tally loads neither
+    the polling place nor the scenario runner, nor dataclasses or inspect."""
+    board, commands = demo_commands(tmp_path)
+    write_pre_tally(board, board_raw_lines(demo_run()[0]["board"]))
+    code, loaded, others = starlock_modules_after(commands["tally"])
+    assert code == 0
+    assert {"audit", "board"} <= loaded
+    assert not loaded & {"scenario", "pollsite"}, loaded & {"scenario", "pollsite"}
+    assert not others & {"dataclasses", "inspect"}, others & {"dataclasses", "inspect"}
 
 
 def write_demo_record(tmp_path, raw_lines, group=None):
@@ -619,6 +632,50 @@ def write_pre_tally(board, raw):
     signature line), written to the board file."""
     kinds = [json.loads(line)["kind"] for line in raw]
     board.write_text("\n".join(raw[: kinds.index("signature") + 1]) + "\n", encoding="utf-8")
+
+
+# Edits of the demo's CVR store and paper box that no one-to-one match of
+# records, papers and board entries survives: each takes (cvrs, papers) and
+# returns them edited, with the fault that names the file, row and field.
+UNRECONCILABLE = {
+    "index-repeated-under-a-new-serial": lambda cvrs, papers: (
+        [*cvrs, dict(cvrs[0], serial="X")], papers,
+        f"cvrs[{len(cvrs)}].index: repeats cvrs[0].index"),
+    "index-of-no-entry": lambda cvrs, papers: (
+        [dict(cvrs[0], index=999), *cvrs[1:]], papers, "cvrs[0].index: no entry 999"),
+    "cast-entry-without-a-row": lambda cvrs, papers: (
+        [*cvrs[:2], *cvrs[3:]], papers, f"cvrs: no row for CAST entry {cvrs[2]['index']}"),
+    "serial-repeated": lambda cvrs, papers: (
+        [cvrs[0], dict(cvrs[1], serial=cvrs[0]["serial"]), *cvrs[2:]], papers,
+        "cvrs[1].serial: repeats cvrs[0].serial"),
+    "paper-serial-repeated": lambda cvrs, papers: (
+        cvrs, [*papers, dict(papers[0])],
+        f"papers[{len(papers)}].serial: repeats papers[0].serial"),
+}
+
+
+@pytest.mark.parametrize("edit", UNRECONCILABLE.values(), ids=UNRECONCILABLE.keys())
+def test_tally_and_audit_refuse_a_store_or_box_that_does_not_match_the_board(edit, tmp_path,
+                                                                             capsys) -> None:
+    """The tally and the audit reconcile the same files by one rule: the tally
+    exits 2 naming the row and leaves the board as it was, demoting no entry
+    whose paper is in the box, and the audit aborts naming the same row."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    cvrs, papers = tmp_path / "cvrs.json", tmp_path / "papers.json"
+    rows, box, fault = edit(json.loads(cvrs.read_text()), json.loads(papers.read_text()))
+    cvrs.write_text(json.dumps(rows), encoding="utf-8")
+    papers.write_text(json.dumps(box), encoding="utf-8")
+    raw = board_raw_lines(result["board"])
+    write_pre_tally(board, raw)
+    before = board.read_bytes()
+    capsys.readouterr()
+    assert main(commands["tally"]) == 2
+    assert capsys.readouterr().out == f"MalformedRecord: {fault}\n"
+    assert board.read_bytes() == before
+    board.write_text("\n".join(raw) + "\n", encoding="utf-8")
+    assert main(commands["audit"]) == 2
+    assert json.loads(capsys.readouterr().out) == {"verdict": "ABORTED", "reason": fault}
 
 
 @pytest.mark.parametrize("edit", [
@@ -999,3 +1056,21 @@ def test_a_write_that_fails_after_its_file_opened_exits_3_naming_the_path(tmp_pa
     capsys.readouterr()
     assert main([*commands["verify"], "--report", "/dev/full"]) == 3
     assert capsys.readouterr().err == f"cannot write /dev/full: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_a_standard_output_closed_early_exits_3_naming_it(tmp_path, capsys, monkeypatch) -> None:
+    """A reader that stops early (starlock verify ... | head -1) closes the
+    pipe, and print's write raises an OSError that carries no file name: the
+    message names the standard output."""
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(board_raw_lines(demo_run()[0]["board"])) + "\n", encoding="utf-8")
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(commands["verify"]) == 3
+    monkeypatch.undo()
+    assert capsys.readouterr().err == f"cannot write standard output: {os.strerror(errno.EPIPE)}\n"

@@ -21,13 +21,13 @@ from starlock.ballot import (
     PlaintextBallot,
     WellFormednessProof,
 )
+from starlock.board import finish_election
 from starlock.cli import main
 from starlock.errors import ScenarioError
 from starlock.scenario import (
     Scenario,
     Voter,
     expected_counts,
-    finish_election,
     load_scenario,
     make_demo_scenario,
     make_random_scenario,

@@ -13,14 +13,18 @@ import pytest
 from helpers import board_raw_lines, demo_commands, demo_run, rechain, replace
 from starlock.ballot import EncryptedBallot, PlaintextBallot, WellFormednessProof
 from starlock.board import Board
-from starlock.boardformat import ChainBroken, read_board, spoiled_plaintext
+from starlock.boardformat import (
+    FOUND_CAST,
+    FOUND_SPOILED,
+    NOT_FOUND,
+    ChainBroken,
+    read_board,
+    spoiled_plaintext,
+)
 from starlock.cli import main
 from starlock.errors import AmbiguousReceipt
 from starlock.serialize import canonical_json
 from starlock.verifier import (
-    FOUND_CAST,
-    FOUND_SPOILED,
-    NOT_FOUND,
     check_line_chain,
     lookup_receipt,
     verify_board,
