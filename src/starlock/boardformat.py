@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from functools import cached_property
 
 from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, EncryptedBallot, WellFormednessProof
 from .chain import receipt_code
@@ -78,7 +77,9 @@ NOT_FOUND = "NOT_FOUND"
 
 class EncryptedBallotRecord(Record):
     """What a terminal hands the judge's station, published as an entry line
-    beside the entry's index and status (its serial is never published)."""
+    beside the entry's index and status (its serial is never published). The
+    line is the ballot's one published copy: the station's event log names it
+    by its chain value z alone."""
 
     FIELDS = (
         ("ballot", "ballot", record(EncryptedBallot)),
@@ -87,16 +88,6 @@ class EncryptedBallotRecord(Record):
         ("z", "z", DIGEST),
         ("timestamp", "timestamp", NUMERAL),
     )
-
-    @cached_property
-    def _wire(self) -> dict:
-        return super().to_json()
-
-    def to_json(self) -> dict:
-        """The wire form, encoded once from the frozen record: the station's
-        ballot_produced event and the board's entry line share its ballot
-        and proof trees, so a caller copies what it would change."""
-        return self._wire
 
 
 class TerminalClose(Record):
@@ -423,17 +414,6 @@ def read_board_lines(path) -> list:
         return [line.rstrip("\n") for line in fh]
 
 
-def parse_line(lineno: int, raw: str) -> dict:
-    """One raw board line's JSON object; ChainBroken when it is none."""
-    try:
-        line = json.loads(raw)
-    except (ValueError, RecursionError):  # RecursionError: nested too deep to parse
-        raise ChainBroken(lineno, "unparseable line") from None
-    if type(line) is not dict:
-        raise ChainBroken(lineno, "line is not a JSON object")
-    return line
-
-
 def read_board(raw_lines, election_id: str, canonical=False) -> BoardIndex:
     """Parse each raw line (no newline) once, check that it is a JSON object
     carrying the previous line's hash (with canonical, also that its text is
@@ -446,10 +426,11 @@ def read_board(raw_lines, election_id: str, canonical=False) -> BoardIndex:
     index = BoardIndex(election_id)
     for lineno, raw in enumerate(raw_lines):
         try:
-            line = parse_line(lineno, raw)
-        except ChainBroken as exc:
-            reason = exc.reason
-        else:
+            line = json.loads(raw)
+            reason = "line is not a JSON object"
+        except (ValueError, RecursionError):  # RecursionError: nested too deep to parse
+            line, reason = None, "unparseable line"
+        if type(line) is dict:
             reason = None if line.get("prev") == index.head else "hash chain broken"
             fault = line_fault(line)
             if fault is None:

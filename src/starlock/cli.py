@@ -104,7 +104,7 @@ def _load_office(path, gp, manifest_pk=None):
 
 
 def _load_keys(keydir, expected_group):
-    from .trustees import JointPublicKey, TrusteeShare
+    from .trustees import JointPublicKey, TrusteeShare, check_joint_key
     path = os.path.join(keydir, "joint_key.json")
     jpk, group = _load(path, lambda joint: (
         JointPublicKey.from_json(joint), decode_field(joint, "group", STR.decode)))
@@ -113,8 +113,10 @@ def _load_keys(keydir, expected_group):
     gp = resolve_group(group)
     if not gp.is_element(jpk.K):
         raise MalformedRecord("not an element of the group").within("K").within(path)
-    if not all(map(gp.is_signed, jpk.commitments)):
-        raise MalformedRecord("not a signed representative").within("commitments").within(path)
+    try:
+        check_joint_key(jpk, gp)
+    except MalformedRecord as exc:
+        raise exc.within(path)
     office = _load_office(os.path.join(keydir, "office_key.json"), gp)
     shares = []
     for i in range(1, jpk.n + 1):

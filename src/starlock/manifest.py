@@ -10,7 +10,7 @@ from .ballot import BallotStyle
 from .errors import MalformedRecord
 from .group import GroupParams
 from .serialize import DIGEST, HEX, INT, SALT, STR, Record, dict_of, load_json, record, tuple_of
-from .trustees import JointPublicKey
+from .trustees import JointPublicKey, check_joint_key
 
 
 class ElectionManifest(Record):
@@ -31,19 +31,18 @@ class ElectionManifest(Record):
 
     @classmethod
     def from_json(cls, obj) -> "ElectionManifest":
-        """The manifest, its style ids unrepeated, its joint key and commitments
-        signed representatives (each proof tests K, and each share check the
+        """The manifest, its style ids unrepeated, its joint key passing
+        check_joint_key (each proof tests K, and each share check the
         verification key the commitments give, for membership), and its office
         key tested once for membership in the order-q subgroup, as every
         signature check takes it."""
         manifest = super().from_json(obj)
         if len(manifest.style_map) != len(manifest.styles):
             raise MalformedRecord("a style id is repeated").within("styles")
-        jpk = manifest.jpk
-        for field, values in (("K", (jpk.K,)), ("commitments", jpk.commitments)):
-            if not all(map(manifest.gp.is_signed, values)):
-                raise MalformedRecord("not a signed representative").within(field).within(
-                    "joint_key")
+        try:
+            check_joint_key(manifest.jpk, manifest.gp)
+        except MalformedRecord as exc:
+            raise exc.within("joint_key")
         if not manifest.gp.is_element(manifest.office_pk):
             raise MalformedRecord("not an element of the group").within("office_pk")
         return manifest

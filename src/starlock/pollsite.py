@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .ballot import BallotStyle, PlaintextBallot, encode, encrypt_ballot
 from .boardformat import CAST, SPOILED, EncryptedBallotRecord
-from .chain import chain_hash, initial_chain_seed, new_serial, receipt_code
+from .chain import chain_hash, initial_chain_seed, new_serial
 from .errors import (
     AlreadyFinalized,
     NotProvisional,
@@ -68,13 +68,6 @@ class BallotRecord:
     def produced_at(self) -> int:
         """The station's clock tick that registered the record."""
         return self.record.timestamp
-
-
-@dataclass(frozen=True)
-class Receipt:
-    terminal_id: str
-    timestamp: int
-    code: str
 
 
 @dataclass
@@ -156,9 +149,10 @@ class PollSite:
         record that redeems the token. A ballot the terminal refuses (an
         unknown option, an overvote, another style) leaves the token active.
 
-        Returns (BallotRecord, Receipt, printed_summary). The printed summary
-        always shows the voter's own selections; a rigged terminal alters
-        only what it encrypts and reports."""
+        Returns the station's BallotRecord: the voter's receipt code is
+        receipt_code(record.record.z), and the printed summary,
+        papers[record.serial], always shows the voter's own selections; a
+        rigged terminal alters only what it encrypts and reports."""
         if self.closed:
             raise StarlockError("polls are closed")
         try:
@@ -183,12 +177,8 @@ class PollSite:
         record = self._register(code, serial, eb, proof, terminal_id, z, actual)
         terminal.z_prev = z
         terminal.ballots_produced += 1
-        receipt = Receipt(
-            terminal_id=terminal_id, timestamp=record.produced_at, code=receipt_code(z)
-        )
         self.papers[serial] = pb
-        summary = {"plaintext": pb.to_json(), "serial": serial}
-        return record, receipt, summary
+        return record
 
     def _tamper(self, pb: PlaintextBallot, style: BallotStyle) -> PlaintextBallot:
         """Deterministic cheat: shift the first contest's vote to a different
@@ -216,22 +206,13 @@ class PollSite:
         terminal's record under its fresh serial, in one step of the station."""
         token = self.active_tokens.pop(code)
         self._tick("token_redeemed", code=token.code, style=token.style_id)
-        ebr = EncryptedBallotRecord(  # stamped with the ballot_produced tick below
-            ballot=ballot, proof=proof, terminal_id=terminal_id, z=z, timestamp=self.clock + 1
-        )
-        wire = ebr.to_json()  # the entry line's encoding, shared by the event
-        self._tick(
-            "ballot_produced",
-            serial=serial,
-            terminal=terminal_id,
-            z=wire["z"],
-            provisional=token.provisional,
-            ballot=wire["ballot"],
-            proof=wire["proof"],
-        )
+        # The event names the ballot by z, which its board entry carries.
+        self._tick("ballot_produced", serial=serial, terminal=terminal_id, z=z.hex(),
+                   provisional=token.provisional)
         record = BallotRecord(
             serial=serial,
-            record=ebr,
+            record=EncryptedBallotRecord(ballot=ballot, proof=proof, terminal_id=terminal_id,
+                                         z=z, timestamp=self.clock),
             status=PROVISIONAL_PENDING if token.provisional else PENDING,
         )
         self.records[serial] = record

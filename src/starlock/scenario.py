@@ -25,6 +25,7 @@ from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, BallotStyle, Contest, Plain
 # finish_election is re-exported: perfbench's tracer times it as scenario.finish_election
 from .board import Board, finish_election
 from .boardformat import CAST, contest_columns
+from .chain import receipt_code
 from .elgamal import keygen
 from .errors import MalformedRecord, OvervoteRejected, ScenarioError, StarlockError, UnknownOption
 from .group import GROUPS, resolve_group
@@ -246,16 +247,16 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
         pb = PlaintextBallot.from_raw_selections(voter.style, getattr(voter, key))
         token = site.issue_token(voter.style, provisional=(voter.action == "provisional"))
         try:
-            _, receipt, summary = site.vote_session(terminal, token.code, pb)
+            record = site.vote_session(terminal, token.code, pb)
         except (UnknownOption, OvervoteRejected) as exc:
             raise ScenarioError(f"voters[{i}].{key}: {exc}") from None
-        serial = summary["serial"]
+        serial = record.serial
         final_serial[i] = serial
         if i in lost:
             site.diverted_papers.add(serial)
         receipts.append(
             {"voter": i, "session": which, "terminal": terminal,
-             "code": receipt.code, "serial": serial}
+             "code": receipt_code(record.record.z), "serial": serial}
         )
         return serial, pb
 
@@ -344,7 +345,6 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
         "commitments": published_commitments(cvrs),
         "papers": paper_rows,
         "events": list(site.events),
-        "initial_seeds": {tid: z.hex() for tid, z in site.initial_seeds.items()},
     }
 
 
@@ -380,7 +380,8 @@ def write_artifacts(result: dict, outdir) -> dict:
 
     result["manifest"].save(path("params.json"))
     result["board"].write(path("board.jsonl"))
-    events = [{"event": "init", "seeds": result["initial_seeds"]}, *result["events"]]
+    seeds = {tid: z.hex() for tid, z in result["manifest"].terminal_seeds.items()}
+    events = [{"event": "init", "seeds": seeds}, *result["events"]]
     write_text(path("eventlog.jsonl"), (json.dumps(event, sort_keys=True) + "\n"
                                         for event in events))
     for name in ("papers", "cvrs", "commitments", "receipts"):

@@ -16,7 +16,7 @@ import random
 
 from .chaum_pedersen import ChaumPedersenProof, Immediate, batched, prove_eq_dlog, verify_eq_dlog
 from .elgamal import Ciphertext
-from .errors import BadShareProof, InsufficientShares, InvalidThreshold
+from .errors import BadShareProof, InsufficientShares, InvalidThreshold, MalformedRecord
 from .fiatshamir import DOMAIN_DECRYPT_SHARE
 from .group import GroupParams
 from .serialize import HEX, INT, Record, enc_bytes, enc_int, record, tuple_of
@@ -53,14 +53,29 @@ class DecryptionShare(Record):
     )
 
 
-def check_threshold(n: int, k: int, gp: GroupParams) -> None:
-    """InvalidThreshold unless 1 <= k <= n <= MAX_TRUSTEES and n < q."""
+def check_threshold(n: int, k: int, gp: GroupParams, error=InvalidThreshold) -> None:
+    """Raise error (InvalidThreshold by default) unless 1 <= k <= n <=
+    MAX_TRUSTEES and n < q."""
     if k < 1 or k > n:
-        raise InvalidThreshold(f"trustees: need 1 <= k <= n, got k={k} n={n}")
+        raise error(f"trustees: need 1 <= k <= n, got k={k} n={n}")
     if n > MAX_TRUSTEES:
-        raise InvalidThreshold(f"trustees: n={n} exceeds supported maximum {MAX_TRUSTEES}")
+        raise error(f"trustees: n={n} exceeds supported maximum {MAX_TRUSTEES}")
     if n >= gp.q:
-        raise InvalidThreshold(f"trustees: n={n} collides share points modulo q={gp.q}")
+        raise error(f"trustees: n={n} collides share points modulo q={gp.q}")
+
+
+def check_joint_key(jpk: JointPublicKey, gp: GroupParams) -> None:
+    """MalformedRecord unless the key's threshold passes check_threshold, it has
+    exactly k commitments, and K and each commitment are signed
+    representatives: the one rule for a joint key read from a file, since
+    Lagrange coefficients exist only for distinct share points modulo q."""
+    check_threshold(jpk.n, jpk.k, gp, MalformedRecord)
+    if len(jpk.commitments) != jpk.k:
+        raise MalformedRecord(f"need exactly k={jpk.k}, got {len(jpk.commitments)}").within(
+            "commitments")
+    for field, values in (("K", (jpk.K,)), ("commitments", jpk.commitments)):
+        if not all(map(gp.is_signed, values)):
+            raise MalformedRecord("not a signed representative").within(field)
 
 
 def dkg(n: int, k: int, gp: GroupParams, rng: random.Random):

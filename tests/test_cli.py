@@ -907,6 +907,61 @@ def test_simulate_refuses_a_key_file_commitment_not_in_signed_form(tmp_path, cap
     assert not out.exists()
 
 
+def test_a_joint_key_whose_share_points_collide_is_refused_where_it_loads(
+        tmp_path, capsys) -> None:
+    """With n >= q two trustee ids name one share point: trustee 1's share
+    published again under id 12 (12 = 1 mod 11) passes its proof, and
+    interpolating at points 1 and 12 would divide by zero. The manifest's
+    decode refuses n = 14, so verify and tally exit 2 naming it, and
+    verify_board, under the manifest that loads, reports the edited tally
+    line without raising."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    params = tmp_path / "params.json"
+    doc = json.loads(params.read_text())
+    doc["joint_key"]["n"] = 14
+    params.write_text(json.dumps(doc), encoding="utf-8")
+    lines = [json.loads(line) for line in board_raw_lines(result["board"])]
+    for column in next(line for line in lines if line["kind"] == "tally")["columns"]:
+        column["shares"] = [column["shares"][0], dict(column["shares"][0], trustee_id=12)]
+    raw = rechain(lines, result["manifest"].election_id, result["office"], TEST_GROUP)
+    report = verify_board(raw, result["manifest"])
+    assert {item.check for item in report.failures()} == {"tally"}
+    share12 = tmp_path / "share12.json"
+    share12.write_text(json.dumps(dict(result["trustee_shares"][0].to_json(), trustee_id=12)),
+                       encoding="utf-8")
+    argv, at = commands["tally"], commands["tally"].index("--shares") + 1
+    tally = [*argv[:at + 1], str(share12), *argv[argv.index("--office"):]]  # shares 1 and 12
+    for argv in (commands["verify"], tally):
+        if argv is tally:
+            write_pre_tally(board, raw)
+        else:
+            board.write_text("\n".join(raw) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(argv) == 2, argv[0]
+        assert capsys.readouterr().out == (f"MalformedRecord: {params}.joint_key: trustees: "
+                                           "n=14 collides share points modulo q=11\n"), argv[0]
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda doc: dict(doc, n=14), ": trustees: n=14 collides share points modulo q=11"),
+    (lambda doc: dict(doc, commitments=doc["commitments"][:1]),
+     ".commitments: need exactly k=2, got 1"),
+], ids=["share-points-collide", "a-commitment-short"])
+def test_simulate_refuses_a_key_file_joint_key_out_of_rule(tmp_path, capsys, edit, fault) -> None:
+    keys, out = tmp_path / "keys", tmp_path / "run"
+    assert main(["keygen", "--n", "3", "--k", "2", "--seed", "5", "--outdir", str(keys)]) == 0
+    joint = keys / "joint_key.json"
+    joint.write_text(json.dumps(edit(json.loads(joint.read_text()))), encoding="utf-8")
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(make_demo_scenario().to_json()), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", str(scenario), "--keys", str(keys),
+                 "--outdir", str(out)]) == 2
+    assert capsys.readouterr().out == f"MalformedRecord: {joint}{fault}\n"
+    assert not out.exists()
+
+
 def test_verify_refuses_a_manifest_whose_salt_does_not_give_its_seeds(tmp_path, capsys) -> None:
     """Each terminal's z0 is derived from the manifest's salt; a salt off by
     one leaves every published chain intact but fails terminal_chain."""

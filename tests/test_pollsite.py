@@ -62,7 +62,7 @@ def test_token_issue_and_redeem_lifecycle() -> None:
     site = make_site()
     token = site.issue_token("s")
     assert len(token.code) == 5 and token.code.isdigit()
-    record, receipt, summary = site.vote_session("T1", token.code, PB)
+    record = site.vote_session("T1", token.code, PB)
     assert record.status == PENDING
     # a token is single-use
     with pytest.raises(UnknownOrSpentToken):
@@ -75,14 +75,13 @@ def test_token_issue_and_redeem_lifecycle() -> None:
 
 def test_vote_session_outputs() -> None:
     site = make_site()
-    record, receipt, summary = vote(site)
+    record = vote(site)
     assert len(record.record.z) == 32
-    assert receipt.code == receipt_code(record.record.z)
-    assert len(receipt.code) == 20
-    assert receipt.terminal_id == "T1"
-    assert summary["serial"] == record.serial
+    assert len(receipt_code(record.record.z)) == 20
+    assert record.record.terminal_id == "T1"
+    assert site.records[record.serial] is record
     assert len(record.serial) == 26
-    assert summary["plaintext"] == PB.to_json()
+    assert site.papers[record.serial] == PB
     # the electronic record never carries the serial
     assert "serial" not in record.record.to_json()
 
@@ -97,9 +96,9 @@ def test_ballot_style_must_match_token() -> None:
 
 def test_terminal_chains_link_in_production_order() -> None:
     site = make_site()
-    r1, _, _ = vote(site, "T1")
-    r2, _, _ = vote(site, "T1")
-    r3, _, _ = vote(site, "T2")
+    r1 = vote(site, "T1")
+    r2 = vote(site, "T1")
+    r3 = vote(site, "T2")
     z0 = site.initial_seeds["T1"]
     assert r1.record.z == chain_hash(r1.record.ballot, r1.record.proof, "T1", z0)
     assert r2.record.z == chain_hash(r2.record.ballot, r2.record.proof, "T1", r1.record.z)
@@ -115,7 +114,7 @@ def test_terminal_chains_link_in_production_order() -> None:
 
 def test_cast_finalizes_and_boxes_the_paper() -> None:
     site = make_site()
-    record, _, _ = vote(site)
+    record = vote(site)
     site.cast(record.serial)
     assert record.status == CAST
     assert site.box == [record.serial]
@@ -127,7 +126,7 @@ def test_cast_finalizes_and_boxes_the_paper() -> None:
 
 def test_spoil_keeps_paper_out_of_the_box() -> None:
     site = make_site()
-    record, _, _ = vote(site)
+    record = vote(site)
     site.spoil(record.serial, "VOTER")
     assert record.status == SPOILED
     assert record.reason == "VOTER"
@@ -140,7 +139,7 @@ def test_spoil_keeps_paper_out_of_the_box() -> None:
 
 def test_spoil_reason_catalog() -> None:
     site = make_site()
-    record, _, _ = vote(site)
+    record = vote(site)
     with pytest.raises(ValueError):
         site.spoil(record.serial, "LOST")
     with pytest.raises(UnknownSerial):
@@ -151,7 +150,7 @@ def test_spoil_reason_catalog() -> None:
 
 def test_provisional_adjudication() -> None:
     site = make_site()
-    record, _, _ = vote(site, provisional=True)
+    record = vote(site, provisional=True)
     assert record.status == PROVISIONAL_PENDING
     # provisional records resolve only through adjudication
     with pytest.raises(NotProvisional):
@@ -165,19 +164,19 @@ def test_provisional_adjudication() -> None:
     with pytest.raises(NotProvisional):
         site.provisional_flow(record.serial, "ACCEPT")
 
-    rejected, _, _ = vote(site, provisional=True)
+    rejected = vote(site, provisional=True)
     assert site.provisional_flow(rejected.serial, "REJECT") == SPOILED
     assert rejected.reason == "REJECTED"
     assert rejected.serial not in site.box
 
-    normal, _, _ = vote(site)
+    normal = vote(site)
     with pytest.raises(NotProvisional):
         site.provisional_flow(normal.serial, "ACCEPT")
 
 
 def test_timeout_sweep_boundary() -> None:
     site = make_site(ttl=5)
-    record, _, _ = vote(site)
+    record = vote(site)
     for _ in range(5):
         site.issue_token("s")  # one clock tick each
     assert site.clock == record.produced_at + 5
@@ -190,9 +189,9 @@ def test_timeout_sweep_boundary() -> None:
 
 def test_close_polls_resolves_stragglers() -> None:
     site = make_site()
-    pending, _, _ = vote(site)
-    prov, _, _ = vote(site, provisional=True)
-    cast_rec, _, _ = vote(site)
+    pending = vote(site)
+    prov = vote(site, provisional=True)
+    cast_rec = vote(site)
     site.cast(cast_rec.serial)
     final = site.close_polls()
     assert pending.status == SPOILED and pending.reason == "TIMEOUT"
@@ -227,7 +226,7 @@ def test_token_pool_exhaustion_and_fallback() -> None:
 
 def test_dropped_cast_scan_leaves_record_pending() -> None:
     site = make_site()
-    record, _, _ = vote(site)
+    record = vote(site)
     site.dropped_scans.add(record.serial)
     site.cast(record.serial)
     assert record.serial in site.box  # the paper went through the slot
@@ -252,7 +251,7 @@ def test_a_refused_ballot_leaves_the_token_active(selections, error, rigged) -> 
     assert token.code in site.active_tokens
     assert not site.records
     assert site.terminals["T1"].z_prev == site.initial_seeds["T1"]
-    record, _, _ = site.vote_session("T1", token.code, PB)  # the retry, same code
+    record = site.vote_session("T1", token.code, PB)  # the retry, same code
     assert record.status == PENDING and token.code not in site.active_tokens
     assert [e["event"] for e in site.events] == ["token_issued", "token_redeemed",
                                                  "ballot_produced"]
@@ -260,7 +259,7 @@ def test_a_refused_ballot_leaves_the_token_active(selections, error, rigged) -> 
 
 def test_diverted_paper_leaves_box_empty() -> None:
     site = make_site()
-    record, _, _ = vote(site)
+    record = vote(site)
     site.diverted_papers.add(record.serial)
     site.cast(record.serial)
     assert record.status == CAST
@@ -269,10 +268,9 @@ def test_diverted_paper_leaves_box_empty() -> None:
 
 def test_rigged_terminal_prints_truth_but_encrypts_a_lie() -> None:
     site = make_site(rigged=("T1",))
-    record, _, summary = vote(site)
+    record = vote(site)
     serial = record.serial
     assert site.papers[serial] == PB  # the printed summary is honest
-    assert summary["plaintext"] == PB.to_json()
     claimed = site.claimed[serial]
     assert claimed != PB  # what was encrypted is not
     encode(claimed, STYLE)  # and still a well-formed ballot for the style

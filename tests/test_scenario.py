@@ -205,11 +205,11 @@ def test_a_finished_poll_site_is_freed_without_the_collector() -> None:
             gc.enable()
 
 
-def test_each_ballot_is_encoded_once_for_the_event_log_and_the_board() -> None:
+def test_each_ballot_is_encoded_once_for_the_board() -> None:
     """During the demo's run_scenario the encoder runs once per ballot produced
     on its ballot and once on its proof (a profile hook counts the calls of
-    Record.to_json, which every record codec holds), and the ballot_produced
-    event shares the entry line's ballot and proof trees."""
+    Record.to_json, which every record codec holds): the board's entry line
+    is the one encoding, and the event log names the ballot by z alone."""
     calls = Counter()
 
     def count(frame, event, arg):
@@ -223,13 +223,19 @@ def test_each_ballot_is_encoded_once_for_the_event_log_and_the_board() -> None:
         sys.setprofile(None)
     records = result["site"].records
     assert records and calls[EncryptedBallot] == calls[WellFormednessProof] == len(records)
-    produced = {event["serial"]: event for event in result["events"]
-                if event["event"] == "ballot_produced"}
-    for serial, record in records.items():
-        wire = record.record.to_json()
-        assert wire is record.record.to_json()
-        assert produced[serial]["ballot"] is wire["ballot"]
-        assert produced[serial]["proof"] is wire["proof"]
+
+
+@pytest.mark.parametrize("faults", [{}, {"dropped_scans": (1,), "duplicated_scans": (0,),
+                                         "lost_papers": (4,)}], ids=["demo", "faulted"])
+def test_a_ballot_produced_event_names_its_board_entry_by_z(faults) -> None:
+    result = run_scenario(dataclasses.replace(make_demo_scenario(), **faults))
+    produced = [event for event in result["events"] if event["event"] == "ballot_produced"]
+    assert len(produced) == len(result["site"].records)
+    entries = dict(result["board"].entries())
+    for event in produced:
+        assert set(event) == {"event", "clock", "serial", "terminal", "z", "provisional"}
+        entry = entries[result["index_by_serial"][event["serial"]]]
+        assert event["z"] == entry["z"] and event["terminal"] == entry["terminal"]
 
 
 MUTATION_SEED = 3
@@ -463,7 +469,7 @@ DEMO_DIGESTS = {
     "commitments.json": "622c966bd99c1ee4f795970a343c492dca24d889ec394f425ffbfcc32879f1ed",
     "cvrs.json": "a8297ad83aef913ce6dcfeaec9ab69338cba752289aec945de0e1c9137727a3a",
     "papers.json": "4d5ef4f2d2c5c4edb57c821bfd6520b8c4cb2e9295e99c7b950aa4c7e7398dd3",
-    "eventlog.jsonl": "b897c66cd4d2d505a3455ad52d07999750ea1f1ef7052ca3840deefaf8b70f09",
+    "eventlog.jsonl": "d5eee125b9cead81de4ef514d360d2e6cfc4aa99837713bd9f2de9cf3670b620",
     "params.json": "7521875188c91cc9655d02180af139e4652e8e57c284981bfe4cc7c25630c77d",
 }
 
@@ -481,7 +487,7 @@ def test_demo_artifact_bytes_are_pinned(tmp_path) -> None:
 
 
 FAULTED_DEMO_DIGESTS = {
-    "eventlog.jsonl": "085474751e5c4a6b50763d817073f2174693b924fc49cdff05ace0a328b55a2c",
+    "eventlog.jsonl": "ffd12624d07c9352ad8b0d2ab23262f9fb1732a53615a05292177fdda2dc1c29",
     "board.jsonl": "043d93d664cb922acb3d89487d09033d6c26af397d780eb07b50a1744bebaaec",
     "receipts.json": "33982026517108549ca7ec4b7f4aa96b2e26c612713f1078e8ea281bcb79ceb1",
 }
@@ -510,7 +516,7 @@ def test_faulted_demo_artifact_bytes_are_pinned(tmp_path) -> None:
 MID_DEMO_DIGESTS = {
     "board.jsonl": "270da763b7fcc5d8b82a36ef46d3a88ff1b6b50c4d556323bb6d10e72a8c6011",
     "receipts.json": "147ed8e2a00db1de3766fed96388c11f16740ce035d73be9b07d9b26537ffe69",
-    "eventlog.jsonl": "b7ee0de2b598d608f4a1f19b423117a8824ccdcd82e6bfdb27c422547913186e",
+    "eventlog.jsonl": "89fba7392c9e31dd6c5c679a96abc34077704d84bb9c38a5b679d8484e21ac88",
 }
 
 

@@ -240,8 +240,6 @@ def test_record_defaults_and_post_init_refusals() -> None:
 
 
 def test_cached_values_are_computed_once() -> None:
-    entry = next(r for r in RECORDS if isinstance(r, EncryptedBallotRecord))
-    assert entry.to_json() is entry.to_json()
     manifest = next(r for r in RECORDS if isinstance(r, ElectionManifest))
     assert manifest.style_map is manifest.style_map == {"s": _STYLE}
 
