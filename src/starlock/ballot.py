@@ -220,9 +220,6 @@ class EncryptedBallot(Record):
         ("contests", "contests", tuple_of(record(EncryptedContest))),
     )
 
-    # its own attribute, so that a tracer can count the ballots hashed
-    canonical_bytes = Record.canonical_bytes
-
 
 class ContestProof(Record):
     FIELDS = (

@@ -65,9 +65,3 @@ def dlog_search(target: int, max_m: int, gp: GroupParams) -> int:
             return m
         cur = gp.signed(cur * gp.g % gp.p)
     raise NoDlogInRange(f"no exponent in [0, {max_m}] matches")
-
-
-def decrypt_dlog(c: Ciphertext, sk: int, max_m: int, gp: GroupParams) -> int:
-    shared = pow(c.a, sk, gp.p)
-    target = gp.signed(c.b * pow(shared, -1, gp.p) % gp.p)
-    return dlog_search(target, max_m, gp)

@@ -28,5 +28,5 @@ DOMAIN_COMMITMENT = b"starlock/v1/cvr-commitment"
 def fiat_shamir_challenge(domain_tag: bytes, context: bytes, elements, gp: GroupParams) -> int:
     """SHA-256(domain_tag || enc_bytes(context) || enc_int(x) for x in
     elements), big-endian, reduced mod q."""
-    transcript = enc_bytes(context) + b"".join(enc_int(x) for x in elements)
+    transcript = enc_bytes(context) + b"".join(map(enc_int, elements))
     return int.from_bytes(sha256(domain_tag + transcript), "big") % gp.q

@@ -369,6 +369,11 @@ def _stray_mark(row: dict, layout: dict, rng: random.Random) -> None:
     row["contests"][cid] = view
 
 
+# One encoder for every event line: json.dumps(event, sort_keys=True) would
+# build one per call.
+_EVENT_LINE = json.JSONEncoder(sort_keys=True)
+
+
 def write_artifacts(result: dict, outdir) -> dict:
     """Serialize a run's artifact set under outdir. Returns {name: path}."""
     os.makedirs(outdir, exist_ok=True)
@@ -382,8 +387,7 @@ def write_artifacts(result: dict, outdir) -> dict:
     result["board"].write(path("board.jsonl"))
     seeds = {tid: z.hex() for tid, z in result["manifest"].terminal_seeds.items()}
     events = [{"event": "init", "seeds": seeds}, *result["events"]]
-    write_text(path("eventlog.jsonl"), (json.dumps(event, sort_keys=True) + "\n"
-                                        for event in events))
+    write_text(path("eventlog.jsonl"), (_EVENT_LINE.encode(event) + "\n" for event in events))
     for name in ("papers", "cvrs", "commitments", "receipts"):
         dump_json(result[name], path(f"{name}.json"))
     return paths

@@ -10,9 +10,11 @@ rendered as lowercase hex.
 
 JSON form: each published record declares its wire form once, as Record
 FIELDS rows (JSON key, attribute, codec). The same rows are its attribute
-declaration: Record gives each subclass a generated __init__ over them, and
-equality, hashing, repr and immutability that walk them, so no published
-record is a dataclass and no read-only command imports dataclasses. An
+declaration: Record gives each subclass an __init__ generated from them when
+the class is created, a to_json, canonical_bytes and from_json generated
+from them at the class's first call of each, and equality, hashing, repr and
+immutability that walk them, so no published record is a dataclass and no
+read-only command imports dataclasses. An
 operator file's records (the scenario) are FileRecords: mutable dataclasses,
 which may leave keys out. Decoding is total:
 anything else raises MalformedRecord naming the field path. Every JSON file is
@@ -31,6 +33,7 @@ import itertools
 import json
 import os
 from collections import namedtuple
+from operator import methodcaller
 from typing import Any
 
 from .errors import MalformedRecord
@@ -50,11 +53,17 @@ def enc_bytes(b: bytes) -> bytes:
 
 
 def enc_int(x: int) -> bytes:
-    return enc_bytes(int_to_bytes(x))
+    """enc_bytes(int_to_bytes(x)) in one to_bytes call: the length n sits
+    above the n magnitude bytes."""
+    if x < 0:
+        raise ValueError("negative integers have no canonical encoding")
+    n = (x.bit_length() + 7) // 8 or 1
+    return (n << 8 * n | x).to_bytes(n + 4, "big")
 
 
 def enc_str(s: str) -> bytes:
-    return enc_bytes(s.encode("utf-8"))
+    data = s.encode("utf-8")
+    return len(data).to_bytes(4, "big") + data
 
 
 def sha256(data: bytes) -> bytes:
@@ -124,8 +133,11 @@ def dump_json(obj: Any, path) -> None:
 
 # -- the wire codec ----------------------------------------------------------------
 
-# decode raises MalformedRecord; canon is a field's hashed bytes (None: never hashed)
-Codec = namedtuple("Codec", "encode decode canon", defaults=(None,))
+# decode raises MalformedRecord; canon is a field's hashed bytes (None: never
+# hashed). source, when given, holds for encode, decode and canon the
+# expression of the value "{}" that a generated record method writes in
+# place of calling the function (None: call it).
+Codec = namedtuple("Codec", "encode decode canon source", defaults=(None, None))
 
 
 def _check(ok: bool, value, reason: str):
@@ -145,13 +157,17 @@ def _natural(value) -> int:
     raise MalformedRecord("not a non-negative integer")
 
 
-# enc_int and enc_str are looked up per call, so that a tracer rebinding them counts them
-HEX = Codec(int_to_hex, hex_to_int, lambda v: enc_int(v))
-STR = Codec(str, lambda v: _check(type(v) is str, v, "not a string"), lambda v: enc_str(v))
+# enc_int and enc_str are looked up per call, by the lambdas and in the
+# generated methods, so that a tracer rebinding them counts them
+HEX = Codec(int_to_hex, hex_to_int, lambda v: enc_int(v),
+            ("int_to_hex({})", "hex_to_int({})", "enc_int({})"))
+STR = Codec(str, lambda v: _check(type(v) is str, v, "not a string"), lambda v: enc_str(v),
+            ("str({})", None, "enc_str({})"))
 BOOL = Codec(bool, lambda v: _check(type(v) is bool, v, "not a boolean"))
 OBJECT = Codec(dict, lambda v: _check(type(v) is dict, v, "not an object"))
 INT = Codec(int, _natural)  # INT and NUMERAL decode a JSON int or a decimal string;
-NUMERAL = Codec(str, _natural, lambda v: enc_int(v))  # NUMERAL writes the string
+NUMERAL = Codec(str, _natural, lambda v: enc_int(v),  # NUMERAL writes the string
+                ("str({})", "_natural({})", "enc_int({})"))
 INTEGER = Codec(int, lambda v: _check(type(v) is int, v, "not an integer"))  # JSON ints only
 NUMBER = Codec(float, lambda v: float(_check(type(v) in (int, float), v, "not a number")))
 
@@ -176,35 +192,33 @@ SALT = hex_bytes(SALT_BYTES)
 
 
 def record(cls) -> Codec:
-    return Codec(cls.to_json, cls.from_json, lambda v: v.canonical_bytes())
+    """A nested record of class cls. Its methods are looked up at each call,
+    so that the generated ones are called once they exist."""
+    return Codec(methodcaller("to_json"), lambda v: cls.from_json(v),
+                 methodcaller("canonical_bytes"), ("{}.to_json()", None, "{}.canonical_bytes()"))
 
 
 def optional(codec: Codec) -> Codec:
     """The codec's value, or None as JSON null; hashed behind a 0/1 flag."""
-    encode, decode, canon = codec
+    encode, decode, canon, _ = codec
     return Codec(lambda v: None if v is None else encode(v),
                  lambda v: None if v is None else decode(v),
                  lambda v: enc_int(0) if v is None else enc_int(1) + canon(v))
 
 
-def _decode_each(pairs, decode) -> dict:
-    """{key: decode(item)} for each (key, item); a MalformedRecord names the key."""
-    out = {}
-    for key, item in pairs:
-        try:
-            out[key] = decode(item)
-        except MalformedRecord as exc:
-            raise exc.within(key)
-    return out
-
-
 def tuple_of(codec: Codec) -> Codec:
     """A JSON list, decoded to a tuple; hashed behind its item count."""
-    encode, decode, canon = codec
+    encode, decode, canon, _ = codec
 
     def decode_list(v) -> tuple:
-        items = _check(type(v) is list, v, "not a list")
-        return tuple(_decode_each(enumerate(items), decode).values())
+        _check(type(v) is list, v, "not a list")
+        items = []
+        try:
+            for item in v:
+                items.append(decode(item))
+        except MalformedRecord as exc:
+            raise exc.within(len(items))  # the index of the item refused
+        return tuple(items)
 
     return Codec(lambda items: list(map(encode, items)), decode_list,
                  lambda items: enc_int(len(items)) + b"".join(map(canon, items)))
@@ -212,10 +226,16 @@ def tuple_of(codec: Codec) -> Codec:
 
 def dict_of(codec: Codec) -> Codec:
     """A JSON object keyed by ids (contest, column or terminal ids)."""
-    encode, decode, _ = codec
+    encode, decode, _, _ = codec
 
     def decode_dict(v) -> dict:
-        return _decode_each(_check(type(v) is dict, v, "not an object").items(), decode)
+        out = {}
+        for key, item in _check(type(v) is dict, v, "not an object").items():
+            try:
+                out[key] = decode(item)
+            except MalformedRecord as exc:
+                raise exc.within(key)
+        return out
 
     return Codec(lambda items: {k: encode(x) for k, x in items.items()}, decode_dict)
 
@@ -230,6 +250,80 @@ def decode_field(obj: dict, key: str, decode):
         raise exc.within(key)
 
 
+def _named(exc, obj: dict, key: str):
+    """What a generated from_json raises for exc, raised as it decoded
+    obj[key]: a MalformedRecord naming key ("missing" for a KeyError of obj's
+    own), or a decoder's own KeyError unchanged."""
+    if isinstance(exc, MalformedRecord):
+        return exc.within(key)
+    return exc if key in obj else MalformedRecord("missing").within(key)
+
+
+def _generate(cls, name: str):
+    """cls's to_json, canonical_bytes or from_json, written from its FIELDS
+    rows a row per line: each codec's source expression, or a call of the
+    codec's own function, bound into the method."""
+    bound = {}
+
+    def apply(codec: Codec, op: int, value: str) -> str:  # op: 0 encode, 1 decode, 2 canon
+        template = codec.source and codec.source[op]
+        if not template:
+            ref = f"_{len(bound)}"
+            bound[ref] = codec[op]
+            template = ref + "({})"
+        return template.format(value)
+
+    rows = cls.FIELDS
+    if name == "to_json":
+        params, lines = "self", [
+            "return {",
+            *(f"    {key!r}: {apply(codec, 0, 'self.' + attr)}," for key, attr, codec in rows),
+            "}"]
+    elif name == "canonical_bytes":
+        parts = [apply(codec, 2, "self." + attr) for _, attr, codec in rows] or ["b''"]
+        params, lines = "self", [
+            f"return ({parts[0]}", *(f"        + {part}" for part in parts[1:]), ")"]
+    else:
+        params, lines = "cls, obj", ["if type(obj) is not dict:",
+                                     "    raise MalformedRecord('not an object')"]
+        if rows:  # key names the row being decoded, for a MalformedRecord's path
+            lines.append("try:")
+            for key, attr, codec in rows:
+                lines += [f"    key = {key!r}", f"    {attr} = {apply(codec, 1, f'obj[{key!r}]')}"]
+            lines += ["except (KeyError, MalformedRecord) as exc:",
+                      "    raise _named(exc, obj, key) from None"]
+        build = f"cls({', '.join(attr for _, attr, _ in rows)})"
+        if hasattr(cls, "__post_init__"):  # whose ValueError is a refusal of the record
+            lines += ["try:", f"    return {build}", "except ValueError as exc:",
+                      "    raise MalformedRecord(str(exc)) from None"]
+        else:
+            lines.append(f"return {build}")
+    # the bound objects are closure cells; every other name is this module's
+    source = (f"def define({', '.join(bound)}):\n def {name}({params}):\n"
+              + "".join(f"  {line}\n" for line in lines) + f" return {name}\n")
+    namespace = {}
+    exec(source, globals(), namespace)
+    method = namespace["define"](**bound)
+    method.__qualname__ = f"{cls.__qualname__}.{name}"
+    return method
+
+
+_GENERATED = {}  # (class, method name): the method _generate wrote
+
+
+def _generated(cls, name: str):
+    """cls's method `name`, generated at its first use. It then replaces
+    Record's method in cls's dict, where __init_subclass__ put that: later
+    calls run it directly. Anything else there (a tracer's wrapper) stays,
+    and calls it through Record's method."""
+    method = _GENERATED.get((cls, name))
+    if method is None:
+        method = _GENERATED[cls, name] = _generate(cls, name)
+        if vars(cls).get(name) is vars(Record)[name]:
+            setattr(cls, name, classmethod(method) if name == "from_json" else method)
+    return method
+
+
 class Record:
     """A published record whose FIELDS rows (JSON key, attribute, codec) are its
     whole wire form and its attribute declaration: its attributes are the
@@ -241,10 +335,18 @@ class Record:
     has one, equality within one class, a hash, a repr, and immutability
     (setting or deleting an attribute raises AttributeError; __post_init__
     sets derived values through object.__setattr__, and cached_property
-    writes the instance dict). Only __init__ is generated, one exec per
-    class, because it runs for every decoded record: a generic
-    *args/**kwargs one took verify and simulate more than a tenth more CPU
-    time. The other methods walk FIELDS when called; none of them is hot.
+    writes the instance dict). It also supplies the wire codec: to_json,
+    canonical_bytes and from_json.
+
+    The methods that run for every record read or written are generated as
+    source, a row per line, one exec each: __init__ when the class is
+    created, and each codec method at its first call, so that a command
+    compiles only the codecs it uses (generating all three at class
+    creation made importing the read-only commands' modules about a fifth
+    slower). A generic *args/**kwargs __init__ took verify and simulate more
+    than a tenth more CPU time, and a walk of FIELDS per call made
+    chain_hash about twice as slow. Equality, hashing and repr walk FIELDS
+    when called; none of them is hot.
     """
 
     FIELDS = ()
@@ -269,6 +371,10 @@ class Record:
         init.__defaults__ = tuple(getattr(cls, attr) for attr in attrs[len(required):])
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         cls.__init__ = init
+        # the codec methods' own attributes, which _generated replaces
+        for name in ("to_json", "canonical_bytes", "from_json"):
+            if name not in vars(cls):
+                setattr(cls, name, vars(Record)[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, attr) for _, attr, _ in self.FIELDS)
@@ -292,23 +398,20 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def to_json(self) -> dict:
-        return {key: codec.encode(getattr(self, attr)) for key, attr, codec in self.FIELDS}
+        return _generated(type(self), "to_json")(self)
 
     def canonical_bytes(self) -> bytes:
         """What the record adds to a hash: each field's canon, in FIELDS order."""
-        return b"".join(codec.canon(getattr(self, attr)) for _, attr, codec in self.FIELDS)
+        return _generated(type(self), "canonical_bytes")(self)
 
     def save(self, path) -> None:
         dump_json(self.to_json(), path)
 
     @classmethod
     def from_json(cls, obj):
-        _check(type(obj) is dict, obj, "not an object")
-        values = {attr: decode_field(obj, key, codec.decode) for key, attr, codec in cls.FIELDS}
-        try:
-            return cls(**values)
-        except ValueError as exc:  # refused by the record's own __post_init__
-            raise MalformedRecord(str(exc)) from None
+        """The record obj encodes; MalformedRecord naming the field path when
+        it encodes none, a __post_init__ refusal included."""
+        return _generated(cls, "from_json")(cls, obj)
 
 
 class FileRecord(Record):

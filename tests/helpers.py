@@ -16,7 +16,7 @@ from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballo
 from starlock.board import Board, finish_election
 from starlock.boardformat import CAST, EncryptedBallotRecord, read_board
 from starlock.chain import chain_hash, initial_chain_seed
-from starlock.elgamal import keygen
+from starlock.elgamal import Ciphertext, dlog_search, keygen
 from starlock.group import GROUPS, TEST_GROUP, GroupParams
 from starlock.manifest import ElectionManifest
 from starlock.scenario import Scenario, Voter, make_demo_scenario, run_scenario
@@ -25,6 +25,16 @@ from starlock.serialize import canonical_json, enc_bytes, enc_str, sha256_hex
 from starlock.trustees import dkg
 
 _cache = {}
+
+
+def decrypt_dlog(c: Ciphertext, sk: int, max_m: int, gp: GroupParams) -> int:
+    """m in [0, max_m] of an encryption of m under the one secret key sk: a
+    single-key decryption, which the program never does (its trustees
+    decrypt jointly)."""
+    shared = pow(c.a, sk, gp.p)
+    target = gp.signed(c.b * pow(shared, -1, gp.p) % gp.p)
+    return dlog_search(target, max_m, gp)
+
 
 # A 256-bit safe prime p = 2q + 1 with g = 4: the first safe prime from
 # SHA-256(b"starlock test group 256") >> 1 with bit 254 set, stepping q by 2.

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import replace
+from helpers import decrypt_dlog, replace
 from starlock.ballot import (
     BallotStyle,
     Contest,
@@ -15,7 +15,7 @@ from starlock.ballot import (
     encrypt_ballot,
     verify_ballot,
 )
-from starlock.elgamal import add_many, decrypt_dlog, keygen
+from starlock.elgamal import add_many, keygen
 from starlock.errors import OvervoteRejected, UnknownOption
 from starlock.group import TEST_GROUP
 

@@ -9,10 +9,10 @@ import random
 
 import pytest
 
+from helpers import decrypt_dlog
 from starlock.elgamal import (
     Ciphertext,
     add_many,
-    decrypt_dlog,
     dlog_search,
     encrypt_exp,
     homomorphic_add,

@@ -34,7 +34,6 @@ from starlock.scenario import (
     run_scenario,
     write_artifacts,
 )
-from starlock.serialize import Record
 
 STYLE = BallotStyle(
     style_id="s", contests=(Contest(contest_id="race", options=("a", "b"), limit=1),)
@@ -208,12 +207,16 @@ def test_a_finished_poll_site_is_freed_without_the_collector() -> None:
 def test_each_ballot_is_encoded_once_for_the_board() -> None:
     """During the demo's run_scenario the encoder runs once per ballot produced
     on its ballot and once on its proof (a profile hook counts the calls of
-    Record.to_json, which every record codec holds): the board's entry line
-    is the one encoding, and the event log names the ballot by z alone."""
+    the generated EncryptedBallot.to_json and WellFormednessProof.to_json):
+    the board's entry line is the one encoding, and the event log names the
+    ballot by z alone."""
+    for sample in (EncryptedBallot("s", ()), WellFormednessProof(())):
+        sample.to_json()  # a class's to_json is generated at its first call
+    codes = {EncryptedBallot.to_json.__code__, WellFormednessProof.to_json.__code__}
     calls = Counter()
 
     def count(frame, event, arg):
-        if event == "call" and frame.f_code is Record.to_json.__code__:
+        if event == "call" and frame.f_code in codes:
             calls[type(frame.f_locals["self"])] += 1
 
     sys.setprofile(count)

@@ -34,6 +34,7 @@ from starlock.group import TEST_GROUP
 from starlock.manifest import ElectionManifest
 from starlock.schnorr import SchnorrSignature
 from starlock.serialize import (
+    Codec,
     FileRecord,
     Record,
     canonical_json,
@@ -221,6 +222,93 @@ def test_a_spoiled_column_never_equals_a_tally_column_of_the_same_values() -> No
     tally, spoiled = TallyColumn(*_COLUMN), SpoiledColumn(*_COLUMN)
     assert tally != spoiled and spoiled != tally
     assert tally.to_json() != spoiled.to_json()  # "count" against "bit"
+
+
+def _walked_json(sample) -> dict:
+    """to_json as a walk of FIELDS: each row's codec encodes its attribute."""
+    return {key: codec.encode(getattr(sample, attr)) for key, attr, codec in sample.FIELDS}
+
+
+def _walked_bytes(sample) -> bytes:
+    """canonical_bytes as a walk of FIELDS: each row's canon, in order."""
+    return b"".join(codec.canon(getattr(sample, attr)) for _, attr, codec in sample.FIELDS)
+
+
+@pytest.mark.parametrize("sample", RECORDS, ids=lambda r: type(r).__name__)
+def test_the_generated_codec_is_the_walk_of_fields(sample) -> None:
+    """Each record's generated to_json and canonical_bytes give what a walk
+    of its FIELDS gives (a record with a row that is never hashed refuses
+    both ways), and from_json reads back what to_json wrote."""
+    assert sample.to_json() == _walked_json(sample)
+    assert type(sample).from_json(json.loads(json.dumps(sample.to_json()))) == sample
+    try:
+        walked = _walked_bytes(sample)
+    except TypeError:  # a row never hashed (a nested record's row among them)
+        with pytest.raises(TypeError):
+            sample.canonical_bytes()
+    else:
+        assert sample.canonical_bytes() == walked
+
+
+class _Refusing(Record):
+    """A record whose one decoder fails with a KeyError of its own."""
+
+    FIELDS = (("x", "x", Codec(str, lambda v: {}[v])),)
+
+
+@pytest.mark.parametrize("cls, obj, detail", [
+    (Ciphertext, {"a": "0d"}, "b: missing"),
+    (Ciphertext, ["0d", "02"], "not an object"),
+    (Ciphertext, {"a": "0D", "b": "02"}, "a: not lowercase hex"),
+    (Ciphertext, {"b": "0x", "a": "0d"}, "b: not lowercase hex"),
+    (Ciphertext, {"a": "0D"}, "a: not lowercase hex"),
+    (Contest, {"contest_id": "", "options": ["x"], "limit": 1, "writein_slot": False},
+     "contest_id must be nonempty"),
+    (EncryptedBallotRecord, {"ballot": {"style_id": "s", "contests": []}, "proof": []},
+     "proof: not an object"),
+])
+def test_generated_decoding_names_the_field(cls, obj, detail) -> None:
+    """A missing key, a value that is no object, bad hex and a __post_init__
+    refusal each raise MalformedRecord naming the field, the first in FIELDS
+    order when two are malformed."""
+    with pytest.raises(MalformedRecord) as err:
+        cls.from_json(obj)
+    assert err.value.detail == detail
+
+
+def test_a_decoders_own_key_error_is_not_a_missing_field() -> None:
+    with pytest.raises(MalformedRecord, match="missing"):
+        _Refusing.from_json({})
+    with pytest.raises(KeyError):
+        _Refusing.from_json({"x": "y"})
+
+
+def test_a_spoiled_column_decodes_and_hashes_its_own_fields() -> None:
+    """SpoiledColumn inherits TallyColumn's methods until it generates its
+    own, from its own FIELDS: "bit" where a tally column has "count"."""
+    tally, spoiled = TallyColumn(*_COLUMN), SpoiledColumn(*_COLUMN)
+    assert TallyColumn.from_json(tally.to_json()) == tally  # the tally column's codec first
+    assert SpoiledColumn.from_json(spoiled.to_json()) == spoiled
+    assert vars(SpoiledColumn)["from_json"] is not vars(TallyColumn)["from_json"]
+    assert vars(SpoiledColumn)["to_json"] is not vars(TallyColumn)["to_json"]
+    assert set(spoiled.to_json()) - set(tally.to_json()) == {"bit"}
+    for cls, other, key in ((TallyColumn, spoiled, "count"), (SpoiledColumn, tally, "bit")):
+        with pytest.raises(MalformedRecord) as err:
+            cls.from_json(other.to_json())
+        assert err.value.detail == f"{key}: missing"
+    hashed = [replace(c, shares=()) for c in (tally, spoiled)]  # a share is never hashed
+    assert [c.canonical_bytes() for c in hashed] == [_walked_bytes(c) for c in hashed]
+
+
+@pytest.mark.parametrize("x", [0, 1, 255, 256, 2**2048 - 1, 2**2048])
+def test_enc_int_is_the_length_prefixed_magnitude(x) -> None:
+    assert enc_int(x) == enc_bytes(int_to_bytes(x))
+    assert len(enc_int(x)) == 4 + max(1, (x.bit_length() + 7) // 8)
+
+
+def test_enc_int_rejects_negative() -> None:
+    with pytest.raises(ValueError):
+        enc_int(-1)
 
 
 def test_record_defaults_and_post_init_refusals() -> None:
