@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import islice
 
 from .audit import reconcile
 from .ballot import BallotStyle, verify_ballot
@@ -47,7 +48,7 @@ from .errors import ChainBroken, MalformedRecord, NoDlogInRange, NotSpoiled, Rej
 from .group import GroupParams
 from .manifest import ElectionManifest
 from .schnorr import sign
-from .serialize import DIGEST, canonical_json, sha256_hex, write_text
+from .serialize import DIGEST, canonical_json, enc_bytes, sha256_hex, write_text
 from .trustees import JointPublicKey, combine_shares, partial_decrypt
 
 
@@ -93,30 +94,46 @@ class Board:
 
     # -- publication -----------------------------------------------------------
 
-    def publish_entry(
-        self,
-        record: EncryptedBallotRecord,
-        status: str,
-        style: BallotStyle,
-        joint_key: int,
-        gp: GroupParams,
-        reason: str | None = None,
-    ) -> int:
-        """Append a ballot record (serial never present) once its proofs
-        verify, their equations batched per ballot in a large group. Returns
-        the entry index used by status/decryption supersession lines."""
-        if status not in (CAST, SPOILED, UNTALLIED):
-            raise ValueError(f"cannot publish entry with status {status!r}")
-        if not batched(gp, lambda: record.ballot.canonical_bytes() + record.proof.canonical_bytes(),
-                       lambda eqs: verify_ballot(record.ballot, record.proof, style, joint_key,
-                                                 gp, self.election_id, eqs)):
-            raise RejectInvalidProof("ballot record failed proof verification")
-        index = self.entry_count
-        line = {"kind": "entry", "index": str(index), "status": status, **record.to_json()}
-        if reason is not None:
-            line["reason"] = reason
-        self._append(line)
-        return index
+    def publish_entry(self, record: EncryptedBallotRecord, status: str, style: BallotStyle,
+                      joint_key: int, gp: GroupParams, reason: str | None = None) -> int:
+        """The one-record case of publish_entries. Returns the entry index
+        used by status/decryption supersession lines."""
+        return self.publish_entries([(record, status, style, reason)], joint_key, gp)[0]
+
+    def publish_entries(self, entries, joint_key: int, gp: GroupParams) -> list:
+        """Append each (record, status, style, reason) as an entry, in order,
+        once every status is one an entry may carry and every ballot's proofs
+        verify; their equations go to one batch in a large group
+        (chaum_pedersen.batched), seeded from every ballot's and proof's
+        canonical bytes, length-prefixed in publication order. Otherwise
+        ValueError or RejectInvalidProof, naming the first ballot refused,
+        before any line is appended. A record's serial is never published.
+        Returns the entry indices."""
+        entries = list(entries)
+        for _, status, _, _ in entries:
+            if status not in (CAST, SPOILED, UNTALLIED):
+                raise ValueError(f"cannot publish entry with status {status!r}")
+
+        def seed() -> bytes:  # fixes every response the batch weighs
+            return b"".join(enc_bytes(record.ballot.canonical_bytes())
+                            + enc_bytes(record.proof.canonical_bytes())
+                            for record, _, _, _ in entries)
+
+        def first_refused(eqs):
+            return next((k for k, (record, _, style, _) in enumerate(entries)
+                         if not verify_ballot(record.ballot, record.proof, style, joint_key,
+                                              gp, self.election_id, eqs)), None)
+
+        refused = batched(gp, seed, first_refused)
+        first = self.entry_count
+        if refused is not None:
+            raise RejectInvalidProof(first + refused)
+        for index, (record, status, _, reason) in enumerate(entries, first):
+            line = {"kind": "entry", "index": str(index), "status": status, **record.to_json()}
+            if reason is not None:
+                line["reason"] = reason
+            self._append(line)
+        return list(range(first, first + len(entries)))
 
     def check_entry(self, entry_index: int) -> int:
         """entry_index, if the board has that entry; else MalformedRecord."""
@@ -189,59 +206,11 @@ def aggregate(board: Board, style_map: dict, gp: GroupParams):
     return fold_ballots(board._index.cast_ballots(), style_map, gp)
 
 
-def _decrypt_columns(cls, rows, trustee_shares, jpk: JointPublicKey, gp: GroupParams,
-                     rng: random.Random):
-    """Partial-decrypt each ColumnStatement row with every supplied trustee
-    share, then verify and combine them all in one call (one batch of share
-    proofs). Returns cls(contest, column, plaintext, ciphertext, shares) per
-    row, in order; a NoDlogInRange names a row whose plaintext exceeds its bound."""
-    shared = [tuple(partial_decrypt(row.ciphertext, ts, gp, rng, row.context)
-                    for ts in trustee_shares) for row in rows]
-    powers = combine_shares([(row.ciphertext, shares, row.context)
-                             for row, shares in zip(rows, shared)], jpk, gp)
-    out = []
-    for row, g_m, shares in zip(rows, powers, shared):
-        try:
-            out.append(cls(row.contest, row.column, dlog_search(g_m, row.bound, gp),
-                           row.ciphertext, shares))
-        except NoDlogInRange as exc:
-            raise exc.within(row.column).within(row.contest)
-    return out
-
-
-def decrypt_tally(
-    board: Board,
-    style_map: dict,
-    trustee_shares,
-    jpk: JointPublicKey,
-    gp: GroupParams,
-    rng: random.Random,
-) -> TallyRecord:
-    """Partial-decrypt every aggregate column with each supplied trustee
-    share and combine. InsufficientShares/BadShareProof propagate from the
-    combine step."""
-    agg = aggregate(board, style_map, gp)
-    columns = _decrypt_columns(TallyColumn, tally_statements(board.election_id, agg),
-                               trustee_shares, jpk, gp, rng)
-    result = {cid: {} for cid in agg}
-    for col in columns:
-        result[col.contest][col.column] = col.value
-    return TallyRecord(columns=tuple(columns), result=result,
-                       cast_counts={cid: bucket["cast_count"] for cid, bucket in agg.items()})
-
-
-def decrypt_spoiled(
-    board: Board,
-    entry_index: int,
-    style_map: dict,
-    trustee_shares,
-    jpk: JointPublicKey,
-    gp: GroupParams,
-    rng: random.Random,
-):
-    """Column-by-column verifiable decryption of a spoiled (or untallied)
-    entry. Returns (columns, plaintext summary) ready for a decryption line.
-    A MalformedRecord names the entry's board line."""
+def _spoiled_job(board: Board, entry_index: int, style_map: dict):
+    """A spoiled or untallied entry's decryption (see decrypt_all), whose
+    result is (columns, plaintext summary) for its decryption line.
+    NotSpoiled for any other entry; a MalformedRecord names the entry's
+    board line."""
     status = board.effective_status(entry_index)
     if status not in (SPOILED, UNTALLIED):
         raise NotSpoiled(f"entry {entry_index} is {status}")
@@ -250,11 +219,83 @@ def decrypt_spoiled(
     style = style_map.get(ballot.style_id)
     if style is None:
         raise MalformedRecord(f"unknown ballot style {ballot.style_id!r}").at(lineno, entry_index)
+
+    def result(columns):
+        bits = {(col.contest, col.column): col.value for col in columns}
+        return [col.to_json() for col in columns], spoiled_plaintext(style, bits)
+
     rows = spoiled_statements(board.election_id, entry_index, ballot, style)
-    columns = at_line(lineno, _decrypt_columns, SpoiledColumn, rows, trustee_shares, jpk, gp,
-                      rng, entry=entry_index)
-    bits = {(col.contest, col.column): col.value for col in columns}
-    return [col.to_json() for col in columns], spoiled_plaintext(style, bits)
+    return SpoiledColumn, rows, lineno, entry_index, result
+
+
+def _tally_job(board: Board, style_map: dict, gp: GroupParams):
+    """The aggregate's decryption (see decrypt_all), whose result is the
+    TallyRecord."""
+    agg = aggregate(board, style_map, gp)
+
+    def result(columns):
+        counts = {cid: {} for cid in agg}
+        for col in columns:
+            counts[col.contest][col.column] = col.value
+        return TallyRecord(columns=tuple(columns), result=counts,
+                           cast_counts={cid: bucket["cast_count"] for cid, bucket in agg.items()})
+
+    return TallyColumn, tally_statements(board.election_id, agg), None, None, result
+
+
+def _columns(cls, decrypted, gp: GroupParams) -> list:
+    """cls(contest, column, plaintext, ciphertext, shares) for each (row,
+    |g^m|, shares); a NoDlogInRange names a row whose plaintext exceeds its
+    bound."""
+    out = []
+    for row, g_m, shares in decrypted:
+        try:
+            out.append(cls(row.contest, row.column, dlog_search(g_m, row.bound, gp),
+                           row.ciphertext, shares))
+        except NoDlogInRange as exc:
+            raise exc.within(row.column).within(row.contest)
+    return out
+
+
+def decrypt_all(board: Board, spoiled, style_map: dict, trustee_shares, jpk: JointPublicKey,
+                gp: GroupParams, rng: random.Random, tally: bool = True) -> list:
+    """Verifiable decryptions of the spoiled or untallied entries listed, in
+    that order, then, when tally is set, of the aggregate of the
+    effective-CAST entries. Every column is partial-decrypted with each
+    supplied trustee share, in that order, so rng is drawn as by one
+    decryption after another; then every share is verified and combined in
+    one combine_shares call (one batch of share proofs).
+
+    Returns (columns, plaintext summary) per entry, ready for its decryption
+    line, then the TallyRecord. A MalformedRecord of an entry, and a
+    NoDlogInRange of its column, names the entry's board line;
+    InsufficientShares/BadShareProof propagate from the combine step."""
+    jobs = [_spoiled_job(board, index, style_map) for index in spoiled]
+    if tally:
+        jobs.append(_tally_job(board, style_map, gp))
+    rows = [row for _, job_rows, _, _, _ in jobs for row in job_rows]
+    shared = [tuple(partial_decrypt(row.ciphertext, ts, gp, rng, row.context)
+                    for ts in trustee_shares) for row in rows]
+    powers = combine_shares([(row.ciphertext, shares, row.context)
+                             for row, shares in zip(rows, shared)], jpk, gp)
+    decrypted = zip(rows, powers, shared)
+    return [result(at_line(lineno, _columns, cls, islice(decrypted, len(job_rows)), gp,
+                           entry=entry))
+            for cls, job_rows, lineno, entry, result in jobs]
+
+
+def decrypt_tally(board: Board, style_map: dict, trustee_shares, jpk: JointPublicKey,
+                  gp: GroupParams, rng: random.Random) -> TallyRecord:
+    """The tally alone, by decrypt_all."""
+    return decrypt_all(board, (), style_map, trustee_shares, jpk, gp, rng)[0]
+
+
+def decrypt_spoiled(board: Board, entry_index: int, style_map: dict, trustee_shares,
+                    jpk: JointPublicKey, gp: GroupParams, rng: random.Random):
+    """One spoiled (or untallied) entry alone, by decrypt_all: (columns,
+    plaintext summary) ready for its decryption line."""
+    return decrypt_all(board, (entry_index,), style_map, trustee_shares, jpk, gp, rng,
+                       tally=False)[0]
 
 
 def finish_election(board: Board, manifest: ElectionManifest, trustee_shares,
@@ -264,7 +305,12 @@ def finish_election(board: Board, manifest: ElectionManifest, trustee_shares,
     reconcile the CVR store and the paper box with the board (audit.reconcile,
     whose MalformedRecord leaves the board unchanged), demote paper-less CAST
     records to UNTALLIED, publish verifiable decryptions of every spoiled or
-    untallied record, publish the tally, and sign the extended board."""
+    untallied record, publish the tally, and sign the extended board. The
+    decryptions and the tally are made by one decrypt_all call, whose share
+    proofs are checked in one batch in a large group, seeded from every
+    column's context, ciphertext and shares (trustees.combine_shares); no
+    decryption line is appended unless every one of them, and the tally,
+    decrypts."""
     board.check_untallied()
     gp = manifest.gp
     style_map = manifest.style_map
@@ -273,14 +319,12 @@ def finish_election(board: Board, manifest: ElectionManifest, trustee_shares,
     for serial in compliance["cast_without_paper"]:
         board.append_status(index_of[serial], UNTALLIED, reason="cast-without-paper")
 
-    for index in range(board.entry_count):
-        if board.effective_status(index) in (SPOILED, UNTALLIED):
-            columns, plaintext = decrypt_spoiled(
-                board, index, style_map, trustee_shares, manifest.jpk, gp, rng
-            )
-            board.append_decryption(index, columns, plaintext)
-
-    tally = decrypt_tally(board, style_map, trustee_shares, manifest.jpk, gp, rng)
+    spoiled = [index for index in range(board.entry_count)
+               if board.effective_status(index) in (SPOILED, UNTALLIED)]
+    *decryptions, tally = decrypt_all(board, spoiled, style_map, trustee_shares, manifest.jpk,
+                                      gp, rng)
+    for index, (columns, plaintext) in zip(spoiled, decryptions):
+        board.append_decryption(index, columns, plaintext)
     board.append_tally(tally)
     board.sign_board(office, gp)
     return {"compliance": compliance, "tally": tally}

@@ -32,9 +32,13 @@ passed:
   * Collect, in a large group, is the small-exponents batch test of Bellare,
     Garay and Rabin (EUROCRYPT 1998). Equation i is raised to its own 64-bit
     weight w_i, the first 8 bytes of SHA-256(SHA-256(seed) || i); the seed
-    is bytes that fix every response the batch weighs (a whole board, a
-    ballot's canonical bytes, a column's shares), so no response can be
-    chosen once its weight is known, and no rng is drawn. Exponents are
+    is bytes that fix every response the batch weighs, so no response can be
+    chosen once its weight is known, and no rng is drawn. Each command makes
+    one batch: verify seeds it from the SHA-256 of the whole raw board,
+    simulate from every published ballot's and proof's canonical bytes,
+    length-prefixed in publication order (board.Board.publish_entries), and
+    tally from every decrypted column's context, c.a and shares, spoiled
+    ballots' and the tally's alike (trustees.combine_shares). Exponents are
     summed per element, on its own side: base^(w s) and g^(w m c) on the
     left, mod q, where g and the joint key each take one comb power and the
     other bases one multi-exponentiation (group.multi_exp); commit^w and

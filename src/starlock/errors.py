@@ -122,7 +122,12 @@ class NotSpoiled(StarlockError):
 
 
 class RejectInvalidProof(StarlockError):
-    """A ballot arrived with proofs that do not verify."""
+    """A ballot arrived with proofs that do not verify; entry is the index
+    it would have been published under."""
+
+    def __init__(self, entry: int):
+        self.entry = entry
+        super().__init__(f"entry {entry}: ballot record failed proof verification")
 
 
 class AmbiguousReceipt(StarlockError):

@@ -286,13 +286,9 @@ def run_scenario(scenario: Scenario, keys=None) -> dict:
     final_z = site.close_polls()
 
     board = Board(scenario.election_id)
-    index_by_serial = {}
-    for serial, record in site.records.items():  # in production order
-        style = styles[record.record.ballot.style_id]
-        index = board.publish_entry(
-            record.record, record.status, style, jpk.K, gp, reason=record.reason
-        )
-        index_by_serial[serial] = index
+    index_by_serial = dict(zip(site.records, board.publish_entries(
+        [(record.record, record.status, styles[record.record.ballot.style_id], record.reason)
+         for record in site.records.values()], jpk.K, gp)))  # in production order
     for tid in sorted(final_z):
         board.append_terminal_close(tid, final_z[tid], site.terminals[tid].ballots_produced)
     board.sign_board(office, gp)

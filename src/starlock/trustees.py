@@ -13,6 +13,7 @@ verification key, which anyone can derive from the commitments.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 from .chaum_pedersen import ChaumPedersenProof, Immediate, batched, prove_eq_dlog, verify_eq_dlog
 from .elgamal import Ciphertext
@@ -104,13 +105,20 @@ def dkg(n: int, k: int, gp: GroupParams, rng: random.Random):
 
 
 def verification_key(trustee_id: int, commitments, gp: GroupParams) -> int:
-    """|g^f(trustee_id)| from the public commitments: |prod A_j^(id^j)|."""
+    """|g^f(trustee_id)| from the public commitments: |prod A_j^(id^j)|,
+    computed once per trustee, commitments and group, and kept."""
+    return gp.signed(_commitment_product(trustee_id, tuple(commitments), gp.p, gp.q))
+
+
+@lru_cache(maxsize=2 * MAX_TRUSTEES)
+def _commitment_product(trustee_id: int, commitments: tuple, p: int, q: int) -> int:
+    """prod A_j^(id^j) mod p, keyed by p and q, which hash faster than the group."""
     acc = 1
     power = 1
     for a_j in commitments:
-        acc = acc * pow(a_j, power, gp.p) % gp.p
-        power = power * trustee_id % gp.q
-    return gp.signed(acc)
+        acc = acc * pow(a_j, power, p) % p
+        power = power * trustee_id % q
+    return acc
 
 
 def partial_decrypt(

@@ -93,16 +93,22 @@ def demo_run():
     return _cache["demo"]
 
 
-def mid_demo_run():
-    """The demo election run in MID_GROUP, shared read-only like demo_run.
+def run_mid_demo():
+    """A fresh run_scenario of the demo election in MID_GROUP, not finished.
     The group is registered under the name "mid" only while the election
     runs; the manifest carries it, and loads by validate()."""
+    GROUPS["mid"] = MID_GROUP
+    try:
+        return run_scenario(dataclasses.replace(make_demo_scenario(), group="mid"))
+    finally:
+        del GROUPS["mid"]
+
+
+def mid_demo_run():
+    """The demo election run in MID_GROUP (run_mid_demo) and finished,
+    shared read-only like demo_run."""
     if "mid-demo" not in _cache:
-        GROUPS["mid"] = MID_GROUP
-        try:
-            result = run_scenario(dataclasses.replace(make_demo_scenario(), group="mid"))
-        finally:
-            del GROUPS["mid"]
+        result = run_mid_demo()
         _cache["mid-demo"] = (result, finish(result, seed=99))
     return _cache["mid-demo"]
 

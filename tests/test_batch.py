@@ -18,8 +18,9 @@ from helpers import (
     mid_demo_run,
     rechain,
     replace,
+    run_mid_demo,
 )
-from starlock import ballot, chaum_pedersen, elgamal, group, verifier
+from starlock import ballot, chaum_pedersen, elgamal, group, trustees, verifier
 from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballot, verify_ballot
 from starlock.boardformat import spoiled_statements
 from starlock.chaum_pedersen import (
@@ -32,6 +33,7 @@ from starlock.chaum_pedersen import (
     verify_zero_or_one,
 )
 from starlock.cli import main
+from starlock.errors import BadShareProof
 from starlock.elgamal import Ciphertext, encrypt_exp, keygen
 from starlock.fiatshamir import DOMAIN_CONTEST_SUM, DOMAIN_DECRYPT_SHARE, fiat_shamir_challenge
 from starlock.group import PROD_GROUP, TEST_GROUP, GroupParams, multi_exp
@@ -607,6 +609,45 @@ def test_an_honest_board_is_verified_in_one_batch(name, batch_verdicts) -> None:
     del batch_verdicts[:]  # simulate's and tally's
     assert verify_board(board_raw_lines(result["board"]), result["manifest"]).overall
     assert batch_verdicts == [True]
+
+
+def test_the_writer_and_the_tally_each_check_in_one_batch(batch_verdicts) -> None:
+    """run_scenario states every ballot's proofs to one batch, and
+    finish_election the share proofs of every decrypted column, the spoiled
+    ballots' and the tally's, to one more."""
+    del batch_verdicts[:]
+    result = run_mid_demo()
+    assert batch_verdicts == [True]
+    finish(result, seed=99)
+    assert batch_verdicts == [True, True]
+    assert board_raw_lines(result["board"]) == board_raw_lines(mid_demo_run()[0]["board"])
+
+
+def test_a_forged_trustee_share_fails_the_tally_batch_and_is_named(batch_verdicts) -> None:
+    """Trustee 2's secret share raised by 1: its decryption shares carry
+    proofs that pass every check but their equations, so the one batch fails
+    and the per-proof re-run names trustee 2, as a batch per decryption did."""
+    result = run_mid_demo()
+    shares = [replace(share, secret_share=(share.secret_share + 1) % MID_GROUP.q)
+              if share.trustee_id == 2 else share for share in result["trustee_shares"]]
+    del batch_verdicts[:]
+    with pytest.raises(BadShareProof) as refused:
+        finish({**result, "trustee_shares": shares}, seed=99)
+    assert refused.value.trustee_id == 2
+    assert batch_verdicts == [False]
+
+
+def test_a_verification_key_is_computed_once(monkeypatch) -> None:
+    """k small powers for a trustee's first verification key, none after."""
+    jpk, shares = dkg(3, 2, MID_GROUP, random.Random(96))
+    powers = []
+    monkeypatch.setattr(trustees, "pow", lambda *args: powers.append(args) or pow(*args),
+                        raising=False)
+    keys = [verification_key(share.trustee_id, list(jpk.commitments), MID_GROUP)
+            for _ in range(3) for share in shares]
+    assert len(powers) == len(shares) * jpk.k
+    assert keys == 3 * [MID_GROUP.signed(pow(MID_GROUP.g, share.secret_share, MID_GROUP.p))
+                        for share in shares]
 
 
 def test_two_runs_write_byte_identical_reports(tmp_path, capsys) -> None:

@@ -330,6 +330,57 @@ def test_publish_refuses_a_response_that_fails_only_its_equation() -> None:
     assert board.publish_entry(honest, CAST, STYLE, jpk.K, MID_GROUP) == 0
 
 
+def _forged(record: EncryptedBallotRecord, gp) -> EncryptedBallotRecord:
+    """record with its first option proof's response0 raised by 1 mod q: a
+    proof that passes every check but its equation."""
+    cpr = record.proof.contests[0]
+    first = cpr.option_proofs[0]
+    bumped = replace(first, response0=(first.response0 + 1) % gp.q)
+    return replace(record, proof=WellFormednessProof(
+        (replace(cpr, option_proofs=(bumped,) + cpr.option_proofs[1:]),)))
+
+
+def _records(gp, n, rng):
+    """A joint key and n honest records under it, each on its own chain value."""
+    jpk, _ = dkg(1, 1, gp, rng)
+    records = []
+    for i in range(n):
+        eb, proof = encrypt_ballot(ballot(("ada", "grace")[i % 2]), STYLE, jpk.K, gp, rng, EID)
+        records.append(EncryptedBallotRecord(ballot=eb, proof=proof, terminal_id="T1",
+                                             z=bytes([i + 1]) * 32, timestamp=i + 1))
+    return jpk, records
+
+
+@pytest.mark.parametrize("gp", [GP, MID_GROUP], ids=["test", "mid"])
+@pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+def test_publish_entries_names_the_first_refused_ballot_and_appends_nothing(gp, at) -> None:
+    """One false response among five ballots: the batch (in MID_GROUP) or the
+    proof-by-proof check (in the test group) refuses the call, naming the
+    entry that ballot would have taken, and the board is as it was."""
+    jpk, records = _records(gp, 6, random.Random(94))
+    board = Board(EID)
+    assert board.publish_entries([(records[0], CAST, STYLE, None)], jpk.K, gp) == [0]
+    texts = list(board._index.texts)
+    entries = [(record, CAST, STYLE, None) for record in records[1:]]
+    entries[at] = (_forged(records[1 + at], gp), CAST, STYLE, None)
+    with pytest.raises(RejectInvalidProof, match=f"^entry {1 + at}: ") as refused:
+        board.publish_entries(entries, jpk.K, gp)
+    assert refused.value.entry == 1 + at
+    assert board._index.texts == texts and board.entry_count == 1
+    honest = [(record, CAST, STYLE, "r") for record in records[1:]]
+    assert board.publish_entries(honest, jpk.K, gp) == [1, 2, 3, 4, 5]
+    assert [json.loads(text).get("reason") for text in board._index.texts[2:]] == ["r"] * 5
+
+
+def test_publish_entries_checks_every_status_before_any_proof() -> None:
+    jpk, records = _records(MID_GROUP, 2, random.Random(95))
+    board = Board(EID)
+    with pytest.raises(ValueError, match="PENDING"):
+        board.publish_entries([(_forged(records[0], MID_GROUP), CAST, STYLE, None),
+                               (records[1], "PENDING", STYLE, None)], jpk.K, MID_GROUP)
+    assert board.entry_count == 0
+
+
 def _signature_holds(lines, jpk, office_pk, election_id=EID) -> bool:
     """The verdict of verify_board's one signature item on these lines."""
     report = verify_board([canonical_json(line) for line in lines],
