@@ -364,7 +364,8 @@ def run_audit(board: BoardIndex, manifest: ElectionManifest, cvrs, papers, seed:
     A CVR row or paper without its serial or contests (or with a view out of
     form), a CVR row without its index, a store or box that reconcile refuses,
     or a published row without its serial or commitments or repeating a serial
-    raises MalformedRecord naming the row and the field."""
+    raises MalformedRecord naming the row and the field; an unclean
+    compliance check or a board with no effective-CAST entry, StarlockError."""
     check_seed(seed)
     check_alpha(alpha)
 
@@ -390,6 +391,8 @@ def run_audit(board: BoardIndex, manifest: ElectionManifest, cvrs, papers, seed:
     result = at_line(lineno, decode_field, tally, "result", TALLY_RESULT.decode)
     winners, pairs, v = margin_pairs(manifest, result)
     n = len(population)
+    if not n:  # a positive reported margin with no effective-CAST ballot to draw
+        raise StarlockError("no effective-CAST ballot to audit")
     state = KMState(N=n, V=v)
 
     trajectory = []

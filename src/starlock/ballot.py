@@ -313,9 +313,7 @@ def verify_ballot(
         # least one column), under the K tested with them: no test of their own.
         a, b = contest_sum_statement(contest, cts, gp)
         ctx = column_context(election_id, style.style_id, contest.contest_id, SUM_COLUMN)
-        if not verify_eq_dlog(
-            cpr.sum_proof, a, K, b, gp,
-            context=ctx, domain=DOMAIN_CONTEST_SUM, eqs=eqs, fixed=True,
-        ):
+        if not verify_eq_dlog(cpr.sum_proof, a, K, b, gp, context=ctx,
+                              domain=DOMAIN_CONTEST_SUM, eqs=eqs):
             return False
     return True

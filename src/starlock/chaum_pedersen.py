@@ -26,9 +26,11 @@ after the proof's exponent-range, Fiat-Shamir and challenge-sum checks have
 passed:
 
   * Immediate tests each membership exactly (GroupParams.is_element: the
-    range and x^q = +-1) and each equation as it comes. It is the default,
-    and the only sink of a small group: with q = 11 a 64-bit weight reduces
-    mod 11 and would let a false equation through with probability 1/11.
+    range and x^q = +-1) and each equation as it comes, through gp.comb:
+    provers and the proof-by-proof check use combs; a batch uses only
+    multi-exponentiations. It is the default, and the only sink of a small
+    group: with q = 11 a 64-bit weight reduces mod 11 and would let a false
+    equation through with probability 1/11.
   * Collect, in a large group, is the small-exponents batch test of Bellare,
     Garay and Rabin (EUROCRYPT 1998). Equation i is raised to its own 64-bit
     weight w_i, the first 8 bytes of SHA-256(SHA-256(seed) || i); the seed
@@ -40,13 +42,12 @@ passed:
     tally from every decrypted column's context, c.a and shares, spoiled
     ballots' and the tally's alike (trustees.combine_shares). Exponents are
     summed per element, on its own side: base^(w s) and g^(w m c) on the
-    left, mod q, where g and the joint key each take one comb power and the
-    other bases one multi-exponentiation (group.multi_exp); commit^w and
-    y^(w c) on the right, a second multi-exponentiation whose exponents are
-    short, 64 + 256 bits at most per equation. Each equation keeps its own
-    weight, a zero-or-one proof's four included: with one weight on both
-    branches, an encryption of 2 could meet the combined equations by a c1
-    chosen after the hash. Membership is batched too: each distinct
+    left, mod q, in one multi-exponentiation (group.multi_exp); commit^w and
+    y^(w c) on the right, a second one whose exponents are short, 64 + 256
+    bits at most per equation. Each equation keeps its own weight, a
+    zero-or-one proof's four included: with one weight on both branches, an
+    encryption of 2 could meet the combined equations by a c1 chosen after
+    the hash. Membership is batched too: each distinct
     statement element x_i gets its range check at once (a signed
     representative, in the group Z_p^*/{+-1} of order qm) and a 64-bit
     weight v_i under a label of its own, and the batch also requires
@@ -92,18 +93,18 @@ class Immediate:
     stated."""
 
     def __init__(self, gp: GroupParams):
-        self.gp = gp
+        self.gp, self.comb = gp, gp.comb
         self.member = gp.is_element
         self.in_range = gp.is_signed
 
-    def check(self, base, s, commit, y, c, m=0, fixed=False) -> bool:
-        """base^s == commit * (y * g^-m)^c mod p, up to sign. A fixed base (g
-        or the joint key) goes through its comb table in a large group."""
+    def check(self, base, s, commit, y, c, m=0) -> bool:
+        """base^s == commit * (y * g^-m)^c mod p, up to sign, base^s through
+        gp.comb: provers and the proof-by-proof check use combs; a batch uses
+        only multi-exponentiations."""
         gp, p = self.gp, self.gp.p
         if m:
             y = y * pow(pow(gp.g, m, p), -1, p) % p
-        return gp.signed((gp.comb if fixed else pow)(base, s, p)) == gp.signed(
-            commit * pow(y, c, p) % p)
+        return gp.signed(self.comb(base, s, p)) == gp.signed(commit * pow(y, c, p) % p)
 
 
 class Collect:
@@ -115,7 +116,6 @@ class Collect:
         self.in_range = gp.is_signed
         self.exps = {}  # base -> summed exponent mod q, on the base^s side
         self.commits = {}  # commit or y -> summed exponent, on the other side
-        self.fixed = {gp.g}
         self.members = {}  # element -> its weight in the product raised to q
 
     def member(self, x) -> bool:
@@ -128,7 +128,7 @@ class Collect:
             self.members[x] = int.from_bytes(sha256(self.seed + label)[:8], "big")
         return True
 
-    def check(self, base, s, commit, y, c, m=0, fixed=False) -> bool:
+    def check(self, base, s, commit, y, c, m=0) -> bool:
         q, g, exps, commits = self.gp.q, self.gp.g, self.exps, self.commits
         self.n += 1
         w = int.from_bytes(sha256(self.seed + self.n.to_bytes(8, "big"))[:8], "big")
@@ -137,16 +137,12 @@ class Collect:
             exps[g] = (exps.get(g, 0) + w * m * c) % q
         commits[commit] = commits.get(commit, 0) + w  # not mod q: keeps an order-m part
         commits[y] = (commits.get(y, 0) + w * c) % q  # positive: as short as w * c
-        if fixed:
-            self.fixed.add(base)
         return True
 
     def holds(self) -> bool:
-        gp, p, exps = self.gp, self.gp.p, self.exps
-        lhs = multi_exp([(b, e) for b, e in exps.items() if b not in self.fixed], p)
-        for b in self.fixed & exps.keys():
-            lhs = lhs * gp.comb(b, exps[b], p) % p
-        return (gp.signed(lhs) == gp.signed(multi_exp(self.commits.items(), p))
+        gp, p = self.gp, self.gp.p
+        return (gp.signed(multi_exp(self.exps.items(), p))
+                == gp.signed(multi_exp(self.commits.items(), p))
                 and gp.is_element(gp.signed(multi_exp(self.members.items(), p))))
 
 
@@ -200,12 +196,12 @@ def verify_eq_dlog(
     context: bytes,
     domain: bytes,
     eqs=None,
-    fixed: bool = False,
 ) -> bool:
     """The proof's checks, and its commits' range checks and two equations
-    stated to eqs (an Immediate sink when None); fixed names g2 a recurring
-    base. The caller tests the statement y1, g2, y2 for membership, or knows
-    it is a product of elements it has tested."""
+    stated to eqs: an Immediate sink when None. Provers and the proof-by-proof
+    check use combs; a batch uses only multi-exponentiations. The caller tests
+    the statement y1, g2, y2 for membership, or knows it is a product of
+    elements it has tested."""
     eqs = eqs or Immediate(gp)
     if not (eqs.in_range(proof.commit1) and eqs.in_range(proof.commit2)):
         return False
@@ -216,8 +212,7 @@ def verify_eq_dlog(
     if proof.challenge != expected:
         return False
     e, s = proof.challenge, proof.response
-    return (eqs.check(gp.g, s, proof.commit1, y1, e, fixed=True)
-            and eqs.check(g2, s, proof.commit2, y2, e, fixed=fixed))
+    return eqs.check(gp.g, s, proof.commit1, y1, e) and eqs.check(g2, s, proof.commit2, y2, e)
 
 
 class ZeroOneProof(Record):
@@ -247,7 +242,7 @@ def prove_zero_or_one(
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     p, q, g, space = gp.p, gp.q, gp.g, gp.challenge_space
-    fixed = gp.comb
+    comb = gp.comb
 
     # Branch m claims (ct.a, ct.b / g^m) is a DH pair under (g, public_key); the
     # other bit's is simulated from r: g^v a^-c = g^u, K^v (b/g^sim)^-c = K^u g^((sim-bit)c).
@@ -256,12 +251,12 @@ def prove_zero_or_one(
     c_sim = rng.randrange(0, space)
     v_sim = rng.randrange(0, q)
     u = (v_sim - r * c_sim) % q
-    a_sim_commit = gp.signed(fixed(g, u, p))
-    b_sim_commit = gp.signed(fixed(public_key, u, p) * fixed(g, (sim - bit) * c_sim % q, p) % p)
+    a_sim_commit = gp.signed(comb(g, u, p))
+    b_sim_commit = gp.signed(comb(public_key, u, p) * comb(g, (sim - bit) * c_sim % q, p) % p)
 
     w = rng.randrange(0, q)
-    a_real_commit = gp.signed(fixed(g, w, p))
-    b_real_commit = gp.signed(fixed(public_key, w, p))
+    a_real_commit = gp.signed(comb(g, w, p))
+    b_real_commit = gp.signed(comb(public_key, w, p))
 
     if bit == 0:
         a0c, b0c, a1c, b1c = a_real_commit, b_real_commit, a_sim_commit, b_sim_commit
@@ -313,7 +308,7 @@ def verify_zero_or_one(
         (0, proof.commit0_g, proof.commit0_k, proof.challenge0, proof.response0),
         (1, proof.commit1_g, proof.commit1_k, proof.challenge1, proof.response1),
     ):
-        if not (eqs.check(gp.g, v, commit_g, ct.a, c, fixed=True)
-                and eqs.check(public_key, v, commit_k, ct.b, c, m, fixed=True)):
+        if not (eqs.check(gp.g, v, commit_g, ct.a, c)
+                and eqs.check(public_key, v, commit_k, ct.b, c, m)):
             return False
     return True

@@ -141,6 +141,8 @@ class Scenario(FileRecord):
             raise ScenarioError("scenario seed is mandatory and must be an integer")
         if self.seed < 0:  # random.Random seeds from abs(seed): -n would repeat n's run
             raise ScenarioError(f"seed: {self.seed} is negative; a seed is a non-negative integer")
+        if self.ttl < 0:  # the manifest would hold a ttl that no reader loads
+            raise ScenarioError(f"ttl: {self.ttl} is negative; a ttl is a number of ticks")
         styles = {s.style_id: s for s in self.styles}
         if not styles or len(styles) != len(self.styles):
             raise ScenarioError("styles must be nonempty with unique ids")

@@ -97,39 +97,41 @@ SHORT_EXPONENT_BITS = 64 + 256 + 8  # a weight times a challenge, summed over a 
 
 
 def test_a_batch_raises_only_response_bases_to_full_size(monkeypatch) -> None:
-    # In the 2048-bit safe-prime group, where q is above 2^256, a statement
-    # base's batch exponent is a 64-bit weight times a challenge below 2^256;
-    # only a share proof's c.a, raised to its responses, keeps a full-size
-    # exponent.
+    # In the 2048-bit safe-prime group, where q is above 2^256, holds() makes
+    # three multi-exponentiations. The right-hand product (commits and y's)
+    # and the membership product take exponents of a 64-bit weight times a
+    # challenge below 2^256 at most; only the left-hand product, whose bases
+    # are exactly those raised to responses, keeps full-size exponents.
     gp, rng = MODP_GROUP, random.Random(13)
-    stated = []
+    calls = []
 
     def recording_multi_exp(pairs, p):
         pairs = list(pairs)
-        stated.extend(pairs)
+        calls.append(pairs)
         return multi_exp(pairs, p)
 
-    def exponent_bits(run, response_base=None):
-        """(bits of each other base's exponent, bits of response_base's)."""
-        del stated[:]
+    def left_bases(run):
+        """The left-hand product's bases, once each product's exponents are
+        checked short."""
+        del calls[:]
         assert run()
-        assert stated  # a Collect batch ran
-        return ([e.bit_length() for base, e in stated if base != response_base],
-                [e.bit_length() for base, e in stated if base == response_base])
+        assert len(calls) == 3  # a Collect batch ran and held
+        left, *short = calls
+        bits = [e.bit_length() for pairs in short for _, e in pairs]
+        assert max(bits) <= SHORT_EXPONENT_BITS, bits
+        return {base for base, _ in left}
 
     monkeypatch.setattr(chaum_pedersen, "multi_exp", recording_multi_exp)
     jpk, shares = dkg(3, 2, gp, rng)
     style = BallotStyle("s", (Contest("mayor", ("ada", "grace"), 1),))
     eb, proof = encrypt_ballot(PlaintextBallot("s", {"mayor": ("grace",)}), style, jpk.K, gp,
                                rng, "ops")
-    short, _ = exponent_bits(lambda: batched(
-        gp, lambda: b"ballot", lambda eqs: verify_ballot(eb, proof, style, jpk.K, gp, "ops", eqs)))
-    assert max(short) <= SHORT_EXPONENT_BITS, short
+    assert left_bases(lambda: batched(gp, lambda: b"ballot", lambda eqs: verify_ballot(
+        eb, proof, style, jpk.K, gp, "ops", eqs))) == {gp.g, jpk.K}
     ct = encrypt_exp(1, rng.randrange(1, gp.q), jpk.K, gp)
     dshares = [partial_decrypt(ct, share, gp, rng, b"col") for share in shares[:2]]
-    short, full = exponent_bits(lambda: combine_shares([(ct, dshares, b"col")], jpk, gp) == [gp.g],
-                                ct.a)
-    assert max(short) <= SHORT_EXPONENT_BITS < max(full), (short, full)
+    assert left_bases(lambda: combine_shares([(ct, dshares, b"col")], jpk, gp) == [gp.g]) == {
+        gp.g, ct.a}
 
 
 @pytest.mark.parametrize("gp, bump, sinks", [
@@ -609,6 +611,15 @@ def test_an_honest_board_is_verified_in_one_batch(name, batch_verdicts) -> None:
     del batch_verdicts[:]  # simulate's and tally's
     assert verify_board(board_raw_lines(result["board"]), result["manifest"]).overall
     assert batch_verdicts == [True]
+
+
+def test_a_batch_builds_no_comb_table() -> None:
+    """verify's one batch raises g and the joint key inside its
+    multi-exponentiations: an honest board costs no comb table."""
+    result, _ = mid_demo_run()
+    group._comb.cache_clear()
+    assert verify_board(board_raw_lines(result["board"]), result["manifest"]).overall
+    assert group._comb.cache_info().currsize == 0
 
 
 def test_the_writer_and_the_tally_each_check_in_one_batch(batch_verdicts) -> None:

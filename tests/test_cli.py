@@ -678,6 +678,26 @@ def test_tally_and_audit_refuse_a_store_or_box_that_does_not_match_the_board(edi
     assert json.loads(capsys.readouterr().out) == {"verdict": "ABORTED", "reason": fault}
 
 
+def test_audit_aborts_on_a_board_with_no_effective_cast_entry(tmp_path, capsys) -> None:
+    """Status lines demote every CAST entry to SPOILED before the tally line,
+    which still announces a positive margin, and the paper box is empty: the
+    audit has no ballot to draw and aborts, exit 2, with no traceback."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    lines = result["board"].lines()
+    at = next(i for i, line in enumerate(lines) if line["kind"] == "tally")
+    lines[at:at] = [{"kind": "status", "ref": line["index"], "status": "SPOILED"}
+                    for line in lines if line["kind"] == "entry" and line["status"] == "CAST"]
+    manifest = result["manifest"]
+    board.write_text("\n".join(rechain(lines, manifest.election_id, result["office"],
+                                       manifest.gp)) + "\n", encoding="utf-8")
+    (tmp_path / "papers.json").write_text("[]", encoding="utf-8")
+    capsys.readouterr()
+    assert main(commands["audit"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "ABORTED", "reason": "no effective-CAST ballot to audit"}
+
+
 @pytest.mark.parametrize("edit", [
     lambda office: dict(office, sk=int_to_hex(int(office["sk"], 16) + 1)),
     lambda office: dict(office, pk=int_to_hex(int(office["pk"], 16) + 1)),

@@ -156,6 +156,7 @@ SCENARIO_EDITS = {
     "faults-a-list": (_edit(("faults",), []), "faults: not an object"),
     "trustees-a-list": (_edit(("trustees",), [3, 2]), "trustees: not an object"),
     "ttl-a-string": (_edit(("ttl",), "x"), "ttl: not an integer"),
+    "ttl-negative": (_edit(("ttl",), -5), "ttl: -5 is negative"),
     "election-id-a-number": (_edit(("election_id",), 5), "election_id: not a string"),
     "paper-override-a-number": (_edit(("paper_overrides",), [5]),
                                 "paper_overrides[0]: not an object"),
