@@ -27,6 +27,7 @@ from .boardformat import (
     SIGNER,
     SPOILED,
     UNTALLIED,
+    VERSION,
     BoardIndex,
     EncryptedBallotRecord,
     SpoiledColumn,
@@ -35,6 +36,7 @@ from .boardformat import (
     TerminalClose,
     at_line,
     fold_ballots,
+    line_fault,
     parse_lines,
     read_board_lines,
     signature_message,
@@ -58,16 +60,19 @@ class Board:
     def __init__(self, election_id: str):
         self.election_id = election_id
         self._index = BoardIndex(election_id)
-        self._append({"kind": "header", "election_id": election_id, "version": "1"})
+        self._append({"kind": "header", "election_id": election_id, "version": VERSION})
 
     # -- low-level chain ------------------------------------------------------
 
     def _append(self, obj: dict) -> int:
-        line = dict(obj)
-        line["prev"] = self._index.head
-        text, lineno = canonical_json(line), len(self._index.texts)
-        self._index.add(lineno, line, text)  # no line Board writes breaks a rule
-        self._index.head = sha256_hex(text.encode("utf-8"))
+        """Chain the line to the head and append it once line_fault and
+        BoardIndex.add accept it; else ChainBroken, the board unchanged."""
+        index, line = self._index, dict(obj, prev=self._index.head)
+        lineno = len(index.texts)
+        if fault := line_fault(line) or index.add(lineno, line):
+            raise ChainBroken(lineno, fault)
+        index.texts.append(canonical_json(line))
+        index.last, index.head = lineno, sha256_hex(index.texts[-1].encode("utf-8"))
         return lineno
 
     @property
@@ -135,29 +140,15 @@ class Board:
             self._append(line)
         return list(range(first, first + len(entries)))
 
-    def check_entry(self, entry_index: int) -> int:
-        """entry_index, if the board has that entry; else MalformedRecord."""
-        if entry_index not in self._index.statuses:
-            raise MalformedRecord(f"no entry {entry_index}")
-        return entry_index
-
     def append_status(self, entry_index: int, status: str, reason: str | None = None) -> int:
-        self.check_entry(entry_index)
         line = {"kind": "status", "ref": str(entry_index), "status": status}
         if reason is not None:
             line["reason"] = reason
         return self._append(line)
 
     def append_decryption(self, entry_index: int, columns: list, plaintext: dict) -> int:
-        self.check_entry(entry_index)
-        return self._append(
-            {
-                "kind": "decryption",
-                "ref": str(entry_index),
-                "columns": columns,
-                "plaintext": plaintext,
-            }
-        )
+        return self._append({"kind": "decryption", "ref": str(entry_index), "columns": columns,
+                             "plaintext": plaintext})
 
     def append_terminal_close(self, terminal_id: str, final_z: bytes, produced: int) -> int:
         close = TerminalClose(terminal=terminal_id, final_z=final_z, produced=produced)
@@ -194,7 +185,8 @@ class Board:
             raise ChainBroken(lineno, f"{line['kind']} line: the board is already tallied")
 
     def effective_status(self, entry_index: int) -> str:
-        self.check_entry(entry_index)
+        if entry_index not in self._index.statuses:
+            raise MalformedRecord(f"no entry {entry_index}")
         return self._index.statuses[entry_index]
 
 

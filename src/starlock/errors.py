@@ -48,9 +48,9 @@ class ChainBroken(StarlockError):
     """A board line that does not parse to a JSON object, is not canonical,
     does not link to the line before it, does not fit its kind, or is out of
     place: it breaks a structure rule of the board format (listed in
-    boardformat's docstring, decided by BoardIndex.add), is not a verified
-    office signature last, or is a decryption or tally line on a board handed
-    to the tally."""
+    boardformat's docstring, decided by BoardIndex.add), is a signature line
+    that does not verify or a last line that is not a signature, or is a
+    decryption or tally line on a board handed to the tally."""
     exit_code = 2
 
     def __init__(self, lineno: int, reason: str):

@@ -107,7 +107,7 @@ def check_line_chain(index: BoardIndex) -> list:
 
 
 def check_signatures(index: BoardIndex, manifest: ElectionManifest) -> list:
-    fault = signature_fault(index, manifest, index.signatures)
+    fault = signature_fault(index, manifest)
     if fault:
         return [ReportItem("signature", False, fault[1], line=fault[0])]
     return [ReportItem("signature", True, f"{len(index.signatures)} signature(s) verify")]

@@ -151,6 +151,30 @@ def test_status_supersession_last_wins() -> None:
         board.append_decryption(5, [], {})
 
 
+def test_board_refuses_a_line_that_breaks_a_structure_rule() -> None:
+    """The writer appends only what BoardIndex.add accepts: a line that
+    breaks a structure rule is ChainBroken naming the rule, and the board's
+    texts and head stay as they were."""
+    jpk, trustees, _, rng = setup_keys()
+    board = Board(EID)
+    board.publish_entry(make_record(ballot(), jpk, rng), SPOILED, STYLE, jpk.K, GP)
+    board.append_decryption(0, [], {})
+    board.append_terminal_close("T1", b"\x01" * 32, 1)
+    tally = decrypt_tally(board, STYLES, trustees, jpk, GP, random.Random(9))
+    board.append_tally(tally)
+    for append, rule in [
+        (lambda: board.append_tally(tally), "second tally line"),
+        (lambda: board.append_terminal_close("T1", b"\x02" * 32, 2), "terminal T1 closed twice"),
+        (lambda: board.append_decryption(0, [], {}), "entry 0 decrypted twice"),
+        (lambda: board.append_status(1, CAST), "status line refers to no entry 1"),
+    ]:
+        texts, head = list(board._index.texts), board.last_hash
+        with pytest.raises(ChainBroken) as exc:
+            append()
+        assert (exc.value.lineno, exc.value.reason) == (len(texts), rule)
+        assert (board._index.texts, board.last_hash) == (texts, head)
+
+
 def test_write_load_round_trip(tmp_path) -> None:
     jpk, _, office, rng = setup_keys()
     board = Board(EID)

@@ -304,12 +304,19 @@ def write_demo_record(tmp_path, raw_lines, group=None):
 
 def retamper_demo(mutate, upto=None):
     """The demo's board lines (the first `upto` of them), edited in place by
-    mutate, re-chained and re-signed."""
+    mutate, re-chained and re-signed: each signature line kept is signed again
+    over the re-chained head above it, as the office would have signed it."""
     result, _ = demo_run()
     lines = result["board"].lines()[:upto]
     mutate(lines)
     manifest = result["manifest"]
-    return rechain(lines, manifest.election_id, result["office"], manifest.gp)
+    signed = []
+    for line in lines:
+        signed.append(line)
+        if line.get("kind") == "signature":
+            signed = [json.loads(text) for text in
+                      rechain(signed, manifest.election_id, result["office"], manifest.gp)]
+    return rechain(signed, manifest.election_id, result["office"], manifest.gp)
 
 
 @pytest.mark.parametrize("group", [

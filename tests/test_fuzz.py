@@ -8,7 +8,9 @@ sign, _, a space, empty, a non-hex digit). An edit that leaves the board
 unchanged is skipped. The verifier must never raise, every raw edit must fail a named
 check at a line, and every command (receipt-check on a cast and on a spoiled
 receipt) must end with exit 0 or 2: a board is an input, never an internal fault.
-On a raw edit, verify, audit and both receipt-checks must exit 2.
+On a raw edit, verify, audit and both receipt-checks must exit 2. The strict
+read (parse_lines) must refuse each board where verify's first failing
+line_chain or signature item names it, and accept every other board.
 
 A second corpus edits the operator files (manifest, CVR, paper, commitment,
 office key, trustee share and joint key files) the same way, plus hex values
@@ -22,7 +24,9 @@ import json
 import random
 
 from helpers import board_raw_lines, demo_commands, demo_run, rechain
+from starlock.boardformat import parse_lines
 from starlock.cli import main
+from starlock.errors import ChainBroken, MalformedRecord
 from starlock.scenario import make_demo_scenario
 from starlock.serialize import canonical_json, int_to_hex
 from starlock.verifier import verify_board
@@ -136,6 +140,35 @@ def test_verifier_never_raises_and_names_every_raw_edit() -> None:
             assert any(item.line is not None for item in report.failures()), (kind, board)
     assert sum(rechained for _, rechained, _ in boards) > EDITS // 2
     assert reports.hexdigest() == REPORTS_SHA256
+
+
+def strict_verdict(board, manifest, canonical):
+    """parse_lines' (line, reason) refusal of the board, or None."""
+    try:
+        parse_lines(board, manifest, canonical)
+    except ChainBroken as exc:
+        return exc.lineno, exc.reason
+    except MalformedRecord as exc:
+        return exc.lineno, f"malformed {exc.detail}"
+    return None
+
+
+def test_the_strict_read_refuses_a_board_where_verify_fails_its_chain_or_signature() -> None:
+    """Every reader judges a board line alike: parse_lines refuses a corpus
+    board at verify's first failing line_chain or signature item, with its
+    reason, and accepts every other board. Without the canonical check (audit
+    and receipt-check) a line verify names as not canonical is refused at
+    that line or, its hash unlike the next line's prev, at the next."""
+    manifest = demo_run()[0]["manifest"]
+    for kind, rechained, board in corpus():
+        first = next(((item.line, item.detail) for item in verify_board(board, manifest).items
+                      if item.check in ("line_chain", "signature") and not item.ok), None)
+        assert strict_verdict(board, manifest, True) == first, (kind, rechained, board)
+        loose = strict_verdict(board, manifest, False)
+        if first and first[1] == "line not in canonical form":
+            assert loose and loose[0] in (first[0], first[0] + 1), (kind, rechained, board)
+        else:
+            assert loose == first, (kind, rechained, board)
 
 
 def test_every_command_ends_with_a_documented_exit_code(tmp_path, capsys) -> None:
