@@ -23,9 +23,9 @@ from itertools import islice
 from .audit import reconcile
 from .ballot import BallotStyle, verify_ballot
 from .boardformat import (
-    CAST,
+    DECRYPTED,
     SIGNER,
-    SPOILED,
+    STATUSES,
     UNTALLIED,
     VERSION,
     BoardIndex,
@@ -116,7 +116,7 @@ class Board:
         Returns the entry indices."""
         entries = list(entries)
         for _, status, _, _ in entries:
-            if status not in (CAST, SPOILED, UNTALLIED):
+            if status not in STATUSES:
                 raise ValueError(f"cannot publish entry with status {status!r}")
 
         def seed() -> bytes:  # fixes every response the batch weighs
@@ -198,43 +198,6 @@ def aggregate(board: Board, style_map: dict, gp: GroupParams):
     return fold_ballots(board._index.cast_ballots(), style_map, gp)
 
 
-def _spoiled_job(board: Board, entry_index: int, style_map: dict):
-    """A spoiled or untallied entry's decryption (see decrypt_all), whose
-    result is (columns, plaintext summary) for its decryption line.
-    NotSpoiled for any other entry; a MalformedRecord names the entry's
-    board line."""
-    status = board.effective_status(entry_index)
-    if status not in (SPOILED, UNTALLIED):
-        raise NotSpoiled(f"entry {entry_index} is {status}")
-    ballot = board._index.ballot(entry_index)  # its proof stays undecoded
-    lineno, _ = board._index.entries[entry_index]
-    style = style_map.get(ballot.style_id)
-    if style is None:
-        raise MalformedRecord(f"unknown ballot style {ballot.style_id!r}").at(lineno, entry_index)
-
-    def result(columns):
-        bits = {(col.contest, col.column): col.value for col in columns}
-        return [col.to_json() for col in columns], spoiled_plaintext(style, bits)
-
-    rows = spoiled_statements(board.election_id, entry_index, ballot, style)
-    return SpoiledColumn, rows, lineno, entry_index, result
-
-
-def _tally_job(board: Board, style_map: dict, gp: GroupParams):
-    """The aggregate's decryption (see decrypt_all), whose result is the
-    TallyRecord."""
-    agg = aggregate(board, style_map, gp)
-
-    def result(columns):
-        counts = {cid: {} for cid in agg}
-        for col in columns:
-            counts[col.contest][col.column] = col.value
-        return TallyRecord(columns=tuple(columns), result=counts,
-                           cast_counts={cid: bucket["cast_count"] for cid, bucket in agg.items()})
-
-    return TallyColumn, tally_statements(board.election_id, agg), None, None, result
-
-
 def _columns(cls, decrypted, gp: GroupParams) -> list:
     """cls(contest, column, plaintext, ciphertext, shares) for each (row,
     |g^m|, shares); a NoDlogInRange names a row whose plaintext exceeds its
@@ -250,30 +213,48 @@ def _columns(cls, decrypted, gp: GroupParams) -> list:
 
 
 def decrypt_all(board: Board, spoiled, style_map: dict, trustee_shares, jpk: JointPublicKey,
-                gp: GroupParams, rng: random.Random, tally: bool = True) -> list:
+                gp: GroupParams, rng: random.Random) -> list:
     """Verifiable decryptions of the spoiled or untallied entries listed, in
-    that order, then, when tally is set, of the aggregate of the
-    effective-CAST entries. Every column is partial-decrypted with each
-    supplied trustee share, in that order, so rng is drawn as by one
-    decryption after another; then every share is verified and combined in
-    one combine_shares call (one batch of share proofs).
+    that order, then of the aggregate of the effective-CAST entries. Every
+    column is partial-decrypted with each supplied trustee share, in that
+    order, so rng is drawn as by one decryption after another; then every
+    share is verified and combined in one combine_shares call (one batch of
+    share proofs).
 
     Returns (columns, plaintext summary) per entry, ready for its decryption
-    line, then the TallyRecord. A MalformedRecord of an entry, and a
-    NoDlogInRange of its column, names the entry's board line;
-    InsufficientShares/BadShareProof propagate from the combine step."""
-    jobs = [_spoiled_job(board, index, style_map) for index in spoiled]
-    if tally:
-        jobs.append(_tally_job(board, style_map, gp))
-    rows = [row for _, job_rows, _, _, _ in jobs for row in job_rows]
+    line, then the TallyRecord. NotSpoiled for a listed entry of another
+    status; a MalformedRecord of an entry, and a NoDlogInRange of its
+    column, names the entry's board line; InsufficientShares/BadShareProof
+    propagate from the combine step."""
+    groups = []  # (entry, lineno, style, rows) per listed entry
+    for k in spoiled:
+        if (status := board.effective_status(k)) not in DECRYPTED:
+            raise NotSpoiled(f"entry {k} is {status}")
+        ballot = board._index.ballot(k)  # its proof stays undecoded
+        lineno, _ = board._index.entries[k]
+        style = style_map.get(ballot.style_id)
+        if style is None:
+            raise MalformedRecord(f"unknown ballot style {ballot.style_id!r}").at(lineno, k)
+        groups.append((k, lineno, style, spoiled_statements(board.election_id, k, ballot, style)))
+    agg = aggregate(board, style_map, gp)
+    rows = [row for *_, group in groups for row in group] + tally_statements(board.election_id, agg)
     shared = [tuple(partial_decrypt(row.ciphertext, ts, gp, rng, row.context)
                     for ts in trustee_shares) for row in rows]
     powers = combine_shares([(row.ciphertext, shares, row.context)
                              for row, shares in zip(rows, shared)], jpk, gp)
     decrypted = zip(rows, powers, shared)
-    return [result(at_line(lineno, _columns, cls, islice(decrypted, len(job_rows)), gp,
-                           entry=entry))
-            for cls, job_rows, lineno, entry, result in jobs]
+    out = []
+    for k, lineno, style, group in groups:
+        columns = at_line(lineno, _columns, SpoiledColumn, islice(decrypted, len(group)), gp,
+                          entry=k)
+        bits = {(col.contest, col.column): col.value for col in columns}
+        out.append(([col.to_json() for col in columns], spoiled_plaintext(style, bits)))
+    columns = _columns(TallyColumn, decrypted, gp)  # the rest: the aggregate's
+    result = {cid: {} for cid in agg}
+    for col in columns:
+        result[col.contest][col.column] = col.value
+    cast_counts = {cid: bucket["cast_count"] for cid, bucket in agg.items()}
+    return [*out, TallyRecord(columns=tuple(columns), result=result, cast_counts=cast_counts)]
 
 
 def decrypt_tally(board: Board, style_map: dict, trustee_shares, jpk: JointPublicKey,
@@ -284,10 +265,9 @@ def decrypt_tally(board: Board, style_map: dict, trustee_shares, jpk: JointPubli
 
 def decrypt_spoiled(board: Board, entry_index: int, style_map: dict, trustee_shares,
                     jpk: JointPublicKey, gp: GroupParams, rng: random.Random):
-    """One spoiled (or untallied) entry alone, by decrypt_all: (columns,
-    plaintext summary) ready for its decryption line."""
-    return decrypt_all(board, (entry_index,), style_map, trustee_shares, jpk, gp, rng,
-                       tally=False)[0]
+    """One spoiled (or untallied) entry's (columns, plaintext summary), ready
+    for its decryption line, by decrypt_all, which decrypts the tally too."""
+    return decrypt_all(board, (entry_index,), style_map, trustee_shares, jpk, gp, rng)[0]
 
 
 def finish_election(board: Board, manifest: ElectionManifest, trustee_shares,
@@ -312,7 +292,7 @@ def finish_election(board: Board, manifest: ElectionManifest, trustee_shares,
         board.append_status(index_of[serial], UNTALLIED, reason="cast-without-paper")
 
     spoiled = [index for index in range(board.entry_count)
-               if board.effective_status(index) in (SPOILED, UNTALLIED)]
+               if board.effective_status(index) in DECRYPTED]
     *decryptions, tally = decrypt_all(board, spoiled, style_map, trustee_shares, manifest.jpk,
                                       gp, rng)
     for index, (columns, plaintext) in zip(spoiled, decryptions):

@@ -23,11 +23,13 @@ A decrypted column's statement, the ColumnStatement row (ciphertext, bound,
 context) that the tally and verify both read, comes from tally_statements or
 spoiled_statements. Every signature line must verify under the office's
 key, and the last line must be one. parse_lines, the one strict read,
-refuses a board where verify fails line_chain or signature, with one
-difference: only tally, which re-signs the board, refuses a line out of
-canonical form; audit and receipt-check refuse the next line, whose prev no
-longer matches, as the check would double their parse (33 to 69 ms for
-1,654 lines on a 2 vCPU Xeon). lookup_receipt is the receipt rule.
+refuses a board at the line where verify fails line_chain or signature, and
+for the same reason, with one difference: a line out of canonical form whose
+text the next line's prev hashes, on a board the office signed. tally, which
+re-signs the board, refuses it; audit and receipt-check accept it, as they
+test a line's form only at the chain's break and at the last line: testing
+every line would double their parse (33 to 69 ms for 1,654 lines on a 2 vCPU
+Xeon). lookup_receipt is the receipt rule.
 
 This module is format-level: it never imports the polling-place, board,
 scenario or CLI machinery, so the verifier can share it and stay
@@ -39,7 +41,8 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 
-from .ballot import ABSTAIN_COLUMN, WRITE_IN_COLUMN, EncryptedBallot, WellFormednessProof
+from .ballot import (ABSTAIN_COLUMN, WRITE_IN_COLUMN, EncryptedBallot, PlaintextBallot,
+                     WellFormednessProof)
 from .chain import receipt_code
 from .elgamal import Ciphertext, homomorphic_add, identity_ciphertext
 from .errors import AmbiguousReceipt, ChainBroken, MalformedRecord
@@ -67,7 +70,10 @@ from .trustees import DecryptionShare
 CAST = "CAST"
 SPOILED = "SPOILED"
 UNTALLIED = "UNTALLIED"
-STATUS = one_of(CAST, SPOILED, UNTALLIED)  # BoardIndex.add refuses any other status
+STATUSES = (CAST, SPOILED, UNTALLIED)
+STATUS = one_of(*STATUSES)  # BoardIndex.add refuses any other status
+# An entry of these effective statuses carries exactly one decryption line.
+DECRYPTED = (SPOILED, UNTALLIED)
 VERSION = "1"  # the header's format version, which Board writes and BoardIndex.add decodes
 GENESIS_HASH = "0" * 64
 SIGNER = "election-office"
@@ -159,12 +165,13 @@ LINE_KEYS = {
 ALLOWED_KEYS = {kind: required | optional | {"kind", "prev"}
                 for kind, (required, optional) in LINE_KEYS.items()}
 
-# The values BoardIndex.add decodes, where the line carries them, beside the
-# election id, index, ref, status and terminal it reads.
+# The values BoardIndex.add decodes, where the line carries them, in that order.
 CHECKED_KEYS = {
-    "header": (("version", one_of(VERSION)),),
-    "entry": (("timestamp", NUMERAL), ("reason", STR)),
-    "status": (("reason", STR),),
+    "header": (("version", one_of(VERSION)), ("election_id", STR)),
+    "entry": (("timestamp", NUMERAL), ("reason", STR), ("index", NUMERAL), ("status", STATUS)),
+    "status": (("reason", STR), ("ref", NUMERAL), ("status", STATUS)),
+    "decryption": (("ref", NUMERAL),),
+    "terminal_close": (("terminal", STR),),
 }
 
 
@@ -197,20 +204,13 @@ def at_line(lineno: int, fn, *args, entry: int | None = None):
 
 def spoiled_plaintext(style, bits: dict) -> dict:
     """The published plaintext summary of a decrypted ballot of this style,
-    from its proven column bits {(contest_id, column): bit}."""
-    def marked(cid, column):
-        return bits.get((cid, column)) == 1
-
-    return {
-        "style_id": style.style_id,
-        "selections": {
-            c.contest_id: [opt for opt in sorted(c.options) if marked(c.contest_id, opt)]
-            for c in style.contests
-        },
-        "writeins": sorted(
-            c.contest_id for c in style.contests if marked(c.contest_id, WRITE_IN_COLUMN)
-        ),
-    }
+    from its proven column bits {(contest_id, column): bit}: the ballot's
+    PlaintextBallot.to_json."""
+    marked = {key for key, bit in bits.items() if bit == 1}
+    selections = {c.contest_id: [opt for opt in c.options if (c.contest_id, opt) in marked]
+                  for c in style.contests}
+    writeins = {c.contest_id for c in style.contests if (c.contest_id, WRITE_IN_COLUMN) in marked}
+    return PlaintextBallot(style.style_id, selections, writeins).to_json()
 
 
 def signature_message(election_id: str, head: bytes) -> bytes:
@@ -339,43 +339,37 @@ class BoardIndex:
         self._proofs = {}
 
     def add(self, lineno: int, line: dict) -> str | None:
-        """Index one line, decoding the index, ref and status it reads and the
-        values of CHECKED_KEYS, and return the structure rule (see the module
-        docstring) it breaks, or None; MalformedRecord leaves the line
-        unindexed. A line that breaks a rule is kept out of the structure it
-        would break: an entry after a gap is indexed under its own number, so
-        that the entries after it are judged on their own, but an entry
-        repeating an indexed number is not. The caller records the line's
-        text; the writer refuses a line that faults."""
+        """Index one line, decoding the values of CHECKED_KEYS it carries, and
+        return the structure rule (see the module docstring) it breaks, or
+        None; MalformedRecord leaves the line unindexed. A line that breaks a
+        rule is kept out of the structure it would break: an entry after a gap
+        is indexed under its own number, so that the entries after it are
+        judged on their own, but an entry repeating an indexed number is not.
+        The caller records the line's text; the writer refuses a line that
+        faults."""
         kind, fault = line.get("kind"), None
-        for key, codec in CHECKED_KEYS.get(kind, ()):
-            if key in line:
-                decode_field(line, key, codec.decode)
-        if kind == "header":
-            election_id = decode_field(line, "election_id", STR.decode)
-            if election_id != self.election_id:
-                fault = f"header names election {election_id!r}, not {self.election_id!r}"
+        got = {key: decode_field(line, key, codec.decode)
+               for key, codec in CHECKED_KEYS.get(kind, ()) if key in line}
+        if kind == "header" and got["election_id"] != self.election_id:
+            fault = f"header names election {got['election_id']!r}, not {self.election_id!r}"
         elif kind == "entry":
-            k = decode_field(line, "index", NUMERAL.decode)
-            status = decode_field(line, "status", STATUS.decode)
+            k = got["index"]
             if k != len(self.entries):
                 fault = "entry index out of sequence"
             if k not in self.entries:
                 self.entries[k] = (lineno, line)
-                self.statuses[k] = status
+                self.statuses[k] = got["status"]
         elif kind in ("status", "decryption"):
-            ref = decode_field(line, "ref", NUMERAL.decode)
-            status = decode_field(line, "status", STATUS.decode) if kind == "status" else None
+            ref = got["ref"]
             if ref not in self.statuses:
                 fault = f"{kind} line refers to no entry {ref}"
             elif kind == "status":
-                self.statuses[ref] = status
+                self.statuses[ref] = got["status"]
             elif self.decryptions.setdefault(ref, (lineno, line))[0] != lineno:
                 fault = f"entry {ref} decrypted twice"
         elif kind == "terminal_close":
-            terminal = decode_field(line, "terminal", STR.decode)
-            if self.closes.setdefault(terminal, (lineno, line))[0] != lineno:
-                fault = f"terminal {terminal} closed twice"
+            if self.closes.setdefault(got["terminal"], (lineno, line))[0] != lineno:
+                fault = f"terminal {got['terminal']} closed twice"
         elif kind == "tally":
             if self.tally:
                 fault = "second tally line"
@@ -419,14 +413,17 @@ def read_board_lines(path) -> list:
 
 def read_board(raw_lines, election_id: str, canonical=False) -> BoardIndex:
     """Parse each raw line (no newline) once, check that it is a JSON object
-    carrying the previous line's hash (with canonical, also that its text is
-    the canonical encoding of that object), and index it with its text for
-    the election election_id. The first break, a structure rule that
-    BoardIndex.add names included, goes to `broken`; at the break line a
-    non-canonical text is the reason given. Every object whose keys fit its
-    kind (line_fault) and whose values add reads decode is indexed. A board
-    with no line lacks its header at line 0."""
-    index = BoardIndex(election_id)
+    carrying the previous line's hash and that its text is the canonical
+    encoding of that object, and index it with its text for the election
+    election_id. The first break, a structure rule that BoardIndex.add names
+    included, goes to `broken`. With canonical every line's form is tested;
+    without, only where an honest board pays nothing: at the break (on "hash
+    chain broken", at the line above first) and at the last line, which no
+    later prev covers. Every object whose keys fit its kind (line_fault) and
+    whose values add reads decode is indexed. A board with no line lacks its
+    header at line 0."""
+    index, previous = BoardIndex(election_id), None
+    uncanonical = lambda line, raw: canonical_json(line) != raw  # noqa: E731
     for lineno, raw in enumerate(raw_lines):
         try:
             line = json.loads(raw)
@@ -445,13 +442,19 @@ def read_board(raw_lines, election_id: str, canonical=False) -> BoardIndex:
                     index.texts.append(raw)
                     index.last = lineno
             reason = reason or fault
-            if canonical and index.broken is None and canonical_json(line) != raw:
-                reason = "line not in canonical form"
+            if index.broken is None and (canonical or reason):
+                if reason == "hash chain broken" and lineno and uncanonical(*previous):
+                    index.broken = (lineno - 1, "line not in canonical form")
+                elif uncanonical(line, raw):
+                    reason = "line not in canonical form"
         if reason and index.broken is None:
             index.broken = (lineno, reason)
         index.head = sha256_hex(raw.encode("utf-8"))
+        previous = line, raw
     if index.head == GENESIS_HASH:
         index.broken = (0, "board file missing header line")
+    elif not (canonical or index.broken) and uncanonical(*previous):
+        index.broken = (lineno, "line not in canonical form")
     return index
 
 
@@ -474,8 +477,9 @@ def signature_fault(index: BoardIndex, manifest: ElectionManifest):
 def parse_lines(raw_lines: list, manifest: ElectionManifest, canonical=False) -> BoardIndex:
     """The strict read of every command that trusts a board: read_board for
     the manifest's election, then ChainBroken at its break or at the
-    signature_fault of any signature line; only tally sets canonical (see
-    the module docstring)."""
+    signature_fault of any signature line. Only tally sets canonical, which
+    refuses one board more: a signed one holding a line out of canonical form
+    that the next line's prev hashes (see the module docstring)."""
     index = read_board(raw_lines, manifest.election_id, canonical)
     if index.broken:
         raise ChainBroken(*index.broken)

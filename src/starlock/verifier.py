@@ -33,9 +33,8 @@ from __future__ import annotations
 
 from .ballot import ABSTAIN_COLUMN, verify_ballot
 from .boardformat import (  # lookup_receipt, parse_lines and read_board_lines are re-exported
-    SPOILED,
+    DECRYPTED,
     SPOILED_COLUMNS,
-    UNTALLIED,
     BoardIndex,
     TallyRecord,
     TerminalClose,
@@ -229,7 +228,7 @@ def _check_decryptions(index, manifest: ElectionManifest, eqs) -> list:
         fails.append(ReportItem("decryptions", False, detail, **where))
 
     for k, status in sorted(index.statuses.items()):
-        needs = status in (SPOILED, UNTALLIED)
+        needs = status in DECRYPTED
         if needs and k not in index.decryptions:
             fail(f"entry {k} ({status}) has no decryption")
             continue

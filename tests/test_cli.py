@@ -436,6 +436,26 @@ def test_a_forged_spoiled_plaintext_is_refused_by_every_reader(tmp_path, capsys)
         assert fault.split(": ", 1)[1] in capsys.readouterr().out
 
 
+def test_a_last_line_out_of_canonical_form_is_refused_by_every_reader(tmp_path, capsys) -> None:
+    """The office's signature, the last line, rewritten with its keys
+    reversed and ", " / ": " separators: its value is the same and no later
+    prev covers its text, yet every command that reads the board exits 2
+    naming it."""
+    raw = board_raw_lines(demo_run()[0]["board"])
+    last = len(raw) - 1
+    reformatted = json.dumps(dict(reversed(json.loads(raw[last]).items())))
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join([*raw[:last], reformatted]) + "\n", encoding="utf-8")
+    for name in ("audit", "receipt-check", "receipt-check-spoiled"):
+        capsys.readouterr()
+        assert main(commands[name]) == 2, name
+        assert capsys.readouterr().out == (
+            f"ChainBroken: board line {last}: line not in canonical form\n"), name
+    capsys.readouterr()
+    assert main(commands["verify"]) == 2
+    assert f"line_chain [line {last}]: line not in canonical form" in capsys.readouterr().out
+
+
 def test_receipt_check_reports_an_ambiguous_receipt_as_a_verdict(tmp_path, capsys) -> None:
     """The first entry line again as the next entry after the last,
     re-chained and re-signed: the receipt matches two chain positions, and

@@ -9,10 +9,13 @@ unchanged is skipped. The verifier must never raise, every raw edit must fail a 
 check at a line, and every command (receipt-check on a cast and on a spoiled
 receipt) must end with exit 0 or 2: a board is an input, never an internal fault.
 On a raw edit, verify, audit and both receipt-checks must exit 2. The strict
-read (parse_lines) must refuse each board where verify's first failing
-line_chain or signature item names it, and accept every other board.
+read (parse_lines), with or without its canonical check, must refuse each
+board where verify's first failing line_chain or signature item names it, and
+accept every other board. So must it on each line of the demo board rewritten
+in another text of the same JSON value (same_value_edits), a corpus kept
+apart from the first so that REPORTS_SHA256 stays.
 
-A second corpus edits the operator files (manifest, CVR, paper, commitment,
+Another corpus edits the operator files (manifest, CVR, paper, commitment,
 office key, trustee share and joint key files) the same way, plus hex values
 off by one and valid keys put where others belong; no command reading them
 may raise or exit 1.
@@ -153,22 +156,51 @@ def strict_verdict(board, manifest, canonical):
     return None
 
 
+def verify_verdict(board, manifest):
+    """(line, detail) of verify's first failing line_chain or signature item, or None."""
+    return next(((item.line, item.detail) for item in verify_board(board, manifest).items
+                 if item.check in ("line_chain", "signature") and not item.ok), None)
+
+
 def test_the_strict_read_refuses_a_board_where_verify_fails_its_chain_or_signature() -> None:
-    """Every reader judges a board line alike: parse_lines refuses a corpus
-    board at verify's first failing line_chain or signature item, with its
-    reason, and accepts every other board. Without the canonical check (audit
-    and receipt-check) a line verify names as not canonical is refused at
-    that line or, its hash unlike the next line's prev, at the next."""
+    """Every reader judges a board line alike: parse_lines, with the
+    canonical check (tally) or without it (audit and receipt-check), refuses
+    a corpus board at verify's first failing line_chain or signature item,
+    with its reason, and accepts every other board."""
     manifest = demo_run()[0]["manifest"]
     for kind, rechained, board in corpus():
-        first = next(((item.line, item.detail) for item in verify_board(board, manifest).items
-                      if item.check in ("line_chain", "signature") and not item.ok), None)
-        assert strict_verdict(board, manifest, True) == first, (kind, rechained, board)
-        loose = strict_verdict(board, manifest, False)
-        if first and first[1] == "line not in canonical form":
-            assert loose and loose[0] in (first[0], first[0] + 1), (kind, rechained, board)
-        else:
-            assert loose == first, (kind, rechained, board)
+        first = verify_verdict(board, manifest)
+        for canonical in (True, False):
+            assert strict_verdict(board, manifest, canonical) == first, (
+                kind, rechained, canonical, board)
+
+
+def same_value_edits(text: str) -> list:
+    """The board line's text rewritten three ways that keep its JSON value:
+    its keys in reverse order, ", " and ": " separators, and the first letter
+    of "kind" written as a \\u00XX escape."""
+    line = json.loads(text)
+    return [json.dumps(dict(reversed(line.items())), separators=(",", ":")),
+            json.dumps(line, sort_keys=True),
+            text.replace('"kind"', '"\\u%04xind"' % ord("k"), 1)]
+
+
+def test_every_reader_refuses_a_line_out_of_canonical_form_at_that_line() -> None:
+    """A line of the same value in another text is refused at that line, as
+    verify refuses it, with or without the canonical check: at the break it
+    causes on the next line's prev, and at the last line, which no later
+    prev covers."""
+    result, _ = demo_run()
+    manifest = result["manifest"]
+    pristine = board_raw_lines(result["board"])
+    for i, text in enumerate(pristine):
+        for edit in same_value_edits(text):
+            assert edit != text and json.loads(edit) == json.loads(text)
+            board = [*pristine[:i], edit, *pristine[i + 1:]]
+            assert verify_verdict(board, manifest) == (i, "line not in canonical form"), edit
+            for canonical in (True, False):
+                assert strict_verdict(board, manifest, canonical) == (
+                    i, "line not in canonical form"), (canonical, edit)
 
 
 def test_every_command_ends_with_a_documented_exit_code(tmp_path, capsys) -> None:

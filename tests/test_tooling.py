@@ -212,6 +212,24 @@ def test_decryption_contexts_and_column_bounds_are_built_only_in_boardformat_py(
     assert offenders == []
 
 
+def test_sets_of_entry_statuses_are_defined_only_in_boardformat_py() -> None:
+    """No module but boardformat.py lists two or more of CAST, SPOILED and
+    UNTALLIED in one tuple, list or set literal: which statuses an entry may
+    carry is boardformat.STATUSES, and which carry a decryption line is
+    boardformat.DECRYPTED."""
+    statuses = {"CAST", "SPOILED", "UNTALLIED"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "boardformat.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and sum(
+                    (getattr(elt, "id", None) or getattr(elt, "attr", None)) in statuses
+                    for elt in node.elts) >= 2:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_hashed_layouts_are_defined_only_in_serialize_py() -> None:
     """No module but serialize.py defines canonical_bytes (an alias of
     Record.canonical_bytes aside), and no module defines a *_transcript

@@ -375,6 +375,43 @@ def test_decrypted_values_that_alias_mod_q_fail_their_bound() -> None:
             f"{where['cast']}") in fail.detail
 
 
+def test_a_decryption_of_a_cast_entry_fails_at_its_line() -> None:
+    result, _ = demo_board()
+    where = {}
+
+    def decrypt_a_cast_entry(lines):
+        board = result["board"]
+        k = next(k for k in range(board.entry_count) if board.effective_status(k) == "CAST")
+        dec = next(line for line in lines if line.get("kind") == "decryption")
+        lines.insert(len(lines) - 1, dict(dec, ref=str(k)))  # above the signature
+        where.update(line=len(lines) - 2, entry=k)
+
+    report = verify_board(retamper(result, decrypt_a_cast_entry), result["manifest"])
+    [fail] = report.failures()
+    assert fail.to_json() == {"check": "decryptions", "ok": False, "line": where["line"],
+                              "detail": f"entry {where['entry']} is CAST but was decrypted"}
+
+
+def test_a_tally_count_within_its_bound_but_not_what_the_shares_open_fails() -> None:
+    result, _ = demo_board()
+    where = {}
+
+    def recount_writein(lines):
+        lineno, tally = next((n, l) for n, l in enumerate(lines) if l.get("kind") == "tally")
+        col = next(c for c in tally["columns"]
+                   if (c["contest"], c["column"]) == ("mayor", "(write-in)"))
+        count = int(col["count"])
+        count += 1 if count < int(tally["cast"]["mayor"]) else -1  # within its bound, cast
+        col["count"] = tally["result"]["mayor"]["(write-in)"] = str(count)
+        where.update(line=lineno, count=count)
+
+    report = verify_board(retamper(result, recount_writein), result["manifest"])
+    [fail] = report.failures()  # the write-in column is outside the sum identity
+    assert fail.to_json() == {
+        "check": "tally", "ok": False, "line": where["line"],
+        "detail": f"mayor/(write-in): claimed plaintext {where['count']} inconsistent with shares"}
+
+
 def test_terminal_bookkeeping_failures() -> None:
     result, _ = demo_board()
 
