@@ -26,8 +26,10 @@ after the proof's exponent-range, Fiat-Shamir and challenge-sum checks have
 passed:
 
   * Immediate tests each membership exactly (GroupParams.is_element: the
-    range and x^q = +-1) and each equation as it comes, through gp.comb:
-    provers and the proof-by-proof check use combs; a batch uses only
+    range and, unless p = 2q + 1, x^q = +-1) and each equation as it comes,
+    through gp.comb: provers and the proof-by-proof check raise a recurring
+    base through its fixed-base entry (a squaring chain, or a comb table once
+    the base has recurred often enough); a batch uses only
     multi-exponentiations. It is the default, and the only sink of a small
     group: with q = 11 a 64-bit weight reduces mod 11 and would let a false
     equation through with probability 1/11.
@@ -99,8 +101,8 @@ class Immediate:
 
     def check(self, base, s, commit, y, c, m=0) -> bool:
         """base^s == commit * (y * g^-m)^c mod p, up to sign, base^s through
-        gp.comb: provers and the proof-by-proof check use combs; a batch uses
-        only multi-exponentiations."""
+        gp.comb, base's fixed-base entry: provers and the proof-by-proof check
+        use those; a batch uses only multi-exponentiations."""
         gp, p = self.gp, self.gp.p
         if m:
             y = y * pow(pow(gp.g, m, p), -1, p) % p
@@ -199,7 +201,8 @@ def verify_eq_dlog(
 ) -> bool:
     """The proof's checks, and its commits' range checks and two equations
     stated to eqs: an Immediate sink when None. Provers and the proof-by-proof
-    check use combs; a batch uses only multi-exponentiations. The caller tests
+    check raise g and g2 through gp.comb, their fixed-base entries; a batch
+    uses only multi-exponentiations. The caller tests
     the statement y1, g2, y2 for membership, or knows it is a product of
     elements it has tested."""
     eqs = eqs or Immediate(gp)

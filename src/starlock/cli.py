@@ -95,7 +95,7 @@ def _load_office(path, gp, manifest_pk=None):
     file unless its pk is |g^sk| and, given the manifest's key, that key."""
     from .elgamal import Keypair
     office = _load(path, Keypair.from_json)
-    # through g's comb table: simulate and tally build it anyway
+    # through g's fixed-base entry: simulate and tally build it anyway
     pk = gp.signed(gp.comb(gp.g, office.sk, gp.p))
     if office.pk != pk or manifest_pk not in (None, office.pk):
         whose = "an" if manifest_pk is None else "the election manifest's"

@@ -16,12 +16,16 @@ written as its representative |x| = min(x, p - x) in [1, (p - 1) / 2]
 (GroupParams.signed). Products and powers are taken mod p as usual and
 signed where a value is published, hashed or compared. Membership in the
 order-q subgroup is then a range check and x^q = +-1
-(GroupParams.is_element); a proof batch makes the range check per element
-and one q-th power of a weighted product for them all
-(chaum_pedersen.Collect). Bases that recur (g, the joint key, a ciphertext a
-tally column decrypts) are raised through a fixed-base comb table sized to
-q. The combs beat `pow` from about 64-bit p on and lose to it in the tiny
-test group, so a group decides once, from the size of p, which way it goes
+(GroupParams.is_element), and the range check alone when p = 2q + 1; a
+proof batch makes the range check per element and one q-th power of a
+weighted product for them all (chaum_pedersen.Collect). Bases that recur (g,
+the joint key, a ciphertext a tally column decrypts) are raised through a
+fixed-base entry sized to q (fixed_pow): a squaring chain that serves each
+power by Yao's method, promoted to a Lim-Lee comb table once the base has
+been raised PROMOTE_AFTER times, so a tally column's ciphertext, raised 2k
+times, never pays for a table while g and the joint key do. Fixed-base
+powers beat `pow` from about 64-bit p on and lose to it in the tiny test
+group, so a group decides once, from the size of p, which way it goes
 (`GroupParams.large`).
 """
 
@@ -33,9 +37,17 @@ from typing import Callable
 from .errors import InvalidGroup, MalformedRecord
 from .serialize import NUMERAL, Record
 
-LARGE_GROUP_BITS = 128  # p of at least this many bits: combs and batched proofs
+LARGE_GROUP_BITS = 128  # p of at least this many bits: fixed-base powers and batched proofs
 COMB_WINDOW = 8  # comb rows; a table holds 2^8 products, about 70 KB for 2048-bit p
-COMB_TABLES = 8  # tables kept, one per (base, p): g, K, and a tally column's c.a (2k powers)
+COMB_TABLES = 8  # fixed-base entries kept, one per (base, p): g, K, a tally column's c.a
+# A base's powers before its comb table is built. Over a 256-bit exponent a
+# chain power takes about 75 products (one per non-zero 4-bit digit of 64,
+# plus 15) and a comb power 32 squarings and 32 products, about 12 fewer; the
+# table's 255 products are then repaid after about 255 / 12 = 21 more powers.
+# (Timed, a squaring costs less than a product, and the break-even is nearer
+# 15: see fixed_pow.) So a base is promoted once it has been raised 20 times,
+# and a tally column's c.a, raised 2k times with k <= 10, never builds a table.
+PROMOTE_AFTER = 20
 CHALLENGE_BITS = 256  # a Fiat-Shamir challenge is a SHA-256 digest
 MIN_COFACTOR = 1 << 64  # a cofactor m > 1 must be a prime above this
 
@@ -68,43 +80,89 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=COMB_TABLES)
-def _comb(base: int, p: int, cols: int) -> dict:
-    """Lim-Lee comb table for base mod p (Lim and Lee, CRYPTO 1994; HAC
-    14.6.3). An exponent below 2^(COMB_WINDOW * cols) is cut into COMB_WINDOW
-    rows of `cols` bits; the table maps each column of row bits, top row
-    first, to the product of base^(2^(i * cols)) over the rows i whose bit is
-    set."""
-    row_bases = [base % p]
-    for _ in range(COMB_WINDOW - 1):
-        x = row_bases[-1]
-        for _ in range(cols):
+class FixedBase:
+    """A base that recurs, mod p: its squaring chain base^(2^(4i)), i below
+    2 * cols, and, once the base has been raised PROMOTE_AFTER times, its
+    comb table. An exponent below 2^(8 * cols) has 2 * cols 4-bit digits."""
+
+    __slots__ = ("p", "cols", "chain", "table", "uses")
+
+    def __init__(self, base: int, p: int, cols: int):
+        chain = [base % p]
+        for _ in range(2 * cols - 1):
+            x = chain[-1]
             x = x * x % p
-        row_bases.append(x)
-    products = [1]  # products[j]: rows i with bit i of j set
-    for x in row_bases:
-        products += [y * x % p for y in products]
-    return {tuple(format(j, f"0{COMB_WINDOW}b")): v for j, v in enumerate(products)}
+            x = x * x % p
+            x = x * x % p
+            chain.append(x * x % p)
+        self.p, self.cols, self.chain, self.table, self.uses = p, cols, chain, None, 0
+
+    def __call__(self, e: int) -> int:
+        if self.table is None:
+            if self.uses < PROMOTE_AFTER:
+                self.uses += 1
+                return self.yao(e)
+            self.promote()
+        return self.comb(e)
+
+    def yao(self, e: int) -> int:
+        """base^e by Yao's method (Yao, "On the evaluation of powers", SIAM J.
+        Comput. 1976): the chain entries of each 4-bit digit d multiplied into
+        a bucket, then prod of bucket_d^d as 15 running products, about one
+        product per non-zero digit plus 15."""
+        p, buckets = self.p, {}
+        for x, d in zip(self.chain, format(e, "x")[::-1]):  # digit i of 16^i
+            if d != "0":
+                buckets[d] = buckets[d] * x % p if d in buckets else x
+        acc = y = 1
+        for d in "fedcba987654321":
+            if d in buckets:
+                y = y * buckets[d] % p
+            acc = acc * y % p
+        return acc
+
+    def promote(self) -> None:
+        """The Lim-Lee comb table (Lim and Lee, CRYPTO 1994; HAC 14.6.3): an
+        exponent is cut into COMB_WINDOW rows of `cols` bits, and the table
+        maps each column of row bits, top row first, to the product of
+        base^(2^(i * cols)) over the rows i whose bit is set. Those row bases
+        are the chain entries at multiples of cols / 4, so it takes the 255
+        products of the table and no squaring."""
+        p, products = self.p, [1]  # products[j]: rows i with bit i of j set
+        for x in self.chain[::self.cols // 4][:COMB_WINDOW]:
+            products += [y * x % p for y in products]
+        self.table = {tuple(format(j, f"0{COMB_WINDOW}b")): v for j, v in enumerate(products)}
+
+    def comb(self, e: int) -> int:
+        """base^e through the comb table: a squaring and a product per column."""
+        p, cols, table = self.p, self.cols, self.table
+        digits = format(e, f"0{COMB_WINDOW * cols}b")
+        acc = 1
+        for column in zip(*[digits[i:i + cols] for i in range(0, len(digits), cols)]):
+            acc = acc * acc % p * table[column] % p
+        return acc
+
+
+# The fixed-base entries of the COMB_TABLES bases raised last, by (base, p, cols).
+_fixed = lru_cache(maxsize=COMB_TABLES)(FixedBase)
 
 
 def fixed_pow(base: int, e: int, p: int, bits: int) -> int:
-    """base^e mod p through base's comb table: a squaring and a product per
-    column, a quarter of pow's work once the table (built on first use, one
-    per (base, p, bits)) is there. Only for a base that recurs, in a large
-    group: g, the joint key, or a ciphertext's c.a, which the k trustees of a
-    tally column raise 2k times. The table costs about one pow, so two powers
-    of a base already pay for it. A table holds exponents of `bits` bits, a
-    group's q's (GroupParams.comb): about 1.1 ms a power in the prod group
-    against 4.8 for pow, on a 2 vCPU Xeon. Any other exponent goes to pow."""
-    cols = -(-bits // COMB_WINDOW)
+    """base^e mod p through base's fixed-base entry (one per (base, p), built
+    on first use): by Yao's method over the squaring chain for its first
+    PROMOTE_AFTER powers, then through its comb table. Only for a base that
+    recurs, in a large group: g, the joint key, or a ciphertext's c.a, which
+    the k trustees of a tally column raise 2k times and so never promote. An
+    entry holds exponents of `bits` bits rounded up to a multiple of 32, a
+    group's q's (GroupParams.comb); any other exponent goes to pow. In the
+    prod group on a 2 vCPU Xeon (median of 31), the chain costs 2.6 ms, less
+    than one pow (3.3 ms), a chain power 0.94 ms, promotion 3.2 ms and a comb
+    power 0.72 ms: four powers of a fresh base take 6.3 ms, against 8.4 ms
+    through a comb table built for them and 13.1 ms for four pow calls."""
+    cols = -(-bits // (4 * COMB_WINDOW)) * 4
     if not 0 <= e < 1 << (COMB_WINDOW * cols):
         return pow(base, e, p)
-    table = _comb(base, p, cols)
-    digits = format(e, f"0{COMB_WINDOW * cols}b")
-    acc = 1
-    for column in zip(*[digits[i:i + cols] for i in range(0, len(digits), cols)]):
-        acc = acc * acc % p * table[column] % p
-    return acc
+    return _fixed(base, p, cols)(e)
 
 
 def multi_exp(pairs, p: int) -> int:
@@ -147,7 +205,7 @@ class GroupParams(Record):
     FIELDS = tuple((name, name, NUMERAL) for name in "pqg")
 
     def __post_init__(self):
-        # Decided once per group: fixed-base combs and batched proof equations
+        # Decided once per group: fixed-base powers and batched proof equations
         # when large, pow and proof-by-proof equations otherwise.
         object.__setattr__(self, "large", self.p.bit_length() >= LARGE_GROUP_BITS)
         # (p - 1) / 2: the largest signed representative.
@@ -157,16 +215,21 @@ class GroupParams(Record):
         # challenge of a zero-or-one proof. M = q in a group of q below 2^256,
         # the prod group's included.
         object.__setattr__(self, "challenge_space", min(self.q, 1 << CHALLENGE_BITS))
-        # fixed_pow with tables that hold exponents of q's size; pow's signature.
-        object.__setattr__(self, "_comb", partial(fixed_pow, bits=self.q.bit_length()))
+        # A safe prime p = 2q + 1 (m = 1): every signed representative is a
+        # member, since x^q = x^((p - 1) / 2) is the Legendre symbol, +-1.
+        object.__setattr__(self, "safe", self.p == 2 * self.q + 1)
+        # fixed_pow for exponents of q's size; pow's signature.
+        object.__setattr__(self, "_fixed_pow", partial(fixed_pow, bits=self.q.bit_length()))
 
     @property
     def comb(self) -> Callable:
         """The power of a base that recurs (g, the joint key, a c.a), with
-        pow's signature: through its comb table in a large group, pow in the
-        small one. pow is looked up here at each use, not bound once, so that
-        perfbench's tracer, which shadows the name, still counts the power."""
-        return self._comb if self.large else pow
+        pow's signature: through its fixed-base entry in a large group (a
+        squaring chain, promoted to a comb table once the base recurs often
+        enough; fixed_pow), pow in the small one. pow is looked up here at
+        each use, not bound once, so that perfbench's tracer, which shadows
+        the name, still counts the power."""
+        return self._fixed_pow if self.large else pow
 
     def signed(self, x: int) -> int:
         """|x| = min(x, p - x) for x in [0, p): the one representative of x's
@@ -181,8 +244,10 @@ class GroupParams(Record):
     def is_element(self, x: int) -> bool:
         """Membership in the order-q subgroup (the identity counts), exactly:
         a signed representative whose q-th power is +-1. p - x of a member is
-        refused by the range, an element with an order-m part by the power."""
-        return self.is_signed(x) and pow(x, self.q, self.p) in (1, self.p - 1)
+        refused by the range, an element with an order-m part by the power.
+        In a safe-prime group (m = 1) the range alone decides, and the power
+        is skipped."""
+        return self.is_signed(x) and (self.safe or pow(x, self.q, self.p) in (1, self.p - 1))
 
     def is_exponent(self, x: int) -> bool:
         return 0 <= x < self.q

@@ -130,7 +130,9 @@ def partial_decrypt(
 ) -> DecryptionShare:
     """share_value = a^f(i), proved equal in exponent to the verification key.
     Both powers of a (the share and the proof's commitment) go through a's
-    comb table in a large group: the k trustees of a column raise it 2k times."""
+    fixed-base entry in a large group: the k trustees of a column raise it 2k
+    times, each by a's squaring chain, since a comb table would not repay
+    itself in so few powers (group.PROMOTE_AFTER)."""
     value = gp.signed(gp.comb(c.a, share.secret_share, gp.p))
     vk = verification_key(share.trustee_id, share.commitments, gp)
     proof = prove_eq_dlog(

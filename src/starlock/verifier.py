@@ -234,7 +234,8 @@ def _check_decryptions(index, manifest: ElectionManifest, eqs) -> list:
             continue
         if not needs:
             if k in index.decryptions:
-                fail(f"entry {k} is {status} but was decrypted", line=index.decryptions[k][0])
+                fail(f"entry {k} is {status} but was decrypted", line=index.decryptions[k][0],
+                     entry=k)
             continue
         lineno, dec = index.decryptions[k]
         ballot = index.ballot(k)

@@ -36,7 +36,7 @@ from starlock.cli import main
 from starlock.errors import BadShareProof
 from starlock.elgamal import Ciphertext, encrypt_exp, keygen
 from starlock.fiatshamir import DOMAIN_CONTEST_SUM, DOMAIN_DECRYPT_SHARE, fiat_shamir_challenge
-from starlock.group import PROD_GROUP, TEST_GROUP, GroupParams, multi_exp
+from starlock.group import COMB_TABLES, PROD_GROUP, TEST_GROUP, GroupParams, multi_exp
 from starlock.scenario import make_demo_scenario, run_scenario
 from starlock.trustees import (
     DecryptionShare,
@@ -615,11 +615,31 @@ def test_an_honest_board_is_verified_in_one_batch(name, batch_verdicts) -> None:
 
 def test_a_batch_builds_no_comb_table() -> None:
     """verify's one batch raises g and the joint key inside its
-    multi-exponentiations: an honest board costs no comb table."""
+    multi-exponentiations: an honest board costs no fixed-base entry, chain or
+    comb table."""
     result, _ = mid_demo_run()
-    group._comb.cache_clear()
+    group._fixed.cache_clear()
     assert verify_board(board_raw_lines(result["board"]), result["manifest"]).overall
-    assert group._comb.cache_info().currsize == 0
+    assert group._fixed.cache_info().currsize == 0
+
+
+def test_a_tally_column_ciphertext_is_never_promoted_to_a_comb(monkeypatch) -> None:
+    """With k = 2, decrypt_all raises each column's c.a 2k = 4 times, all by
+    its squaring chain; g, raised for every share proof, is promoted."""
+    promoted = []
+    promote = group.FixedBase.promote
+    monkeypatch.setattr(group.FixedBase, "promote",
+                        lambda self: promoted.append(self.chain[0]) or promote(self))
+    result = run_mid_demo()
+    assert result["manifest"].jpk.k == 2
+    group._fixed.cache_clear()
+    del promoted[:]
+    finish(result, seed=99)
+    lines = map(json.loads, board_raw_lines(result["board"]))
+    decrypted = {int(col["ciphertext"]["a"], 16) for line in lines
+                 if line["kind"] in ("decryption", "tally") for col in line["columns"]}
+    assert len(decrypted) > COMB_TABLES and MID_GROUP.g in promoted
+    assert decrypted.isdisjoint(promoted)
 
 
 def test_the_writer_and_the_tally_each_check_in_one_batch(batch_verdicts) -> None:

@@ -8,15 +8,19 @@ from pathlib import Path
 
 import pytest
 
-from helpers import replace
+from helpers import MID_GROUP, replace
+from starlock import group
 from starlock.ballot import BallotStyle, Contest, PlaintextBallot, encrypt_ballot, verify_ballot
 from starlock.elgamal import keygen
 from starlock.errors import InvalidGroup
 from starlock.group import (
+    COMB_TABLES,
     GROUPS,
     PROD_GROUP,
+    PROMOTE_AFTER,
     TEST_GROUP,
     GroupParams,
+    fixed_pow,
     is_probable_prime,
     resolve_group,
 )
@@ -231,6 +235,89 @@ def test_comb_agrees_with_pow_in_the_prod_group() -> None:
     assert PROD_GROUP.comb(K, -1, p) == pow(K, -1, p)
     for e in (2**256, 2**256 + q - 1, rng.randrange(p)):
         assert PROD_GROUP.comb(K, e, p) == pow(K, e, p)
+
+
+def test_safe_prime_membership_is_the_range_check(monkeypatch) -> None:
+    """With p = 2q + 1, is_element agrees with its definition (a signed
+    representative whose q-th power is +-1) and takes no power."""
+    assert TEST_GROUP.safe and MID_GROUP.safe and not PROD_GROUP.safe
+
+    def definition(gp, x):
+        return gp.is_signed(x) and pow(x, gp.q, gp.p) in (1, gp.p - 1)
+
+    rng, p = random.Random(11), MID_GROUP.p
+    expected = [definition(TEST_GROUP, x) for x in range(24)]
+    edges = (0, 1, (p - 1) // 2, (p + 1) // 2, p - 1)
+    mid = [(x, definition(MID_GROUP, x)) for x in edges + tuple(rng.randrange(p) for _ in range(64))]
+    powers = []
+    monkeypatch.setattr(group, "pow", lambda *args: powers.append(args) or pow(*args),
+                        raising=False)
+    assert [TEST_GROUP.is_element(x) for x in range(24)] == expected
+    assert all(MID_GROUP.is_element(x) == member for x, member in mid)
+    assert powers == []
+    assert PROD_GROUP.is_element(PROD_GROUP.g) and len(powers) == 1  # m > 1 keeps the power
+
+
+# Every exponent below 2^256 has a fixed-base entry in PROD_GROUP (256-bit q)
+# and MID_GROUP (255-bit q): 8 comb rows of 32 columns, 64 4-bit digits.
+TOP = 1 << 256
+
+
+@pytest.fixture
+def methods(monkeypatch):
+    """The FixedBase methods that serve powers, in the order called; the
+    fixed-base cache starts empty."""
+    calls = []
+    for name in ("yao", "comb"):
+        method = getattr(group.FixedBase, name)
+        monkeypatch.setattr(group.FixedBase, name,
+                            lambda self, e, m=method, n=name: calls.append(n) or m(self, e))
+    group._fixed.cache_clear()
+    return calls
+
+
+@pytest.mark.parametrize("gp", [PROD_GROUP, MID_GROUP], ids=["prod", "mid"])
+def test_fixed_pow_agrees_with_pow_by_chain_then_by_comb(gp, methods) -> None:
+    """A base's first PROMOTE_AFTER powers go by Yao's method over its
+    squaring chain, the rest through its comb table; each is pow's."""
+    rng, p, q = random.Random(8), gp.p, gp.q
+    for base in (gp.g, rng.randrange(2, p), rng.randrange(2, p)):
+        del methods[:]
+        for _ in range(PROMOTE_AFTER + 3):
+            e = rng.randrange(q)
+            assert fixed_pow(base, e, p, q.bit_length()) == pow(base, e, p)
+        assert methods == ["yao"] * PROMOTE_AFTER + ["comb"] * 3
+
+
+@pytest.mark.parametrize("gp", [PROD_GROUP, MID_GROUP], ids=["prod", "mid"])
+def test_fixed_pow_at_the_ends_of_its_exponent_range(gp, methods) -> None:
+    """0, q - 1 and 2^256 - 1 by the chain and by the comb; a negative
+    exponent or one of 2^256 or more goes to pow and builds no entry."""
+    p, q, bits = gp.p, gp.q, gp.q.bit_length()
+    base = gp.signed(pow(gp.g, 12345, p))
+    for e in (-1, -2, TOP, TOP + q, 3 * TOP):
+        assert fixed_pow(base, e, p, bits) == pow(base, e, p)
+    assert methods == [] and group._fixed.cache_info().currsize == 0
+    ends = (0, q - 1, TOP - 1)
+    for e in (*ends, *range(1, PROMOTE_AFTER - 2), *ends):
+        assert fixed_pow(base, e, p, bits) == pow(base, e, p)
+    assert methods == ["yao"] * PROMOTE_AFTER + ["comb"] * 3
+
+
+def test_a_base_raised_after_its_entry_was_evicted_starts_a_new_chain(methods) -> None:
+    """COMB_TABLES other bases evict a promoted entry; the base's next power
+    builds a new one, which serves it by the chain again."""
+    rng, p, q, bits = random.Random(9), MID_GROUP.p, MID_GROUP.q, MID_GROUP.q.bit_length()
+    base = rng.randrange(2, p)
+    for _ in range(PROMOTE_AFTER + 1):
+        fixed_pow(base, rng.randrange(q), p, bits)
+    for _ in range(COMB_TABLES):
+        fixed_pow(rng.randrange(2, p), rng.randrange(q), p, bits)
+    del methods[:]
+    misses = group._fixed.cache_info().misses
+    e = rng.randrange(q)
+    assert fixed_pow(base, e, p, bits) == pow(base, e, p)
+    assert group._fixed.cache_info().misses == misses + 1 and methods == ["yao"]
 
 
 PINNED_PROD_BALLOT = "e357433aca705f4ed384bdb746ec49628aa267e0178bd90932e30fb888233e0e"

@@ -87,6 +87,24 @@ def test_the_power_of_a_recurring_base_is_chosen_only_in_group_py() -> None:
     assert offenders == []
 
 
+def test_fixed_base_powers_are_taken_only_through_gp_comb() -> None:
+    """No module but group.py names fixed_pow, the fixed-base cache _fixed or
+    its entries' class FixedBase, as a name, an attribute or an import: the
+    choice between a squaring chain and a comb table has one home, and every
+    fixed-base power goes through GroupParams.comb."""
+    private = {"fixed_pow", "_fixed", "FixedBase"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "group.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Name) and node.id in private
+                    or isinstance(node, ast.Attribute) and node.attr in private
+                    or isinstance(node, ast.alias) and node.name in private):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
 def test_hex_is_parsed_only_in_serialize_py() -> None:
     """No module but serialize.py calls hex_to_int, int(x, 16) or bytes.fromhex
     on a value that is not a constant: the hex wire format and its strict

@@ -389,6 +389,7 @@ def test_a_decryption_of_a_cast_entry_fails_at_its_line() -> None:
     report = verify_board(retamper(result, decrypt_a_cast_entry), result["manifest"])
     [fail] = report.failures()
     assert fail.to_json() == {"check": "decryptions", "ok": False, "line": where["line"],
+                              "entry": where["entry"],
                               "detail": f"entry {where['entry']} is CAST but was decrypted"}
 
 
