@@ -91,7 +91,7 @@ class Board:
         """Reload a board file by the strict read (boardformat.parse_lines),
         with the canonical form, for the manifest's election: ChainBroken
         names the line it refuses."""
-        index = parse_lines(read_board_lines(path), manifest, canonical=True)
+        index = parse_lines(read_board_lines(path), manifest, whole=True)
         board = cls.__new__(cls)
         board._index = index
         board.election_id = manifest.election_id

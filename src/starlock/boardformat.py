@@ -31,6 +31,15 @@ test a line's form only at the chain's break and at the last line: testing
 every line would double their parse (33 to 69 ms for 1,654 lines on a 2 vCPU
 Xeon). lookup_receipt is the receipt rule.
 
+A read is whole or structural (the `whole` of read_board and parse_lines).
+Both judge every whole line alike. A whole read (verify, and tally through
+Board.load) keeps each line as read and its text. A structural read (audit
+and receipt-check) keeps neither: it indexes each line without its
+BULK_KEYS (an entry's ballot and proof, a decryption's and the tally's
+columns), so its index holds each entry's number, status, terminal and z,
+each decryption's plaintext, the tally's result and cast counts, and every
+signature line, and no decoded ballot outlives its line.
+
 This module is format-level: it never imports the polling-place, board,
 scenario or CLI machinery, so the verifier can share it and stay
 independent of the officials' code.
@@ -164,6 +173,10 @@ LINE_KEYS = {
 
 ALLOWED_KEYS = {kind: required | optional | {"kind", "prev"}
                 for kind, (required, optional) in LINE_KEYS.items()}
+
+# The keys only a whole read's readers decode (verify, and tally through
+# Board.load): a structural read indexes each line without them.
+BULK_KEYS = {"entry": ("ballot", "proof"), "decryption": ("columns",), "tally": ("columns",)}
 
 # The values BoardIndex.add decodes, where the line carries them, in that order.
 CHECKED_KEYS = {
@@ -312,16 +325,18 @@ class BoardIndex:
     election_id. `add` takes one line at a time, so a writer can keep the
     index current as it appends.
 
-    texts lists the text of each indexed line as read or written, and last
-    is the line number of the last of them; head is the hash of the last
-    line read; broken is read_board's (lineno, reason) for the first line
-    that breaks the chain, its kind's keys or a structure rule, or None.
-    entries maps an entry number, the line's own `index` field, to its
-    (lineno, line) entry line in file order; statuses maps it to its
-    effective status, decryptions to its (lineno, line) decryption line;
-    closes maps a terminal to its (lineno, line) terminal_close line; tally
-    is the tally line's (lineno, line) or None; signatures lists
-    (lineno, line) pairs."""
+    texts lists the text of each indexed line as read or written (a
+    structural read records none), and last is the line number of the last
+    indexed line; head is the hash of the last line read; broken is
+    read_board's (lineno, reason) for the first line that breaks the chain,
+    its kind's keys or a structure rule, or None. entries maps an entry
+    number, the line's own `index` field, to its (lineno, line) entry line in
+    file order; statuses maps it to its effective status, decryptions to its
+    (lineno, line) decryption line; closes maps a terminal to its
+    (lineno, line) terminal_close line; tally is the tally line's
+    (lineno, line) or None; signatures lists (lineno, line) pairs. In a
+    structural index each line lacks its BULK_KEYS, so ballot, proof and
+    cast_ballots serve a whole index only."""
 
     def __init__(self, election_id: str):
         self.election_id = election_id
@@ -387,17 +402,22 @@ class BoardIndex:
         lineno, line = self.entries[k]
         return at_line(lineno, decode_field, line, key, decode, entry=k)
 
+    def _bulk(self, k: int, key: str, decode, decoded: dict):
+        """Entry k's bulk key, decoded on first use only. A structural index
+        holds none: asking it is the caller's fault, never the board's."""
+        if k not in decoded:
+            if key not in self.entries[k][1]:  # line_fault: a whole index's entries have it
+                raise TypeError(f"entry {key} asked of a structural board index")
+            decoded[k] = self.entry_field(k, key, decode)
+        return decoded[k]
+
     def ballot(self, k: int) -> EncryptedBallot:
-        """Entry k's ballot, decoded on first use only."""
-        if k not in self._ballots:
-            self._ballots[k] = self.entry_field(k, "ballot", EncryptedBallot.from_json)
-        return self._ballots[k]
+        """Entry k's ballot, decoded on first use only (a whole index only)."""
+        return self._bulk(k, "ballot", EncryptedBallot.from_json, self._ballots)
 
     def proof(self, k: int) -> WellFormednessProof:
-        """Entry k's proof, decoded on first use only."""
-        if k not in self._proofs:
-            self._proofs[k] = self.entry_field(k, "proof", WellFormednessProof.from_json)
-        return self._proofs[k]
+        """Entry k's proof, decoded on first use only (a whole index only)."""
+        return self._bulk(k, "proof", WellFormednessProof.from_json, self._proofs)
 
     def cast_ballots(self):
         """The encrypted ballots of effective-CAST entries, in entry order."""
@@ -411,17 +431,21 @@ def read_board_lines(path) -> list:
         return [line.rstrip("\n") for line in fh]
 
 
-def read_board(raw_lines, election_id: str, canonical=False) -> BoardIndex:
+def read_board(raw_lines, election_id: str, whole=False) -> BoardIndex:
     """Parse each raw line (no newline) once, check that it is a JSON object
     carrying the previous line's hash and that its text is the canonical
-    encoding of that object, and index it with its text for the election
-    election_id. The first break, a structure rule that BoardIndex.add names
-    included, goes to `broken`. With canonical every line's form is tested;
-    without, only where an honest board pays nothing: at the break (on "hash
-    chain broken", at the line above first) and at the last line, which no
-    later prev covers. Every object whose keys fit its kind (line_fault) and
-    whose values add reads decode is indexed. A board with no line lacks its
-    header at line 0."""
+    encoding of that object, and index it for the election election_id. The
+    first break, a structure rule that BoardIndex.add names included, goes
+    to `broken`. Every object whose keys fit its kind (line_fault) and whose
+    values add reads decode is indexed.
+
+    whole selects the whole read: every line's form is tested, and each
+    line is indexed as read, with its text. Without it the read is
+    structural: a line's form is tested only where an honest board pays
+    nothing, at the break (on "hash chain broken", at the line above first)
+    and at the last line, which no later prev covers, both on the whole
+    line; each line is indexed without its BULK_KEYS, and no text is kept.
+    A board with no line lacks its header at line 0."""
     index, previous = BoardIndex(election_id), None
     uncanonical = lambda line, raw: canonical_json(line) != raw  # noqa: E731
     for lineno, raw in enumerate(raw_lines):
@@ -434,15 +458,18 @@ def read_board(raw_lines, election_id: str, canonical=False) -> BoardIndex:
             reason = None if line.get("prev") == index.head else "hash chain broken"
             fault = line_fault(line)
             if fault is None:
+                bulk = () if whole else BULK_KEYS.get(line["kind"], ())
                 try:
-                    fault = index.add(lineno, line)
+                    fault = index.add(lineno, {key: value for key, value in line.items()
+                                               if key not in bulk} if bulk else line)
                 except MalformedRecord as exc:
                     fault = f"malformed {exc.detail}"
                 else:
-                    index.texts.append(raw)
+                    if whole:
+                        index.texts.append(raw)
                     index.last = lineno
             reason = reason or fault
-            if index.broken is None and (canonical or reason):
+            if index.broken is None and (whole or reason):
                 if reason == "hash chain broken" and lineno and uncanonical(*previous):
                     index.broken = (lineno - 1, "line not in canonical form")
                 elif uncanonical(line, raw):
@@ -453,7 +480,7 @@ def read_board(raw_lines, election_id: str, canonical=False) -> BoardIndex:
         previous = line, raw
     if index.head == GENESIS_HASH:
         index.broken = (0, "board file missing header line")
-    elif not (canonical or index.broken) and uncanonical(*previous):
+    elif not (whole or index.broken) and uncanonical(*previous):
         index.broken = (lineno, "line not in canonical form")
     return index
 
@@ -474,13 +501,16 @@ def signature_fault(index: BoardIndex, manifest: ElectionManifest):
     return None
 
 
-def parse_lines(raw_lines: list, manifest: ElectionManifest, canonical=False) -> BoardIndex:
+def parse_lines(raw_lines: list, manifest: ElectionManifest, whole=False) -> BoardIndex:
     """The strict read of every command that trusts a board: read_board for
     the manifest's election, then ChainBroken at its break or at the
-    signature_fault of any signature line. Only tally sets canonical, which
-    refuses one board more: a signed one holding a line out of canonical form
-    that the next line's prev hashes (see the module docstring)."""
-    index = read_board(raw_lines, manifest.election_id, canonical)
+    signature_fault of any signature line. Only tally (Board.load) sets
+    whole, for an index that decodes ballots and a read that tests every
+    line's form, so refuses one board more: a signed one holding a line out
+    of canonical form that the next line's prev hashes (see the module
+    docstring). audit and receipt-check take the structural read, whose
+    index holds no ballot, proof or column."""
+    index = read_board(raw_lines, manifest.election_id, whole)
     if index.broken:
         raise ChainBroken(*index.broken)
     fault = signature_fault(index, manifest)

@@ -98,7 +98,7 @@ class VerificationReport:
 def check_line_chain(index: BoardIndex) -> list:
     """Every line is a canonical JSON object embedding the previous line's
     hash, and stands where the board's structure rules let it: the break of
-    read_board with canonical."""
+    read_board's whole read."""
     if index.broken:
         lineno, reason = index.broken
         return [ReportItem("line_chain", False, reason, line=lineno)]
@@ -230,7 +230,7 @@ def _check_decryptions(index, manifest: ElectionManifest, eqs) -> list:
     for k, status in sorted(index.statuses.items()):
         needs = status in DECRYPTED
         if needs and k not in index.decryptions:
-            fail(f"entry {k} ({status}) has no decryption")
+            fail(f"entry {k} ({status}) has no decryption", line=index.entries[k][0], entry=k)
             continue
         if not needs:
             if k in index.decryptions:
@@ -331,7 +331,7 @@ def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
     that index; a line that breaks the chain or a structure rule or holds a
     malformed record is reported, not raised."""
     raw_lines = list(raw_lines)
-    index = read_board(raw_lines, manifest.election_id, canonical=True)
+    index = read_board(raw_lines, manifest.election_id, whole=True)
     digest = sha256("\n".join(raw_lines).encode("utf-8")) if manifest.gp.large else b""
     report = VerificationReport(check_line_chain(index))
     for check, run in (("signature", check_signatures), ("terminal_chain", verify_chain)):

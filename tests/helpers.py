@@ -188,8 +188,8 @@ def synthetic_comparison_record(n=100, winner_votes=55, flips=0, blanks=0, seats
     A-voters' papers read B and the next `blanks` A-voters' papers mark
     neither A nor B. The board holds the header, the entries, the `extra`
     lines, the tally line (unless not tallied) and the office's signature,
-    chained. Returns (the board's read_board index, manifest, cvr store,
-    papers)."""
+    chained. Returns (the board's whole read_board index, which keeps each
+    line's text, manifest, cvr store, papers)."""
     gp = TEST_GROUP
     rng = random.Random(1)
     jpk, _ = dkg(1, 1, gp, rng)
@@ -230,7 +230,7 @@ def synthetic_comparison_record(n=100, winner_votes=55, flips=0, blanks=0, seats
     tally = {"kind": "tally", "columns": [], "result": {"race": result}, "cast": {}}
     lines = [{"kind": "header", "election_id": "audit-lab", "version": "1"},
              *(synthetic_entry(i) for i in range(n)), *extra, *([tally] if tallied else [])]
-    board = read_board(rechain(lines, "audit-lab", office, gp), "audit-lab")
+    board = read_board(rechain(lines, "audit-lab", office, gp), "audit-lab", whole=True)
     return board, manifest, cvrs, papers
 
 

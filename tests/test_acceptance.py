@@ -125,7 +125,7 @@ def test_criterion_4_chain_tampering_is_caught_and_named() -> None:
 
     def first_failure(lines):
         index = read_board(rechain(lines, manifest.election_id, office, manifest.gp),
-                           manifest.election_id)
+                           manifest.election_id, whole=True)
         bad = [item for item in verify_chain(index, manifest) if not item.ok]
         assert bad, "tampering went unnoticed"
         return bad[0]

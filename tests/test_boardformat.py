@@ -19,7 +19,7 @@ from helpers import (
 from helpers import synthetic_entry as entry
 from starlock.audit import run_audit
 from starlock.ballot import BallotStyle, Contest
-from starlock.boardformat import CAST, SPOILED, UNTALLIED, contest_columns, read_board
+from starlock.boardformat import BULK_KEYS, CAST, SPOILED, UNTALLIED, contest_columns, read_board
 from starlock.cli import main
 from starlock.elgamal import keygen
 from starlock.errors import ScenarioError, StarlockError
@@ -206,12 +206,37 @@ def test_a_repeated_entry_number_counts_for_nothing() -> None:
     raw, lineno = rule_break(RULE_BREAKS["3-entry-number-repeated"][0])
     report = verify_board(raw, manifest)
     assert [(item.check, item.line) for item in report.failures()] == [("line_chain", lineno)]
-    pristine = read_board(board_raw_lines(result["board"]), manifest.election_id)
-    index = read_board(raw, manifest.election_id)
+    pristine = read_board(board_raw_lines(result["board"]), manifest.election_id, whole=True)
+    index = read_board(raw, manifest.election_id, whole=True)
     assert index.statuses[0] == pristine.statuses[0] == CAST
     cast = index.cast_ballots()
     assert cast.count(index.ballot(0)) == 1
     assert len(cast) == len(pristine.cast_ballots())
+
+
+def test_a_structural_read_keeps_no_bulk_key_and_no_text() -> None:
+    """The read audit and receipt-check take indexes every line of the demo
+    board as the whole read does, less BULK_KEYS, and keeps no text; asking
+    it for a ballot or a proof is the caller's error, not the board's."""
+    result, _ = demo_run()
+    raw, eid = board_raw_lines(result["board"]), result["manifest"].election_id
+    whole, structural = read_board(raw, eid, whole=True), read_board(raw, eid)
+    assert whole.texts == raw and structural.texts == []
+    kept = lambda pair: (pair[0], {key: value for key, value in pair[1].items()  # noqa: E731
+                                   if key not in BULK_KEYS.get(pair[1]["kind"], ())})
+    for name in ("entries", "decryptions", "closes"):
+        assert getattr(whole, name) and getattr(structural, name) == {
+            key: kept(pair) for key, pair in getattr(whole, name).items()}, name
+    assert structural.tally == kept(whole.tally) != whole.tally
+    assert structural.signatures == whole.signatures
+    assert (structural.statuses, structural.last, structural.head, structural.broken) == (
+        whole.statuses, whole.last, whole.head, None)
+    for ask in (structural.ballot, structural.proof):
+        with pytest.raises(TypeError, match="structural board index"):
+            ask(0)
+    with pytest.raises(TypeError):
+        structural.cast_ballots()
+    assert whole.ballot(0) == result["board"]._index.ballot(0)
 
 
 def test_contest_defined_two_ways_is_refused_everywhere(tmp_path) -> None:

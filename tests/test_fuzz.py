@@ -12,8 +12,10 @@ On a raw edit, verify, audit and both receipt-checks must exit 2. The strict
 read (parse_lines), with or without its canonical check, must refuse each
 board where verify's first failing line_chain or signature item names it, and
 accept every other board. So must it on each line of the demo board rewritten
-in another text of the same JSON value (same_value_edits), a corpus kept
-apart from the first so that REPORTS_SHA256 stays.
+in another text of the same JSON value (same_value_edits), and on a line
+with whitespace or data around its value, a byte-order mark or nesting too
+deep to parse (AROUND_THE_VALUE), corpora kept apart from the first so that
+REPORTS_SHA256 stays.
 
 Another corpus edits the operator files (manifest, CVR, paper, commitment,
 office key, trustee share and joint key files) the same way, plus hex values
@@ -25,6 +27,8 @@ import copy
 import hashlib
 import json
 import random
+
+import pytest
 
 from helpers import board_raw_lines, demo_commands, demo_run, rechain
 from starlock.boardformat import parse_lines
@@ -45,7 +49,8 @@ CHECKS = {"line_chain", "signature", "terminal_chain", "ballot_proofs", "decrypt
           "tally", "sum_check"}
 # SHA-256 over every verify report of corpus(), each as json.dumps(report.to_json(),
 # sort_keys=True), in corpus order: a change to any report's bytes must be deliberate.
-REPORTS_SHA256 = "3ea636e1df1198093bcc8e0cda2ad2af335d79024f090551cf33b6033c86ffa0"
+# Last moved when "entry k (SPOILED) has no decryption" gained its entry and line.
+REPORTS_SHA256 = "641e2029c171dfd7d652ec83a9283333f024fbd31839b062ea8ddf2408a99a94"
 
 
 def paths(obj, prefix=()):
@@ -201,6 +206,37 @@ def test_every_reader_refuses_a_line_out_of_canonical_form_at_that_line() -> Non
             for canonical in (True, False):
                 assert strict_verdict(board, manifest, canonical) == (
                     i, "line not in canonical form"), (canonical, edit)
+
+
+# A line's text with whitespace or data around its value, a byte-order mark,
+# or nesting too deep to parse, and the reason every reader refuses it for:
+# json.loads reads the first two to the line's value, and none of the rest.
+AROUND_THE_VALUE = {
+    "leading space": (lambda text: " " + text, "line not in canonical form"),
+    "trailing carriage return": (lambda text: text + "\r", "line not in canonical form"),
+    "data after the value": (lambda text: text + " x", "unparseable line"),
+    "a header then data": (lambda text: '{"kind":"header"} x', "unparseable line"),
+    "two objects": (lambda text: "{}{}", "unparseable line"),
+    "a byte-order mark": (lambda text: "\ufeff" + text, "unparseable line"),
+    "nesting too deep to parse": (lambda text: "[" * 100_000 + "]" * 100_000,
+                                  "unparseable line"),
+}
+
+
+@pytest.mark.parametrize("edit", AROUND_THE_VALUE)
+def test_every_reader_judges_the_text_around_a_line_alike(edit) -> None:
+    """verify and the strict read, whole or structural, refuse such a line
+    in the middle of the board and as its last line, at that line and for
+    the same reason."""
+    result, _ = demo_run()
+    manifest = result["manifest"]
+    pristine = board_raw_lines(result["board"])
+    rewrite, reason = AROUND_THE_VALUE[edit]
+    for i in (3, len(pristine) - 1):
+        board = [*pristine[:i], rewrite(pristine[i]), *pristine[i + 1:]]
+        assert verify_verdict(board, manifest) == (i, reason)
+        for whole in (True, False):
+            assert strict_verdict(board, manifest, whole) == (i, reason), whole
 
 
 def test_every_command_ends_with_a_documented_exit_code(tmp_path, capsys) -> None:

@@ -78,7 +78,7 @@ def test_edited_line_breaks_the_chain_at_the_next_line() -> None:
     line = json.loads(raw[target])
     line["timestamp"] = str(int(line["timestamp"]) + 1)
     raw = raw[:target] + [canonical_json(line)] + raw[target + 1 :]
-    items = check_line_chain(read_board(raw, EID, canonical=True))
+    items = check_line_chain(read_board(raw, EID, whole=True))
     assert not items[0].ok
     assert items[0].line == target + 1
     assert not verify_board(raw, result["manifest"]).overall
@@ -87,11 +87,11 @@ def test_edited_line_breaks_the_chain_at_the_next_line() -> None:
 def test_deleted_and_reordered_lines_break_the_chain() -> None:
     result, raw = demo_board()
     deleted = raw[:5] + raw[6:]
-    items = check_line_chain(read_board(deleted, EID, canonical=True))
+    items = check_line_chain(read_board(deleted, EID, whole=True))
     assert not items[0].ok and items[0].line == 5
     swapped = raw[:]
     swapped[2], swapped[3] = swapped[3], swapped[2]
-    items = check_line_chain(read_board(swapped, EID, canonical=True))
+    items = check_line_chain(read_board(swapped, EID, whole=True))
     assert not items[0].ok and items[0].line == 2
 
 
@@ -99,11 +99,11 @@ def test_non_canonical_or_unparseable_lines_are_rejected() -> None:
     _, raw = demo_board()
     pretty = raw[:]
     pretty[1] = json.dumps(json.loads(raw[1]), sort_keys=True, separators=(", ", ": "))
-    items = check_line_chain(read_board(pretty, EID, canonical=True))
+    items = check_line_chain(read_board(pretty, EID, whole=True))
     assert not items[0].ok and "canonical" in items[0].detail
     garbage = raw[:]
     garbage[4] = "not json {"
-    items = check_line_chain(read_board(garbage, EID, canonical=True))
+    items = check_line_chain(read_board(garbage, EID, whole=True))
     assert not items[0].ok and items[0].line == 4
 
 
