@@ -134,13 +134,9 @@ def build_cvrs(records, manifest: ElectionManifest, rng) -> list:
 
 
 def published_commitments(cvrs) -> list:
-    """The publishable face of the CVR store: serial, board index, and
-    digests only. No plaintext, no salts. A row without its serial, index or
-    commitments object raises MalformedRecord naming it."""
-    rows = zip(column(cvrs, "cvrs", "serial", STR.decode),
-               column(cvrs, "cvrs", "index", INT.decode),
-               column(cvrs, "cvrs", "commitments", OBJECT.decode))
-    return [{"serial": s, "index": i, "commitments": dict(c)} for s, i, c in rows]
+    """The publishable face of a build_cvrs store: serial, index and digests only."""
+    return [{"serial": row["serial"], "index": row["index"],
+             "commitments": dict(row["commitments"])} for row in cvrs]
 
 
 def open_commitment(row: dict, published: dict) -> None:
@@ -349,28 +345,31 @@ def hand_count(papers, manifest: ElectionManifest) -> dict:
 
 
 def run_audit(board: BoardIndex, manifest: ElectionManifest, cvrs, papers, seed: str,
-              alpha: float, published=None) -> dict:
+              alpha: float, published) -> dict:
     """Drive the comparison audit to a verdict.
 
     board: boardformat.parse_lines of the published record, tallied and signed.
     cvrs: the official's private opening store from build_cvrs.
     papers: list of {"serial", "contests"} paper-summary interpretations.
-    published: the published commitment rows; defaults to digests recomputed
-    from cvrs, but passing the genuinely published file is the point.
+    published: the commitment rows published before the seed was fixed, the
+    only digests a CVR row opens against (cvrs' own would bind nothing).
 
-    Draws CAST ballots with replacement (prng_sequence) and stops as soon as
-    P <= alpha (CONFIRMED) or after N draws, escalating to a full hand count
-    (FULL_HAND_COUNT, returning the manual count and its winners).
-    A CVR row or paper without its serial or contests (or with a view out of
-    form), a CVR row without its index, a store or box that reconcile refuses,
-    or a published row without its serial or commitments or repeating a serial
-    raises MalformedRecord naming the row and the field; an unclean
-    compliance check or a board with no effective-CAST entry, StarlockError."""
+    Each effective-CAST entry's published row (by index) must name the serial
+    of the CVR row reconcile matched to it, else CommitmentMismatch names the
+    entry and both serials. Draws CAST ballots with replacement (prng_sequence)
+    until P <= alpha (CONFIRMED) or N draws, escalating to a full hand count
+    (FULL_HAND_COUNT, returning the manual count and winners). A CVR row or
+    paper without its serial or contests (or with a view out of form), a CVR
+    row without its index, a store or box that reconcile refuses, or a
+    published row without its serial, index or commitments or repeating an
+    earlier row's serial or index raises MalformedRecord naming the row and the
+    field; an unclean compliance check or a board with no effective-CAST entry,
+    StarlockError."""
     check_seed(seed)
     check_alpha(alpha)
 
     cast, compliance = reconcile(board.statuses, cvrs, papers)
-    population = list(cast.values())
+    population = list(cast.items())
     papers_by_serial = {paper["serial"]: paper for paper in papers}
     column(cvrs, "cvrs", "contests", CVR_VIEWS)
     column(papers, "papers", "contests", PAPER_VIEWS)
@@ -381,9 +380,14 @@ def run_audit(board: BoardIndex, manifest: ElectionManifest, cvrs, papers, seed:
             f"{len(compliance['paper_without_record'])} paper-without-record"
         )
 
-    rows = published if published is not None else published_commitments(cvrs)
-    published_by_serial = dict(zip(column(rows, "commitments", "serial", STR.decode, distinct=True),
-                                   column(rows, "commitments", "commitments", OBJECT.decode)))
+    serials = column(published, "commitments", "serial", STR.decode, distinct=True)
+    indices = column(published, "commitments", "index", INT.decode, distinct=True)
+    digests = column(published, "commitments", "commitments", OBJECT.decode)
+    row_of = {i: j for j, i in enumerate(indices)}
+    for i, row in cast.items():
+        if i not in row_of or serials[row_of[i]] != row["serial"]:
+            named = f"published serial {serials[row_of[i]]}" if i in row_of else "no published row"
+            raise CommitmentMismatch(f"entry {i}: CVR serial {row['serial']}, {named}")
 
     if board.tally is None:
         raise StarlockError("board carries no tally; audit needs reported results")
@@ -398,10 +402,8 @@ def run_audit(board: BoardIndex, manifest: ElectionManifest, cvrs, papers, seed:
     trajectory = []
     verdict = None
     for index in prng_sequence(seed, n):
-        row = population[index]
-        if row["serial"] not in published_by_serial:
-            raise CommitmentMismatch(f"serial {row['serial']} has no published commitment")
-        open_commitment(row, published_by_serial[row["serial"]])
+        entry, row = population[index]
+        open_commitment(row, digests[row_of[entry]])
         paper = papers_by_serial[row["serial"]]
         e = overstatement(row["contests"], paper["contests"], pairs)
         p = state.observe(e)

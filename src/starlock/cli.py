@@ -6,7 +6,8 @@ Subcommands mirror the election lifecycle:
   simulate      run a scenario file; emits every election-day artifact
   tally         compliance reconciliation, decryptions, tally, re-sign
   verify        the independent observer's full board check
-  audit         ballot-level comparison risk-limiting audit
+  audit         risk-limiting audit against --commitments (required), the file
+                published before its seed: the CVR store's digests bind nothing
   receipt-check resolve one take-home receipt against the board
 
 Exit codes (each error class declares its own in errors.py): 0 pass; 1
@@ -45,7 +46,7 @@ from collections import Counter
 # started in a fresh interpreter loads (and compiles) only the modules it reads.
 from .errors import MalformedRecord, ScenarioError, StarlockError
 from .group import GROUPS, resolve_group
-from .serialize import STR, WriteFailed, decode_field, dump_json, load_json
+from .serialize import STR, WriteFailed, decode_field, dump_json, load_json, load_record
 
 PASS, FAIL, USAGE = 0, 2, 3
 
@@ -57,15 +58,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE)
-
-
-def _load(path, decode):
-    """decode(the JSON document in the file at path), naming the file in a MalformedRecord."""
-    obj = load_json(path)
-    try:
-        return decode(obj)
-    except MalformedRecord as exc:
-        raise exc.within(path)
 
 
 # -- keygen ---------------------------------------------------------------------
@@ -94,7 +86,7 @@ def _load_office(path, gp, manifest_pk=None):
     """The office key pair in the file at path; a MalformedRecord naming the
     file unless its pk is |g^sk| and, given the manifest's key, that key."""
     from .elgamal import Keypair
-    office = _load(path, Keypair.from_json)
+    office = load_record(path, Keypair.from_json)
     # through g's fixed-base entry: simulate and tally build it anyway
     pk = gp.signed(gp.comb(gp.g, office.sk, gp.p))
     if office.pk != pk or manifest_pk not in (None, office.pk):
@@ -105,24 +97,24 @@ def _load_office(path, gp, manifest_pk=None):
 
 def _load_keys(keydir, expected_group):
     from .trustees import JointPublicKey, TrusteeShare, check_joint_key
-    path = os.path.join(keydir, "joint_key.json")
-    jpk, group = _load(path, lambda joint: (
-        JointPublicKey.from_json(joint), decode_field(joint, "group", STR.decode)))
-    if group != expected_group:
-        raise ScenarioError(f"key files are for group {group!r}, scenario wants {expected_group!r}")
-    gp = resolve_group(group)
-    if not gp.is_element(jpk.K):
-        raise MalformedRecord("not an element of the group").within("K").within(path)
-    try:
+    def joint_key(joint):
+        jpk, group = JointPublicKey.from_json(joint), decode_field(joint, "group", STR.decode)
+        if group != expected_group:
+            raise ScenarioError(f"key files are for group {group!r}, "
+                                f"scenario wants {expected_group!r}")
+        gp = resolve_group(group)
+        if not gp.is_element(jpk.K):
+            raise MalformedRecord("not an element of the group").within("K")
         check_joint_key(jpk, gp)
-    except MalformedRecord as exc:
-        raise exc.within(path)
+        return jpk, gp
+
+    jpk, gp = load_record(os.path.join(keydir, "joint_key.json"), joint_key)
     office = _load_office(os.path.join(keydir, "office_key.json"), gp)
     shares = []
     for i in range(1, jpk.n + 1):
         path = os.path.join(keydir, f"trustee_share_{i}.json")
         if os.path.exists(path):
-            shares.append(_load(path, TrusteeShare.from_json))
+            shares.append(load_record(path, TrusteeShare.from_json))
     return {"jpk": jpk, "office": office, "trustee_shares": shares}
 
 
@@ -153,7 +145,7 @@ def cmd_tally(args) -> int:
     from .trustees import TrusteeShare
     manifest = ElectionManifest.load(args.manifest)
     board = Board.load(args.board, manifest)
-    shares = [_load(p, TrusteeShare.from_json) for p in args.shares]
+    shares = [load_record(p, TrusteeShare.from_json) for p in args.shares]
     office = _load_office(args.office, manifest.gp, manifest.office_pk)
     outcome = finish_election(board, manifest, shares, office, load_json(args.cvrs),
                               load_json(args.papers), random.Random(args.seed))
@@ -196,9 +188,8 @@ def cmd_audit(args) -> int:
     manifest = ElectionManifest.load(args.manifest)
     index = parse_lines(read_board_lines(args.board), manifest)
     try:
-        published = load_json(args.commitments) if args.commitments else None
-        outcome = run_audit(index, manifest, load_json(args.cvrs),
-                            load_json(args.papers), args.seed, args.alpha, published)
+        outcome = run_audit(index, manifest, load_json(args.cvrs), load_json(args.papers),
+                            args.seed, args.alpha, load_json(args.commitments))
     except StarlockError as exc:
         print(json.dumps({"verdict": "ABORTED", "reason": str(exc)}, indent=2))
         return FAIL
@@ -304,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--cvrs", required=True)
     p.add_argument("--papers", required=True)
-    p.add_argument("--commitments", help="published commitment file")
+    p.add_argument("--commitments", required=True, help="commitment file published before the "
+                   "seed was rolled; required: digests rebuilt from the CVR store bind nothing")
     p.add_argument("--seed", type=_seed20, required=True, help="20-digit dice seed")
     p.add_argument("--alpha", type=_alpha, default=0.1, help="risk limit in (0, 1)")
     p.set_defaults(func=cmd_audit)

@@ -9,7 +9,7 @@ from functools import cached_property
 from .ballot import BallotStyle
 from .errors import MalformedRecord
 from .group import GroupParams
-from .serialize import DIGEST, HEX, INT, SALT, STR, Record, dict_of, load_json, record, tuple_of
+from .serialize import DIGEST, HEX, INT, SALT, STR, Record, dict_of, load_record, record, tuple_of
 from .trustees import JointPublicKey, check_joint_key
 
 
@@ -50,8 +50,4 @@ class ElectionManifest(Record):
     @classmethod
     def load(cls, path) -> "ElectionManifest":
         """The manifest in the file at path; a MalformedRecord names the file."""
-        obj = load_json(path)
-        try:
-            return cls.from_json(obj)
-        except MalformedRecord as exc:
-            raise exc.within(path)
+        return load_record(path, cls.from_json)

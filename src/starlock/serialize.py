@@ -107,6 +107,15 @@ def load_json(path) -> Any:
         raise MalformedRecord(f"not a JSON document ({exc})").within(str(path)) from None
 
 
+def load_record(path, decode) -> Any:
+    """decode(the JSON document in the file at path), naming the file in a MalformedRecord."""
+    obj = load_json(path)
+    try:
+        return decode(obj)
+    except MalformedRecord as exc:
+        raise exc.within(path)
+
+
 class WriteFailed(OSError):
     """A file that opened but could not be written or closed (a full disk),
     named by its path: an OSError from write or close carries none."""

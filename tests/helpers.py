@@ -143,13 +143,15 @@ def rechain(lines, election_id, office, gp):
 
 
 def demo_commands(tmp_path, run=demo_run):
-    """The demo's manifest, CVR, paper, office key and trustee share files,
-    written under tmp_path. Returns (board path, {command: argv}) for verify,
-    audit, receipt-check (of the demo's first receipt and of its first
-    spoiled one) and tally, each reading the board file at that path."""
+    """The demo's manifest, CVR, paper, commitment, office key and trustee
+    share files, written under tmp_path. Returns (board path, {command:
+    argv}) for verify, audit, receipt-check (of the demo's first receipt and
+    of its first spoiled one) and tally, each reading the board file at that
+    path."""
     result, _ = run()
     files = {"params": result["manifest"].to_json(), "cvrs": result["cvrs"],
-             "papers": result["papers"], "office": result["office"].to_json()}
+             "papers": result["papers"], "commitments": result["commitments"],
+             "office": result["office"].to_json()}
     files.update({f"share{s.trustee_id}": s.to_json() for s in result["trustee_shares"]})
     for name, obj in files.items():
         files[name] = str(tmp_path / f"{name}.json")
@@ -161,7 +163,8 @@ def demo_commands(tmp_path, run=demo_run):
     spoiled = next(r for r in result["receipts"] if r["status"] == "SPOILED")
     return board, {
         "verify": ["verify", *common],
-        "audit": ["audit", *common, *records, "--seed", "01234567890123456789"],
+        "audit": ["audit", *common, *records, "--commitments", files["commitments"],
+                  "--seed", "01234567890123456789"],
         **{name: ["receipt-check", *common, "--terminal", receipt["terminal"],
                   "--code", receipt["code"]]
            for name, receipt in (("receipt-check", result["receipts"][0]),

@@ -20,7 +20,7 @@ from helpers import (
     replace,
     synthetic_comparison_record,
 )
-from starlock.audit import KMState, overstatement, run_audit
+from starlock.audit import KMState, overstatement, published_commitments, run_audit
 from starlock.ballot import (
     BallotStyle,
     Contest,
@@ -76,7 +76,7 @@ def test_criterion_2_verifier_tally_and_audit_agree_on_honest_runs() -> None:
         seed = f"{rng.randrange(10 ** 20):020d}"
         audit = run_audit(
             read_board(raw, scenario.election_id), result["manifest"], result["cvrs"],
-            result["papers"], seed, 0.1,
+            result["papers"], seed, 0.1, result["commitments"],
         )
         assert audit["verdict"] == "CONFIRMED", f"trial {trial}"
     print("criterion 2: 20/20 runs pass verifier, oracle tally, and audit together")
@@ -172,7 +172,8 @@ def test_criterion_5_risk_product_desk_check() -> None:
     assert state.draws == 45
 
     board, manifest, cvrs, papers = synthetic_comparison_record()
-    out = run_audit(board, manifest, cvrs, papers, "09876543210987654321", 0.1)
+    out = run_audit(board, manifest, cvrs, papers, "09876543210987654321", 0.1,
+                    published_commitments(cvrs))
     assert out["verdict"] == "CONFIRMED"
     assert out["draws"] == 45
     assert abs(out["p_value"] - 0.09944025698709225) <= 1e-9
@@ -185,9 +186,10 @@ def test_criterion_6_wrong_outcomes_rarely_survive_the_audit() -> None:
     # says A. A wrong confirmation needs 45 draws that all miss the 10
     # flipped ballots: 0.9^45 ~= 0.0087, far under the 0.13 ceiling.
     board, manifest, cvrs, papers = synthetic_comparison_record(flips=10)
+    published = published_commitments(cvrs)
     confirmed = escalated = 0
     for i in range(1000):
-        out = run_audit(board, manifest, cvrs, papers, f"{i:020d}", 0.1)
+        out = run_audit(board, manifest, cvrs, papers, f"{i:020d}", 0.1, published)
         if out["verdict"] == "CONFIRMED":
             confirmed += 1
         else:

@@ -317,7 +317,7 @@ def test_hand_count_counts_each_option_once_and_no_overvote(selections, counts, 
 
 def test_honest_audit_confirms_in_45_draws() -> None:
     board, manifest, cvrs, papers = synthetic_comparison_record()
-    out = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1)
+    out = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1, published_commitments(cvrs))
     assert out["verdict"] == "CONFIRMED"
     assert out["draws"] == 45
     assert abs(out["p_value"] - 0.09944025698709225) <= 1e-9
@@ -341,21 +341,23 @@ def test_audit_works_out_each_draws_overstatement_once(monkeypatch) -> None:
 
     monkeypatch.setattr(audit, "overstatement", counted)
     out = run_audit(read_board(board_raw_lines(result["board"]), result["board"].election_id),
-                    result["manifest"], result["cvrs"], result["papers"], SEED_A, 0.1)
+                    result["manifest"], result["cvrs"], result["papers"], SEED_A, 0.1,
+                    result["commitments"])
     assert out["draws"] > 0
     assert len(calls) == out["draws"]
 
 
 def test_audit_is_reproducible() -> None:
     board, manifest, cvrs, papers = synthetic_comparison_record()
-    first = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1)
-    second = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1)
+    published = published_commitments(cvrs)
+    first = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1, published)
+    second = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1, published)
     assert first == second
 
 
 def test_flipped_papers_force_a_full_hand_count() -> None:
     board, manifest, cvrs, papers = synthetic_comparison_record(flips=55)
-    out = run_audit(board, manifest, cvrs, papers, SEED_B, 0.1)
+    out = run_audit(board, manifest, cvrs, papers, SEED_B, 0.1, published_commitments(cvrs))
     assert out["verdict"] == "FULL_HAND_COUNT"
     assert out["p_value"] == math.inf
     assert out["draws"] == 100
@@ -385,14 +387,16 @@ def test_a_wrong_outcome_is_confirmed_at_most_alpha_of_the_time(edit, seats) -> 
     of a Binomial(RISK_TRIALS, alpha) count (39 of 250), and escalates to a
     full hand count otherwise; the correct record confirms on every seed."""
     board, manifest, cvrs, papers = synthetic_comparison_record(seats=seats, **edit)
-    verdicts = Counter(run_audit(board, manifest, cvrs, papers, f"{seed:020d}", RISK_ALPHA)[
-        "verdict"] for seed in range(RISK_TRIALS))
+    published = published_commitments(cvrs)
+    verdicts = Counter(run_audit(board, manifest, cvrs, papers, f"{seed:020d}", RISK_ALPHA,
+                                 published)["verdict"] for seed in range(RISK_TRIALS))
     margin = 3 * math.sqrt(RISK_TRIALS * RISK_ALPHA * (1 - RISK_ALPHA))
     assert verdicts["CONFIRMED"] <= RISK_TRIALS * RISK_ALPHA + margin, verdicts
     assert verdicts["CONFIRMED"] + verdicts["FULL_HAND_COUNT"] == RISK_TRIALS
     board, manifest, cvrs, papers = synthetic_comparison_record(seats=seats)
+    published = published_commitments(cvrs)
     for seed in range(20):
-        out = run_audit(board, manifest, cvrs, papers, f"{seed:020d}", RISK_ALPHA)
+        out = run_audit(board, manifest, cvrs, papers, f"{seed:020d}", RISK_ALPHA, published)
         assert out["verdict"] == "CONFIRMED", seed
 
 
@@ -419,6 +423,45 @@ def test_missing_published_row_is_caught() -> None:
         run_audit(board, manifest, cvrs, papers, SEED_A, 0.1, published=published)
 
 
+def test_a_store_that_moves_its_serials_between_entries_is_refused_before_any_draw() -> None:
+    """A is reported winning 55-45 but the papers read 45-55, and the honest
+    audit escalates. An official who has seen the seed swaps the index of
+    each flipped row that SEED_A draws within its first 60 draws with that of
+    a row it does not draw: every drawn row then opens and matches its paper,
+    and an audit matching CVR rows to published rows by serial alone confirms
+    after 45 draws with P = 0.0994. Each entry's published row names the
+    serial that stands at it, so the audit refuses the store first."""
+    board, manifest, cvrs, papers = synthetic_comparison_record(flips=10)
+    published = published_commitments(cvrs)
+    honest = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1, published)
+    assert (honest["verdict"], honest["discrepancies"]["2"]) == ("FULL_HAND_COUNT", 11)
+    drawn = set(take(SEED_A, 100, 60))
+    flipped = [i for i in range(10) if i in drawn]
+    spare = [i for i in range(10, 100) if i not in drawn]
+    assert flipped == [3, 5, 6, 8, 9]
+    steered = copy.deepcopy(cvrs)
+    for f, u in zip(flipped, spare):
+        steered[f]["index"], steered[u]["index"] = u, f
+    with pytest.raises(CommitmentMismatch) as exc:
+        run_audit(board, manifest, steered, papers, SEED_A, 0.1, published)
+    assert str(exc.value) == "entry 3: CVR serial S0011, published serial S0003"
+
+
+def test_an_audit_of_a_store_with_two_indices_swapped_aborts_naming_the_entry(
+        tmp_path, capsys) -> None:
+    board, commands = demo_commands(tmp_path)
+    board.write_text("\n".join(board_raw_lines(demo_run()[0]["board"])) + "\n", encoding="utf-8")
+    cvrs = tmp_path / "cvrs.json"
+    rows = json.loads(cvrs.read_text())
+    (first, a), (second, b) = ((row["index"], row["serial"]) for row in rows[:2])
+    rows[0]["index"], rows[1]["index"] = second, first
+    cvrs.write_text(json.dumps(rows), encoding="utf-8")
+    capsys.readouterr()
+    assert main(commands["audit"]) == 2
+    assert json.loads(capsys.readouterr().out) == {
+        "verdict": "ABORTED", "reason": f"entry {first}: CVR serial {b}, published serial {a}"}
+
+
 def test_a_serial_published_twice_is_refused_whichever_row_comes_first() -> None:
     """A commitment file that gives one serial two rows is ambiguous: an audit
     that opened only the last row would pass over a contradicting first one."""
@@ -434,27 +477,28 @@ def test_a_serial_published_twice_is_refused_whichever_row_comes_first() -> None
 
 def test_audit_preconditions() -> None:
     board, manifest, cvrs, papers = synthetic_comparison_record()
+    published = published_commitments(cvrs)
     with pytest.raises(StarlockError):
-        run_audit(board, manifest, cvrs[:-1], papers, SEED_A, 0.1)  # CVR gap
+        run_audit(board, manifest, cvrs[:-1], papers, SEED_A, 0.1, published)  # CVR gap
     with pytest.raises(StarlockError):
-        run_audit(board, manifest, cvrs, papers + [dict(papers[0])], SEED_A, 0.1)
+        run_audit(board, manifest, cvrs, papers + [dict(papers[0])], SEED_A, 0.1, published)
     with pytest.raises(StarlockError):
-        run_audit(board, manifest, cvrs, papers[:-1], SEED_A, 0.1)  # lost paper
+        run_audit(board, manifest, cvrs, papers[:-1], SEED_A, 0.1, published)  # lost paper
     with pytest.raises(ValueError):
-        run_audit(board, manifest, cvrs, papers, SEED_A, 0.0)
+        run_audit(board, manifest, cvrs, papers, SEED_A, 0.0, published)
     with pytest.raises(ValueError):
-        run_audit(board, manifest, cvrs, papers, SEED_A, 1.0)
+        run_audit(board, manifest, cvrs, papers, SEED_A, 1.0, published)
     with pytest.raises(ValueError):
-        run_audit(board, manifest, cvrs, papers, "42", 0.1)
+        run_audit(board, manifest, cvrs, papers, "42", 0.1, published)
     untallied, *_ = synthetic_comparison_record(tallied=False)
     with pytest.raises(StarlockError):
-        run_audit(untallied, manifest, cvrs, papers, SEED_A, 0.1)  # no tally line
+        run_audit(untallied, manifest, cvrs, papers, SEED_A, 0.1, published)  # no tally line
 
 
 def test_spoiled_entries_stay_out_of_the_population() -> None:
     board, manifest, cvrs, papers = synthetic_comparison_record(
         extra=[synthetic_entry(100, "SPOILED")])
-    out = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1)
+    out = run_audit(board, manifest, cvrs, papers, SEED_A, 0.1, published_commitments(cvrs))
     assert out["N"] == 100
     assert out["verdict"] == "CONFIRMED"
 

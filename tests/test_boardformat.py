@@ -17,7 +17,7 @@ from helpers import (
     synthetic_comparison_record,
 )
 from helpers import synthetic_entry as entry
-from starlock.audit import run_audit
+from starlock.audit import published_commitments, run_audit
 from starlock.ballot import BallotStyle, Contest
 from starlock.boardformat import BULK_KEYS, CAST, SPOILED, UNTALLIED, contest_columns, read_board
 from starlock.cli import main
@@ -93,7 +93,8 @@ def test_audit_reads_a_leading_status_line_by_the_same_rule() -> None:
     board, manifest, cvrs, papers = synthetic_comparison_record(
         extra=[entry(100), status(100, SPOILED)])
     assert board.broken is None
-    out = run_audit(board, manifest, cvrs, papers, "01234567890123456789", 0.1)
+    out = run_audit(board, manifest, cvrs, papers, "01234567890123456789", 0.1,
+                    published_commitments(cvrs))
     assert out["N"] == 100
     assert out["verdict"] == "CONFIRMED"
 

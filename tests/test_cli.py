@@ -7,8 +7,11 @@ import dataclasses
 import errno
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,14 +147,20 @@ def test_usage_errors_exit_3(tmp_path, capsys) -> None:
         assert main([*commands["audit"], "--alpha", alpha]) == 3
         assert "argument --alpha: risk limit must be in (0, 1)" in capsys.readouterr().err
     assert main([*commands["audit"], "--alpha", "0.5"]) == 2  # sound files: a verdict
+    at = commands["audit"].index("--commitments")
+    capsys.readouterr()
+    assert main([*commands["audit"][:at], *commands["audit"][at + 2:]]) == 3
+    assert "the following arguments are required: --commitments" in capsys.readouterr().err
     capsys.readouterr()
     assert main([*commands["audit"], "--seed", "１" * 20]) == 3  # fullwidth digits: not ASCII
     assert "argument --seed: seed must be exactly 20 decimal digits" in capsys.readouterr().err
     keygen = ["keygen", "--n", "1", "--k", "1", "--outdir", str(tmp_path / "keys")]
-    for argv in (keygen, commands["tally"]):  # random.Random(-1) would repeat seed 1's draws
+    # random.Random(-1) would repeat seed 1's draws; "x" and "1.5" are no integer at all
+    for argv, seed in ((keygen, "-1"), (commands["tally"], "-1"), (keygen, "x"),
+                       (commands["tally"], "1.5")):
         capsys.readouterr()
-        assert main([*argv, "--seed", "-1"]) == 3
-        assert "argument --seed: seed must be a non-negative integer, got '-1'" in \
+        assert main([*argv, "--seed", seed]) == 3
+        assert f"argument --seed: seed must be a non-negative integer, got {seed!r}" in \
             capsys.readouterr().err
     assert not (tmp_path / "keys").exists()
     assert main(["simulate", "--scenario", str(tmp_path / "missing.json"),
@@ -888,6 +897,45 @@ def test_simulate_refuses_an_office_key_whose_pk_is_not_g_to_its_sk(tmp_path, ca
     assert not out.exists()
 
 
+def test_simulate_refuses_key_files_for_another_group(tmp_path, capsys) -> None:
+    keys, out = tmp_path / "keys", tmp_path / "run"
+    assert main(["keygen", "--n", "3", "--k", "2", "--seed", "5", "--outdir", str(keys)]) == 0
+    joint = keys / "joint_key.json"
+    joint.write_text(json.dumps(dict(json.loads(joint.read_text()), group="prod")),
+                     encoding="utf-8")
+    capsys.readouterr()
+    assert main(["simulate", "--scenario", write_demo_scenario(tmp_path), "--keys", str(keys),
+                 "--outdir", str(out)]) == 3
+    assert capsys.readouterr().err == \
+        "ScenarioError: key files are for group 'prod', scenario wants 'test'\n"
+    assert not out.exists()
+
+
+def test_tally_reports_a_paper_without_a_cast_record(tmp_path, capsys) -> None:
+    """Voter 0's final scan never reaches the station, so its ballot is
+    spoiled while its paper is in the box: tally reports the paper and
+    passes."""
+    keys, out = tmp_path / "keys", tmp_path / "run"
+    assert main(["keygen", "--n", "3", "--k", "2", "--seed", "5", "--outdir", str(keys)]) == 0
+    doc = make_demo_scenario().to_json()
+    doc["faults"]["dropped_scans"] = [0]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "--scenario", str(scenario), "--keys", str(keys),
+                 "--outdir", str(out)]) == 0
+    receipts = json.loads((out / "receipts.json").read_text())
+    serial = next(receipt["serial"] for receipt in receipts if receipt["voter"] == 0)
+    capsys.readouterr()
+    assert main(["tally", "--manifest", str(out / "params.json"),
+                 "--board", str(out / "board.jsonl"),
+                 "--cvrs", str(out / "cvrs.json"), "--papers", str(out / "papers.json"),
+                 "--shares", str(keys / "trustee_share_1.json"),
+                 str(keys / "trustee_share_2.json"),
+                 "--office", str(keys / "office_key.json")]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "compliance: 5 cast record(s), 6 paper(s) in box", f"  paper-without-record: {serial}"]
+
+
 def test_simulate_refuses_a_joint_key_outside_the_order_q_subgroup(tmp_path, capsys) -> None:
     """|K * z|, with z = 2^(2q) of order m in the prod group, is a signed
     representative, so only the q-th power test refuses it: exit 2, naming
@@ -1064,23 +1112,6 @@ def test_a_count_beyond_its_bound_names_its_column(status, tmp_path, capsys) -> 
     assert board.read_bytes() == before
 
 
-@pytest.mark.parametrize("edit", [
-    lambda row: {k: v for k, v in row.items() if k != "commitments"},
-    lambda row: dict(row, commitments=["not", "an", "object"]),
-], ids=["row-without-commitments", "commitments-not-an-object"])
-def test_audit_without_a_commitment_file_names_a_malformed_cvr_row(edit, tmp_path, capsys) -> None:
-    """With no --commitments, audit publishes the CVR rows' own digests, read
-    through the same row decoder as every other CVR field."""
-    result, _ = demo_run()
-    board, commands = demo_commands(tmp_path)
-    board.write_text("\n".join(board_raw_lines(result["board"])) + "\n", encoding="utf-8")
-    cvrs = tmp_path / "cvrs.json"
-    rows = json.loads(cvrs.read_text())
-    cvrs.write_text(json.dumps([*rows[:2], edit(rows[2]), *rows[3:]]), encoding="utf-8")
-    assert main(commands["audit"]) == 2
-    assert json.loads(capsys.readouterr().out)["reason"].startswith("cvrs[2].commitments: ")
-
-
 # Every file argument of the commands that read files: (command, flag).
 FILE_ARGS = [(command, flag) for command, flags in (
     ("tally", ("--manifest", "--board", "--shares", "--office", "--cvrs", "--papers")),
@@ -1176,3 +1207,45 @@ def test_a_standard_output_closed_early_exits_3_naming_it(tmp_path, capsys, monk
     assert main(commands["verify"]) == 3
     monkeypatch.undo()
     assert capsys.readouterr().err == f"cannot write standard output: {os.strerror(errno.EPIPE)}\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_walkthrough() -> list:
+    """Each starlock command in README's sh blocks, in order: (argv, the
+    output block that directly follows its sh block, if it is the block's
+    last command, or None)."""
+    text = README.read_text(encoding="utf-8")
+    fences = list(re.finditer(r"^```(\w*)\n(.*?)^```$", text, re.M | re.S))
+    steps = []
+    for block, after in zip(fences, [*fences[1:], None]):
+        if block[1] != "sh":
+            continue
+        lines = block[2].replace("\\\n", "").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("starlock ")]
+        shown = after[2] if after and not after[1] and not text[
+            block.end():after.start()].strip() else None
+        steps += [(argv, shown if argv is commands[-1] else None) for argv in commands]
+    return steps
+
+
+def test_the_readme_walkthrough_runs_as_documented(tmp_path, monkeypatch, capsys) -> None:
+    """README's CLI walkthrough, step 1's scenario file first: each command
+    exits as documented (audit 2, a full hand count of a one-vote margin;
+    every other 0) and prints the output block README shows after it."""
+    steps = readme_walkthrough()
+    assert [(argv[0], shown is not None) for argv, shown in steps] == [
+        ("keygen", True), ("simulate", True), ("tally", True), ("verify", True),
+        ("audit", False), ("receipt-check", True), ("receipt-check", True)]
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.json").write_text(
+        json.dumps(make_demo_scenario().to_json(), indent=2) + "\n", encoding="utf-8")
+    for argv, shown in steps:
+        capsys.readouterr()
+        code = main(argv)
+        out = capsys.readouterr().out
+        if argv[0] == "audit":
+            assert (code, json.loads(out)["verdict"]) == (2, "FULL_HAND_COUNT")
+        else:
+            assert (code, out) == (0, shown), argv

@@ -292,14 +292,10 @@ def edit_file(doc, kind: str, rng: random.Random, gp):
 
 
 def operator_record(tmp_path):
-    """demo_commands' files plus the demo's commitments and a key directory
-    read by simulate --keys. Returns (board path, commands, the board lines
-    each command reads)."""
+    """demo_commands' files plus a key directory read by simulate --keys.
+    Returns (board path, commands, the board lines each command reads)."""
     result, _ = demo_run()
     board, commands = demo_commands(tmp_path)
-    commitments = tmp_path / "commitments.json"
-    commitments.write_text(json.dumps(result["commitments"]), encoding="utf-8")
-    commands["audit"] += ["--commitments", str(commitments)]
     assert main(["keygen", "--n", "3", "--k", "2", "--seed", "5",
                  "--outdir", str(tmp_path / "keys")]) == 0
     scenario = tmp_path / "scenario.json"
