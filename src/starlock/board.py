@@ -79,21 +79,16 @@ class Board:
     def last_hash(self) -> str:
         return self._index.head
 
-    def lines(self):
-        """Deep copies of every line, in order."""
-        return [json.loads(text) for text in self._index.texts]
-
     def write(self, path) -> None:
         write_text(path, (text + "\n" for text in self._index.texts))
 
     @classmethod
     def load(cls, path, manifest: ElectionManifest) -> "Board":
         """Reload a board file by the strict read (boardformat.parse_lines),
-        with the canonical form, for the manifest's election: ChainBroken
-        names the line it refuses."""
-        index = parse_lines(read_board_lines(path), manifest, whole=True)
+        decoding each entry's ballot (the tally reads no proof), for the
+        manifest's election: ChainBroken names the line it refuses."""
         board = cls.__new__(cls)
-        board._index = index
+        board._index = parse_lines(read_board_lines(path), manifest, ("ballot",))
         board.election_id = manifest.election_id
         return board
 
@@ -138,6 +133,7 @@ class Board:
             if reason is not None:
                 line["reason"] = reason
             self._append(line)
+            self._index.records[index] = {"ballot": record.ballot, "proof": record.proof}
         return list(range(first, first + len(entries)))
 
     def append_status(self, entry_index: int, status: str, reason: str | None = None) -> int:
@@ -230,7 +226,7 @@ def decrypt_all(board: Board, spoiled, style_map: dict, trustee_shares, jpk: Joi
     for k in spoiled:
         if (status := board.effective_status(k)) not in DECRYPTED:
             raise NotSpoiled(f"entry {k} is {status}")
-        ballot = board._index.ballot(k)  # its proof stays undecoded
+        ballot = board._index.ballot(k)
         lineno, _ = board._index.entries[k]
         style = style_map.get(ballot.style_id)
         if style is None:

@@ -31,14 +31,14 @@ test a line's form only at the chain's break and at the last line: testing
 every line would double their parse (33 to 69 ms for 1,654 lines on a 2 vCPU
 Xeon). lookup_receipt is the receipt rule.
 
-A read is whole or structural (the `whole` of read_board and parse_lines).
-Both judge every whole line alike. A whole read (verify, and tally through
-Board.load) keeps each line as read and its text. A structural read (audit
-and receipt-check) keeps neither: it indexes each line without its
-BULK_KEYS (an entry's ballot and proof, a decryption's and the tally's
-columns), so its index holds each entry's number, status, terminal and z,
-each decryption's plaintext, the tally's result and cast counts, and every
-signature line, and no decoded ballot outlives its line.
+A read decodes the entry keys its readers read (`decode`, of read_board and
+parse_lines): verify "ballot" and "proof", tally (Board.load) "ballot". It
+tests every line's form, keeps each line's text, and holds each entry's
+records, decoded as the line is read; a MalformedRecord is held and raised
+where the record is asked for. A structural read (audit, receipt-check)
+decodes nothing, keeps no text and indexes each line without its BULK_KEYS.
+No index keeps an entry line's ballot or proof JSON: the writer's (Board's)
+is structural, and holds the very records it publishes.
 
 This module is format-level: it never imports the polling-place, board,
 scenario or CLI machinery, so the verifier can share it and stay
@@ -174,9 +174,10 @@ LINE_KEYS = {
 ALLOWED_KEYS = {kind: required | optional | {"kind", "prev"}
                 for kind, (required, optional) in LINE_KEYS.items()}
 
-# The keys only a whole read's readers decode (verify, and tally through
-# Board.load): a structural read indexes each line without them.
+# The keys a structural read indexes no line with; every index holds an
+# entry's ballot and proof as the records ENTRY_RECORDS names, never as JSON.
 BULK_KEYS = {"entry": ("ballot", "proof"), "decryption": ("columns",), "tally": ("columns",)}
+ENTRY_RECORDS = {"ballot": EncryptedBallot, "proof": WellFormednessProof}
 
 # The values BoardIndex.add decodes, where the line carries them, in that order.
 CHECKED_KEYS = {
@@ -331,15 +332,16 @@ class BoardIndex:
     read_board's (lineno, reason) for the first line that breaks the chain,
     its kind's keys or a structure rule, or None. entries maps an entry
     number, the line's own `index` field, to its (lineno, line) entry line in
-    file order; statuses maps it to its effective status, decryptions to its
-    (lineno, line) decryption line; closes maps a terminal to its
-    (lineno, line) terminal_close line; tally is the tally line's
-    (lineno, line) or None; signatures lists (lineno, line) pairs. In a
-    structural index each line lacks its BULK_KEYS, so ballot, proof and
-    cast_ballots serve a whole index only."""
+    file order, and records maps it to the records (ballot, proof) held for
+    it; statuses maps it to its effective status, decryptions to its
+    (lineno, line) decryption line; closes maps a terminal to its (lineno,
+    line) terminal_close line; tally is the tally line's (lineno, line) or
+    None; signatures lists (lineno, line) pairs. add says which keys each
+    indexed line keeps."""
 
-    def __init__(self, election_id: str):
+    def __init__(self, election_id: str, decode=()):
         self.election_id = election_id
+        self.decode = decode
         self.texts = []
         self.last = None
         self.head = GENESIS_HASH
@@ -350,8 +352,7 @@ class BoardIndex:
         self.closes = {}
         self.tally = None
         self.signatures = []
-        self._ballots = {}
-        self._proofs = {}
+        self.records = {}  # entry: {key: record, or the MalformedRecord its decode raised}
 
     def add(self, lineno: int, line: dict) -> str | None:
         """Index one line, decoding the values of CHECKED_KEYS it carries, and
@@ -360,9 +361,13 @@ class BoardIndex:
         rule is kept out of the structure it would break: an entry after a gap
         is indexed under its own number, so that the entries after it are
         judged on their own, but an entry repeating an indexed number is not.
-        The caller records the line's text; the writer refuses a line that
-        faults."""
-        kind, fault = line.get("kind"), None
+        The index keeps the line without the BULK_KEYS none of its readers
+        read, and an entry's records under decode. The caller records the
+        line's text; the writer refuses a line that faults."""
+        kind, fault, full = line.get("kind"), None, line
+        bulk = BULK_KEYS.get(kind, ()) if kind == "entry" or not self.decode else ()
+        if bulk:
+            line = {key: value for key, value in line.items() if key not in bulk}
         got = {key: decode_field(line, key, codec.decode)
                for key, codec in CHECKED_KEYS.get(kind, ()) if key in line}
         if kind == "header" and got["election_id"] != self.election_id:
@@ -374,6 +379,12 @@ class BoardIndex:
             if k not in self.entries:
                 self.entries[k] = (lineno, line)
                 self.statuses[k] = got["status"]
+                self.records[k] = held = {}
+                for key in self.decode:  # a MalformedRecord is held, to raise at each ask
+                    try:
+                        held[key] = decode_field(full, key, ENTRY_RECORDS[key].from_json)
+                    except MalformedRecord as exc:
+                        held[key] = exc.at(lineno, k)
         elif kind in ("status", "decryption"):
             ref = got["ref"]
             if ref not in self.statuses:
@@ -402,22 +413,20 @@ class BoardIndex:
         lineno, line = self.entries[k]
         return at_line(lineno, decode_field, line, key, decode, entry=k)
 
-    def _bulk(self, k: int, key: str, decode, decoded: dict):
-        """Entry k's bulk key, decoded on first use only. A structural index
-        holds none: asking it is the caller's fault, never the board's."""
-        if k not in decoded:
-            if key not in self.entries[k][1]:  # line_fault: a whole index's entries have it
-                raise TypeError(f"entry {key} asked of a structural board index")
-            decoded[k] = self.entry_field(k, key, decode)
-        return decoded[k]
+    def _record(self, k: int, key: str):
+        if key not in (held := self.records[k]):  # a caller's fault, never the board's
+            raise TypeError(f"entry {key} asked of a board index that does not hold it")
+        if isinstance(held[key], MalformedRecord):
+            raise held[key]
+        return held[key]
 
     def ballot(self, k: int) -> EncryptedBallot:
-        """Entry k's ballot, decoded on first use only (a whole index only)."""
-        return self._bulk(k, "ballot", EncryptedBallot.from_json, self._ballots)
+        """Entry k's ballot."""
+        return self._record(k, "ballot")
 
     def proof(self, k: int) -> WellFormednessProof:
-        """Entry k's proof, decoded on first use only (a whole index only)."""
-        return self._bulk(k, "proof", WellFormednessProof.from_json, self._proofs)
+        """Entry k's proof."""
+        return self._record(k, "proof")
 
     def cast_ballots(self):
         """The encrypted ballots of effective-CAST entries, in entry order."""
@@ -431,7 +440,7 @@ def read_board_lines(path) -> list:
         return [line.rstrip("\n") for line in fh]
 
 
-def read_board(raw_lines, election_id: str, whole=False) -> BoardIndex:
+def read_board(raw_lines, election_id: str, decode=()) -> BoardIndex:
     """Parse each raw line (no newline) once, check that it is a JSON object
     carrying the previous line's hash and that its text is the canonical
     encoding of that object, and index it for the election election_id. The
@@ -439,14 +448,13 @@ def read_board(raw_lines, election_id: str, whole=False) -> BoardIndex:
     to `broken`. Every object whose keys fit its kind (line_fault) and whose
     values add reads decode is indexed.
 
-    whole selects the whole read: every line's form is tested, and each
-    line is indexed as read, with its text. Without it the read is
-    structural: a line's form is tested only where an honest board pays
+    A read that decodes (see the module docstring) tests every line's form,
+    keeps its text, and holds each entry's records (BoardIndex.add). A
+    structural read tests a line's form only where an honest board pays
     nothing, at the break (on "hash chain broken", at the line above first)
     and at the last line, which no later prev covers, both on the whole
-    line; each line is indexed without its BULK_KEYS, and no text is kept.
-    A board with no line lacks its header at line 0."""
-    index, previous = BoardIndex(election_id), None
+    line, and keeps no text. A board with no line lacks its header at line 0."""
+    index, previous = BoardIndex(election_id, decode), None
     uncanonical = lambda line, raw: canonical_json(line) != raw  # noqa: E731
     for lineno, raw in enumerate(raw_lines):
         try:
@@ -458,18 +466,16 @@ def read_board(raw_lines, election_id: str, whole=False) -> BoardIndex:
             reason = None if line.get("prev") == index.head else "hash chain broken"
             fault = line_fault(line)
             if fault is None:
-                bulk = () if whole else BULK_KEYS.get(line["kind"], ())
                 try:
-                    fault = index.add(lineno, {key: value for key, value in line.items()
-                                               if key not in bulk} if bulk else line)
+                    fault = index.add(lineno, line)
                 except MalformedRecord as exc:
                     fault = f"malformed {exc.detail}"
                 else:
-                    if whole:
+                    if decode:
                         index.texts.append(raw)
                     index.last = lineno
             reason = reason or fault
-            if index.broken is None and (whole or reason):
+            if index.broken is None and (decode or reason):
                 if reason == "hash chain broken" and lineno and uncanonical(*previous):
                     index.broken = (lineno - 1, "line not in canonical form")
                 elif uncanonical(line, raw):
@@ -480,7 +486,7 @@ def read_board(raw_lines, election_id: str, whole=False) -> BoardIndex:
         previous = line, raw
     if index.head == GENESIS_HASH:
         index.broken = (0, "board file missing header line")
-    elif not (whole or index.broken) and uncanonical(*previous):
+    elif not (decode or index.broken) and uncanonical(*previous):
         index.broken = (lineno, "line not in canonical form")
     return index
 
@@ -501,16 +507,16 @@ def signature_fault(index: BoardIndex, manifest: ElectionManifest):
     return None
 
 
-def parse_lines(raw_lines: list, manifest: ElectionManifest, whole=False) -> BoardIndex:
+def parse_lines(raw_lines: list, manifest: ElectionManifest, decode=()) -> BoardIndex:
     """The strict read of every command that trusts a board: read_board for
-    the manifest's election, then ChainBroken at its break or at the
-    signature_fault of any signature line. Only tally (Board.load) sets
-    whole, for an index that decodes ballots and a read that tests every
-    line's form, so refuses one board more: a signed one holding a line out
-    of canonical form that the next line's prev hashes (see the module
-    docstring). audit and receipt-check take the structural read, whose
-    index holds no ballot, proof or column."""
-    index = read_board(raw_lines, manifest.election_id, whole)
+    the manifest's election, decoding the entry keys named in decode, then
+    ChainBroken at its break or at the signature_fault of any signature
+    line. Only tally (Board.load) decodes, ballots alone, so its read tests
+    every line's form and refuses one board more: a signed one holding a
+    line out of canonical form that the next line's prev hashes (see the
+    module docstring). audit and receipt-check take the structural read,
+    whose index holds no ballot, proof or column."""
+    index = read_board(raw_lines, manifest.election_id, decode)
     if index.broken:
         raise ChainBroken(*index.broken)
     fault = signature_fault(index, manifest)

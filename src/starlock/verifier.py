@@ -31,6 +31,8 @@ polling-place or board machinery.
 
 from __future__ import annotations
 
+import hashlib
+
 from .ballot import ABSTAIN_COLUMN, verify_ballot
 from .boardformat import (  # lookup_receipt, parse_lines and read_board_lines are re-exported
     DECRYPTED,
@@ -53,7 +55,7 @@ from .chain import chain_hash, initial_chain_seed
 from .chaum_pedersen import batched
 from .errors import BadShareProof, InsufficientShares, MalformedRecord
 from .manifest import ElectionManifest
-from .serialize import decode_field, sha256
+from .serialize import decode_field
 from .trustees import combine_in_exponent
 
 
@@ -98,7 +100,7 @@ class VerificationReport:
 def check_line_chain(index: BoardIndex) -> list:
     """Every line is a canonical JSON object embedding the previous line's
     hash, and stands where the board's structure rules let it: the break of
-    read_board's whole read."""
+    read_board's read."""
     if index.broken:
         lineno, reason = index.broken
         return [ReportItem("line_chain", False, reason, line=lineno)]
@@ -331,10 +333,12 @@ def verify_board(raw_lines, manifest: ElectionManifest) -> VerificationReport:
     that index; a line that breaks the chain or a structure rule or holds a
     malformed record is reported, not raised."""
     raw_lines = list(raw_lines)
-    index = read_board(raw_lines, manifest.election_id, whole=True)
-    digest = sha256("\n".join(raw_lines).encode("utf-8")) if manifest.gp.large else b""
+    index = read_board(raw_lines, manifest.election_id, ("ballot", "proof"))
+    digest = hashlib.sha256()  # of the lines joined by "\n" (in a large group), a line at a time
+    for n, raw in enumerate(raw_lines if manifest.gp.large else ()):
+        digest.update(("\n" + raw if n else raw).encode("utf-8"))
     report = VerificationReport(check_line_chain(index))
     for check, run in (("signature", check_signatures), ("terminal_chain", verify_chain)):
         report.items.extend(_guarded(check, run, index, manifest))
-    report.items.extend(verify_proofs(index, manifest, digest))
+    report.items.extend(verify_proofs(index, manifest, digest.digest()))
     return report

@@ -113,9 +113,14 @@ def mid_demo_run():
     return _cache["mid-demo"]
 
 
+def board_lines(board):
+    """Deep copies of every line of a Board, in order."""
+    return [json.loads(text) for text in board._index.texts]
+
+
 def board_raw_lines(board):
     """The board file's text lines, as the verifier would read them."""
-    return [canonical_json(line) for line in board.lines()]
+    return [canonical_json(line) for line in board_lines(board)]
 
 
 def rechain(lines, election_id, office, gp):
@@ -191,8 +196,9 @@ def synthetic_comparison_record(n=100, winner_votes=55, flips=0, blanks=0, seats
     A-voters' papers read B and the next `blanks` A-voters' papers mark
     neither A nor B. The board holds the header, the entries, the `extra`
     lines, the tally line (unless not tallied) and the office's signature,
-    chained. Returns (the board's whole read_board index, which keeps each
-    line's text, manifest, cvr store, papers)."""
+    chained. Returns (the board's read_board index decoding ballots and
+    proofs, as verify reads it, which keeps each line's text, manifest, cvr
+    store, papers)."""
     gp = TEST_GROUP
     rng = random.Random(1)
     jpk, _ = dkg(1, 1, gp, rng)
@@ -233,7 +239,7 @@ def synthetic_comparison_record(n=100, winner_votes=55, flips=0, blanks=0, seats
     tally = {"kind": "tally", "columns": [], "result": {"race": result}, "cast": {}}
     lines = [{"kind": "header", "election_id": "audit-lab", "version": "1"},
              *(synthetic_entry(i) for i in range(n)), *extra, *([tally] if tallied else [])]
-    board = read_board(rechain(lines, "audit-lab", office, gp), "audit-lab", whole=True)
+    board = read_board(rechain(lines, "audit-lab", office, gp), "audit-lab", ("ballot", "proof"))
     return board, manifest, cvrs, papers
 
 

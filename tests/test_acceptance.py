@@ -11,6 +11,7 @@ import random
 import time
 
 from helpers import (
+    board_lines,
     board_raw_lines,
     demo_run,
     finish,
@@ -105,7 +106,7 @@ def test_criterion_3_every_challenged_ballot_exposes_a_rigged_terminal() -> None
         finish(result)
         challenge = result["challenges"][0]
         decryption = next(
-            l for l in result["board"].lines()
+            l for l in board_lines(result["board"])
             if l["kind"] == "decryption" and int(l["ref"]) == challenge["entry"]
         )
         revealed = decryption["plaintext"]["selections"].get("race", [])
@@ -119,13 +120,13 @@ def test_criterion_4_chain_tampering_is_caught_and_named() -> None:
     board, manifest, office = hundred_entry_board()
     entry_pos = {
         int(line["index"]): pos
-        for pos, line in enumerate(board.lines())
+        for pos, line in enumerate(board_lines(board))
         if line.get("kind") == "entry"
     }
 
     def first_failure(lines):
         index = read_board(rechain(lines, manifest.election_id, office, manifest.gp),
-                           manifest.election_id, whole=True)
+                           manifest.election_id, ("ballot", "proof"))
         bad = [item for item in verify_chain(index, manifest) if not item.ok]
         assert bad, "tampering went unnoticed"
         return bad[0]
@@ -133,19 +134,19 @@ def test_criterion_4_chain_tampering_is_caught_and_named() -> None:
     rng = random.Random(4004)
     checked = 0
     for i in rng.sample(range(100), 10):  # substitution: swap in another entry's ballot
-        lines = board.lines()
+        lines = board_lines(board)
         donor = lines[entry_pos[(i + 37) % 100]]
         victim = lines[entry_pos[i]]
         victim["ballot"], victim["proof"] = donor["ballot"], donor["proof"]
         assert first_failure(lines).entry == i
         checked += 1
     for i in rng.sample(range(99), 10):  # deletion: the next entry's link breaks
-        lines = board.lines()
+        lines = board_lines(board)
         del lines[entry_pos[i]]
         assert first_failure(lines).entry == i + 1
         checked += 1
     for i in rng.sample(range(99), 10):  # reorder: adjacent swap
-        lines = board.lines()
+        lines = board_lines(board)
         a, b = entry_pos[i], entry_pos[i + 1]
         lines[a], lines[b] = lines[b], lines[a]
         assert first_failure(lines).entry == i + 1
@@ -218,7 +219,7 @@ def test_criterion_7_missing_paper_is_reported_demoted_and_decrypted() -> None:
         entry = result["index_by_serial"][serial]
         assert board.effective_status(entry) == "UNTALLIED"
         decryption = next(
-            l for l in board.lines()
+            l for l in board_lines(board)
             if l["kind"] == "decryption" and int(l["ref"]) == entry
         )
         voter = scenario.voters[victim]

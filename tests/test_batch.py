@@ -10,6 +10,7 @@ import pytest
 from helpers import (
     MID_GROUP,
     MODP_GROUP,
+    board_lines,
     board_raw_lines,
     demo_commands,
     demo_run,
@@ -330,7 +331,7 @@ def test_each_kind_of_published_element_outside_the_subgroup_is_refused_by_entry
     p = manifest.gp.p
     assert p % 4 == 3
     for kind, path, check in ELEMENTS:
-        lines = result["board"].lines()
+        lines = board_lines(result["board"])
         lineno, line = next((n, line) for n, line in enumerate(lines) if line["kind"] == kind)
         entry = int(line["index"] if kind == "entry" else line["ref"])
         *parents, key = path
@@ -444,7 +445,7 @@ def test_a_negated_column_whose_proofs_hold_over_it_is_refused_by_membership(
     result, seen = recorded_run
     manifest = result["manifest"]
     gp, K, election_id = manifest.gp, manifest.jpk.K, manifest.election_id
-    lines = result["board"].lines()
+    lines = board_lines(result["board"])
     lineno, line = next((n, line) for n, line in enumerate(lines)
                         if line["kind"] == "entry" and line["status"] == "CAST")
     eb = ballot.EncryptedBallot.from_json(line["ballot"])
@@ -488,7 +489,7 @@ def test_a_non_canonical_element_whose_proof_holds_over_it_is_refused_by_its_ran
     the check passes."""
     result, seen = recorded_run
     manifest = result["manifest"]
-    lines = result["board"].lines()
+    lines = board_lines(result["board"])
     check, lineno, entry = REPROVED[kind](result, seen, lines)
     raw = rechain(lines, manifest.election_id, result["office"], manifest.gp)
     failing = [(item.line, item.entry) for item in verify_board(raw, manifest).failures()
@@ -512,7 +513,7 @@ def test_a_share_commit_with_an_order_m_part_fails_decryptions_at_its_line(
     manifest = result["manifest"]
     gp = manifest.gp
     z = pow(2, 2 * gp.q, gp.p)
-    lines = result["board"].lines()
+    lines = board_lines(result["board"])
     check, lineno, entry = _share(result, lines, 2, lambda t: gp.signed(t * z % gp.p))
     raw = rechain(lines, manifest.election_id, result["office"], gp)
     del batch_verdicts[:]
@@ -555,7 +556,7 @@ def _per_proof_report(raw, manifest, monkeypatch) -> dict:
 
 def test_a_tampered_response_among_102_proofs_is_named(batch_verdicts) -> None:
     board, manifest, office = entry_board(MID_GROUP, 34, 2)  # 3 zero-or-one proofs per entry
-    lines = board.lines()
+    lines = board_lines(board)
     target = [i for i, line in enumerate(lines) if line["kind"] == "entry"][27]
     _bump_response(lines[target], "response0", nth=1)
     raw = rechain(lines, manifest.election_id, office, manifest.gp)
@@ -577,7 +578,7 @@ def _targeted(result) -> list:
     manifest, office = result["manifest"], result["office"]
     out = []
     for kind, key, nth, _ in TARGETS:
-        lines = result["board"].lines()
+        lines = board_lines(result["board"])
         _bump_response(next(line for line in lines if line["kind"] == kind), key, nth)
         out.append(rechain(lines, manifest.election_id, office, manifest.gp))
     return out

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from helpers import MID_GROUP, replace
+from helpers import MID_GROUP, board_lines, replace
 from starlock.ballot import (
     BallotStyle,
     Contest,
@@ -83,7 +83,7 @@ def test_publish_assigns_indices_and_omits_serial() -> None:
         make_record(ballot(), jpk, rng), SPOILED, STYLE, jpk.K, GP, reason="VOTER"
     )
     assert (i0, i1) == (0, 1)
-    lines = board.lines()
+    lines = board_lines(board)
     assert lines[0]["kind"] == "header"
     entry = lines[1]
     assert set(entry) == {
@@ -114,12 +114,12 @@ def test_board_refuses_a_status_outside_the_format() -> None:
     jpk, _, _, rng = setup_keys()
     board = Board(EID)
     board.publish_entry(make_record(ballot("ada"), jpk, rng), CAST, STYLE, jpk.K, GP)
-    before = (len(board.lines()), board.last_hash)
+    before = (len(board_lines(board)), board.last_hash)
     for status in ("VOID", "cast", "PENDING"):
         with pytest.raises(MalformedRecord) as exc:
             board.append_status(0, status)
         assert exc.value.detail == "status: not one of CAST, SPOILED, UNTALLIED"
-    assert (len(board.lines()), board.last_hash) == before
+    assert (len(board_lines(board)), board.last_hash) == before
     assert board.effective_status(0) == CAST
 
 
@@ -130,7 +130,7 @@ def test_line_chain_matches_manual_hashing() -> None:
     board.append_status(0, UNTALLIED, reason="lost paper")
     board.sign_board(office, GP)
     prev = GENESIS_HASH
-    for line in board.lines():
+    for line in board_lines(board):
         assert line["prev"] == prev
         prev = hashlib.sha256(canonical_json(line).encode()).hexdigest()
     assert board.last_hash == prev
@@ -183,7 +183,7 @@ def test_write_load_round_trip(tmp_path) -> None:
     path = tmp_path / "board.jsonl"
     board.write(path)
     reloaded = Board.load(path, manifest_for(jpk, office.pk))
-    assert reloaded.lines() == board.lines()
+    assert board_lines(reloaded) == board_lines(board)
     assert reloaded.election_id == EID
     assert reloaded.last_hash == board.last_hash
 
@@ -193,7 +193,7 @@ def test_write_and_lines_reuse_each_line_text(tmp_path, monkeypatch) -> None:
     board = Board(EID)
     board.publish_entry(make_record(ballot("ada"), jpk, rng), CAST, STYLE, jpk.K, GP)
     board.sign_board(office, GP)
-    expected = "".join(canonical_json(line) + "\n" for line in board.lines())
+    expected = "".join(canonical_json(line) + "\n" for line in board_lines(board))
     monkeypatch.setattr("starlock.board.canonical_json", None)  # no second serialisation
     path = tmp_path / "board.jsonl"
     board.write(path)
@@ -246,7 +246,7 @@ def test_load_refuses_a_board_the_office_did_not_sign(tmp_path) -> None:
     other = keygen(GP, random.Random(91))
     with pytest.raises(ChainBroken, match="board line 2: signature does not verify"):
         Board.load(path, manifest_for(jpk, other.pk))
-    assert Board.load(path, manifest_for(jpk, office.pk)).lines() == board.lines()
+    assert board_lines(Board.load(path, manifest_for(jpk, office.pk))) == board_lines(board)
 
 
 def test_aggregate_counts_only_effective_cast() -> None:
@@ -419,7 +419,7 @@ def test_signature_covers_the_whole_file() -> None:
     board = Board(EID)
     board.publish_entry(make_record(ballot("ada"), jpk, rng), CAST, STYLE, jpk.K, GP)
     board.sign_board(office, GP)
-    lines = board.lines()
+    lines = board_lines(board)
     assert _signature_holds(lines, jpk, office.pk)
     assert not _signature_holds(lines, jpk, other.pk)
     assert not _signature_holds(lines, jpk, office.pk, "other-election")
@@ -428,7 +428,7 @@ def test_signature_covers_the_whole_file() -> None:
     # a superseded mid-file signature stays valid at its own prefix
     board.append_status(0, UNTALLIED)
     board.sign_board(office, GP)
-    full = board.lines()
+    full = board_lines(board)
     assert _signature_holds(full, jpk, office.pk)
     assert _signature_holds(full[: len(lines)], jpk, office.pk)
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    board_lines,
     board_raw_lines,
     demo_commands,
     demo_run,
@@ -17,8 +18,10 @@ from helpers import (
     synthetic_comparison_record,
 )
 from helpers import synthetic_entry as entry
+from starlock import verifier
 from starlock.audit import published_commitments, run_audit
 from starlock.ballot import BallotStyle, Contest
+from starlock.board import Board
 from starlock.boardformat import BULK_KEYS, CAST, SPOILED, UNTALLIED, contest_columns, read_board
 from starlock.cli import main
 from starlock.elgamal import keygen
@@ -69,7 +72,7 @@ def test_status_lines_override_in_file_order_after_their_entry() -> None:
 
 def test_verifier_reads_a_leading_status_line_by_the_same_rule() -> None:
     result, _ = demo_run()
-    lines = result["board"].lines()
+    lines = board_lines(result["board"])
     manifest = result["manifest"]
     statuses = read_board(board_raw_lines(result["board"]), manifest.election_id).statuses
     k = min(i for i, s in statuses.items() if s == CAST)
@@ -103,7 +106,7 @@ def test_dangling_references_break_the_line_chain() -> None:
     result, _ = demo_run()
     decryption = {"kind": "decryption", "ref": "999", "columns": [], "plaintext": {}}
     for line in (status(999, CAST), decryption):
-        lines = [*result["board"].lines(), line]
+        lines = [*board_lines(result["board"]), line]
         raw = rechain(lines, result["manifest"].election_id, result["office"],
                       result["manifest"].gp)
         report = verify_board(raw, result["manifest"])
@@ -173,7 +176,7 @@ def rule_break(edit):
     one after the polls close too, not only the last), so that only the
     structure rule is broken; and the number of the line edit breaks."""
     result, _ = demo_run()
-    lines = result["board"].lines()
+    lines = board_lines(result["board"])
     lineno = edit(lines)
     manifest = result["manifest"]
     for at in [i for i, line in enumerate(lines) if line["kind"] == "signature"]:
@@ -207,8 +210,9 @@ def test_a_repeated_entry_number_counts_for_nothing() -> None:
     raw, lineno = rule_break(RULE_BREAKS["3-entry-number-repeated"][0])
     report = verify_board(raw, manifest)
     assert [(item.check, item.line) for item in report.failures()] == [("line_chain", lineno)]
-    pristine = read_board(board_raw_lines(result["board"]), manifest.election_id, whole=True)
-    index = read_board(raw, manifest.election_id, whole=True)
+    pristine = read_board(board_raw_lines(result["board"]), manifest.election_id,
+                          ("ballot", "proof"))
+    index = read_board(raw, manifest.election_id, ("ballot", "proof"))
     assert index.statuses[0] == pristine.statuses[0] == CAST
     cast = index.cast_ballots()
     assert cast.count(index.ballot(0)) == 1
@@ -217,11 +221,11 @@ def test_a_repeated_entry_number_counts_for_nothing() -> None:
 
 def test_a_structural_read_keeps_no_bulk_key_and_no_text() -> None:
     """The read audit and receipt-check take indexes every line of the demo
-    board as the whole read does, less BULK_KEYS, and keeps no text; asking
+    board as verify's read does, less BULK_KEYS, and keeps no text; asking
     it for a ballot or a proof is the caller's error, not the board's."""
     result, _ = demo_run()
     raw, eid = board_raw_lines(result["board"]), result["manifest"].election_id
-    whole, structural = read_board(raw, eid, whole=True), read_board(raw, eid)
+    whole, structural = read_board(raw, eid, ("ballot", "proof")), read_board(raw, eid)
     assert whole.texts == raw and structural.texts == []
     kept = lambda pair: (pair[0], {key: value for key, value in pair[1].items()  # noqa: E731
                                    if key not in BULK_KEYS.get(pair[1]["kind"], ())})
@@ -233,11 +237,49 @@ def test_a_structural_read_keeps_no_bulk_key_and_no_text() -> None:
     assert (structural.statuses, structural.last, structural.head, structural.broken) == (
         whole.statuses, whole.last, whole.head, None)
     for ask in (structural.ballot, structural.proof):
-        with pytest.raises(TypeError, match="structural board index"):
+        with pytest.raises(TypeError, match="board index that does not hold it"):
             ask(0)
     with pytest.raises(TypeError):
         structural.cast_ballots()
     assert whole.ballot(0) == result["board"]._index.ballot(0)
+
+
+def test_no_board_index_keeps_an_entrys_ballot_or_proof_json(tmp_path, monkeypatch) -> None:
+    """Every index holds an entry line without its ballot and proof: the
+    writer holds the very records it published, Board.load (tally) decodes
+    the ballots alone, and verify's read decodes both as it reads."""
+    def bare(index):
+        return index.entries and not any({"ballot", "proof"} & line.keys()
+                                         for _, line in index.entries.values())
+
+    result, _ = demo_run()
+    board, manifest = result["board"], result["manifest"]
+    writer = board._index
+    published = [record.record for record in result["site"].records.values()]
+    assert bare(writer) and len(writer.entries) == len(published)
+    assert "columns" not in writer.tally[1]  # the writer indexes as a structural read does
+    for k, record in enumerate(published):
+        assert writer.ballot(k) is record.ballot and writer.proof(k) is record.proof
+
+    board.write(tmp_path / "board.jsonl")
+    loaded = Board.load(tmp_path / "board.jsonl", manifest)._index
+    assert bare(loaded) and loaded.texts == writer.texts
+    assert [loaded.ballot(k) for k in loaded.entries] == [record.ballot for record in published]
+    with pytest.raises(TypeError):
+        loaded.proof(0)
+
+    reads = []
+
+    def read_board_spy(*args):
+        reads.append(read_board(*args))
+        return reads[-1]
+
+    monkeypatch.setattr(verifier, "read_board", read_board_spy)
+    assert verify_board(board_raw_lines(board), manifest).overall
+    [index] = reads
+    assert bare(index) and index.texts == writer.texts
+    assert [(index.ballot(k), index.proof(k)) for k in index.entries] == [
+        (record.ballot, record.proof) for record in published]
 
 
 def test_contest_defined_two_ways_is_refused_everywhere(tmp_path) -> None:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import starlock
-from helpers import board_raw_lines, demo_commands, demo_run, rechain
+from helpers import board_lines, board_raw_lines, demo_commands, demo_run, rechain
 from starlock.cli import main
 from starlock.errors import MalformedRecord
 from starlock.group import PROD_GROUP, TEST_GROUP
@@ -316,7 +316,7 @@ def retamper_demo(mutate, upto=None):
     mutate, re-chained and re-signed: each signature line kept is signed again
     over the re-chained head above it, as the office would have signed it."""
     result, _ = demo_run()
-    lines = result["board"].lines()[:upto]
+    lines = board_lines(result["board"])[:upto]
     mutate(lines)
     manifest = result["manifest"]
     signed = []
@@ -413,7 +413,7 @@ def forged_plaintext_boards():
     raw board lines, re-chained board lines)."""
     result, _ = demo_run()
     spoiled = next(r for r in result["receipts"] if r["status"] == "SPOILED")
-    lines = result["board"].lines()
+    lines = board_lines(result["board"])
     at = next(i for i, x in enumerate(lines)
               if x["kind"] == "decryption" and x["ref"] == str(spoiled["entry"]))
     lines[at]["plaintext"] = dict(lines[at]["plaintext"], style_id="forged")
@@ -486,7 +486,7 @@ def test_receipt_check_reports_an_ambiguous_receipt_as_a_verdict(tmp_path, capsy
 
 def test_tally_refuses_a_spoiled_entry_of_an_unknown_style(tmp_path, capsys) -> None:
     result, _ = demo_run()
-    kinds = [line["kind"] for line in result["board"].lines()]
+    kinds = [line["kind"] for line in board_lines(result["board"])]
 
     def mutate(lines):
         entry = next(line for line in lines
@@ -510,6 +510,43 @@ def test_tally_refuses_a_spoiled_entry_of_an_unknown_style(tmp_path, capsys) -> 
                  "--cvrs", str(files["cvrs"]), "--papers", str(files["papers"]),
                  "--shares", *map(str, shares), "--office", str(files["office"])]) == 2
     assert "unknown ballot style 'nowhere'" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, field", [("ballot", "a"), ("proof", "challenge0")])
+def test_a_record_that_fails_to_decode_fails_only_where_it_is_read(key, field, tmp_path,
+                                                                    capsys) -> None:
+    """Entry 2 (SPOILED, line 3) with a bad hex digit in its ballot or its
+    proof: verify names it at that line and entry in each check that reads
+    the record, and tally, which reads ballots but no proof, refuses the
+    bad ballot and tallies past the bad proof."""
+    result, _ = demo_run()
+    board, commands = demo_commands(tmp_path)
+    kinds = [line["kind"] for line in board_lines(result["board"])]
+
+    def mutate(lines):
+        entry = [line for line in lines if line["kind"] == "entry"][2]
+        entry[key]["contests"][0]["options"][0][field] = "0g"
+
+    board.write_text("\n".join(retamper_demo(mutate)) + "\n", encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main([*commands["verify"], "--report", str(report)]) == 2
+    detail = f"{key}.contests[0].options[0].{field}: not lowercase hex"
+    checks = ["terminal_chain", "ballot_proofs", *(["decryptions"] if key == "ballot" else [])]
+    items = json.loads(report.read_text(encoding="utf-8"))["items"]
+    assert [item for item in items if not item["ok"]] == [
+        {"check": check, "ok": False, "detail": f"malformed {detail}", "line": 3, "entry": 2}
+        for check in checks]
+    assert {"check": "tally", "ok": True, "detail": "aggregate, shares, and counts verify"} in items
+    capsys.readouterr()
+    # the board as it stood before the tally: up to its first signature
+    board.write_text("\n".join(retamper_demo(mutate, upto=kinds.index("signature"))) + "\n",
+                     encoding="utf-8")
+    if key == "ballot":
+        assert main(commands["tally"]) == 2
+        assert capsys.readouterr().out == f"MalformedRecord: board line 3: {detail}\n"
+    else:
+        assert main(commands["tally"]) == 0
+        assert capsys.readouterr().out.startswith("compliance: 6 cast record(s), 6 paper(s)")
 
 
 @pytest.mark.parametrize("damage", ["entry-without-index", "unparseable-line", "not-utf-8"])
@@ -720,7 +757,7 @@ def test_audit_aborts_on_a_board_with_no_effective_cast_entry(tmp_path, capsys) 
     audit has no ballot to draw and aborts, exit 2, with no traceback."""
     result, _ = demo_run()
     board, commands = demo_commands(tmp_path)
-    lines = result["board"].lines()
+    lines = board_lines(result["board"])
     at = next(i for i, line in enumerate(lines) if line["kind"] == "tally")
     lines[at:at] = [{"kind": "status", "ref": line["index"], "status": "SPOILED"}
                     for line in lines if line["kind"] == "entry" and line["status"] == "CAST"]
@@ -1103,7 +1140,7 @@ def test_a_count_beyond_its_bound_names_its_column(status, tmp_path, capsys) -> 
                      + f"{cid}.{option}: no exponent in [0, {bound}] matches")
 
     board, commands = demo_commands(tmp_path)
-    kinds = [line["kind"] for line in result["board"].lines()]
+    kinds = [line["kind"] for line in board_lines(result["board"])]
     write_pre_tally(board, retamper_demo(mutate, upto=kinds.index("signature")))
     before = board.read_bytes()
     capsys.readouterr()

@@ -150,10 +150,10 @@ def test_verifier_never_raises_and_names_every_raw_edit() -> None:
     assert reports.hexdigest() == REPORTS_SHA256
 
 
-def strict_verdict(board, manifest, canonical):
+def strict_verdict(board, manifest, decode):
     """parse_lines' (line, reason) refusal of the board, or None."""
     try:
-        parse_lines(board, manifest, canonical)
+        parse_lines(board, manifest, decode)
     except ChainBroken as exc:
         return exc.lineno, exc.reason
     except MalformedRecord as exc:
@@ -175,9 +175,9 @@ def test_the_strict_read_refuses_a_board_where_verify_fails_its_chain_or_signatu
     manifest = demo_run()[0]["manifest"]
     for kind, rechained, board in corpus():
         first = verify_verdict(board, manifest)
-        for canonical in (True, False):
-            assert strict_verdict(board, manifest, canonical) == first, (
-                kind, rechained, canonical, board)
+        for decode in (("ballot",), ()):
+            assert strict_verdict(board, manifest, decode) == first, (
+                kind, rechained, decode, board)
 
 
 def same_value_edits(text: str) -> list:
@@ -203,9 +203,9 @@ def test_every_reader_refuses_a_line_out_of_canonical_form_at_that_line() -> Non
             assert edit != text and json.loads(edit) == json.loads(text)
             board = [*pristine[:i], edit, *pristine[i + 1:]]
             assert verify_verdict(board, manifest) == (i, "line not in canonical form"), edit
-            for canonical in (True, False):
-                assert strict_verdict(board, manifest, canonical) == (
-                    i, "line not in canonical form"), (canonical, edit)
+            for decode in (("ballot",), ()):
+                assert strict_verdict(board, manifest, decode) == (
+                    i, "line not in canonical form"), (decode, edit)
 
 
 # A line's text with whitespace or data around its value, a byte-order mark,
@@ -225,7 +225,7 @@ AROUND_THE_VALUE = {
 
 @pytest.mark.parametrize("edit", AROUND_THE_VALUE)
 def test_every_reader_judges_the_text_around_a_line_alike(edit) -> None:
-    """verify and the strict read, whole or structural, refuse such a line
+    """verify and the strict read, decoding or structural, refuse such a line
     in the middle of the board and as its last line, at that line and for
     the same reason."""
     result, _ = demo_run()
@@ -235,8 +235,8 @@ def test_every_reader_judges_the_text_around_a_line_alike(edit) -> None:
     for i in (3, len(pristine) - 1):
         board = [*pristine[:i], rewrite(pristine[i]), *pristine[i + 1:]]
         assert verify_verdict(board, manifest) == (i, reason)
-        for whole in (True, False):
-            assert strict_verdict(board, manifest, whole) == (i, reason), whole
+        for decode in (("ballot",), ()):
+            assert strict_verdict(board, manifest, decode) == (i, reason), decode
 
 
 def test_every_command_ends_with_a_documented_exit_code(tmp_path, capsys) -> None:

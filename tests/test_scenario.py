@@ -13,7 +13,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import board_raw_lines, demo_run, finish, mid_demo_run
+from helpers import board_lines, board_raw_lines, demo_run, finish, mid_demo_run
 from starlock.ballot import (
     BallotStyle,
     Contest,
@@ -345,12 +345,12 @@ def test_lost_paper_is_demoted_and_excluded() -> None:
     entry = result["index_by_serial"][serial]
     assert board.effective_status(entry) == "UNTALLIED"
     status_lines = [
-        l for l in board.lines() if l["kind"] == "status" and int(l["ref"]) == entry
+        l for l in board_lines(board) if l["kind"] == "status" and int(l["ref"]) == entry
     ]
     assert status_lines and status_lines[-1]["reason"] == "cast-without-paper"
     # the demoted ballot gets a verifiable decryption and leaves the count
     assert any(
-        l["kind"] == "decryption" and int(l["ref"]) == entry for l in board.lines()
+        l["kind"] == "decryption" and int(l["ref"]) == entry for l in board_lines(board)
     )
     assert outcome["tally"].result["mayor"]["ada"] == 1
     assert outcome["tally"].cast_counts["mayor"] == 5
@@ -412,7 +412,7 @@ def test_rigged_terminal_is_exposed_by_a_challenge() -> None:
     finish(result)
     challenge = result["challenges"][0]
     decryption = next(
-        l for l in result["board"].lines()
+        l for l in board_lines(result["board"])
         if l["kind"] == "decryption" and int(l["ref"]) == challenge["entry"]
     )
     revealed = decryption["plaintext"]["selections"]["race"]

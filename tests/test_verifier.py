@@ -5,12 +5,15 @@ rebuilt with a fresh line chain and office signature, so only the deeper
 checks (terminal chains, proofs, tally recomputation) can catch the edit.
 """
 
+import hashlib
 import json
 from collections import Counter
 
 import pytest
 
-from helpers import board_raw_lines, demo_commands, demo_run, rechain, replace
+from helpers import (board_lines, board_raw_lines, demo_commands, demo_run, mid_demo_run,
+                     rechain, replace)
+from starlock import verifier
 from starlock.ballot import EncryptedBallot, PlaintextBallot, WellFormednessProof
 from starlock.board import Board
 from starlock.boardformat import (
@@ -21,6 +24,7 @@ from starlock.boardformat import (
     read_board,
     spoiled_plaintext,
 )
+from starlock.chaum_pedersen import batched
 from starlock.cli import main
 from starlock.errors import AmbiguousReceipt
 from starlock.serialize import canonical_json
@@ -51,7 +55,7 @@ def demo_board():
 
 def retamper(result, mutate):
     """Parse the demo lines, apply mutate(lines) in place, rechain, re-sign."""
-    lines = result["board"].lines()
+    lines = board_lines(result["board"])
     mutate(lines)
     return rechain(
         lines, result["manifest"].election_id, result["office"], result["manifest"].gp
@@ -78,7 +82,7 @@ def test_edited_line_breaks_the_chain_at_the_next_line() -> None:
     line = json.loads(raw[target])
     line["timestamp"] = str(int(line["timestamp"]) + 1)
     raw = raw[:target] + [canonical_json(line)] + raw[target + 1 :]
-    items = check_line_chain(read_board(raw, EID, whole=True))
+    items = check_line_chain(read_board(raw, EID, ("ballot", "proof")))
     assert not items[0].ok
     assert items[0].line == target + 1
     assert not verify_board(raw, result["manifest"]).overall
@@ -87,11 +91,11 @@ def test_edited_line_breaks_the_chain_at_the_next_line() -> None:
 def test_deleted_and_reordered_lines_break_the_chain() -> None:
     result, raw = demo_board()
     deleted = raw[:5] + raw[6:]
-    items = check_line_chain(read_board(deleted, EID, whole=True))
+    items = check_line_chain(read_board(deleted, EID, ("ballot", "proof")))
     assert not items[0].ok and items[0].line == 5
     swapped = raw[:]
     swapped[2], swapped[3] = swapped[3], swapped[2]
-    items = check_line_chain(read_board(swapped, EID, whole=True))
+    items = check_line_chain(read_board(swapped, EID, ("ballot", "proof")))
     assert not items[0].ok and items[0].line == 2
 
 
@@ -99,11 +103,11 @@ def test_non_canonical_or_unparseable_lines_are_rejected() -> None:
     _, raw = demo_board()
     pretty = raw[:]
     pretty[1] = json.dumps(json.loads(raw[1]), sort_keys=True, separators=(", ", ": "))
-    items = check_line_chain(read_board(pretty, EID, whole=True))
+    items = check_line_chain(read_board(pretty, EID, ("ballot", "proof")))
     assert not items[0].ok and "canonical" in items[0].detail
     garbage = raw[:]
     garbage[4] = "not json {"
-    items = check_line_chain(read_board(garbage, EID, whole=True))
+    items = check_line_chain(read_board(garbage, EID, ("ballot", "proof")))
     assert not items[0].ok and items[0].line == 4
 
 
@@ -247,7 +251,7 @@ def test_verify_board_decodes_each_line_and_entry_once(monkeypatch) -> None:
 
 def test_rechained_substitution_is_caught_by_the_terminal_chain() -> None:
     result, _ = demo_board()
-    entry_lines = [l for l in result["board"].lines() if l["kind"] == "entry"]
+    entry_lines = [l for l in board_lines(result["board"]) if l["kind"] == "entry"]
     same_terminal = [l for l in entry_lines if l["terminal"] == entry_lines[0]["terminal"]]
     assert len(same_terminal) >= 2
     donor, victim = same_terminal[0], same_terminal[1]
@@ -508,3 +512,23 @@ def test_colliding_receipts_are_flagged_ambiguous() -> None:
     assert index.broken is None
     with pytest.raises(AmbiguousReceipt):
         lookup_receipt(index, "T1", code)
+
+
+def test_the_batch_seed_hashes_the_board_line_by_line(monkeypatch) -> None:
+    """verify seeds a large group's proof batch from the SHA-256 of the raw
+    lines joined by newlines, non-ASCII text and the U+FFFD that stands for
+    bytes that are not UTF-8 included, though it hashes a line at a time."""
+    result, _ = mid_demo_run()
+    raw = board_raw_lines(result["board"])
+    seeds = []
+
+    def batched_spy(gp, seed, *args):
+        seeds.append(seed())
+        return batched(gp, seed, *args)
+
+    monkeypatch.setattr(verifier, "batched", batched_spy)
+    for lines in (raw, [*raw[:3], raw[3].replace("downtown", "d\u00f6wnt\u014dwn"), "\ufffd",
+                        *raw[4:]]):
+        seeds.clear()
+        verify_board(lines, result["manifest"])
+        assert seeds[0] == hashlib.sha256("\n".join(lines).encode("utf-8")).digest() + b"proofs"
